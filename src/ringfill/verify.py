@@ -2,8 +2,9 @@
 
 Three independent instruments:
 
-* breadth-first graph distances from every boundary vertex, giving the exact
-  Lipschitz constant delta of the filling;
+* exact integer breadth-first distances from every boundary vertex, one
+  compiled scipy traversal per source with levels recovered from the visit
+  order, giving the exact Lipschitz constant delta of the filling;
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact rational arithmetic;
 * an analytic lower-bound predictor for boundary distances derived from the
@@ -21,16 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 from .annuli import circ_dist
 from .builder import BuildResult
-from .simplicial import Triangulation, skeleton_graph
+from .simplicial import Triangulation
 
 __all__ = [
     "cycle_dist",
     "bfs_distances",
-    "shortest_path",
     "boundary_distance_matrix",
     "VerificationReport",
     "verify_filling",
@@ -72,78 +72,81 @@ def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
     return dist
 
 
-def shortest_path(adj: list[list[int]], source: int, target: int) -> list[int]:
-    """One shortest path from source to target as a vertex list (BFS parents)."""
-    parent = [-1] * len(adj)
-    parent[source] = source
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if u == target:
-            break
-        for v in adj[u]:
-            if parent[v] < 0:
-                parent[v] = u
-                queue.append(v)
-    if parent[target] < 0:
-        raise ValueError(f"vertex {target} unreachable from {source}")
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def resolve_jobs(jobs: int | None) -> int:
     """Worker count: explicit argument, else the RINGFILL_JOBS env var, else 1."""
     if jobs is not None:
         return max(1, jobs)
     env = os.environ.get("RINGFILL_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"RINGFILL_JOBS must be an integer, got {env!r}") from None
 
 
 def _graph_csr(t: Triangulation) -> csr_matrix:
+    """The symmetric 1-skeleton with float64 data, as scipy's traversals take it."""
     edges = np.asarray(t.edges, dtype=np.int32)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    data = np.ones(len(rows), dtype=np.int8)
-    return csr_matrix((data, (rows, cols)), shape=(t.num_vertices, t.num_vertices))
+    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(t.num_vertices, t.num_vertices))
+
+
+def _bfs(g: csr_matrix, source: int) -> tuple[np.ndarray, np.ndarray]:
+    # directed=True: g is already symmetric, so scipy need not symmetrise it per call
+    return breadth_first_order(g, source, directed=True, return_predecessors=True)
+
+
+def _boundary_row(g: csr_matrix, source: int, n: int) -> np.ndarray:
+    """Exact BFS distances from ``source`` to the boundary vertices 0..n-1.
+
+    One compiled breadth-first traversal yields the visit order and the BFS
+    tree; levels are recovered from positions in that order.  ``pp[j]`` is
+    the position of the parent of the (j+1)-th visited vertex.  The queue is
+    FIFO, so ``pp`` never decreases, and the vertices within distance k+1 are
+    the source plus those whose parent lies among the first ``ends[k]``
+    visited: ``ends[k+1] = #(pp < ends[k]) + 1``, one ``searchsorted`` per
+    level.  A vertex's distance is then the number of level ends at or
+    before its position.
+    """
+    size = g.shape[0]
+    order, pred = _bfs(g, source)
+    if len(order) < size:
+        raise ValueError("graph is disconnected: some vertex is unreachable from the boundary")
+    pos = np.empty(size, dtype=np.intp)
+    pos[order] = np.arange(size)
+    pp = pos[pred[order[1:]]]
+    if (pp[1:] < pp[:-1]).any():
+        raise ValueError(f"breadth_first_order from {source} is not a FIFO order: cannot recover BFS levels")
+    ends = [1]
+    while ends[-1] < size:
+        ends.append(int(pp.searchsorted(ends[-1])) + 1)
+    return np.searchsorted(ends, pos[:n], side="right")
 
 
 def boundary_distance_matrix(t: Triangulation, jobs: int | None = None, chunk: int = 64) -> np.ndarray:
-    """Exact graph distances between all pairs of boundary vertices.
+    """Exact graph distances between all pairs of boundary vertices, as int64.
 
-    Runs one BFS per boundary source through compiled sparse-graph routines,
-    in chunks.  Chunks are independent and read-only over the shared graph,
-    so they may run on ``jobs`` threads; results are assembled in source
-    order either way, keeping the output deterministic.
+    Builds the CSR of the 1-skeleton once and runs one compiled BFS per
+    boundary source over it (see :func:`_boundary_row`), keeping only the n
+    boundary columns.  Sources run in chunks that are independent and
+    read-only over the shared graph, so they may run on ``jobs`` threads;
+    results are assembled in source order either way, keeping the output
+    deterministic.
     """
     g = _graph_csr(t)
     n = t.n
-    out = np.empty((n, n), dtype=np.int64)
-    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    spans = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
-    def run(span: tuple[int, int]) -> tuple[int, int, np.ndarray]:
-        lo, hi = span
-        d = dijkstra(g, directed=False, unweighted=True, indices=np.arange(lo, hi))
-        return lo, hi, d
+    def run(sources: range) -> np.ndarray:
+        return np.array([_boundary_row(g, s, n) for s in sources], dtype=np.int64)
 
     workers = resolve_jobs(jobs)
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, spans))
-    else:
-        results = [run(s) for s in spans]
-    for lo, hi, d in results:
-        if np.isinf(d).any():
-            raise ValueError("graph is disconnected: some vertex is unreachable from the boundary")
-        out[lo:hi] = d[:, :n].astype(np.int64)
-    return out
+            return np.concatenate(list(pool.map(run, spans)))
+    return np.concatenate([run(s) for s in spans])
 
 
 @dataclass(eq=False)
@@ -162,20 +165,14 @@ class VerificationReport:
     witness_path: list[int] | None
     boundary_distances: np.ndarray
     eps: float | None = None
-    histograms: list[list[int]] | None = None
 
 
-def verify_filling(
-    t: Triangulation,
-    jobs: int | None = None,
-    want_witness: bool = True,
-    want_histograms: bool = False,
-) -> VerificationReport:
+def verify_filling(t: Triangulation, jobs: int | None = None, want_witness: bool = True) -> VerificationReport:
     """Compute the exact Lipschitz constant of ``t`` over all boundary pairs.
 
     Requires a complex that already passed :func:`validate_disk`.  When a
     shortcut exists (delta < 1) the report carries one shortest path
-    realizing the worst pair.
+    realizing the worst pair, read off the BFS tree of its first vertex.
     """
     n = t.n
     dist = boundary_distance_matrix(t, jobs=jobs)
@@ -197,10 +194,11 @@ def verify_filling(
     delta = Fraction(d_k, d_c)
     witness = None
     if want_witness and delta < 1:
-        witness = shortest_path(skeleton_graph(t), x, y)
-    histograms = None
-    if want_histograms:
-        histograms = [np.bincount(row, minlength=1).tolist() for row in dist]
+        _, pred = _bfs(_graph_csr(t), x)
+        witness = [y]
+        while witness[-1] != x:
+            witness.append(int(pred[witness[-1]]))
+        witness.reverse()
     return VerificationReport(
         n=n,
         delta=delta,
@@ -208,7 +206,6 @@ def verify_filling(
         worst_pair=(x, y, d_k, d_c),
         witness_path=witness,
         boundary_distances=dist,
-        histograms=histograms,
     )
 
 

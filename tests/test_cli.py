@@ -132,3 +132,17 @@ def test_export_unknown_format_is_usage_error(tmp_path):
 def test_missing_source_is_an_error(capsys):
     assert main(["verify"]) == 2
     assert "--in FILE" in capsys.readouterr().err
+
+
+def test_count_mismatch_is_an_error(monkeypatch, capsys):
+    from ringfill.builder import Schedule
+
+    monkeypatch.setattr(Schedule, "predicted_vertex_count", property(lambda self: -1))
+    assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25"]) == 1
+    assert "error: count mismatch" in capsys.readouterr().err
+
+
+def test_malformed_jobs_env_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("RINGFILL_JOBS", "two")
+    assert main(["verify", "--n", "25", "--rho", "0.1", "--eta", "0.25"]) == 1
+    assert "error: RINGFILL_JOBS must be an integer" in capsys.readouterr().err

@@ -2,17 +2,23 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringfill import (
     Params,
     ScheduleError,
+    Triangulation,
+    Vertex,
+    bfs_distances,
+    boundary_distance_matrix,
     build_filling,
     canonical_triangle,
     ceil_sqrt,
     circ_dist,
     compute_schedule,
     cycle_dist,
+    skeleton_graph,
     staircase_indices,
     validate_disk,
 )
@@ -111,3 +117,23 @@ def test_built_complexes_are_valid_disks(n, rho, eta):
     assert validate_disk(build.triangulation).ok
     assert build.predicted_vertex_count == build.triangulation.num_vertices
     assert build.predicted_triangle_count == build.triangulation.num_triangles
+
+
+@given(st.integers(12, 64), small_rhos, small_etas)
+@settings(max_examples=15, deadline=None)
+def test_boundary_matrix_matches_pure_python_bfs(n, rho, eta):
+    assume(eta * eta < rho)
+    try:
+        t = build_filling(Params(n, rho, eta)).triangulation
+    except ScheduleError:
+        assume(False)
+    adj = skeleton_graph(t)
+    expected = [bfs_distances(adj, src)[:n] for src in range(n)]
+    assert boundary_distance_matrix(t, jobs=1).tolist() == expected
+    assert boundary_distance_matrix(t, jobs=4, chunk=16).tolist() == expected
+    # a stray triangle off the disk leaves three vertices no boundary BFS reaches
+    v = t.num_vertices
+    stray = [Vertex(v + i, 0, i, None) for i in range(3)]
+    broken = Triangulation(n, t.vertices + stray, t.triangles + [(v, v + 1, v + 2)])
+    with pytest.raises(ValueError, match="disconnected"):
+        boundary_distance_matrix(broken)

@@ -18,7 +18,6 @@ from ringfill import (
     step_profile_eps,
     verify_filling,
 )
-from ringfill.verify import shortest_path
 
 
 def floyd_warshall(t):
@@ -114,15 +113,39 @@ def test_jobs_env_var_fallback(monkeypatch):
     assert resolve_jobs(None) == 5
     assert resolve_jobs(2) == 2  # explicit argument wins
     monkeypatch.setenv("RINGFILL_JOBS", "not-a-number")
-    assert resolve_jobs(None) == 1
+    with pytest.raises(ValueError, match="RINGFILL_JOBS"):
+        resolve_jobs(None)
+    assert resolve_jobs(2) == 2  # an explicit argument never reads the variable
 
 
-def test_witness_path_helper(small_build):
-    adj = skeleton_graph(small_build.triangulation)
-    path = shortest_path(adj, 0, 5)
-    assert path[0] == 0 and path[-1] == 5
-    assert all(b in adj[a] for a, b in zip(path, path[1:]))
-    assert len(path) - 1 == bfs_distances(adj, 0)[5]
+def test_witness_path_helper():
+    # cones over C_k for k >= 6 have shortcuts through the apex
+    for k in range(6, 11):
+        t = cone_over_cycle(k)
+        report = verify_filling(t)
+        x, y, d_k, _ = report.worst_pair
+        path = report.witness_path
+        adj = skeleton_graph(t)
+        assert path[0] == x and path[-1] == y
+        assert all(b in adj[a] for a, b in zip(path, path[1:]))
+        assert len(path) - 1 == d_k == bfs_distances(adj, x)[y]
+
+
+def test_level_recovery_rejects_non_fifo_order(monkeypatch):
+    import ringfill.verify as verify
+
+    real = verify.breadth_first_order
+
+    def swapped(*args, **kwargs):
+        # from 0 on the cone over C_6 the order is 0 1 5 6 2 4 3; visiting 4
+        # (child of 5) before 2 (child of 1) is no FIFO order
+        order, pred = real(*args, **kwargs)
+        order[-3], order[-2] = order[-2], order[-3]
+        return order, pred
+
+    monkeypatch.setattr(verify, "breadth_first_order", swapped)
+    with pytest.raises(ValueError, match="not a FIFO order"):
+        boundary_distance_matrix(cone_over_cycle(6))
 
 
 def test_drift_audit_passes_and_equal_annuli_are_tight(medium_build):
@@ -194,13 +217,3 @@ def test_collar_only_ledger_bound_is_separation(small_build):
 def test_step_profile_eps_positive_and_small(medium_build):
     eps = step_profile_eps(medium_build)
     assert 0 < eps < 1
-
-
-def test_optional_distance_histograms(small_build):
-    report = verify_filling(small_build.triangulation, want_histograms=True)
-    n = small_build.params.n
-    assert len(report.histograms) == n
-    # each histogram counts every boundary vertex exactly once
-    assert all(sum(h) == n for h in report.histograms)
-    assert all(h[0] == 1 for h in report.histograms)  # only the source at distance 0
-    assert verify_filling(small_build.triangulation).histograms is None
