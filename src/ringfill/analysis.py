@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .builder import Params, as_fraction, build_filling
 from .simplicial import validate_disk
@@ -125,6 +124,8 @@ def profile_integral(eta: Fraction | float | str) -> ProfileIntegralCheck:
     Raises if the two disagree beyond 1e-12: that would mean either the
     closed form or the quadrature setup is wrong.
     """
+    from scipy.integrate import quad  # imported here: no other command needs scipy's quadrature
+
     e = as_fraction(eta)
     if not 0 <= e <= 1:
         raise ValueError(f"eta must lie in [0, 1], got {e}")

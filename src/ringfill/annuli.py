@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .simplicial import Triangulation, Vertex, canonical_triangle
+import numpy as np
+
+from .simplicial import Triangulation, Vertex
 
 __all__ = [
     "circ_dist",
@@ -70,10 +72,11 @@ class LayerRecord:
 
     def theta(self, i: int, n: int) -> Fraction:
         """Circular coordinate of the ``i``-th vertex of this cycle."""
-        return (self.phase + Fraction(n * (i % self.length), self.length)) % n
+        num, den, m = self.phase.numerator, self.phase.denominator, self.length
+        return Fraction((num * m + n * (i % m) * den) % (n * den * m), den * m)
 
-    def vertex(self, i: int) -> int:
-        """Vertex id of the ``i``-th cycle vertex, indices taken mod length."""
+    def vertex(self, i: int | np.ndarray) -> int | np.ndarray:
+        """Vertex id of the ``i``-th cycle vertex (elementwise for arrays), indices taken mod length."""
         return self.first_vertex + (i % self.length)
 
 
@@ -82,6 +85,8 @@ class DiskAssembler:
 
     Single-use and single-threaded: annuli always attach to the current
     innermost cycle, and no further annulus may be added after the cone.
+    Each annulus and the cone append one ``(k, 3)`` block of triangles,
+    computed by index arithmetic over the whole cycle.
     """
 
     def __init__(self, n: int):
@@ -89,7 +94,7 @@ class DiskAssembler:
             raise ValueError(f"boundary cycle needs length >= 3, got {n}")
         self.n = n
         self.vertices: list[Vertex] = [Vertex(i, 0, i, Fraction(i)) for i in range(n)]
-        self.triangles: list[tuple[int, int, int]] = []
+        self.blocks: list[np.ndarray] = []
         self.layers: list[LayerRecord] = [LayerRecord(0, n, Fraction(0), 0)]
         self.apex: int | None = None
 
@@ -123,11 +128,11 @@ class DiskAssembler:
             raise ValueError(f"equal-length annulus needs cycle length >= 3, got {m}")
         half_step = Fraction(self.n, 2 * m)
         inner = self._new_layer(m, outer.phase + half_step)
-        for i in range(m):
-            u0, u1 = outer.vertex(i), outer.vertex(i + 1)
-            v0, v1 = inner.vertex(i), inner.vertex(i + 1)
-            self.triangles.append(canonical_triangle(u0, u1, v0))
-            self.triangles.append(canonical_triangle(u1, v0, v1))
+        i = np.arange(m)
+        u0, u1 = outer.vertex(i), outer.vertex(i + 1)
+        v0, v1 = inner.vertex(i), inner.vertex(i + 1)
+        pair = np.stack([np.column_stack([u0, u1, v0]), np.column_stack([u1, v0, v1])], axis=1)
+        self.blocks.append(pair.reshape(2 * m, 3))
         outer.annulus_kind = kind
         outer.drift_bound = half_step
         return inner
@@ -146,15 +151,14 @@ class DiskAssembler:
         if M < 3 or M > m:
             raise ValueError(f"shrinking annulus needs 3 <= target <= {m}, got {M}")
         inner = self._new_layer(M, outer.phase)
-        steps = staircase_indices(m, M)
-        for i in range(m):
-            u0, u1 = outer.vertex(i), outer.vertex(i + 1)
-            k0, k1 = steps[i], steps[i + 1]
-            if k1 == k0:
-                self.triangles.append(canonical_triangle(u0, u1, inner.vertex(k0)))
-            else:
-                self.triangles.append(canonical_triangle(u0, u1, inner.vertex(k0 + 1)))
-                self.triangles.append(canonical_triangle(u0, inner.vertex(k0), inner.vertex(k0 + 1)))
+        steps = np.array(staircase_indices(m, M))
+        i = np.arange(m)
+        u0, u1 = outer.vertex(i), outer.vertex(i + 1)
+        w0, w1 = inner.vertex(steps[:-1]), inner.vertex(steps[1:])
+        # Outer edge i always gets (u0, u1, w1); where the staircase advances
+        # (w1 != w0) it is followed by (u0, w0, w1).
+        pair = np.stack([np.column_stack([u0, u1, w1]), np.column_stack([u0, w0, w1])], axis=1)
+        self.blocks.append(pair[np.column_stack([np.ones(m, dtype=bool), steps[1:] > steps[:-1]])])
         outer.annulus_kind = "shrink"
         outer.drift_bound = Fraction(self.n, M)
         return inner
@@ -165,11 +169,11 @@ class DiskAssembler:
         inner = self.innermost
         apex = len(self.vertices)
         self.vertices.append(Vertex(apex, inner.index + 1, 0, None))
-        for i in range(inner.length):
-            self.triangles.append(canonical_triangle(apex, inner.vertex(i), inner.vertex(i + 1)))
+        i = np.arange(inner.length)
+        self.blocks.append(np.column_stack([np.full_like(i, apex), inner.vertex(i), inner.vertex(i + 1)]))
         self.apex = apex
         return apex
 
     def build(self) -> Triangulation:
         """Hand over the accumulated complex.  Do not mutate the assembler afterwards."""
-        return Triangulation(self.n, self.vertices, self.triangles)
+        return Triangulation(self.n, self.vertices, np.concatenate(self.blocks) if self.blocks else [])

@@ -162,7 +162,7 @@ def interior_canonical_code(
 def _to_triangulation(triangles: tuple[tuple[int, int, int], ...], n: int, num_interior: int) -> Triangulation:
     vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(n)]
     vertices.extend(Vertex(n + i, 1, i, None) for i in range(num_interior))
-    return Triangulation(n, vertices, list(triangles))
+    return Triangulation(n, vertices, triangles)
 
 
 def enumerate_fillings(

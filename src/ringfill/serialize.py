@@ -4,7 +4,9 @@ The triangulation schema is shared by every command: ``{"n": int,
 "vertices": [{"id", "layer", "index_in_layer", "theta_num", "theta_den"}],
 "triangles": [[a, b, c], ...]}`` with phases as exact rational pairs (null
 for the apex).  A build file wraps the same keys together with the schedule
-and layer ledger so audits and lower bounds can be recomputed offline.
+and layer ledger so audits and lower bounds can be recomputed offline; on
+load, every vertex record of a build file must restate its ledger position
+exactly, and a zero denominator anywhere is rejected with ValueError.
 Field order is fixed, so output bytes are deterministic for fixed inputs.
 """
 from __future__ import annotations
@@ -40,9 +42,11 @@ def _frac_pair(x: Fraction | None) -> tuple[int | None, int | None]:
     return x.numerator, x.denominator
 
 
-def _frac_from(num: int | None, den: int | None) -> Fraction | None:
+def _frac_from(num: int | None, den: int | None, what: str) -> Fraction | None:
     if num is None or den is None:
         return None
+    if den == 0:
+        raise ValueError(f"{what} has a zero denominator")
     return Fraction(num, den)
 
 
@@ -62,7 +66,7 @@ def triangulation_to_dict(t: Triangulation) -> dict[str, Any]:
     return {
         "n": t.n,
         "vertices": vertices,
-        "triangles": [list(tri) for tri in t.triangles],
+        "triangles": t.triangles.tolist(),
     }
 
 
@@ -72,12 +76,11 @@ def triangulation_from_dict(data: dict[str, Any]) -> Triangulation:
             id=v["id"],
             layer=v["layer"],
             index_in_layer=v["index_in_layer"],
-            theta=_frac_from(v["theta_num"], v["theta_den"]),
+            theta=_frac_from(v["theta_num"], v["theta_den"], f"theta of vertex {v['id']}"),
         )
         for v in sorted(data["vertices"], key=lambda v: v["id"])
     ]
-    triangles = [tuple(tri) for tri in data["triangles"]]
-    return Triangulation(data["n"], vertices, triangles)
+    return Triangulation(data["n"], vertices, data["triangles"])
 
 
 def _schedule_to_dict(s: Schedule) -> dict[str, Any]:
@@ -98,9 +101,9 @@ def _schedule_from_dict(n: int, data: dict[str, Any]) -> Schedule:
         collar_layers=data["collar_layers"],
         num_blocks=data["num_blocks"],
         layers_per_block=data["layers_per_block"],
-        stop_time=_frac_from(*data["stop_time"]),
-        block_width=_frac_from(*data["block_width"]),
-        block_times=tuple(_frac_from(*t) for t in data["block_times"]),
+        stop_time=_frac_from(*data["stop_time"], "schedule stop_time"),
+        block_width=_frac_from(*data["block_width"], "schedule block_width"),
+        block_times=tuple(_frac_from(*t, "schedule block time") for t in data["block_times"]),
         block_lengths=tuple(data["block_lengths"]),
     )
 
@@ -130,10 +133,10 @@ def _ledger_from_list(data: list[dict[str, Any]]) -> list[LayerRecord]:
         LayerRecord(
             index=rec["index"],
             length=rec["length"],
-            phase=_frac_from(rec["phase_num"], rec["phase_den"]),
+            phase=_frac_from(rec["phase_num"], rec["phase_den"], f"phase of ledger layer {rec['index']}"),
             first_vertex=rec["first_vertex"],
             annulus_kind=rec["annulus_kind"],
-            drift_bound=_frac_from(rec["drift_num"], rec["drift_den"]),
+            drift_bound=_frac_from(rec["drift_num"], rec["drift_den"], f"drift of ledger layer {rec['index']}"),
         )
         for rec in data
     ]
@@ -160,18 +163,62 @@ def build_to_dict(build: BuildResult) -> dict[str, Any]:
 
 
 def build_from_dict(data: dict[str, Any]) -> BuildResult:
+    """Parse a build file, rejecting vertex records that disagree with its ledger."""
     tri = triangulation_from_dict(data)
     pdata = data["params"]
-    params = Params(pdata["n"], _frac_from(*pdata["rho"]), _frac_from(*pdata["eta"]))
+    params = Params(pdata["n"], _frac_from(*pdata["rho"], "rho"), _frac_from(*pdata["eta"], "eta"))
+    ledger = _ledger_from_list(data["ledger"])
+    _check_vertices_against_ledger(tri, ledger, data["apex"])
     return BuildResult(
         triangulation=tri,
-        ledger=_ledger_from_list(data["ledger"]),
+        ledger=ledger,
         schedule=_schedule_from_dict(data["n"], data["schedule"]),
         params=params,
         apex=data["apex"],
         predicted_vertex_count=data["predicted_vertex_count"],
         predicted_triangle_count=data["predicted_triangle_count"],
     )
+
+
+def _check_vertices_against_ledger(t: Triangulation, ledger: list[LayerRecord], apex: int) -> None:
+    """Every vertex record must restate the layer, index and theta its ledger cycle gives it.
+
+    The audit reads positions from the ledger alone, so the redundant records
+    are checked here instead of trusted.  Thetas are compared by integer
+    cross-multiplication with ``(phase + n*i/m) mod n``.
+    """
+    n = t.n
+    verts = t.vertices
+    covered = sum(rec.length for rec in ledger)
+    if len(verts) != apex + 1 or covered != apex:
+        raise ValueError(
+            f"build file has {len(verts)} vertices and ledger cycles covering {covered}; "
+            f"apex {apex} needs {apex + 1} and {apex}"
+        )
+    for r, rec in enumerate(ledger):
+        if rec.index != r or rec.phase is None:
+            raise ValueError(f"ledger entry {r} carries index {rec.index} and phase {rec.phase}")
+        m, first = rec.length, rec.first_vertex
+        if m < 1 or first < 0 or first + m > apex:
+            raise ValueError(f"ledger layer {r} spans vertex ids {first}..{first + m - 1} outside 0..{apex - 1}")
+        num, den = rec.phase.numerator, rec.phase.denominator
+        period = n * den * m
+        for i, v in enumerate(verts[first : first + m]):
+            theta = v.theta
+            expected = (num * m + n * i * den) % period
+            if (
+                v.layer != r
+                or v.index_in_layer != i
+                or theta is None
+                or theta.numerator * den * m != expected * theta.denominator
+            ):
+                raise ValueError(
+                    f"vertex {v.id} record (layer {v.layer}, index {v.index_in_layer}, theta {theta}) "
+                    f"disagrees with the ledger (layer {r}, index {i}, theta {Fraction(expected, den * m)})"
+                )
+    top = verts[apex]
+    if top.layer != len(ledger) or top.index_in_layer != 0 or top.theta is not None:
+        raise ValueError(f"apex record {apex} must sit on layer {len(ledger)} at index 0 with no theta")
 
 
 def complex_from_dict(data: dict[str, Any]) -> tuple[Triangulation, BuildResult | None]:
@@ -233,7 +280,7 @@ def write_off(t: Triangulation, path: str) -> None:
     coords = embedded_coordinates(t)
     lines = ["OFF", f"{t.num_vertices} {t.num_triangles} 0"]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in coords)
-    lines.extend(f"3 {a} {b} {c}" for a, b, c in t.triangles)
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in t.triangles.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -241,6 +288,6 @@ def write_off(t: Triangulation, path: str) -> None:
 def write_obj(t: Triangulation, path: str) -> None:
     coords = embedded_coordinates(t)
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in coords]
-    lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in t.triangles)
+    lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in t.triangles.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -4,9 +4,10 @@ Three independent instruments:
 
 * exact integer breadth-first distances from every boundary vertex, one
   compiled scipy traversal per source with levels recovered from the visit
-  order, giving the exact Lipschitz constant delta of the filling;
+  order, giving the exact Lipschitz constant delta of the filling (scipy is
+  imported on first use, so importing this module does not load it);
 * a per-edge drift audit checking every slanted edge against its annulus
-  bound in exact rational arithmetic;
+  bound in exact scaled int64 arithmetic, positions read from the ledger;
 * an analytic lower-bound predictor for boundary distances derived from the
   accumulated drift of the layer ledger, sound by construction and checked
   against BFS exhaustively in the tests.
@@ -19,14 +20,15 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
-from .annuli import circ_dist
 from .builder import BuildResult
 from .simplicial import Triangulation
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "cycle_dist",
@@ -87,13 +89,17 @@ def resolve_jobs(jobs: int | None) -> int:
 
 def _graph_csr(t: Triangulation) -> csr_matrix:
     """The symmetric 1-skeleton with float64 data, as scipy's traversals take it."""
-    edges = np.asarray(t.edges, dtype=np.int32)
+    from scipy.sparse import csr_matrix
+
+    edges = t.edges
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(t.num_vertices, t.num_vertices))
 
 
 def _bfs(g: csr_matrix, source: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.sparse.csgraph import breadth_first_order
+
     # directed=True: g is already symmetric, so scipy need not symmetrise it per call
     return breadth_first_order(g, source, directed=True, return_predecessors=True)
 
@@ -236,37 +242,64 @@ class DriftAudit:
 def drift_audit(build: BuildResult) -> DriftAudit:
     """Check every slanted edge of every annulus against its drift bound.
 
-    All comparisons are exact rational arithmetic.  Equal-length annuli must
-    achieve their bound n/(2m) with equality on every slanted edge; shrink
-    annuli stay at or below n/M.  Cone edges carry no coordinate and are
-    skipped.  A violation marks a construction bug, never a tolerance issue.
+    Each vertex's cycle and index on it come from the ledger
+    (``first_vertex`` and ``length``), so positions never pass through the
+    per-vertex records.  Each edge between cycles r < s of lengths m and M is
+    charged to annulus r; same-cycle and apex edges are skipped.  With the
+    phase offset ``(p_r - p_s) mod n = a/den`` and ``S = den*m*M``, every
+    position on both cycles is an integer multiple of ``1/S``, so circular
+    distances are exact int64 arithmetic mod ``n*S``.  Absolute phases are
+    never combined: their denominators grow far past int64 down the ledger.
+    If ``n*S`` is too large for int64 the audit raises ValueError instead of
+    wrapping.
+
+    Equal-length annuli must achieve their bound n/(2m) with equality on
+    every slanted edge; shrink annuli stay at or below n/M.  A violation
+    marks a construction bug, never a tolerance issue.
     """
     t = build.triangulation
     n = t.n
-    apex = build.apex
-    layer_of = [v.layer for v in t.vertices]
-    theta_of = [v.theta for v in t.vertices]
-    num_annuli = len(build.ledger) - 1
-    max_obs: list[Fraction] = [Fraction(0)] * num_annuli
-    seen: set[tuple[int, int]] = set()
-    for a, b, c in t.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            if u == apex or v == apex:
-                continue
-            lu, lv = layer_of[u], layer_of[v]
-            if lu == lv:
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                continue
-            seen.add(e)
-            r = min(lu, lv)
-            d = circ_dist(theta_of[u], theta_of[v], n)
-            if d > max_obs[r]:
-                max_obs[r] = d
+    ledger = build.ledger
+    first = np.array([rec.first_vertex for rec in ledger], dtype=np.int64)
+    lengths = np.array([rec.length for rec in ledger], dtype=np.int64)
+    ends = first + lengths
+    if first[0] != 0 or (first[1:] != ends[:-1]).any() or build.apex != ends[-1]:
+        raise ValueError("ledger cycles do not tile the vertex ids 0..apex-1 in order")
+    edges = t.edges.astype(np.int64)
+    if len(edges) and edges.max() > build.apex:
+        raise ValueError(f"triangles reference vertex ids beyond the apex {build.apex}")
+    edges = edges[(edges != build.apex).all(axis=1)]
+    layer = np.searchsorted(first, edges, side="right") - 1
+    index = edges - first[layer]
+    cross = layer[:, 0] != layer[:, 1]
+    layer, index = layer[cross], index[cross]
+    # Edges are (lo, hi) and layers are contiguous id blocks, so column 0 is the shallower cycle.
+    keys, group = np.unique(layer[:, 0] * len(ledger) + layer[:, 1], return_inverse=True)
+    coef, scales = [], []  # per cycle pair: constant, outer and inner index factors, period
+    for key in keys.tolist():
+        r, s = divmod(key, len(ledger))
+        m, M = ledger[r].length, ledger[s].length
+        offset = (ledger[r].phase - ledger[s].phase) % n
+        den = offset.denominator
+        scale = den * m * M
+        if 2 * n * scale >= 2**63:
+            raise ValueError(
+                f"drift audit of cycles {r} and {s} needs positions in units of 1/{scale}: "
+                "exceeds int64 arithmetic"
+            )
+        coef.append((offset.numerator * m * M, n * den * M, n * den * m, n * scale))
+        scales.append(scale)
+    c = np.array(coef, dtype=np.int64).reshape(-1, 4)[group]
+    d = (c[:, 0] + c[:, 1] * index[:, 0] - c[:, 2] * index[:, 1]) % c[:, 3]
+    worst = np.zeros(len(keys), dtype=np.int64)
+    np.maximum.at(worst, group, np.minimum(d, c[:, 3] - d))
+    max_obs = [Fraction(0)] * (len(ledger) - 1)
+    for key, w, scale in zip(keys.tolist(), worst.tolist(), scales):
+        r = key // len(ledger)
+        max_obs[r] = max(max_obs[r], Fraction(w, scale))
     audit = DriftAudit()
-    for r in range(num_annuli):
-        rec = build.ledger[r]
+    for r in range(len(ledger) - 1):
+        rec = ledger[r]
         bound = rec.drift_bound
         audit.rows.append(
             AnnulusAudit(
@@ -292,9 +325,6 @@ def separation_lower_bounds(build: BuildResult) -> list[int]:
     cone cross every collar and block annulus twice.  The result is the
     minimum over all cases, rounded up to whole edges.
     """
-    cached = getattr(build, "_separation_bounds", None)
-    if cached is not None:
-        return cached
     ledger = build.ledger
     n = build.params.n
     depth = len(ledger) - 1
@@ -319,7 +349,6 @@ def separation_lower_bounds(build: BuildResult) -> list[int]:
             if val < best:
                 best = val
         table.append(best)
-    build._separation_bounds = table
     return table
 
 

@@ -1,0 +1,147 @@
+"""Pure-Python reference implementations the vectorized library code is tested against.
+
+``reference_validate_disk`` is the per-vertex link-walking disk validator and
+``reference_drift_audit`` the per-edge ``Fraction`` drift audit that
+:func:`ringfill.validate_disk` and :func:`ringfill.drift_audit` replaced.
+Both are deliberately naive: dicts, sets, breadth-first search and exact
+rationals, with no numpy.
+"""
+from __future__ import annotations
+
+from collections import Counter, defaultdict, deque
+from fractions import Fraction
+
+from ringfill import ValidationReport, circ_dist
+
+
+def _edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def edge_incidence(triangles: list[tuple[int, int, int]]) -> Counter:
+    inc: Counter[tuple[int, int]] = Counter()
+    for a, b, c in triangles:
+        inc[_edge(a, b)] += 1
+        inc[_edge(b, c)] += 1
+        inc[_edge(c, a)] += 1
+    return inc
+
+
+def reference_validate_disk(t) -> ValidationReport:
+    """Same invariants and counts as :func:`ringfill.validate_disk`, one vertex at a time."""
+    rep = ValidationReport()
+    triangles = [tuple(tri) for tri in t.triangles.tolist()]
+    if not triangles:
+        rep.failures.append("complex has no triangles")
+        return rep
+
+    nv = t.num_vertices
+    seen: set[tuple[int, int, int]] = set()
+    for tri in triangles:
+        a, b, c = tri
+        if len({a, b, c}) < 3:
+            rep.failures.append(f"degenerate triangle {tri}")
+            continue
+        if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
+            rep.failures.append(f"triangle {tri} references a vertex id outside 0..{nv - 1}")
+            continue
+        if tri in seen:
+            rep.failures.append(f"repeated triangle {tri}")
+        seen.add(tri)
+
+    inc = edge_incidence(triangles)
+    for e, k in sorted(inc.items()):
+        if k not in (1, 2):
+            rep.failures.append(f"edge {e} lies in {k} triangles (expected 1 or 2)")
+
+    boundary = {e for e, k in inc.items() if k == 1}
+    expected = {_edge(i, (i + 1) % t.n) for i in range(t.n)}
+    if boundary != expected:
+        missing = sorted(expected - boundary)
+        extra = sorted(boundary - expected)
+        if missing:
+            rep.failures.append(f"cycle edges missing from the boundary: {missing[:10]}")
+        if extra:
+            rep.failures.append(f"unexpected boundary edges: {extra[:10]}")
+
+    ne = len(inc)
+    nf = len(triangles)
+    rep.counts = {
+        "vertices": nv,
+        "edges": ne,
+        "triangles": nf,
+        "boundary_edges": len(boundary),
+        "interior_edges": ne - len(boundary),
+    }
+    if nv - ne + nf != 1:
+        rep.failures.append(f"Euler formula violated: V - E + F = {nv} - {ne} + {nf} = {nv - ne + nf}, expected 1")
+
+    link: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for a, b, c in triangles:
+        if len({a, b, c}) < 3:
+            continue
+        link[a].append((b, c))
+        link[b].append((a, c))
+        link[c].append((a, b))
+    boundary_vertices = {v for e in boundary for v in e}
+    for v in range(nv):
+        pairs = link.get(v)
+        if not pairs:
+            rep.failures.append(f"vertex {v} lies in no triangle")
+            continue
+        shape = _link_shape(pairs)
+        want = "path" if v in boundary_vertices else "cycle"
+        if shape != want:
+            rep.failures.append(f"link of vertex {v} is {shape}, expected a {want}")
+    return rep
+
+
+def _link_shape(pairs: list[tuple[int, int]]) -> str:
+    """Classify the link multigraph given by opposite edges: path, cycle, or why not."""
+    deg: Counter[int] = Counter()
+    mult: Counter[tuple[int, int]] = Counter()
+    adj: dict[int, list[int]] = defaultdict(list)
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+        mult[_edge(u, v)] += 1
+        adj[u].append(v)
+        adj[v].append(u)
+    if any(k > 1 for k in mult.values()):
+        return "a multigraph (repeated link edge)"
+    nodes = list(deg)
+    seen = {nodes[0]}
+    queue = deque([nodes[0]])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if len(seen) != len(nodes):
+        return "disconnected"
+    n_edges = len(pairs)
+    degrees = sorted(deg.values())
+    if n_edges == len(nodes) and all(d == 2 for d in degrees):
+        return "cycle"
+    if n_edges == len(nodes) - 1 and degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:]):
+        return "path"
+    return f"neither path nor cycle (degree multiset {degrees})"
+
+
+def reference_drift_audit(build) -> list[Fraction]:
+    """Largest circular displacement per annulus, from the per-vertex ``Fraction`` thetas.
+
+    Charges each cross-layer non-apex edge to its shallower layer, as
+    :func:`ringfill.drift_audit` does; returns ``max_observed`` per annulus.
+    """
+    t = build.triangulation
+    layer_of = [v.layer for v in t.vertices]
+    theta_of = [v.theta for v in t.vertices]
+    max_obs = [Fraction(0)] * (len(build.ledger) - 1)
+    for u, v in edge_incidence([tuple(tri) for tri in t.triangles.tolist()]):
+        if build.apex in (u, v) or layer_of[u] == layer_of[v]:
+            continue
+        r = min(layer_of[u], layer_of[v])
+        max_obs[r] = max(max_obs[r], circ_dist(theta_of[u], theta_of[v], t.n))
+    return max_obs

@@ -6,12 +6,17 @@ import pytest
 from ringfill import DiskAssembler, circ_dist, staircase_indices
 
 
+def triangles(asm):
+    """The triangles assembled so far, as a list of [a, b, c] rows."""
+    return asm.build().triangles.tolist()
+
+
 def slanted_edges(asm, outer, inner):
     """All (outer vertex, inner vertex) edges the assembler emitted between two layers."""
     lo = set(range(outer.first_vertex, outer.first_vertex + outer.length))
     hi = set(range(inner.first_vertex, inner.first_vertex + inner.length))
     out = set()
-    for a, b, c in asm.triangles:
+    for a, b, c in triangles(asm):
         for u, v in ((a, b), (b, c), (c, a)):
             if u in lo and v in hi:
                 out.add((u, v))
@@ -39,7 +44,7 @@ def test_equal_annulus_counts_and_phases():
     inner = asm.add_equal_annulus()
     assert inner.length == 6
     assert len(asm.vertices) == 12
-    assert len(asm.triangles) == 12
+    assert len(triangles(asm)) == 12
     assert inner.phase == Fraction(1, 2)  # half of one outer step 6/6
 
 
@@ -56,7 +61,7 @@ def test_equal_annulus_edge_census():
     asm = DiskAssembler(6)
     asm.add_equal_annulus()
     inc = Counter()
-    for a, b, c in asm.triangles:
+    for a, b, c in triangles(asm):
         for u, v in ((a, b), (b, c), (c, a)):
             inc[(min(u, v), max(u, v))] += 1
     assert len(inc) == 24
@@ -76,10 +81,10 @@ def test_shrinking_annulus_counts():
     asm = DiskAssembler(5)
     inner = asm.add_shrinking_annulus(3)
     assert inner.length == 3
-    assert len(asm.triangles) == 5 + 3
+    assert len(triangles(asm)) == 5 + 3
     asm = DiskAssembler(6)
     asm.add_shrinking_annulus(3)
-    assert len(asm.triangles) == 9
+    assert len(triangles(asm)) == 9
 
 
 def test_shrinking_annulus_phase_and_drift():
@@ -100,7 +105,7 @@ def test_shrinking_annulus_inner_and_outer_edges_once():
     outer = asm.innermost
     inner = asm.add_shrinking_annulus(5)
     inc = Counter()
-    for a, b, c in asm.triangles:
+    for a, b, c in triangles(asm):
         for u, v in ((a, b), (b, c), (c, a)):
             inc[(min(u, v), max(u, v))] += 1
     for i in range(outer.length):
@@ -124,7 +129,7 @@ def test_degenerate_shrink_matches_equal_triangle_count():
     shrunk.add_shrinking_annulus(m)
     equal = DiskAssembler(m)
     equal.add_equal_annulus()
-    assert len(shrunk.triangles) == len(equal.triangles) == 2 * m
+    assert len(triangles(shrunk)) == len(triangles(equal)) == 2 * m
     assert staircase_indices(m, m) == list(range(m + 1))
     assert shrunk.layers[1].phase == shrunk.layers[0].phase
     assert equal.layers[1].phase == equal.layers[0].phase + Fraction(m, 2 * m)

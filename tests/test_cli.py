@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ringfill
 from ringfill.cli import main
 from ringfill.serialize import dump_json, triangulation_to_dict
 from ringfill import cone_over_cycle
@@ -84,13 +90,76 @@ def test_audit_catches_tampered_phase(tmp_path, capsys):
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
-    # drag one interior vertex a quarter turn off its cycle position
+    # drag one interior vertex a quarter turn off its cycle position: the
+    # record no longer restates the ledger, so loading the file fails
     victim = next(v for v in data["vertices"] if v["layer"] == 3)
     victim["theta_num"] = victim["theta_num"] * 4 + 25 * victim["theta_den"]
     victim["theta_den"] = victim["theta_den"] * 4
     build_path.write_text(json.dumps(data))
     assert main(["audit", "--in", str(build_path)]) == 1
-    assert "violation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: vertex {victim['id']} record" in err and "disagrees with the ledger" in err
+
+
+def test_audit_catches_tampered_triangle(tmp_path, capsys):
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
+    data = json.loads(build_path.read_text())
+    layer_of = {v["id"]: v["layer"] for v in data["vertices"]}
+    # a triangle of annulus 2 with one vertex on cycle 3: move that inner
+    # endpoint of its slanted edges three steps along cycle 3
+    tri = next(t for t in data["triangles"] if sorted(layer_of[v] for v in t) == [2, 2, 3])
+    k = next(j for j, v in enumerate(tri) if layer_of[v] == 3)
+    cycle = data["ledger"][3]
+    tri[k] = cycle["first_vertex"] + (tri[k] - cycle["first_vertex"] + 3) % cycle["length"]
+    build_path.write_text(json.dumps(data))
+    assert main(["audit", "--in", str(build_path)]) == 1
+    assert "violation: annulus 2 (collar)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["theta_den", "phase_den", "rho"])
+def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
+    data = json.loads(build_path.read_text())
+    if field == "theta_den":
+        data["vertices"][30]["theta_den"] = 0
+    elif field == "phase_den":
+        data["ledger"][2]["phase_den"] = 0
+    else:
+        data["params"]["rho"][1] = 0
+    build_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["audit", "--in", str(build_path)]) == 1
+    assert "has a zero denominator" in capsys.readouterr().err
+    bare = tmp_path / "cone.json"
+    cone = triangulation_to_dict(cone_over_cycle(5))
+    cone["vertices"][2]["theta_den"] = 0
+    bare.write_text(json.dumps(cone))
+    assert main(["verify", "--in", str(bare)]) == 1
+    assert "error: theta of vertex 2 has a zero denominator" in capsys.readouterr().err
+
+
+def test_output_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the build file and of a bare complex, as written before
+    # triangles became arrays; any change to either format shows here
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
+    cone_path = tmp_path / "cone6.json"
+    dump_json(triangulation_to_dict(cone_over_cycle(6)), str(cone_path))
+    digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (build_path, cone_path)}
+    assert digest == {
+        "k.json": "ddab2ea3a33576aaf207acd07820e06559f365da30ef775759751c15b95fcb28",
+        "cone6.json": "386a419e72d8d7b95624bf597759745c85d5abd875d636553f39e43b5d8fcfbb",
+    }
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(ringfill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ringfill.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_audit_requires_ledger(tmp_path, capsys):

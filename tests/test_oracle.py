@@ -24,7 +24,7 @@ def test_budget_limits_enforced():
 def test_triangle_is_the_only_filling_of_c3():
     fillings = list(enumerate_fillings(EnumerationBudget(3, 0)))
     assert len(fillings) == 1
-    assert fillings[0].triangles == [(0, 1, 2)]
+    assert fillings[0].triangles.tolist() == [[0, 1, 2]]
 
 
 @pytest.mark.parametrize("n,catalan", [(4, 2), (5, 5), (6, 14), (7, 42)])
@@ -42,8 +42,8 @@ def test_square_without_interior_is_never_isometric():
 
 def test_wheel_appears_with_one_interior_vertex():
     fillings = list(enumerate_fillings(EnumerationBudget(4, 1)))
-    wheel = sorted(cone_over_cycle(4).triangles)
-    cones = [f for f in fillings if sorted(f.triangles) == wheel]
+    wheel = sorted(cone_over_cycle(4).triangles.tolist())
+    cones = [f for f in fillings if sorted(f.triangles.tolist()) == wheel]
     assert len(cones) == 1
     assert is_isometric_filling(cones[0])
 
@@ -61,7 +61,7 @@ def test_all_outputs_validate_and_codes_are_unique():
     seen = set()
     for f in enumerate_fillings(EnumerationBudget(5, 2), stats):
         assert validate_disk(f).ok
-        code = interior_canonical_code(tuple(f.triangles), 5, f.num_vertices - 5)
+        code = interior_canonical_code(tuple(map(tuple, f.triangles.tolist())), 5, f.num_vertices - 5)
         assert code not in seen
         seen.add(code)
     assert stats.duplicates == 0

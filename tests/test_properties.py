@@ -2,8 +2,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from reference_impl import reference_validate_disk
 
 from ringfill import (
     Params,
@@ -134,6 +136,40 @@ def test_boundary_matrix_matches_pure_python_bfs(n, rho, eta):
     # a stray triangle off the disk leaves three vertices no boundary BFS reaches
     v = t.num_vertices
     stray = [Vertex(v + i, 0, i, None) for i in range(3)]
-    broken = Triangulation(n, t.vertices + stray, t.triangles + [(v, v + 1, v + 2)])
+    broken = Triangulation(n, t.vertices + stray, np.vstack([t.triangles, [(v, v + 1, v + 2)]]))
     with pytest.raises(ValueError, match="disconnected"):
         boundary_distance_matrix(broken)
+
+
+@given(
+    st.integers(25, 48),
+    small_rhos,
+    small_etas,
+    st.sampled_from(["none", "drop", "flip", "add", "copy"]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_validator_matches_reference_on_mutated_builds(n, rho, eta, mutation, data):
+    assume(eta * eta < rho)
+    try:
+        t = build_filling(Params(n, rho, eta)).triangulation
+    except ScheduleError:
+        assume(False)
+    tris = t.triangles.tolist()
+    i = data.draw(st.integers(0, len(tris) - 1), label="triangle")
+    a, b, c = tris[i]
+    if mutation == "drop":
+        del tris[i]
+    elif mutation == "flip":
+        tris[i] = [a, c, b]
+    elif mutation == "add":
+        # ids up to one past the last vertex, so out-of-range ids occur too
+        ids = st.integers(0, t.num_vertices)
+        tris.append(data.draw(st.lists(ids, min_size=3, max_size=3), label="added"))
+    elif mutation == "copy":
+        tris.append(data.draw(st.sampled_from([[b, c, a], [a, c, b]]), label="copy"))
+    mutated = Triangulation(n, t.vertices, tris)
+    got, want = validate_disk(mutated), reference_validate_disk(mutated)
+    assert got.ok == want.ok, (got.failures, want.failures)
+    assert got.counts == want.counts
+    assert got.ok == (mutation in ("none", "flip"))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ringfill import cone_over_cycle, validate_disk, verify_filling
 from ringfill.serialize import (
     build_from_dict,
@@ -20,7 +22,7 @@ def test_triangulation_round_trip(small_build):
     data = triangulation_to_dict(t)
     back = triangulation_from_dict(data)
     assert back.n == t.n
-    assert back.triangles == t.triangles
+    assert back.triangles.tolist() == t.triangles.tolist()
     assert [(v.id, v.layer, v.index_in_layer, v.theta) for v in back.vertices] == [
         (v.id, v.layer, v.index_in_layer, v.theta) for v in t.vertices
     ]
@@ -42,13 +44,29 @@ def test_build_round_trip(small_build):
     assert back.params == small_build.params
     assert back.schedule == small_build.schedule
     assert back.apex == small_build.apex
-    assert back.triangulation.triangles == small_build.triangulation.triangles
+    assert back.triangulation.triangles.tolist() == small_build.triangulation.triangles.tolist()
     assert back.ledger == small_build.ledger
     # round-tripped build supports the same exact audits
     from ringfill import drift_audit, separation_lower_bounds
 
     assert drift_audit(back).ok
     assert separation_lower_bounds(back) == separation_lower_bounds(small_build)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("layer", 4), ("index_in_layer", 1), ("theta_num", 1), ("theta_num", None)],
+)
+def test_build_records_must_restate_the_ledger(small_build, field, value):
+    data = build_to_dict(small_build)
+    victim = data["vertices"][small_build.ledger[3].first_vertex]
+    victim[field] = value
+    with pytest.raises(ValueError, match=f"vertex {victim['id']} record .* disagrees with the ledger"):
+        build_from_dict(data)
+    data = build_to_dict(small_build)
+    data["ledger"][4]["first_vertex"] += 1
+    with pytest.raises(ValueError, match="disagrees with the ledger|outside"):
+        build_from_dict(data)
 
 
 def test_complex_from_dict_detects_kind(small_build):

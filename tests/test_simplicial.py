@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from reference_impl import reference_validate_disk
 
 from ringfill import (
     Triangulation,
@@ -73,6 +75,70 @@ def test_empty_triangle_list_is_invalid():
     vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(3)]
     rep = validate_disk(Triangulation(3, vertices, []))
     assert rep.failures == ["complex has no triangles"]
+
+
+def assert_rejected_like_reference(t, phrase):
+    rep = validate_disk(t)
+    ref = reference_validate_disk(t)
+    assert not rep.ok and not ref.ok
+    assert rep.counts == ref.counts
+    assert any(phrase in f for f in rep.failures), rep.failures
+    return rep
+
+
+def test_disk_pinched_at_two_points_is_rejected():
+    # An octahedron glued to the cone over C_6 at the apex 6 and at vertex 0
+    # (its poles; equator 7..10): every edge lies in 1 or 2 triangles, the
+    # boundary is C_6 and V - E + F = 11 - 24 + 14 = 1, yet the links of 0
+    # and 6 each fall into two pieces.
+    cone = cone_over_cycle(6)
+    eq = [7, 8, 9, 10]
+    octahedron = [(6, eq[i], eq[(i + 1) % 4]) for i in range(4)] + [(0, eq[(i + 1) % 4], eq[i]) for i in range(4)]
+    vertices = cone.vertices + [Vertex(v, 2, v - 7, None) for v in eq]
+    t = Triangulation(6, vertices, np.vstack([cone.triangles, octahedron]))
+    rep = assert_rejected_like_reference(t, "disconnected")
+    assert rep.counts["vertices"] - rep.counts["edges"] + rep.counts["triangles"] == 1
+    assert rep.failures == [
+        "link of vertex 0 is disconnected, expected a path",
+        "link of vertex 6 is disconnected, expected a cycle",
+    ]
+
+
+def test_opposite_rotation_duplicate_is_a_link_multigraph():
+    cone = cone_over_cycle(5)
+    a, b, c = cone.triangles[0].tolist()
+    t = Triangulation(5, cone.vertices, np.vstack([cone.triangles, [(a, c, b)]]))
+    rep = assert_rejected_like_reference(t, "is a multigraph (repeated link edge)")
+    # opposite orientations are different oriented triangles, not repeats
+    assert not any("repeated triangle" in f for f in rep.failures)
+
+
+def test_isolated_vertex_is_rejected():
+    cone = cone_over_cycle(5)
+    t = Triangulation(5, cone.vertices + [Vertex(6, 2, 0, None)], cone.triangles)
+    rep = assert_rejected_like_reference(t, "vertex 6 lies in no triangle")
+    assert any("Euler formula violated" in f for f in rep.failures)
+
+
+def test_out_of_range_vertex_id_is_rejected():
+    cone = cone_over_cycle(5)
+    tris = cone.triangles.copy()
+    tris[0, 0] = 6
+    assert_rejected_like_reference(Triangulation(5, cone.vertices, tris), "references a vertex id outside 0..5")
+
+
+def test_triangle_array_is_checked_and_canonicalized():
+    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(3)]
+    t = Triangulation(3, vertices, [(2, 0, 1), (1, 2, 0)])
+    assert t.triangles.dtype == np.int32
+    assert t.triangles.tolist() == [[0, 1, 2], [0, 1, 2]]
+    assert Triangulation(3, vertices, []).triangles.shape == (0, 3)
+    with pytest.raises(ValueError, match="must lie in"):
+        Triangulation(3, vertices, [(0, 1, -1)])
+    with pytest.raises(ValueError, match="must be integers"):
+        Triangulation(3, vertices, [(0, 1, 2.5)])
+    with pytest.raises(ValueError, match=r"\(F, 3\) array"):
+        Triangulation(3, vertices, [(0, 1)])
 
 
 def test_contiguous_vertex_ids_enforced():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference_impl import reference_drift_audit
 
 from ringfill import (
     Triangulation,
@@ -132,9 +133,9 @@ def test_witness_path_helper():
 
 
 def test_level_recovery_rejects_non_fifo_order(monkeypatch):
-    import ringfill.verify as verify
+    import scipy.sparse.csgraph as csgraph
 
-    real = verify.breadth_first_order
+    real = csgraph.breadth_first_order
 
     def swapped(*args, **kwargs):
         # from 0 on the cone over C_6 the order is 0 1 5 6 2 4 3; visiting 4
@@ -143,7 +144,7 @@ def test_level_recovery_rejects_non_fifo_order(monkeypatch):
         order[-3], order[-2] = order[-2], order[-3]
         return order, pred
 
-    monkeypatch.setattr(verify, "breadth_first_order", swapped)
+    monkeypatch.setattr(csgraph, "breadth_first_order", swapped)
     with pytest.raises(ValueError, match="not a FIFO order"):
         boundary_distance_matrix(cone_over_cycle(6))
 
@@ -167,6 +168,46 @@ def test_drift_audit_detects_corruption(small_build):
     audit = drift_audit(broken)
     assert not audit.ok
     assert audit.failures()[0].layer == 0
+
+
+def test_drift_audit_matches_fraction_reference(small_build, medium_build):
+    import copy
+
+    # a tampered copy: one slanted edge's inner end moved three steps along its cycle
+    tampered = copy.copy(medium_build)
+    t = medium_build.triangulation
+    cycle = medium_build.ledger[5]
+    tris = t.triangles.copy()
+    hits = np.argwhere((tris >= cycle.first_vertex) & (tris < cycle.first_vertex + cycle.length))
+    f, j = next((f, j) for f, j in hits if tris[f].min() < cycle.first_vertex)
+    tris[f, j] = cycle.first_vertex + (tris[f, j] - cycle.first_vertex + 3) % cycle.length
+    tampered.triangulation = Triangulation(t.n, t.vertices, tris)
+    for build in (small_build, medium_build, tampered):
+        rows = drift_audit(build).rows
+        assert [row.max_observed for row in rows] == reference_drift_audit(build)
+    assert not drift_audit(tampered).rows[4].ok
+
+
+def test_drift_audit_refuses_int64_overflow(small_build):
+    import copy
+
+    huge = copy.copy(small_build)
+    huge.ledger = [copy.copy(rec) for rec in small_build.ledger]
+    huge.ledger[3].phase = Fraction(1, 2**61 + 1)
+    with pytest.raises(ValueError, match="exceeds int64"):
+        drift_audit(huge)
+
+
+def test_separation_bounds_follow_the_ledger():
+    from ringfill import Params, build_filling
+
+    build = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4)))
+    before = separation_lower_bounds(build)
+    for rec in build.ledger[:-1]:
+        rec.drift_bound *= 4
+    after = separation_lower_bounds(build)
+    assert after != before
+    assert all(a <= b for a, b in zip(after, before))
 
 
 def test_drift_lower_bound_trivia(medium_build):
