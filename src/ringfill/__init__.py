@@ -42,7 +42,6 @@ from .oracle import (
 from .simplicial import (
     Triangulation,
     ValidationReport,
-    Vertex,
     boundary_cycle,
     canonical_triangle,
     cone_over_cycle,
@@ -56,7 +55,6 @@ from .verify import (
     boundary_distance_matrix,
     cycle_dist,
     drift_audit,
-    drift_lower_bound,
     separation_lower_bounds,
     step_profile_eps,
     verify_filling,
@@ -81,7 +79,6 @@ __all__ = [
     "Triangulation",
     "ValidationReport",
     "VerificationReport",
-    "Vertex",
     "as_fraction",
     "bfs_distances",
     "boundary_cycle",
@@ -97,7 +94,6 @@ __all__ = [
     "cycle_dist",
     "drift_audit",
     "drift_integral",
-    "drift_lower_bound",
     "enumerate_fillings",
     "is_isometric_filling",
     "min_isometric_vertices",

@@ -13,14 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .simplicial import Triangulation, Vertex
+from .simplicial import Triangulation
 
 __all__ = [
     "circ_dist",
     "staircase_indices",
     "LayerRecord",
     "DiskAssembler",
-    "ANNULUS_KINDS",
 ]
 
 # Annulus kinds, recorded on the outer cycle of each annulus:
@@ -28,8 +27,6 @@ __all__ = [
 #   equal             equal-length annulus inside a constant-length block
 #   shrink            staircase annulus dropping to a shorter cycle
 #   transition-equal  block transition where the target length is unchanged
-ANNULUS_KINDS = ("collar", "equal", "shrink", "transition-equal")
-
 _EQUAL_KINDS = ("collar", "equal", "transition-equal")
 
 
@@ -76,7 +73,7 @@ class LayerRecord:
         return Fraction((num * m + n * (i % m) * den) % (n * den * m), den * m)
 
     def vertex(self, i: int | np.ndarray) -> int | np.ndarray:
-        """Vertex id of the ``i``-th cycle vertex (elementwise for arrays), indices taken mod length."""
+        """Id of the ``i``-th cycle vertex (elementwise for arrays), indices taken mod length."""
         return self.first_vertex + (i % self.length)
 
 
@@ -86,14 +83,16 @@ class DiskAssembler:
     Single-use and single-threaded: annuli always attach to the current
     innermost cycle, and no further annulus may be added after the cone.
     Each annulus and the cone append one ``(k, 3)`` block of triangles,
-    computed by index arithmetic over the whole cycle.
+    computed by index arithmetic over the whole cycle.  Only a vertex count
+    is kept: each cycle owns the id range its ledger record gives, and its
+    positions follow from the record's length and phase.
     """
 
     def __init__(self, n: int):
         if n < 3:
             raise ValueError(f"boundary cycle needs length >= 3, got {n}")
         self.n = n
-        self.vertices: list[Vertex] = [Vertex(i, 0, i, Fraction(i)) for i in range(n)]
+        self.num_vertices = n
         self.blocks: list[np.ndarray] = []
         self.layers: list[LayerRecord] = [LayerRecord(0, n, Fraction(0), 0)]
         self.apex: int | None = None
@@ -107,9 +106,8 @@ class DiskAssembler:
             raise ValueError("cone cap already added; the complex is closed")
 
     def _new_layer(self, length: int, phase: Fraction) -> LayerRecord:
-        layer = LayerRecord(len(self.layers), length, phase % self.n, len(self.vertices))
-        for i in range(length):
-            self.vertices.append(Vertex(layer.first_vertex + i, layer.index, i, layer.theta(i, self.n)))
+        layer = LayerRecord(len(self.layers), length, phase % self.n, self.num_vertices)
+        self.num_vertices += length
         self.layers.append(layer)
         return layer
 
@@ -167,8 +165,8 @@ class DiskAssembler:
         """Close the innermost cycle with one apex vertex and a fan of triangles."""
         self._require_open()
         inner = self.innermost
-        apex = len(self.vertices)
-        self.vertices.append(Vertex(apex, inner.index + 1, 0, None))
+        apex = self.num_vertices
+        self.num_vertices += 1
         i = np.arange(inner.length)
         self.blocks.append(np.column_stack([np.full_like(i, apex), inner.vertex(i), inner.vertex(i + 1)]))
         self.apex = apex
@@ -176,4 +174,4 @@ class DiskAssembler:
 
     def build(self) -> Triangulation:
         """Hand over the accumulated complex.  Do not mutate the assembler afterwards."""
-        return Triangulation(self.n, self.vertices, np.concatenate(self.blocks) if self.blocks else [])
+        return Triangulation(self.n, self.num_vertices, np.concatenate(self.blocks) if self.blocks else [])

@@ -176,9 +176,9 @@ class BuildResult:
 def build_filling(p: Params) -> BuildResult:
     """Assemble the full complex for ``p``: collar, stepped main region, cone.
 
-    The boundary of the result is exactly the labeled cycle 0..n-1.  Vertex
-    and triangle counts are predicted from the schedule in closed form and
-    checked against the assembled complex before returning.
+    The boundary of the result is exactly the labeled cycle 0..n-1.  The
+    vertex and triangle counts are predicted from the schedule in closed
+    form and checked against the assembled complex before returning.
     """
     sched = compute_schedule(p)
     asm = DiskAssembler(p.n)

@@ -256,11 +256,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    t, _ = complex_from_dict(load_json(args.in_path))
-    if args.format == "off":
-        write_off(t, args.out)
-    else:
-        write_obj(t, args.out)
+    data = load_json(args.in_path)
+    t, _ = complex_from_dict(data)  # checks the records the positions come from
+    write = write_off if args.format == "off" else write_obj
+    write(t, args.out, data["vertices"])
     print(f"wrote {args.out} ({t.num_vertices} vertices, {t.num_triangles} faces)")
     return 0
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
-from .simplicial import Triangulation, Vertex, canonical_triangle, skeleton_graph, validate_disk
+from .simplicial import Triangulation, canonical_triangle, skeleton_graph, validate_disk
 from .verify import bfs_distances, cycle_dist
 
 __all__ = [
@@ -159,12 +158,6 @@ def interior_canonical_code(
     return best
 
 
-def _to_triangulation(triangles: tuple[tuple[int, int, int], ...], n: int, num_interior: int) -> Triangulation:
-    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(n)]
-    vertices.extend(Vertex(n + i, 1, i, None) for i in range(num_interior))
-    return Triangulation(n, vertices, triangles)
-
-
 def enumerate_fillings(
     budget: EnumerationBudget, stats: EnumerationStats | None = None
 ) -> Iterator[Triangulation]:
@@ -187,7 +180,7 @@ def enumerate_fillings(
             stats.duplicates += 1
             continue
         seen.add(code)
-        filling = _to_triangulation(triangles, budget.n, num_interior)
+        filling = Triangulation(budget.n, budget.n + num_interior, triangles)
         report = validate_disk(filling)
         if not report.ok:
             raise RuntimeError(

@@ -3,25 +3,29 @@
 The triangulation schema is shared by every command: ``{"n": int,
 "vertices": [{"id", "layer", "index_in_layer", "theta_num", "theta_den"}],
 "triangles": [[a, b, c], ...]}`` with phases as exact rational pairs (null
-for the apex).  A build file wraps the same keys together with the schedule
-and layer ledger so audits and lower bounds can be recomputed offline; on
-load, every vertex record of a build file must restate its ledger position
-exactly, and a zero denominator anywhere is rejected with ValueError.
-Field order is fixed, so output bytes are deterministic for fixed inputs.
+for the apex).  Vertex records are derived on output by
+:func:`vertex_records`, from the layer ledger for a build.  A build file
+adds params, schedule, apex, predicted counts and ledger; loading one
+rebuilds it from its params, checks every other field against the rebuild
+and keeps only its triangles.  A malformed field, a zero denominator
+included, is a ValueError naming it.  Field order is fixed, so output bytes
+are deterministic for fixed inputs.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import Any
 
 from .annuli import LayerRecord
-from .builder import BuildResult, Params, Schedule
-from .simplicial import Triangulation, Vertex
+from .builder import BuildResult, Params, Schedule, build_filling, compute_schedule
+from .simplicial import Triangulation
 from .verify import VerificationReport
 
 __all__ = [
+    "vertex_records",
     "triangulation_to_dict",
     "triangulation_from_dict",
     "build_to_dict",
@@ -35,6 +39,8 @@ __all__ = [
     "write_obj",
 ]
 
+_MISSING = object()
+
 
 def _frac_pair(x: Fraction | None) -> tuple[int | None, int | None]:
     if x is None:
@@ -42,45 +48,93 @@ def _frac_pair(x: Fraction | None) -> tuple[int | None, int | None]:
     return x.numerator, x.denominator
 
 
-def _frac_from(num: int | None, den: int | None, what: str) -> Fraction | None:
-    if num is None or den is None:
-        return None
-    if den == 0:
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _get(obj: Any, key: str, where: str) -> Any:
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
+def _rational(value: Any, what: str) -> Fraction:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+        raise ValueError(f"{what} must be a [numerator, denominator] pair of integers, got {value!r}")
+    if value[1] == 0:
         raise ValueError(f"{what} has a zero denominator")
-    return Fraction(num, den)
+    return Fraction(*value)
+
+
+def _record(v: int, layer: int, index: int, num: int | None, den: int | None) -> dict[str, Any]:
+    return {"id": v, "layer": layer, "index_in_layer": index, "theta_num": num, "theta_den": den}
+
+
+def vertex_records(t: Triangulation, ledger: list[LayerRecord] | None = None) -> Iterator[dict[str, Any]]:
+    """Yield the JSON record of every vertex of ``t``, in id order.
+
+    With a ledger, vertex i of cycle r sits on layer r at the reduced
+    coordinate ``(phase + n*i/m) mod n`` (:meth:`LayerRecord.theta`, reduced
+    here by ``gcd`` without building a Fraction per vertex), and the apex on
+    the layer below the innermost cycle with no theta.  Without one,
+    boundary vertex i sits on layer 0 at theta i and every other vertex v on
+    layer 1 at index v - n with no theta.
+    """
+    n = t.n
+    if ledger is None:
+        for i in range(n):
+            yield _record(i, 0, i, i, 1)
+        for v in range(n, t.num_vertices):
+            yield _record(v, 1, v - n, None, None)
+        return
+    gcd = math.gcd
+    for rec in ledger:
+        num, den, m, first = rec.phase.numerator, rec.phase.denominator, rec.length, rec.first_vertex
+        scale, step, period = den * m, n * den, n * den * m
+        for i in range(m):
+            x = (num * m + step * i) % period
+            g = gcd(x, scale)
+            yield _record(first + i, rec.index, i, x // g, scale // g)
+    yield _record(ledger[-1].first_vertex + ledger[-1].length, len(ledger), 0, None, None)
+
+
+def _check_record(rec: Any) -> None:
+    """A bare file's vertex record needs integer id, layer and index, and an integer or null theta pair."""
+    if isinstance(rec, dict):
+        ids = [rec.get(k) for k in ("id", "layer", "index_in_layer")]
+        theta = [rec.get("theta_num"), rec.get("theta_den")]
+        if all(map(_is_int, ids)) and (theta == [None, None] or all(map(_is_int, theta))):
+            if theta[1] == 0:
+                raise ValueError(f"theta of vertex {rec['id']} has a zero denominator")
+            return
+    raise ValueError(
+        f"vertex record {_show(rec)} needs integer id, layer and index_in_layer "
+        "and an integer or null theta_num/theta_den pair"
+    )
 
 
 def triangulation_to_dict(t: Triangulation) -> dict[str, Any]:
-    vertices = []
-    for v in t.vertices:
-        num, den = _frac_pair(v.theta)
-        vertices.append(
-            {
-                "id": v.id,
-                "layer": v.layer,
-                "index_in_layer": v.index_in_layer,
-                "theta_num": num,
-                "theta_den": den,
-            }
-        )
     return {
         "n": t.n,
-        "vertices": vertices,
+        "vertices": list(vertex_records(t)),
         "triangles": t.triangles.tolist(),
     }
 
 
 def triangulation_from_dict(data: dict[str, Any]) -> Triangulation:
-    vertices = [
-        Vertex(
-            id=v["id"],
-            layer=v["layer"],
-            index_in_layer=v["index_in_layer"],
-            theta=_frac_from(v["theta_num"], v["theta_den"], f"theta of vertex {v['id']}"),
-        )
-        for v in sorted(data["vertices"], key=lambda v: v["id"])
-    ]
-    return Triangulation(data["n"], vertices, data["triangles"])
+    """Parse a bare complex file, checking every vertex record and that the ids are exactly 0..V-1."""
+    n = _get(data, "n", "complex file")
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    records = _get(data, "vertices", "complex file")
+    if not isinstance(records, list):
+        raise ValueError("vertices must be a list of vertex records")
+    for rec in records:
+        _check_record(rec)
+    ids = sorted(rec["id"] for rec in records)
+    if ids != list(range(len(ids))):
+        raise ValueError(f"vertex ids must be contiguous 0..{len(ids) - 1}, got {ids[:10]}...")
+    return Triangulation(n, len(records), _get(data, "triangles", "complex file"))
 
 
 def _schedule_to_dict(s: Schedule) -> dict[str, Any]:
@@ -93,19 +147,6 @@ def _schedule_to_dict(s: Schedule) -> dict[str, Any]:
         "block_times": [list(_frac_pair(t)) for t in s.block_times],
         "block_lengths": list(s.block_lengths),
     }
-
-
-def _schedule_from_dict(n: int, data: dict[str, Any]) -> Schedule:
-    return Schedule(
-        n=n,
-        collar_layers=data["collar_layers"],
-        num_blocks=data["num_blocks"],
-        layers_per_block=data["layers_per_block"],
-        stop_time=_frac_from(*data["stop_time"], "schedule stop_time"),
-        block_width=_frac_from(*data["block_width"], "schedule block_width"),
-        block_times=tuple(_frac_from(*t, "schedule block time") for t in data["block_times"]),
-        block_lengths=tuple(data["block_lengths"]),
-    )
 
 
 def _ledger_to_list(ledger: list[LayerRecord]) -> list[dict[str, Any]]:
@@ -128,25 +169,11 @@ def _ledger_to_list(ledger: list[LayerRecord]) -> list[dict[str, Any]]:
     return out
 
 
-def _ledger_from_list(data: list[dict[str, Any]]) -> list[LayerRecord]:
-    return [
-        LayerRecord(
-            index=rec["index"],
-            length=rec["length"],
-            phase=_frac_from(rec["phase_num"], rec["phase_den"], f"phase of ledger layer {rec['index']}"),
-            first_vertex=rec["first_vertex"],
-            annulus_kind=rec["annulus_kind"],
-            drift_bound=_frac_from(rec["drift_num"], rec["drift_den"], f"drift of ledger layer {rec['index']}"),
-        )
-        for rec in data
-    ]
-
-
-def build_to_dict(build: BuildResult) -> dict[str, Any]:
+def _header(build: BuildResult) -> dict[str, Any]:
+    """The fields of a build file that its params determine, vertex records and triangles aside."""
     p = build.params
-    base = triangulation_to_dict(build.triangulation)
     return {
-        "n": base["n"],
+        "n": p.n,
         "params": {
             "n": p.n,
             "rho": list(_frac_pair(p.rho)),
@@ -157,73 +184,82 @@ def build_to_dict(build: BuildResult) -> dict[str, Any]:
         "predicted_vertex_count": build.predicted_vertex_count,
         "predicted_triangle_count": build.predicted_triangle_count,
         "ledger": _ledger_to_list(build.ledger),
-        "vertices": base["vertices"],
-        "triangles": base["triangles"],
     }
 
 
+def build_to_dict(build: BuildResult) -> dict[str, Any]:
+    t = build.triangulation
+    return {
+        **_header(build),
+        "vertices": list(vertex_records(t, build.ledger)),
+        "triangles": t.triangles.tolist(),
+    }
+
+
+def _show(x: Any, limit: int = 200) -> str:
+    text = "missing" if x is _MISSING else repr(x)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _first_difference(got: Any, want: Any, path: str) -> tuple[str, Any, Any]:
+    """The JSON path of the first value below ``path`` where ``got`` differs from ``want``, with both values."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in [*want, *(k for k in got if k not in want)]:
+            g, w = got.get(key, _MISSING), want.get(key, _MISSING)
+            if g != w:
+                return _first_difference(g, w, f"{path}.{key}")
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        for i, (g, w) in enumerate(zip(got, want)):
+            if g != w:
+                return _first_difference(g, w, f"{path}[{i}]")
+    return path, got, want
+
+
 def build_from_dict(data: dict[str, Any]) -> BuildResult:
-    """Parse a build file, rejecting vertex records that disagree with its ledger."""
-    tri = triangulation_from_dict(data)
-    pdata = data["params"]
-    params = Params(pdata["n"], _frac_from(*pdata["rho"], "rho"), _frac_from(*pdata["eta"], "eta"))
-    ledger = _ledger_from_list(data["ledger"])
-    _check_vertices_against_ledger(tri, ledger, data["apex"])
-    return BuildResult(
-        triangulation=tri,
-        ledger=ledger,
-        schedule=_schedule_from_dict(data["n"], data["schedule"]),
-        params=params,
-        apex=data["apex"],
-        predicted_vertex_count=data["predicted_vertex_count"],
-        predicted_triangle_count=data["predicted_triangle_count"],
-    )
+    """Rebuild a build file from its params, keeping only the file's triangles.
 
-
-def _check_vertices_against_ledger(t: Triangulation, ledger: list[LayerRecord], apex: int) -> None:
-    """Every vertex record must restate the layer, index and theta its ledger cycle gives it.
-
-    The audit reads positions from the ledger alone, so the redundant records
-    are checked here instead of trusted.  Thetas are compared by integer
-    cross-multiplication with ``(phase + n*i/m) mod n``.
+    Every other field must equal its rebuilt value; the first that differs
+    is named in a ValueError.  The vertex count is checked against the
+    schedule before the rebuild, so a file cannot make the loader build a
+    complex larger than the file itself.
     """
-    n = t.n
-    verts = t.vertices
-    covered = sum(rec.length for rec in ledger)
-    if len(verts) != apex + 1 or covered != apex:
-        raise ValueError(
-            f"build file has {len(verts)} vertices and ledger cycles covering {covered}; "
-            f"apex {apex} needs {apex + 1} and {apex}"
-        )
-    for r, rec in enumerate(ledger):
-        if rec.index != r or rec.phase is None:
-            raise ValueError(f"ledger entry {r} carries index {rec.index} and phase {rec.phase}")
-        m, first = rec.length, rec.first_vertex
-        if m < 1 or first < 0 or first + m > apex:
-            raise ValueError(f"ledger layer {r} spans vertex ids {first}..{first + m - 1} outside 0..{apex - 1}")
-        num, den = rec.phase.numerator, rec.phase.denominator
-        period = n * den * m
-        for i, v in enumerate(verts[first : first + m]):
-            theta = v.theta
-            expected = (num * m + n * i * den) % period
-            if (
-                v.layer != r
-                or v.index_in_layer != i
-                or theta is None
-                or theta.numerator * den * m != expected * theta.denominator
-            ):
-                raise ValueError(
-                    f"vertex {v.id} record (layer {v.layer}, index {v.index_in_layer}, theta {theta}) "
-                    f"disagrees with the ledger (layer {r}, index {i}, theta {Fraction(expected, den * m)})"
-                )
-    top = verts[apex]
-    if top.layer != len(ledger) or top.index_in_layer != 0 or top.theta is not None:
-        raise ValueError(f"apex record {apex} must sit on layer {len(ledger)} at index 0 with no theta")
+    pdata = _get(data, "params", "build file")
+    n = _get(pdata, "n", "params")
+    if not _is_int(n):
+        raise ValueError(f"params.n must be an integer, got {n!r}")
+    rho, eta = (_rational(_get(pdata, key, "params"), f"params.{key}") for key in ("rho", "eta"))
+    params = Params(n, rho, eta)
+    records = _get(data, "vertices", "build file")
+    # a build of C_n has more than n vertices; checked first, this bounds the schedule's O(sqrt n) work
+    if not isinstance(records, list) or len(records) <= n:
+        raise ValueError(f"vertices must be a list of more than n = {n} records")
+    expected = compute_schedule(params).predicted_vertex_count
+    if len(records) != expected:
+        raise ValueError(f"vertices has {len(records)} records, but params give {expected} vertices")
+    build = build_filling(params)
+    for key, want in _header(build).items():
+        got = data.get(key, _MISSING)
+        if key == "params" or got == want:
+            continue
+        if got is _MISSING:
+            raise ValueError(f"build file has no {key!r} field")
+        path, got, want = _first_difference(got, want, key)
+        if path.endswith("_den") and got == 0:
+            raise ValueError(f"{path[:-4]} has a zero denominator")
+        section = "ledger" if key == "ledger" else "schedule"
+        raise ValueError(f"{path} = {_show(got)} disagrees with the {section} rebuilt from params ({_show(want)})")
+    for v, (got, want) in enumerate(zip(records, vertex_records(build.triangulation, build.ledger))):
+        if got != want:
+            if isinstance(got, dict) and got.get("theta_den") == 0:
+                raise ValueError(f"theta of vertex {v} has a zero denominator")
+            raise ValueError(f"vertex {v} record {_show(got)} disagrees with the ledger, which gives {want!r}")
+    build.triangulation = Triangulation(n, expected, _get(data, "triangles", "build file"))
+    return build
 
 
 def complex_from_dict(data: dict[str, Any]) -> tuple[Triangulation, BuildResult | None]:
     """Parse either a bare triangulation file or a full build file."""
-    if "ledger" in data:
+    if isinstance(data, dict) and "ledger" in data:
         build = build_from_dict(data)
         return build.triangulation, build
     return triangulation_from_dict(data), None
@@ -255,29 +291,32 @@ def load_json(path: str) -> dict[str, Any]:
         return json.load(fh)
 
 
-def embedded_coordinates(t: Triangulation) -> list[tuple[float, float, float]]:
+def embedded_coordinates(t: Triangulation, records: list[dict] | None = None) -> list[tuple[float, float, float]]:
     """Flat radial embedding for visual inspection only.
 
-    Radius decreases linearly with layer depth, the angle is the circular
-    coordinate rescaled to radians, and a vertex without a coordinate (the
-    apex) sits at the origin.  Carries no metric meaning.
+    Positions come from vertex records: ``records`` (such as the checked
+    records of a loaded file) or, by default, :func:`vertex_records` of
+    ``t``.  Radius decreases linearly with layer depth, the angle is the
+    circular coordinate rescaled to radians, and a vertex without a
+    coordinate (the apex) sits at the origin.  Carries no metric meaning.
     """
-    max_layer = max(v.layer for v in t.vertices)
-    has_apex = any(v.theta is None for v in t.vertices)
+    recs = sorted(vertex_records(t) if records is None else records, key=lambda rec: rec["id"])
+    max_layer = max(rec["layer"] for rec in recs)
+    has_apex = any(rec["theta_num"] is None for rec in recs)
     denom = max(max_layer if has_apex else max_layer + 1, 1)
     coords = []
-    for v in t.vertices:
-        if v.theta is None:
+    for rec in recs:
+        if rec["theta_num"] is None:
             coords.append((0.0, 0.0, 0.0))
             continue
-        radius = 1.0 - v.layer / denom
-        angle = 2.0 * math.pi * float(v.theta) / t.n
+        radius = 1.0 - rec["layer"] / denom
+        angle = 2.0 * math.pi * (rec["theta_num"] / rec["theta_den"]) / t.n
         coords.append((radius * math.cos(angle), radius * math.sin(angle), 0.0))
     return coords
 
 
-def write_off(t: Triangulation, path: str) -> None:
-    coords = embedded_coordinates(t)
+def write_off(t: Triangulation, path: str, records: list[dict] | None = None) -> None:
+    coords = embedded_coordinates(t, records)
     lines = ["OFF", f"{t.num_vertices} {t.num_triangles} 0"]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in coords)
     lines.extend(f"3 {a} {b} {c}" for a, b, c in t.triangles.tolist())
@@ -285,8 +324,8 @@ def write_off(t: Triangulation, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_obj(t: Triangulation, path: str) -> None:
-    coords = embedded_coordinates(t)
+def write_obj(t: Triangulation, path: str, records: list[dict] | None = None) -> None:
+    coords = embedded_coordinates(t, records)
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in coords]
     lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in t.triangles.tolist())
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "Vertex",
     "Triangulation",
     "ValidationReport",
     "canonical_triangle",
@@ -45,42 +43,26 @@ def canonical_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
     return (b, c, a) if b <= c else (c, a, b)
 
 
-@dataclass
-class Vertex:
-    """One vertex with its layer bookkeeping.
-
-    ``theta`` is the exact position on the auxiliary circle of circumference
-    ``n`` and is ``None`` only for the cone apex, which lies on no cycle.
-    """
-
-    id: int
-    layer: int
-    index_in_layer: int
-    theta: Fraction | None
-
-
 @dataclass(eq=False)
 class Triangulation:
-    """Immutable-by-convention abstract 2-complex.
+    """Immutable-by-convention abstract 2-complex on vertex ids ``0..num_vertices-1``.
 
-    ``triangles`` may be given as any ``(F, 3)`` array-like of non-negative
-    integer ids; it is stored as an int32 array in canonical rotation (each
-    row rotated so its smallest id comes first, as :func:`canonical_triangle`
-    does).  Edges and incidence are derived lazily from one sort and cached,
+    No per-vertex object is kept; a built filling's positions live in its
+    layer ledger.  ``triangles`` may be given as any ``(F, 3)`` array-like of
+    non-negative integer ids; it is stored as an int32 array in canonical
+    rotation (each row rotated so its smallest id comes first, as
+    :func:`canonical_triangle` does).  Edges and incidence are derived lazily from one sort and cached,
     so instances are cheap to pass around and safe to share read-only between
     workers.
     """
 
     n: int
-    vertices: list[Vertex]
+    num_vertices: int
     triangles: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"boundary length must be >= 3, got {self.n}")
-        for i, v in enumerate(self.vertices):
-            if v.id != i:
-                raise ValueError(f"vertex ids must be contiguous: position {i} holds id {v.id}")
         tri = np.asarray(self.triangles)
         if tri.size == 0:
             tri = tri.reshape(0, 3).astype(np.int32)
@@ -93,10 +75,6 @@ class Triangulation:
             raise ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
         tri = tri.astype(np.int32, copy=False)
         self.triangles = tri[np.arange(len(tri))[:, None], _ROTATIONS[tri.argmin(axis=1)]]
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
 
     @property
     def num_triangles(self) -> int:
@@ -376,7 +354,5 @@ def skeleton_graph(t: Triangulation) -> list[list[int]]:
 
 def cone_over_cycle(n: int) -> Triangulation:
     """The wheel: boundary cycle 0..n-1 plus one apex joined to every vertex."""
-    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(n)]
-    vertices.append(Vertex(n, 1, 0, None))
     triangles = [(n, i, (i + 1) % n) for i in range(n)]
-    return Triangulation(n, vertices, triangles)
+    return Triangulation(n, n + 1, triangles)

@@ -40,7 +40,6 @@ __all__ = [
     "DriftAudit",
     "drift_audit",
     "separation_lower_bounds",
-    "drift_lower_bound",
     "step_profile_eps",
     "resolve_jobs",
 ]
@@ -350,11 +349,6 @@ def separation_lower_bounds(build: BuildResult) -> list[int]:
                 best = val
         table.append(best)
     return table
-
-
-def drift_lower_bound(build: BuildResult, x: int, y: int) -> int:
-    """Certified lower bound on the graph distance between boundary x and y."""
-    return separation_lower_bounds(build)[cycle_dist(x, y, build.params.n)]
 
 
 def step_profile_eps(build: BuildResult) -> float:

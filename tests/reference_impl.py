@@ -130,14 +130,16 @@ def _link_shape(pairs: list[tuple[int, int]]) -> str:
 
 
 def reference_drift_audit(build) -> list[Fraction]:
-    """Largest circular displacement per annulus, from the per-vertex ``Fraction`` thetas.
+    """Largest circular displacement per annulus, from per-vertex ``Fraction`` thetas.
 
-    Charges each cross-layer non-apex edge to its shallower layer, as
-    :func:`ringfill.drift_audit` does; returns ``max_observed`` per annulus.
+    Each vertex's layer is the index of its ledger cycle and its theta is
+    :meth:`LayerRecord.theta`, one vertex at a time.  Charges each cross-layer
+    non-apex edge to its shallower layer, as :func:`ringfill.drift_audit`
+    does; returns ``max_observed`` per annulus.
     """
     t = build.triangulation
-    layer_of = [v.layer for v in t.vertices]
-    theta_of = [v.theta for v in t.vertices]
+    layer_of = [rec.index for rec in build.ledger for _ in range(rec.length)] + [len(build.ledger)]
+    theta_of = [rec.theta(i, t.n) for rec in build.ledger for i in range(rec.length)] + [None]
     max_obs = [Fraction(0)] * (len(build.ledger) - 1)
     for u, v in edge_incidence([tuple(tri) for tri in t.triangles.tolist()]):
         if build.apex in (u, v) or layer_of[u] == layer_of[v]:

@@ -11,6 +11,17 @@ def triangles(asm):
     return asm.build().triangles.tolist()
 
 
+def cycle_of(asm, v):
+    """The ledger record of the cycle holding vertex v."""
+    return next(rec for rec in asm.layers if rec.first_vertex <= v < rec.first_vertex + rec.length)
+
+
+def theta(asm, v):
+    """Exact position of vertex v, read from the ledger."""
+    rec = cycle_of(asm, v)
+    return rec.theta(v - rec.first_vertex, asm.n)
+
+
 def slanted_edges(asm, outer, inner):
     """All (outer vertex, inner vertex) edges the assembler emitted between two layers."""
     lo = set(range(outer.first_vertex, outer.first_vertex + outer.length))
@@ -43,7 +54,7 @@ def test_equal_annulus_counts_and_phases():
     asm = DiskAssembler(6)
     inner = asm.add_equal_annulus()
     assert inner.length == 6
-    assert len(asm.vertices) == 12
+    assert asm.num_vertices == 12
     assert len(triangles(asm)) == 12
     assert inner.phase == Fraction(1, 2)  # half of one outer step 6/6
 
@@ -51,7 +62,7 @@ def test_equal_annulus_counts_and_phases():
 def test_equal_annulus_half_step_coordinates():
     asm = DiskAssembler(4)
     inner = asm.add_equal_annulus()
-    thetas = {asm.vertices[inner.first_vertex + i].theta for i in range(4)}
+    thetas = {theta(asm, inner.first_vertex + i) for i in range(4)}
     assert thetas == {Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)}
 
 
@@ -73,7 +84,7 @@ def test_equal_annulus_displacement_is_exactly_half_step():
     outer = asm.innermost
     inner = asm.add_equal_annulus()
     for u, v in slanted_edges(asm, outer, inner):
-        d = circ_dist(asm.vertices[u].theta, asm.vertices[v].theta, 10)
+        d = circ_dist(theta(asm, u), theta(asm, v), 10)
         assert d == Fraction(10, 2 * 10)
 
 
@@ -97,7 +108,7 @@ def test_shrinking_annulus_phase_and_drift():
     edges = slanted_edges(asm, outer, inner)
     assert edges, "shrinking annulus must emit slanted edges"
     for u, v in edges:
-        assert circ_dist(asm.vertices[u].theta, asm.vertices[v].theta, n) <= bound
+        assert circ_dist(theta(asm, u), theta(asm, v), n) <= bound
 
 
 def test_shrinking_annulus_inner_and_outer_edges_once():
@@ -116,7 +127,7 @@ def test_shrinking_annulus_inner_and_outer_edges_once():
         assert inc[e] == 1
     # slanted edges are interior to the annulus
     for e, k in inc.items():
-        layers = {asm.vertices[e[0]].layer, asm.vertices[e[1]].layer}
+        layers = {cycle_of(asm, e[0]).index, cycle_of(asm, e[1]).index}
         if len(layers) == 2:
             assert k == 2, f"slanted edge {e} has incidence {k}"
 
@@ -136,7 +147,7 @@ def test_degenerate_shrink_matches_equal_triangle_count():
     bound = Fraction(m, m)
     outer, inner = shrunk.layers
     for u, v in slanted_edges(shrunk, outer, inner):
-        assert circ_dist(shrunk.vertices[u].theta, shrunk.vertices[v].theta, m) <= bound
+        assert circ_dist(theta(shrunk, u), theta(shrunk, v), m) <= bound
 
 
 def test_annulus_argument_errors():

@@ -154,6 +154,73 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
     }
 
 
+def test_export_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the OFF and OBJ exports of the pinned build file and bare complex
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
+    cone_path = tmp_path / "cone6.json"
+    dump_json(triangulation_to_dict(cone_over_cycle(6)), str(cone_path))
+    digest = {}
+    for src in (build_path, cone_path):
+        for fmt in ("off", "obj"):
+            out = tmp_path / f"{src.stem}.{fmt}"
+            assert main(["export", "--in", str(src), "--format", fmt, "--out", str(out)]) == 0
+            digest[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == {
+        "k.off": "5031f417c6a42bb96cc15b9329c3067f16f65a5e3ad3aa292e92a2b141c3a16f",
+        "k.obj": "01a1d1593a41aa27d1b0ed2c54ab5bfbce6f6b9a157c8cb769678c82eecddff5",
+        "cone6.off": "120e7c3109ed09f697396d0a6b3a5eab0572c36c84aa7ea1e2232acad5c520d3",
+        "cone6.obj": "8bed096addb83bac180dd979e159d289e6041a3e79817725d8391b24d92c8c0f",
+    }
+
+
+def _tampered_build(tmp_path, tamper):
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
+    data = json.loads(build_path.read_text())
+    tamper(data)
+    build_path.write_text(json.dumps(data))
+    return build_path
+
+
+@pytest.mark.parametrize(
+    "field,tamper",
+    [
+        ("params.rho", lambda d: d["params"].update(rho=[None, None])),
+        ("apex", lambda d: d.update(apex="x")),
+        ("schedule", lambda d: d.pop("schedule")),
+        ("triangles", lambda d: d.pop("triangles")),
+    ],
+)
+def test_malformed_build_file_is_a_named_error(tmp_path, capsys, field, tamper):
+    build_path = _tampered_build(tmp_path, tamper)
+    capsys.readouterr()
+    assert main(["audit", "--in", str(build_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field,tamper",
+    [
+        ("ledger[2].drift_num", lambda d: d["ledger"][2].update(drift_num=3 * d["ledger"][2]["drift_num"])),
+        (
+            "schedule.layers_per_block",
+            lambda d: d["schedule"].update(layers_per_block=d["schedule"]["layers_per_block"] + 1),
+        ),
+        ("predicted_vertex_count", lambda d: d.update(predicted_vertex_count=d["predicted_vertex_count"] + 7)),
+    ],
+)
+def test_build_file_must_match_its_params(tmp_path, capsys, field, tamper):
+    # each field is determined by params; a file that restates it wrongly is rejected, not audited
+    build_path = _tampered_build(tmp_path, tamper)
+    capsys.readouterr()
+    assert main(["audit", "--in", str(build_path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {field} = " in captured.err and "rebuilt from params" in captured.err
+    assert "within_bounds" not in captured.out
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(ringfill.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

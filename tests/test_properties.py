@@ -11,7 +11,6 @@ from ringfill import (
     Params,
     ScheduleError,
     Triangulation,
-    Vertex,
     bfs_distances,
     boundary_distance_matrix,
     build_filling,
@@ -135,8 +134,7 @@ def test_boundary_matrix_matches_pure_python_bfs(n, rho, eta):
     assert boundary_distance_matrix(t, jobs=4, chunk=16).tolist() == expected
     # a stray triangle off the disk leaves three vertices no boundary BFS reaches
     v = t.num_vertices
-    stray = [Vertex(v + i, 0, i, None) for i in range(3)]
-    broken = Triangulation(n, t.vertices + stray, np.vstack([t.triangles, [(v, v + 1, v + 2)]]))
+    broken = Triangulation(n, v + 3, np.vstack([t.triangles, [(v, v + 1, v + 2)]]))
     with pytest.raises(ValueError, match="disconnected"):
         boundary_distance_matrix(broken)
 
@@ -168,7 +166,7 @@ def test_validator_matches_reference_on_mutated_builds(n, rho, eta, mutation, da
         tris.append(data.draw(st.lists(ids, min_size=3, max_size=3), label="added"))
     elif mutation == "copy":
         tris.append(data.draw(st.sampled_from([[b, c, a], [a, c, b]]), label="copy"))
-    mutated = Triangulation(n, t.vertices, tris)
+    mutated = Triangulation(n, t.num_vertices, tris)
     got, want = validate_disk(mutated), reference_validate_disk(mutated)
     assert got.ok == want.ok, (got.failures, want.failures)
     assert got.counts == want.counts

@@ -12,6 +12,7 @@ from ringfill.serialize import (
     report_to_dict,
     triangulation_from_dict,
     triangulation_to_dict,
+    vertex_records,
     write_obj,
     write_off,
 )
@@ -23,9 +24,8 @@ def test_triangulation_round_trip(small_build):
     back = triangulation_from_dict(data)
     assert back.n == t.n
     assert back.triangles.tolist() == t.triangles.tolist()
-    assert [(v.id, v.layer, v.index_in_layer, v.theta) for v in back.vertices] == [
-        (v.id, v.layer, v.index_in_layer, v.theta) for v in t.vertices
-    ]
+    assert back.num_vertices == t.num_vertices
+    assert triangulation_to_dict(back) == data
     assert validate_disk(back).ok
 
 
@@ -36,6 +36,27 @@ def test_triangulation_schema_fields():
     assert data["vertices"][0]["theta_num"] == 0 and data["vertices"][0]["theta_den"] == 1
     apex = data["vertices"][-1]
     assert apex["theta_num"] is None and apex["theta_den"] is None
+
+
+def test_build_records_restate_layer_thetas(small_build, medium_build):
+    # the gcd-reduced records against one exact Fraction per vertex
+    for build in (small_build, medium_build):
+        t = build.triangulation
+        records = list(vertex_records(t, build.ledger))
+        assert [rec["id"] for rec in records] == list(range(t.num_vertices))
+        for rec in build.ledger:
+            for i in range(rec.length):
+                got = records[rec.first_vertex + i]
+                theta = rec.theta(i, t.n)
+                assert (got["layer"], got["index_in_layer"]) == (rec.index, i)
+                assert (got["theta_num"], got["theta_den"]) == (theta.numerator, theta.denominator)
+        assert records[build.apex] == {
+            "id": build.apex,
+            "layer": len(build.ledger),
+            "index_in_layer": 0,
+            "theta_num": None,
+            "theta_den": None,
+        }
 
 
 def test_build_round_trip(small_build):
@@ -117,7 +138,7 @@ def test_obj_export_counts(tmp_path, small_build):
 
 def test_embedding_places_apex_at_origin(small_build):
     t = small_build.triangulation
-    coords = embedded_coordinates(t)
+    coords = embedded_coordinates(t, list(vertex_records(t, small_build.ledger)))
     assert coords[small_build.apex] == (0.0, 0.0, 0.0)
     # boundary vertices at unit radius
     assert all(abs(x * x + y * y - 1.0) < 1e-12 for x, y, _ in coords[: t.n])

@@ -1,23 +1,20 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from reference_impl import reference_validate_disk
 
 from ringfill import (
     Triangulation,
-    Vertex,
     boundary_cycle,
     canonical_triangle,
     cone_over_cycle,
     skeleton_graph,
     validate_disk,
 )
+from ringfill.serialize import triangulation_from_dict
 
 
 def triangle_on_c3():
-    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(3)]
-    return Triangulation(3, vertices, [(0, 1, 2)])
+    return Triangulation(3, 3, [(0, 1, 2)])
 
 
 def test_canonical_rotation():
@@ -47,7 +44,7 @@ def test_cone_over_c4_is_a_disk():
 
 def test_cone_with_missing_triangle_is_invalid():
     t = cone_over_cycle(4)
-    broken = Triangulation(4, t.vertices, t.triangles[:-1])
+    broken = Triangulation(4, t.num_vertices, t.triangles[:-1])
     rep = validate_disk(broken)
     assert not rep.ok
     # the two spokes of the removed triangle now have incidence 1 off the cycle,
@@ -57,23 +54,20 @@ def test_cone_with_missing_triangle_is_invalid():
 
 
 def test_duplicate_and_degenerate_triangles_reported():
-    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(3)]
-    rep = validate_disk(Triangulation(3, vertices, [(0, 1, 2), (1, 2, 0)]))
+    rep = validate_disk(Triangulation(3, 3, [(0, 1, 2), (1, 2, 0)]))
     assert any("repeated triangle" in f for f in rep.failures)
-    rep = validate_disk(Triangulation(3, vertices, [(0, 1, 1)]))
+    rep = validate_disk(Triangulation(3, 3, [(0, 1, 1)]))
     assert any("degenerate" in f for f in rep.failures)
 
 
 def test_overfull_edge_reported():
-    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(5)]
     tris = [(0, 1, 2), (0, 1, 3), (1, 0, 4)]
-    rep = validate_disk(Triangulation(3, vertices, tris))
+    rep = validate_disk(Triangulation(3, 5, tris))
     assert any("lies in 3 triangles" in f for f in rep.failures)
 
 
 def test_empty_triangle_list_is_invalid():
-    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(3)]
-    rep = validate_disk(Triangulation(3, vertices, []))
+    rep = validate_disk(Triangulation(3, 3, []))
     assert rep.failures == ["complex has no triangles"]
 
 
@@ -94,8 +88,7 @@ def test_disk_pinched_at_two_points_is_rejected():
     cone = cone_over_cycle(6)
     eq = [7, 8, 9, 10]
     octahedron = [(6, eq[i], eq[(i + 1) % 4]) for i in range(4)] + [(0, eq[(i + 1) % 4], eq[i]) for i in range(4)]
-    vertices = cone.vertices + [Vertex(v, 2, v - 7, None) for v in eq]
-    t = Triangulation(6, vertices, np.vstack([cone.triangles, octahedron]))
+    t = Triangulation(6, cone.num_vertices + len(eq), np.vstack([cone.triangles, octahedron]))
     rep = assert_rejected_like_reference(t, "disconnected")
     assert rep.counts["vertices"] - rep.counts["edges"] + rep.counts["triangles"] == 1
     assert rep.failures == [
@@ -107,7 +100,7 @@ def test_disk_pinched_at_two_points_is_rejected():
 def test_opposite_rotation_duplicate_is_a_link_multigraph():
     cone = cone_over_cycle(5)
     a, b, c = cone.triangles[0].tolist()
-    t = Triangulation(5, cone.vertices, np.vstack([cone.triangles, [(a, c, b)]]))
+    t = Triangulation(5, cone.num_vertices, np.vstack([cone.triangles, [(a, c, b)]]))
     rep = assert_rejected_like_reference(t, "is a multigraph (repeated link edge)")
     # opposite orientations are different oriented triangles, not repeats
     assert not any("repeated triangle" in f for f in rep.failures)
@@ -115,7 +108,7 @@ def test_opposite_rotation_duplicate_is_a_link_multigraph():
 
 def test_isolated_vertex_is_rejected():
     cone = cone_over_cycle(5)
-    t = Triangulation(5, cone.vertices + [Vertex(6, 2, 0, None)], cone.triangles)
+    t = Triangulation(5, cone.num_vertices + 1, cone.triangles)
     rep = assert_rejected_like_reference(t, "vertex 6 lies in no triangle")
     assert any("Euler formula violated" in f for f in rep.failures)
 
@@ -124,26 +117,27 @@ def test_out_of_range_vertex_id_is_rejected():
     cone = cone_over_cycle(5)
     tris = cone.triangles.copy()
     tris[0, 0] = 6
-    assert_rejected_like_reference(Triangulation(5, cone.vertices, tris), "references a vertex id outside 0..5")
+    assert_rejected_like_reference(Triangulation(5, cone.num_vertices, tris), "references a vertex id outside 0..5")
 
 
 def test_triangle_array_is_checked_and_canonicalized():
-    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(3)]
-    t = Triangulation(3, vertices, [(2, 0, 1), (1, 2, 0)])
+    t = Triangulation(3, 3, [(2, 0, 1), (1, 2, 0)])
     assert t.triangles.dtype == np.int32
     assert t.triangles.tolist() == [[0, 1, 2], [0, 1, 2]]
-    assert Triangulation(3, vertices, []).triangles.shape == (0, 3)
+    assert Triangulation(3, 3, []).triangles.shape == (0, 3)
     with pytest.raises(ValueError, match="must lie in"):
-        Triangulation(3, vertices, [(0, 1, -1)])
+        Triangulation(3, 3, [(0, 1, -1)])
     with pytest.raises(ValueError, match="must be integers"):
-        Triangulation(3, vertices, [(0, 1, 2.5)])
+        Triangulation(3, 3, [(0, 1, 2.5)])
     with pytest.raises(ValueError, match=r"\(F, 3\) array"):
-        Triangulation(3, vertices, [(0, 1)])
+        Triangulation(3, 3, [(0, 1)])
 
 
 def test_contiguous_vertex_ids_enforced():
+    # vertex ids live in the records of a bare file; the loader checks them
+    record = {"id": 1, "layer": 0, "index_in_layer": 0, "theta_num": None, "theta_den": None}
     with pytest.raises(ValueError, match="contiguous"):
-        Triangulation(3, [Vertex(1, 0, 0, None)], [(0, 1, 2)])
+        triangulation_from_dict({"n": 3, "vertices": [record], "triangles": [[0, 1, 2]]})
 
 
 def test_boundary_cycle_of_cone():
@@ -151,8 +145,7 @@ def test_boundary_cycle_of_cone():
 
 
 def test_boundary_cycle_rejects_disjoint_triangles():
-    vertices = [Vertex(i, 0, i, None) for i in range(6)]
-    t = Triangulation(3, vertices, [(0, 1, 2), (3, 4, 5)])
+    t = Triangulation(3, 6, [(0, 1, 2), (3, 4, 5)])
     with pytest.raises(ValueError, match="more than one cycle"):
         boundary_cycle(t)
 

@@ -7,13 +7,11 @@ from reference_impl import reference_drift_audit
 
 from ringfill import (
     Triangulation,
-    Vertex,
     bfs_distances,
     boundary_distance_matrix,
     cone_over_cycle,
     cycle_dist,
     drift_audit,
-    drift_lower_bound,
     separation_lower_bounds,
     skeleton_graph,
     step_profile_eps,
@@ -39,15 +37,13 @@ def test_bfs_on_wheel():
 
 
 def test_bfs_single_triangle():
-    vertices = [Vertex(i, 0, i, Fraction(i)) for i in range(3)]
-    t = Triangulation(3, vertices, [(0, 1, 2)])
+    t = Triangulation(3, 3, [(0, 1, 2)])
     for src in range(3):
         assert max(bfs_distances(skeleton_graph(t), src)) <= 1
 
 
 def test_bfs_raises_on_disconnected():
-    vertices = [Vertex(i, 0, i, None) for i in range(6)]
-    t = Triangulation(3, vertices, [(0, 1, 2), (3, 4, 5)])
+    t = Triangulation(3, 6, [(0, 1, 2), (3, 4, 5)])
     with pytest.raises(ValueError, match="unreachable"):
         bfs_distances(skeleton_graph(t), 0)
     with pytest.raises(ValueError, match="disconnected"):
@@ -181,7 +177,7 @@ def test_drift_audit_matches_fraction_reference(small_build, medium_build):
     hits = np.argwhere((tris >= cycle.first_vertex) & (tris < cycle.first_vertex + cycle.length))
     f, j = next((f, j) for f, j in hits if tris[f].min() < cycle.first_vertex)
     tris[f, j] = cycle.first_vertex + (tris[f, j] - cycle.first_vertex + 3) % cycle.length
-    tampered.triangulation = Triangulation(t.n, t.vertices, tris)
+    tampered.triangulation = Triangulation(t.n, t.num_vertices, tris)
     for build in (small_build, medium_build, tampered):
         rows = drift_audit(build).rows
         assert [row.max_observed for row in rows] == reference_drift_audit(build)
@@ -211,7 +207,6 @@ def test_separation_bounds_follow_the_ledger():
 
 
 def test_drift_lower_bound_trivia(medium_build):
-    assert drift_lower_bound(medium_build, 3, 3) == 0
     n = medium_build.params.n
     table = separation_lower_bounds(medium_build)
     assert table[0] == 0
