@@ -42,7 +42,6 @@ from .oracle import (
 from .simplicial import (
     Triangulation,
     ValidationReport,
-    boundary_cycle,
     canonical_triangle,
     cone_over_cycle,
     skeleton_graph,
@@ -81,7 +80,6 @@ __all__ = [
     "VerificationReport",
     "as_fraction",
     "bfs_distances",
-    "boundary_cycle",
     "boundary_distance_matrix",
     "build_filling",
     "canonical_triangle",

@@ -1,9 +1,12 @@
 """Exhaustive ground truth for tiny boundaries.
 
-Enumerates every combinatorially distinct triangulated disk with boundary
-exactly the labeled cycle 0..n-1 and a bounded number of interior vertices,
-then filters by the exact isometry test.  The boundary stays labeled (its
-symmetries are not quotiented); only interior relabelings are identified.
+Enumerates every triangulated disk with boundary exactly the labeled cycle
+0..n-1 and a given number of interior vertices, then filters by the exact
+isometry test.  The boundary stays labeled (its symmetries are not
+quotiented); interior vertices are unlabeled, and the enumeration emits each
+complex once by construction, with its interior ids fixed by the search
+order.  The counts equal W. G. Brown's closed formula for triangulated disks
+("Enumeration of triangulations of the disk", 1964), which the tests check.
 Budgets are tiny by design: this module exists to ground-truth the verifier
 and the small end of the construction, not to chase the asymptotics.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import permutations
 
 from .simplicial import Triangulation, canonical_triangle, skeleton_graph, validate_disk
 from .verify import bfs_distances, cycle_dist
@@ -20,7 +22,6 @@ __all__ = [
     "EnumerationBudget",
     "EnumerationStats",
     "enumerate_fillings",
-    "interior_canonical_code",
     "is_isometric_filling",
     "OracleResult",
     "min_isometric_vertices",
@@ -32,32 +33,27 @@ MAX_INTERIOR = 4
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Hard limits keeping the search space enumerable.
-
-    ``max_triangles`` defaults to the disk identity n + 2k - 2, which no
-    complex within the interior budget can exceed; a smaller cap prunes the
-    search and flags the result as truncated.
-    """
+    """Boundary length and exact interior vertex count of one enumeration."""
 
     n: int
-    max_interior: int = MAX_INTERIOR
-    max_triangles: int | None = None
+    interior: int = MAX_INTERIOR
 
     def __post_init__(self) -> None:
         if not 3 <= self.n <= MAX_BOUNDARY:
             raise ValueError(f"boundary length must lie in 3..{MAX_BOUNDARY}, got {self.n}")
-        if not 0 <= self.max_interior <= MAX_INTERIOR:
-            raise ValueError(f"interior budget must lie in 0..{MAX_INTERIOR}, got {self.max_interior}")
-        if self.max_triangles is None:
-            object.__setattr__(self, "max_triangles", self.n + 2 * self.max_interior - 2)
+        if not 0 <= self.interior <= MAX_INTERIOR:
+            raise ValueError(f"interior budget must lie in 0..{MAX_INTERIOR}, got {self.interior}")
 
 
 @dataclass
 class EnumerationStats:
-    """Side-channel counters filled in while the generator runs."""
+    """Side-channel counters filled in while the generator runs.
+
+    ``duplicates`` is always 0, since every complex is emitted once; it stays
+    for callers that report it.
+    """
 
     emitted: int = 0
-    truncated: bool = False
     duplicates: int = 0
 
 
@@ -71,7 +67,6 @@ def _grow(
     edges: frozenset[tuple[int, int]],
     interior_used: int,
     budget: EnumerationBudget,
-    stats: EnumerationStats,
 ) -> Iterator[tuple[tuple[int, int, int], ...]]:
     """Fill open regions depth-first, one triangle per step.
 
@@ -79,22 +74,23 @@ def _grow(
     the first edge of the first open region, branching over its possible
     apexes: a fresh interior vertex, or another vertex of the same region.
     Chords that would duplicate an existing edge pair are rejected; they
-    would pinch the disk.  The processing order is positional, so every
-    abstract complex is produced along exactly one branch.
+    would pinch the disk.  Only complexes with exactly ``budget.interior``
+    interior vertices are yielded.
+
+    Labels are canonical: in a given complex, the triangle on the first edge
+    of the first open region fixes the branch, and fresh ids are handed out
+    in that order, so every complex (up to relabeling its interior) is
+    produced along exactly one branch with one labeling.
     """
     if not regions:
-        yield triangles
-        return
-    # Every region of size k needs at least k - 2 more triangles.
-    floor_remaining = sum(len(r) - 2 for r in regions)
-    if len(triangles) + floor_remaining > budget.max_triangles:
-        stats.truncated = True
+        if interior_used == budget.interior:
+            yield triangles
         return
     region, rest = regions[0], regions[1:]
     k = len(region)
     r0, r1 = region[0], region[1]
 
-    if interior_used < budget.max_interior:
+    if interior_used < budget.interior:
         fresh = budget.n + interior_used
         yield from _grow(
             ((r0, fresh, r1) + region[2:],) + rest,
@@ -102,7 +98,6 @@ def _grow(
             edges | {_edge(r0, fresh), _edge(r1, fresh)},
             interior_used + 1,
             budget,
-            stats,
         )
 
     for j in range(2, k):
@@ -127,41 +122,13 @@ def _grow(
             edges | frozenset(new_edges),
             interior_used,
             budget,
-            stats,
         )
-
-
-def interior_canonical_code(
-    triangles: tuple[tuple[int, int, int], ...], n: int, num_interior: int
-) -> tuple[tuple[int, int, int], ...]:
-    """Canonical form of a filling under relabelings of its interior vertices.
-
-    Boundary ids 0..n-1 are fixed; the code is the lexicographic minimum of
-    the sorted triangle list over all permutations of the interior ids.  With
-    at most four interior vertices the 24 permutations are cheaper than any
-    cleverness.
-    """
-    if num_interior <= 1:
-        return tuple(sorted(triangles))
-    interior = range(n, n + num_interior)
-    best = None
-    for perm in permutations(interior):
-        relabel = {old: new for old, new in zip(interior, perm)}
-        mapped = tuple(
-            sorted(
-                canonical_triangle(relabel.get(a, a), relabel.get(b, b), relabel.get(c, c))
-                for a, b, c in triangles
-            )
-        )
-        if best is None or mapped < best:
-            best = mapped
-    return best
 
 
 def enumerate_fillings(
     budget: EnumerationBudget, stats: EnumerationStats | None = None
 ) -> Iterator[Triangulation]:
-    """Every triangulated disk filling the labeled C_n within the budget.
+    """Every triangulated disk filling the labeled C_n with ``budget.interior`` interior vertices.
 
     Outputs are pairwise non-isomorphic relative to the boundary and each one
     passes the disk validation; a validation failure here is a bug in the
@@ -169,18 +136,10 @@ def enumerate_fillings(
     """
     if stats is None:
         stats = EnumerationStats()
-    boundary = tuple(range(budget.n))
-    boundary_edges = frozenset(_edge(i, (i + 1) % budget.n) for i in range(budget.n))
-    seen: set[tuple[tuple[int, int, int], ...]] = set()
-    for triangles in _grow((boundary,), (), boundary_edges, 0, budget, stats):
-        used = {v for tri in triangles for v in tri}
-        num_interior = len(used) - budget.n
-        code = interior_canonical_code(triangles, budget.n, num_interior)
-        if code in seen:
-            stats.duplicates += 1
-            continue
-        seen.add(code)
-        filling = Triangulation(budget.n, budget.n + num_interior, triangles)
+    n = budget.n
+    boundary_edges = frozenset(_edge(i, (i + 1) % n) for i in range(n))
+    for triangles in _grow((tuple(range(n)),), (), boundary_edges, 0, budget):
+        filling = Triangulation(n, n + budget.interior, triangles)
         report = validate_disk(filling)
         if not report.ok:
             raise RuntimeError(
@@ -207,47 +166,28 @@ class OracleResult:
     """Outcome of the exhaustive minimum search."""
 
     n: int
-    budget: EnumerationBudget
     min_vertices: int | None
     witness: Triangulation | None
     enumerated: int
-    truncated: bool
 
     @property
     def known(self) -> bool:
         return self.min_vertices is not None
 
 
-def min_isometric_vertices(
-    n: int, max_interior: int = MAX_INTERIOR, max_triangles: int | None = None
-) -> OracleResult:
+def min_isometric_vertices(n: int, max_interior: int = MAX_INTERIOR) -> OracleResult:
     """Exact minimum vertex count of an isometric filling of the labeled C_n.
 
-    Searches interior budgets in increasing order so the first hit is
+    Enumerates each interior count in increasing order, so the first hit is
     minimal.  When nothing within the budget is isometric the minimum is
     reported as unknown (the budget may simply be too small), never as
     infinity.
     """
-    budget = EnumerationBudget(n, max_interior, max_triangles)
+    EnumerationBudget(n, max_interior)  # rejects an out-of-range search before enumerating
     total = 0
-    truncated = False
     for k in range(max_interior + 1):
-        sub = EnumerationBudget(n, k, max_triangles)
-        level_stats = EnumerationStats()
-        for filling in enumerate_fillings(sub, level_stats):
-            if filling.num_vertices != n + k:
-                continue  # already found at a smaller budget
+        for filling in enumerate_fillings(EnumerationBudget(n, k)):
             total += 1
             if is_isometric_filling(filling):
-                return OracleResult(
-                    n=n,
-                    budget=budget,
-                    min_vertices=n + k,
-                    witness=filling,
-                    enumerated=total,
-                    truncated=truncated or level_stats.truncated,
-                )
-        truncated = truncated or level_stats.truncated
-    return OracleResult(
-        n=n, budget=budget, min_vertices=None, witness=None, enumerated=total, truncated=truncated
-    )
+                return OracleResult(n=n, min_vertices=n + k, witness=filling, enumerated=total)
+    return OracleResult(n=n, min_vertices=None, witness=None, enumerated=total)

@@ -10,7 +10,6 @@ validation check are derived from it with vectorized numpy.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +20,6 @@ __all__ = [
     "ValidationReport",
     "canonical_triangle",
     "validate_disk",
-    "boundary_cycle",
     "skeleton_graph",
     "cone_over_cycle",
 ]
@@ -305,38 +303,6 @@ def _link_components(edges: np.ndarray, tri: np.ndarray, slot: np.ndarray) -> np
     root[b] = True
     root &= label == np.arange(len(label))
     return edges.ravel()[root]
-
-
-def boundary_cycle(t: Triangulation) -> list[int]:
-    """Return the boundary vertices in cyclic order, starting at 0.
-
-    Raises ValueError if the incidence-1 edges do not form a single cycle on
-    exactly the labeled boundary vertices 0..n-1.
-    """
-    adj: dict[int, list[int]] = defaultdict(list)
-    for u, v in t.boundary_edges.tolist():
-        adj[u].append(v)
-        adj[v].append(u)
-    if not adj:
-        raise ValueError("complex has no boundary edges")
-    for v, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise ValueError(f"boundary is not a single cycle: vertex {v} meets {len(nbrs)} boundary edges")
-    start = min(adj)
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        a, b = adj[cur]
-        nxt = (a if a != prev else b) if prev is not None else min(a, b)
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-    if len(cycle) != len(adj):
-        raise ValueError(f"boundary edges form more than one cycle ({len(cycle)} of {len(adj)} vertices reached)")
-    if cycle != list(range(t.n)):
-        raise ValueError(f"boundary cycle does not match the labeled cycle on 0..{t.n - 1}")
-    return cycle
 
 
 def skeleton_graph(t: Triangulation) -> list[list[int]]:

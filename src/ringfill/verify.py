@@ -74,16 +74,24 @@ def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Worker count: explicit argument, else the RINGFILL_JOBS env var, else 1."""
+    """Worker count: explicit argument, else the RINGFILL_JOBS env var, else 1.
+
+    A count below 1 is a ``ValueError``, whichever of the two gives it.
+    """
     if jobs is not None:
-        return max(1, jobs)
+        if jobs < 1:
+            raise ValueError(f"jobs must be a positive integer, got {jobs}")
+        return jobs
     env = os.environ.get("RINGFILL_JOBS")
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        jobs = int(env)
     except ValueError:
         raise ValueError(f"RINGFILL_JOBS must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise ValueError(f"RINGFILL_JOBS must be a positive integer, got {env!r}")
+    return jobs
 
 
 def _graph_csr(t: Triangulation) -> csr_matrix:

@@ -3,15 +3,19 @@
 ``reference_validate_disk`` is the per-vertex link-walking disk validator and
 ``reference_drift_audit`` the per-edge ``Fraction`` drift audit that
 :func:`ringfill.validate_disk` and :func:`ringfill.drift_audit` replaced.
-Both are deliberately naive: dicts, sets, breadth-first search and exact
+``interior_canonical_code`` identifies fillings that differ only in their
+interior labels; the tests use it to show that the oracle emits no complex
+twice.
+All are deliberately naive: dicts, sets, breadth-first search and exact
 rationals, with no numpy.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
+from itertools import permutations
 
-from ringfill import ValidationReport, circ_dist
+from ringfill import ValidationReport, canonical_triangle, circ_dist
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -147,3 +151,30 @@ def reference_drift_audit(build) -> list[Fraction]:
         r = min(layer_of[u], layer_of[v])
         max_obs[r] = max(max_obs[r], circ_dist(theta_of[u], theta_of[v], t.n))
     return max_obs
+
+
+def interior_canonical_code(
+    triangles: tuple[tuple[int, int, int], ...], n: int, num_interior: int
+) -> tuple[tuple[int, int, int], ...]:
+    """Canonical form of a filling under relabelings of its interior vertices.
+
+    Boundary ids 0..n-1 are fixed; the code is the lexicographic minimum of
+    the sorted triangle list over all permutations of the interior ids.  With
+    at most four interior vertices the 24 permutations are cheaper than any
+    cleverness.
+    """
+    if num_interior <= 1:
+        return tuple(sorted(triangles))
+    interior = range(n, n + num_interior)
+    best = None
+    for perm in permutations(interior):
+        relabel = {old: new for old, new in zip(interior, perm)}
+        mapped = tuple(
+            sorted(
+                canonical_triangle(relabel.get(a, a), relabel.get(b, b), relabel.get(c, c))
+                for a, b, c in triangles
+            )
+        )
+        if best is None or mapped < best:
+            best = mapped
+    return best

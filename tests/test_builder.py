@@ -6,7 +6,6 @@ import pytest
 from ringfill import (
     Params,
     ScheduleError,
-    boundary_cycle,
     build_filling,
     ceil_sqrt,
     compute_schedule,
@@ -97,8 +96,7 @@ def test_build_counts_match_ledger_summation(small_build):
 
 def test_build_is_valid_disk_with_identity_boundary(medium_build):
     t = medium_build.triangulation
-    assert validate_disk(t).ok
-    assert boundary_cycle(t) == list(range(t.n))
+    assert validate_disk(t).ok  # includes: the boundary edges are exactly the cycle 0..n-1
 
 
 def test_ledger_structure(medium_build):

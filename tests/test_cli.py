@@ -117,6 +117,19 @@ def test_audit_catches_tampered_triangle(tmp_path, capsys):
     assert "violation: annulus 2 (collar)" in capsys.readouterr().err
 
 
+def test_audit_validates_the_loaded_triangles(tmp_path, capsys):
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
+    data = json.loads(build_path.read_text())
+    del data["triangles"][100]  # leaves a hole: the drift audit alone sees nothing wrong
+    build_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["audit", "--in", str(build_path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid: unexpected boundary edges" in err
+    assert "violation" not in err
+
+
 @pytest.mark.parametrize("field", ["theta_den", "phase_den", "rho"])
 def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
     build_path = tmp_path / "k.json"
@@ -282,3 +295,21 @@ def test_malformed_jobs_env_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv("RINGFILL_JOBS", "two")
     assert main(["verify", "--n", "25", "--rho", "0.1", "--eta", "0.25"]) == 1
     assert "error: RINGFILL_JOBS must be an integer" in capsys.readouterr().err
+    monkeypatch.setenv("RINGFILL_JOBS", "0")
+    assert main(["verify", "--n", "25", "--rho", "0.1", "--eta", "0.25"]) == 1
+    assert "error: RINGFILL_JOBS must be a positive integer, got '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--check-bound", "-5"],
+        ["verify", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--jobs", "0"],
+        ["sweep", "--n-list", "25", "--rho", "0.1", "--eta", "0.25", "--jobs", "-1"],
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]}" in capsys.readouterr().err

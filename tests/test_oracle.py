@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from ringfill import (
@@ -8,7 +10,21 @@ from ringfill import (
     min_isometric_vertices,
     validate_disk,
 )
-from ringfill.oracle import EnumerationStats, interior_canonical_code
+from ringfill.oracle import EnumerationStats
+from reference_impl import interior_canonical_code
+
+
+def brown_count(n: int, k: int) -> int:
+    """Triangulated disks with boundary the labeled C_n and k interior vertices.
+
+    W. G. Brown, "Enumeration of triangulations of the disk" (1964), with
+    m = n - 3.
+    """
+    m = n - 3
+    num = 2 * factorial(2 * m + 3) * factorial(4 * k + 2 * m + 1)
+    den = factorial(m + 2) * factorial(m) * factorial(k) * factorial(3 * k + 2 * m + 3)
+    assert num % den == 0
+    return num // den
 
 
 def test_budget_limits_enforced():
@@ -18,7 +34,6 @@ def test_budget_limits_enforced():
         EnumerationBudget(2)
     with pytest.raises(ValueError, match="interior budget"):
         EnumerationBudget(5, 5)
-    assert EnumerationBudget(5, 2).max_triangles == 5 + 2 * 2 - 2
 
 
 def test_triangle_is_the_only_filling_of_c3():
@@ -52,27 +67,33 @@ def test_interior_vertex_counts_of_triangle_fillings():
     # Exact fillings of C_3 by interior count: hand-checked 1, 1, 3 and the
     # enumerator's own 13 at three interior vertices, kept as a regression.
     for k, count in ((0, 1), (1, 1), (2, 3), (3, 13)):
-        exact = [f for f in enumerate_fillings(EnumerationBudget(3, k)) if f.num_vertices == 3 + k]
-        assert len(exact) == count
+        fillings = list(enumerate_fillings(EnumerationBudget(3, k)))
+        assert len(fillings) == count
+        assert all(f.num_vertices == 3 + k for f in fillings)
 
 
 def test_all_outputs_validate_and_codes_are_unique():
-    stats = EnumerationStats()
-    seen = set()
-    for f in enumerate_fillings(EnumerationBudget(5, 2), stats):
-        assert validate_disk(f).ok
-        code = interior_canonical_code(tuple(map(tuple, f.triangles.tolist())), 5, f.num_vertices - 5)
-        assert code not in seen
-        seen.add(code)
-    assert stats.duplicates == 0
-    assert stats.emitted == len(seen)
-    assert not stats.truncated
+    # The enumeration has no isomorph filter: each complex must come out once
+    # by construction, so the counts equal Brown's formula and no two outputs
+    # differ only in their interior labels.
+    pairs = [(n, k) for n in range(3, 7) for k in range(4)] + [(7, k) for k in range(3)]
+    for n, k in pairs:
+        stats = EnumerationStats()
+        seen = set()
+        for f in enumerate_fillings(EnumerationBudget(n, k), stats):
+            assert f.num_vertices == n + k
+            assert validate_disk(f).ok, (n, k)
+            code = interior_canonical_code(tuple(map(tuple, f.triangles.tolist())), n, k)
+            assert code not in seen, (n, k)
+            seen.add(code)
+        assert len(seen) == stats.emitted == brown_count(n, k), (n, k)
+        assert stats.duplicates == 0
 
 
-def test_truncation_flagged_with_tight_triangle_cap():
-    stats = EnumerationStats()
-    list(enumerate_fillings(EnumerationBudget(5, 2, max_triangles=4), stats))
-    assert stats.truncated
+def test_brown_formula_known_values():
+    # Catalan numbers at k = 0, and the counts of C_3 fillings (OEIS A000260).
+    assert [brown_count(n, 0) for n in range(3, 8)] == [1, 2, 5, 14, 42]
+    assert [brown_count(3, k) for k in range(5)] == [1, 1, 3, 13, 68]
 
 
 def test_canonical_code_identifies_relabelings():
@@ -92,7 +113,6 @@ def test_minimum_isometric_vertex_counts(n, expected):
     assert result.witness.num_vertices == expected
     assert validate_disk(result.witness).ok
     assert is_isometric_filling(result.witness)
-    assert not result.truncated
 
 
 def test_minimum_is_monotone_in_budget():

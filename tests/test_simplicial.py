@@ -4,7 +4,6 @@ from reference_impl import reference_validate_disk
 
 from ringfill import (
     Triangulation,
-    boundary_cycle,
     canonical_triangle,
     cone_over_cycle,
     skeleton_graph,
@@ -141,13 +140,15 @@ def test_contiguous_vertex_ids_enforced():
 
 
 def test_boundary_cycle_of_cone():
-    assert boundary_cycle(cone_over_cycle(5)) == [0, 1, 2, 3, 4]
+    t = cone_over_cycle(5)
+    assert validate_disk(t).ok
+    assert t.boundary_edges.tolist() == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
 
 
 def test_boundary_cycle_rejects_disjoint_triangles():
     t = Triangulation(3, 6, [(0, 1, 2), (3, 4, 5)])
-    with pytest.raises(ValueError, match="more than one cycle"):
-        boundary_cycle(t)
+    rep = validate_disk(t)
+    assert "unexpected boundary edges: [(3, 4), (3, 5), (4, 5)]" in rep.failures
 
 
 def test_skeleton_graph_of_cone():
@@ -168,4 +169,6 @@ def test_edge_incidence_totals(small_build):
 
 def test_built_filling_boundary_is_identity(small_build):
     t = small_build.triangulation
-    assert boundary_cycle(t) == list(range(t.n))
+    assert validate_disk(t).ok
+    cycle = sorted(sorted((i, (i + 1) % t.n)) for i in range(t.n))
+    assert t.boundary_edges.tolist() == cycle

@@ -113,6 +113,11 @@ def test_jobs_env_var_fallback(monkeypatch):
     with pytest.raises(ValueError, match="RINGFILL_JOBS"):
         resolve_jobs(None)
     assert resolve_jobs(2) == 2  # an explicit argument never reads the variable
+    monkeypatch.setenv("RINGFILL_JOBS", "0")
+    with pytest.raises(ValueError, match="RINGFILL_JOBS must be a positive integer"):
+        resolve_jobs(None)
+    with pytest.raises(ValueError, match="jobs must be a positive integer, got -2"):
+        resolve_jobs(-2)
 
 
 def test_witness_path_helper():
