@@ -44,13 +44,11 @@ from .simplicial import (
     ValidationReport,
     canonical_triangle,
     cone_over_cycle,
-    skeleton_graph,
     validate_disk,
 )
 from .verify import (
     DriftAudit,
     VerificationReport,
-    bfs_distances,
     boundary_distance_matrix,
     cycle_dist,
     drift_audit,
@@ -79,7 +77,6 @@ __all__ = [
     "ValidationReport",
     "VerificationReport",
     "as_fraction",
-    "bfs_distances",
     "boundary_distance_matrix",
     "build_filling",
     "canonical_triangle",
@@ -100,7 +97,6 @@ __all__ = [
     "profile_integral",
     "run_sweep",
     "separation_lower_bounds",
-    "skeleton_graph",
     "staircase_indices",
     "step_profile_eps",
     "stop_time",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .builder import Params, as_fraction, build_filling
 from .simplicial import validate_disk
-from .verify import drift_audit, step_profile_eps, verify_filling
+from .verify import drift_audit, resolve_jobs, step_profile_eps, verify_filling
 
 __all__ = [
     "SLACK_TOL",
@@ -230,8 +230,10 @@ def run_sweep(
     Per-row failures (schedule rejections, invariant violations) are recorded
     on the row and the sweep continues.  Rows are written to ``csv_path`` in
     input order when given; failed rows are omitted from the CSV since they
-    have no measurements.
+    have no measurements.  The worker count is resolved first, so a bad
+    ``jobs`` or ``RINGFILL_JOBS`` raises ``ValueError`` before any build.
     """
+    jobs = resolve_jobs(jobs)
     rho_f = as_fraction(rho)
     eta_f = as_fraction(eta)
     rows: list[SweepRow] = []

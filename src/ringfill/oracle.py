@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
-from .simplicial import Triangulation, canonical_triangle, skeleton_graph, validate_disk
-from .verify import bfs_distances, cycle_dist
+import numpy as np
+
+from .simplicial import Triangulation, canonical_triangle, validate_disk, validate_disk_batch
 
 __all__ = [
     "EnumerationBudget",
@@ -29,6 +31,10 @@ __all__ = [
 
 MAX_BOUNDARY = 7
 MAX_INTERIOR = 4
+# Fillings checked per numpy call.  Small, so a stack stays a few tens of
+# kilobytes; larger stacks save little time and cost memory.
+_CHUNK = 64
+_MAX_DENSE = 255  # vertices the uint8 reachability products can count
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,33 @@ def _grow(
         )
 
 
+def _chunks(budget: EnumerationBudget) -> Iterator[np.ndarray]:
+    """The enumeration's fillings in DFS order, as validated ``(B, F, 3)`` int32 stacks.
+
+    Every filling has ``n + interior`` vertices and ``F = n - 2 + 2*interior``
+    triangles, so up to ``_CHUNK`` of them stack into one array, validated in
+    one call.  A filling failing the validation is a bug in the generator,
+    so it raises, with :func:`validate_disk`'s failures for the first one.
+    """
+    n, nv = budget.n, budget.n + budget.interior
+    nf = n - 2 + 2 * budget.interior
+    boundary_edges = frozenset(_edge(i, (i + 1) % n) for i in range(n))
+    leaves = _grow((tuple(range(n)),), (), boundary_edges, 0, budget)
+    while rows := list(islice(leaves, _CHUNK)):
+        if all(len(leaf) == nf for leaf in rows):
+            chunk = np.array(rows, dtype=np.int32)
+            if validate_disk_batch(n, nv, chunk).all():
+                yield chunk
+                continue
+        # Some leaf is not a disk (one of another length cannot be, by
+        # Euler's formula): report the first, as validate_disk sees it.
+        for leaf in rows:
+            report = validate_disk(Triangulation(n, nv, leaf))
+            if not report.ok:
+                raise RuntimeError(f"enumerator produced an invalid complex: {report.failures[:3]}")
+        raise RuntimeError("batched and per-complex disk validation disagree")
+
+
 def enumerate_fillings(
     budget: EnumerationBudget, stats: EnumerationStats | None = None
 ) -> Iterator[Triangulation]:
@@ -136,29 +169,53 @@ def enumerate_fillings(
     """
     if stats is None:
         stats = EnumerationStats()
-    n = budget.n
-    boundary_edges = frozenset(_edge(i, (i + 1) % n) for i in range(n))
-    for triangles in _grow((tuple(range(n)),), (), boundary_edges, 0, budget):
-        filling = Triangulation(n, n + budget.interior, triangles)
-        report = validate_disk(filling)
-        if not report.ok:
-            raise RuntimeError(
-                f"enumerator produced an invalid complex: {report.failures[:3]}"
-            )
-        stats.emitted += 1
-        yield filling
+    nv = budget.n + budget.interior
+    for chunk in _chunks(budget):
+        for triangles in chunk:
+            stats.emitted += 1
+            yield Triangulation(budget.n, nv, triangles)
+
+
+def _isometric_rows(n: int, nv: int, triangles: np.ndarray) -> np.ndarray:
+    """Which complexes of a ``(B, F, 3)`` stack on ``nv`` vertices are isometric fillings of C_n.
+
+    Works on dense ``(B, nv, nv)`` uint8 0/1 matrices: with R the adjacency
+    plus the identity, ``reach`` after k products with R marks the pairs
+    within distance k (a product entry counts at most ``nv`` vertices, so it
+    fits uint8 while ``nv < 256``).  A shortcut between boundary vertices i
+    and j has length at most ``d_cyc(i, j) - 1 <= n // 2 - 1``, so the
+    complex is isometric iff no pair with ``d_cyc > k`` is reached within k
+    steps, for k = 1 .. n // 2 - 1.  Memory grows as B * nv**2.
+    """
+    num = len(triangles)
+    step = np.zeros((num, nv, nv), dtype=np.uint8)
+    stack = np.arange(num)[:, None]
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        u, v = triangles[:, :, i], triangles[:, :, j]
+        step[stack, u, v] = 1
+        step[stack, v, u] = 1
+    step[:, np.arange(nv), np.arange(nv)] = 1
+    ids = np.arange(n)
+    gap = np.abs(ids[:, None] - ids[None, :])
+    dcyc = np.minimum(gap, n - gap)
+    reach = step
+    isometric = np.ones(num, dtype=bool)
+    for k in range(1, n // 2):
+        if k > 1:
+            reach = (reach @ step > 0).astype(np.uint8)
+        isometric &= ~(reach[:, :n, :n].astype(bool) & (dcyc > k)).any(axis=(1, 2))
+    return isometric
 
 
 def is_isometric_filling(t: Triangulation) -> bool:
-    """True iff no boundary pair gets closer through the complex than along the cycle."""
-    adj = skeleton_graph(t)
-    n = t.n
-    for src in range(n):
-        dist = bfs_distances(adj, src)
-        for dst in range(src + 1, n):
-            if dist[dst] < cycle_dist(src, dst, n):
-                return False
-    return True
+    """True iff no boundary pair gets closer through the complex than along the cycle.
+
+    For tiny complexes (under 256 vertices); :func:`ringfill.verify_filling`
+    measures large ones.
+    """
+    if t.num_vertices > _MAX_DENSE:
+        raise ValueError(f"is_isometric_filling takes at most {_MAX_DENSE} vertices, got {t.num_vertices}")
+    return bool(_isometric_rows(t.n, t.num_vertices, t.triangles[None])[0])
 
 
 @dataclass
@@ -186,8 +243,10 @@ def min_isometric_vertices(n: int, max_interior: int = MAX_INTERIOR) -> OracleRe
     EnumerationBudget(n, max_interior)  # rejects an out-of-range search before enumerating
     total = 0
     for k in range(max_interior + 1):
-        for filling in enumerate_fillings(EnumerationBudget(n, k)):
-            total += 1
-            if is_isometric_filling(filling):
-                return OracleResult(n=n, min_vertices=n + k, witness=filling, enumerated=total)
+        for chunk in _chunks(EnumerationBudget(n, k)):
+            hits = np.flatnonzero(_isometric_rows(n, n + k, chunk))
+            if len(hits):
+                witness = Triangulation(n, n + k, chunk[hits[0]])
+                return OracleResult(n=n, min_vertices=n + k, witness=witness, enumerated=total + hits[0] + 1)
+            total += len(chunk)
     return OracleResult(n=n, min_vertices=None, witness=None, enumerated=total)

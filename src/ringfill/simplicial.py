@@ -20,7 +20,7 @@ __all__ = [
     "ValidationReport",
     "canonical_triangle",
     "validate_disk",
-    "skeleton_graph",
+    "validate_disk_batch",
     "cone_over_cycle",
 ]
 
@@ -39,6 +39,46 @@ def canonical_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
     if a <= b:
         return (a, b, c) if a <= c else (c, a, b)
     return (b, c, a) if b <= c else (c, a, b)
+
+
+def _triangle_rows(triangles) -> np.ndarray:
+    """Checked ``(F, 3)`` int32 triangles, each row rotated so its smallest id comes first."""
+    tri = np.asarray(triangles)
+    if tri.size == 0:
+        tri = tri.reshape(0, 3).astype(np.int32)
+    if tri.ndim != 2 or tri.shape[1] != 3:
+        raise ValueError(f"triangles must be an (F, 3) array of vertex ids, got shape {tri.shape}")
+    if tri.dtype.kind not in "iu":
+        raise ValueError(f"triangle vertex ids must be integers, got {tri.dtype}")
+    # Negative ids would silently wrap when used as numpy indices.
+    if len(tri) and (tri.min() < 0 or tri.max() > _MAX_ID):
+        raise ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
+    tri = tri.astype(np.int32, copy=False)
+    return tri[np.arange(len(tri))[:, None], _ROTATIONS[tri.argmin(axis=1)]]
+
+
+def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges, incidence and per-slot edge ids of canonical triangles, from one stable sort.
+
+    Slot ``(f, j)`` is the edge from corner j to corner j+1 of triangle f.
+    Its key ``lo * 2**32 + hi`` orders edges as ``(lo, hi)`` pairs do.
+    """
+    a = tri.astype(np.int64).ravel()
+    b = tri[:, _NEXT].ravel()
+    keys = np.minimum(a, b) << 32 | np.maximum(a, b)
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    new = np.empty(len(ranked), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    ids = np.cumsum(new) - 1
+    unique = ranked[new]
+    edges = np.empty((len(unique), 2), dtype=np.int32)
+    edges[:, 0] = unique >> 32
+    edges[:, 1] = unique & 0xFFFFFFFF
+    slot_edge = np.empty_like(ids)
+    slot_edge[order] = ids
+    return edges, np.bincount(ids), slot_edge.reshape(-1, 3)
 
 
 @dataclass(eq=False)
@@ -61,18 +101,7 @@ class Triangulation:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"boundary length must be >= 3, got {self.n}")
-        tri = np.asarray(self.triangles)
-        if tri.size == 0:
-            tri = tri.reshape(0, 3).astype(np.int32)
-        if tri.ndim != 2 or tri.shape[1] != 3:
-            raise ValueError(f"triangles must be an (F, 3) array of vertex ids, got shape {tri.shape}")
-        if tri.dtype.kind not in "iu":
-            raise ValueError(f"triangle vertex ids must be integers, got {tri.dtype}")
-        # Negative ids would silently wrap when used as numpy indices.
-        if len(tri) and (tri.min() < 0 or tri.max() > _MAX_ID):
-            raise ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
-        tri = tri.astype(np.int32, copy=False)
-        self.triangles = tri[np.arange(len(tri))[:, None], _ROTATIONS[tri.argmin(axis=1)]]
+        self.triangles = _triangle_rows(self.triangles)
 
     @property
     def num_triangles(self) -> int:
@@ -80,28 +109,7 @@ class Triangulation:
 
     @cached_property
     def _edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edges, incidence and per-slot edge ids from one stable sort.
-
-        Slot ``(f, j)`` is the edge from corner j to corner j+1 of triangle f.
-        Its key ``lo * 2**32 + hi`` orders edges as ``(lo, hi)`` pairs do.
-        """
-        tri = self.triangles
-        a = tri.astype(np.int64).ravel()
-        b = tri[:, _NEXT].ravel()
-        keys = np.minimum(a, b) << 32 | np.maximum(a, b)
-        order = keys.argsort(kind="stable")
-        ranked = keys[order]
-        new = np.empty(len(ranked), dtype=bool)
-        new[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-        ids = np.cumsum(new) - 1
-        unique = ranked[new]
-        edges = np.empty((len(unique), 2), dtype=np.int32)
-        edges[:, 0] = unique >> 32
-        edges[:, 1] = unique & 0xFFFFFFFF
-        slot_edge = np.empty_like(ids)
-        slot_edge[order] = ids
-        return edges, np.bincount(ids), slot_edge.reshape(-1, 3)
+        return _edge_table(self.triangles)
 
     @property
     def edges(self) -> np.ndarray:
@@ -165,7 +173,8 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     * the incidence-1 edges form exactly the n-cycle on vertices 0..n-1,
     * Euler formula V - E + F = 1,
     * every vertex lies in a triangle,
-    * every vertex link is a simple path (boundary) or cycle (interior).
+    * every vertex link is a simple path (boundary) or cycle (interior),
+    * the complex is connected.
 
     Links are checked on the *corner graph*: its nodes are directed edges
     v->w, and each triangle joins the two directed edges leaving each of its
@@ -173,32 +182,95 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     Two triangles on one vertex set make that link a multigraph; otherwise,
     with every incidence 1 or 2, each link is a disjoint union of paths and
     cycles, and it is a path or a cycle exactly when it is connected, a path
-    exactly when v lies on an incidence-1 edge.  Connectivity comes from
-    min-label propagation with pointer jumping over the corner graph.
-    Degenerate and out-of-range triangles are reported and left out of the
-    link checks; edge counts include them.
+    exactly when v lies on an incidence-1 edge.  Connectivity, of the links
+    and of the complex, comes from min-label propagation with pointer
+    jumping.  The last check is not implied by the others: a disk plus a
+    disjoint torus passes every other one.  Degenerate and out-of-range
+    triangles are reported and left out of the link and connectivity
+    checks; edge counts include them.
     """
     rep = ValidationReport()
     tri = t.triangles
     if not len(tri):
         rep.failures.append("complex has no triangles")
         return rep
+    _check_disks(t.n, t.num_vertices, tri, t._edge_table, 1, rep)
+    return rep
 
-    nv, nf = t.num_vertices, len(tri)
-    edges, inc, slot = t.edges, t.incidence, t.slot_edges
+
+def validate_disk_batch(n: int, num_vertices: int, triangles) -> np.ndarray:
+    """:func:`validate_disk`'s verdicts on B complexes of one size, in one pass.
+
+    ``triangles`` is a ``(B, F, 3)`` integer array; complex b is
+    ``Triangulation(n, num_vertices, triangles[b])``.  The stack is checked
+    as one disjoint union, complex b's ids shifted by ``b * (num_vertices +
+    1)``, so numpy's fixed cost is paid once per stack, not once per
+    complex.  Ids past ``num_vertices`` all become ``num_vertices`` first:
+    that keeps them inside their own complex, which they make invalid
+    either way.  Returns a ``(B,)`` bool array, True where
+    :func:`validate_disk` reports ``ok``; ask it for the failures of a
+    complex this flags.
+    """
+    tri = np.asarray(triangles)
+    if tri.ndim != 3 or tri.shape[2] != 3 or not tri.size:
+        raise ValueError(f"triangles must be a (B, F, 3) array with B, F >= 1, got shape {tri.shape}")
+    num, nf = tri.shape[:2]
+    stride = num_vertices + 1
+    if num * stride > _MAX_ID:
+        raise ValueError(f"a stack of {num} complexes on {num_vertices} vertices does not fit int32 ids")
+    rows = np.minimum(_triangle_rows(tri.reshape(-1, 3)), num_vertices)
+    union = rows + np.repeat(np.arange(num, dtype=np.int32) * stride, nf)[:, None]
+    return ~_check_disks(n, num_vertices, union, _edge_table(union), num)
+
+
+def _check_disks(
+    n: int,
+    nv: int,
+    tri: np.ndarray,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
+    num: int,
+    rep: ValidationReport | None = None,
+) -> np.ndarray:
+    """Which of ``num`` stacked complexes fail a disk invariant.
+
+    ``table`` is :func:`_edge_table` of the canonical ``tri``.  A single
+    complex may use any ids.  In a stack, complex b owns triangle rows
+    ``b*F .. b*F + F - 1`` and ids ``b*stride .. b*stride + nv``, with
+    ``stride = nv + 1``; the last of these stands for every out-of-range
+    id.  Edges never join two complexes.  With ``rep`` (one complex) every
+    failure is also written to it with witnesses, and the counts.
+    """
+    bad = np.zeros(num, dtype=bool)
+    stride = nv + 1 if num > 1 else nv
+
+    def owner(ids: np.ndarray) -> np.ndarray:
+        """The complex each id belongs to."""
+        return ids // stride if num > 1 else np.zeros(len(ids), dtype=np.intp)
+
+    def owned(ids: np.ndarray) -> np.ndarray:
+        """How many of ``ids`` each complex owns."""
+        return np.bincount(owner(ids), minlength=num) if num > 1 else np.array([len(ids)])
+
+    nf = len(tri) // num
+    edges, inc, slot = table
     ne = len(edges)
     # rows are canonical, so column 0 holds the smallest id
     degenerate = (tri[:, 0] == tri[:, 1]) | (tri[:, 0] == tri[:, 2]) | (tri[:, 1] == tri[:, 2])
-    outside = tri.max(axis=1) >= nv
+    top = tri.max(axis=1)
+    if num > 1:
+        top %= stride
+    outside = top >= nv
     good = ~(degenerate | outside)
     if not good.all():
-        _report(rep, [f"degenerate triangle {x}" for x in _tuples(tri[degenerate])], "degenerate triangles")
-        stray = _tuples(tri[outside & ~degenerate])
-        _report(
-            rep,
-            [f"triangle {x} references a vertex id outside 0..{nv - 1}" for x in stray],
-            "triangles with out-of-range ids",
-        )
+        bad[np.flatnonzero(~good) // nf] = True
+        if rep is not None:
+            _report(rep, [f"degenerate triangle {x}" for x in _tuples(tri[degenerate])], "degenerate triangles")
+            stray = _tuples(tri[outside & ~degenerate])
+            _report(
+                rep,
+                [f"triangle {x} references a vertex id outside 0..{nv - 1}" for x in stray],
+                "triangles with out-of-range ids",
+            )
         tri, slot = tri[good], slot[good]
 
     # A triangle is fixed by any two of its edges: its two smallest edge ids
@@ -206,50 +278,73 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     # corners 0 and 1 fix it with its orientation.
     pairs = np.sort(slot, axis=1)
     unoriented = pairs[:, 0] * ne + pairs[:, 1]
-    multi = np.zeros(nv, dtype=bool)
+    multi = np.zeros(num * stride, dtype=bool)
     ranked = np.sort(unoriented)
     if (ranked[1:] == ranked[:-1]).any():
         oriented = slot[:, 0] * ne + slot[:, 1]
-        _report(rep, [f"repeated triangle {x}" for x in _tuples(tri[_repeats(oriented)])], "repeated triangles")
+        repeated = tri[_repeats(oriented)]
+        bad[owner(repeated[:, 0])] = True
+        if rep is not None:
+            _report(rep, [f"repeated triangle {x}" for x in _tuples(repeated)], "repeated triangles")
         multi[tri[_repeats(unoriented, every=True)]] = True
 
-    bad = np.flatnonzero(inc > 2)
-    if len(bad):
-        _report(
-            rep,
-            [
-                f"edge {e} lies in {k} triangles (expected 1 or 2)"
-                for e, k in zip(_tuples(edges[bad]), inc[bad].tolist())
-            ],
-            "edges with bad incidence",
-        )
+    overfull = np.flatnonzero(inc > 2)
+    if len(overfull):
+        bad[owner(edges[overfull, 0])] = True
+        if rep is not None:
+            _report(
+                rep,
+                [
+                    f"edge {e} lies in {k} triangles (expected 1 or 2)"
+                    for e, k in zip(_tuples(edges[overfull]), inc[overfull].tolist())
+                ],
+                "edges with bad incidence",
+            )
 
+    # Edges are distinct, so a complex's boundary is C_n iff it has n edges,
+    # each (shifted back to ids 0..) an edge of C_n.
     boundary = edges[inc == 1]
-    cycle = np.array([(0, 1), (0, t.n - 1)] + [(i, i + 1) for i in range(1, t.n - 1)], dtype=np.int32)
-    if len(boundary) != t.n or not (boundary == cycle).all():
-        have, need = set(_tuples(boundary)), set(_tuples(cycle))
+    home = owner(boundary[:, 0])
+    lo, hi = (boundary - (home * stride)[:, None]).T
+    on_cycle = (hi < n) & ((hi == lo + 1) | ((lo == 0) & (hi == n - 1)))
+    wrong = np.bincount(home, minlength=num) != n
+    wrong[home[~on_cycle]] = True
+    bad |= wrong
+    if rep is not None and wrong[0]:
+        have = set(_tuples(boundary))
+        need = {(0, n - 1)} | {(i, i + 1) for i in range(n - 1)}
         if need - have:
             rep.failures.append(f"cycle edges missing from the boundary: {sorted(need - have)[:_LISTED]}")
         if have - need:
             rep.failures.append(f"unexpected boundary edges: {sorted(have - need)[:_LISTED]}")
 
-    rep.counts = {
-        "vertices": nv,
-        "edges": ne,
-        "triangles": nf,
-        "boundary_edges": len(boundary),
-        "interior_edges": ne - len(boundary),
-    }
-    if nv - ne + nf != 1:
-        rep.failures.append(f"Euler formula violated: V - E + F = {nv} - {ne} + {nf} = {nv - ne + nf}, expected 1")
+    euler = nv - owned(edges[:, 0]) + nf
+    bad |= euler != 1
+    if rep is not None:
+        rep.counts = {
+            "vertices": nv,
+            "edges": ne,
+            "triangles": nf,
+            "boundary_edges": len(boundary),
+            "interior_edges": ne - len(boundary),
+        }
+        if euler[0] != 1:
+            rep.failures.append(
+                f"Euler formula violated: V - E + F = {nv} - {ne} + {nf} = {euler[0]}, expected 1"
+            )
 
-    covered = np.zeros(nv, dtype=bool)
+    covered = np.zeros(num * stride, dtype=bool)
     covered[tri] = True
-    if not covered.all():
-        uncovered = np.flatnonzero(~covered).tolist()
-        _report(rep, [f"vertex {v} lies in no triangle" for v in uncovered], "uncovered vertices")
+    present = covered.reshape(num, stride)[:, :nv]
+    uncovered = np.flatnonzero(~present)
+    bad[uncovered // nv] = True
+    if rep is not None:
+        _report(rep, [f"vertex {v} lies in no triangle" for v in uncovered.tolist()], "uncovered vertices")
     tails = _link_components(edges, tri, slot)
-    if multi.any() or len(tails) != np.count_nonzero(covered):
+    split = owned(tails) != present.sum(axis=1)
+    flawed = multi.reshape(num, stride).any(axis=1) | split
+    bad |= flawed
+    if rep is not None and flawed[0]:
         on_boundary = set(boundary.ravel().tolist())
 
         def links(vs: np.ndarray, shape: str) -> list[str]:
@@ -259,9 +354,18 @@ def validate_disk(t: Triangulation) -> ValidationReport:
             ]
 
         _report(rep, links(multi, "a multigraph (repeated link edge)"), "vertices with a multigraph link")
-        split = (np.bincount(tails, minlength=nv) > 1) & ~multi
-        _report(rep, links(split, "disconnected"), "vertices with a disconnected link")
-    return rep
+        split_at = (np.bincount(tails, minlength=stride) > 1) & ~multi
+        _report(rep, links(split_at, "disconnected"), "vertices with a disconnected link")
+
+    # The link pass is done, so its labels are freed before these are made.
+    joined = edges if len(tri) == num * nf else edges[np.unique(slot)]
+    label = _min_labels(num * stride, joined[:, 0], joined[:, 1])
+    roots = covered & (label == np.arange(num * stride, dtype=label.dtype))
+    components = roots.reshape(num, stride).sum(axis=1)
+    bad |= components > 1
+    if rep is not None and components[0] > 1:
+        rep.failures.append(f"complex is disconnected: {components[0]} components")
+    return bad
 
 
 def _repeats(keys: np.ndarray, every: bool = False) -> np.ndarray:
@@ -276,6 +380,26 @@ def _repeats(keys: np.ndarray, every: bool = False) -> np.ndarray:
     return np.sort(order[later])
 
 
+def _min_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label each of ``size`` nodes with the smallest node of its component.
+
+    Node ``a[i]`` is joined to node ``b[i]``; labels take the dtype of ``a``.
+    Each round hooks every larger root onto the smaller one, then jumps
+    every node to its root.
+    """
+    label = np.arange(size, dtype=a.dtype)
+    la, lb = a, b
+    while not (la == lb).all():
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+        la, lb = label[a], label[b]
+    return label
+
+
 def _link_components(edges: np.ndarray, tri: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """The vertex whose link each component of the corner graph belongs to.
 
@@ -287,35 +411,12 @@ def _link_components(edges: np.ndarray, tri: np.ndarray, slot: np.ndarray) -> np
     out = 2 * slot + (tri > tri[:, _NEXT])  # slot j directed away from corner j
     a = out.ravel()
     b = (out ^ 1)[:, _PREV].ravel()  # slot j-1 directed away from corner j
-    label = np.arange(2 * len(edges))
-    la, lb = a, b
-    while not (la == lb).all():
-        # hook each larger root onto the smaller, then jump every node to its root
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            up = label[label]
-            if (up == label).all():
-                break
-            label = up
-        la, lb = label[a], label[b]
+    label = _min_labels(2 * len(edges), a, b)
     root = np.zeros(len(label), dtype=bool)
     root[a] = True
     root[b] = True
     root &= label == np.arange(len(label))
     return edges.ravel()[root]
-
-
-def skeleton_graph(t: Triangulation) -> list[list[int]]:
-    """Adjacency lists of the 1-skeleton, neighbors sorted ascending.
-
-    Edges come sorted as ``(lo, hi)`` pairs, so each list receives its
-    smaller neighbors in order before its larger ones.
-    """
-    adj: list[list[int]] = [[] for _ in range(t.num_vertices)]
-    for u, v in t.edges.tolist():
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 def cone_over_cycle(n: int) -> Triangulation:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +31,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "cycle_dist",
-    "bfs_distances",
     "boundary_distance_matrix",
     "VerificationReport",
     "verify_filling",
@@ -49,28 +47,6 @@ def cycle_dist(i: int, j: int, n: int) -> int:
     """Distance between boundary vertices i and j along the cycle C_n."""
     d = abs(i - j) % n
     return min(d, n - d)
-
-
-def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
-    """Unweighted shortest-path distances from ``source`` to every vertex.
-
-    Raises ValueError if some vertex is unreachable: a triangulated disk is
-    connected, so a gap means the complex is structurally broken.
-    """
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    if min(dist) < 0:
-        missing = dist.index(-1)
-        raise ValueError(f"vertex {missing} unreachable from {source}: complex is disconnected")
-    return dist
 
 
 def resolve_jobs(jobs: int | None) -> int:

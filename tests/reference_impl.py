@@ -3,6 +3,10 @@
 ``reference_validate_disk`` is the per-vertex link-walking disk validator and
 ``reference_drift_audit`` the per-edge ``Fraction`` drift audit that
 :func:`ringfill.validate_disk` and :func:`ringfill.drift_audit` replaced.
+``skeleton_graph`` and ``bfs_distances`` give adjacency lists and
+breadth-first distances, against which the compiled boundary BFS is
+checked, and ``reference_is_isometric`` the per-source isometry test the
+oracle's batched one replaced.
 ``interior_canonical_code`` identifies fillings that differ only in their
 interior labels; the tests use it to show that the oracle emits no complex
 twice.
@@ -15,7 +19,7 @@ from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from itertools import permutations
 
-from ringfill import ValidationReport, canonical_triangle, circ_dist
+from ringfill import ValidationReport, canonical_triangle, circ_dist, cycle_dist
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -97,6 +101,24 @@ def reference_validate_disk(t) -> ValidationReport:
         want = "path" if v in boundary_vertices else "cycle"
         if shape != want:
             rep.failures.append(f"link of vertex {v} is {shape}, expected a {want}")
+
+    # components of the vertices of the valid triangles, by breadth-first search
+    adj: dict[int, set[int]] = defaultdict(set)
+    for a, b, c in triangles:
+        if len({a, b, c}) == 3 and max(a, b, c) < nv:
+            adj[a] |= {b, c}
+            adj[b] |= {a, c}
+            adj[c] |= {a, b}
+    unseen, components = set(adj), 0
+    while unseen:
+        components += 1
+        queue = deque([unseen.pop()])
+        while queue:
+            for w in adj[queue.popleft()] & unseen:
+                unseen.discard(w)
+                queue.append(w)
+    if components > 1:
+        rep.failures.append(f"complex is disconnected: {components} components")
     return rep
 
 
@@ -178,3 +200,48 @@ def interior_canonical_code(
         if best is None or mapped < best:
             best = mapped
     return best
+
+
+def skeleton_graph(t) -> list[list[int]]:
+    """Adjacency lists of the 1-skeleton, neighbors sorted ascending.
+
+    Edges come sorted as ``(lo, hi)`` pairs, so each list receives its
+    smaller neighbors in order before its larger ones.
+    """
+    adj: list[list[int]] = [[] for _ in range(t.num_vertices)]
+    for u, v in t.edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
+    """Unweighted shortest-path distances from ``source`` to every vertex.
+
+    Raises ValueError if some vertex is unreachable: a triangulated disk is
+    connected, so a gap means the complex is structurally broken.
+    """
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du + 1
+                queue.append(v)
+    if min(dist) < 0:
+        missing = dist.index(-1)
+        raise ValueError(f"vertex {missing} unreachable from {source}: complex is disconnected")
+    return dist
+
+
+def reference_is_isometric(t) -> bool:
+    """True iff no boundary pair gets closer through the complex than along the cycle."""
+    adj = skeleton_graph(t)
+    for src in range(t.n):
+        dist = bfs_distances(adj, src)
+        if any(dist[dst] < cycle_dist(src, dst, t.n) for dst in range(t.n)):
+            return False
+    return True

@@ -313,3 +313,14 @@ def test_nonpositive_counts_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]}" in capsys.readouterr().err
+
+
+def test_sweep_resolves_jobs_before_any_build(monkeypatch, capsys):
+    import ringfill.analysis as analysis
+
+    built = []
+    monkeypatch.setattr(analysis, "build_filling", lambda params: built.append(params.n))
+    monkeypatch.setenv("RINGFILL_JOBS", "0")
+    assert main(["sweep", "--n-list", "25,32", "--rho", "0.1", "--eta", "0.25"]) == 1
+    assert capsys.readouterr().err == "error: RINGFILL_JOBS must be a positive integer, got '0'\n"
+    assert built == []

@@ -1,17 +1,22 @@
+import re
 from math import factorial
 
+import numpy as np
 import pytest
 
 from ringfill import (
     EnumerationBudget,
+    Triangulation,
     cone_over_cycle,
     enumerate_fillings,
     is_isometric_filling,
     min_isometric_vertices,
     validate_disk,
 )
+from ringfill import oracle
 from ringfill.oracle import EnumerationStats
-from reference_impl import interior_canonical_code
+from ringfill.simplicial import validate_disk_batch
+from reference_impl import interior_canonical_code, reference_is_isometric
 
 
 def brown_count(n: int, k: int) -> int:
@@ -72,12 +77,14 @@ def test_interior_vertex_counts_of_triangle_fillings():
         assert all(f.num_vertices == 3 + k for f in fillings)
 
 
+PAIRS = [(n, k) for n in range(3, 7) for k in range(4)] + [(7, k) for k in range(3)]
+
+
 def test_all_outputs_validate_and_codes_are_unique():
     # The enumeration has no isomorph filter: each complex must come out once
     # by construction, so the counts equal Brown's formula and no two outputs
     # differ only in their interior labels.
-    pairs = [(n, k) for n in range(3, 7) for k in range(4)] + [(7, k) for k in range(3)]
-    for n, k in pairs:
+    for n, k in PAIRS:
         stats = EnumerationStats()
         seen = set()
         for f in enumerate_fillings(EnumerationBudget(n, k), stats):
@@ -88,6 +95,79 @@ def test_all_outputs_validate_and_codes_are_unique():
             seen.add(code)
         assert len(seen) == stats.emitted == brown_count(n, k), (n, k)
         assert stats.duplicates == 0
+
+
+def test_batched_verdicts_match_per_complex_checks():
+    # The oracle validates and tests isometry a stack of fillings at a time;
+    # each verdict must be the one the per-complex check gives.
+    for n, k in PAIRS:
+        for chunk in oracle._chunks(EnumerationBudget(n, k)):
+            fillings = [Triangulation(n, n + k, tri) for tri in chunk]
+            valid = [validate_disk(f).ok for f in fillings]
+            assert validate_disk_batch(n, n + k, chunk).tolist() == valid, (n, k)
+            isometric = [reference_is_isometric(f) for f in fillings]
+            assert oracle._isometric_rows(n, n + k, chunk).tolist() == isometric, (n, k)
+
+
+def _corrupt(tri, kind):
+    """One triangle of a valid filling broken in the named way."""
+    tri = tri.copy()
+    a, b, c = tri[0]
+    nv = int(tri.max()) + 1
+    if kind == "dropped":  # the first triangle gives way to a second copy of another
+        tri[0] = tri[1]
+    elif kind == "flipped":  # one corner moved to another vertex of the complex
+        tri[0, 2] = next(v for v in range(nv) if v not in (a, b, c))
+    elif kind == "degenerate":
+        tri[0, 2] = a
+    elif kind == "out of range":
+        tri[0, 2] = nv
+    return tri
+
+
+@pytest.mark.parametrize("kind", ["dropped", "flipped", "degenerate", "out of range"])
+def test_batch_flags_exactly_the_corrupted_complex(kind):
+    n, k = 6, 2
+    chunk = next(oracle._chunks(EnumerationBudget(n, k)))
+    assert len(chunk) == oracle._CHUNK
+    for i in (0, 17, len(chunk) - 1):
+        broken = chunk.copy()
+        broken[i] = _corrupt(chunk[i], kind)
+        verdicts = validate_disk_batch(n, n + k, broken)
+        assert np.flatnonzero(~verdicts).tolist() == [i], (kind, i)
+        assert not validate_disk(Triangulation(n, n + k, broken[i])).ok
+
+
+def test_batch_rejects_malformed_stacks():
+    with pytest.raises(ValueError, match=r"\(B, F, 3\) array"):
+        validate_disk_batch(3, 3, np.zeros((2, 3), dtype=np.int32))
+    with pytest.raises(ValueError, match=r"\(B, F, 3\) array"):
+        validate_disk_batch(3, 3, np.zeros((0, 1, 3), dtype=np.int32))
+    with pytest.raises(ValueError, match="must lie in"):
+        validate_disk_batch(3, 3, [[(0, 1, -2)]])
+
+
+def _leaves(*leaves):
+    """A stand-in for the generator that emits the given leaves, whatever it is asked."""
+    return lambda *args: iter(leaves)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((0, 1, 2), (0, 1, 3)),  # two triangles on the cycle edge (0, 1)
+        ((0, 1, 2),),  # too few triangles to stack with the others
+    ],
+)
+def test_invalid_leaf_raises_with_its_failures(monkeypatch, bad):
+    good = ((0, 1, 2), (0, 2, 3))
+    monkeypatch.setattr(oracle, "_grow", _leaves(good, good, bad, good))
+    failures = validate_disk(Triangulation(4, 4, bad)).failures
+    message = re.escape(f"enumerator produced an invalid complex: {failures[:3]}")
+    with pytest.raises(RuntimeError, match=message):
+        list(enumerate_fillings(EnumerationBudget(4, 0)))
+    with pytest.raises(RuntimeError, match=message):
+        min_isometric_vertices(4, 0)
 
 
 def test_brown_formula_known_values():
@@ -105,14 +185,18 @@ def test_canonical_code_identifies_relabelings():
     assert code_a == code_b
 
 
-@pytest.mark.parametrize("n,expected", [(3, 3), (4, 5), (5, 6)])
+@pytest.mark.parametrize("n,expected", [(3, 3), (4, 5), (5, 6), (6, 9), (7, 11)])
 def test_minimum_isometric_vertex_counts(n, expected):
+    # fillings examined up to and including the witness, in DFS order
+    candidates = {3: 1, 4: 4, 5: 11, 6: 1102, 7: 38154}
     result = min_isometric_vertices(n)
     assert result.min_vertices == expected
+    assert result.enumerated == candidates[n]
     assert result.witness is not None
     assert result.witness.num_vertices == expected
     assert validate_disk(result.witness).ok
     assert is_isometric_filling(result.witness)
+    assert reference_is_isometric(result.witness)
 
 
 def test_minimum_is_monotone_in_budget():
@@ -135,3 +219,8 @@ def test_unknown_reported_when_budget_too_small():
 @pytest.mark.parametrize("n,isometric", [(3, True), (4, True), (5, True), (6, False)])
 def test_cone_isometry_threshold(n, isometric):
     assert is_isometric_filling(cone_over_cycle(n)) is isometric
+
+
+def test_isometry_test_refuses_large_complexes():
+    with pytest.raises(ValueError, match="at most 255 vertices, got 256"):
+        is_isometric_filling(cone_over_cycle(255))

@@ -5,13 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from reference_impl import reference_validate_disk
+from reference_impl import bfs_distances, reference_validate_disk, skeleton_graph
 
 from ringfill import (
     Params,
     ScheduleError,
     Triangulation,
-    bfs_distances,
     boundary_distance_matrix,
     build_filling,
     canonical_triangle,
@@ -19,7 +18,6 @@ from ringfill import (
     circ_dist,
     compute_schedule,
     cycle_dist,
-    skeleton_graph,
     staircase_indices,
     validate_disk,
 )

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from reference_impl import reference_validate_disk
+from reference_impl import reference_validate_disk, skeleton_graph
 
 from ringfill import (
     Triangulation,
     canonical_triangle,
     cone_over_cycle,
-    skeleton_graph,
     validate_disk,
 )
 from ringfill.serialize import triangulation_from_dict
@@ -94,6 +93,20 @@ def test_disk_pinched_at_two_points_is_rejected():
         "link of vertex 0 is disconnected, expected a path",
         "link of vertex 6 is disconnected, expected a cycle",
     ]
+
+
+def test_disk_plus_disjoint_torus_is_disconnected():
+    # The 7-vertex torus (ids 7..13) beside the cone over C_6: every edge lies
+    # in 1 or 2 triangles, the boundary is C_6, every link is a path or a
+    # cycle and V - E + F = 1 + 0, so only connectivity tells them apart.
+    cone = cone_over_cycle(6)
+    torus = [(7 + i, 7 + (i + 1) % 7, 7 + (i + 3) % 7) for i in range(7)]
+    torus += [(7 + i, 7 + (i + 2) % 7, 7 + (i + 3) % 7) for i in range(7)]
+    t = Triangulation(6, 14, np.vstack([cone.triangles, torus]))
+    rep = assert_rejected_like_reference(t, "complex is disconnected")
+    assert rep.failures == ["complex is disconnected: 2 components"]
+    assert rep.counts["vertices"] - rep.counts["edges"] + rep.counts["triangles"] == 1
+    assert reference_validate_disk(t).failures == rep.failures
 
 
 def test_opposite_rotation_duplicate_is_a_link_multigraph():

@@ -3,17 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference_impl import reference_drift_audit
+from reference_impl import bfs_distances, reference_drift_audit, skeleton_graph
 
 from ringfill import (
     Triangulation,
-    bfs_distances,
     boundary_distance_matrix,
     cone_over_cycle,
     cycle_dist,
     drift_audit,
     separation_lower_bounds,
-    skeleton_graph,
     step_profile_eps,
     verify_filling,
 )
