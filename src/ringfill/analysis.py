@@ -1,11 +1,11 @@
-"""Numeric certification of the analytic ingredients and the sweep harness.
+"""Certification of the analytic ingredients and the sweep harness.
 
 The construction rests on a handful of closed forms around the square-root
 profile q(t) = sqrt(1 - 4t): a pointwise inequality balancing radial cost
 against angular savings, the profile integral giving the vertex density, and
-two reference constants bracketing the achievable density.  Everything here
-certifies those numerically; exact combinatorial checks live in
-:mod:`ringfill.verify`.
+two reference constants bracketing the achievable density.  The inequality
+and the constants' ordering are certified exactly, the integral's closed form
+by quadrature; exact combinatorial checks live in :mod:`ringfill.verify`.
 """
 from __future__ import annotations
 
@@ -14,14 +14,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .builder import Params, as_fraction, build_filling
 from .simplicial import validate_disk
 from .verify import drift_audit, resolve_jobs, step_profile_eps, verify_filling
 
 __all__ = [
-    "SLACK_TOL",
     "profile",
     "drift_integral",
     "stop_time",
@@ -38,7 +35,7 @@ __all__ = [
     "SWEEP_CSV_HEADER",
 ]
 
-SLACK_TOL = 1e-12
+_QUAD_TOL = 1e-12  # closed form against adaptive quadrature
 
 
 def profile(t: float) -> float:
@@ -56,55 +53,62 @@ def stop_time(eta: float) -> float:
     return (1.0 - eta * eta) / 4.0
 
 
+def _unit_eta(eta: Fraction | float | str) -> Fraction:
+    e = as_fraction(eta)
+    if not 0 <= e <= 1:
+        raise ValueError(f"eta must lie in [0, 1], got {e}")
+    return e
+
+
 @dataclass
 class CoreInequalityReport:
-    """Minimum slack of 2t + q(t)(s - I(t))_+ - s over the sampled grid."""
+    """Exact minimum slack of 2t + q(t)(s - I(t))_+ - s on [0, stop_time] x [0, 1/2]."""
 
-    min_slack: float
-    argmin: tuple[float, float]  # (t, s) of the minimum
-    boundary_max_abs: float  # worst |slack| along s = 1/2, where equality holds
-    grid_t: int
-    grid_s: int
-    eta: float
+    min_slack: Fraction
+    boundary_max_abs: Fraction  # worst |slack| along s = 1/2, where equality holds
+    eta: Fraction
 
     @property
     def ok(self) -> bool:
-        return self.min_slack >= -SLACK_TOL and self.boundary_max_abs <= SLACK_TOL
+        return self.min_slack >= 0 and self.boundary_max_abs == 0
 
 
-def check_core_inequality(
-    grid_t: int = 1000,
-    grid_s: int = 1000,
-    eta: float = 0.25,
-    boundary_samples: int = 100,
-) -> CoreInequalityReport:
-    """Certify 2t + q(t)(s - I(t))_+ >= s on [0, stop_time] x [0, 1/2].
+def _core_slack(q: Fraction, s: Fraction) -> Fraction:
+    """The slack 2t + q(s - I)_+ - s at t = (1 - q^2)/4, where I = (1 - q)/2."""
+    return (1 - q * q) / 2 + q * max(s - (1 - q) / 2, Fraction(0)) - s
 
-    The inequality is checked in normalized units (the boundary length scales
-    out).  Equality holds along s = 1/2 for every t, so that edge is also
-    checked against zero to tolerance.
+
+def check_core_inequality(eta: Fraction | float | str) -> CoreInequalityReport:
+    """Certify 2t + q(t)(s - I(t))_+ >= s on [0, stop_time(eta)] x [0, 1/2], exactly.
+
+    In the variable q = sqrt(1 - 4t), which runs over [eta, 1], t = (1 - q^2)/4
+    and I = (1 - q)/2, so the slack is q(1 - q)/2 + (I - s) for s <= I and
+    (1 - q)(1/2 - s) for s >= I.  On each side slack and closed form have
+    degree <= 2 in q and <= 1 in s, so they are equal once they agree at three
+    values of q and two values of s on that side for each q, checked here in
+    ``Fraction``s.  The first form is >= q(1 - q)/2 >= 0 and the second is a
+    product of two non-negative factors: the minimum is exactly 0, along
+    s = 1/2.  Each form is least at a corner q in {eta, 1}, s in {0, I, 1/2}
+    of its side (the first is concave, the second linear in s and concave in q
+    along s = I), and along s = 1/2 a quadratic in q with three zeros is zero.
     """
-    if grid_t < 2 or grid_s < 2:
-        raise ValueError("grid resolutions must be at least 2")
-    t_max = stop_time(eta)
-    ts = np.linspace(0.0, t_max, grid_t)
-    ss = np.linspace(0.0, 0.5, grid_s)
-    q = np.sqrt(1.0 - 4.0 * ts)
-    integ = (1.0 - q) / 2.0
-    slack = 2.0 * ts[:, None] + q[:, None] * np.maximum(ss[None, :] - integ[:, None], 0.0) - ss[None, :]
-    flat = int(np.argmin(slack))
-    it, js = divmod(flat, grid_s)
-
-    tb = np.linspace(0.0, t_max, boundary_samples)
-    qb = np.sqrt(1.0 - 4.0 * tb)
-    edge = 2.0 * tb + qb * (0.5 - (1.0 - qb) / 2.0) - 0.5
+    e = _unit_eta(eta)
+    half = Fraction(1, 2)
+    for q in (Fraction(1, 4), half, Fraction(3, 4)):
+        integ = (1 - q) / 2
+        for s, closed in (
+            (Fraction(0), q * (1 - q) / 2 + integ),
+            (integ, q * (1 - q) / 2),
+            (integ, (1 - q) * (half - integ)),
+            (half, Fraction(0)),
+        ):
+            if _core_slack(q, s) != closed:
+                raise RuntimeError(f"core inequality slack at q={q}, s={s} is not its closed form")
+    corners = [(q, s) for q in (e, Fraction(1)) for s in (Fraction(0), (1 - q) / 2, half)]
     return CoreInequalityReport(
-        min_slack=float(slack[it, js]),
-        argmin=(float(ts[it]), float(ss[js])),
-        boundary_max_abs=float(np.abs(edge).max()),
-        grid_t=grid_t,
-        grid_s=grid_s,
-        eta=eta,
+        min_slack=min(_core_slack(q, s) for q, s in corners),
+        boundary_max_abs=max(abs(_core_slack(q, half)) for q in (e, (1 + e) / 2, Fraction(1))),
+        eta=e,
     )
 
 
@@ -126,14 +130,12 @@ def profile_integral(eta: Fraction | float | str) -> ProfileIntegralCheck:
     """
     from scipy.integrate import quad  # imported here: no other command needs scipy's quadrature
 
-    e = as_fraction(eta)
-    if not 0 <= e <= 1:
-        raise ValueError(f"eta must lie in [0, 1], got {e}")
+    e = _unit_eta(eta)
     closed = (1 - e**3) / 6
     upper = float((1 - e * e) / 4)
     value, _ = quad(profile, 0.0, upper, epsabs=1e-14, epsrel=1e-14, limit=200)
     error = abs(value - float(closed))
-    if error > SLACK_TOL:
+    if error > _QUAD_TOL:
         raise RuntimeError(
             f"profile integral mismatch at eta={e}: closed {float(closed)!r} vs quadrature {value!r}"
         )
@@ -160,7 +162,9 @@ class ConstantsReport:
 
     @property
     def ordering_ok(self) -> bool:
-        return self.lower_density <= self.upper_density < self.hemisphere_density
+        # Exact: pi < 22/7 and sqrt3 < 97/56 (97^2 = 9409 > 3 * 56^2 = 9408), so
+        # pi*sqrt3 < (22 * 97) / (7 * 56) = 1067/196 and 1/(pi*sqrt3) > 196/1067.
+        return Fraction(1, 8) <= Fraction(1, 6) < Fraction(196, 1067)
 
     def lines(self) -> list[str]:
         return [

@@ -35,7 +35,8 @@ def as_fraction(x: Fraction | int | float | str) -> Fraction:
     """Exact rational from a Fraction, int, decimal/fraction string, or float.
 
     Floats go through their shortest repr, so ``as_fraction(0.1)`` is exactly
-    1/10 rather than the 53-bit binary approximation.
+    1/10 rather than the 53-bit binary approximation.  A string with a zero
+    denominator is a ``ValueError``, like any other malformed rational.
     """
     if isinstance(x, Fraction):
         return x
@@ -44,7 +45,10 @@ def as_fraction(x: Fraction | int | float | str) -> Fraction:
     if isinstance(x, float):
         return Fraction(repr(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -74,13 +74,11 @@ def _parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--max-interior", type=int, default=4)
     p_oracle.add_argument("--out", help="write the minimal witness as JSON")
 
-    p_analyze = sub.add_parser("analyze", help="numeric certification of the closed forms")
+    p_analyze = sub.add_parser("analyze", help="exact core inequality and constants; profile integral by quadrature")
     p_analyze.add_argument("--constants", action="store_true")
     p_analyze.add_argument("--core-inequality", action="store_true")
     p_analyze.add_argument("--profile-integral", action="store_true")
-    p_analyze.add_argument("--eta", default="0.25")
-    p_analyze.add_argument("--grid-t", type=int, default=1000)
-    p_analyze.add_argument("--grid-s", type=int, default=1000)
+    p_analyze.add_argument("--eta", default="0.25", help="stopping scale in [0, 1], e.g. 0.25")
 
     p_export = sub.add_parser("export", help="export a complex to OFF or OBJ")
     p_export.add_argument("--in", dest="in_path", required=True)
@@ -250,19 +248,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(line)
         ok = ok and constants.ordering_ok
     if args.core_inequality or run_all:
-        rep = check_core_inequality(args.grid_t, args.grid_s, float(as_fraction(args.eta)))
-        t_at, s_at = rep.argmin
+        rep = check_core_inequality(args.eta)
         print(
-            f"core inequality: min slack {rep.min_slack!r} at (t={t_at!r}, s={s_at!r}) "
-            f"on a {rep.grid_t}x{rep.grid_s} grid; boundary |slack| max {rep.boundary_max_abs!r}"
+            f"core inequality at eta={rep.eta}: min slack {rep.min_slack}, "
+            f"|slack| along s=1/2 max {rep.boundary_max_abs} (exact)"
         )
         ok = ok and rep.ok
     if args.profile_integral or run_all:
-        try:
-            check = profile_integral(args.eta)
-        except RuntimeError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        check = profile_integral(args.eta)
         print(
             f"profile integral at eta={args.eta}: closed form {float(check.closed_form)!r} "
             f"({check.closed_form}), quadrature {check.quadrature!r}, error {check.error:.3e}"

@@ -122,11 +122,6 @@ class Triangulation:
         return self._edge_table[1]
 
     @property
-    def slot_edges(self) -> np.ndarray:
-        """``(F, 3)`` edge ids: column j is the edge from corner j to corner j+1."""
-        return self._edge_table[2]
-
-    @property
     def boundary_edges(self) -> np.ndarray:
         """The incidence-1 edges, ascending."""
         return self.edges[self.incidence == 1]

@@ -113,12 +113,12 @@ def test_c04_density_convergence(builds_b):
 
 
 def test_c05_core_inequality():
-    report = check_core_inequality(grid_t=1000, grid_s=1000, eta=float(ETA_A), boundary_samples=100)
+    report = check_core_inequality(eta=float(ETA_A))
     assert report.min_slack >= -1e-12, report
     assert report.boundary_max_abs <= 1e-12, report
     print(
-        f"\nPASS 5 core inequality: min slack {report.min_slack!r} on 1000x1000 grid, "
-        f"|slack| at s=1/2 <= {report.boundary_max_abs!r} over 100 t samples"
+        f"\nPASS 5 core inequality: min slack {report.min_slack} exact, "
+        f"|slack| at s=1/2 <= {report.boundary_max_abs} exact"
     )
 
 

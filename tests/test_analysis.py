@@ -13,6 +13,7 @@ from ringfill import (
     stop_time,
     vertex_count_lower_bound,
 )
+from ringfill import analysis
 from ringfill.analysis import SWEEP_CSV_HEADER
 
 
@@ -23,7 +24,7 @@ def test_profile_endpoints():
 
 
 def test_core_inequality_grid():
-    rep = check_core_inequality(300, 300, eta=0.25)
+    rep = check_core_inequality(eta=0.25)
     assert rep.ok
     assert rep.min_slack >= -1e-12
     assert rep.boundary_max_abs <= 1e-12
@@ -42,9 +43,38 @@ def test_core_inequality_zero_time_and_small_s():
         assert slack >= 0
 
 
-def test_core_inequality_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        check_core_inequality(1, 10)
+@pytest.mark.parametrize("eta", [Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(9, 10)])
+def test_core_inequality_exact_grid_cross_check(eta):
+    # Independent of the certificate: the original slack 2t + q(s - I)_+ - s,
+    # t = (1 - q^2)/4, I = (1 - q)/2, in Fractions on a 41 x 41 rational grid.
+    qs = [eta + (1 - eta) * Fraction(i, 40) for i in range(41)]
+    ss = [Fraction(j, 80) for j in range(41)]
+    values = {}
+    for q in qs:
+        t = (1 - q * q) / 4
+        integ = (1 - q) / 2
+        for s in ss:
+            values[q, s] = 2 * t + q * max(s - integ, 0) - s
+    assert all(v >= 0 for v in values.values())
+    assert all(values[q, Fraction(1, 2)] == 0 for q in qs)
+    rep = check_core_inequality(eta)
+    assert rep.min_slack == min(values.values()) == 0
+    assert rep.boundary_max_abs == 0
+    assert isinstance(rep.min_slack, Fraction) and isinstance(rep.boundary_max_abs, Fraction)
+    assert rep.eta == eta and rep.ok
+
+
+def test_core_inequality_rejects_a_perturbed_slack(monkeypatch):
+    exact = analysis._core_slack
+    monkeypatch.setattr(analysis, "_core_slack", lambda q, s: exact(q, s) + Fraction(1, 10**12) * s * s)
+    with pytest.raises(RuntimeError, match="q=1/4, s=3/8 is not its closed form"):
+        check_core_inequality(Fraction(1, 4))
+
+
+@pytest.mark.parametrize("eta", [-1, 2, Fraction(3, 2)])
+def test_core_inequality_rejects_eta_outside_unit_interval(eta):
+    with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+        check_core_inequality(eta)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +116,16 @@ def test_constants_report():
     assert rep.lower_density == 0.125
     assert abs(rep.gap - (rep.hemisphere_density - rep.upper_density)) < 1e-15
     assert math.isclose(rep.hemisphere_density, 1 / (math.pi * math.sqrt(3)))
+
+
+def test_hemisphere_lower_bound_derivation():
+    # ordering_ok compares 1/6 against 196/1067 < 1/(pi*sqrt3), which follows
+    # from sqrt3 < 97/56 and pi < 22/7.
+    assert 97**2 == 9409 > 3 * 56**2 == 9408
+    # math.pi is within 2**-51 of pi, far inside this margin.
+    assert Fraction(22, 7) - Fraction(math.pi) > Fraction(1, 1000)
+    assert Fraction(22 * 97, 7 * 56) == Fraction(1067, 196)
+    assert Fraction(1, 6) < Fraction(196, 1067) < constants_report().hemisphere_density
 
 
 def test_sweep_rows_and_csv(tmp_path):

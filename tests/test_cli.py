@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ringfill
-from ringfill.cli import main
+from ringfill.cli import _parser, main
 from ringfill.serialize import dump_json, triangulation_to_dict
 from ringfill import cone_over_cycle
 
@@ -234,11 +235,17 @@ def test_build_file_must_match_its_params(tmp_path, capsys, field, tamper):
     assert "within_bounds" not in captured.out
 
 
-def test_cli_import_loads_no_scipy():
+def _subprocess_env() -> dict[str, str]:
+    """This environment with the imported ``ringfill`` first on PYTHONPATH."""
     src = str(Path(ringfill.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_loads_no_scipy():
     code = "import sys, ringfill.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
     assert out.stdout.strip() == "[]"
 
 
@@ -265,11 +272,54 @@ def test_oracle_cli(tmp_path, capsys):
 
 
 def test_analyze_cli(capsys):
-    assert main(["analyze", "--grid-t", "200", "--grid-s", "200"]) == 0
+    assert main(["analyze"]) == 0
     out = capsys.readouterr().out
     assert "core inequality" in out
     assert "profile integral" in out
     assert "ordering 1/8 <= 1/6 < 1/(pi*sqrt3): True" in out
+
+
+@pytest.mark.parametrize("eta", ["0", "0.25", "1"])
+def test_analyze_core_inequality_is_exact(eta, capsys):
+    assert main(["analyze", "--core-inequality", f"--eta={eta}"]) == 0
+    assert "min slack 0, |slack| along s=1/2 max 0 (exact)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eta", ["-1", "2"])
+def test_analyze_rejects_eta_outside_unit_interval(eta, capsys):
+    assert main(["analyze", "--core-inequality", f"--eta={eta}"]) == 1
+    assert "error: eta must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--n", "32", "--rho", "1/0", "--eta", "0.25"],
+        ["verify", "--n", "32", "--rho", "0.1", "--eta", "1/0"],
+        ["sweep", "--n-list", "32", "--rho", "1/0", "--eta", "0.25"],
+        ["analyze", "--eta", "1/0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_denominator_on_the_command_line_is_a_named_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringfill.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 1
+    assert "error: '1/0' has a zero denominator" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("ringfill ")]
+    assert len(commands) >= 9
+    for line in commands:
+        _parser().parse_args(shlex.split(line)[1:])
 
 
 def test_export_unknown_format_is_usage_error(tmp_path):
