@@ -89,9 +89,7 @@ class Params:
         if not 0 < self.eta < 1:
             raise ScheduleError(f"eta must lie in (0, 1), got {self.eta}")
         if self.eta * self.eta >= self.rho:
-            raise ScheduleError(
-                f"eta^2 < rho violated ({float(self.eta * self.eta)} >= {float(self.rho)})"
-            )
+            raise ScheduleError(f"eta^2 < rho violated ({self.eta * self.eta} >= {self.rho})")
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,24 @@ for the apex).  Vertex records are derived on output by
 adds params, schedule, apex, predicted counts and ledger; loading one
 rebuilds it from its params, checks every other field against the rebuild
 and keeps only its triangles.  A malformed field, a zero denominator
-included, is a ValueError naming it.  Field order is fixed, so output bytes
-are deterministic for fixed inputs.
+or a boolean triangle id included, is a ValueError naming it.
+
+:func:`dump_json` is the one writer.  Its bytes are those of
+``json.dump(data, fh, indent=2)`` plus a newline, with an ndarray written as
+its ``.tolist()``; the to-dict functions hand over the complex's own
+triangle array.  Field order is fixed, so output bytes are deterministic
+for fixed inputs.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from .annuli import LayerRecord
 from .builder import BuildResult, Params, Schedule, build_filling, compute_schedule
@@ -40,6 +48,10 @@ __all__ = [
 ]
 
 _MISSING = object()
+_INDENT = "  "
+_ROWS_PER_CHUNK = 4096
+_ROW_VALUE_TYPES = {int, type(None)}
+_NULL = {None: "null"}
 
 
 def _frac_pair(x: Fraction | None) -> tuple[int | None, int | None]:
@@ -113,11 +125,26 @@ def _check_record(rec: Any) -> None:
     )
 
 
+def _triangles(data: Any, where: str) -> Any:
+    """The triangles field of a parsed file as an array, refusing a JSON boolean id.
+
+    numpy reads ``true`` as 1 and ``false`` as 0, so only the rows holding
+    an id of at most 1 can hide one, and only those are scanned.
+    """
+    rows = _get(data, "triangles", where)
+    tri = np.asarray(rows)
+    if isinstance(rows, list) and tri.ndim == 2 and tri.dtype.kind in "iu":
+        for i in np.flatnonzero((tri <= 1).any(axis=1)).tolist():
+            if bool in map(type, rows[i]):
+                raise ValueError(f"triangles[{i}] has a boolean vertex id")
+    return tri
+
+
 def triangulation_to_dict(t: Triangulation) -> dict[str, Any]:
     return {
         "n": t.n,
         "vertices": list(vertex_records(t)),
-        "triangles": t.triangles.tolist(),
+        "triangles": t.triangles,
     }
 
 
@@ -134,7 +161,7 @@ def triangulation_from_dict(data: dict[str, Any]) -> Triangulation:
     ids = sorted(rec["id"] for rec in records)
     if ids != list(range(len(ids))):
         raise ValueError(f"vertex ids must be contiguous 0..{len(ids) - 1}, got {ids[:10]}...")
-    return Triangulation(n, len(records), _get(data, "triangles", "complex file"))
+    return Triangulation(n, len(records), _triangles(data, "complex file"))
 
 
 def _schedule_to_dict(s: Schedule) -> dict[str, Any]:
@@ -192,7 +219,7 @@ def build_to_dict(build: BuildResult) -> dict[str, Any]:
     return {
         **_header(build),
         "vertices": list(vertex_records(t, build.ledger)),
-        "triangles": t.triangles.tolist(),
+        "triangles": t.triangles,
     }
 
 
@@ -253,7 +280,7 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
             if isinstance(got, dict) and got.get("theta_den") == 0:
                 raise ValueError(f"theta of vertex {v} has a zero denominator")
             raise ValueError(f"vertex {v} record {_show(got)} disagrees with the ledger, which gives {want!r}")
-    build.triangulation = Triangulation(n, expected, _get(data, "triangles", "build file"))
+    build.triangulation = Triangulation(n, expected, _triangles(data, "build file"))
     return build
 
 
@@ -280,9 +307,91 @@ def report_to_dict(report: VerificationReport, include_witness: bool = False) ->
     return out
 
 
-def dump_json(data: dict[str, Any], path: str) -> None:
+def _row_keys(x: Any) -> tuple[str | None, ...] | None:
+    """The keys of ``x``'s rows if it is a non-empty list of flat uniform rows of ints and nulls, else None.
+
+    Rows are lists of one length, each key None, or dicts with the same str
+    keys in the same order; a non-empty 2-d integer array counts as list
+    rows.  A bool, float, str, container or int subclass anywhere in the
+    rows disqualifies the list.
+    """
+    if isinstance(x, np.ndarray):
+        return (None,) * x.shape[1] if x.ndim == 2 and x.dtype.kind in "iu" and x.size else None
+    if not isinstance(x, list) or not x:
+        return None
+    kinds = set(map(type, x))
+    if kinds == {list}:
+        widths = set(map(len, x))
+        if len(widths) != 1:
+            return None
+        keys: tuple[str | None, ...] = (None,) * widths.pop()
+        values = chain.from_iterable(x)
+    elif kinds == {dict}:
+        keysets = set(map(tuple, x))
+        if len(keysets) != 1:
+            return None
+        keys = keysets.pop()
+        if not all(type(k) is str for k in keys):
+            return None
+        values = chain.from_iterable(map(dict.values, x))
+    else:
+        return None
+    return keys if keys and set(map(type, values)) <= _ROW_VALUE_TYPES else None
+
+
+def _write_rows(write: Callable[[str], Any], rows: Any, keys: tuple[str | None, ...], level: int) -> None:
+    """Write rows with keys ``keys`` chunk by chunk, formatting each chunk with one ``%`` template."""
+    outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
+    is_dict = keys[0] is not None
+    fields = (inner + ("" if k is None else json.dumps(k).replace("%", "%%") + ": ") + "%s" for k in keys)
+    row = ("{" if is_dict else "[") + ",".join(fields) + outer + ("}" if is_dict else "]")
+    sep = "," + outer
+    write("[")
+    lead = outer
+    for start in range(0, len(rows), _ROWS_PER_CHUNK):
+        chunk = rows[start : start + _ROWS_PER_CHUNK]
+        if isinstance(chunk, np.ndarray):
+            chunk = chunk.tolist()
+        values = list(chain.from_iterable(map(dict.values, chunk) if is_dict else chunk))
+        write(lead + sep.join([row] * len(chunk)) % tuple(map(_NULL.get, values, values)))
+        lead = sep
+    write("\n" + _INDENT * level + "]")
+
+
+def _encode(write: Callable[[str], Any], x: Any, level: int) -> None:
+    """Write ``x`` as ``json.dump(x, fh, indent=2)`` would at nesting ``level``, an ndarray as its ``.tolist()``.
+
+    Lists of flat uniform int-or-null rows (:func:`_row_keys`) are formatted
+    here in chunks; a dict with str keys or a list that holds a container is
+    framed here around its items; every other value goes through
+    ``json.dumps(indent=2)``.
+    """
+    keys = _row_keys(x)
+    if keys is not None:
+        _write_rows(write, x, keys, level)
+        return
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
+        opener, closer, items = "{", "}", [(json.dumps(k) + ": ", v) for k, v in x.items()]
+    elif isinstance(x, (list, tuple)):
+        opener, closer, items = "[", "]", [("", v) for v in x]
+    else:
+        items = []
+    if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for _, v in items):
+        write(json.dumps(x, indent=2).replace("\n", "\n" + _INDENT * level))
+        return
+    write(opener)
+    for i, (prefix, v) in enumerate(items):
+        write(("," if i else "") + "\n" + _INDENT * (level + 1) + prefix)
+        _encode(write, v, level + 1)
+    write("\n" + _INDENT * level + closer)
+
+
+def dump_json(data: Any, path: str) -> None:
+    """Write ``data`` with the bytes of ``json.dump(data, fh, indent=2)`` and a newline (see :func:`_encode`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
+        _encode(fh.write, data, 0)
         fh.write("\n")
 
 

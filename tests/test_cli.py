@@ -29,6 +29,12 @@ def test_build_rejects_bad_eta(capsys):
     assert "eta^2 < rho violated" in capsys.readouterr().err
 
 
+def test_eta_rejection_prints_exact_rationals(capsys):
+    # as floats, a positive rho of 1e-400 printed as 0.0
+    assert main(["build", "--n", "64", "--rho", "1e-400", "--eta", "0.25"]) == 2
+    assert capsys.readouterr().err == f"rejected: eta^2 < rho violated (1/16 >= 1/{10**400})\n"
+
+
 def test_build_rejects_small_n(capsys):
     assert main(["build", "--n", "10", "--rho", "0.001", "--eta", "0.03"]) == 2
     assert "rejected" in capsys.readouterr().err
@@ -149,7 +155,7 @@ def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
     bare = tmp_path / "cone.json"
     cone = triangulation_to_dict(cone_over_cycle(5))
     cone["vertices"][2]["theta_den"] = 0
-    bare.write_text(json.dumps(cone))
+    dump_json(cone, str(bare))
     assert main(["verify", "--in", str(bare)]) == 1
     assert "error: theta of vertex 2 has a zero denominator" in capsys.readouterr().err
 
@@ -166,6 +172,41 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
         "k.json": "ddab2ea3a33576aaf207acd07820e06559f365da30ef775759751c15b95fcb28",
         "cone6.json": "386a419e72d8d7b95624bf597759745c85d5abd875d636553f39e43b5d8fcfbb",
     }
+
+
+def test_report_and_witness_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of a verification report (with a float eps_n) and of an oracle witness
+    report_path, witness_path = tmp_path / "report.json", tmp_path / "witness.json"
+    argv = ["verify", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(report_path), "--dump-witness"]
+    assert main(argv) == 0
+    assert main(["oracle", "--n", "5", "--max-interior", "3", "--out", str(witness_path)]) == 0
+    digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (report_path, witness_path)}
+    assert digest == {
+        "report.json": "8b3ae275125286b4432f2aaf1766908016d4fda085d78c1fa14549eaa24c37b5",
+        "witness.json": "eda8eff91dd613a78d67bbd838ce299fd30ed3c471635982978eb9130136fdf0",
+    }
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("kind", ["bare", "build"])
+def test_boolean_triangle_id_is_a_named_error(tmp_path, capsys, kind, value):
+    # numpy reads [0, true, 5] as [0, 1, 5]; the cone over C_5 would still verify
+    path = tmp_path / "k.json"
+    if kind == "bare":
+        dump_json(triangulation_to_dict(cone_over_cycle(5)), str(path))
+    else:
+        assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    # the first triangle holding the id, one without a 0 for true
+    i = next(i for i, tri in enumerate(data["triangles"]) if int(value) in tri and (not value or 0 not in tri))
+    tri = data["triangles"][i]
+    tri[tri.index(int(value))] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: triangles[{i}] has a boolean vertex id\n"
+    assert "isometric" not in captured.out
 
 
 def test_export_bytes_are_pinned(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import json
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ringfill import cone_over_cycle, validate_disk, verify_filling
+from ringfill import Params, build_filling, cone_over_cycle, validate_disk, verify_filling
 from ringfill.serialize import (
     build_from_dict,
     build_to_dict,
@@ -25,7 +29,9 @@ def test_triangulation_round_trip(small_build):
     assert back.n == t.n
     assert back.triangles.tolist() == t.triangles.tolist()
     assert back.num_vertices == t.num_vertices
-    assert triangulation_to_dict(back) == data
+    again = triangulation_to_dict(back)
+    assert again["vertices"] == data["vertices"]
+    assert again["triangles"].tolist() == data["triangles"].tolist()
     assert validate_disk(back).ok
 
 
@@ -102,6 +108,97 @@ def test_json_bytes_deterministic(tmp_path, small_build):
     dump_json(build_to_dict(small_build), str(a))
     dump_json(build_to_dict(small_build), str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_bytes(data) -> bytes:
+    return (json.dumps(data, indent=2) + "\n").encode("utf-8")
+
+
+_str_keys = st.one_of(st.text(max_size=4), st.text(alphabet='a%"\\\u00e9\u20ac\n', max_size=4))
+_keys = st.one_of(_str_keys, st.integers(-3, 3), st.none())  # json writes non-str keys as strings
+_ints = st.one_of(st.integers(-3, 3), st.integers(-(2**100), 2**100), st.sampled_from([2**64, 2**85 + 1]))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(alphabet='ab%"\\\u00e9\u20ac\U0001f600\n\x00', max_size=6),
+)
+_row_values = st.one_of(_ints, st.none())
+
+
+@st.composite
+def _row_lists(draw):
+    """Non-empty lists of list rows of one width or dict rows of one key order (str keys two times in
+    three), with one odd row mixed in more often than not: ragged, reordered, a tuple, or holding a
+    value that is not an int or null."""
+    width, count = draw(st.integers(0, 4)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        rows = [draw(st.lists(_row_values, min_size=width, max_size=width)) for _ in range(count)]
+    else:
+        key_strategy = draw(st.sampled_from([_str_keys, _str_keys, _keys]))
+        keys = draw(st.lists(key_strategy, min_size=width, max_size=width, unique=True))
+        rows = [dict(zip(keys, draw(st.lists(_row_values, min_size=width, max_size=width)))) for _ in range(count)]
+    i = draw(st.integers(0, count - 1))
+    row = rows[i]
+    odd = draw(st.sampled_from([None, None, "ragged", "reordered", "foreign", "bool", "tuple"]))
+    if odd == "ragged":
+        rows[i] = draw(st.one_of(st.lists(_row_values, max_size=5), st.dictionaries(_keys, _row_values, max_size=4)))
+    elif odd == "reordered":
+        rows[i] = dict(reversed(list(row.items()))) if isinstance(row, dict) else row[::-1]
+    elif odd in ("foreign", "bool") and width:
+        slot = draw(st.integers(0, width - 1))
+        row[list(row)[slot] if isinstance(row, dict) else slot] = draw(_scalars if odd == "foreign" else st.booleans())
+    elif odd == "tuple" and isinstance(row, list):
+        rows[i] = tuple(row)
+    return rows
+
+
+_json = st.recursive(
+    st.one_of(_scalars, _row_lists()),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(_keys, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_row_lists(), st.dictionaries(_keys, _row_lists(), max_size=3), _json))
+# each odd row the strategy draws, once for certain
+@example([[1, 2], [3]])
+@example([{"a": 1, "b": 2}, {"b": 3, "a": 4}])
+@example([{"a": 1}, {"b": 2}])
+@example([[1, True]])
+@example([[math.nan, 1.5]])
+@example([{"a": "x"}])
+@example([{1: 2, None: 3}, {1: 4, None: 5}])
+@example([(1, 2), [3, 4]])
+@example([[], []])
+@example([[1, 2], {1: 3, 2: 4}])
+@example({"k%s": [{"a%d": None, 'e\u00e9"\\': 2**85}], "nested": [[{"x": [[0, None]]}]]})
+def test_dump_json_matches_the_reference_encoder(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("dump") / "x.json"
+    dump_json(data, str(path))
+    assert path.read_bytes() == _reference_bytes(data)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.float64, bool])
+@pytest.mark.parametrize("shape", [(5000, 3), (2, 4), (0, 3), (3, 0), (4,), ()])
+def test_dump_json_writes_an_array_as_its_list(tmp_path, dtype, shape):
+    array = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape).astype(dtype)
+    data = {"n": 5, "rows": array, "nested": [{"a": array}]}
+    path = tmp_path / "x.json"
+    dump_json(data, str(path))
+    assert path.read_bytes() == _reference_bytes({"n": 5, "rows": array.tolist(), "nested": [{"a": array.tolist()}]})
+
+
+@pytest.mark.parametrize("n", [64, 384])
+def test_build_file_bytes_match_the_reference_encoder(tmp_path, n):
+    data = build_to_dict(build_filling(Params(n, Fraction(1, 10), Fraction(1, 4))))
+    path = tmp_path / "k.json"
+    dump_json(data, str(path))
+    assert isinstance(data["triangles"], np.ndarray)
+    assert path.read_bytes() == _reference_bytes({**data, "triangles": data["triangles"].tolist()})
 
 
 def test_report_schema(small_build):
