@@ -25,6 +25,7 @@ from .serialize import (
     load_json,
     report_to_dict,
     triangulation_to_dict,
+    vertex_records,
     write_obj,
     write_off,
 )
@@ -265,9 +266,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     data = load_json(args.in_path)
-    t, _ = complex_from_dict(data)  # checks the records the positions come from
+    t, build = complex_from_dict(data)  # checks a bare file's records, which fix its positions
+    records = data["vertices"] if build is None else list(vertex_records(t, build.ledger))
     write = write_off if args.format == "off" else write_obj
-    write(t, args.out, data["vertices"])
+    write(t, args.out, records)
     print(f"wrote {args.out} ({t.num_vertices} vertices, {t.num_triangles} faces)")
     return 0
 

@@ -1,14 +1,18 @@
 """JSON, OFF, and OBJ serialization.
 
-The triangulation schema is shared by every command: ``{"n": int,
-"vertices": [{"id", "layer", "index_in_layer", "theta_num", "theta_den"}],
-"triangles": [[a, b, c], ...]}`` with phases as exact rational pairs (null
-for the apex).  Vertex records are derived on output by
-:func:`vertex_records`, from the layer ledger for a build.  A build file
-adds params, schedule, apex, predicted counts and ledger; loading one
-rebuilds it from its params, checks every other field against the rebuild
-and keeps only its triangles.  A malformed field, a zero denominator
-or a boolean triangle id included, is a ValueError naming it.
+A bare complex file is ``{"n": int, "vertices": [{"id", "layer",
+"index_in_layer", "theta_num", "theta_den"}], "triangles": [[a, b, c],
+...]}`` with phases as exact rational pairs (null for the apex); its vertex
+records are derived on output by :func:`vertex_records`.
+
+A build file (version 2) is ``{"version": 2}`` followed by n, params,
+schedule, apex, predicted counts, ledger and triangles.  It stores no vertex
+records: every vertex position is fixed by its cycle's phase and length in
+the ledger.  Loading one rebuilds it from its params, checks every other
+field against the rebuild and keeps only its triangles.  A build file with
+no ``version`` field is version 1, which also carries the vertex records of
+the ledger; they are still read and checked.  A malformed field, a zero
+denominator or a boolean triangle id included, is a ValueError naming it.
 
 :func:`dump_json` is the one writer.  Its bytes are those of
 ``json.dump(data, fh, indent=2)`` plus a newline, with an ndarray written as
@@ -47,11 +51,11 @@ __all__ = [
     "write_obj",
 ]
 
+_VERSION = 2
+
 _MISSING = object()
 _INDENT = "  "
 _ROWS_PER_CHUNK = 4096
-_ROW_VALUE_TYPES = {int, type(None)}
-_NULL = {None: "null"}
 
 
 def _frac_pair(x: Fraction | None) -> tuple[int | None, int | None]:
@@ -126,13 +130,16 @@ def _check_record(rec: Any) -> None:
 
 
 def _triangles(data: Any, where: str) -> Any:
-    """The triangles field of a parsed file as an array, refusing a JSON boolean id.
+    """The triangles field of a parsed file as an array, refusing a ragged list or a JSON boolean id.
 
     numpy reads ``true`` as 1 and ``false`` as 0, so only the rows holding
     an id of at most 1 can hide one, and only those are scanned.
     """
     rows = _get(data, "triangles", where)
-    tri = np.asarray(rows)
+    try:
+        tri = np.asarray(rows)
+    except ValueError:  # numpy refuses nested lists of uneven shape
+        raise ValueError("triangles must be a list of rows of three vertex ids; its rows differ in shape") from None
     if isinstance(rows, list) and tri.ndim == 2 and tri.dtype.kind in "iu":
         for i in np.flatnonzero((tri <= 1).any(axis=1)).tolist():
             if bool in map(type, rows[i]):
@@ -215,12 +222,8 @@ def _header(build: BuildResult) -> dict[str, Any]:
 
 
 def build_to_dict(build: BuildResult) -> dict[str, Any]:
-    t = build.triangulation
-    return {
-        **_header(build),
-        "vertices": list(vertex_records(t, build.ledger)),
-        "triangles": t.triangles,
-    }
+    """A version 2 build file: the header the params determine, then the triangles, with no vertex records."""
+    return {"version": _VERSION, **_header(build), "triangles": build.triangulation.triangles}
 
 
 def _show(x: Any, limit: int = 200) -> str:
@@ -242,27 +245,52 @@ def _first_difference(got: Any, want: Any, path: str) -> tuple[str, Any, Any]:
     return path, got, want
 
 
+def _build_file_version(data: dict[str, Any]) -> int:
+    """2 for a file with ``"version": 2``, 1 for a file with no version field; any other version is an error."""
+    version = data.get("version", _MISSING)
+    if version is _MISSING:
+        return 1
+    if not (_is_int(version) and version == _VERSION):
+        raise ValueError(f"version must be {_VERSION} (or absent in a version 1 file), got {_show(version)}")
+    return version
+
+
 def build_from_dict(data: dict[str, Any]) -> BuildResult:
     """Rebuild a build file from its params, keeping only the file's triangles.
 
     Every other field must equal its rebuilt value; the first that differs
-    is named in a ValueError.  The vertex count is checked against the
-    schedule before the rebuild, so a file cannot make the loader build a
-    complex larger than the file itself.
+    is named in a ValueError.  A version 1 file (no ``version`` field) must
+    also carry one vertex record per vertex, each equal to the ledger's; a
+    version 2 file carries none.  Before the rebuild, the schedule's vertex
+    count is checked against the file's size: a version 1 file must hold
+    exactly that many records, and a version 2 file at least that many
+    triangles (a filling of C_n has F = 2V - n - 2 > V).  Both sizes must
+    exceed n first, which bounds the schedule's O(sqrt n) work, so a file
+    cannot make the loader build a complex larger than the file itself.
     """
+    version = _build_file_version(data)
     pdata = _get(data, "params", "build file")
     n = _get(pdata, "n", "params")
     if not _is_int(n):
         raise ValueError(f"params.n must be an integer, got {n!r}")
     rho, eta = (_rational(_get(pdata, key, "params"), f"params.{key}") for key in ("rho", "eta"))
     params = Params(n, rho, eta)
-    records = _get(data, "vertices", "build file")
-    # a build of C_n has more than n vertices; checked first, this bounds the schedule's O(sqrt n) work
-    if not isinstance(records, list) or len(records) <= n:
-        raise ValueError(f"vertices must be a list of more than n = {n} records")
-    expected = compute_schedule(params).predicted_vertex_count
-    if len(records) != expected:
-        raise ValueError(f"vertices has {len(records)} records, but params give {expected} vertices")
+    tri = _triangles(data, "build file")
+    if version == 1:
+        records = _get(data, "vertices", "version 1 build file")
+        if not isinstance(records, list) or len(records) <= n:
+            raise ValueError(f"vertices must be a list of more than n = {n} records")
+        expected = compute_schedule(params).predicted_vertex_count
+        if len(records) != expected:
+            raise ValueError(f"vertices has {len(records)} records, but params give {expected} vertices")
+    else:
+        if "vertices" in data:
+            raise ValueError("a version 2 build file has no vertices field: the ledger fixes every vertex")
+        if tri.ndim == 0 or len(tri) <= n:
+            raise ValueError(f"triangles must be a list of more than n = {n} rows")
+        expected = compute_schedule(params).predicted_vertex_count
+        if expected > len(tri):
+            raise ValueError(f"params give {expected} vertices, more than the file's {len(tri)} triangles")
     build = build_filling(params)
     for key, want in _header(build).items():
         got = data.get(key, _MISSING)
@@ -275,18 +303,19 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
             raise ValueError(f"{path[:-4]} has a zero denominator")
         section = "ledger" if key == "ledger" else "schedule"
         raise ValueError(f"{path} = {_show(got)} disagrees with the {section} rebuilt from params ({_show(want)})")
-    for v, (got, want) in enumerate(zip(records, vertex_records(build.triangulation, build.ledger))):
-        if got != want:
-            if isinstance(got, dict) and got.get("theta_den") == 0:
-                raise ValueError(f"theta of vertex {v} has a zero denominator")
-            raise ValueError(f"vertex {v} record {_show(got)} disagrees with the ledger, which gives {want!r}")
-    build.triangulation = Triangulation(n, expected, _triangles(data, "build file"))
+    if version == 1:
+        for v, (got, want) in enumerate(zip(records, vertex_records(build.triangulation, build.ledger))):
+            if got != want:
+                if isinstance(got, dict) and got.get("theta_den") == 0:
+                    raise ValueError(f"theta of vertex {v} has a zero denominator")
+                raise ValueError(f"vertex {v} record {_show(got)} disagrees with the ledger, which gives {want!r}")
+    build.triangulation = Triangulation(n, expected, tri)
     return build
 
 
 def complex_from_dict(data: dict[str, Any]) -> tuple[Triangulation, BuildResult | None]:
-    """Parse either a bare triangulation file or a full build file."""
-    if isinstance(data, dict) and "ledger" in data:
+    """Parse either a bare triangulation file or a build file (one with a ledger or a version)."""
+    if isinstance(data, dict) and ("ledger" in data or "version" in data):
         build = build_from_dict(data)
         return build.triangulation, build
     return triangulation_from_dict(data), None
@@ -307,44 +336,26 @@ def report_to_dict(report: VerificationReport, include_witness: bool = False) ->
     return out
 
 
-def _row_keys(x: Any) -> tuple[str | None, ...] | None:
-    """The keys of ``x``'s rows if it is a non-empty list of flat uniform rows of ints and nulls, else None.
+def _row_width(x: Any) -> int:
+    """The width of ``x``'s rows if it is a non-empty list of int rows of one non-zero width, else 0.
 
-    Rows are lists of one length, each key None, or dicts with the same str
-    keys in the same order; a non-empty 2-d integer array counts as list
-    rows.  A bool, float, str, container or int subclass anywhere in the
-    rows disqualifies the list.
+    A non-empty 2-d integer array counts.  A bool, null, float, str,
+    container or int subclass anywhere in the rows disqualifies the list.
     """
     if isinstance(x, np.ndarray):
-        return (None,) * x.shape[1] if x.ndim == 2 and x.dtype.kind in "iu" and x.size else None
-    if not isinstance(x, list) or not x:
-        return None
-    kinds = set(map(type, x))
-    if kinds == {list}:
-        widths = set(map(len, x))
-        if len(widths) != 1:
-            return None
-        keys: tuple[str | None, ...] = (None,) * widths.pop()
-        values = chain.from_iterable(x)
-    elif kinds == {dict}:
-        keysets = set(map(tuple, x))
-        if len(keysets) != 1:
-            return None
-        keys = keysets.pop()
-        if not all(type(k) is str for k in keys):
-            return None
-        values = chain.from_iterable(map(dict.values, x))
-    else:
-        return None
-    return keys if keys and set(map(type, values)) <= _ROW_VALUE_TYPES else None
+        return x.shape[1] if x.ndim == 2 and x.dtype.kind in "iu" and x.size else 0
+    if not isinstance(x, list) or not x or set(map(type, x)) != {list}:
+        return 0
+    widths = set(map(len, x))
+    if len(widths) != 1 or set(map(type, chain.from_iterable(x))) != {int}:
+        return 0
+    return widths.pop()
 
 
-def _write_rows(write: Callable[[str], Any], rows: Any, keys: tuple[str | None, ...], level: int) -> None:
-    """Write rows with keys ``keys`` chunk by chunk, formatting each chunk with one ``%`` template."""
+def _write_rows(write: Callable[[str], Any], rows: Any, width: int, level: int) -> None:
+    """Write int rows of width ``width`` chunk by chunk, formatting each chunk with one ``%`` template."""
     outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
-    is_dict = keys[0] is not None
-    fields = (inner + ("" if k is None else json.dumps(k).replace("%", "%%") + ": ") + "%s" for k in keys)
-    row = ("{" if is_dict else "[") + ",".join(fields) + outer + ("}" if is_dict else "]")
+    row = "[" + ",".join([inner + "%d"] * width) + outer + "]"
     sep = "," + outer
     write("[")
     lead = outer
@@ -352,8 +363,7 @@ def _write_rows(write: Callable[[str], Any], rows: Any, keys: tuple[str | None, 
         chunk = rows[start : start + _ROWS_PER_CHUNK]
         if isinstance(chunk, np.ndarray):
             chunk = chunk.tolist()
-        values = list(chain.from_iterable(map(dict.values, chunk) if is_dict else chunk))
-        write(lead + sep.join([row] * len(chunk)) % tuple(map(_NULL.get, values, values)))
+        write(lead + sep.join([row] * len(chunk)) % tuple(chain.from_iterable(chunk)))
         lead = sep
     write("\n" + _INDENT * level + "]")
 
@@ -361,14 +371,14 @@ def _write_rows(write: Callable[[str], Any], rows: Any, keys: tuple[str | None, 
 def _encode(write: Callable[[str], Any], x: Any, level: int) -> None:
     """Write ``x`` as ``json.dump(x, fh, indent=2)`` would at nesting ``level``, an ndarray as its ``.tolist()``.
 
-    Lists of flat uniform int-or-null rows (:func:`_row_keys`) are formatted
-    here in chunks; a dict with str keys or a list that holds a container is
-    framed here around its items; every other value goes through
-    ``json.dumps(indent=2)``.
+    Lists of int rows of one width (:func:`_row_width`), such as the
+    triangles, are formatted here in chunks; a dict with str keys or a list
+    that holds a container is framed here around its items; every other
+    value goes through ``json.dumps(indent=2)``.
     """
-    keys = _row_keys(x)
-    if keys is not None:
-        _write_rows(write, x, keys, level)
+    width = _row_width(x)
+    if width:
+        _write_rows(write, x, width, level)
         return
     if isinstance(x, np.ndarray):
         x = x.tolist()
@@ -404,8 +414,8 @@ def embedded_coordinates(t: Triangulation, records: list[dict] | None = None) ->
     """Flat radial embedding for visual inspection only.
 
     Positions come from vertex records: ``records`` (such as the checked
-    records of a loaded file) or, by default, :func:`vertex_records` of
-    ``t``.  Radius decreases linearly with layer depth, the angle is the
+    records of a bare file, or a build's ledger records) or, by default,
+    :func:`vertex_records` of ``t``.  Radius decreases linearly with layer depth, the angle is the
     circular coordinate rescaled to radians, and a vertex without a
     coordinate (the apex) sits at the origin.  Carries no metric meaning.
     """

@@ -9,7 +9,9 @@ checked, and ``reference_is_isometric`` the per-source isometry test the
 oracle's batched one replaced.
 ``interior_canonical_code`` identifies fillings that differ only in their
 interior labels; the tests use it to show that the oracle emits no complex
-twice.
+twice.  ``build_to_dict_v1`` writes a build file in the format used before
+build files were versioned, with one vertex record per vertex, against
+which the version 1 reader is tested.
 All are deliberately naive: dicts, sets, breadth-first search and exact
 rationals, with no numpy.
 """
@@ -20,6 +22,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from ringfill import ValidationReport, canonical_triangle, circ_dist, cycle_dist
+from ringfill.serialize import build_to_dict
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -245,3 +248,31 @@ def reference_is_isometric(t) -> bool:
         if any(dist[dst] < cycle_dist(src, dst, t.n) for dst in range(t.n)):
             return False
     return True
+
+
+def build_to_dict_v1(build) -> dict:
+    """A version 1 build file: the version 2 header without its version, the vertex records, then the triangles.
+
+    Each record is the vertex's ledger cycle and ``Fraction`` theta
+    (:meth:`LayerRecord.theta`), one vertex at a time; the apex sits on the
+    layer below the innermost cycle with a null theta.
+    """
+    header = {k: v for k, v in build_to_dict(build).items() if k not in ("version", "triangles")}
+    n = build.params.n
+    vertices = []
+    for rec in build.ledger:
+        for i in range(rec.length):
+            theta = rec.theta(i, n)
+            vertices.append(
+                {
+                    "id": rec.first_vertex + i,
+                    "layer": rec.index,
+                    "index_in_layer": i,
+                    "theta_num": theta.numerator,
+                    "theta_den": theta.denominator,
+                }
+            )
+    vertices.append(
+        {"id": build.apex, "layer": len(build.ledger), "index_in_layer": 0, "theta_num": None, "theta_den": None}
+    )
+    return {**header, "vertices": vertices, "triangles": build.triangulation.triangles.tolist()}

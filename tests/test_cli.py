@@ -4,22 +4,30 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference_impl import build_to_dict_v1
 
 import ringfill
+import ringfill.serialize as serialize
 from ringfill.cli import _parser, main
 from ringfill.serialize import dump_json, triangulation_to_dict
-from ringfill import cone_over_cycle
+from ringfill import Params, build_filling, cone_over_cycle
+
+
+def _write_v1_build(path):
+    """Write the version 1 build file of ``build --n 25 --rho 1/10 --eta 1/4`` to ``path``."""
+    dump_json(build_to_dict_v1(build_filling(Params(25, Fraction(1, 10), Fraction(1, 4)))), str(path))
 
 
 def test_build_writes_json(tmp_path, capsys):
     out = tmp_path / "k.json"
     assert main(["build", "--n", "32", "--rho", "0.1", "--eta", "0.25", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["n"] == 32
-    assert "ledger" in data and "schedule" in data
+    assert list(data)[:2] == ["version", "n"] and data["version"] == 2 and data["n"] == 32
+    assert "ledger" in data and "schedule" in data and "vertices" not in data
     printed = capsys.readouterr().out
     assert "vertices=" in printed and "density=" in printed
 
@@ -95,7 +103,7 @@ def test_verify_builds_from_params(capsys):
 
 def test_audit_catches_tampered_phase(tmp_path, capsys):
     build_path = tmp_path / "k.json"
-    assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
+    _write_v1_build(build_path)  # version 1 files carry the vertex records
     data = json.loads(build_path.read_text())
     # drag one interior vertex a quarter turn off its cycle position: the
     # record no longer restates the ledger, so loading the file fails
@@ -112,7 +120,8 @@ def test_audit_catches_tampered_triangle(tmp_path, capsys):
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
-    layer_of = {v["id"]: v["layer"] for v in data["vertices"]}
+    layer_of = {cycle["first_vertex"] + i: cycle["index"] for cycle in data["ledger"] for i in range(cycle["length"])}
+    layer_of[data["apex"]] = len(data["ledger"])
     # a triangle of annulus 2 with one vertex on cycle 3: move that inner
     # endpoint of its slanted edges three steps along cycle 3
     tri = next(t for t in data["triangles"] if sorted(layer_of[v] for v in t) == [2, 2, 3])
@@ -140,7 +149,10 @@ def test_audit_validates_the_loaded_triangles(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["theta_den", "phase_den", "rho"])
 def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
     build_path = tmp_path / "k.json"
-    assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
+    if field == "theta_den":  # only version 1 files carry vertex records
+        _write_v1_build(build_path)
+    else:
+        assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
     if field == "theta_den":
         data["vertices"][30]["theta_den"] = 0
@@ -161,15 +173,19 @@ def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
 
 
 def test_output_bytes_are_pinned(tmp_path, capsys):
-    # sha256 of the build file and of a bare complex, as written before
-    # triangles became arrays; any change to either format shows here
-    build_path = tmp_path / "k.json"
+    # sha256 of the version 2 build file, of the version 1 file of the same
+    # build as the reference writer gives it (the bytes build --out wrote
+    # before files were versioned) and of a bare complex; any change to a
+    # format shows here
+    build_path, v1_path = tmp_path / "k.json", tmp_path / "k_v1.json"
     assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
+    _write_v1_build(v1_path)
     cone_path = tmp_path / "cone6.json"
     dump_json(triangulation_to_dict(cone_over_cycle(6)), str(cone_path))
-    digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (build_path, cone_path)}
+    digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (build_path, v1_path, cone_path)}
     assert digest == {
-        "k.json": "ddab2ea3a33576aaf207acd07820e06559f365da30ef775759751c15b95fcb28",
+        "k.json": "836147ec7ebc34e21279e1557f6d0b4e777e0acd2758247e42818d3f50a3322e",
+        "k_v1.json": "ddab2ea3a33576aaf207acd07820e06559f365da30ef775759751c15b95fcb28",
         "cone6.json": "386a419e72d8d7b95624bf597759745c85d5abd875d636553f39e43b5d8fcfbb",
     }
 
@@ -210,13 +226,17 @@ def test_boolean_triangle_id_is_a_named_error(tmp_path, capsys, kind, value):
 
 
 def test_export_bytes_are_pinned(tmp_path, capsys):
-    # sha256 of the OFF and OBJ exports of the pinned build file and bare complex
+    # sha256 of the OFF and OBJ exports of the pinned build file and bare
+    # complex; the digests were taken when build files stored the positions
+    # that export now derives from the ledger
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
     cone_path = tmp_path / "cone6.json"
     dump_json(triangulation_to_dict(cone_over_cycle(6)), str(cone_path))
+    v1_path = tmp_path / "k_v1.json"
+    _write_v1_build(v1_path)
     digest = {}
-    for src in (build_path, cone_path):
+    for src in (build_path, v1_path, cone_path):
         for fmt in ("off", "obj"):
             out = tmp_path / f"{src.stem}.{fmt}"
             assert main(["export", "--in", str(src), "--format", fmt, "--out", str(out)]) == 0
@@ -224,9 +244,80 @@ def test_export_bytes_are_pinned(tmp_path, capsys):
     assert digest == {
         "k.off": "5031f417c6a42bb96cc15b9329c3067f16f65a5e3ad3aa292e92a2b141c3a16f",
         "k.obj": "01a1d1593a41aa27d1b0ed2c54ab5bfbce6f6b9a157c8cb769678c82eecddff5",
+        "k_v1.off": "5031f417c6a42bb96cc15b9329c3067f16f65a5e3ad3aa292e92a2b141c3a16f",
+        "k_v1.obj": "01a1d1593a41aa27d1b0ed2c54ab5bfbce6f6b9a157c8cb769678c82eecddff5",
         "cone6.off": "120e7c3109ed09f697396d0a6b3a5eab0572c36c84aa7ea1e2232acad5c520d3",
         "cone6.obj": "8bed096addb83bac180dd979e159d289e6041a3e79817725d8391b24d92c8c0f",
     }
+
+
+@pytest.mark.parametrize("command", ["verify", "audit"])
+@pytest.mark.parametrize("kind", ["bare", "build"])
+def test_ragged_triangles_are_a_named_error(tmp_path, capsys, kind, command):
+    path = tmp_path / "k.json"
+    if kind == "bare":
+        dump_json(triangulation_to_dict(cone_over_cycle(5)), str(path))
+    else:
+        assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["triangles"][1] = 5  # numpy cannot make an array of [[0, 1, 5], 5, ...]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([command, "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: triangles must be a list of rows of three vertex ids") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        *(
+            (lambda d, v=v: d.update(version=v), f"version must be 2 (or absent in a version 1 file), got {v!r}")
+            for v in (3, 1, True, "2", None, 2.0)
+        ),
+        (lambda d: d.update(vertices=[]), "a version 2 build file has no vertices field: the ledger fixes every vertex"),
+        (lambda d: d.pop("version"), "version 1 build file has no 'vertices' field"),
+    ],
+    ids=["3", "1", "true", "str", "null", "float", "v2-with-vertices", "v1-without-vertices"],
+)
+def test_build_file_version_is_checked(tmp_path, capsys, tamper, message):
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
+    data = json.loads(build_path.read_text())
+    tamper(data)
+    build_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["audit", "--in", str(build_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "within_bounds" not in captured.out
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the loader built from params before checking the file's size")
+
+
+@pytest.mark.parametrize(
+    "n,rows,message",
+    [
+        (10**12, 30, f"error: triangles must be a list of more than n = {10**12} rows"),
+        (25, 26, "error: params give 279 vertices, more than the file's 26 triangles"),
+    ],
+    ids=["huge-n", "fewer-triangles-than-vertices"],
+)
+def test_hostile_build_file_is_refused_before_the_rebuild(tmp_path, capsys, monkeypatch, n, rows, message):
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
+    data = json.loads(build_path.read_text())
+    data["n"] = data["params"]["n"] = n
+    del data["triangles"][rows:]
+    build_path.write_text(json.dumps(data))
+    monkeypatch.setattr(serialize, "build_filling", _refuse)
+    if n > 25:  # the schedule is O(sqrt n) work, so at n = 10**12 it must not run either
+        monkeypatch.setattr(serialize, "compute_schedule", _refuse)
+    capsys.readouterr()
+    assert main(["audit", "--in", str(build_path)]) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 def _tampered_build(tmp_path, tamper):
@@ -245,6 +336,7 @@ def _tampered_build(tmp_path, tamper):
         ("apex", lambda d: d.update(apex="x")),
         ("schedule", lambda d: d.pop("schedule")),
         ("triangles", lambda d: d.pop("triangles")),
+        ("ledger", lambda d: d.pop("ledger")),  # still a build file: it has a version
     ],
 )
 def test_malformed_build_file_is_a_named_error(tmp_path, capsys, field, tamper):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference_impl import build_to_dict_v1
 
 from ringfill import Params, build_filling, cone_over_cycle, validate_disk, verify_filling
 from ringfill.serialize import (
@@ -13,6 +14,7 @@ from ringfill.serialize import (
     complex_from_dict,
     dump_json,
     embedded_coordinates,
+    load_json,
     report_to_dict,
     triangulation_from_dict,
     triangulation_to_dict,
@@ -85,22 +87,37 @@ def test_build_round_trip(small_build):
     [("layer", 4), ("index_in_layer", 1), ("theta_num", 1), ("theta_num", None)],
 )
 def test_build_records_must_restate_the_ledger(small_build, field, value):
-    data = build_to_dict(small_build)
+    # only version 1 files carry vertex records
+    data = build_to_dict_v1(small_build)
     victim = data["vertices"][small_build.ledger[3].first_vertex]
     victim[field] = value
     with pytest.raises(ValueError, match=f"vertex {victim['id']} record .* disagrees with the ledger"):
         build_from_dict(data)
-    data = build_to_dict(small_build)
-    data["ledger"][4]["first_vertex"] += 1
-    with pytest.raises(ValueError, match="disagrees with the ledger|outside"):
-        build_from_dict(data)
+    for write in (build_to_dict_v1, build_to_dict):
+        data = write(small_build)
+        data["ledger"][4]["first_vertex"] += 1
+        with pytest.raises(ValueError, match="disagrees with the ledger|outside"):
+            build_from_dict(data)
 
 
 def test_complex_from_dict_detects_kind(small_build):
     t, build = complex_from_dict(triangulation_to_dict(small_build.triangulation))
     assert build is None and t.n == small_build.params.n
-    t2, build2 = complex_from_dict(build_to_dict(small_build))
-    assert build2 is not None and t2.n == small_build.params.n
+    for write in (build_to_dict, build_to_dict_v1):
+        t2, build2 = complex_from_dict(write(small_build))
+        assert build2 is not None and t2.n == small_build.params.n
+
+
+def test_version_1_and_2_files_load_alike(tmp_path, medium_build):
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    dump_json(build_to_dict_v1(medium_build), str(v1))
+    dump_json(build_to_dict(medium_build), str(v2))
+    a, b = (build_from_dict(load_json(str(path))) for path in (v1, v2))
+    assert a.params == b.params == medium_build.params
+    assert a.ledger == b.ledger == medium_build.ledger
+    assert a.apex == b.apex == medium_build.apex
+    assert a.triangulation.triangles.tolist() == b.triangulation.triangles.tolist()
+    assert a.triangulation.num_vertices == b.triangulation.num_vertices == medium_build.triangulation.num_vertices
 
 
 def test_json_bytes_deterministic(tmp_path, small_build):
