@@ -20,7 +20,7 @@ from .analysis import (
     stop_time,
     vertex_count_lower_bound,
 )
-from .annuli import DiskAssembler, LayerRecord, circ_dist, staircase_indices
+from .annuli import LayerRecord, annulus_triangles, cone_triangles, layer_ledger, staircase_indices
 from .builder import (
     BuildResult,
     Params,
@@ -63,7 +63,6 @@ __all__ = [
     "BuildResult",
     "ConstantsReport",
     "CoreInequalityReport",
-    "DiskAssembler",
     "DriftAudit",
     "EnumerationBudget",
     "LayerRecord",
@@ -76,21 +75,23 @@ __all__ = [
     "Triangulation",
     "ValidationReport",
     "VerificationReport",
+    "annulus_triangles",
     "as_fraction",
     "boundary_distance_matrix",
     "build_filling",
     "canonical_triangle",
     "ceil_sqrt",
     "check_core_inequality",
-    "circ_dist",
     "compute_schedule",
     "cone_over_cycle",
+    "cone_triangles",
     "constants_report",
     "cycle_dist",
     "drift_audit",
     "drift_integral",
     "enumerate_fillings",
     "is_isometric_filling",
+    "layer_ledger",
     "min_isometric_vertices",
     "predict_density",
     "profile",

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .builder import Params, as_fraction, build_filling
 from .simplicial import validate_disk
-from .verify import drift_audit, resolve_jobs, step_profile_eps, verify_filling
+from .verify import drift_audit, step_profile_eps, verify_filling
 
 __all__ = [
     "profile",
@@ -226,7 +226,7 @@ def run_sweep(
     n_list: list[int],
     rho: Fraction | float | str,
     eta: Fraction | float | str,
-    jobs: int | None = None,
+    jobs: int = 1,
     csv_path: str | None = None,
 ) -> list[SweepRow]:
     """Build, validate, audit, and verify a filling for each n in order.
@@ -234,10 +234,11 @@ def run_sweep(
     Per-row failures (schedule rejections, invariant violations) are recorded
     on the row and the sweep continues.  Rows are written to ``csv_path`` in
     input order when given; failed rows are omitted from the CSV since they
-    have no measurements.  The worker count is resolved first, so a bad
-    ``jobs`` or ``RINGFILL_JOBS`` raises ``ValueError`` before any build.
+    have no measurements.  A ``jobs`` below 1 raises ``ValueError`` before
+    any build.
     """
-    jobs = resolve_jobs(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs}")
     rho_f = as_fraction(rho)
     eta_f = as_fraction(eta)
     rows: list[SweepRow] = []
@@ -251,6 +252,8 @@ def run_sweep(
             if not report.ok:
                 raise RuntimeError("disk validation failed: " + "; ".join(report.failures))
             audit = drift_audit(build)
+            if audit.stray_edges:
+                raise RuntimeError(f"drift audit failed: {audit.stray_edges[0]}")
             if not audit.ok:
                 bad = audit.failures()[0]
                 raise RuntimeError(

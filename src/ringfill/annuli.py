@@ -5,21 +5,25 @@ its vertices equally spaced on an auxiliary circle of circumference ``n``
 (one boundary edge = one unit).  Phases are never floats; the drift audit in
 :mod:`ringfill.verify` asserts equalities on them, and rounding would create
 spurious failures right at the bound.
+
+The layer ledger is computed first, from the sequence of annuli alone; each
+annulus's triangles then follow from its two ledger records, and the cone's
+from the innermost one.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .simplicial import Triangulation
-
 __all__ = [
-    "circ_dist",
     "staircase_indices",
     "LayerRecord",
-    "DiskAssembler",
+    "layer_ledger",
+    "annulus_triangles",
+    "cone_triangles",
 ]
 
 # Annulus kinds, recorded on the outer cycle of each annulus:
@@ -28,15 +32,6 @@ __all__ = [
 #   shrink            staircase annulus dropping to a shorter cycle
 #   transition-equal  block transition where the target length is unchanged
 _EQUAL_KINDS = ("collar", "equal", "transition-equal")
-
-
-def circ_dist(a: Fraction | int, b: Fraction | int, n: int) -> Fraction:
-    """Shorter distance between ``a`` and ``b`` on the circle of circumference ``n``.
-
-    Exact: returns ``min(d, n - d)`` with ``d = (a - b) mod n`` as a Fraction.
-    """
-    d = (Fraction(a) - Fraction(b)) % n
-    return min(d, n - d)
 
 
 def staircase_indices(m: int, M: int) -> list[int]:
@@ -57,7 +52,8 @@ class LayerRecord:
     (the cone sits below it, and the auxiliary coordinate is not defined on
     the apex).  ``drift_bound`` is the exact maximum circular displacement a
     single slanted edge of that annulus may have: ``n/(2m)`` for equal-length
-    annuli and ``n/M`` for a shrink to length ``M``.
+    annuli and ``n/M`` for a shrink to length ``M``.  Vertex i of the cycle
+    sits at ``(phase + n*i/length) mod n``.
     """
 
     index: int
@@ -67,111 +63,68 @@ class LayerRecord:
     annulus_kind: str | None = None
     drift_bound: Fraction | None = None
 
-    def theta(self, i: int, n: int) -> Fraction:
-        """Circular coordinate of the ``i``-th vertex of this cycle."""
-        num, den, m = self.phase.numerator, self.phase.denominator, self.length
-        return Fraction((num * m + n * (i % m) * den) % (n * den * m), den * m)
-
     def vertex(self, i: int | np.ndarray) -> int | np.ndarray:
         """Id of the ``i``-th cycle vertex (elementwise for arrays), indices taken mod length."""
         return self.first_vertex + (i % self.length)
 
 
-class DiskAssembler:
-    """Builds a triangulated disk inward: cycles, annuli, then one cone cap.
+def layer_ledger(n: int, annuli: Iterable[tuple[str, int]]) -> list[LayerRecord]:
+    """The ledger of a disk filling C_n, from its annuli listed boundary inward.
 
-    Single-use and single-threaded: annuli always attach to the current
-    innermost cycle, and no further annulus may be added after the cone.
-    Each annulus and the cone append one ``(k, 3)`` block of triangles,
-    computed by index arithmetic over the whole cycle.  Only a vertex count
-    is kept: each cycle owns the id range its ledger record gives, and its
-    positions follow from the record's length and phase.
+    Each annulus is ``(kind, inner length)``.  An equal-length kind keeps the
+    cycle length and offsets the inner cycle by half an outer step, n/(2m),
+    which is also its drift bound; a ``"shrink"`` keeps the phase and drops
+    to length M with drift bound n/M.  Cycles take consecutive id ranges from
+    0, and the apex of the cone takes the id after the innermost cycle's.
     """
+    if n < 3:
+        raise ValueError(f"boundary cycle needs length >= 3, got {n}")
+    ledger = []
+    length, phase, first = n, Fraction(0), 0
+    for kind, inner in annuli:
+        if kind == "shrink":
+            if inner < 3 or inner > length:
+                raise ValueError(f"shrinking annulus needs 3 <= target <= {length}, got {inner}")
+            bound, step = Fraction(n, inner), 0
+        elif kind in _EQUAL_KINDS:
+            if inner != length:
+                raise ValueError(f"{kind} annulus keeps the cycle length {length}, got {inner}")
+            bound = step = Fraction(n, 2 * length)
+        else:
+            raise ValueError(f"unknown annulus kind {kind!r}")
+        ledger.append(LayerRecord(len(ledger), length, phase, first, kind, bound))
+        length, phase, first = inner, (phase + step) % n, first + length
+    ledger.append(LayerRecord(len(ledger), length, phase, first))
+    return ledger
 
-    def __init__(self, n: int):
-        if n < 3:
-            raise ValueError(f"boundary cycle needs length >= 3, got {n}")
-        self.n = n
-        self.num_vertices = n
-        self.blocks: list[np.ndarray] = []
-        self.layers: list[LayerRecord] = [LayerRecord(0, n, Fraction(0), 0)]
-        self.apex: int | None = None
 
-    @property
-    def innermost(self) -> LayerRecord:
-        return self.layers[-1]
+def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> np.ndarray:
+    """The ``(k, 3)`` triangles of the annulus between two consecutive ledger cycles.
 
-    def _require_open(self) -> None:
-        if self.apex is not None:
-            raise ValueError("cone cap already added; the complex is closed")
-
-    def _new_layer(self, length: int, phase: Fraction) -> LayerRecord:
-        layer = LayerRecord(len(self.layers), length, phase % self.n, self.num_vertices)
-        self.num_vertices += length
-        self.layers.append(layer)
-        return layer
-
-    def add_equal_annulus(self, kind: str = "equal") -> LayerRecord:
-        """Attach an annulus keeping the cycle length, inner cycle offset by a half step.
-
-        Emits the 2m triangles (U_i, U_{i+1}, V_i) and (U_{i+1}, V_i, V_{i+1});
-        every slanted edge has circular displacement exactly n/(2m).
-        """
-        self._require_open()
-        if kind not in _EQUAL_KINDS:
-            raise ValueError(f"unknown equal-annulus kind {kind!r}")
-        outer = self.innermost
-        m = outer.length
-        if m < 3:
-            raise ValueError(f"equal-length annulus needs cycle length >= 3, got {m}")
-        half_step = Fraction(self.n, 2 * m)
-        inner = self._new_layer(m, outer.phase + half_step)
-        i = np.arange(m)
-        u0, u1 = outer.vertex(i), outer.vertex(i + 1)
+    An equal-length annulus emits the 2m triangles (U_i, U_{i+1}, V_i) and
+    (U_{i+1}, V_i, V_{i+1}); every slanted edge has circular displacement
+    exactly n/(2m).  A shrink to length M runs the staircase: each outer edge
+    contributes one triangle when its staircase index stays put and two when
+    it advances, m + M triangles in all, and every slanted edge has circular
+    displacement at most n/M.
+    """
+    m = outer.length
+    i = np.arange(m)
+    u0, u1 = outer.vertex(i), outer.vertex(i + 1)
+    if outer.annulus_kind != "shrink":
         v0, v1 = inner.vertex(i), inner.vertex(i + 1)
         pair = np.stack([np.column_stack([u0, u1, v0]), np.column_stack([u1, v0, v1])], axis=1)
-        self.blocks.append(pair.reshape(2 * m, 3))
-        outer.annulus_kind = kind
-        outer.drift_bound = half_step
-        return inner
+        return pair.reshape(2 * m, 3)
+    steps = np.array(staircase_indices(m, inner.length))
+    w0, w1 = inner.vertex(steps[:-1]), inner.vertex(steps[1:])
+    # Outer edge i always gets (u0, u1, w1); where the staircase advances
+    # (w1 != w0) it is followed by (u0, w0, w1).
+    pair = np.stack([np.column_stack([u0, u1, w1]), np.column_stack([u0, w0, w1])], axis=1)
+    return pair[np.column_stack([np.ones(m, dtype=bool), steps[1:] > steps[:-1]])]
 
-    def add_shrinking_annulus(self, target_length: int) -> LayerRecord:
-        """Attach a staircase annulus from the current length m down to ``target_length``.
 
-        The inner cycle keeps the outer phase.  Each outer edge contributes one
-        triangle when its staircase index stays put and two when it advances,
-        for m + M triangles total; every slanted edge has circular displacement
-        at most n/M.
-        """
-        self._require_open()
-        outer = self.innermost
-        m, M = outer.length, target_length
-        if M < 3 or M > m:
-            raise ValueError(f"shrinking annulus needs 3 <= target <= {m}, got {M}")
-        inner = self._new_layer(M, outer.phase)
-        steps = np.array(staircase_indices(m, M))
-        i = np.arange(m)
-        u0, u1 = outer.vertex(i), outer.vertex(i + 1)
-        w0, w1 = inner.vertex(steps[:-1]), inner.vertex(steps[1:])
-        # Outer edge i always gets (u0, u1, w1); where the staircase advances
-        # (w1 != w0) it is followed by (u0, w0, w1).
-        pair = np.stack([np.column_stack([u0, u1, w1]), np.column_stack([u0, w0, w1])], axis=1)
-        self.blocks.append(pair[np.column_stack([np.ones(m, dtype=bool), steps[1:] > steps[:-1]])])
-        outer.annulus_kind = "shrink"
-        outer.drift_bound = Fraction(self.n, M)
-        return inner
-
-    def add_cone(self) -> int:
-        """Close the innermost cycle with one apex vertex and a fan of triangles."""
-        self._require_open()
-        inner = self.innermost
-        apex = self.num_vertices
-        self.num_vertices += 1
-        i = np.arange(inner.length)
-        self.blocks.append(np.column_stack([np.full_like(i, apex), inner.vertex(i), inner.vertex(i + 1)]))
-        self.apex = apex
-        return apex
-
-    def build(self) -> Triangulation:
-        """Hand over the accumulated complex.  Do not mutate the assembler afterwards."""
-        return Triangulation(self.n, self.num_vertices, np.concatenate(self.blocks) if self.blocks else [])
+def cone_triangles(innermost: LayerRecord) -> np.ndarray:
+    """The fan closing the innermost cycle with one apex, the id after the cycle's."""
+    i = np.arange(innermost.length)
+    apex = innermost.first_vertex + innermost.length
+    return np.column_stack([np.full_like(i, apex), innermost.vertex(i), innermost.vertex(i + 1)])

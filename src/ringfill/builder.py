@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annuli import DiskAssembler, LayerRecord
+import numpy as np
+
+from .annuli import LayerRecord, annulus_triangles, cone_triangles, layer_ledger
 from .simplicial import Triangulation
 
 __all__ = [
@@ -110,6 +112,20 @@ class Schedule:
     block_lengths: tuple[int, ...]
 
     @property
+    def annuli(self) -> list[tuple[str, int]]:
+        """Every annulus from the boundary inward, as ``(kind, inner cycle length)``.
+
+        The collar, then per block its equal-length annuli and one transition:
+        a shrink to the next block's length, or an equal-length annulus where
+        that length is unchanged.
+        """
+        out = [("collar", self.n)] * self.collar_layers
+        for m, target in zip(self.block_lengths, self.block_lengths[1:]):
+            out += [("equal", m)] * self.layers_per_block
+            out.append(("shrink", target) if target < m else ("transition-equal", m))
+        return out
+
+    @property
     def predicted_vertex_count(self) -> int:
         lengths = self.block_lengths
         main = sum(
@@ -165,9 +181,19 @@ class BuildResult:
     ledger: list[LayerRecord]
     schedule: Schedule
     params: Params
-    apex: int
-    predicted_vertex_count: int
-    predicted_triangle_count: int
+
+    @property
+    def apex(self) -> int:
+        """Id of the cone apex: the one after the innermost cycle's."""
+        return self.ledger[-1].first_vertex + self.ledger[-1].length
+
+    @property
+    def predicted_vertex_count(self) -> int:
+        return self.schedule.predicted_vertex_count
+
+    @property
+    def predicted_triangle_count(self) -> int:
+        return self.schedule.predicted_triangle_count
 
     @property
     def density(self) -> Fraction:
@@ -178,33 +204,24 @@ class BuildResult:
 def build_filling(p: Params) -> BuildResult:
     """Assemble the full complex for ``p``: collar, stepped main region, cone.
 
-    The boundary of the result is exactly the labeled cycle 0..n-1.  The
-    vertex and triangle counts are predicted from the schedule in closed
-    form and checked against the assembled complex before returning.
+    The ledger comes first, from the schedule's annuli; each annulus's
+    triangles then follow from its two ledger records.  The boundary of the
+    result is exactly the labeled cycle 0..n-1.  The vertex and triangle
+    counts are predicted from the schedule in closed form and checked against
+    the assembled complex before returning.
     """
     sched = compute_schedule(p)
-    asm = DiskAssembler(p.n)
-    for _ in range(sched.collar_layers):
-        asm.add_equal_annulus(kind="collar")
-    for b in range(sched.num_blocks):
-        assert asm.innermost.length == sched.block_lengths[b]
-        for _ in range(sched.layers_per_block):
-            asm.add_equal_annulus(kind="equal")
-        if sched.block_lengths[b + 1] < sched.block_lengths[b]:
-            asm.add_shrinking_annulus(sched.block_lengths[b + 1])
-        else:
-            asm.add_equal_annulus(kind="transition-equal")
-    apex = asm.add_cone()
-    tri = asm.build()
-
-    pv = sched.predicted_vertex_count
-    pt = sched.predicted_triangle_count
+    ledger = layer_ledger(p.n, sched.annuli)
+    blocks = [annulus_triangles(outer, inner) for outer, inner in zip(ledger, ledger[1:])]
+    blocks.append(cone_triangles(ledger[-1]))
+    tri = Triangulation(p.n, ledger[-1].first_vertex + ledger[-1].length + 1, np.concatenate(blocks))
+    pv, pt = sched.predicted_vertex_count, sched.predicted_triangle_count
     if pv != tri.num_vertices or pt != tri.num_triangles:
         raise RuntimeError(
             f"count mismatch: predicted {pv} vertices / {pt} triangles, "
             f"built {tri.num_vertices} / {tri.num_triangles}"
         )
-    return BuildResult(tri, asm.layers, sched, p, apex, pv, pt)
+    return BuildResult(tri, ledger, sched, p)
 
 
 def predict_density(p: Params) -> Fraction:

@@ -1,8 +1,8 @@
 """Command line entry points: build, verify, audit, sweep, oracle, analyze, export.
 
 Every command exits 0 only if all of its assertions pass, so the whole
-acceptance story is scriptable from shell CI.  Parallelism is controlled by
-``--jobs`` with the ``RINGFILL_JOBS`` environment variable as fallback.
+acceptance story is scriptable from shell CI.  ``--jobs`` sets the number
+of BFS worker threads (default 1).
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="exact isometry verification by boundary BFS")
     _add_source(p_verify)
-    p_verify.add_argument("--jobs", type=_positive_int, help="BFS worker threads (default: RINGFILL_JOBS or 1)")
+    p_verify.add_argument("--jobs", type=_positive_int, default=1, help="BFS worker threads (default: 1)")
     p_verify.add_argument("--out", help="write the verification report as JSON")
     p_verify.add_argument("--dump-witness", action="store_true", help="print the worst shortcut path")
     p_verify.add_argument(
@@ -67,7 +67,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-list", required=True, help="comma-separated boundary lengths")
     p_sweep.add_argument("--rho", required=True, help="collar fraction, e.g. 0.1")
     p_sweep.add_argument("--eta", required=True, help="stopping scale, e.g. 0.25")
-    p_sweep.add_argument("--jobs", type=_positive_int, help="BFS worker threads")
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1, help="BFS worker threads (default: 1)")
     p_sweep.add_argument("--out", help="CSV output path")
 
     p_oracle = sub.add_parser("oracle", help="exhaustive minimum search for tiny boundaries")
@@ -198,6 +198,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     equalish = sum(1 for row in audit.rows if row.kind != "shrink")
     print(f"n={t.n} annuli={len(audit.rows)} within_bounds={audit.ok}")
     print(f"equal-length annuli achieving their bound exactly: {tight}/{equalish}")
+    for line in audit.stray_edges:
+        print(f"violation: {line}", file=sys.stderr)
     for row in audit.failures():
         print(
             f"violation: annulus {row.layer} ({row.kind}) observed {row.max_observed} > bound {row.bound}",

@@ -8,10 +8,11 @@ records are derived on output by :func:`vertex_records`.
 A build file (version 2) is ``{"version": 2}`` followed by n, params,
 schedule, apex, predicted counts, ledger and triangles.  It stores no vertex
 records: every vertex position is fixed by its cycle's phase and length in
-the ledger.  Loading one rebuilds it from its params, checks every other
-field against the rebuild and keeps only its triangles.  A build file with
-no ``version`` field is version 1, which also carries the vertex records of
-the ledger; they are still read and checked.  A malformed field, a zero
+the ledger.  Loading one recomputes the schedule and ledger from its
+params, checks every other field against them and keeps only its
+triangles; it assembles no complex.  A build file with no ``version`` field
+is version 1, which also carries the vertex records of the ledger; they are
+still read and checked.  A malformed field, a zero
 denominator or a boolean triangle id included, is a ValueError naming it.
 
 :func:`dump_json` is the one writer.  Its bytes are those of
@@ -31,8 +32,8 @@ from typing import Any
 
 import numpy as np
 
-from .annuli import LayerRecord
-from .builder import BuildResult, Params, Schedule, build_filling, compute_schedule
+from .annuli import LayerRecord, layer_ledger
+from .builder import BuildResult, Params, Schedule, compute_schedule
 from .simplicial import Triangulation
 from .verify import VerificationReport
 
@@ -89,10 +90,10 @@ def _record(v: int, layer: int, index: int, num: int | None, den: int | None) ->
 def vertex_records(t: Triangulation, ledger: list[LayerRecord] | None = None) -> Iterator[dict[str, Any]]:
     """Yield the JSON record of every vertex of ``t``, in id order.
 
-    With a ledger, vertex i of cycle r sits on layer r at the reduced
-    coordinate ``(phase + n*i/m) mod n`` (:meth:`LayerRecord.theta`, reduced
-    here by ``gcd`` without building a Fraction per vertex), and the apex on
-    the layer below the innermost cycle with no theta.  Without one,
+    With a ledger, vertex i of cycle r sits on layer r at the coordinate
+    ``(phase + n*i/m) mod n``, reduced by ``gcd`` without building a
+    Fraction per vertex, and the apex on the layer below the innermost cycle
+    with no theta.  Without one,
     boundary vertex i sits on layer 0 at theta i and every other vertex v on
     layer 1 at index v - n with no theta.
     """
@@ -256,17 +257,18 @@ def _build_file_version(data: dict[str, Any]) -> int:
 
 
 def build_from_dict(data: dict[str, Any]) -> BuildResult:
-    """Rebuild a build file from its params, keeping only the file's triangles.
+    """Check a build file against the schedule and ledger of its params, keeping only the file's triangles.
 
-    Every other field must equal its rebuilt value; the first that differs
-    is named in a ValueError.  A version 1 file (no ``version`` field) must
-    also carry one vertex record per vertex, each equal to the ledger's; a
-    version 2 file carries none.  Before the rebuild, the schedule's vertex
-    count is checked against the file's size: a version 1 file must hold
-    exactly that many records, and a version 2 file at least that many
-    triangles (a filling of C_n has F = 2V - n - 2 > V).  Both sizes must
-    exceed n first, which bounds the schedule's O(sqrt n) work, so a file
-    cannot make the loader build a complex larger than the file itself.
+    Every other field must equal its recomputed value; the first that
+    differs is named in a ValueError.  No complex is assembled.  A version 1
+    file (no ``version`` field) must also carry one vertex record per
+    vertex, each equal to the ledger's; a version 2 file carries none.
+    Before the schedule is computed, a version 1 file must hold more than n
+    records and a version 2 file more than n triangles, which bounds the
+    schedule's O(sqrt n) work.  Then the schedule's vertex count must equal
+    the number of records, or be at most the number of triangles (a filling
+    of C_n has F = 2V - n - 2 > V), so a file cannot make the loader compute
+    a ledger larger than the file itself.
     """
     version = _build_file_version(data)
     pdata = _get(data, "params", "build file")
@@ -280,18 +282,18 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
         records = _get(data, "vertices", "version 1 build file")
         if not isinstance(records, list) or len(records) <= n:
             raise ValueError(f"vertices must be a list of more than n = {n} records")
-        expected = compute_schedule(params).predicted_vertex_count
-        if len(records) != expected:
-            raise ValueError(f"vertices has {len(records)} records, but params give {expected} vertices")
     else:
         if "vertices" in data:
             raise ValueError("a version 2 build file has no vertices field: the ledger fixes every vertex")
         if tri.ndim == 0 or len(tri) <= n:
             raise ValueError(f"triangles must be a list of more than n = {n} rows")
-        expected = compute_schedule(params).predicted_vertex_count
-        if expected > len(tri):
-            raise ValueError(f"params give {expected} vertices, more than the file's {len(tri)} triangles")
-    build = build_filling(params)
+    schedule = compute_schedule(params)
+    num_vertices = schedule.predicted_vertex_count
+    if version == 1 and len(records) != num_vertices:
+        raise ValueError(f"vertices has {len(records)} records, but params give {num_vertices} vertices")
+    if version == 2 and num_vertices > len(tri):
+        raise ValueError(f"params give {num_vertices} vertices, more than the file's {len(tri)} triangles")
+    build = BuildResult(Triangulation(n, num_vertices, tri), layer_ledger(n, schedule.annuli), schedule, params)
     for key, want in _header(build).items():
         got = data.get(key, _MISSING)
         if key == "params" or got == want:
@@ -309,7 +311,6 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
                 if isinstance(got, dict) and got.get("theta_den") == 0:
                     raise ValueError(f"theta of vertex {v} has a zero denominator")
                 raise ValueError(f"vertex {v} record {_show(got)} disagrees with the ledger, which gives {want!r}")
-    build.triangulation = Triangulation(n, expected, tri)
     return build
 
 

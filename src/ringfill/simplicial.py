@@ -146,10 +146,11 @@ class ValidationReport:
 _LISTED = 10  # witnesses listed per kind of failure
 
 
-def _report(rep: ValidationReport, lines: list[str], what: str) -> None:
-    rep.failures.extend(lines[:_LISTED])
+def _report(failures: list[str], lines: list[str], what: str) -> None:
+    """Append up to ten of ``lines`` to ``failures``, then how many more ``what`` there are."""
+    failures.extend(lines[:_LISTED])
     if len(lines) > _LISTED:
-        rep.failures.append(f"... and {len(lines) - _LISTED} more {what}")
+        failures.append(f"... and {len(lines) - _LISTED} more {what}")
 
 
 def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -259,10 +260,11 @@ def _check_disks(
     if not good.all():
         bad[np.flatnonzero(~good) // nf] = True
         if rep is not None:
-            _report(rep, [f"degenerate triangle {x}" for x in _tuples(tri[degenerate])], "degenerate triangles")
+            degenerates = [f"degenerate triangle {x}" for x in _tuples(tri[degenerate])]
+            _report(rep.failures, degenerates, "degenerate triangles")
             stray = _tuples(tri[outside & ~degenerate])
             _report(
-                rep,
+                rep.failures,
                 [f"triangle {x} references a vertex id outside 0..{nv - 1}" for x in stray],
                 "triangles with out-of-range ids",
             )
@@ -280,7 +282,7 @@ def _check_disks(
         repeated = tri[_repeats(oriented)]
         bad[owner(repeated[:, 0])] = True
         if rep is not None:
-            _report(rep, [f"repeated triangle {x}" for x in _tuples(repeated)], "repeated triangles")
+            _report(rep.failures, [f"repeated triangle {x}" for x in _tuples(repeated)], "repeated triangles")
         multi[tri[_repeats(unoriented, every=True)]] = True
 
     overfull = np.flatnonzero(inc > 2)
@@ -288,7 +290,7 @@ def _check_disks(
         bad[owner(edges[overfull, 0])] = True
         if rep is not None:
             _report(
-                rep,
+                rep.failures,
                 [
                     f"edge {e} lies in {k} triangles (expected 1 or 2)"
                     for e, k in zip(_tuples(edges[overfull]), inc[overfull].tolist())
@@ -334,7 +336,7 @@ def _check_disks(
     uncovered = np.flatnonzero(~present)
     bad[uncovered // nv] = True
     if rep is not None:
-        _report(rep, [f"vertex {v} lies in no triangle" for v in uncovered.tolist()], "uncovered vertices")
+        _report(rep.failures, [f"vertex {v} lies in no triangle" for v in uncovered.tolist()], "uncovered vertices")
     tails = _link_components(edges, tri, slot)
     split = owned(tails) != present.sum(axis=1)
     flawed = multi.reshape(num, stride).any(axis=1) | split
@@ -348,9 +350,9 @@ def _check_disks(
                 for v in np.flatnonzero(vs).tolist()
             ]
 
-        _report(rep, links(multi, "a multigraph (repeated link edge)"), "vertices with a multigraph link")
+        _report(rep.failures, links(multi, "a multigraph (repeated link edge)"), "vertices with a multigraph link")
         split_at = (np.bincount(tails, minlength=stride) > 1) & ~multi
-        _report(rep, links(split_at, "disconnected"), "vertices with a disconnected link")
+        _report(rep.failures, links(split_at, "disconnected"), "vertices with a disconnected link")
 
     # The link pass is done, so its labels are freed before these are made.
     joined = edges if len(tri) == num * nf else edges[np.unique(slot)]

@@ -15,7 +15,6 @@ Three independent instruments:
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .builder import BuildResult
-from .simplicial import Triangulation
+from .simplicial import Triangulation, _report
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -39,7 +38,6 @@ __all__ = [
     "drift_audit",
     "separation_lower_bounds",
     "step_profile_eps",
-    "resolve_jobs",
 ]
 
 
@@ -47,27 +45,6 @@ def cycle_dist(i: int, j: int, n: int) -> int:
     """Distance between boundary vertices i and j along the cycle C_n."""
     d = abs(i - j) % n
     return min(d, n - d)
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Worker count: explicit argument, else the RINGFILL_JOBS env var, else 1.
-
-    A count below 1 is a ``ValueError``, whichever of the two gives it.
-    """
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be a positive integer, got {jobs}")
-        return jobs
-    env = os.environ.get("RINGFILL_JOBS")
-    if not env:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise ValueError(f"RINGFILL_JOBS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise ValueError(f"RINGFILL_JOBS must be a positive integer, got {env!r}")
-    return jobs
 
 
 def _graph_csr(t: Triangulation) -> csr_matrix:
@@ -114,28 +91,30 @@ def _boundary_row(g: csr_matrix, source: int, n: int) -> np.ndarray:
     return np.searchsorted(ends, pos[:n], side="right")
 
 
-def boundary_distance_matrix(t: Triangulation, jobs: int | None = None, chunk: int = 64) -> np.ndarray:
+def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> np.ndarray:
     """Exact graph distances between all pairs of boundary vertices, as int64.
 
     Builds the CSR of the 1-skeleton once and runs one compiled BFS per
     boundary source over it (see :func:`_boundary_row`), keeping only the n
-    boundary columns.  Sources run in chunks that are independent and
-    read-only over the shared graph, so they may run on ``jobs`` threads;
-    results are assembled in source order either way, keeping the output
-    deterministic.
+    boundary columns.  The sources are split into ``jobs`` spans of
+    ``ceil(n / jobs)``, which are independent and read-only over the shared
+    graph, so each runs on its own thread; results are assembled in source
+    order either way, keeping the output deterministic.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs}")
     g = _graph_csr(t)
     n = t.n
-    spans = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    size = -(-n // jobs)
+    spans = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
     def run(sources: range) -> np.ndarray:
         return np.array([_boundary_row(g, s, n) for s in sources], dtype=np.int64)
 
-    workers = resolve_jobs(jobs)
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             return np.concatenate(list(pool.map(run, spans)))
-    return np.concatenate([run(s) for s in spans])
+    return run(spans[0])
 
 
 @dataclass(eq=False)
@@ -156,7 +135,7 @@ class VerificationReport:
     eps: float | None = None
 
 
-def verify_filling(t: Triangulation, jobs: int | None = None, want_witness: bool = True) -> VerificationReport:
+def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -> VerificationReport:
     """Compute the exact Lipschitz constant of ``t`` over all boundary pairs.
 
     Requires a complex that already passed :func:`validate_disk`.  When a
@@ -212,23 +191,31 @@ class AnnulusAudit:
 
 @dataclass
 class DriftAudit:
+    """Per-annulus drift rows, and a failure line for each edge no cycle, annulus or cone holds.
+
+    ``stray_edges`` lists up to ten such edges, then how many more there are.
+    """
+
     rows: list[AnnulusAudit] = field(default_factory=list)
+    stray_edges: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return not self.stray_edges and all(row.ok for row in self.rows)
 
     def failures(self) -> list[AnnulusAudit]:
         return [row for row in self.rows if not row.ok]
 
 
 def drift_audit(build: BuildResult) -> DriftAudit:
-    """Check every slanted edge of every annulus against its drift bound.
+    """Check that every edge is a cycle, annulus or cone edge, and every slanted edge its annulus's drift bound.
 
     Each vertex's cycle and index on it come from the ledger
     (``first_vertex`` and ``length``), so positions never pass through the
-    per-vertex records.  Each edge between cycles r < s of lengths m and M is
-    charged to annulus r; same-cycle and apex edges are skipped.  With the
+    per-vertex records.  Every edge must join consecutive vertices of one
+    cycle, cycles r and r+1, or the apex and the innermost cycle; any other
+    edge is listed in ``stray_edges`` and fails the audit.  Each edge between
+    cycles r < s of lengths m and M is charged to annulus r.  With the
     phase offset ``(p_r - p_s) mod n = a/den`` and ``S = den*m*M``, every
     position on both cycles is an integer multiple of ``1/S``, so circular
     distances are exact int64 arithmetic mod ``n*S``.  Absolute phases are
@@ -243,20 +230,34 @@ def drift_audit(build: BuildResult) -> DriftAudit:
     t = build.triangulation
     n = t.n
     ledger = build.ledger
-    first = np.array([rec.first_vertex for rec in ledger], dtype=np.int64)
-    lengths = np.array([rec.length for rec in ledger], dtype=np.int64)
-    ends = first + lengths
-    if first[0] != 0 or (first[1:] != ends[:-1]).any() or build.apex != ends[-1]:
+    # the apex counts as one more layer, of one vertex
+    first = np.array([rec.first_vertex for rec in ledger] + [build.apex], dtype=np.int64)
+    lengths = np.array([rec.length for rec in ledger] + [1], dtype=np.int64)
+    if first[0] != 0 or (first[1:] != first[:-1] + lengths[:-1]).any():
         raise ValueError("ledger cycles do not tile the vertex ids 0..apex-1 in order")
     edges = t.edges.astype(np.int64)
     if len(edges) and edges.max() > build.apex:
         raise ValueError(f"triangles reference vertex ids beyond the apex {build.apex}")
-    edges = edges[(edges != build.apex).all(axis=1)]
-    layer = np.searchsorted(first, edges, side="right") - 1
-    index = edges - first[layer]
-    cross = layer[:, 0] != layer[:, 1]
-    layer, index = layer[cross], index[cross]
-    # Edges are (lo, hi) and layers are contiguous id blocks, so column 0 is the shallower cycle.
+    # Edges are (lo, hi) and layers are contiguous id blocks, so column 0 is the shallower layer.
+    layers = np.searchsorted(first, edges, side="right") - 1
+    index = edges - first[layers]
+    step = index[:, 1] - index[:, 0]
+    cycle_edge = (layers[:, 0] == layers[:, 1]) & ((step == 1) | (step == lengths[layers[:, 0]] - 1))
+    stray = ~cycle_edge & (layers[:, 1] != layers[:, 0] + 1)
+
+    def misplaced(r: int, s: int) -> str:
+        if r == s:
+            return f"is a chord of cycle {r}"
+        if s == len(ledger):
+            return f"joins the apex to cycle {r}, not to the innermost cycle {s - 1}"
+        return f"joins cycle {r} to cycle {s}, which are not adjacent"
+
+    audit = DriftAudit()
+    pairs = zip(edges[stray].tolist(), layers[stray].tolist())
+    lines = [f"edge ({u}, {v}) {misplaced(r, s)}" for (u, v), (r, s) in pairs]
+    _report(audit.stray_edges, lines, "edges of no cycle, annulus or cone")
+    cross = (layers[:, 0] != layers[:, 1]) & (layers[:, 1] < len(ledger))
+    layer, index = layers[cross], index[cross]
     keys, group = np.unique(layer[:, 0] * len(ledger) + layer[:, 1], return_inverse=True)
     coef, scales = [], []  # per cycle pair: constant, outer and inner index factors, period
     for key in keys.tolist():
@@ -280,7 +281,6 @@ def drift_audit(build: BuildResult) -> DriftAudit:
     for key, w, scale in zip(keys.tolist(), worst.tolist(), scales):
         r = key // len(ledger)
         max_obs[r] = max(max_obs[r], Fraction(w, scale))
-    audit = DriftAudit()
     for r in range(len(ledger) - 1):
         rec = ledger[r]
         bound = rec.drift_bound

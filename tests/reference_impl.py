@@ -7,6 +7,9 @@
 breadth-first distances, against which the compiled boundary BFS is
 checked, and ``reference_is_isometric`` the per-source isometry test the
 oracle's batched one replaced.
+``theta`` gives one vertex's exact circular coordinate from its ledger
+record and ``circ_dist`` the exact circular distance, the per-vertex
+``Fraction`` arithmetic the ledger-based code avoids.
 ``interior_canonical_code`` identifies fillings that differ only in their
 interior labels; the tests use it to show that the oracle emits no complex
 twice.  ``build_to_dict_v1`` writes a build file in the format used before
@@ -21,8 +24,23 @@ from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from itertools import permutations
 
-from ringfill import ValidationReport, canonical_triangle, circ_dist, cycle_dist
+from ringfill import ValidationReport, canonical_triangle, cycle_dist
 from ringfill.serialize import build_to_dict
+
+
+def theta(rec, i: int, n: int) -> Fraction:
+    """Circular coordinate ``(phase + n*i/m) mod n`` of vertex ``i`` of the ledger cycle ``rec``."""
+    num, den, m = rec.phase.numerator, rec.phase.denominator, rec.length
+    return Fraction((num * m + n * (i % m) * den) % (n * den * m), den * m)
+
+
+def circ_dist(a: Fraction | int, b: Fraction | int, n: int) -> Fraction:
+    """Shorter distance between ``a`` and ``b`` on the circle of circumference ``n``.
+
+    Exact: returns ``min(d, n - d)`` with ``d = (a - b) mod n`` as a Fraction.
+    """
+    d = (Fraction(a) - Fraction(b)) % n
+    return min(d, n - d)
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -162,13 +180,13 @@ def reference_drift_audit(build) -> list[Fraction]:
     """Largest circular displacement per annulus, from per-vertex ``Fraction`` thetas.
 
     Each vertex's layer is the index of its ledger cycle and its theta is
-    :meth:`LayerRecord.theta`, one vertex at a time.  Charges each cross-layer
+    :func:`theta`, one vertex at a time.  Charges each cross-layer
     non-apex edge to its shallower layer, as :func:`ringfill.drift_audit`
     does; returns ``max_observed`` per annulus.
     """
     t = build.triangulation
     layer_of = [rec.index for rec in build.ledger for _ in range(rec.length)] + [len(build.ledger)]
-    theta_of = [rec.theta(i, t.n) for rec in build.ledger for i in range(rec.length)] + [None]
+    theta_of = [theta(rec, i, t.n) for rec in build.ledger for i in range(rec.length)] + [None]
     max_obs = [Fraction(0)] * (len(build.ledger) - 1)
     for u, v in edge_incidence([tuple(tri) for tri in t.triangles.tolist()]):
         if build.apex in (u, v) or layer_of[u] == layer_of[v]:
@@ -254,7 +272,7 @@ def build_to_dict_v1(build) -> dict:
     """A version 1 build file: the version 2 header without its version, the vertex records, then the triangles.
 
     Each record is the vertex's ledger cycle and ``Fraction`` theta
-    (:meth:`LayerRecord.theta`), one vertex at a time; the apex sits on the
+    (:func:`theta`), one vertex at a time; the apex sits on the
     layer below the innermost cycle with a null theta.
     """
     header = {k: v for k, v in build_to_dict(build).items() if k not in ("version", "triangles")}
@@ -262,14 +280,14 @@ def build_to_dict_v1(build) -> dict:
     vertices = []
     for rec in build.ledger:
         for i in range(rec.length):
-            theta = rec.theta(i, n)
+            x = theta(rec, i, n)
             vertices.append(
                 {
                     "id": rec.first_vertex + i,
                     "layer": rec.index,
                     "index_in_layer": i,
-                    "theta_num": theta.numerator,
-                    "theta_den": theta.denominator,
+                    "theta_num": x.numerator,
+                    "theta_den": x.denominator,
                 }
             )
     vertices.append(

@@ -1,33 +1,45 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from reference_impl import circ_dist, theta
 
-from ringfill import DiskAssembler, circ_dist, staircase_indices
-
-
-def triangles(asm):
-    """The triangles assembled so far, as a list of [a, b, c] rows."""
-    return asm.build().triangles.tolist()
+from ringfill import annulus_triangles, cone_triangles, layer_ledger, staircase_indices
 
 
-def cycle_of(asm, v):
+def ledger_of(n, *annuli):
+    return layer_ledger(n, annuli)
+
+
+def triangles(ledger):
+    """Every annulus's triangles between consecutive records, as a list of [a, b, c] rows."""
+    blocks = [annulus_triangles(outer, inner) for outer, inner in zip(ledger, ledger[1:])]
+    return np.concatenate(blocks).tolist()
+
+
+def num_vertices(ledger):
+    """Vertex count of the cycles, before the cone's apex."""
+    return ledger[-1].first_vertex + ledger[-1].length
+
+
+def cycle_of(ledger, v):
     """The ledger record of the cycle holding vertex v."""
-    return next(rec for rec in asm.layers if rec.first_vertex <= v < rec.first_vertex + rec.length)
+    return next(rec for rec in ledger if rec.first_vertex <= v < rec.first_vertex + rec.length)
 
 
-def theta(asm, v):
+def position(ledger, v, n):
     """Exact position of vertex v, read from the ledger."""
-    rec = cycle_of(asm, v)
-    return rec.theta(v - rec.first_vertex, asm.n)
+    rec = cycle_of(ledger, v)
+    return theta(rec, v - rec.first_vertex, n)
 
 
-def slanted_edges(asm, outer, inner):
-    """All (outer vertex, inner vertex) edges the assembler emitted between two layers."""
+def slanted_edges(ledger, outer, inner):
+    """All (outer vertex, inner vertex) edges of the annulus between two records."""
     lo = set(range(outer.first_vertex, outer.first_vertex + outer.length))
     hi = set(range(inner.first_vertex, inner.first_vertex + inner.length))
     out = set()
-    for a, b, c in triangles(asm):
+    for a, b, c in annulus_triangles(outer, inner).tolist():
         for u, v in ((a, b), (b, c), (c, a)):
             if u in lo and v in hi:
                 out.add((u, v))
@@ -51,28 +63,29 @@ def test_staircase_indices():
 
 
 def test_equal_annulus_counts_and_phases():
-    asm = DiskAssembler(6)
-    inner = asm.add_equal_annulus()
+    ledger = ledger_of(6, ("equal", 6))
+    inner = ledger[1]
     assert inner.length == 6
-    assert asm.num_vertices == 12
-    assert len(triangles(asm)) == 12
+    assert num_vertices(ledger) == 12
+    assert len(triangles(ledger)) == 12
     assert inner.phase == Fraction(1, 2)  # half of one outer step 6/6
+    assert (ledger[0].annulus_kind, ledger[0].drift_bound) == ("equal", Fraction(1, 2))
+    assert (inner.annulus_kind, inner.drift_bound) == (None, None)
 
 
 def test_equal_annulus_half_step_coordinates():
-    asm = DiskAssembler(4)
-    inner = asm.add_equal_annulus()
-    thetas = {theta(asm, inner.first_vertex + i) for i in range(4)}
+    ledger = ledger_of(4, ("equal", 4))
+    inner = ledger[1]
+    thetas = {position(ledger, inner.first_vertex + i, 4) for i in range(4)}
     assert thetas == {Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)}
 
 
 def test_equal_annulus_edge_census():
     # Derived by enumerating the 12 emitted triangles: 6 outer + 6 inner
     # cycle edges with one incident triangle each, 12 slanted with two.
-    asm = DiskAssembler(6)
-    asm.add_equal_annulus()
+    ledger = ledger_of(6, ("equal", 6))
     inc = Counter()
-    for a, b, c in triangles(asm):
+    for a, b, c in triangles(ledger):
         for u, v in ((a, b), (b, c), (c, a)):
             inc[(min(u, v), max(u, v))] += 1
     assert len(inc) == 24
@@ -80,43 +93,38 @@ def test_equal_annulus_edge_census():
 
 
 def test_equal_annulus_displacement_is_exactly_half_step():
-    asm = DiskAssembler(10)
-    outer = asm.innermost
-    inner = asm.add_equal_annulus()
-    for u, v in slanted_edges(asm, outer, inner):
-        d = circ_dist(theta(asm, u), theta(asm, v), 10)
+    ledger = ledger_of(10, ("equal", 10))
+    outer, inner = ledger
+    for u, v in slanted_edges(ledger, outer, inner):
+        d = circ_dist(position(ledger, u, 10), position(ledger, v, 10), 10)
         assert d == Fraction(10, 2 * 10)
 
 
 def test_shrinking_annulus_counts():
-    asm = DiskAssembler(5)
-    inner = asm.add_shrinking_annulus(3)
-    assert inner.length == 3
-    assert len(triangles(asm)) == 5 + 3
-    asm = DiskAssembler(6)
-    asm.add_shrinking_annulus(3)
-    assert len(triangles(asm)) == 9
+    ledger = ledger_of(5, ("shrink", 3))
+    assert ledger[1].length == 3
+    assert len(triangles(ledger)) == 5 + 3
+    assert len(triangles(ledger_of(6, ("shrink", 3)))) == 9
 
 
 def test_shrinking_annulus_phase_and_drift():
     n = 7
-    asm = DiskAssembler(n)
-    outer = asm.innermost
-    inner = asm.add_shrinking_annulus(4)
+    ledger = ledger_of(n, ("shrink", 4))
+    outer, inner = ledger
     assert inner.phase == outer.phase  # same phase, no half step
     bound = Fraction(n, 4)
-    edges = slanted_edges(asm, outer, inner)
+    assert (outer.annulus_kind, outer.drift_bound) == ("shrink", bound)
+    edges = slanted_edges(ledger, outer, inner)
     assert edges, "shrinking annulus must emit slanted edges"
     for u, v in edges:
-        assert circ_dist(theta(asm, u), theta(asm, v), n) <= bound
+        assert circ_dist(position(ledger, u, n), position(ledger, v, n), n) <= bound
 
 
 def test_shrinking_annulus_inner_and_outer_edges_once():
-    asm = DiskAssembler(8)
-    outer = asm.innermost
-    inner = asm.add_shrinking_annulus(5)
+    ledger = ledger_of(8, ("shrink", 5))
+    outer, inner = ledger
     inc = Counter()
-    for a, b, c in triangles(asm):
+    for a, b, c in triangles(ledger):
         for u, v in ((a, b), (b, c), (c, a)):
             inc[(min(u, v), max(u, v))] += 1
     for i in range(outer.length):
@@ -127,7 +135,7 @@ def test_shrinking_annulus_inner_and_outer_edges_once():
         assert inc[e] == 1
     # slanted edges are interior to the annulus
     for e, k in inc.items():
-        layers = {cycle_of(asm, e[0]).index, cycle_of(asm, e[1]).index}
+        layers = {cycle_of(ledger, e[0]).index, cycle_of(ledger, e[1]).index}
         if len(layers) == 2:
             assert k == 2, f"slanted edge {e} has incidence {k}"
 
@@ -136,28 +144,35 @@ def test_degenerate_shrink_matches_equal_triangle_count():
     # A shrink to the same length runs the staircase with every step
     # advancing: same 2m triangles as an equal annulus, but no phase shift.
     m = 6
-    shrunk = DiskAssembler(m)
-    shrunk.add_shrinking_annulus(m)
-    equal = DiskAssembler(m)
-    equal.add_equal_annulus()
+    shrunk = ledger_of(m, ("shrink", m))
+    equal = ledger_of(m, ("equal", m))
     assert len(triangles(shrunk)) == len(triangles(equal)) == 2 * m
     assert staircase_indices(m, m) == list(range(m + 1))
-    assert shrunk.layers[1].phase == shrunk.layers[0].phase
-    assert equal.layers[1].phase == equal.layers[0].phase + Fraction(m, 2 * m)
+    assert shrunk[1].phase == shrunk[0].phase
+    assert equal[1].phase == equal[0].phase + Fraction(m, 2 * m)
     bound = Fraction(m, m)
-    outer, inner = shrunk.layers
+    outer, inner = shrunk
     for u, v in slanted_edges(shrunk, outer, inner):
-        assert circ_dist(theta(shrunk, u), theta(shrunk, v), m) <= bound
+        assert circ_dist(position(shrunk, u, m), position(shrunk, v, m), m) <= bound
+
+
+def test_cone_closes_the_innermost_cycle():
+    ledger = ledger_of(5, ("shrink", 3))
+    cone = cone_triangles(ledger[-1]).tolist()
+    apex = num_vertices(ledger)
+    assert cone == [[apex, 5, 6], [apex, 6, 7], [apex, 7, 5]]
 
 
 def test_annulus_argument_errors():
     with pytest.raises(ValueError, match=">= 3"):
-        DiskAssembler(2)
-    asm = DiskAssembler(5)
+        layer_ledger(2, [])
     with pytest.raises(ValueError, match="3 <= target <= 5"):
-        asm.add_shrinking_annulus(6)
+        ledger_of(5, ("shrink", 6))
     with pytest.raises(ValueError, match="3 <= target <= 5"):
-        asm.add_shrinking_annulus(2)
-    asm.add_cone()
-    with pytest.raises(ValueError, match="closed"):
-        asm.add_equal_annulus()
+        ledger_of(5, ("shrink", 2))
+    with pytest.raises(ValueError, match="3 <= target <= 4"):
+        ledger_of(5, ("shrink", 4), ("shrink", 5))
+    with pytest.raises(ValueError, match="equal annulus keeps the cycle length 5, got 4"):
+        ledger_of(5, ("equal", 4))
+    with pytest.raises(ValueError, match="unknown annulus kind 'spiral'"):
+        ledger_of(5, ("spiral", 5))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -143,3 +144,32 @@ def test_predict_density_values():
     ) / 6
     p = Params(64, Fraction(1, 4), Fraction(1, 4))
     assert predict_density(p) == Fraction(1, 4) + (1 - Fraction(1, 64)) / 6
+
+
+def _ledger_digest(ledger):
+    rows = [(r.index, r.length, str(r.phase), r.first_vertex, r.annulus_kind, str(r.drift_bound)) for r in ledger]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n,rho,eta,triangles,ledger",
+    [
+        (25, "1/10", "1/4", "9035b0de94aebe24383870193f8327872fb8ef1fccfaebc2ebd213aef07cbb55",
+         "e226afdc5a8830b5425f468986d1f331ef3ff51d875c9f3ecc67627c7c24932e"),
+        (64, "1/10", "1/4", "2c90f8a165d40ab3fffe2b1857df27b0f9c9df4c2045e6d0b2b950c56120c7f0",
+         "f8ef8a3542c05bac2be31aad849d44f8073dcc6ab4dbda43a00d96e1fbf86d95"),
+        (320, "1/10", "1/4", "df1dcb1aec7796f8951e89ded70c3f06e4464c54c9d398f064f8ca299cd6b1a2",
+         "faa57162a721cd8ae681db4980bba16160d9cb54bcda9bcf3914bc725e58a5bc"),
+        (384, "1/10", "1/4", "6377d5b43683361a6bdd3d022c0ae0ea4e40e7d0b08802c5fc0751cc84aec46b",
+         "9ca9960ae3b7553859b7908047d13f8b3c6a6e40d36ca1d9320962907699c591"),
+        (257, "1/20", "1/5", "9d1ed659dc434418290d24d9ee6ab4becfc0a835b4930d28fe6bf9575d340f70",
+         "81640f377630b9ce7a8ad7bd5eb71c920af01ac51b9cf3a95793f2cbb873ce5e"),
+        (1024, "1/100", "1/20", "68975d47b85d61a25a1c15c17f5ff4d2c0efeb52442ce2054c6a800dc830799d",
+         "11e5a6aa486792f9a301e2c83f10e7bdd8154ddb7c28588b6bcc20c35022c93c"),
+    ],
+)
+def test_build_output_is_pinned(n, rho, eta, triangles, ledger):
+    # sha256 of the canonical int32 triangle array and of the ledger's fields, in order
+    build = build_filling(Params(n, Fraction(rho), Fraction(eta)))
+    assert hashlib.sha256(build.triangulation.triangles.tobytes()).hexdigest() == triangles
+    assert _ledger_digest(build.ledger) == ledger

@@ -146,6 +146,17 @@ def test_audit_validates_the_loaded_triangles(tmp_path, capsys):
     assert "violation" not in err
 
 
+@pytest.mark.parametrize("flip", ["layer-skipping", "chord", "apex"])
+def test_audit_refuses_an_edge_of_no_annulus(tmp_path, capsys, flipped_builds, flip):
+    build, line = flipped_builds[flip]
+    build_path = tmp_path / "k.json"
+    dump_json(serialize.build_to_dict(build), str(build_path))
+    assert main(["audit", "--in", str(build_path)]) == 1
+    captured = capsys.readouterr()
+    assert "within_bounds=False" in captured.out
+    assert f"violation: {line}\n" in captured.err and "invalid" not in captured.err
+
+
 @pytest.mark.parametrize("field", ["theta_den", "phase_den", "rho"])
 def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
     build_path = tmp_path / "k.json"
@@ -312,7 +323,7 @@ def test_hostile_build_file_is_refused_before_the_rebuild(tmp_path, capsys, monk
     data["n"] = data["params"]["n"] = n
     del data["triangles"][rows:]
     build_path.write_text(json.dumps(data))
-    monkeypatch.setattr(serialize, "build_filling", _refuse)
+    monkeypatch.setattr(serialize, "layer_ledger", _refuse)
     if n > 25:  # the schedule is O(sqrt n) work, so at n = 10**12 it must not run either
         monkeypatch.setattr(serialize, "compute_schedule", _refuse)
     capsys.readouterr()
@@ -474,15 +485,6 @@ def test_count_mismatch_is_an_error(monkeypatch, capsys):
     assert "error: count mismatch" in capsys.readouterr().err
 
 
-def test_malformed_jobs_env_is_an_error(monkeypatch, capsys):
-    monkeypatch.setenv("RINGFILL_JOBS", "two")
-    assert main(["verify", "--n", "25", "--rho", "0.1", "--eta", "0.25"]) == 1
-    assert "error: RINGFILL_JOBS must be an integer" in capsys.readouterr().err
-    monkeypatch.setenv("RINGFILL_JOBS", "0")
-    assert main(["verify", "--n", "25", "--rho", "0.1", "--eta", "0.25"]) == 1
-    assert "error: RINGFILL_JOBS must be a positive integer, got '0'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -496,14 +498,3 @@ def test_nonpositive_counts_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]}" in capsys.readouterr().err
-
-
-def test_sweep_resolves_jobs_before_any_build(monkeypatch, capsys):
-    import ringfill.analysis as analysis
-
-    built = []
-    monkeypatch.setattr(analysis, "build_filling", lambda params: built.append(params.n))
-    monkeypatch.setenv("RINGFILL_JOBS", "0")
-    assert main(["sweep", "--n-list", "25,32", "--rho", "0.1", "--eta", "0.25"]) == 1
-    assert capsys.readouterr().err == "error: RINGFILL_JOBS must be a positive integer, got '0'\n"
-    assert built == []

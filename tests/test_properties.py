@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from reference_impl import bfs_distances, reference_validate_disk, skeleton_graph
+from reference_impl import bfs_distances, circ_dist, reference_validate_disk, skeleton_graph
 
 from ringfill import (
     Params,
@@ -15,7 +15,6 @@ from ringfill import (
     build_filling,
     canonical_triangle,
     ceil_sqrt,
-    circ_dist,
     compute_schedule,
     cycle_dist,
     staircase_indices,
@@ -129,7 +128,7 @@ def test_boundary_matrix_matches_pure_python_bfs(n, rho, eta):
     adj = skeleton_graph(t)
     expected = [bfs_distances(adj, src)[:n] for src in range(n)]
     assert boundary_distance_matrix(t, jobs=1).tolist() == expected
-    assert boundary_distance_matrix(t, jobs=4, chunk=16).tolist() == expected
+    assert boundary_distance_matrix(t, jobs=4).tolist() == expected
     # a stray triangle off the disk leaves three vertices no boundary BFS reaches
     v = t.num_vertices
     broken = Triangulation(n, v + 3, np.vstack([t.triangles, [(v, v + 1, v + 2)]]))

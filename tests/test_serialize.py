@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from reference_impl import build_to_dict_v1
+from reference_impl import build_to_dict_v1, theta
 
 from ringfill import Params, build_filling, cone_over_cycle, validate_disk, verify_filling
 from ringfill.serialize import (
@@ -55,9 +55,9 @@ def test_build_records_restate_layer_thetas(small_build, medium_build):
         for rec in build.ledger:
             for i in range(rec.length):
                 got = records[rec.first_vertex + i]
-                theta = rec.theta(i, t.n)
+                x = theta(rec, i, t.n)
                 assert (got["layer"], got["index_in_layer"]) == (rec.index, i)
-                assert (got["theta_num"], got["theta_den"]) == (theta.numerator, theta.denominator)
+                assert (got["theta_num"], got["theta_den"]) == (x.numerator, x.denominator)
         assert records[build.apex] == {
             "id": build.apex,
             "layer": len(build.ledger),
@@ -106,6 +106,25 @@ def test_complex_from_dict_detects_kind(small_build):
     for write in (build_to_dict, build_to_dict_v1):
         t2, build2 = complex_from_dict(write(small_build))
         assert build2 is not None and t2.n == small_build.params.n
+
+
+def test_loading_a_build_file_assembles_no_complex(monkeypatch, medium_build):
+    import ringfill.annuli
+    import ringfill.builder
+    import ringfill.serialize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loader assembled a complex")
+
+    for module in (ringfill.builder, ringfill.serialize):
+        monkeypatch.setattr(module, "build_filling", refuse, raising=False)
+    for module in (ringfill.annuli, ringfill.builder):
+        monkeypatch.setattr(module, "annulus_triangles", refuse, raising=False)
+    for write in (build_to_dict_v1, build_to_dict):
+        t, build = complex_from_dict(write(medium_build))
+        assert build.ledger == medium_build.ledger
+        assert t.num_vertices == medium_build.triangulation.num_vertices
+        assert (t.triangles == medium_build.triangulation.triangles).all()
 
 
 def test_version_1_and_2_files_load_alike(tmp_path, medium_build):

@@ -13,6 +13,7 @@ from ringfill import (
     drift_audit,
     separation_lower_bounds,
     step_profile_eps,
+    validate_disk,
     verify_filling,
 )
 
@@ -93,29 +94,20 @@ def test_verify_jobs_deterministic(medium_build):
     assert serial.delta == threaded.delta
     assert serial.worst_pair == threaded.worst_pair
     assert (serial.boundary_distances == threaded.boundary_distances).all()
-    # force multiple chunks so the thread pool actually runs
-    chunked = boundary_distance_matrix(t, jobs=4, chunk=16)
-    assert (chunked == serial.boundary_distances).all()
+    # uneven spans of 22, 22 and 20 sources
+    assert (boundary_distance_matrix(t, jobs=3) == serial.boundary_distances).all()
 
 
-def test_jobs_env_var_fallback(monkeypatch):
-    from ringfill.verify import resolve_jobs
+def test_jobs_below_one_is_an_error(small_build, monkeypatch):
+    import ringfill.analysis as analysis
 
-    monkeypatch.delenv("RINGFILL_JOBS", raising=False)
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(3) == 3
-    monkeypatch.setenv("RINGFILL_JOBS", "5")
-    assert resolve_jobs(None) == 5
-    assert resolve_jobs(2) == 2  # explicit argument wins
-    monkeypatch.setenv("RINGFILL_JOBS", "not-a-number")
-    with pytest.raises(ValueError, match="RINGFILL_JOBS"):
-        resolve_jobs(None)
-    assert resolve_jobs(2) == 2  # an explicit argument never reads the variable
-    monkeypatch.setenv("RINGFILL_JOBS", "0")
-    with pytest.raises(ValueError, match="RINGFILL_JOBS must be a positive integer"):
-        resolve_jobs(None)
-    with pytest.raises(ValueError, match="jobs must be a positive integer, got -2"):
-        resolve_jobs(-2)
+    t = small_build.triangulation
+    monkeypatch.setattr(analysis, "build_filling", None)  # the sweep refuses before any build
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match=f"jobs must be a positive integer, got {jobs}"):
+            verify_filling(t, jobs=jobs)
+        with pytest.raises(ValueError, match=f"jobs must be a positive integer, got {jobs}"):
+            analysis.run_sweep([25], "1/10", "1/4", jobs=jobs)
 
 
 def test_witness_path_helper():
@@ -150,7 +142,7 @@ def test_level_recovery_rejects_non_fifo_order(monkeypatch):
 
 def test_drift_audit_passes_and_equal_annuli_are_tight(medium_build):
     audit = drift_audit(medium_build)
-    assert audit.ok
+    assert audit.ok and audit.stray_edges == []
     assert len(audit.rows) == len(medium_build.ledger) - 1
     for row in audit.rows:
         if row.kind != "shrink":
@@ -185,6 +177,16 @@ def test_drift_audit_matches_fraction_reference(small_build, medium_build):
         rows = drift_audit(build).rows
         assert [row.max_observed for row in rows] == reference_drift_audit(build)
     assert not drift_audit(tampered).rows[4].ok
+
+
+@pytest.mark.parametrize("flip", ["layer-skipping", "chord", "apex"])
+def test_drift_audit_refuses_an_edge_of_no_annulus(flipped_builds, flip):
+    build, line = flipped_builds[flip]
+    assert validate_disk(build.triangulation).ok
+    audit = drift_audit(build)
+    assert not audit.ok
+    assert audit.stray_edges == [line]
+    assert [row.max_observed for row in audit.rows] == reference_drift_audit(build)
 
 
 def test_drift_audit_refuses_int64_overflow(small_build):
