@@ -5,21 +5,20 @@ A bare complex file is ``{"n": int, "vertices": [{"id", "layer",
 ...]}`` with phases as exact rational pairs (null for the apex); its vertex
 records are derived on output by :func:`vertex_records`.
 
-A build file (version 2) is ``{"version": 2}`` followed by n, params,
-schedule, apex, predicted counts, ledger and triangles.  It stores no vertex
-records: every vertex position is fixed by its cycle's phase and length in
-the ledger.  Loading one recomputes the schedule and ledger from its
-params, checks every other field against them and keeps only its
-triangles; it assembles no complex.  A build file with no ``version`` field
-is version 1, which also carries the vertex records of the ledger; they are
-still read and checked.  A malformed field, a zero
-denominator or a boolean triangle id included, is a ValueError naming it.
+A build file is ``{"version": 2}`` followed by n, params, schedule, apex,
+predicted counts, ledger and triangles.  It stores no vertex records: every
+vertex position is fixed by its cycle's phase and length in the ledger.
+Loading one recomputes the schedule and ledger from its params, checks
+every other field against them and keeps only its triangles; it assembles
+no complex.  A build file without ``"version": 2`` is refused.  A malformed
+field, a zero denominator or a boolean triangle id included, is a
+ValueError naming it.
 
-:func:`dump_json` is the one writer.  Its bytes are those of
-``json.dump(data, fh, indent=2)`` plus a newline, with an ndarray written as
-its ``.tolist()``; the to-dict functions hand over the complex's own
-triangle array.  Field order is fixed, so output bytes are deterministic
-for fixed inputs.
+:func:`dump_json` is the one writer.  It takes a dict with str keys, and its
+bytes are those of ``json.dump(data, fh, indent=2)`` plus a newline, with an
+ndarray value written as its ``.tolist()``; the to-dict functions hand over
+the complex's own triangle array.  Field order is fixed, so output bytes
+are deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -246,31 +245,21 @@ def _first_difference(got: Any, want: Any, path: str) -> tuple[str, Any, Any]:
     return path, got, want
 
 
-def _build_file_version(data: dict[str, Any]) -> int:
-    """2 for a file with ``"version": 2``, 1 for a file with no version field; any other version is an error."""
-    version = data.get("version", _MISSING)
-    if version is _MISSING:
-        return 1
-    if not (_is_int(version) and version == _VERSION):
-        raise ValueError(f"version must be {_VERSION} (or absent in a version 1 file), got {_show(version)}")
-    return version
-
-
 def build_from_dict(data: dict[str, Any]) -> BuildResult:
     """Check a build file against the schedule and ledger of its params, keeping only the file's triangles.
 
-    Every other field must equal its recomputed value; the first that
-    differs is named in a ValueError.  No complex is assembled.  A version 1
-    file (no ``version`` field) must also carry one vertex record per
-    vertex, each equal to the ledger's; a version 2 file carries none.
-    Before the schedule is computed, a version 1 file must hold more than n
-    records and a version 2 file more than n triangles, which bounds the
-    schedule's O(sqrt n) work.  Then the schedule's vertex count must equal
-    the number of records, or be at most the number of triangles (a filling
-    of C_n has F = 2V - n - 2 > V), so a file cannot make the loader compute
-    a ledger larger than the file itself.
+    The file must carry ``"version": 2`` and no vertex records.  Every other
+    field must equal its recomputed value; the first that differs is named
+    in a ValueError.  No complex is assembled.  Before the schedule is
+    computed the file must hold more than n triangles, which bounds the
+    schedule's O(sqrt n) work.  Then the schedule's vertex count must be at
+    most the number of triangles (a filling of C_n has F = 2V - n - 2 > V),
+    so a file cannot make the loader compute a ledger larger than the file
+    itself.
     """
-    version = _build_file_version(data)
+    version = data.get("version", _MISSING)
+    if not (_is_int(version) and version == _VERSION):
+        raise ValueError(f"version must be {_VERSION}, got {_show(version)}")
     pdata = _get(data, "params", "build file")
     n = _get(pdata, "n", "params")
     if not _is_int(n):
@@ -278,20 +267,13 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
     rho, eta = (_rational(_get(pdata, key, "params"), f"params.{key}") for key in ("rho", "eta"))
     params = Params(n, rho, eta)
     tri = _triangles(data, "build file")
-    if version == 1:
-        records = _get(data, "vertices", "version 1 build file")
-        if not isinstance(records, list) or len(records) <= n:
-            raise ValueError(f"vertices must be a list of more than n = {n} records")
-    else:
-        if "vertices" in data:
-            raise ValueError("a version 2 build file has no vertices field: the ledger fixes every vertex")
-        if tri.ndim == 0 or len(tri) <= n:
-            raise ValueError(f"triangles must be a list of more than n = {n} rows")
+    if "vertices" in data:
+        raise ValueError("a version 2 build file has no vertices field: the ledger fixes every vertex")
+    if tri.ndim == 0 or len(tri) <= n:
+        raise ValueError(f"triangles must be a list of more than n = {n} rows")
     schedule = compute_schedule(params)
     num_vertices = schedule.predicted_vertex_count
-    if version == 1 and len(records) != num_vertices:
-        raise ValueError(f"vertices has {len(records)} records, but params give {num_vertices} vertices")
-    if version == 2 and num_vertices > len(tri):
+    if num_vertices > len(tri):
         raise ValueError(f"params give {num_vertices} vertices, more than the file's {len(tri)} triangles")
     build = BuildResult(Triangulation(n, num_vertices, tri), layer_ledger(n, schedule.annuli), schedule, params)
     for key, want in _header(build).items():
@@ -305,17 +287,16 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
             raise ValueError(f"{path[:-4]} has a zero denominator")
         section = "ledger" if key == "ledger" else "schedule"
         raise ValueError(f"{path} = {_show(got)} disagrees with the {section} rebuilt from params ({_show(want)})")
-    if version == 1:
-        for v, (got, want) in enumerate(zip(records, vertex_records(build.triangulation, build.ledger))):
-            if got != want:
-                if isinstance(got, dict) and got.get("theta_den") == 0:
-                    raise ValueError(f"theta of vertex {v} has a zero denominator")
-                raise ValueError(f"vertex {v} record {_show(got)} disagrees with the ledger, which gives {want!r}")
     return build
 
 
 def complex_from_dict(data: dict[str, Any]) -> tuple[Triangulation, BuildResult | None]:
-    """Parse either a bare triangulation file or a build file (one with a ledger or a version)."""
+    """Parse either a bare triangulation file or a build file (one with a ledger or a version).
+
+    A file with a ledger but no version, as written before build files were
+    versioned, is refused by :func:`build_from_dict`; read as a bare file,
+    its vertex records would pass.
+    """
     if isinstance(data, dict) and ("ledger" in data or "version" in data):
         build = build_from_dict(data)
         return build.triangulation, build
@@ -337,73 +318,38 @@ def report_to_dict(report: VerificationReport, include_witness: bool = False) ->
     return out
 
 
-def _row_width(x: Any) -> int:
-    """The width of ``x``'s rows if it is a non-empty list of int rows of one non-zero width, else 0.
-
-    A non-empty 2-d integer array counts.  A bool, null, float, str,
-    container or int subclass anywhere in the rows disqualifies the list.
-    """
-    if isinstance(x, np.ndarray):
-        return x.shape[1] if x.ndim == 2 and x.dtype.kind in "iu" and x.size else 0
-    if not isinstance(x, list) or not x or set(map(type, x)) != {list}:
-        return 0
-    widths = set(map(len, x))
-    if len(widths) != 1 or set(map(type, chain.from_iterable(x))) != {int}:
-        return 0
-    return widths.pop()
-
-
-def _write_rows(write: Callable[[str], Any], rows: Any, width: int, level: int) -> None:
-    """Write int rows of width ``width`` chunk by chunk, formatting each chunk with one ``%`` template."""
-    outer, inner = "\n" + _INDENT * (level + 1), "\n" + _INDENT * (level + 2)
-    row = "[" + ",".join([inner + "%d"] * width) + outer + "]"
+def _write_rows(write: Callable[[str], Any], rows: np.ndarray) -> None:
+    """Write a non-empty 2-d int array held by the top-level dict chunk by chunk, one ``%`` template per chunk."""
+    outer, inner = "\n" + _INDENT * 2, "\n" + _INDENT * 3
+    row = "[" + ",".join([inner + "%d"] * rows.shape[1]) + outer + "]"
     sep = "," + outer
     write("[")
-    lead = outer
     for start in range(0, len(rows), _ROWS_PER_CHUNK):
-        chunk = rows[start : start + _ROWS_PER_CHUNK]
-        if isinstance(chunk, np.ndarray):
-            chunk = chunk.tolist()
-        write(lead + sep.join([row] * len(chunk)) % tuple(chain.from_iterable(chunk)))
-        lead = sep
-    write("\n" + _INDENT * level + "]")
+        chunk = rows[start : start + _ROWS_PER_CHUNK].tolist()
+        write((sep if start else outer) + sep.join([row] * len(chunk)) % tuple(chain.from_iterable(chunk)))
+    write("\n" + _INDENT + "]")
 
 
-def _encode(write: Callable[[str], Any], x: Any, level: int) -> None:
-    """Write ``x`` as ``json.dump(x, fh, indent=2)`` would at nesting ``level``, an ndarray as its ``.tolist()``.
+def dump_json(data: dict[str, Any], path: str) -> None:
+    """Write the str-keyed dict ``data`` with the bytes of ``json.dump(data, fh, indent=2)`` and a newline.
 
-    Lists of int rows of one width (:func:`_row_width`), such as the
-    triangles, are formatted here in chunks; a dict with str keys or a list
-    that holds a container is framed here around its items; every other
-    value goes through ``json.dumps(indent=2)``.
+    An ndarray value is written as its ``.tolist()``: a non-empty 2-d integer
+    one, such as the triangles, in chunks by :func:`_write_rows`; every other
+    value goes through ``json.dumps(indent=2)``, indented by one level.
     """
-    width = _row_width(x)
-    if width:
-        _write_rows(write, x, width, level)
-        return
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
-    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
-        opener, closer, items = "{", "}", [(json.dumps(k) + ": ", v) for k, v in x.items()]
-    elif isinstance(x, (list, tuple)):
-        opener, closer, items = "[", "]", [("", v) for v in x]
-    else:
-        items = []
-    if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for _, v in items):
-        write(json.dumps(x, indent=2).replace("\n", "\n" + _INDENT * level))
-        return
-    write(opener)
-    for i, (prefix, v) in enumerate(items):
-        write(("," if i else "") + "\n" + _INDENT * (level + 1) + prefix)
-        _encode(write, v, level + 1)
-    write("\n" + _INDENT * level + closer)
-
-
-def dump_json(data: Any, path: str) -> None:
-    """Write ``data`` with the bytes of ``json.dump(data, fh, indent=2)`` and a newline (see :func:`_encode`)."""
+    bad = [key for key in data if not isinstance(key, str)]
+    if bad:
+        raise TypeError(f"dump_json writes a dict with str keys, got {bad!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        _encode(fh.write, data, 0)
-        fh.write("\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(data.items()):
+            fh.write(("," if i else "") + "\n" + _INDENT + json.dumps(key) + ": ")
+            if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu" and value.size:
+                _write_rows(fh.write, value)
+            else:
+                text = json.dumps(value.tolist() if isinstance(value, np.ndarray) else value, indent=2)
+                fh.write(text.replace("\n", "\n" + _INDENT))
+        fh.write("\n}\n" if data else "}\n")
 
 
 def load_json(path: str) -> dict[str, Any]:
@@ -411,16 +357,16 @@ def load_json(path: str) -> dict[str, Any]:
         return json.load(fh)
 
 
-def embedded_coordinates(t: Triangulation, records: list[dict] | None = None) -> list[tuple[float, float, float]]:
+def embedded_coordinates(t: Triangulation, records: list[dict]) -> list[tuple[float, float, float]]:
     """Flat radial embedding for visual inspection only.
 
-    Positions come from vertex records: ``records`` (such as the checked
-    records of a bare file, or a build's ledger records) or, by default,
-    :func:`vertex_records` of ``t``.  Radius decreases linearly with layer depth, the angle is the
-    circular coordinate rescaled to radians, and a vertex without a
-    coordinate (the apex) sits at the origin.  Carries no metric meaning.
+    Positions come from ``records``: the checked vertex records of a bare
+    file, or :func:`vertex_records` of a build's ledger.  Radius decreases
+    linearly with layer depth, the angle is the circular coordinate rescaled
+    to radians, and a vertex without a coordinate (the apex) sits at the
+    origin.  Carries no metric meaning.
     """
-    recs = sorted(vertex_records(t) if records is None else records, key=lambda rec: rec["id"])
+    recs = sorted(records, key=lambda rec: rec["id"])
     max_layer = max(rec["layer"] for rec in recs)
     has_apex = any(rec["theta_num"] is None for rec in recs)
     denom = max(max_layer if has_apex else max_layer + 1, 1)
@@ -435,7 +381,7 @@ def embedded_coordinates(t: Triangulation, records: list[dict] | None = None) ->
     return coords
 
 
-def write_off(t: Triangulation, path: str, records: list[dict] | None = None) -> None:
+def write_off(t: Triangulation, path: str, records: list[dict]) -> None:
     coords = embedded_coordinates(t, records)
     lines = ["OFF", f"{t.num_vertices} {t.num_triangles} 0"]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in coords)
@@ -444,7 +390,7 @@ def write_off(t: Triangulation, path: str, records: list[dict] | None = None) ->
         fh.write("\n".join(lines) + "\n")
 
 
-def write_obj(t: Triangulation, path: str, records: list[dict] | None = None) -> None:
+def write_obj(t: Triangulation, path: str, records: list[dict]) -> None:
     coords = embedded_coordinates(t, records)
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in coords]
     lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in t.triangles.tolist())

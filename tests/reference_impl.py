@@ -12,9 +12,7 @@ record and ``circ_dist`` the exact circular distance, the per-vertex
 ``Fraction`` arithmetic the ledger-based code avoids.
 ``interior_canonical_code`` identifies fillings that differ only in their
 interior labels; the tests use it to show that the oracle emits no complex
-twice.  ``build_to_dict_v1`` writes a build file in the format used before
-build files were versioned, with one vertex record per vertex, against
-which the version 1 reader is tested.
+twice.
 All are deliberately naive: dicts, sets, breadth-first search and exact
 rationals, with no numpy.
 """
@@ -25,7 +23,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from ringfill import ValidationReport, canonical_triangle, cycle_dist
-from ringfill.serialize import build_to_dict
 
 
 def theta(rec, i: int, n: int) -> Fraction:
@@ -267,30 +264,3 @@ def reference_is_isometric(t) -> bool:
             return False
     return True
 
-
-def build_to_dict_v1(build) -> dict:
-    """A version 1 build file: the version 2 header without its version, the vertex records, then the triangles.
-
-    Each record is the vertex's ledger cycle and ``Fraction`` theta
-    (:func:`theta`), one vertex at a time; the apex sits on the
-    layer below the innermost cycle with a null theta.
-    """
-    header = {k: v for k, v in build_to_dict(build).items() if k not in ("version", "triangles")}
-    n = build.params.n
-    vertices = []
-    for rec in build.ledger:
-        for i in range(rec.length):
-            x = theta(rec, i, n)
-            vertices.append(
-                {
-                    "id": rec.first_vertex + i,
-                    "layer": rec.index,
-                    "index_in_layer": i,
-                    "theta_num": x.numerator,
-                    "theta_den": x.denominator,
-                }
-            )
-    vertices.append(
-        {"id": build.apex, "layer": len(build.ledger), "index_in_layer": 0, "theta_num": None, "theta_den": None}
-    )
-    return {**header, "vertices": vertices, "triangles": build.triangulation.triangles.tolist()}

@@ -8,18 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from reference_impl import build_to_dict_v1
 
 import ringfill
 import ringfill.serialize as serialize
 from ringfill.cli import _parser, main
-from ringfill.serialize import dump_json, triangulation_to_dict
+from ringfill.serialize import dump_json, triangulation_to_dict, vertex_records
 from ringfill import Params, build_filling, cone_over_cycle
-
-
-def _write_v1_build(path):
-    """Write the version 1 build file of ``build --n 25 --rho 1/10 --eta 1/4`` to ``path``."""
-    dump_json(build_to_dict_v1(build_filling(Params(25, Fraction(1, 10), Fraction(1, 4)))), str(path))
 
 
 def test_build_writes_json(tmp_path, capsys):
@@ -103,17 +97,18 @@ def test_verify_builds_from_params(capsys):
 
 def test_audit_catches_tampered_phase(tmp_path, capsys):
     build_path = tmp_path / "k.json"
-    _write_v1_build(build_path)  # version 1 files carry the vertex records
+    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
-    # drag one interior vertex a quarter turn off its cycle position: the
-    # record no longer restates the ledger, so loading the file fails
-    victim = next(v for v in data["vertices"] if v["layer"] == 3)
-    victim["theta_num"] = victim["theta_num"] * 4 + 25 * victim["theta_den"]
-    victim["theta_den"] = victim["theta_den"] * 4
+    # turn cycle 3 a quarter turn: every vertex of it would move off its
+    # position, so the ledger no longer restates the one its params give
+    cycle = data["ledger"][3]
+    cycle["phase_num"] = cycle["phase_num"] * 4 + 25 * cycle["phase_den"]
+    cycle["phase_den"] *= 4
     build_path.write_text(json.dumps(data))
+    capsys.readouterr()
     assert main(["audit", "--in", str(build_path)]) == 1
     err = capsys.readouterr().err
-    assert f"error: vertex {victim['id']} record" in err and "disagrees with the ledger" in err
+    assert err.startswith("error: ledger[3].phase_num = ") and "disagrees with the ledger rebuilt from params" in err
 
 
 def test_audit_catches_tampered_triangle(tmp_path, capsys):
@@ -157,17 +152,12 @@ def test_audit_refuses_an_edge_of_no_annulus(tmp_path, capsys, flipped_builds, f
     assert f"violation: {line}\n" in captured.err and "invalid" not in captured.err
 
 
-@pytest.mark.parametrize("field", ["theta_den", "phase_den", "rho"])
+@pytest.mark.parametrize("field", ["phase_den", "rho"])
 def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
     build_path = tmp_path / "k.json"
-    if field == "theta_den":  # only version 1 files carry vertex records
-        _write_v1_build(build_path)
-    else:
-        assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
+    assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
-    if field == "theta_den":
-        data["vertices"][30]["theta_den"] = 0
-    elif field == "phase_den":
+    if field == "phase_den":
         data["ledger"][2]["phase_den"] = 0
     else:
         data["params"]["rho"][1] = 0
@@ -184,19 +174,14 @@ def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
 
 
 def test_output_bytes_are_pinned(tmp_path, capsys):
-    # sha256 of the version 2 build file, of the version 1 file of the same
-    # build as the reference writer gives it (the bytes build --out wrote
-    # before files were versioned) and of a bare complex; any change to a
-    # format shows here
-    build_path, v1_path = tmp_path / "k.json", tmp_path / "k_v1.json"
+    # sha256 of a build file and of a bare complex; any change to a format shows here
+    build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
-    _write_v1_build(v1_path)
     cone_path = tmp_path / "cone6.json"
     dump_json(triangulation_to_dict(cone_over_cycle(6)), str(cone_path))
-    digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (build_path, v1_path, cone_path)}
+    digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (build_path, cone_path)}
     assert digest == {
         "k.json": "836147ec7ebc34e21279e1557f6d0b4e777e0acd2758247e42818d3f50a3322e",
-        "k_v1.json": "ddab2ea3a33576aaf207acd07820e06559f365da30ef775759751c15b95fcb28",
         "cone6.json": "386a419e72d8d7b95624bf597759745c85d5abd875d636553f39e43b5d8fcfbb",
     }
 
@@ -244,10 +229,8 @@ def test_export_bytes_are_pinned(tmp_path, capsys):
     assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
     cone_path = tmp_path / "cone6.json"
     dump_json(triangulation_to_dict(cone_over_cycle(6)), str(cone_path))
-    v1_path = tmp_path / "k_v1.json"
-    _write_v1_build(v1_path)
     digest = {}
-    for src in (build_path, v1_path, cone_path):
+    for src in (build_path, cone_path):
         for fmt in ("off", "obj"):
             out = tmp_path / f"{src.stem}.{fmt}"
             assert main(["export", "--in", str(src), "--format", fmt, "--out", str(out)]) == 0
@@ -255,8 +238,6 @@ def test_export_bytes_are_pinned(tmp_path, capsys):
     assert digest == {
         "k.off": "5031f417c6a42bb96cc15b9329c3067f16f65a5e3ad3aa292e92a2b141c3a16f",
         "k.obj": "01a1d1593a41aa27d1b0ed2c54ab5bfbce6f6b9a157c8cb769678c82eecddff5",
-        "k_v1.off": "5031f417c6a42bb96cc15b9329c3067f16f65a5e3ad3aa292e92a2b141c3a16f",
-        "k_v1.obj": "01a1d1593a41aa27d1b0ed2c54ab5bfbce6f6b9a157c8cb769678c82eecddff5",
         "cone6.off": "120e7c3109ed09f697396d0a6b3a5eab0572c36c84aa7ea1e2232acad5c520d3",
         "cone6.obj": "8bed096addb83bac180dd979e159d289e6041a3e79817725d8391b24d92c8c0f",
     }
@@ -283,11 +264,11 @@ def test_ragged_triangles_are_a_named_error(tmp_path, capsys, kind, command):
     "tamper,message",
     [
         *(
-            (lambda d, v=v: d.update(version=v), f"version must be 2 (or absent in a version 1 file), got {v!r}")
+            (lambda d, v=v: d.update(version=v), f"version must be 2, got {v!r}")
             for v in (3, 1, True, "2", None, 2.0)
         ),
         (lambda d: d.update(vertices=[]), "a version 2 build file has no vertices field: the ledger fixes every vertex"),
-        (lambda d: d.pop("version"), "version 1 build file has no 'vertices' field"),
+        (lambda d: d.pop("version"), "version must be 2, got missing"),
     ],
     ids=["3", "1", "true", "str", "null", "float", "v2-with-vertices", "v1-without-vertices"],
 )
@@ -302,6 +283,24 @@ def test_build_file_version_is_checked(tmp_path, capsys, tamper, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "within_bounds" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["verify", "audit", "export"])
+def test_version_1_build_file_is_refused(tmp_path, capsys, command):
+    # a build file as written before files were versioned: no version, and
+    # vertex records that would pass as a bare complex's
+    build = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4)))
+    data = serialize.build_to_dict(build)
+    data.pop("version")
+    data["vertices"] = list(vertex_records(build.triangulation, build.ledger))
+    path = tmp_path / "k_v1.json"
+    dump_json(data, str(path))
+    out = tmp_path / "k.off"
+    argv = [command, "--in", str(path)] + (["--format", "off", "--out", str(out)] if command == "export" else [])
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: version must be 2, got missing\n"
+    assert not out.exists()
 
 
 def _refuse(*args, **kwargs):
