@@ -82,7 +82,25 @@ def test_build_round_trip(small_build):
     assert separation_lower_bounds(back) == separation_lower_bounds(small_build)
 
 
-def test_build_records_must_restate_the_ledger(small_build):
+@pytest.mark.parametrize(
+    "field,value",
+    [("layer", 4), ("index_in_layer", 1), ("theta_num", 1), ("theta_num", None)],
+)
+def test_build_records_must_restate_the_ledger(small_build, field, value):
+    # a build file's vertex records are the ledger's: a file that carries its
+    # own, here one contradicting the ledger, is refused, never read
+    t, ledger = small_build.triangulation, small_build.ledger
+    records = list(vertex_records(t, ledger))
+    victim = records[ledger[3].first_vertex]
+    assert victim[field] != value
+    victim[field] = value
+    data = build_to_dict(small_build)
+    data["vertices"] = records
+    with pytest.raises(ValueError, match="has no vertices field"):
+        complex_from_dict(data)
+    del data["version"]
+    with pytest.raises(ValueError, match="version must be 2, got missing"):
+        complex_from_dict(data)
     data = build_to_dict(small_build)
     data["ledger"][4]["first_vertex"] += 1
     with pytest.raises(ValueError, match="disagrees with the ledger"):
