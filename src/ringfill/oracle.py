@@ -12,13 +12,13 @@ and the small end of the construction, not to chase the asymptotics.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from array import array
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .simplicial import Triangulation, canonical_triangle, validate_disk, validate_disk_batch
+from .simplicial import Triangulation, validate_disk, validate_disk_batch
 
 __all__ = [
     "EnumerationBudget",
@@ -31,9 +31,12 @@ __all__ = [
 
 MAX_BOUNDARY = 7
 MAX_INTERIOR = 4
-# Fillings checked per numpy call.  Small, so a stack stays a few tens of
-# kilobytes; larger stacks save little time and cost memory.
-_CHUNK = 64
+# Fillings checked per numpy call.  At 128 a stack is about 20 kB and the
+# batched validation costs least per filling (8 us, against 12 us at 64 and
+# 10 us at 256 on a 2-vCPU host); 256 also raised the peak RSS of the n = 7
+# search by 0.35 MB.  At most 504, so a test can corrupt a full first stack
+# of n = 6 with two interior vertices.
+_CHUNK = 128
 _MAX_DENSE = 255  # vertices the uint8 reachability products can count
 
 
@@ -53,7 +56,7 @@ class EnumerationBudget:
 
 @dataclass
 class EnumerationStats:
-    """Side-channel counters filled in while the generator runs.
+    """Side-channel counters filled in while the enumeration runs.
 
     ``duplicates`` is always 0, since every complex is emitted once; it stays
     for callers that report it.
@@ -63,99 +66,136 @@ class EnumerationStats:
     duplicates: int = 0
 
 
-def _edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+class _Found(Exception):
+    """Stops a search at the first isometric filling; args: its triangles, its 1-based position."""
 
 
-def _grow(
-    regions: tuple[tuple[int, ...], ...],
-    triangles: tuple[tuple[int, int, int], ...],
-    edges: frozenset[tuple[int, int]],
-    interior_used: int,
-    budget: EnumerationBudget,
-) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """Fill open regions depth-first, one triangle per step.
+def _grow(budget: EnumerationBudget, leaf: Callable[[list[int]], None]) -> None:
+    """Hand every filling to ``leaf`` in depth-first order, as its flat list of triangle ids.
 
     Each step attaches the unique triangle of the final complex that sits on
     the first edge of the first open region, branching over its possible
     apexes: a fresh interior vertex, or another vertex of the same region.
     Chords that would duplicate an existing edge pair are rejected; they
     would pinch the disk.  Only complexes with exactly ``budget.interior``
-    interior vertices are yielded.
+    interior vertices reach ``leaf``.
 
     Labels are canonical: in a given complex, the triangle on the first edge
     of the first open region fixes the branch, and fresh ids are handed out
     in that order, so every complex (up to relabeling its interior) is
     produced along exactly one branch with one labeling.
+
+    The state is mutable and each step is undone on the way back: ``edges``
+    gains and loses the step's new edges, ``triangles`` its three ids (each
+    triangle rotated so its smallest id comes first), and ``regions`` is a
+    stack whose top is the first open region.  The list handed to ``leaf``
+    changes after the call returns.
     """
-    if not regions:
-        if interior_used == budget.interior:
-            yield triangles
-        return
-    region, rest = regions[0], regions[1:]
-    k = len(region)
-    r0, r1 = region[0], region[1]
+    n, target = budget.n, budget.interior
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    triangles: list[int] = []
+    regions = [tuple(range(n))]
 
-    if interior_used < budget.interior:
-        fresh = budget.n + interior_used
-        yield from _grow(
-            ((r0, fresh, r1) + region[2:],) + rest,
-            triangles + (canonical_triangle(r0, r1, fresh),),
-            edges | {_edge(r0, fresh), _edge(r1, fresh)},
-            interior_used + 1,
-            budget,
-        )
+    def grow(interior_used: int) -> None:
+        if not regions:
+            if interior_used == target:
+                leaf(triangles)
+            return
+        region = regions.pop()
+        r0, r1 = region[0], region[1]
 
-    for j in range(2, k):
-        apex = region[j]
-        new_edges = []
-        if j > 2:
-            chord = _edge(r1, apex)
-            if chord in edges:
-                continue
-            new_edges.append(chord)
-        if j < k - 1:
-            chord = _edge(apex, r0)
-            if chord in edges:
-                continue
-            new_edges.append(chord)
-        left = region[1 : j + 1]
-        right = region[j:] + (region[0],)
-        subregions = tuple(r for r in (left, right) if len(r) > 2)
-        yield from _grow(
-            subregions + rest,
-            triangles + (canonical_triangle(r0, r1, apex),),
-            edges | frozenset(new_edges),
-            interior_used,
-            budget,
-        )
+        if interior_used < target:
+            fresh = n + interior_used
+            regions.append((r0, fresh) + region[1:])
+            triangles.extend((r0, r1, fresh) if r0 < r1 else (r1, fresh, r0))
+            spoke0, spoke1 = (r0, fresh), (r1, fresh)
+            edges.add(spoke0)
+            edges.add(spoke1)
+            grow(interior_used + 1)
+            edges.discard(spoke0)
+            edges.discard(spoke1)
+            del triangles[-3:]
+            regions.pop()
+
+        last = len(region) - 1
+        for j in range(2, last + 1):
+            apex = region[j]
+            # The triangle (r0, r1, apex) leaves the polygons region[1 : j + 1]
+            # when j > 2, cut off by the chord (r1, apex), and region[j:] + (r0,)
+            # when j < last, cut off by (apex, r0); the left one is filled first.
+            if j > 2:
+                left = (r1, apex) if r1 < apex else (apex, r1)
+                if left in edges:
+                    continue
+            if j < last:
+                right = (r0, apex) if r0 < apex else (apex, r0)
+                if right in edges:
+                    continue
+                edges.add(right)
+                regions.append(region[j:] + (r0,))
+            if j > 2:
+                edges.add(left)
+                regions.append(region[1 : j + 1])
+            if r0 < r1:
+                triangles.extend((r0, r1, apex) if r0 < apex else (apex, r0, r1))
+            else:
+                triangles.extend((r1, apex, r0) if r1 < apex else (apex, r0, r1))
+            grow(interior_used)
+            del triangles[-3:]
+            if j > 2:
+                edges.discard(left)
+                regions.pop()
+            if j < last:
+                edges.discard(right)
+                regions.pop()
+        regions.append(region)
+
+    grow(0)
 
 
-def _chunks(budget: EnumerationBudget) -> Iterator[np.ndarray]:
-    """The enumeration's fillings in DFS order, as validated ``(B, F, 3)`` int32 stacks.
+def _invalid(n: int, nv: int, leaves: Iterable[np.ndarray]) -> RuntimeError:
+    """The error for a stack holding a leaf that is not a disk, with the first one's failures."""
+    for leaf in leaves:
+        report = validate_disk(Triangulation(n, nv, leaf))
+        if not report.ok:
+            return RuntimeError(f"enumerator produced an invalid complex: {report.failures[:3]}")
+    return RuntimeError("batched and per-complex disk validation disagree")
+
+
+def _search(budget: EnumerationBudget, sink: Callable[[np.ndarray], None]) -> None:
+    """Run the enumeration, handing its fillings to ``sink`` as validated ``(B, F, 3)`` int32 stacks.
 
     Every filling has ``n + interior`` vertices and ``F = n - 2 + 2*interior``
-    triangles, so up to ``_CHUNK`` of them stack into one array, validated in
-    one call.  A filling failing the validation is a bug in the generator,
-    so it raises, with :func:`validate_disk`'s failures for the first one.
+    triangles, so the leaves' rows go straight into one flat buffer, and every
+    ``_CHUNK`` fillings become one stack, validated in one call; the stacks
+    arrive in DFS order.  A filling failing the validation is a bug in the
+    enumerator, so it raises, with :func:`validate_disk`'s failures for the
+    first one.  A sink ends the search early by raising.
     """
     n, nv = budget.n, budget.n + budget.interior
     nf = n - 2 + 2 * budget.interior
-    boundary_edges = frozenset(_edge(i, (i + 1) % n) for i in range(n))
-    leaves = _grow((tuple(range(n)),), (), boundary_edges, 0, budget)
-    while rows := list(islice(leaves, _CHUNK)):
-        if all(len(leaf) == nf for leaf in rows):
-            chunk = np.array(rows, dtype=np.int32)
-            if validate_disk_batch(n, nv, chunk).all():
-                yield chunk
-                continue
-        # Some leaf is not a disk (one of another length cannot be, by
-        # Euler's formula): report the first, as validate_disk sees it.
-        for leaf in rows:
-            report = validate_disk(Triangulation(n, nv, leaf))
-            if not report.ok:
-                raise RuntimeError(f"enumerator produced an invalid complex: {report.failures[:3]}")
-        raise RuntimeError("batched and per-complex disk validation disagree")
+    width = 3 * nf
+    rows = array("i")
+
+    def flush() -> None:
+        nonlocal rows
+        chunk = np.frombuffer(rows, dtype=np.int32).reshape(-1, nf, 3)
+        rows = array("i")  # the stack keeps the filled buffer
+        if not validate_disk_batch(n, nv, chunk).all():
+            raise _invalid(n, nv, chunk)
+        sink(chunk)
+
+    def leaf(triangles: list[int]) -> None:
+        if len(triangles) != width:
+            # not a disk, by Euler's formula: report it as validate_disk sees it
+            raise _invalid(n, nv, [np.reshape(triangles, (-1, 3))])
+        rows.fromlist(triangles)
+        if len(rows) == _CHUNK * width:
+            flush()
+
+    _grow(budget, leaf)
+    if rows:
+        flush()
 
 
 def enumerate_fillings(
@@ -165,12 +205,16 @@ def enumerate_fillings(
 
     Outputs are pairwise non-isomorphic relative to the boundary and each one
     passes the disk validation; a validation failure here is a bug in the
-    generator, so it raises instead of skipping.
+    enumerator, so it raises instead of skipping.  The search runs to its end
+    before the first filling is yielded and keeps every filling's triangles,
+    12 bytes a triangle (about 21 MB for n = 7 with 4 interior vertices).
     """
     if stats is None:
         stats = EnumerationStats()
+    stacks: list[np.ndarray] = []
+    _search(budget, stacks.append)
     nv = budget.n + budget.interior
-    for chunk in _chunks(budget):
+    for chunk in stacks:
         for triangles in chunk:
             stats.emitted += 1
             yield Triangulation(budget.n, nv, triangles)
@@ -242,11 +286,19 @@ def min_isometric_vertices(n: int, max_interior: int = MAX_INTERIOR) -> OracleRe
     """
     EnumerationBudget(n, max_interior)  # rejects an out-of-range search before enumerating
     total = 0
+
+    def sink(chunk: np.ndarray) -> None:  # a stack with k interior vertices, k of the loop below
+        nonlocal total
+        hits = np.flatnonzero(_isometric_rows(n, n + k, chunk))
+        if len(hits):
+            raise _Found(chunk[hits[0]], total + int(hits[0]) + 1)
+        total += len(chunk)
+
     for k in range(max_interior + 1):
-        for chunk in _chunks(EnumerationBudget(n, k)):
-            hits = np.flatnonzero(_isometric_rows(n, n + k, chunk))
-            if len(hits):
-                witness = Triangulation(n, n + k, chunk[hits[0]])
-                return OracleResult(n=n, min_vertices=n + k, witness=witness, enumerated=total + hits[0] + 1)
-            total += len(chunk)
+        try:
+            _search(EnumerationBudget(n, k), sink)
+        except _Found as found:
+            triangles, position = found.args
+            witness = Triangulation(n, n + k, triangles)
+            return OracleResult(n=n, min_vertices=n + k, witness=witness, enumerated=position)
     return OracleResult(n=n, min_vertices=None, witness=None, enumerated=total)

@@ -15,7 +15,6 @@ Three independent instruments:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -112,6 +111,8 @@ def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> np.ndarray:
         return np.array([_boundary_row(g, s, n) for s in sources], dtype=np.int64)
 
     if len(spans) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, not at module load: it imports logging
+
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             return np.concatenate(list(pool.map(run, spans)))
     return run(spans[0])

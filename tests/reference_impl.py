@@ -12,17 +12,20 @@ record and ``circ_dist`` the exact circular distance, the per-vertex
 ``Fraction`` arithmetic the ledger-based code avoids.
 ``interior_canonical_code`` identifies fillings that differ only in their
 interior labels; the tests use it to show that the oracle emits no complex
-twice.
+twice.  ``reference_grow`` is the oracle's recursive generator of fillings,
+rebuilding tuples and edge sets at every step, that pins the order of the
+backtracking enumerator.
 All are deliberately naive: dicts, sets, breadth-first search and exact
 rationals, with no numpy.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import permutations
 
-from ringfill import ValidationReport, canonical_triangle, cycle_dist
+from ringfill import EnumerationBudget, ValidationReport, canonical_triangle, cycle_dist
 
 
 def theta(rec, i: int, n: int) -> Fraction:
@@ -218,6 +221,70 @@ def interior_canonical_code(
         if best is None or mapped < best:
             best = mapped
     return best
+
+
+def reference_grow(
+    regions: tuple[tuple[int, ...], ...],
+    triangles: tuple[tuple[int, int, int], ...],
+    edges: frozenset[tuple[int, int]],
+    interior_used: int,
+    budget: EnumerationBudget,
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Fill open regions depth-first, one triangle per step.
+
+    Each step attaches the unique triangle of the final complex that sits on
+    the first edge of the first open region, branching over its possible
+    apexes: a fresh interior vertex, or another vertex of the same region.
+    Chords that would duplicate an existing edge pair are rejected; they
+    would pinch the disk.  Only complexes with exactly ``budget.interior``
+    interior vertices are yielded.
+
+    Labels are canonical: in a given complex, the triangle on the first edge
+    of the first open region fixes the branch, and fresh ids are handed out
+    in that order, so every complex (up to relabeling its interior) is
+    produced along exactly one branch with one labeling.
+    """
+    if not regions:
+        if interior_used == budget.interior:
+            yield triangles
+        return
+    region, rest = regions[0], regions[1:]
+    k = len(region)
+    r0, r1 = region[0], region[1]
+
+    if interior_used < budget.interior:
+        fresh = budget.n + interior_used
+        yield from reference_grow(
+            ((r0, fresh, r1) + region[2:],) + rest,
+            triangles + (canonical_triangle(r0, r1, fresh),),
+            edges | {_edge(r0, fresh), _edge(r1, fresh)},
+            interior_used + 1,
+            budget,
+        )
+
+    for j in range(2, k):
+        apex = region[j]
+        new_edges = []
+        if j > 2:
+            chord = _edge(r1, apex)
+            if chord in edges:
+                continue
+            new_edges.append(chord)
+        if j < k - 1:
+            chord = _edge(apex, r0)
+            if chord in edges:
+                continue
+            new_edges.append(chord)
+        left = region[1 : j + 1]
+        right = region[j:] + (region[0],)
+        subregions = tuple(r for r in (left, right) if len(r) > 2)
+        yield from reference_grow(
+            subregions + rest,
+            triangles + (canonical_triangle(r0, r1, apex),),
+            edges | frozenset(new_edges),
+            interior_used,
+            budget,
+        )
 
 
 def skeleton_graph(t) -> list[list[int]]:

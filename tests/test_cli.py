@@ -385,7 +385,11 @@ def _subprocess_env() -> dict[str, str]:
 
 
 def test_cli_import_loads_no_scipy():
-    code = "import sys, ringfill.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # Nor the thread pool (and logging) that only verify --jobs > 1 uses.
+    code = (
+        "import sys, ringfill.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent', 'logging')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
     )

@@ -16,7 +16,7 @@ from ringfill import (
 from ringfill import oracle
 from ringfill.oracle import EnumerationStats
 from ringfill.simplicial import validate_disk_batch
-from reference_impl import interior_canonical_code, reference_is_isometric
+from reference_impl import interior_canonical_code, reference_grow, reference_is_isometric
 
 
 def brown_count(n: int, k: int) -> int:
@@ -80,6 +80,26 @@ def test_interior_vertex_counts_of_triangle_fillings():
 PAIRS = [(n, k) for n in range(3, 7) for k in range(4)] + [(7, k) for k in range(3)]
 
 
+def _stacks(budget):
+    """The validated stacks the oracle's search hands on, in order."""
+    stacks = []
+    oracle._search(budget, stacks.append)
+    return stacks
+
+
+@pytest.mark.parametrize("n,k", PAIRS + [(7, 3)])
+def test_stacks_follow_the_reference_order(n, k):
+    # The backtracking enumerator must emit the recursive generator's
+    # fillings in the same order, so candidate counts and witnesses stay put.
+    budget = EnumerationBudget(n, k)
+    boundary = frozenset((i, i + 1) if i + 1 < n else (0, i) for i in range(n))
+    expected = np.array(list(reference_grow((tuple(range(n)),), (), boundary, 0, budget)), dtype=np.int32)
+    stacks = _stacks(budget)
+    assert all(chunk.dtype == np.int32 and len(chunk) <= oracle._CHUNK for chunk in stacks)
+    assert all(len(chunk) == oracle._CHUNK for chunk in stacks[:-1])
+    assert np.array_equal(np.concatenate(stacks), expected)
+
+
 def test_all_outputs_validate_and_codes_are_unique():
     # The enumeration has no isomorph filter: each complex must come out once
     # by construction, so the counts equal Brown's formula and no two outputs
@@ -101,7 +121,7 @@ def test_batched_verdicts_match_per_complex_checks():
     # The oracle validates and tests isometry a stack of fillings at a time;
     # each verdict must be the one the per-complex check gives.
     for n, k in PAIRS:
-        for chunk in oracle._chunks(EnumerationBudget(n, k)):
+        for chunk in _stacks(EnumerationBudget(n, k)):
             fillings = [Triangulation(n, n + k, tri) for tri in chunk]
             valid = [validate_disk(f).ok for f in fillings]
             assert validate_disk_batch(n, n + k, chunk).tolist() == valid, (n, k)
@@ -128,8 +148,8 @@ def _corrupt(tri, kind):
 @pytest.mark.parametrize("kind", ["dropped", "flipped", "degenerate", "out of range"])
 def test_batch_flags_exactly_the_corrupted_complex(kind):
     n, k = 6, 2
-    chunk = next(oracle._chunks(EnumerationBudget(n, k)))
-    assert len(chunk) == oracle._CHUNK
+    chunk = _stacks(EnumerationBudget(n, k))[0]
+    assert len(chunk) == oracle._CHUNK  # a full stack: (6, 2) has 504 fillings
     for i in (0, 17, len(chunk) - 1):
         broken = chunk.copy()
         broken[i] = _corrupt(chunk[i], kind)
@@ -148,8 +168,13 @@ def test_batch_rejects_malformed_stacks():
 
 
 def _leaves(*leaves):
-    """A stand-in for the generator that emits the given leaves, whatever it is asked."""
-    return lambda *args: iter(leaves)
+    """A stand-in for the search that hands the given leaves on, whatever it is asked."""
+
+    def grow(budget, leaf):
+        for triangles in leaves:
+            leaf([v for tri in triangles for v in tri])
+
+    return grow
 
 
 @pytest.mark.parametrize(
@@ -168,6 +193,22 @@ def test_invalid_leaf_raises_with_its_failures(monkeypatch, bad):
         list(enumerate_fillings(EnumerationBudget(4, 0)))
     with pytest.raises(RuntimeError, match=message):
         min_isometric_vertices(4, 0)
+
+
+def test_search_stops_at_the_first_isometric_stack(monkeypatch):
+    # n = 7 finds its witness at candidate 38,154 of the 18,852 + 115,500
+    # fillings within 4 interior vertices; the search must stop within the
+    # witness's stack instead of validating the rest.
+    validated = []
+
+    def counting(n, nv, chunk):
+        validated.append(len(chunk))
+        return validate_disk_batch(n, nv, chunk)
+
+    monkeypatch.setattr(oracle, "validate_disk_batch", counting)
+    result = min_isometric_vertices(7)
+    assert result.enumerated == 38154
+    assert 38154 <= sum(validated) <= 38154 + oracle._CHUNK
 
 
 def test_brown_formula_known_values():
@@ -192,6 +233,7 @@ def test_minimum_isometric_vertex_counts(n, expected):
     result = min_isometric_vertices(n)
     assert result.min_vertices == expected
     assert result.enumerated == candidates[n]
+    assert type(result.enumerated) is int  # a plain int, which json.dumps accepts
     assert result.witness is not None
     assert result.witness.num_vertices == expected
     assert validate_disk(result.witness).ok
