@@ -99,7 +99,7 @@ def layer_ledger(n: int, annuli: Iterable[tuple[str, int]]) -> list[LayerRecord]
 
 
 def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> np.ndarray:
-    """The ``(k, 3)`` triangles of the annulus between two consecutive ledger cycles.
+    """The ``(k, 3)`` int32 triangles of the annulus between two consecutive ledger cycles.
 
     An equal-length annulus emits the 2m triangles (U_i, U_{i+1}, V_i) and
     (U_{i+1}, V_i, V_{i+1}); every slanted edge has circular displacement
@@ -109,13 +109,13 @@ def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> np.ndarray:
     displacement at most n/M.
     """
     m = outer.length
-    i = np.arange(m)
+    i = np.arange(m, dtype=np.int32)
     u0, u1 = outer.vertex(i), outer.vertex(i + 1)
     if outer.annulus_kind != "shrink":
         v0, v1 = inner.vertex(i), inner.vertex(i + 1)
         pair = np.stack([np.column_stack([u0, u1, v0]), np.column_stack([u1, v0, v1])], axis=1)
         return pair.reshape(2 * m, 3)
-    steps = np.array(staircase_indices(m, inner.length))
+    steps = np.array(staircase_indices(m, inner.length), dtype=np.int32)
     w0, w1 = inner.vertex(steps[:-1]), inner.vertex(steps[1:])
     # Outer edge i always gets (u0, u1, w1); where the staircase advances
     # (w1 != w0) it is followed by (u0, w0, w1).
@@ -124,7 +124,7 @@ def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> np.ndarray:
 
 
 def cone_triangles(innermost: LayerRecord) -> np.ndarray:
-    """The fan closing the innermost cycle with one apex, the id after the cycle's."""
-    i = np.arange(innermost.length)
+    """The int32 fan closing the innermost cycle with one apex, the id after the cycle's."""
+    i = np.arange(innermost.length, dtype=np.int32)
     apex = innermost.first_vertex + innermost.length
     return np.column_stack([np.full_like(i, apex), innermost.vertex(i), innermost.vertex(i + 1)])

@@ -212,9 +212,11 @@ def build_filling(p: Params) -> BuildResult:
     """
     sched = compute_schedule(p)
     ledger = layer_ledger(p.n, sched.annuli)
-    blocks = [annulus_triangles(outer, inner) for outer, inner in zip(ledger, ledger[1:])]
-    blocks.append(cone_triangles(ledger[-1]))
-    tri = Triangulation(p.n, ledger[-1].first_vertex + ledger[-1].length + 1, np.concatenate(blocks))
+    blocks = map(annulus_triangles, ledger, ledger[1:])
+    # The list of int32 blocks lives only until it is concatenated.
+    tri = Triangulation(
+        p.n, ledger[-1].first_vertex + ledger[-1].length + 1, np.concatenate([*blocks, cone_triangles(ledger[-1])])
+    )
     pv, pt = sched.predicted_vertex_count, sched.predicted_triangle_count
     if pv != tri.num_vertices or pt != tri.num_triangles:
         raise RuntimeError(

@@ -150,6 +150,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     t, build = _load_source(args)
+    if args.check_bound and build is None:
+        print("bound check needs a build file with a ledger", file=sys.stderr)
+        return 1
     if _invalid(t):
         return 1
     report = verify_filling(t, jobs=args.jobs)
@@ -164,9 +167,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("witness path:", " ".join(map(str, report.witness_path)))
     ok = True
     if args.check_bound:
-        if build is None:
-            print("bound check needs a build file with a ledger", file=sys.stderr)
-            return 1
         rng = random.Random(args.seed)
         table = separation_lower_bounds(build)
         dist = report.boundary_distances

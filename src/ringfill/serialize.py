@@ -295,7 +295,9 @@ def complex_from_dict(data: dict[str, Any]) -> tuple[Triangulation, BuildResult 
 
     A file with a ledger but no version, as written before build files were
     versioned, is refused by :func:`build_from_dict`; read as a bare file,
-    its vertex records would pass.
+    its vertex records would pass.  After the checked parse in
+    :func:`_triangles` nothing copies the triangles but the one conversion
+    to the complex's own int32 array, whose rows are rotated in place.
     """
     if isinstance(data, dict) and ("ledger" in data or "version" in data):
         build = build_from_dict(data)

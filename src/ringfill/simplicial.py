@@ -27,7 +27,6 @@ __all__ = [
 _MAX_ID = np.iinfo(np.int32).max
 _NEXT = [1, 2, 0]  # corner j+1 for corner j
 _PREV = [2, 0, 1]  # corner j-1 for corner j
-_ROTATIONS = np.array([[0, 1, 2], _NEXT, _PREV])  # row k starts a triangle at corner k
 
 
 def canonical_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -42,7 +41,13 @@ def canonical_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 
 def _triangle_rows(triangles) -> np.ndarray:
-    """Checked ``(F, 3)`` int32 triangles, each row rotated so its smallest id comes first."""
+    """Checked ``(F, 3)`` int32 triangles, each row rotated so its smallest id comes first.
+
+    The result is a new int32 array, never the caller's.  Only the rows
+    whose smallest id is not first (the first smallest, as ``argmin``
+    picks it) are gathered and rotated in place, so no F-sized index array
+    is made.
+    """
     tri = np.asarray(triangles)
     if tri.size == 0:
         tri = tri.reshape(0, 3).astype(np.int32)
@@ -53,32 +58,52 @@ def _triangle_rows(triangles) -> np.ndarray:
     # Negative ids would silently wrap when used as numpy indices.
     if len(tri) and (tri.min() < 0 or tri.max() > _MAX_ID):
         raise ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
-    tri = tri.astype(np.int32, copy=False)
-    return tri[np.arange(len(tri))[:, None], _ROTATIONS[tri.argmin(axis=1)]]
+    tri = tri.astype(np.int32)
+    a, b, c = tri.T
+    second, third = (b < a) & (b <= c), (c < a) & (c < b)
+    for at, turn in ((second, _NEXT), (third, _PREV)):
+        rows = np.flatnonzero(at)
+        tri[rows] = tri[rows][:, turn]
+    return tri
 
 
 def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges, incidence and per-slot edge ids of canonical triangles, from one stable sort.
 
     Slot ``(f, j)`` is the edge from corner j to corner j+1 of triangle f.
-    Its key ``lo * 2**32 + hi`` orders edges as ``(lo, hi)`` pairs do.
+    Its int64 key ``lo * 2**32 + hi`` orders edges as ``(lo, hi)`` pairs
+    do; the key and the sort order are dropped once the edges are ranked.
+    Returns the ``(E, 2)`` int32 edges, their int32 incidence and the
+    ``(F, 3)`` int32 edge id of each slot.  Edge ids stay below ``3F``, so
+    node ``2e + 1`` of the corner graph fits int32 too.
     """
-    a = tri.astype(np.int64).ravel()
-    b = tri[:, _NEXT].ravel()
-    keys = np.minimum(a, b) << 32 | np.maximum(a, b)
+    if 6 * len(tri) > _MAX_ID:
+        raise ValueError(f"{len(tri)} triangles have too many edges for int32 edge ids")
+    a = tri.ravel()
+    b = np.take(tri, _NEXT, axis=1).ravel()  # C order, so ravel makes no copy
+    keys = np.minimum(a, b).astype(np.int64)
+    keys <<= 32
+    keys |= np.maximum(a, b)
+    del b
     order = keys.argsort(kind="stable")
     ranked = keys[order]
+    del keys
     new = np.empty(len(ranked), dtype=bool)
     new[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    ids = np.cumsum(new) - 1
     unique = ranked[new]
+    del ranked
     edges = np.empty((len(unique), 2), dtype=np.int32)
     edges[:, 0] = unique >> 32
     edges[:, 1] = unique & 0xFFFFFFFF
-    slot_edge = np.empty_like(ids)
+    del unique
+    ids = np.cumsum(new, dtype=np.int32)
+    ids -= 1
+    del new
+    slot_edge = np.empty(len(ids), dtype=np.int32)
     slot_edge[order] = ids
-    return edges, np.bincount(ids), slot_edge.reshape(-1, 3)
+    del order
+    return edges, np.bincount(ids).astype(np.int32), slot_edge.reshape(-1, 3)
 
 
 @dataclass(eq=False)
@@ -214,8 +239,8 @@ def validate_disk_batch(n: int, num_vertices: int, triangles) -> np.ndarray:
     stride = num_vertices + 1
     if num * stride > _MAX_ID:
         raise ValueError(f"a stack of {num} complexes on {num_vertices} vertices does not fit int32 ids")
-    rows = np.minimum(_triangle_rows(tri.reshape(-1, 3)), num_vertices)
-    union = rows + np.repeat(np.arange(num, dtype=np.int32) * stride, nf)[:, None]
+    union = np.minimum(_triangle_rows(tri.reshape(-1, 3)), num_vertices)
+    union += np.repeat(np.arange(num, dtype=np.int32) * stride, nf)[:, None]
     return ~_check_disks(n, num_vertices, union, _edge_table(union), num)
 
 
@@ -256,6 +281,7 @@ def _check_disks(
     if num > 1:
         top %= stride
     outside = top >= nv
+    del top
     good = ~(degenerate | outside)
     if not good.all():
         bad[np.flatnonzero(~good) // nf] = True
@@ -273,17 +299,20 @@ def _check_disks(
     # A triangle is fixed by any two of its edges: its two smallest edge ids
     # fix its vertex set, and (rotation being canonical) the edges leaving
     # corners 0 and 1 fix it with its orientation.
+    # The keys are int64: an int32 product of edge ids wraps once E > 46,341.
     pairs = np.sort(slot, axis=1)
-    unoriented = pairs[:, 0] * ne + pairs[:, 1]
+    unoriented = pairs[:, 0].astype(np.int64) * ne + pairs[:, 1]
+    del pairs
     multi = np.zeros(num * stride, dtype=bool)
     ranked = np.sort(unoriented)
     if (ranked[1:] == ranked[:-1]).any():
-        oriented = slot[:, 0] * ne + slot[:, 1]
+        oriented = slot[:, 0].astype(np.int64) * ne + slot[:, 1]
         repeated = tri[_repeats(oriented)]
         bad[owner(repeated[:, 0])] = True
         if rep is not None:
             _report(rep.failures, [f"repeated triangle {x}" for x in _tuples(repeated)], "repeated triangles")
         multi[tri[_repeats(unoriented, every=True)]] = True
+    del unoriented, ranked
 
     overfull = np.flatnonzero(inc > 2)
     if len(overfull):
@@ -385,15 +414,22 @@ def _min_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     every node to its root.
     """
     label = np.arange(size, dtype=a.dtype)
-    la, lb = a, b
-    while not (la == lb).all():
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    while not (lo == hi).all():
+        np.minimum.at(label, hi, lo)
+        del lo, hi
         while True:
             up = label[label]
             if (up == label).all():
                 break
             label = up
-        la, lb = label[a], label[b]
+        del up
+        # hi takes the larger label of each pair in place, so at most three
+        # pair-sized arrays exist at once
+        hi, other = label[a], label[b]
+        lo = np.minimum(hi, other)
+        np.maximum(hi, other, out=hi)
+        del other
     return label
 
 
@@ -405,14 +441,16 @@ def _link_components(edges: np.ndarray, tri: np.ndarray, slot: np.ndarray) -> np
     directed edges leaving it along slot j and along slot j-1.  Components
     never mix tails, so a vertex's link is connected iff it owns exactly one.
     """
-    out = 2 * slot + (tri > tri[:, _NEXT])  # slot j directed away from corner j
+    out = 2 * slot
+    out += tri > np.take(tri, _NEXT, axis=1)  # slot j directed away from corner j
     a = out.ravel()
-    b = (out ^ 1)[:, _PREV].ravel()  # slot j-1 directed away from corner j
+    b = np.take(out, _PREV, axis=1).ravel()
+    b ^= 1  # slot j-1 directed away from corner j
     label = _min_labels(2 * len(edges), a, b)
     root = np.zeros(len(label), dtype=bool)
     root[a] = True
     root[b] = True
-    root &= label == np.arange(len(label))
+    root &= label == np.arange(len(label), dtype=label.dtype)
     return edges.ravel()[root]
 
 

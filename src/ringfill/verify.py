@@ -15,6 +15,7 @@ Three independent instruments:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -38,6 +39,9 @@ __all__ = [
     "separation_lower_bounds",
     "step_profile_eps",
 ]
+
+
+_BLOCK = 1 << 16  # entries of a block of boundary pairs in verify_filling's temporaries
 
 
 def cycle_dist(i: int, j: int, n: int) -> int:
@@ -145,21 +149,28 @@ def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -
     """
     n = t.n
     dist = boundary_distance_matrix(t, jobs=jobs)
+    # A block of rows at a time, so no n x n temporary is made.  Distinct
+    # ratios of integers <= n differ by at least 1/n^2, far above float64
+    # rounding, and equal ratios divide to equal floats, so the first
+    # smallest float in row-major order is the first exact minimum.
     idx = np.arange(n)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    dcyc = np.minimum(gap, n - gap)
-    if (dist > dcyc).any():
-        x, y = map(int, np.argwhere(dist > dcyc)[0])
-        raise ValueError(
-            f"graph distance {dist[x, y]} exceeds cycle distance {dcyc[x, y]} "
-            f"for pair ({x}, {y}): boundary cycle edges are missing"
-        )
-    # Distinct ratios of integers <= n differ by at least 1/n^2, far above
-    # float64 rounding, so the float argmin locates the exact minimum.
-    ratios = np.where(dcyc > 0, dist / np.maximum(dcyc, 1), np.inf)
-    flat = int(np.argmin(ratios))
-    x, y = divmod(flat, n)
-    d_k, d_c = int(dist[x, y]), int(dcyc[x, y])
+    rows = max(1, _BLOCK // n)
+    best, x, y = np.inf, 0, 0
+    for top in range(0, n, rows):
+        d = dist[top : top + rows]
+        gap = np.abs(idx[top : top + rows, None] - idx)
+        dcyc = np.minimum(gap, n - gap)
+        if (d > dcyc).any():
+            r, c = map(int, np.argwhere(d > dcyc)[0])
+            raise ValueError(
+                f"graph distance {d[r, c]} exceeds cycle distance {dcyc[r, c]} "
+                f"for pair ({top + r}, {c}): boundary cycle edges are missing"
+            )
+        ratios = np.where(dcyc > 0, d / np.maximum(dcyc, 1), np.inf)
+        r, c = divmod(int(np.argmin(ratios)), n)
+        if ratios[r, c] < best:
+            best, x, y = ratios[r, c], top + r, c
+    d_k, d_c = int(dist[x, y]), cycle_dist(x, y, n)
     delta = Fraction(d_k, d_c)
     witness = None
     if want_witness and delta < 1:
@@ -224,6 +235,11 @@ def drift_audit(build: BuildResult) -> DriftAudit:
     If ``n*S`` is too large for int64 the audit raises ValueError instead of
     wrapping.
 
+    The audit works one cycle at a time.  The int32 edges are sorted by
+    ``(lo, hi)`` and cycles are contiguous id blocks, so the edges whose
+    lower end lies on cycle r are one slice of them; only that slice is
+    widened to int64, and no edge-sized table is made.
+
     Equal-length annuli must achieve their bound n/(2m) with equality on
     every slanted edge; shrink annuli stay at or below n/M.  A violation
     marks a construction bug, never a tolerance issue.
@@ -231,59 +247,56 @@ def drift_audit(build: BuildResult) -> DriftAudit:
     t = build.triangulation
     n = t.n
     ledger = build.ledger
+    depth = len(ledger)
     # the apex counts as one more layer, of one vertex
     first = np.array([rec.first_vertex for rec in ledger] + [build.apex], dtype=np.int64)
-    lengths = np.array([rec.length for rec in ledger] + [1], dtype=np.int64)
+    lengths = [rec.length for rec in ledger] + [1]
     if first[0] != 0 or (first[1:] != first[:-1] + lengths[:-1]).any():
         raise ValueError("ledger cycles do not tile the vertex ids 0..apex-1 in order")
-    edges = t.edges.astype(np.int64)
-    if len(edges) and edges.max() > build.apex:
+    edges = t.edges
+    if len(edges) and edges[:, 1].max() > build.apex:
         raise ValueError(f"triangles reference vertex ids beyond the apex {build.apex}")
-    # Edges are (lo, hi) and layers are contiguous id blocks, so column 0 is the shallower layer.
-    layers = np.searchsorted(first, edges, side="right") - 1
-    index = edges - first[layers]
-    step = index[:, 1] - index[:, 0]
-    cycle_edge = (layers[:, 0] == layers[:, 1]) & ((step == 1) | (step == lengths[layers[:, 0]] - 1))
-    stray = ~cycle_edge & (layers[:, 1] != layers[:, 0] + 1)
 
     def misplaced(r: int, s: int) -> str:
         if r == s:
             return f"is a chord of cycle {r}"
-        if s == len(ledger):
+        if s == depth:
             return f"joins the apex to cycle {r}, not to the innermost cycle {s - 1}"
         return f"joins cycle {r} to cycle {s}, which are not adjacent"
 
+    lines: list[str] = []
+    max_obs = [Fraction(0)] * (depth - 1)
+    # bisect reads the column in place, where np.searchsorted would copy it to int64
+    cuts = [bisect_left(edges[:, 0], v) for v in first.tolist()] + [len(edges)]
+    for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        lo, hi = edges[start:stop].T.astype(np.int64)
+        layer = np.searchsorted(first, hi, side="right") - 1
+        i, j = lo - first[r], hi - first[layer]
+        chord = layer == r
+        cycle_edge = chord & ((j - i == 1) | (j - i == lengths[r] - 1))
+        stray = ~cycle_edge & (layer != r + 1)
+        for u, v, s in zip(lo[stray].tolist(), hi[stray].tolist(), layer[stray].tolist()):
+            lines.append(f"edge ({u}, {v}) {misplaced(r, s)}")
+        cross = ~chord & (layer < depth)
+        # the cycles below r that its slanted edges reach (np.unique would import numpy.ma)
+        for s in (r + np.flatnonzero(np.bincount(layer[cross] - r))).tolist():
+            m, M = lengths[r], lengths[s]
+            offset = (ledger[r].phase - ledger[s].phase) % n
+            den = offset.denominator
+            scale = den * m * M
+            if 2 * n * scale >= 2**63:
+                raise ValueError(
+                    f"drift audit of cycles {r} and {s} needs positions in units of 1/{scale}: "
+                    "exceeds int64 arithmetic"
+                )
+            pair = cross & (layer == s)
+            period = n * scale
+            d = (offset.numerator * m * M + n * den * M * i[pair] - n * den * m * j[pair]) % period
+            worst = int(np.minimum(d, period - d).max())
+            max_obs[r] = max(max_obs[r], Fraction(worst, scale))
     audit = DriftAudit()
-    pairs = zip(edges[stray].tolist(), layers[stray].tolist())
-    lines = [f"edge ({u}, {v}) {misplaced(r, s)}" for (u, v), (r, s) in pairs]
     _report(audit.stray_edges, lines, "edges of no cycle, annulus or cone")
-    cross = (layers[:, 0] != layers[:, 1]) & (layers[:, 1] < len(ledger))
-    layer, index = layers[cross], index[cross]
-    keys, group = np.unique(layer[:, 0] * len(ledger) + layer[:, 1], return_inverse=True)
-    coef, scales = [], []  # per cycle pair: constant, outer and inner index factors, period
-    for key in keys.tolist():
-        r, s = divmod(key, len(ledger))
-        m, M = ledger[r].length, ledger[s].length
-        offset = (ledger[r].phase - ledger[s].phase) % n
-        den = offset.denominator
-        scale = den * m * M
-        if 2 * n * scale >= 2**63:
-            raise ValueError(
-                f"drift audit of cycles {r} and {s} needs positions in units of 1/{scale}: "
-                "exceeds int64 arithmetic"
-            )
-        coef.append((offset.numerator * m * M, n * den * M, n * den * m, n * scale))
-        scales.append(scale)
-    c = np.array(coef, dtype=np.int64).reshape(-1, 4)[group]
-    d = (c[:, 0] + c[:, 1] * index[:, 0] - c[:, 2] * index[:, 1]) % c[:, 3]
-    worst = np.zeros(len(keys), dtype=np.int64)
-    np.maximum.at(worst, group, np.minimum(d, c[:, 3] - d))
-    max_obs = [Fraction(0)] * (len(ledger) - 1)
-    for key, w, scale in zip(keys.tolist(), worst.tolist(), scales):
-        r = key // len(ledger)
-        max_obs[r] = max(max_obs[r], Fraction(w, scale))
-    for r in range(len(ledger) - 1):
-        rec = ledger[r]
+    for r, rec in enumerate(ledger[:-1]):
         bound = rec.drift_bound
         audit.rows.append(
             AnnulusAudit(

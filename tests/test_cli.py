@@ -403,6 +403,21 @@ def test_audit_requires_ledger(tmp_path, capsys):
     assert "ledger" in capsys.readouterr().err
 
 
+def test_bound_check_on_a_bare_complex_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    import ringfill.verify
+
+    def _refuse(*args, **kwargs):
+        raise AssertionError("boundary distances computed before the refusal")
+
+    monkeypatch.setattr(ringfill.verify, "boundary_distance_matrix", _refuse)
+    path = tmp_path / "cone5.json"
+    dump_json(triangulation_to_dict(cone_over_cycle(5)), str(path))
+    assert main(["verify", "--in", str(path), "--check-bound", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "bound check needs a build file with a ledger\n"
+    assert captured.out == ""
+
+
 def test_sweep_cli(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--n-list", "25,32", "--rho", "0.1", "--eta", "0.25", "--out", str(out)]) == 0

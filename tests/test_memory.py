@@ -1,0 +1,50 @@
+"""Peak traced memory of each stage from build to audit, in multiples of the triangle array.
+
+K_384 at (1/10, 1/4) has F = 85,000 triangles, so its ``(F, 3)`` int32
+array takes 1.02 MB.  ``tracemalloc`` sees numpy's buffers as well as
+Python objects.  Each bound is a little above the peak measured when it
+was set (2.4, 8.9, 4.7 and 0.1 times for build, validate, load and
+audit) and well below the 8.8, 24, 6.7 and 13.4 times of int64 working
+sets, edge-sized audit tables and an F x 3 rotation index, so a return to
+any of them fails.
+"""
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from ringfill import Params, build_filling, drift_audit, validate_disk
+from ringfill.serialize import build_to_dict, complex_from_dict, dump_json, load_json
+
+PARAMS = Params(384, Fraction(1, 10), Fraction(1, 4))
+
+
+def _peak(call):
+    """``call()`` and the peak of memory traced while it ran, above what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def peaks(tmp_path_factory):
+    """Peak of each stage over the triangle array's bytes: build, validate, audit, and loading the build file."""
+    build, built = _peak(lambda: build_filling(PARAMS))
+    size = build.triangulation.triangles.nbytes
+    _, validated = _peak(lambda: validate_disk(build.triangulation))
+    # the edge table is cached now, as it is when the command line audits
+    _, audited = _peak(lambda: drift_audit(build))
+    path = tmp_path_factory.mktemp("memory") / "k384.json"
+    dump_json(build_to_dict(build), str(path))
+    data = load_json(str(path))
+    _, loaded = _peak(lambda: complex_from_dict(data))
+    return {"build": built / size, "validate": validated / size, "audit": audited / size, "load": loaded / size}
+
+
+@pytest.mark.parametrize("stage, bound", [("build", 3.0), ("validate", 10.0), ("load", 5.5), ("audit", 0.5)])
+def test_stage_peaks_a_small_multiple_of_the_triangles(peaks, stage, bound):
+    assert peaks[stage] <= bound, peaks

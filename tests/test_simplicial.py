@@ -1,13 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from reference_impl import reference_validate_disk, skeleton_graph
 
 from ringfill import (
+    Params,
     Triangulation,
+    build_filling,
     canonical_triangle,
     cone_over_cycle,
     validate_disk,
 )
+from ringfill.simplicial import _edge_table, validate_disk_batch
 from ringfill.serialize import triangulation_from_dict
 
 
@@ -185,3 +190,46 @@ def test_built_filling_boundary_is_identity(small_build):
     assert validate_disk(t).ok
     cycle = sorted(sorted((i, (i + 1) % t.n)) for i in range(t.n))
     assert t.boundary_edges.tolist() == cycle
+
+
+def test_triangle_keys_stay_exact_past_int32():
+    # K_384 at (1/10, 1/4) has E = 127,692 edges, so a triangle key (edge id)
+    # * E + (edge id) needs more than 32 bits.  Beside a duplicated triangle
+    # and one overfull edge, the added triangle (1000, 19017, 19382) is
+    # chosen so that its key in int32 arithmetic would equal that of
+    # (12212, 12213, 12596) and be reported as a second repeated triangle.
+    t = build_filling(Params(384, Fraction(1, 10), Fraction(1, 4))).triangulation
+    assert t.num_edges == 127_692
+    tri, nv = t.triangles, t.num_vertices
+    dup = tri[40000]
+    assert dup.tolist() == [20009, 20010, 20375]
+    bad = np.vstack([tri, dup, [(1000, 19017, 19382)]])
+    assert validate_disk(Triangulation(384, nv, bad)).failures == [
+        "repeated triangle (20009, 20010, 20375)",
+        "edge (19017, 19382) lies in 3 triangles (expected 1 or 2)",
+        "edge (20009, 20010) lies in 3 triangles (expected 1 or 2)",
+        "edge (20009, 20375) lies in 3 triangles (expected 1 or 2)",
+        "edge (20010, 20375) lies in 3 triangles (expected 1 or 2)",
+        "unexpected boundary edges: [(1000, 19017), (1000, 19382)]",
+        "link of vertex 20009 is a multigraph (repeated link edge), expected a cycle",
+        "link of vertex 20010 is a multigraph (repeated link edge), expected a cycle",
+        "link of vertex 20375 is a multigraph (repeated link edge), expected a cycle",
+        "link of vertex 1000 is disconnected, expected a path",
+    ]
+    # A stack needs one shape: beside it, the disk with the duplicated
+    # triangle subdivided at a new vertex, on one vertex more.
+    a, b, c = dup.tolist()
+    good = np.vstack([np.delete(tri, 40000, axis=0), [(a, b, nv), (b, c, nv), (c, a, nv)]])
+    stack = np.stack([good, bad])
+    want = [validate_disk(Triangulation(384, nv + 1, rows)).ok for rows in stack]
+    assert want == [True, False]
+    assert validate_disk_batch(384, nv + 1, stack).tolist() == want
+
+
+def test_edge_ids_past_int32_are_refused():
+    # Edge ids are int32 and the corner graph numbers its nodes 2e + d < 6F,
+    # so more than (2**31 - 1) / 6 triangles cannot be numbered.  A
+    # broadcast view has the length without the memory.
+    too_many = np.broadcast_to(np.array([0, 1, 2], dtype=np.int32), (357_913_942, 3))
+    with pytest.raises(ValueError, match="too many edges for int32 edge ids"):
+        _edge_table(too_many)

@@ -77,6 +77,33 @@ def test_verify_cone_c6_shortcut():
     assert 6 in report.witness_path
 
 
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+def test_worst_pair_is_the_first_exact_minimum(small_build, monkeypatch, block):
+    import ringfill.verify
+
+    # blocks of one row, of a few rows with a short last block, and of all rows
+    monkeypatch.setattr(ringfill.verify, "_BLOCK", block)
+    # many pairs meet the build's delta = 1, and several meet each cone's delta < 1 from C_6 on
+    for t in [cone_over_cycle(k) for k in range(3, 12)] + [small_build.triangulation]:
+        report = verify_filling(t)
+        d = report.boundary_distances
+        pairs = [(x, y) for x in range(t.n) for y in range(t.n) if x != y]
+        x, y = min(pairs, key=lambda p: Fraction(int(d[p]), cycle_dist(*p, t.n)))
+        assert report.worst_pair == (x, y, d[x, y], cycle_dist(x, y, t.n))
+        assert report.delta == Fraction(int(d[x, y]), cycle_dist(x, y, t.n))
+
+
+@pytest.mark.parametrize("block", [6, 1 << 16])
+def test_missing_cycle_edge_is_named(monkeypatch, block):
+    import ringfill.verify
+
+    monkeypatch.setattr(ringfill.verify, "_BLOCK", block)
+    # C_6 coned off without its triangle on edge (3, 4): that edge is gone
+    t = Triangulation(6, 7, [(6, i, (i + 1) % 6) for i in range(6) if i != 3])
+    with pytest.raises(ValueError, match=r"graph distance 2 exceeds cycle distance 1 for pair \(3, 4\)"):
+        verify_filling(t)
+
+
 def test_verify_matrix_is_symmetric_with_triangle_inequality(small_build):
     d = verify_filling(small_build.triangulation).boundary_distances
     assert (d == d.T).all()
