@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .annuli import LayerRecord, annulus_triangles, cone_triangles, layer_ledger
-from .simplicial import Triangulation
+from .simplicial import MAX_TRIANGLES, Triangulation
 
 __all__ = [
     "ScheduleError",
@@ -31,6 +31,13 @@ __all__ = [
 
 class ScheduleError(ValueError):
     """The requested parameters cannot produce a well-formed layer schedule."""
+
+
+# An isometric filling of C_n has V >= (n-1)^2/8 + (n-1)/2 vertices and
+# F = 2V - n - 2 triangles, more than MAX_TRIANGLES past this n.  Params
+# refuses such n before the schedule's O(sqrt n) work; compute_schedule
+# checks its exact triangle count.
+MAX_N = 37_838
 
 
 def as_fraction(x: Fraction | int | float | str) -> Fraction:
@@ -86,6 +93,11 @@ class Params:
         object.__setattr__(self, "eta", as_fraction(self.eta))
         if self.n < 3:
             raise ScheduleError(f"boundary length must be >= 3, got {self.n}")
+        if self.n > MAX_N:
+            raise ScheduleError(
+                f"boundary length {self.n} > {MAX_N}: an isometric filling of C_n would have "
+                f"more than {MAX_TRIANGLES} triangles, past int32 edge ids"
+            )
         if self.rho <= 0:
             raise ScheduleError(f"rho must be positive, got {self.rho}")
         if not 0 < self.eta < 1:
@@ -170,7 +182,13 @@ def compute_schedule(p: Params) -> Schedule:
     assert lengths[0] == n, "profile starts at the full boundary length"
     assert lengths[-1] == math.ceil(p.eta * n), "profile stops at the ceiling of eta*n"
     assert all(lengths[b] >= lengths[b + 1] for b in range(blocks)), "cycle lengths non-increasing"
-    return Schedule(n, collar, blocks, per_block, stop, width, times, lengths)
+    sched = Schedule(n, collar, blocks, per_block, stop, width, times, lengths)
+    if sched.predicted_triangle_count > MAX_TRIANGLES:
+        raise ScheduleError(
+            f"the filling would have {sched.predicted_triangle_count} triangles, "
+            f"more than the {MAX_TRIANGLES} that int32 edge ids allow"
+        )
+    return sched
 
 
 @dataclass(eq=False)

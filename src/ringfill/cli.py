@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScheduleError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -250,8 +250,8 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
 
     The file must carry ``"version": 2`` and no vertex records.  Every other
     field must equal its recomputed value; the first that differs is named
-    in a ValueError.  No complex is assembled.  Before the schedule is
-    computed the file must hold more than n triangles, which bounds the
+    in a ValueError.  No complex is assembled.  Before its params are
+    checked the file must hold more than n triangles, which bounds the
     schedule's O(sqrt n) work.  Then the schedule's vertex count must be at
     most the number of triangles (a filling of C_n has F = 2V - n - 2 > V),
     so a file cannot make the loader compute a ledger larger than the file
@@ -265,12 +265,12 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
     if not _is_int(n):
         raise ValueError(f"params.n must be an integer, got {n!r}")
     rho, eta = (_rational(_get(pdata, key, "params"), f"params.{key}") for key in ("rho", "eta"))
-    params = Params(n, rho, eta)
     tri = _triangles(data, "build file")
     if "vertices" in data:
         raise ValueError("a version 2 build file has no vertices field: the ledger fixes every vertex")
     if tri.ndim == 0 or len(tri) <= n:
         raise ValueError(f"triangles must be a list of more than n = {n} rows")
+    params = Params(n, rho, eta)
     schedule = compute_schedule(params)
     num_vertices = schedule.predicted_vertex_count
     if num_vertices > len(tri):

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _MAX_ID = np.iinfo(np.int32).max
+MAX_TRIANGLES = _MAX_ID // 6  # the most _edge_table takes, so that its int32 ids cannot wrap
 _NEXT = [1, 2, 0]  # corner j+1 for corner j
 _PREV = [2, 0, 1]  # corner j-1 for corner j
 
@@ -77,7 +78,7 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(F, 3)`` int32 edge id of each slot.  Edge ids stay below ``3F``, so
     node ``2e + 1`` of the corner graph fits int32 too.
     """
-    if 6 * len(tri) > _MAX_ID:
+    if len(tri) > MAX_TRIANGLES:
         raise ValueError(f"{len(tri)} triangles have too many edges for int32 edge ids")
     a = tri.ravel()
     b = np.take(tri, _NEXT, axis=1).ravel()  # C order, so ravel makes no copy
@@ -126,6 +127,11 @@ class Triangulation:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"boundary length must be >= 3, got {self.n}")
+        if self.n > self.num_vertices:
+            raise ValueError(
+                f"boundary length {self.n} exceeds the {self.num_vertices} vertices: "
+                "a disk bounded by C_n has at least n vertices"
+            )
         self.triangles = _triangle_rows(self.triangles)
 
     @property

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -314,39 +315,32 @@ def drift_audit(build: BuildResult) -> DriftAudit:
 def separation_lower_bounds(build: BuildResult) -> list[int]:
     """Lower bounds on graph distance between boundary vertices, by separation.
 
-    Entry L is a certified lower bound on d_complex(x, y) whenever the cycle
-    distance of (x, y) is L.  A path whose deepest layer is cycle h pays 2h
-    slanted edges, and whatever part of the circular separation L is not
-    covered by the accumulated drift of those crossings must be paid by
-    horizontal edges of circular length at most n/m_h.  Paths through the
-    cone cross every collar and block annulus twice.  The result is the
-    minimum over all cases, rounded up to whole edges.
+    Entry s is a certified lower bound on d_complex(x, y) whenever the cycle
+    distance of (x, y) is s.  A path whose deepest layer is cycle h pays 2h
+    slanted edges, and the part of s not covered by the accumulated drift
+    D_h of those crossings is paid by horizontal edges of circular length at
+    most n/m_h: 2h + ceil(m_h (s - D_h) / n) edges where s > D_h, 2h elsewhere.
+    The table is the minimum of these rows over h, capped by the cone term.
+
+    Each row is exact integer arithmetic, with one Fraction per layer: for
+    w = floor(D_h) and q = floor(m_h (D_h - w)), an integer s exceeds D_h iff
+    s > w, and ceil((k - x)/n) = -floor((floor(x) - k)/n) for integers k and
+    n > 0, so with k = m_h (s - w) the row is 2h - (q - m_h (s - w)) // n
+    where s > w.  The cone term counts 2 edges per collar and equal annulus,
+    leaving out block transitions and apex edges: sound but loose.
     """
-    ledger = build.ledger
     n = build.params.n
-    depth = len(ledger) - 1
-    drift = [Fraction(0)] * (depth + 1)
-    for r in range(depth):
-        drift[r + 1] = drift[r] + 2 * ledger[r].drift_bound
-    lengths = [rec.length for rec in ledger]
     sched = build.schedule
     cone_bound = 2 * sched.collar_layers + 2 * sched.num_blocks * sched.layers_per_block
-
-    table: list[int] = []
-    for sep in range(n // 2 + 1):
-        best = cone_bound
-        for h in range(depth + 1):
-            if 2 * h >= best:
-                break  # deeper layers only cost more
-            slack = sep - drift[h]
-            if slack > 0:
-                val = 2 * h + math.ceil(Fraction(lengths[h] * slack.numerator, n * slack.denominator))
-            else:
-                val = 2 * h
-            if val < best:
-                best = val
-        table.append(best)
-    return table
+    s = np.arange(n // 2 + 1, dtype=np.int64)
+    table = np.full_like(s, cone_bound)
+    drifts = accumulate((2 * rec.drift_bound for rec in build.ledger[:-1]), initial=Fraction(0))
+    for h, (rec, drift) in enumerate(zip(build.ledger, drifts)):
+        w, m = math.floor(drift), rec.length
+        row = np.full_like(s, 2 * h)
+        row[w + 1 :] -= (math.floor(m * (drift - w)) - m * (s[w + 1 :] - w)) // n
+        np.minimum(table, row, out=table)
+    return table.tolist()
 
 
 def step_profile_eps(build: BuildResult) -> float:

@@ -1,8 +1,10 @@
 """Pure-Python reference implementations the vectorized library code is tested against.
 
-``reference_validate_disk`` is the per-vertex link-walking disk validator and
-``reference_drift_audit`` the per-edge ``Fraction`` drift audit that
-:func:`ringfill.validate_disk` and :func:`ringfill.drift_audit` replaced.
+``reference_validate_disk`` is the per-vertex link-walking disk validator,
+``reference_drift_audit`` the per-edge ``Fraction`` drift audit and
+``reference_separation_lower_bounds`` the per-cell ``Fraction`` lower-bound
+table that :func:`ringfill.validate_disk`, :func:`ringfill.drift_audit` and
+:func:`ringfill.separation_lower_bounds` replaced.
 ``skeleton_graph`` and ``bfs_distances`` give adjacency lists and
 breadth-first distances, against which the compiled boundary BFS is
 checked, and ``reference_is_isometric`` the per-source isometry test the
@@ -20,6 +22,7 @@ rationals, with no numpy.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict, deque
 from collections.abc import Iterator
 from fractions import Fraction
@@ -195,6 +198,40 @@ def reference_drift_audit(build) -> list[Fraction]:
         max_obs[r] = max(max_obs[r], circ_dist(theta_of[u], theta_of[v], t.n))
     return max_obs
 
+
+
+def reference_separation_lower_bounds(build) -> list[int]:
+    """:func:`ringfill.separation_lower_bounds` cell by cell, one ``Fraction`` per (separation, layer).
+
+    Entry L is the minimum over layers h of 2h plus the ceiling of
+    ``m_h (L - D_h) / n`` where that is positive, capped by the cone term;
+    layers with ``2h`` at or above the running minimum are skipped.
+    """
+    ledger = build.ledger
+    n = build.params.n
+    depth = len(ledger) - 1
+    drift = [Fraction(0)] * (depth + 1)
+    for r in range(depth):
+        drift[r + 1] = drift[r] + 2 * ledger[r].drift_bound
+    lengths = [rec.length for rec in ledger]
+    sched = build.schedule
+    cone_bound = 2 * sched.collar_layers + 2 * sched.num_blocks * sched.layers_per_block
+
+    table: list[int] = []
+    for sep in range(n // 2 + 1):
+        best = cone_bound
+        for h in range(depth + 1):
+            if 2 * h >= best:
+                break  # deeper layers only cost more
+            slack = sep - drift[h]
+            if slack > 0:
+                val = 2 * h + math.ceil(Fraction(lengths[h] * slack.numerator, n * slack.denominator))
+            else:
+                val = 2 * h
+            if val < best:
+                best = val
+        table.append(best)
+    return table
 
 def interior_canonical_code(
     triangles: tuple[tuple[int, int, int], ...], n: int, num_interior: int

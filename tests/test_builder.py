@@ -76,6 +76,34 @@ def test_rejects_non_positive_rho_and_bad_eta():
         Params(50, Fraction(1, 2), Fraction(3, 2))
 
 
+def test_max_n_is_the_largest_whose_isometric_filling_fits():
+    from ringfill.builder import MAX_N
+    from ringfill.simplicial import MAX_TRIANGLES
+
+    def fewest_triangles(n):  # F = 2V - n - 2 at the isometric bound V = (n-1)^2/8 + (n-1)/2
+        return 2 * (Fraction((n - 1) ** 2, 8) + Fraction(n - 1, 2)) - n - 2
+
+    assert MAX_TRIANGLES == 357_913_941
+    assert fewest_triangles(MAX_N) <= MAX_TRIANGLES < fewest_triangles(MAX_N + 1)
+
+
+@pytest.mark.parametrize("n", [37_839, 10**30])
+def test_params_refuse_n_past_int32_edge_ids(n):
+    with pytest.raises(ScheduleError, match=f"boundary length {n} > 37838"):
+        Params(n, Fraction(1, 100), Fraction(1, 20))
+
+
+def test_schedule_refuses_more_triangles_than_edge_ids_allow(monkeypatch):
+    import ringfill.builder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ledger was built before the triangle count was checked")
+
+    monkeypatch.setattr(ringfill.builder, "layer_ledger", refuse)
+    with pytest.raises(ScheduleError, match="would have 513607108 triangles, more than the 357913941"):
+        build_filling(Params(37_838, Fraction(1, 100), Fraction(1, 20)))
+
+
 def test_build_counts_match_ledger_summation(small_build):
     # Independent count: sum the per-layer lengths recorded in the ledger.
     build = small_build

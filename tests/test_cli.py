@@ -330,6 +330,46 @@ def test_hostile_build_file_is_refused_before_the_rebuild(tmp_path, capsys, monk
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("command", ["build", "verify", "audit"])
+@pytest.mark.parametrize(
+    "n,message",
+    [(37_839, "boundary length 37839 > 37838"), (37_838, "the filling would have 513607108 triangles")],
+    ids=["past-max-n", "too-many-triangles"],
+)
+def test_huge_n_is_rejected_before_the_ledger(capsys, monkeypatch, command, n, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ledger was built before the size was checked")
+
+    monkeypatch.setattr(ringfill.builder, "layer_ledger", refuse)
+    assert main([command, "--n", str(n), "--rho", "1/100", "--eta", "1/20"]) == 2
+    assert capsys.readouterr().err.startswith(f"rejected: {message}")
+
+
+def test_bare_file_with_a_huge_n_is_refused_before_validation(tmp_path, capsys, monkeypatch):
+    data = triangulation_to_dict(cone_over_cycle(3))
+    data["n"] = 10**30
+    path = tmp_path / "bare.json"
+    dump_json(data, str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation ran on a boundary longer than the complex")
+
+    monkeypatch.setattr(ringfill.cli, "validate_disk", refuse)
+    assert main(["verify", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: boundary length {10**30} exceeds the 4 vertices: a disk bounded by C_n has at least n vertices\n"
+    )
+
+
+def test_export_of_a_huge_theta_is_a_named_error(tmp_path, capsys):
+    data = triangulation_to_dict(cone_over_cycle(3))
+    data["vertices"][1]["theta_num"] = 10**400
+    path = tmp_path / "bare.json"
+    dump_json(data, str(path))
+    assert main(["export", "--in", str(path), "--format", "off", "--out", str(tmp_path / "k.off")]) == 1
+    assert capsys.readouterr().err == "error: integer division result too large for a float\n"
+
+
 def _tampered_build(tmp_path, tamper):
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0

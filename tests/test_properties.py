@@ -1,11 +1,18 @@
 """Property-based checks of the exact arithmetic and combinatorial invariants."""
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from reference_impl import bfs_distances, circ_dist, reference_validate_disk, skeleton_graph
+from reference_impl import (
+    bfs_distances,
+    circ_dist,
+    reference_separation_lower_bounds,
+    reference_validate_disk,
+    skeleton_graph,
+)
 
 from ringfill import (
     Params,
@@ -17,6 +24,8 @@ from ringfill import (
     ceil_sqrt,
     compute_schedule,
     cycle_dist,
+    layer_ledger,
+    separation_lower_bounds,
     staircase_indices,
     validate_disk,
 )
@@ -168,3 +177,41 @@ def test_validator_matches_reference_on_mutated_builds(n, rho, eta, mutation, da
     assert got.ok == want.ok, (got.failures, want.failures)
     assert got.counts == want.counts
     assert got.ok == (mutation in ("none", "flip"))
+
+
+@given(
+    st.integers(16, 600),
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(9, 10), max_denominator=1000),
+    st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 2), max_denominator=1000),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=15, deadline=None)
+def test_separation_bounds_match_the_reference(n, eta, extra, scaled, data):
+    # rho = eta^2 + extra keeps eta^2 < rho; no triangles are assembled
+    try:
+        params = Params(n, eta * eta + extra, eta)
+        sched = compute_schedule(params)
+    except ScheduleError:
+        assume(False)
+    build = SimpleNamespace(params=params, schedule=sched, ledger=layer_ledger(n, sched.annuli))
+    if scaled:  # non-integer accumulated drifts with large denominators
+        scales = st.fractions(min_value=Fraction(1, 10), max_value=4, max_denominator=10**6)
+        for rec in build.ledger[:-1]:
+            rec.drift_bound *= data.draw(scales, label="scale")
+    assert separation_lower_bounds(build) == reference_separation_lower_bounds(build)
+
+
+@given(st.integers(3, 600), st.integers(0, 120), st.data())
+@settings(max_examples=60, deadline=None)
+def test_separation_bounds_match_the_reference_on_any_ledger(n, cone_half, data):
+    # Cycle lengths and drift bounds need not follow any schedule here, so
+    # layers other than the shallowest decide the table far more often.
+    lengths = data.draw(st.lists(st.integers(3, n), min_size=1, max_size=60), label="lengths")
+    ledger = [SimpleNamespace(length=m, drift_bound=None) for m in (n, *lengths)]
+    for rec in ledger[:-1]:
+        bounds = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(n, rec.length), max_denominator=10**6)
+        rec.drift_bound = data.draw(bounds, label="drift bound")
+    sched = SimpleNamespace(collar_layers=cone_half, num_blocks=0, layers_per_block=0)
+    build = SimpleNamespace(params=SimpleNamespace(n=n), schedule=sched, ledger=ledger)
+    assert separation_lower_bounds(build) == reference_separation_lower_bounds(build)

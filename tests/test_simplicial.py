@@ -233,3 +233,10 @@ def test_edge_ids_past_int32_are_refused():
     too_many = np.broadcast_to(np.array([0, 1, 2], dtype=np.int32), (357_913_942, 3))
     with pytest.raises(ValueError, match="too many edges for int32 edge ids"):
         _edge_table(too_many)
+
+
+def test_boundary_longer_than_the_vertex_count_is_refused():
+    # a disk bounded by C_n has at least n vertices; validating this one
+    # would build an n-sized set of boundary edges
+    with pytest.raises(ValueError, match=f"boundary length {10**30} exceeds the 4 vertices"):
+        Triangulation(10**30, 4, [(0, 1, 2), (0, 2, 3)])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference_impl import bfs_distances, reference_drift_audit, skeleton_graph
+from reference_impl import bfs_distances, reference_drift_audit, reference_separation_lower_bounds, skeleton_graph
 
 from ringfill import (
     Triangulation,
@@ -234,6 +234,7 @@ def test_separation_bounds_follow_the_ledger():
     for rec in build.ledger[:-1]:
         rec.drift_bound *= 4
     after = separation_lower_bounds(build)
+    assert after == reference_separation_lower_bounds(build)
     assert after != before
     assert all(a <= b for a, b in zip(after, before))
 
@@ -258,6 +259,7 @@ def test_drift_lower_bound_sound_exhaustively(small_build, medium_build):
         n = build.params.n
         d = verify_filling(build.triangulation).boundary_distances
         table = separation_lower_bounds(build)
+        assert table == reference_separation_lower_bounds(build)
         for x in range(n):
             for y in range(x + 1, n):
                 assert table[cycle_dist(x, y, n)] <= d[x, y]
