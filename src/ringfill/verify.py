@@ -3,9 +3,9 @@
 Three independent instruments:
 
 * exact integer breadth-first distances from every boundary vertex, one
-  compiled scipy traversal per source with levels recovered from the visit
-  order, giving the exact Lipschitz constant delta of the filling (scipy is
-  imported on first use, so importing this module does not load it);
+  compiled FIFO search per source over an int32 CSR of the 1-skeleton
+  (``_bfs.c``, built with the C compiler on first use and loaded through
+  ctypes; no scipy), giving the exact Lipschitz constant delta of the filling;
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact scaled int64 arithmetic, positions read from the ledger;
 * an analytic lower-bound predictor for boundary distances derived from the
@@ -14,20 +14,20 @@ Three independent instruments:
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
+import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from pathlib import Path
 
 import numpy as np
 
 from .builder import BuildResult
-from .simplicial import Triangulation, _report
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
+from .simplicial import _MAX_ID, Triangulation, _report
 
 __all__ = [
     "cycle_dist",
@@ -43,6 +43,9 @@ __all__ = [
 
 
 _BLOCK = 1 << 16  # entries of a block of boundary pairs in verify_filling's temporaries
+_SOURCE = Path(__file__).with_name("_bfs.c")
+_CACHE = Path(__file__).with_name("__pycache__")  # beside the .pyc files, with their trust
+_CC = ("cc", "-O2", "-shared", "-fPIC")
 
 
 def cycle_dist(i: int, j: int, n: int) -> int:
@@ -51,76 +54,151 @@ def cycle_dist(i: int, j: int, n: int) -> int:
     return min(d, n - d)
 
 
-def _graph_csr(t: Triangulation) -> csr_matrix:
-    """The symmetric 1-skeleton with float64 data, as scipy's traversals take it."""
-    from scipy.sparse import csr_matrix
+def _compile(source: bytes, path: Path) -> None:
+    """Compile C ``source`` to the shared object ``path`` by way of a temporary file beside it.
 
-    edges = t.edges
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(t.num_vertices, t.num_vertices))
-
-
-def _bfs(g: csr_matrix, source: int) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.sparse.csgraph import breadth_first_order
-
-    # directed=True: g is already symmetric, so scipy need not symmetrise it per call
-    return breadth_first_order(g, source, directed=True, return_predecessors=True)
-
-
-def _boundary_row(g: csr_matrix, source: int, n: int) -> np.ndarray:
-    """Exact BFS distances from ``source`` to the boundary vertices 0..n-1.
-
-    One compiled breadth-first traversal yields the visit order and the BFS
-    tree; levels are recovered from positions in that order.  ``pp[j]`` is
-    the position of the parent of the (j+1)-th visited vertex.  The queue is
-    FIFO, so ``pp`` never decreases, and the vertices within distance k+1 are
-    the source plus those whose parent lies among the first ``ends[k]``
-    visited: ``ends[k+1] = #(pp < ends[k]) + 1``, one ``searchsorted`` per
-    level.  A vertex's distance is then the number of level ends at or
-    before its position.
+    Raises OSError if ``path``'s directory cannot be written, and
+    RuntimeError if the compiler is missing or fails.
     """
-    size = g.shape[0]
-    order, pred = _bfs(g, source)
-    if len(order) < size:
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run([*_CC, "-x", "c", "-o", tmp, "-"], input=source, capture_output=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot build the BFS kernel: {exc}") from None
+        if done.returncode:
+            lines = done.stderr.decode(errors="replace").strip().splitlines() or ["no message"]
+            raise RuntimeError(f"cannot build the BFS kernel: {_CC[0]} exited {done.returncode}: {lines[-1]}")
+        os.chmod(tmp, 0o755)  # readable by every user of the package, as a mkstemp file is not
+        os.replace(tmp, path)  # atomic: a racing process sees no file or a whole one
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_kernel(cache: Path):
+    """The ``bfs_rows`` function of ``_bfs.c``, compiled into ``cache`` unless already there.
+
+    The shared object's name carries a hash of the C source and the
+    platform tag, so an edited source never loads a stale binary.  If
+    ``cache`` cannot be written, the kernel is compiled into a private
+    temporary directory, loaded, and the directory removed.  Raises
+    RuntimeError if the kernel cannot be built.
+    """
+    import ctypes
+    import hashlib
+    import sysconfig
+
+    from numpy.ctypeslib import ndpointer
+
+    source = _SOURCE.read_bytes()
+    path = cache / f"_bfs.{hashlib.sha256(source).hexdigest()[:16]}.{sysconfig.get_platform()}.so"
+    private = None
+    if not path.exists():
+        try:
+            cache.mkdir(exist_ok=True)
+            _compile(source, path)
+        except OSError:
+            private = Path(tempfile.mkdtemp(prefix="ringfill-"))
+            path = private / path.name
+            _compile(source, path)
+    try:
+        kernel = ctypes.CDLL(str(path)).bfs_rows
+    finally:
+        if private is not None:
+            import shutil
+
+            shutil.rmtree(private)  # the loaded library stays mapped
+    ids = ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+    kernel.argtypes = [
+        ctypes.c_int32, ids, ids, ids, ctypes.c_int32, ctypes.c_int32,
+        ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"), ids, ids, ctypes.c_void_p,
+    ]
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+@functools.cache
+def _kernel():
+    """The BFS kernel of this package, built on first use (see :func:`_load_kernel`)."""
+    return _load_kernel(_CACHE)
+
+
+def _graph_csr(t: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric 1-skeleton as int32 CSR ``(indptr, indices)``, each neighbour list ascending.
+
+    Refuses what the kernel would index out of bounds: an edge end beyond
+    the vertex count, or more vertices than int32 ids hold.
+    """
+    v = t.num_vertices
+    if v > _MAX_ID:
+        raise ValueError(f"{v} vertices are more than the BFS kernel's int32 ids hold")
+    edges = t.edges
+    if len(edges) and edges[:, 1].max() >= v:
+        raise ValueError(f"triangles reference vertex id {edges[:, 1].max()}, beyond the {v} vertices")
+    keys = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.int64)  # each edge from both ends
+    indptr = np.zeros(v + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(keys, minlength=v))
+    keys *= v
+    keys += np.concatenate([edges[:, 1], edges[:, 0]])
+    keys.sort()
+    keys %= v
+    return indptr, keys.astype(np.int32)
+
+
+def _bfs_rows(graph: tuple[np.ndarray, np.ndarray], sources: range, out: np.ndarray, want_pred: bool = False):
+    """Row k of ``out`` gets the BFS distances from ``sources[k]`` to the vertices ``0..out.shape[1]-1``.
+
+    Returns the BFS parent of every vertex from the last source (-1 at the
+    source) if ``want_pred``, else None.
+    """
+    indptr, indices = graph
+    size = len(indptr) - 1
+    src = np.arange(sources.start, sources.stop, dtype=np.int32)
+    dist, queue = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    pred = np.empty(size, dtype=np.int32) if want_pred else None
+    if len(out) != len(src) or max(sources.stop, out.shape[1]) > size:
+        raise ValueError(f"{len(src)} BFS sources and {out.shape} outputs do not fit {size} vertices")
+    parents = None if pred is None else pred.ctypes.data
+    if _kernel()(size, indptr, indices, src, len(src), out.shape[1], out, dist, queue, parents):
         raise ValueError("graph is disconnected: some vertex is unreachable from the boundary")
-    pos = np.empty(size, dtype=np.intp)
-    pos[order] = np.arange(size)
-    pp = pos[pred[order[1:]]]
-    if (pp[1:] < pp[:-1]).any():
-        raise ValueError(f"breadth_first_order from {source} is not a FIFO order: cannot recover BFS levels")
-    ends = [1]
-    while ends[-1] < size:
-        ends.append(int(pp.searchsorted(ends[-1])) + 1)
-    return np.searchsorted(ends, pos[:n], side="right")
+    return pred
 
 
 def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> np.ndarray:
     """Exact graph distances between all pairs of boundary vertices, as int64.
 
-    Builds the CSR of the 1-skeleton once and runs one compiled BFS per
-    boundary source over it (see :func:`_boundary_row`), keeping only the n
-    boundary columns.  The sources are split into ``jobs`` spans of
+    Builds the int32 CSR of the 1-skeleton once and runs one compiled FIFO
+    BFS per boundary source over it (see :func:`_bfs_rows`), keeping only the
+    n boundary columns.  The sources are split into ``jobs`` spans of
     ``ceil(n / jobs)``, which are independent and read-only over the shared
-    graph, so each runs on its own thread; results are assembled in source
-    order either way, keeping the output deterministic.
+    graph, so each runs on its own thread, writing its own rows of the
+    result; the kernel releases the GIL, so the threads run in parallel and
+    the result is the same at any ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    g = _graph_csr(t)
+    graph = _graph_csr(t)
     n = t.n
+    dist = np.empty((n, n), dtype=np.int64)
     size = -(-n // jobs)
     spans = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    def run(sources: range) -> np.ndarray:
-        return np.array([_boundary_row(g, s, n) for s in sources], dtype=np.int64)
+    def run(sources: range) -> None:
+        _bfs_rows(graph, sources, dist[sources.start : sources.stop])
 
+    _kernel()  # built here, before any thread would race to build it
     if len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor  # here, not at module load: it imports logging
 
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            return np.concatenate(list(pool.map(run, spans)))
-    return run(spans[0])
+            list(pool.map(run, spans))  # reading every result raises a span's error
+    else:
+        run(spans[0])
+    return dist
 
 
 @dataclass(eq=False)
@@ -175,7 +253,7 @@ def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -
     delta = Fraction(d_k, d_c)
     witness = None
     if want_witness and delta < 1:
-        _, pred = _bfs(_graph_csr(t), x)
+        pred = _bfs_rows(_graph_csr(t), range(x, x + 1), np.empty((1, n), dtype=np.int64), want_pred=True)
         witness = [y]
         while witness[-1] != x:
             witness.append(int(pred[witness[-1]]))

@@ -425,15 +425,63 @@ def _subprocess_env() -> dict[str, str]:
 
 
 def test_cli_import_loads_no_scipy():
-    # Nor the thread pool (and logging) that only verify --jobs > 1 uses.
+    # Nor the thread pool (and logging) that only verify --jobs > 1 uses, nor
+    # what only the BFS kernel's loader needs (numpy itself may import ctypes).
     code = (
-        "import sys, ringfill.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent', 'logging')))"
+        "import sys, numpy; base = set(sys.modules); import ringfill.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent', 'logging'))); "
+        "print(sorted(set(sys.modules) - base & {'ctypes', 'subprocess', 'hashlib', 'numpy.ctypeslib'}), "
+        "'subprocess' in sys.modules, 'hashlib' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[] False False"]
+
+
+def test_verify_loads_no_scipy():
+    code = (
+        "import sys; from ringfill.cli import main; "
+        "assert main(['verify', '--n', '64', '--rho', '1/10', '--eta', '1/4']) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_bare_file_with_an_id_beyond_its_vertices_is_refused(tmp_path, capsys):
+    from ringfill import Triangulation
+
+    path = tmp_path / "bare.json"
+    dump_json(triangulation_to_dict(Triangulation(3, 3, [(0, 1, 2), (0, 1, 5)])), str(path))
+    assert main(["verify", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid: ") and "delta" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "compiler,message",
+    [
+        (("ringfill-no-such-compiler",), "No such file or directory"),
+        ((sys.executable, "-c", "raise SystemExit('no kernel today')"), "exited 1: no kernel today"),
+    ],
+)
+def test_unbuildable_kernel_is_a_named_error(tmp_path, capsys, monkeypatch, compiler, message):
+    import ringfill.verify as verify
+
+    monkeypatch.setattr(verify, "_CC", compiler)
+    monkeypatch.setattr(verify, "_CACHE", tmp_path / "cache")
+    verify._kernel.cache_clear()
+    try:
+        assert main(["verify", "--n", "25", "--rho", "1/10", "--eta", "1/4"]) == 1
+    finally:
+        verify._kernel.cache_clear()  # the next caller builds the package's own kernel
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot build the BFS kernel: ") and message in err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == []
 
 
 def test_audit_requires_ledger(tmp_path, capsys):

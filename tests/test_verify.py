@@ -150,21 +150,130 @@ def test_witness_path_helper():
         assert len(path) - 1 == d_k == bfs_distances(adj, x)[y]
 
 
-def test_level_recovery_rejects_non_fifo_order(monkeypatch):
-    import scipy.sparse.csgraph as csgraph
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs):
+    import ringfill.verify as verify
 
-    real = csgraph.breadth_first_order
+    # the flipped n = 64 builds are valid disks with delta = 1; the cones over
+    # C_6..C_11 have delta < 1, so their reports carry a witness from the
+    # kernel's predecessor array
+    for build, _ in flipped_builds.values():
+        t = build.triangulation
+        adj = skeleton_graph(t)
+        graph = verify._graph_csr(t)
+        ref = [bfs_distances(adj, src) for src in range(t.n)]
+        assert boundary_distance_matrix(t, jobs=jobs).tolist() == [row[: t.n] for row in ref]
+        for src in range(0, t.n, 7):
+            d = np.array(ref[src])
+            pred = verify._bfs_rows(graph, range(src, src + 1), np.empty((1, t.n), np.int64), want_pred=True)
+            assert pred[src] == -1
+            others = np.flatnonzero(np.arange(t.num_vertices) != src)
+            assert (d[pred[others]] == d[others] - 1).all()  # each parent is one level up ...
+            assert all(pred[v] in adj[v] for v in others.tolist())  # ... and a neighbour
+    for k in range(6, 12):
+        t = cone_over_cycle(k)
+        fw = floyd_warshall(t)
+        report = verify_filling(t, jobs=jobs)
+        assert (report.boundary_distances == fw[:k, :k]).all()
+        x, y, d_k, _ = report.worst_pair
+        path = report.witness_path
+        assert report.delta < 1 and path[0] == x and path[-1] == y
+        assert len(path) - 1 == d_k == fw[x, y]
+        assert all(fw[a, b] == 1 for a, b in zip(path, path[1:]))
 
-    def swapped(*args, **kwargs):
-        # from 0 on the cone over C_6 the order is 0 1 5 6 2 4 3; visiting 4
-        # (child of 5) before 2 (child of 1) is no FIFO order
-        order, pred = real(*args, **kwargs)
-        order[-3], order[-2] = order[-2], order[-3]
-        return order, pred
 
-    monkeypatch.setattr(csgraph, "breadth_first_order", swapped)
-    with pytest.raises(ValueError, match="not a FIFO order"):
-        boundary_distance_matrix(cone_over_cycle(6))
+def test_out_of_range_ids_are_refused_before_the_kernel(monkeypatch):
+    import ringfill.verify as verify
+
+    def _refuse():
+        raise AssertionError("the kernel was reached")
+
+    monkeypatch.setattr(verify, "_kernel", _refuse)
+    # Triangulation takes ids up to the int32 maximum whatever its vertex count
+    with pytest.raises(ValueError, match="vertex id 5, beyond the 3 vertices"):
+        boundary_distance_matrix(Triangulation(3, 3, [(0, 1, 2), (0, 1, 5)]))
+    with pytest.raises(ValueError, match="2147483648 vertices are more than the BFS kernel's int32 ids hold"):
+        boundary_distance_matrix(Triangulation(3, 2**31, [(0, 1, 2)]))
+
+
+def _use_kernel(monkeypatch, kernel):
+    import ringfill.verify as verify
+
+    monkeypatch.setattr(verify, "_kernel", lambda: kernel)
+
+
+def test_concurrent_first_builds_share_one_cache(tmp_path, monkeypatch):
+    import threading
+
+    import ringfill.verify as verify
+
+    cache = tmp_path / "cache"
+    start = threading.Barrier(2, timeout=60)
+    kernels, errors = [], []
+
+    def build():
+        try:
+            start.wait()
+            kernels.append(verify._load_kernel(cache))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert errors == [] and len(kernels) == 2
+    (library,) = cache.iterdir()  # one library, no temporary left
+    assert library.suffix == ".so" and library.stat().st_mode & 0o777 == 0o755
+    for kernel in kernels:
+        _use_kernel(monkeypatch, kernel)
+        assert verify_filling(cone_over_cycle(6)).delta == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("where", ["read-only directory", "below a file"])
+def test_unwritable_cache_builds_a_private_kernel(tmp_path, monkeypatch, where):
+    import os
+    import tempfile
+
+    import ringfill.verify as verify
+
+    private = tmp_path / "tmp"
+    private.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(private))
+    if where == "read-only directory":
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache.chmod(0o555)
+    else:
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"
+    try:
+        _use_kernel(monkeypatch, verify._load_kernel(cache))
+        writable = os.access(cache, os.W_OK)  # root may write a read-only directory
+    finally:
+        if cache.is_dir():
+            cache.chmod(0o755)
+    report = verify_filling(cone_over_cycle(6))
+    assert report.delta == Fraction(2, 3) and len(report.witness_path) == 3
+    assert list(private.iterdir()) == []  # the private directory is gone once the kernel is loaded
+    if cache.is_dir() and not writable:
+        assert list(cache.iterdir()) == []
+
+
+def test_edited_source_gets_a_new_library(tmp_path, monkeypatch):
+    import ringfill.verify as verify
+
+    cache = tmp_path / "cache"
+    verify._load_kernel(cache)
+    edited = tmp_path / "_bfs.c"
+    edited.write_text(verify._SOURCE.read_text() + "/* edited */\n")
+    monkeypatch.setattr(verify, "_SOURCE", edited)
+    _use_kernel(monkeypatch, verify._load_kernel(cache))
+    names = sorted(p.name for p in cache.iterdir())
+    assert len(names) == 2 and names[0] != names[1]
+    assert verify_filling(cone_over_cycle(7)).delta == Fraction(2, 3)
 
 
 def test_drift_audit_passes_and_equal_annuli_are_tight(medium_build):
