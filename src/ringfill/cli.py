@@ -2,7 +2,7 @@
 
 Every command exits 0 only if all of its assertions pass, so the whole
 acceptance story is scriptable from shell CI.  ``--jobs`` sets the number
-of BFS worker threads (default 1).
+of BFS worker threads (default 1), at most one per CPU.
 """
 from __future__ import annotations
 
@@ -49,7 +49,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="exact isometry verification by boundary BFS")
     _add_source(p_verify)
-    p_verify.add_argument("--jobs", type=_positive_int, default=1, help="BFS worker threads (default: 1)")
+    p_verify.add_argument(
+        "--jobs", type=_positive_int, default=1, help="BFS worker threads, at most one per CPU (default: 1)"
+    )
     p_verify.add_argument("--out", help="write the verification report as JSON")
     p_verify.add_argument("--dump-witness", action="store_true", help="print the worst shortcut path")
     p_verify.add_argument(
@@ -67,7 +69,9 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-list", required=True, help="comma-separated boundary lengths")
     p_sweep.add_argument("--rho", required=True, help="collar fraction, e.g. 0.1")
     p_sweep.add_argument("--eta", required=True, help="stopping scale, e.g. 0.25")
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1, help="BFS worker threads (default: 1)")
+    p_sweep.add_argument(
+        "--jobs", type=_positive_int, default=1, help="BFS worker threads, at most one per CPU (default: 1)"
+    )
     p_sweep.add_argument("--out", help="CSV output path")
 
     p_oracle = sub.add_parser("oracle", help="exhaustive minimum search for tiny boundaries")

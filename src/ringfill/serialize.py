@@ -14,6 +14,13 @@ no complex.  A build file without ``"version": 2`` is refused.  A malformed
 field, a zero denominator or a boolean triangle id included, is a
 ValueError naming it.
 
+:func:`load_json` reads a file in blocks and its top-level triangles list a
+slice of rows at a time, straight into one int32 array (:mod:`ringfill._reader`),
+so the rows never exist as Python lists all at once.  Any file that reader
+does not take is read again by ``json.load``, whose lists :func:`_triangles`
+checks, so every file loads to the same triangles, or fails with the same
+error, either way.
+
 :func:`dump_json` is the one writer.  It takes a dict with str keys, and its
 bytes are those of ``json.dump(data, fh, indent=2)`` plus a newline, with an
 ndarray value written as its ``.tolist()``; the to-dict functions hand over
@@ -133,7 +140,9 @@ def _triangles(data: Any, where: str) -> Any:
     """The triangles field of a parsed file as an array, refusing a ragged list or a JSON boolean id.
 
     numpy reads ``true`` as 1 and ``false`` as 0, so only the rows holding
-    an id of at most 1 can hide one, and only those are scanned.
+    an id of at most 1 can hide one, and only those are scanned.  An array,
+    such as the int32 rows :func:`load_json` has already checked, is taken
+    as it is.
     """
     rows = _get(data, "triangles", where)
     try:
@@ -168,7 +177,7 @@ def triangulation_from_dict(data: dict[str, Any]) -> Triangulation:
     ids = sorted(rec["id"] for rec in records)
     if ids != list(range(len(ids))):
         raise ValueError(f"vertex ids must be contiguous 0..{len(ids) - 1}, got {ids[:10]}...")
-    return Triangulation(n, len(records), _triangles(data, "complex file"))
+    return Triangulation(n, len(records), _triangles(data, "complex file"), own=True)
 
 
 def _schedule_to_dict(s: Schedule) -> dict[str, Any]:
@@ -275,7 +284,9 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
     num_vertices = schedule.predicted_vertex_count
     if num_vertices > len(tri):
         raise ValueError(f"params give {num_vertices} vertices, more than the file's {len(tri)} triangles")
-    build = BuildResult(Triangulation(n, num_vertices, tri), layer_ledger(n, schedule.annuli), schedule, params)
+    build = BuildResult(
+        Triangulation(n, num_vertices, tri, own=True), layer_ledger(n, schedule.annuli), schedule, params
+    )
     for key, want in _header(build).items():
         got = data.get(key, _MISSING)
         if key == "params" or got == want:
@@ -295,9 +306,10 @@ def complex_from_dict(data: dict[str, Any]) -> tuple[Triangulation, BuildResult 
 
     A file with a ledger but no version, as written before build files were
     versioned, is refused by :func:`build_from_dict`; read as a bare file,
-    its vertex records would pass.  After the checked parse in
-    :func:`_triangles` nothing copies the triangles but the one conversion
-    to the complex's own int32 array, whose rows are rotated in place.
+    its vertex records would pass.  The complex takes the triangles over:
+    an int32 array, such as the one :func:`load_json` reads, becomes the
+    complex's own array, its rows rotated in place, and a parsed list, which
+    :func:`_triangles` checks, is converted once.
     """
     if isinstance(data, dict) and ("ledger" in data or "version" in data):
         build = build_from_dict(data)
@@ -354,7 +366,23 @@ def dump_json(data: dict[str, Any], path: str) -> None:
         fh.write("\n}\n" if data else "}\n")
 
 
-def load_json(path: str) -> dict[str, Any]:
+def load_json(path: str) -> Any:
+    """``json.load`` of the UTF-8 file at ``path``, with a top-level triangles list read as int32 rows.
+
+    The file is read in blocks and the triangles a slice of rows at a time
+    (see :mod:`ringfill._reader`), so neither the whole text nor the rows as
+    Python lists are ever held.  Any file that reader does not take, from a
+    top level that is not an object to a ragged row, a boolean or float id
+    or an id beyond int32, is read again by ``json.load``, so a file gives
+    the same values, or the same error, either way.
+    """
+    from ._reader import read_object  # here, not at module load: only the commands that read a file need it
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return read_object(fh)
+        except (ValueError, RecursionError):
+            pass
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 

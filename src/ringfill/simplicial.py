@@ -10,7 +10,7 @@ validation check are derived from it with vectorized numpy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,13 +41,14 @@ def canonical_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
     return (b, c, a) if b <= c else (c, a, b)
 
 
-def _triangle_rows(triangles) -> np.ndarray:
+def _triangle_rows(triangles, own: bool = False) -> np.ndarray:
     """Checked ``(F, 3)`` int32 triangles, each row rotated so its smallest id comes first.
 
-    The result is a new int32 array, never the caller's.  Only the rows
-    whose smallest id is not first (the first smallest, as ``argmin``
-    picks it) are gathered and rotated in place, so no F-sized index array
-    is made.
+    The result is a new int32 array, never the caller's, unless ``own``
+    says the caller hands over ``triangles``: an int32 array is then kept
+    and rotated where it is.  Only the rows whose smallest id is not first
+    (the first smallest, as ``argmin`` picks it) are gathered and rotated in
+    place, so no F-sized index array is made.
     """
     tri = np.asarray(triangles)
     if tri.size == 0:
@@ -59,7 +60,7 @@ def _triangle_rows(triangles) -> np.ndarray:
     # Negative ids would silently wrap when used as numpy indices.
     if len(tri) and (tri.min() < 0 or tri.max() > _MAX_ID):
         raise ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
-    tri = tri.astype(np.int32)
+    tri = tri.astype(np.int32, copy=not own)
     a, b, c = tri.T
     second, third = (b < a) & (b <= c), (c < a) & (c < b)
     for at, turn in ((second, _NEXT), (third, _PREV)):
@@ -113,9 +114,11 @@ class Triangulation:
 
     No per-vertex object is kept; a built filling's positions live in its
     layer ledger.  ``triangles`` may be given as any ``(F, 3)`` array-like of
-    non-negative integer ids; it is stored as an int32 array in canonical
+    non-negative integer ids; it is stored as a new int32 array in canonical
     rotation (each row rotated so its smallest id comes first, as
-    :func:`canonical_triangle` does).  Edges and incidence are derived lazily from one sort and cached,
+    :func:`canonical_triangle` does).  With ``own=True`` the caller hands
+    over its array: an int32 one is kept and rotated in place, not copied.
+    Edges and incidence are derived lazily from one sort and cached,
     so instances are cheap to pass around and safe to share read-only between
     workers.
     """
@@ -123,8 +126,9 @@ class Triangulation:
     n: int
     num_vertices: int
     triangles: np.ndarray
+    own: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, own: bool) -> None:
         if self.n < 3:
             raise ValueError(f"boundary length must be >= 3, got {self.n}")
         if self.n > self.num_vertices:
@@ -132,7 +136,7 @@ class Triangulation:
                 f"boundary length {self.n} exceeds the {self.num_vertices} vertices: "
                 "a disk bounded by C_n has at least n vertices"
             )
-        self.triangles = _triangle_rows(self.triangles)
+        self.triangles = _triangle_rows(self.triangles, own)
 
     @property
     def num_triangles(self) -> int:

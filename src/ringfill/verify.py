@@ -168,36 +168,47 @@ def _bfs_rows(graph: tuple[np.ndarray, np.ndarray], sources: range, out: np.ndar
     return pred
 
 
+def _bfs_plan(n: int, jobs: int) -> tuple[list[range], int]:
+    """The spans of boundary sources, ``ceil(n / jobs)`` each, and the threads to run them on.
+
+    There are never more threads than spans or than CPUs, so a ``jobs``
+    beyond n starts no more threads than the machine runs at once.
+    """
+    size = -(-n // jobs)
+    spans = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    return spans, min(len(spans), os.cpu_count() or 1)
+
+
 def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> np.ndarray:
     """Exact graph distances between all pairs of boundary vertices, as int64.
 
     Builds the int32 CSR of the 1-skeleton once and runs one compiled FIFO
     BFS per boundary source over it (see :func:`_bfs_rows`), keeping only the
     n boundary columns.  The sources are split into ``jobs`` spans of
-    ``ceil(n / jobs)``, which are independent and read-only over the shared
-    graph, so each runs on its own thread, writing its own rows of the
-    result; the kernel releases the GIL, so the threads run in parallel and
-    the result is the same at any ``jobs``.
+    ``ceil(n / jobs)`` (see :func:`_bfs_plan`), which are independent and
+    read-only over the shared graph, so they run on a pool of threads, each
+    span writing its own rows of the result; the kernel releases the GIL, so
+    the threads run in parallel and the result is the same at any ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
     graph = _graph_csr(t)
     n = t.n
     dist = np.empty((n, n), dtype=np.int64)
-    size = -(-n // jobs)
-    spans = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    spans, workers = _bfs_plan(n, jobs)
 
     def run(sources: range) -> None:
         _bfs_rows(graph, sources, dist[sources.start : sources.stop])
 
     _kernel()  # built here, before any thread would race to build it
-    if len(spans) > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # here, not at module load: it imports logging
 
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, spans))  # reading every result raises a span's error
     else:
-        run(spans[0])
+        for sources in spans:
+            run(sources)
     return dist
 
 

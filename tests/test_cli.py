@@ -260,6 +260,56 @@ def test_ragged_triangles_are_a_named_error(tmp_path, capsys, kind, command):
     assert err.startswith("error: triangles must be a list of rows of three vertex ids") and "Traceback" not in err
 
 
+def _json_load(path):
+    """``load_json`` as it was: ``json.load`` of the whole file, triangles as lists."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _run(argv, capsys, out):
+    """Exit code, stdout and stderr of ``argv``, and the bytes it wrote to ``out``, if any."""
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("tamper", [None, "ragged", "boolean"])
+@pytest.mark.parametrize("kind", ["build", "bare"])
+def test_commands_read_files_as_json_load_did(tmp_path, capsys, monkeypatch, kind, tamper):
+    import ringfill.cli as cli
+
+    path = tmp_path / "k.json"
+    if kind == "build":
+        assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(path)]) == 0
+    else:
+        assert main(["oracle", "--n", "5", "--max-interior", "2", "--out", str(path)]) == 0
+    if tamper:
+        data = json.loads(path.read_text())
+        rows = data["triangles"]
+        if tamper == "ragged":
+            rows[1] = 5
+        else:  # a true in the first row with a 1 and no 0, as numpy would read it
+            row = next(row for row in rows if 1 in row and 0 not in row)
+            row[row.index(1)] = True
+        path.write_text(json.dumps(data))
+    out = tmp_path / "k.out"
+    for argv in (
+        ["audit", "--in", str(path)],
+        ["verify", "--in", str(path)],
+        ["export", "--in", str(path), "--format", "off", "--out", str(out)],
+        ["export", "--in", str(path), "--format", "obj", "--out", str(out)],
+    ):
+        got = _run(argv, capsys, out)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "load_json", _json_load)
+            want = _run(argv, capsys, out)
+        assert got == want
+        if tamper:
+            assert got[0] == 1 and got[2].startswith("error: triangles")
+
+
 @pytest.mark.parametrize(
     "tamper,message",
     [

@@ -150,6 +150,17 @@ def test_triangle_array_is_checked_and_canonicalized():
         Triangulation(3, 3, [(0, 1)])
 
 
+def test_only_an_owned_int32_array_is_kept():
+    rows = np.array([(2, 0, 1), (0, 1, 2)], dtype=np.int32)
+    t = Triangulation(3, 3, rows)
+    assert not np.shares_memory(t.triangles, rows) and rows.tolist() == [[2, 0, 1], [0, 1, 2]]
+    t = Triangulation(3, 3, rows, own=True)
+    assert t.triangles is rows and rows.tolist() == [[0, 1, 2], [0, 1, 2]]
+    wide = np.array([(2, 0, 1)], dtype=np.int64)
+    t = Triangulation(3, 3, wide, own=True)
+    assert t.triangles.dtype == np.int32 and t.triangles.tolist() == [[0, 1, 2]] and wide.tolist() == [[2, 0, 1]]
+
+
 def test_contiguous_vertex_ids_enforced():
     # vertex ids live in the records of a bare file; the loader checks them
     record = {"id": 1, "layer": 0, "index_in_layer": 0, "theta_num": None, "theta_den": None}

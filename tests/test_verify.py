@@ -125,6 +125,49 @@ def test_verify_jobs_deterministic(medium_build):
     assert (boundary_distance_matrix(t, jobs=3) == serial.boundary_distances).all()
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 64, None])
+def test_bfs_threads_are_capped_by_spans_and_cpus(monkeypatch, cpus):
+    import ringfill.verify as verify
+
+    # only the arithmetic: no thread is started
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    for n, jobs, sizes in [(64, 3, [22, 22, 20]), (25, 1, [25]), (7, 7, [1] * 7), (4096, 100_000, [1] * 4096)]:
+        spans, workers = verify._bfs_plan(n, jobs)
+        assert [len(span) for span in spans] == sizes
+        assert [i for span in spans for i in span] == list(range(n))
+        assert workers == min(len(sizes), cpus or 1)
+
+
+def test_jobs_beyond_n_ask_the_pool_for_the_cpus_only(monkeypatch, medium_build):
+    import concurrent.futures
+
+    import ringfill.verify as verify
+
+    asked = []
+
+    class SerialPool:
+        """Records ``max_workers`` and runs the spans in this thread."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            return map(fn, spans)
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    t = medium_build.triangulation
+    dist = boundary_distance_matrix(t, jobs=10**6)
+    assert asked == [4]
+    assert (dist == boundary_distance_matrix(t, jobs=1)).all()
+
+
 def test_jobs_below_one_is_an_error(small_build, monkeypatch):
     import ringfill.analysis as analysis
 
