@@ -3,9 +3,9 @@
 The construction rests on a handful of closed forms around the square-root
 profile q(t) = sqrt(1 - 4t): a pointwise inequality balancing radial cost
 against angular savings, the profile integral giving the vertex density, and
-two reference constants bracketing the achievable density.  The inequality
-and the constants' ordering are certified exactly, the integral's closed form
-by quadrature; exact combinatorial checks live in :mod:`ringfill.verify`.
+two reference constants bracketing the achievable density.  The inequality,
+the integral's closed form and the constants' ordering are certified
+exactly; exact combinatorial checks live in :mod:`ringfill.verify`.
 """
 from __future__ import annotations
 
@@ -34,8 +34,6 @@ __all__ = [
     "write_sweep_csv",
     "SWEEP_CSV_HEADER",
 ]
-
-_QUAD_TOL = 1e-12  # closed form against adaptive quadrature
 
 
 def profile(t: float) -> float:
@@ -114,32 +112,47 @@ def check_core_inequality(eta: Fraction | float | str) -> CoreInequalityReport:
 
 @dataclass
 class ProfileIntegralCheck:
-    """Closed form of the profile integral against adaptive quadrature."""
+    """Closed form of the profile integral against an exact quadrature."""
 
     eta: Fraction
-    closed_form: Fraction  # (1 - eta^3) / 6, exactly
-    quadrature: float
-    error: float
+    closed_form: Fraction  # (1 - eta^3) / 6
+    quadrature: Fraction  # one-panel Simpson's rule in q = sqrt(1 - 4t)
+    error: Fraction  # their difference, exactly 0 on return
+
+
+def _depth(q: Fraction) -> Fraction:
+    """The depth fraction t = (1 - q^2)/4 at which the profile is q."""
+    return (1 - q * q) / 4
+
+
+def _slope(q: Fraction, h: Fraction) -> Fraction:
+    """-dt/dq at q as a central difference of step h: exact for a quadratic t."""
+    return (_depth(q - h) - _depth(q + h)) / (2 * h)
 
 
 def profile_integral(eta: Fraction | float | str) -> ProfileIntegralCheck:
-    """Integral of q over [0, stop_time(eta)], both in closed form and by quadrature.
+    """Integral of q over [0, stop_time(eta)], in closed form and by an exact quadrature.
 
-    Raises if the two disagree beyond 1e-12: that would mean either the
-    closed form or the quadrature setup is wrong.
+    Substituting t = (1 - q^2)/4, with q running from 1 down to eta, turns
+    the integral into that of q * (-dt/dq) over [eta, 1].  Both identities of
+    the substitution are checked in ``Fraction``s: 1 - 4t = q^2 (degree 2,
+    so three values of q) and -dt/dq = q/2 (a central difference is exact
+    for the quadratic t; two steps at each q).  The integrand q^2/2 is then
+    a polynomial of degree < 4, which Simpson's rule on one panel integrates
+    exactly, so the quadrature must equal (1 - eta^3)/6.  A failed identity
+    or any difference raises ``RuntimeError``.
     """
-    from scipy.integrate import quad  # imported here: no other command needs scipy's quadrature
-
     e = _unit_eta(eta)
+    steps = (Fraction(1, 4), Fraction(1, 2))
+    for q in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        if 1 - 4 * _depth(q) != q * q or any(_slope(q, h) != q / 2 for h in steps):
+            raise RuntimeError(f"profile integral at eta={e}: the substitution t = (1 - q^2)/4 fails at q={q}")
+    nodes = ((1, e), (4, (e + 1) / 2), (1, Fraction(1)))  # Simpson's weights on [eta, 1]
+    quadrature = (1 - e) / 6 * sum(w * q * _slope(q, steps[0]) for w, q in nodes)
     closed = (1 - e**3) / 6
-    upper = float((1 - e * e) / 4)
-    value, _ = quad(profile, 0.0, upper, epsabs=1e-14, epsrel=1e-14, limit=200)
-    error = abs(value - float(closed))
-    if error > _QUAD_TOL:
-        raise RuntimeError(
-            f"profile integral mismatch at eta={e}: closed {float(closed)!r} vs quadrature {value!r}"
-        )
-    return ProfileIntegralCheck(eta=e, closed_form=closed, quadrature=value, error=error)
+    if quadrature != closed:
+        raise RuntimeError(f"profile integral mismatch at eta={e}: closed {closed} vs quadrature {quadrature}")
+    return ProfileIntegralCheck(eta=e, closed_form=closed, quadrature=quadrature, error=quadrature - closed)
 
 
 def vertex_count_lower_bound(n: int, delta: float = 1.0) -> float:

@@ -231,10 +231,9 @@ def build_filling(p: Params) -> BuildResult:
     sched = compute_schedule(p)
     ledger = layer_ledger(p.n, sched.annuli)
     blocks = map(annulus_triangles, ledger, ledger[1:])
-    # The list of int32 blocks lives only until it is concatenated.
-    tri = Triangulation(
-        p.n, ledger[-1].first_vertex + ledger[-1].length + 1, np.concatenate([*blocks, cone_triangles(ledger[-1])])
-    )
+    # The int32 blocks live only until they are concatenated; the complex takes that array over.
+    triangles = np.concatenate([*blocks, cone_triangles(ledger[-1])])
+    tri = Triangulation(p.n, ledger[-1].first_vertex + ledger[-1].length + 1, triangles, own=True)
     pv, pt = sched.predicted_vertex_count, sched.predicted_triangle_count
     if pv != tri.num_vertices or pt != tri.num_triangles:
         raise RuntimeError(

@@ -79,7 +79,7 @@ def _parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--max-interior", type=int, default=4)
     p_oracle.add_argument("--out", help="write the minimal witness as JSON")
 
-    p_analyze = sub.add_parser("analyze", help="exact core inequality and constants; profile integral by quadrature")
+    p_analyze = sub.add_parser("analyze", help="exact core inequality, profile integral and constants")
     p_analyze.add_argument("--constants", action="store_true")
     p_analyze.add_argument("--core-inequality", action="store_true")
     p_analyze.add_argument("--profile-integral", action="store_true")
@@ -265,7 +265,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         check = profile_integral(args.eta)
         print(
             f"profile integral at eta={args.eta}: closed form {float(check.closed_form)!r} "
-            f"({check.closed_form}), quadrature {check.quadrature!r}, error {check.error:.3e}"
+            f"({check.closed_form}), exact quadrature {check.quadrature}, error {check.error}"
         )
     return 0 if ok else 1
 

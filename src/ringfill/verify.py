@@ -5,7 +5,7 @@ Three independent instruments:
 * exact integer breadth-first distances from every boundary vertex, one
   compiled FIFO search per source over an int32 CSR of the 1-skeleton
   (``_bfs.c``, built with the C compiler on first use and loaded through
-  ctypes; no scipy), giving the exact Lipschitz constant delta of the filling;
+  ctypes), giving the exact Lipschitz constant delta of the filling;
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact scaled int64 arithmetic, positions read from the ledger;
 * an analytic lower-bound predictor for boundary distances derived from the

@@ -85,12 +85,29 @@ def test_core_inequality_rejects_eta_outside_unit_interval(eta):
         ("0.5", Fraction(7, 48)),
         ("0.9", Fraction(271, 6000)),
         ("1", Fraction(0)),
+        ("1/4", Fraction(21, 128)),
     ],
 )
 def test_profile_integral_closed_forms(eta, expected):
     check = profile_integral(eta)
     assert check.closed_form == expected
-    assert check.error <= 1e-12
+    assert isinstance(check.quadrature, Fraction) and isinstance(check.error, Fraction)
+    assert check.quadrature == expected and check.error == 0
+
+
+def test_profile_integral_rejects_a_perturbed_substitution(monkeypatch):
+    exact = analysis._depth
+    monkeypatch.setattr(analysis, "_depth", lambda q: exact(q) + Fraction(1, 10**12) * q**3)
+    with pytest.raises(RuntimeError, match=r"eta=1/4: the substitution t = \(1 - q\^2\)/4 fails at q=0"):
+        profile_integral(Fraction(1, 4))
+
+
+def test_profile_integral_rejects_a_quadrature_off_the_closed_form(monkeypatch):
+    # zero at the q where the identities are checked, so only the comparison with (1 - eta^3)/6 catches it
+    exact = analysis._slope
+    monkeypatch.setattr(analysis, "_slope", lambda q, h: exact(q, h) + q * (2 * q - 1) * (q - 1) / 10**12)
+    with pytest.raises(RuntimeError, match="profile integral mismatch at eta=1/4"):
+        profile_integral(Fraction(1, 4))
 
 
 def test_drift_integral_matches_quadrature():

@@ -489,10 +489,12 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.splitlines() == ["[]", "[] False False"]
 
 
-def test_verify_loads_no_scipy():
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n", "64", "--rho", "1/10", "--eta", "1/4"], ["analyze"]], ids=["verify", "analyze"]
+)
+def test_command_loads_no_scipy(argv):
     code = (
-        "import sys; from ringfill.cli import main; "
-        "assert main(['verify', '--n', '64', '--rho', '1/10', '--eta', '1/4']) == 0; "
+        f"import sys; from ringfill.cli import main; assert main({argv!r}) == 0; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
