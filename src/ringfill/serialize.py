@@ -62,7 +62,10 @@ _VERSION = 2
 
 _MISSING = object()
 _INDENT = "  "
-_ROWS_PER_CHUNK = 4096
+# Rows formatted per write.  A chunk's lists, tuple and text stay in memory
+# beside whatever the caller holds; at 4096 rows they raised the peak RSS of
+# `build --out` at n = 384 by 1.9 MB and wrote no faster than at 1024.
+_ROWS_PER_CHUNK = 1024
 
 
 def _frac_pair(x: Fraction | None) -> tuple[int | None, int | None]:

@@ -6,7 +6,9 @@ read off their ids as ``min(|i-j|, n-|i-j|)``.  Interior vertices follow in
 contiguous blocks, one block per concentric layer.
 
 Triangles are one ``(F, 3)`` int32 array; edges, incidence and every
-validation check are derived from it with vectorized numpy.
+validation check are derived from it, with vectorized numpy and the
+compiled kernels of ``_kernels.c`` (an edge-table radix sort and a
+union-find).
 """
 from __future__ import annotations
 
@@ -69,43 +71,45 @@ def _triangle_rows(triangles, own: bool = False) -> np.ndarray:
     return tri
 
 
+def _library():
+    """The compiled kernels (:func:`ringfill._kernels.library`), imported on first use.
+
+    Importing the package thus loads neither the loader nor ctypes.
+    """
+    from . import _kernels
+
+    return _kernels.library()
+
+
 def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges, incidence and per-slot edge ids of canonical triangles, from one stable sort.
+    """Edges, incidence and per-slot edge ids of canonical triangles, from one compiled radix sort.
 
     Slot ``(f, j)`` is the edge from corner j to corner j+1 of triangle f.
-    Its int64 key ``lo * 2**32 + hi`` orders edges as ``(lo, hi)`` pairs
-    do; the key and the sort order are dropped once the edges are ranked.
-    Returns the ``(E, 2)`` int32 edges, their int32 incidence and the
-    ``(F, 3)`` int32 edge id of each slot.  Edge ids stay below ``3F``, so
-    node ``2e + 1`` of the corner graph fits int32 too.
+    The kernel sorts the 3F slots stably by ``hi`` and then ``lo`` in int32
+    passes, ranks their edges as ``(lo, hi)`` pairs, and the sort order is
+    dropped before the edges are written.  A pass takes digits of up to
+    ``max(8, bit_length(3F) - 1)`` bits, so its count array never holds
+    more entries than there are slots: the ids of a built complex take one
+    pass each for ``hi`` and ``lo``, and an id up to ``2**31 - 1`` a few
+    more passes, never an id-sized array.  Returns the ``(E, 2)`` int32 edges,
+    ascending, their int32 incidence and the ``(F, 3)`` int32 edge id of
+    each slot.  Edge ids stay below ``3F``, so node ``2e + 1`` of the corner
+    graph fits int32 too.
     """
     if len(tri) > MAX_TRIANGLES:
         raise ValueError(f"{len(tri)} triangles have too many edges for int32 edge ids")
-    a = tri.ravel()
-    b = np.take(tri, _NEXT, axis=1).ravel()  # C order, so ravel makes no copy
-    keys = np.minimum(a, b).astype(np.int64)
-    keys <<= 32
-    keys |= np.maximum(a, b)
-    del b
-    order = keys.argsort(kind="stable")
-    ranked = keys[order]
-    del keys
-    new = np.empty(len(ranked), dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    unique = ranked[new]
-    del ranked
-    edges = np.empty((len(unique), 2), dtype=np.int32)
-    edges[:, 0] = unique >> 32
-    edges[:, 1] = unique & 0xFFFFFFFF
-    del unique
-    ids = np.cumsum(new, dtype=np.int32)
-    ids -= 1
-    del new
-    slot_edge = np.empty(len(ids), dtype=np.int32)
-    slot_edge[order] = ids
-    del order
-    return edges, np.bincount(ids).astype(np.int32), slot_edge.reshape(-1, 3)
+    lib = _library()
+    size = tri.size
+    bits = max(1, int(tri.max(initial=0)).bit_length())
+    digits = -(-bits // max(8, size.bit_length() - 1))
+    width = -(-bits // digits)
+    slot_edge, perm = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    ne = lib.edge_slots(tri, size, width, np.empty(1 << width, dtype=np.int32), perm, slot_edge)
+    del perm
+    edges = np.empty((ne, 2), dtype=np.int32)
+    incidence = np.zeros(ne, dtype=np.int32)
+    lib.edge_ends(tri, size, slot_edge, edges, incidence)
+    return edges, incidence, slot_edge.reshape(-1, 3)
 
 
 @dataclass(eq=False)
@@ -195,9 +199,10 @@ def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
 def validate_disk(t: Triangulation) -> ValidationReport:
     """Check that ``t`` is a triangulated disk with boundary exactly C_n.
 
-    Runs every structural invariant in vectorized numpy and reports all
-    failures at once instead of stopping at the first, so a broken complex
-    can be diagnosed in one pass (up to ten witnesses per kind of failure):
+    Runs every structural invariant in vectorized numpy and compiled
+    kernels and reports all failures at once instead of stopping at the
+    first, so a broken complex can be diagnosed in one pass (up to ten
+    witnesses per kind of failure):
 
     * no degenerate or repeated triangle, all vertex ids in range,
     * every edge lies in exactly 1 (boundary) or 2 (interior) triangles,
@@ -214,11 +219,13 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     with every incidence 1 or 2, each link is a disjoint union of paths and
     cycles, and it is a path or a cycle exactly when it is connected, a path
     exactly when v lies on an incidence-1 edge.  Connectivity, of the links
-    and of the complex, comes from min-label propagation with pointer
-    jumping.  The last check is not implied by the others: a disk plus a
-    disjoint torus passes every other one.  Degenerate and out-of-range
-    triangles are reported and left out of the link and connectivity
-    checks; edge counts include them.
+    and of the complex, comes from the kernels' union-find, which hooks
+    the larger root under the smaller; the edge table comes from their
+    radix sort.  Both take int32 memory linear in the triangles and
+    vertices, whatever the ids.  The last check is not implied by the
+    others: a disk plus a disjoint torus passes every other one.
+    Degenerate and out-of-range triangles are reported and left out of the
+    link and connectivity checks; edge counts include them.
     """
     rep = ValidationReport()
     tri = t.triangles
@@ -287,7 +294,7 @@ def _check_disks(
     ne = len(edges)
     # rows are canonical, so column 0 holds the smallest id
     degenerate = (tri[:, 0] == tri[:, 1]) | (tri[:, 0] == tri[:, 2]) | (tri[:, 1] == tri[:, 2])
-    top = tri.max(axis=1)
+    top = np.maximum(tri[:, 1], tri[:, 2])
     if num > 1:
         top %= stride
     outside = top >= nv
@@ -371,33 +378,26 @@ def _check_disks(
 
     covered = np.zeros(num * stride, dtype=bool)
     covered[tri] = True
-    present = covered.reshape(num, stride)[:, :nv]
-    uncovered = np.flatnonzero(~present)
+    uncovered = np.flatnonzero(~covered.reshape(num, stride)[:, :nv])
     bad[uncovered // nv] = True
     if rep is not None:
         _report(rep.failures, [f"vertex {v} lies in no triangle" for v in uncovered.tolist()], "uncovered vertices")
-    tails = _link_components(edges, tri, slot)
-    split = owned(tails) != present.sum(axis=1)
-    flawed = multi.reshape(num, stride).any(axis=1) | split
+    links = _link_counts(edges, tri, slot, num * stride)
+    flawed = multi.reshape(num, stride).any(axis=1) | (links.reshape(num, stride) > 1).any(axis=1)
     bad |= flawed
     if rep is not None and flawed[0]:
         on_boundary = set(boundary.ravel().tolist())
 
-        def links(vs: np.ndarray, shape: str) -> list[str]:
+        def link_lines(vs: np.ndarray, shape: str) -> list[str]:
             return [
                 f"link of vertex {v} is {shape}, expected a {'path' if v in on_boundary else 'cycle'}"
                 for v in np.flatnonzero(vs).tolist()
             ]
 
-        _report(rep.failures, links(multi, "a multigraph (repeated link edge)"), "vertices with a multigraph link")
-        split_at = (np.bincount(tails, minlength=stride) > 1) & ~multi
-        _report(rep.failures, links(split_at, "disconnected"), "vertices with a disconnected link")
+        _report(rep.failures, link_lines(multi, "a multigraph (repeated link edge)"), "vertices with a multigraph link")
+        _report(rep.failures, link_lines((links > 1) & ~multi, "disconnected"), "vertices with a disconnected link")
 
-    # The link pass is done, so its labels are freed before these are made.
-    joined = edges if len(tri) == num * nf else edges[np.unique(slot)]
-    label = _min_labels(num * stride, joined[:, 0], joined[:, 1])
-    roots = covered & (label == np.arange(num * stride, dtype=label.dtype))
-    components = roots.reshape(num, stride).sum(axis=1)
+    components = _components(tri, num, stride)
     bad |= components > 1
     if rep is not None and components[0] > 1:
         rep.failures.append(f"complex is disconnected: {components[0]} components")
@@ -416,52 +416,32 @@ def _repeats(keys: np.ndarray, every: bool = False) -> np.ndarray:
     return np.sort(order[later])
 
 
-def _min_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Label each of ``size`` nodes with the smallest node of its component.
-
-    Node ``a[i]`` is joined to node ``b[i]``; labels take the dtype of ``a``.
-    Each round hooks every larger root onto the smaller one, then jumps
-    every node to its root.
-    """
-    label = np.arange(size, dtype=a.dtype)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    while not (lo == hi).all():
-        np.minimum.at(label, hi, lo)
-        del lo, hi
-        while True:
-            up = label[label]
-            if (up == label).all():
-                break
-            label = up
-        del up
-        # hi takes the larger label of each pair in place, so at most three
-        # pair-sized arrays exist at once
-        hi, other = label[a], label[b]
-        lo = np.minimum(hi, other)
-        np.maximum(hi, other, out=hi)
-        del other
-    return label
-
-
-def _link_components(edges: np.ndarray, tri: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """The vertex whose link each component of the corner graph belongs to.
+def _link_counts(edges: np.ndarray, tri: np.ndarray, slot: np.ndarray, size: int) -> np.ndarray:
+    """How many components of the corner graph each of ``size`` vertices owns, as the tail of their nodes.
 
     Node ``2e + d`` is edge e directed away from its endpoint ``edges[e, d]``,
     and ``node ^ 1`` is its reverse.  Corner j of a triangle joins the
     directed edges leaving it along slot j and along slot j-1.  Components
-    never mix tails, so a vertex's link is connected iff it owns exactly one.
+    never mix tails, so a vertex's link is connected iff it owns exactly
+    one.  The kernel's union-find computes the joins from ``tri`` and
+    ``slot`` itself, so no list of joins is made.
     """
-    out = 2 * slot
-    out += tri > np.take(tri, _NEXT, axis=1)  # slot j directed away from corner j
-    a = out.ravel()
-    b = np.take(out, _PREV, axis=1).ravel()
-    b ^= 1  # slot j-1 directed away from corner j
-    label = _min_labels(2 * len(edges), a, b)
-    root = np.zeros(len(label), dtype=bool)
-    root[a] = True
-    root[b] = True
-    root &= label == np.arange(len(label), dtype=label.dtype)
-    return edges.ravel()[root]
+    links = np.zeros(size, dtype=np.int32)
+    nodes = 2 * len(edges)
+    _library().link_roots(tri, slot, len(tri), edges, nodes, np.empty(nodes, dtype=np.int32), links)
+    return links
+
+
+def _components(tri: np.ndarray, num: int, stride: int) -> np.ndarray:
+    """The number of connected components of each of ``num`` complexes whose ids lie ``stride`` apart.
+
+    Only the vertices of ``tri`` count; the kernel's union-find joins the
+    corners of each triangle.
+    """
+    components = np.zeros(num, dtype=np.int32)
+    nodes = num * stride
+    _library().vertex_roots(tri, len(tri), nodes, stride, np.empty(nodes, dtype=np.int32), components)
+    return components
 
 
 def cone_over_cycle(n: int) -> Triangulation:

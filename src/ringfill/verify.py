@@ -4,8 +4,9 @@ Three independent instruments:
 
 * exact integer breadth-first distances from every boundary vertex, one
   compiled FIFO search per source over an int32 CSR of the 1-skeleton
-  (``_bfs.c``, built with the C compiler on first use and loaded through
-  ctypes), giving the exact Lipschitz constant delta of the filling;
+  (``_kernels.c``, built with the C compiler on first use and loaded
+  through ctypes by :mod:`ringfill._kernels`), giving the exact Lipschitz
+  constant delta of the filling;
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact scaled int64 arithmetic, positions read from the ledger;
 * an analytic lower-bound predictor for boundary distances derived from the
@@ -14,20 +15,17 @@ Three independent instruments:
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
-import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 
 from .builder import BuildResult
-from .simplicial import _MAX_ID, Triangulation, _report
+from .simplicial import _MAX_ID, Triangulation, _library, _report
 
 __all__ = [
     "cycle_dist",
@@ -43,9 +41,6 @@ __all__ = [
 
 
 _BLOCK = 1 << 16  # entries of a block of boundary pairs in verify_filling's temporaries
-_SOURCE = Path(__file__).with_name("_bfs.c")
-_CACHE = Path(__file__).with_name("__pycache__")  # beside the .pyc files, with their trust
-_CC = ("cc", "-O2", "-shared", "-fPIC")
 
 
 def cycle_dist(i: int, j: int, n: int) -> int:
@@ -54,84 +49,14 @@ def cycle_dist(i: int, j: int, n: int) -> int:
     return min(d, n - d)
 
 
-def _compile(source: bytes, path: Path) -> None:
-    """Compile C ``source`` to the shared object ``path`` by way of a temporary file beside it.
-
-    Raises OSError if ``path``'s directory cannot be written, and
-    RuntimeError if the compiler is missing or fails.
-    """
-    import subprocess
-
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        try:
-            done = subprocess.run([*_CC, "-x", "c", "-o", tmp, "-"], input=source, capture_output=True)
-        except OSError as exc:
-            raise RuntimeError(f"cannot build the BFS kernel: {exc}") from None
-        if done.returncode:
-            lines = done.stderr.decode(errors="replace").strip().splitlines() or ["no message"]
-            raise RuntimeError(f"cannot build the BFS kernel: {_CC[0]} exited {done.returncode}: {lines[-1]}")
-        os.chmod(tmp, 0o755)  # readable by every user of the package, as a mkstemp file is not
-        os.replace(tmp, path)  # atomic: a racing process sees no file or a whole one
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _load_kernel(cache: Path):
-    """The ``bfs_rows`` function of ``_bfs.c``, compiled into ``cache`` unless already there.
-
-    The shared object's name carries a hash of the C source and the
-    platform tag, so an edited source never loads a stale binary.  If
-    ``cache`` cannot be written, the kernel is compiled into a private
-    temporary directory, loaded, and the directory removed.  Raises
-    RuntimeError if the kernel cannot be built.
-    """
-    import ctypes
-    import hashlib
-    import sysconfig
-
-    from numpy.ctypeslib import ndpointer
-
-    source = _SOURCE.read_bytes()
-    path = cache / f"_bfs.{hashlib.sha256(source).hexdigest()[:16]}.{sysconfig.get_platform()}.so"
-    private = None
-    if not path.exists():
-        try:
-            cache.mkdir(exist_ok=True)
-            _compile(source, path)
-        except OSError:
-            private = Path(tempfile.mkdtemp(prefix="ringfill-"))
-            path = private / path.name
-            _compile(source, path)
-    try:
-        kernel = ctypes.CDLL(str(path)).bfs_rows
-    finally:
-        if private is not None:
-            import shutil
-
-            shutil.rmtree(private)  # the loaded library stays mapped
-    ids = ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-    kernel.argtypes = [
-        ctypes.c_int32, ids, ids, ids, ctypes.c_int32, ctypes.c_int32,
-        ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"), ids, ids, ctypes.c_void_p,
-    ]
-    kernel.restype = ctypes.c_int
-    return kernel
-
-
-@functools.cache
-def _kernel():
-    """The BFS kernel of this package, built on first use (see :func:`_load_kernel`)."""
-    return _load_kernel(_CACHE)
-
-
 def _graph_csr(t: Triangulation) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric 1-skeleton as int32 CSR ``(indptr, indices)``, each neighbour list ascending.
 
-    Refuses what the kernel would index out of bounds: an edge end beyond
-    the vertex count, or more vertices than int32 ids hold.
+    Built by the kernel from the sorted edge table in linear time: each
+    vertex's lower neighbours come from a stable pass by ``hi``, its upper
+    ones from its run of ``lo``, so no key or sort is needed.  Refuses what
+    the kernels would index out of bounds: an edge end beyond the vertex
+    count, or more vertices than int32 ids hold.
     """
     v = t.num_vertices
     if v > _MAX_ID:
@@ -139,14 +64,10 @@ def _graph_csr(t: Triangulation) -> tuple[np.ndarray, np.ndarray]:
     edges = t.edges
     if len(edges) and edges[:, 1].max() >= v:
         raise ValueError(f"triangles reference vertex id {edges[:, 1].max()}, beyond the {v} vertices")
-    keys = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.int64)  # each edge from both ends
-    indptr = np.zeros(v + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(keys, minlength=v))
-    keys *= v
-    keys += np.concatenate([edges[:, 1], edges[:, 0]])
-    keys.sort()
-    keys %= v
-    return indptr, keys.astype(np.int32)
+    indptr = np.empty(v + 1, dtype=np.int32)
+    indices = np.empty(2 * len(edges), dtype=np.int32)
+    _library().graph_csr(edges, len(edges), v, indptr, indices)
+    return indptr, indices
 
 
 def _bfs_rows(graph: tuple[np.ndarray, np.ndarray], sources: range, out: np.ndarray, want_pred: bool = False):
@@ -163,7 +84,7 @@ def _bfs_rows(graph: tuple[np.ndarray, np.ndarray], sources: range, out: np.ndar
     if len(out) != len(src) or max(sources.stop, out.shape[1]) > size:
         raise ValueError(f"{len(src)} BFS sources and {out.shape} outputs do not fit {size} vertices")
     parents = None if pred is None else pred.ctypes.data
-    if _kernel()(size, indptr, indices, src, len(src), out.shape[1], out, dist, queue, parents):
+    if _library().bfs_rows(size, indptr, indices, src, len(src), out.shape[1], out, dist, queue, parents):
         raise ValueError("graph is disconnected: some vertex is unreachable from the boundary")
     return pred
 
@@ -200,7 +121,7 @@ def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> np.ndarray:
     def run(sources: range) -> None:
         _bfs_rows(graph, sources, dist[sources.start : sources.stop])
 
-    _kernel()  # built here, before any thread would race to build it
+    _library()  # built here, before any thread would race to build it
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # here, not at module load: it imports logging
 

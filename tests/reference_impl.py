@@ -17,8 +17,14 @@ interior labels; the tests use it to show that the oracle emits no complex
 twice.  ``reference_grow`` is the oracle's recursive generator of fillings,
 rebuilding tuples and edge sets at every step, that pins the order of the
 backtracking enumerator.
-All are deliberately naive: dicts, sets, breadth-first search and exact
-rationals, with no numpy.
+All of these are deliberately naive: dicts, sets, breadth-first search
+and exact rationals, with no numpy.
+
+At the end are the numpy bodies that the compiled kernels of
+``_kernels.c`` replaced: the int64-key ``edge_table``, ``min_labels``
+propagation with pointer jumping, the corner-graph ``link_components``
+and the sorted-key ``graph_csr``, with ``link_counts`` and ``components``
+shaped as the library's hooks, so a test can swap them in.
 """
 from __future__ import annotations
 
@@ -27,6 +33,8 @@ from collections import Counter, defaultdict, deque
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import permutations
+
+import numpy as np
 
 from ringfill import EnumerationBudget, ValidationReport, canonical_triangle, cycle_dist
 
@@ -368,3 +376,108 @@ def reference_is_isometric(t) -> bool:
             return False
     return True
 
+
+
+# The numpy bodies the compiled kernels replaced, for the differential tests.
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+
+
+def edge_table(tri):
+    """Edges, incidence and per-slot edge ids of canonical triangles, from one stable int64-key argsort.
+
+    Slot ``(f, j)`` is the edge from corner j to corner j+1 of triangle f;
+    its key ``lo * 2**32 + hi`` orders edges as ``(lo, hi)`` pairs do.
+    """
+    a = tri.ravel()
+    b = np.take(tri, _NEXT, axis=1).ravel()
+    keys = np.minimum(a, b).astype(np.int64)
+    keys <<= 32
+    keys |= np.maximum(a, b)
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    new = np.empty(len(ranked), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    unique = ranked[new]
+    edges = np.empty((len(unique), 2), dtype=np.int32)
+    edges[:, 0] = unique >> 32
+    edges[:, 1] = unique & 0xFFFFFFFF
+    ids = np.cumsum(new, dtype=np.int32)
+    ids -= 1
+    slot_edge = np.empty(len(ids), dtype=np.int32)
+    slot_edge[order] = ids
+    return edges, np.bincount(ids).astype(np.int32), slot_edge.reshape(-1, 3)
+
+
+def min_labels(size, a, b):
+    """Label each of ``size`` nodes with the smallest node of its component; node ``a[i]`` is joined to ``b[i]``.
+
+    Min-label propagation: each round hooks every larger root onto the
+    smaller one, then jumps every node to its root.
+    """
+    label = np.arange(size, dtype=a.dtype)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    while not (lo == hi).all():
+        np.minimum.at(label, hi, lo)
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+        hi, other = label[a], label[b]
+        lo = np.minimum(hi, other)
+        np.maximum(hi, other, out=hi)
+    return label
+
+
+def link_joins(tri, slot):
+    """The corner graph's joins ``(a, b)``: node ``2e + d`` is edge e directed away from ``edges[e, d]``.
+
+    Corner j of a triangle joins the directed edges leaving it along slot j
+    and along slot j-1.
+    """
+    out = 2 * slot
+    out += tri > np.take(tri, _NEXT, axis=1)  # slot j directed away from corner j
+    b = np.take(out, _PREV, axis=1).ravel()
+    b ^= 1  # slot j-1 directed away from corner j
+    return out.ravel(), b
+
+
+def link_components(edges, tri, slot):
+    """The vertex whose link each component of the corner graph belongs to."""
+    a, b = link_joins(tri, slot)
+    label = min_labels(2 * len(edges), a, b)
+    root = np.zeros(len(label), dtype=bool)
+    root[a] = True
+    root[b] = True
+    root &= label == np.arange(len(label), dtype=label.dtype)
+    return edges.ravel()[root]
+
+
+def link_counts(edges, tri, slot, size):
+    """``ringfill.simplicial._link_counts`` by way of :func:`link_components`."""
+    return np.bincount(link_components(edges, tri, slot), minlength=size).astype(np.int32)
+
+
+def components(tri, num, stride):
+    """``ringfill.simplicial._components`` by way of :func:`min_labels` over the triangles' sides."""
+    label = min_labels(num * stride, tri.ravel(), np.take(tri, _NEXT, axis=1).ravel())
+    covered = np.zeros(num * stride, dtype=bool)
+    covered[tri] = True
+    roots = covered & (label == np.arange(num * stride, dtype=label.dtype))
+    return roots.reshape(num, stride).sum(axis=1)
+
+
+def graph_csr(t):
+    """The symmetric 1-skeleton as int32 CSR, from int64 keys ``vertex * V + neighbour`` sorted."""
+    v = t.num_vertices
+    edges = t.edges
+    keys = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.int64)
+    indptr = np.zeros(v + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(keys, minlength=v))
+    keys *= v
+    keys += np.concatenate([edges[:, 1], edges[:, 0]])
+    keys.sort()
+    keys %= v
+    return indptr, keys.astype(np.int32)

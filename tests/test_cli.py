@@ -476,11 +476,13 @@ def _subprocess_env() -> dict[str, str]:
 
 def test_cli_import_loads_no_scipy():
     # Nor the thread pool (and logging) that only verify --jobs > 1 uses, nor
-    # what only the BFS kernel's loader needs (numpy itself may import ctypes).
+    # the kernel library's loader and what only it needs (numpy itself may
+    # import ctypes).
+    loader = {"ctypes", "subprocess", "hashlib", "numpy.ctypeslib", "ringfill._kernels"}
     code = (
         "import sys, numpy; base = set(sys.modules); import ringfill.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent', 'logging'))); "
-        "print(sorted(set(sys.modules) - base & {'ctypes', 'subprocess', 'hashlib', 'numpy.ctypeslib'}), "
+        f"print(sorted(set(sys.modules) - base & {loader!r}), "
         "'subprocess' in sys.modules, 'hashlib' in sys.modules)"
     )
     out = subprocess.run(
@@ -503,6 +505,29 @@ def test_command_loads_no_scipy(argv):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--n", "25", "--rho", "1/10", "--eta", "1/4"],
+        ["audit", "--n", "25", "--rho", "1/10", "--eta", "1/4"],
+        ["verify", "--n", "25", "--rho", "1/10", "--eta", "1/4"],
+        ["oracle", "--n", "5", "--max-interior", "1"],
+    ],
+    ids=["build", "audit", "verify", "oracle"],
+)
+def test_command_loads_no_hashlib(argv):
+    # importing hashlib loads OpenSSL, some 3.5 MB of resident memory; the
+    # kernel library is named by importlib's source hash instead
+    code = (
+        f"import sys; from ringfill.cli import main; assert main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')), 'ringfill._kernels' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "[] True"
+
+
 def test_bare_file_with_an_id_beyond_its_vertices_is_refused(tmp_path, capsys):
     from ringfill import Triangulation
 
@@ -521,19 +546,21 @@ def test_bare_file_with_an_id_beyond_its_vertices_is_refused(tmp_path, capsys):
     ],
 )
 def test_unbuildable_kernel_is_a_named_error(tmp_path, capsys, monkeypatch, compiler, message):
-    import ringfill.verify as verify
+    # every command that validates needs the kernels: build, audit and verify
+    from ringfill import _kernels
 
-    monkeypatch.setattr(verify, "_CC", compiler)
-    monkeypatch.setattr(verify, "_CACHE", tmp_path / "cache")
-    verify._kernel.cache_clear()
-    try:
-        assert main(["verify", "--n", "25", "--rho", "1/10", "--eta", "1/4"]) == 1
-    finally:
-        verify._kernel.cache_clear()  # the next caller builds the package's own kernel
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot build the BFS kernel: ") and message in err
-    assert err.count("\n") == 1  # one line, no traceback
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == []
+    monkeypatch.setattr(_kernels, "_CC", compiler)
+    monkeypatch.setattr(_kernels, "_CACHE", tmp_path / "cache")
+    for command in ("build", "audit", "verify"):
+        _kernels.library.cache_clear()
+        try:
+            assert main([command, "--n", "25", "--rho", "1/10", "--eta", "1/4"]) == 1
+        finally:
+            _kernels.library.cache_clear()  # the next caller builds the package's own kernels
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot build the kernel library: ") and message in err, command
+        assert err.count("\n") == 1, command  # one line, no traceback
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == []
 
 
 def test_audit_requires_ledger(tmp_path, capsys):

@@ -162,6 +162,8 @@ def _mutate(text, mutation):
         return text + token
     if kind == "sep":  # a comma or colon of the header
         spans = [m.span() for m in re.finditer(r"[,:]", text[: _triangles_at(text)])]
+        if not spans:
+            return text
         lo, hi = spans[k % len(spans)]
         return text[:lo] + token + text[hi:]
     return text[: k % (len(text) + 1)]

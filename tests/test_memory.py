@@ -2,14 +2,16 @@
 
 K_384 at (1/10, 1/4) has F = 85,000 triangles, so its ``(F, 3)`` int32
 array takes 1.02 MB.  ``tracemalloc`` sees numpy's buffers as well as
-Python objects.  Each bound is a little above the peak measured when it
-was set (2.1, 8.9, 2.1 and 0.1 times for build, validate, load and
-audit) and well below the 8.8, 24, 6.7 and 13.4 times of int64 working
-sets, edge-sized audit tables and an F x 3 rotation index, so a return to
-any of them fails.  Loading is traced from the file on: reading the rows
-as Python lists with ``json.load`` took 19.7 times, and a build whose
-complex copies the concatenated triangles instead of taking them over
-takes 2.4 times.
+Python objects, and the scratch arrays the compiled kernels are handed.
+Each bound is a little above the peak measured when it was set (2.1, 4.6,
+2.1 and 0.1 times for build, validate, load and audit) and well below the
+8.8, 24, 6.7 and 13.4 times of int64 working sets, edge-sized audit tables
+and an F x 3 rotation index, so a return to any of them fails; the
+validate bound is also below the 8.9 times of the int64-key edge sort and
+numpy label propagation that the compiled kernels replaced.  Loading is
+traced from the file on: reading the rows as Python lists with
+``json.load`` took 19.7 times, and a build whose complex copies the
+concatenated triangles instead of taking them over takes 2.4 times.
 """
 import tracemalloc
 from fractions import Fraction
@@ -47,6 +49,6 @@ def peaks(tmp_path_factory):
     return {"build": built / size, "validate": validated / size, "audit": audited / size, "load": loaded / size}
 
 
-@pytest.mark.parametrize("stage, bound", [("build", 2.3), ("validate", 10.0), ("load", 2.5), ("audit", 0.5)])
+@pytest.mark.parametrize("stage, bound", [("build", 2.3), ("validate", 4.8), ("load", 2.5), ("audit", 0.5)])
 def test_stage_peaks_a_small_multiple_of_the_triangles(peaks, stage, bound):
     assert peaks[stage] <= bound, peaks

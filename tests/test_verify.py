@@ -226,12 +226,13 @@ def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs)
 
 
 def test_out_of_range_ids_are_refused_before_the_kernel(monkeypatch):
-    import ringfill.verify as verify
+    from ringfill import _kernels
 
-    def _refuse():
+    def _refuse(*args):
         raise AssertionError("the kernel was reached")
 
-    monkeypatch.setattr(verify, "_kernel", _refuse)
+    for entry in ("graph_csr", "bfs_rows"):
+        monkeypatch.setattr(_kernels.library(), entry, _refuse)
     # Triangulation takes ids up to the int32 maximum whatever its vertex count
     with pytest.raises(ValueError, match="vertex id 5, beyond the 3 vertices"):
         boundary_distance_matrix(Triangulation(3, 3, [(0, 1, 2), (0, 1, 5)]))
@@ -239,16 +240,16 @@ def test_out_of_range_ids_are_refused_before_the_kernel(monkeypatch):
         boundary_distance_matrix(Triangulation(3, 2**31, [(0, 1, 2)]))
 
 
-def _use_kernel(monkeypatch, kernel):
-    import ringfill.verify as verify
+def _use_kernel(monkeypatch, library):
+    from ringfill import _kernels
 
-    monkeypatch.setattr(verify, "_kernel", lambda: kernel)
+    monkeypatch.setattr(_kernels, "library", lambda: library)
 
 
 def test_concurrent_first_builds_share_one_cache(tmp_path, monkeypatch):
     import threading
 
-    import ringfill.verify as verify
+    from ringfill import _kernels
 
     cache = tmp_path / "cache"
     start = threading.Barrier(2, timeout=60)
@@ -257,7 +258,7 @@ def test_concurrent_first_builds_share_one_cache(tmp_path, monkeypatch):
     def build():
         try:
             start.wait()
-            kernels.append(verify._load_kernel(cache))
+            kernels.append(_kernels.load(cache))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -280,7 +281,7 @@ def test_unwritable_cache_builds_a_private_kernel(tmp_path, monkeypatch, where):
     import os
     import tempfile
 
-    import ringfill.verify as verify
+    from ringfill import _kernels
 
     private = tmp_path / "tmp"
     private.mkdir()
@@ -293,7 +294,7 @@ def test_unwritable_cache_builds_a_private_kernel(tmp_path, monkeypatch, where):
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache"
     try:
-        _use_kernel(monkeypatch, verify._load_kernel(cache))
+        _use_kernel(monkeypatch, _kernels.load(cache))
         writable = os.access(cache, os.W_OK)  # root may write a read-only directory
     finally:
         if cache.is_dir():
@@ -306,14 +307,14 @@ def test_unwritable_cache_builds_a_private_kernel(tmp_path, monkeypatch, where):
 
 
 def test_edited_source_gets_a_new_library(tmp_path, monkeypatch):
-    import ringfill.verify as verify
+    from ringfill import _kernels
 
     cache = tmp_path / "cache"
-    verify._load_kernel(cache)
-    edited = tmp_path / "_bfs.c"
-    edited.write_text(verify._SOURCE.read_text() + "/* edited */\n")
-    monkeypatch.setattr(verify, "_SOURCE", edited)
-    _use_kernel(monkeypatch, verify._load_kernel(cache))
+    _kernels.load(cache)
+    edited = tmp_path / "_kernels.c"
+    edited.write_text(_kernels._SOURCE.read_text() + "/* edited */\n")
+    monkeypatch.setattr(_kernels, "_SOURCE", edited)
+    _use_kernel(monkeypatch, _kernels.load(cache))
     names = sorted(p.name for p in cache.iterdir())
     assert len(names) == 2 and names[0] != names[1]
     assert verify_filling(cone_over_cycle(7)).delta == Fraction(2, 3)
