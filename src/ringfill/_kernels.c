@@ -1,4 +1,11 @@
-/* The compiled kernels of ringfill: edge table, union-find, CSR and BFS.
+/* The compiled kernels of ringfill.
+ *
+ *   edge_slots, edge_ends    the edge table of a triangle array
+ *   link_roots, vertex_roots union-find over the corner graph and the vertices
+ *   graph_csr, bfs_rows      the 1-skeleton's CSR and the boundary BFS
+ *   grow_state_size,
+ *   grow_fillings            the oracle's resumable backtracking enumeration
+ *   isometric_rows           the oracle's isometry test on a stack of complexes
  *
  * ringfill._kernels compiles this file on first use and calls its functions
  * through ctypes, which releases the GIL for each call, so threads run in
@@ -13,6 +20,7 @@
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* The slot after s in its triangle: s's corner j + 1. */
 static inline size_t next_slot(size_t s)
@@ -244,4 +252,234 @@ int bfs_rows(int32_t nv, const int32_t *indptr, const int32_t *indices,
             out[(size_t)k * cols + v] = dist[v];
     }
     return 0;
+}
+
+/* The oracle's enumeration of the triangulated disks that fill the labeled
+ * cycle 0..n-1 with exactly `interior` interior vertices, ids n.. handed out
+ * in search order.  Each step takes the first open region (a polygon, its
+ * vertices in order) and attaches the triangle on its first edge (r0, r1),
+ * branching first over a fresh interior vertex, then over the region's
+ * vertices j = 2..last as apex.  A chord that duplicates an existing edge
+ * would pinch the disk and is rejected.  The triangle leaves the region
+ * r0, fresh, r1, ... for a fresh apex; for apex j the polygons region[1..j]
+ * (when j > 2) and region[j..last] + r0 (when j < last), the first one on
+ * top.  Every complex comes out once, along one branch with one labeling.
+ *
+ * The DFS state lives in the caller's int32 arrays, so a search runs over
+ * many calls: `state` (grow_state_size entries, zeroed before the first
+ * call) and `tri` (F + 1 rows, the triangles of the current path), where
+ * F = n - 2 + 2 * interior is the triangle count of every filling.  The
+ * state holds a header, then per step of the path its record and a copy of
+ * the region it took, then the stack of open regions (vertices, then
+ * lengths, with the first open region on top) and the nv x nv edge flags.
+ * A step adds at most one vertex to the stack and one region, so the stack
+ * holds at most n + F + 1 vertices after F + 1 steps. */
+enum { GROW_START, GROW_ENTER, GROW_NEXT, GROW_DONE };
+enum { HEAD_MODE, HEAD_DEPTH, HEAD_USED, HEAD_TOP, HEAD_REGIONS, GROW_HEAD };
+enum { STEP_LEN, STEP_TOP, STEP_REGIONS, STEP_USED, STEP_CHOICE, GROW_STEP };
+#define GROW_FRESH 1 /* a step's choice: 0 for none yet, 1 for a fresh apex, j >= 2 for region[j] */
+
+int32_t grow_state_size(int32_t n, int32_t interior)
+{
+    int32_t nf = n - 2 + 2 * interior, nv = n + interior, width = n + nf + 1;
+    return GROW_HEAD + (nf + 1) * (GROW_STEP + width) + width + nf + 2 + nv * nv;
+}
+
+/* Writes the triangle (a, b, c) of distinct ids rotated so its smallest id comes first. */
+static void put_triangle(int32_t *row, int32_t a, int32_t b, int32_t c)
+{
+    if (a < b && a < c) {
+        row[0] = a, row[1] = b, row[2] = c;
+    } else if (b < c) {
+        row[0] = b, row[1] = c, row[2] = a;
+    } else {
+        row[0] = c, row[1] = a, row[2] = b;
+    }
+}
+
+static inline int32_t *edge_flag(int32_t *edge, int32_t nv, int32_t a, int32_t b)
+{
+    return a < b ? edge + (size_t)a * nv + b : edge + (size_t)b * nv + a;
+}
+
+/* Writes the next fillings in DFS order, up to cap of them, as rows of F
+ * triangles into out (cap x F x 3).  Returns how many it wrote: fewer than
+ * cap once the search has ended, after which it returns 0.  A leaf with
+ * `interior` interior vertices but T != F triangles, or a path that reaches
+ * F + 1 triangles with regions still open, is a bug: it returns -1 - T, the
+ * leaf's triangles in tri[0..T). */
+int32_t grow_fillings(int32_t n, int32_t interior, int32_t *state, int32_t *tri, int32_t *out, int32_t cap)
+{
+    int32_t nf = n - 2 + 2 * interior, nv = n + interior, width = n + nf + 1;
+    int32_t *steps = state + GROW_HEAD, *held = steps + (size_t)(nf + 1) * GROW_STEP;
+    int32_t *verts = held + (size_t)(nf + 1) * width, *lens = verts + width, *edge = lens + nf + 2;
+    int32_t mode = state[HEAD_MODE], d = state[HEAD_DEPTH], used = state[HEAD_USED];
+    int32_t top = state[HEAD_TOP], regions = state[HEAD_REGIONS], written = 0;
+    if (mode == GROW_START) {
+        memset(edge, 0, sizeof(int32_t) * (size_t)nv * nv);
+        for (int32_t i = 0; i < n; i++) {
+            verts[i] = i;
+            *edge_flag(edge, nv, i, (i + 1) % n) = 1;
+        }
+        lens[0] = top = n;
+        regions = 1;
+        mode = GROW_ENTER;
+    }
+    while (mode != GROW_DONE) {
+        if (mode == GROW_ENTER) {
+            if (!regions) { /* a leaf: the path's d triangles close the disk */
+                if (used == interior) {
+                    if (d != nf) {
+                        written = -1 - d;
+                        break;
+                    }
+                    memcpy(out + (size_t)written * 3 * nf, tri, sizeof(int32_t) * 3 * (size_t)nf);
+                    written++;
+                }
+                mode = GROW_NEXT;
+                d--;
+                if (written == cap)
+                    break;
+                continue;
+            }
+            if (d > nf) {
+                written = -1 - d;
+                break;
+            }
+            int32_t *rec = steps + (size_t)d * GROW_STEP, len = lens[--regions];
+            top -= len;
+            memcpy(held + (size_t)d * width, verts + top, sizeof(int32_t) * (size_t)len);
+            rec[STEP_LEN] = len;
+            rec[STEP_TOP] = top;
+            rec[STEP_REGIONS] = regions;
+            rec[STEP_USED] = used;
+            rec[STEP_CHOICE] = 0;
+            mode = GROW_NEXT;
+        }
+        /* GROW_NEXT: undo step d's choice and take its next one, or give the
+         * region back and return to step d - 1 when none is left. */
+        if (d < 0) {
+            mode = GROW_DONE;
+            break;
+        }
+        int32_t *rec = steps + (size_t)d * GROW_STEP, *region = held + (size_t)d * width;
+        int32_t len = rec[STEP_LEN], last = len - 1, r0 = region[0], r1 = region[1];
+        int32_t choice = rec[STEP_CHOICE], apex;
+        used = rec[STEP_USED];
+        top = rec[STEP_TOP];
+        regions = rec[STEP_REGIONS];
+        if (choice == GROW_FRESH) {
+            *edge_flag(edge, nv, r0, n + used) = 0;
+            *edge_flag(edge, nv, r1, n + used) = 0;
+        } else if (choice) {
+            apex = region[choice];
+            if (choice > 2)
+                *edge_flag(edge, nv, r1, apex) = 0;
+            if (choice < last)
+                *edge_flag(edge, nv, r0, apex) = 0;
+        }
+        if (!choice && used < interior) {
+            choice = GROW_FRESH;
+            apex = n + used++;
+            *edge_flag(edge, nv, r0, apex) = 1;
+            *edge_flag(edge, nv, r1, apex) = 1;
+            verts[top] = r0;
+            verts[top + 1] = apex;
+            memcpy(verts + top + 2, region + 1, sizeof(int32_t) * (size_t)(len - 1));
+            lens[regions++] = len + 1;
+            top += len + 1;
+        } else {
+            for (choice = choice < 2 ? 2 : choice + 1; choice <= last; choice++) {
+                apex = region[choice];
+                if (choice > 2 && *edge_flag(edge, nv, r1, apex))
+                    continue;
+                if (choice < last && *edge_flag(edge, nv, r0, apex))
+                    continue;
+                break;
+            }
+            if (choice > last) {
+                memcpy(verts + top, region, sizeof(int32_t) * (size_t)len);
+                lens[regions++] = len;
+                top += len;
+                d--;
+                continue;
+            }
+            if (choice < last) { /* region[choice..last] + r0, cut off by the chord (apex, r0) */
+                *edge_flag(edge, nv, r0, apex) = 1;
+                memcpy(verts + top, region + choice, sizeof(int32_t) * (size_t)(len - choice));
+                verts[top + len - choice] = r0;
+                lens[regions++] = len - choice + 1;
+                top += len - choice + 1;
+            }
+            if (choice > 2) { /* region[1..choice], cut off by (r1, apex), on top */
+                *edge_flag(edge, nv, r1, apex) = 1;
+                memcpy(verts + top, region + 1, sizeof(int32_t) * (size_t)choice);
+                lens[regions++] = choice;
+                top += choice;
+            }
+        }
+        rec[STEP_CHOICE] = choice;
+        put_triangle(tri + 3 * (size_t)d, r0, r1, apex);
+        d++;
+        mode = GROW_ENTER;
+    }
+    state[HEAD_MODE] = mode;
+    state[HEAD_DEPTH] = d;
+    state[HEAD_USED] = used;
+    state[HEAD_TOP] = top;
+    state[HEAD_REGIONS] = regions;
+    return written;
+}
+
+/* Which of count complexes, rows of nf triangles on ids 0..nv-1 in tri, are
+ * isometric fillings of C_n: ok[b] is 1 iff no two boundary vertices are
+ * closer in complex b than along the cycle.  A shortcut between boundary
+ * vertices i and j has length at most d_cyc(i, j) - 1 <= n / 2 - 1, so the
+ * test is that within k steps, for k = 1 .. n / 2 - 1, no boundary pair
+ * with d_cyc > k is reached.  Vertex sets are bitsets of words = (nv + 63)
+ * / 64 uint64 each; scratch (uint64) holds (nv + 2n) * words: each vertex's
+ * neighbours and itself, then the sets within k and k + 1 steps of each
+ * boundary vertex. */
+void isometric_rows(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int32_t nf, uint64_t *scratch,
+                    uint8_t *ok)
+{
+    size_t words = ((size_t)nv + 63) / 64;
+    uint64_t *adj = scratch, *reach = adj + (size_t)nv * words, *next = reach + (size_t)n * words;
+    for (size_t b = 0; b < (size_t)count; b++) {
+        const int32_t *t = tri + b * 3 * (size_t)nf;
+        memset(adj, 0, sizeof(uint64_t) * (size_t)nv * words);
+        for (int32_t v = 0; v < nv; v++)
+            adj[v * words + v / 64] |= (uint64_t)1 << (v % 64);
+        for (size_t s = 0; s < 3 * (size_t)nf; s++) {
+            int32_t u = t[s], v = t[next_slot(s)];
+            adj[u * words + v / 64] |= (uint64_t)1 << (v % 64);
+            adj[v * words + u / 64] |= (uint64_t)1 << (u % 64);
+        }
+        memcpy(reach, adj, sizeof(uint64_t) * (size_t)n * words);
+        int good = 1;
+        for (int32_t k = 1; good && k < n / 2; k++) {
+            if (k > 1) {
+                for (int32_t i = 0; i < n; i++) {
+                    uint64_t *row = next + i * words;
+                    memset(row, 0, sizeof(uint64_t) * words);
+                    for (int32_t v = 0; v < nv; v++)
+                        if (reach[i * words + v / 64] >> (v % 64) & 1)
+                            for (size_t w = 0; w < words; w++)
+                                row[w] |= adj[v * words + w];
+                }
+                uint64_t *swap = reach;
+                reach = next;
+                next = swap;
+            }
+            for (int32_t i = 0; good && i < n; i++)
+                for (int32_t j = 0; j < n; j++) {
+                    int32_t gap = i < j ? j - i : i - j;
+                    if ((gap < n - gap ? gap : n - gap) > k && reach[i * words + j / 64] >> (j % 64) & 1) {
+                        good = 0;
+                        break;
+                    }
+                }
+        }
+        ok[b] = (uint8_t)good;
+    }
 }

@@ -1,7 +1,7 @@
 """The compiled kernels of this package: ``_kernels.c``, built on first use and loaded through ctypes.
 
-Validation, the boundary BFS and everything that needs them load one
-shared object through :func:`library`.  The loader imports what it needs
+Validation, the boundary BFS, the oracle's search and everything that
+needs them load one shared object through :func:`library`.  The loader imports what it needs
 on the first call, so importing the package loads no ctypes, subprocess
 or hash module.
 """
@@ -80,6 +80,8 @@ def load(cache: Path):
             shutil.rmtree(private)  # the loaded library stays mapped
     ids = ndpointer(np.int32, flags="C_CONTIGUOUS")
     rows = ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
+    words = ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    flags = ndpointer(np.bool_, flags="C_CONTIGUOUS")
     i32 = ctypes.c_int32
     signatures = {
         "edge_slots": (i32, [ids, i32, i32, ids, ids, ids]),
@@ -88,6 +90,9 @@ def load(cache: Path):
         "vertex_roots": (None, [ids, i32, i32, i32, ids, ids]),
         "graph_csr": (None, [ids, i32, i32, ids, ids]),
         "bfs_rows": (ctypes.c_int, [i32, ids, ids, ids, i32, i32, rows, ids, ids, ctypes.c_void_p]),
+        "grow_state_size": (i32, [i32, i32]),
+        "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),
+        "isometric_rows": (None, [i32, i32, ids, i32, i32, words, flags]),
     }
     for name, (restype, argtypes) in signatures.items():
         function = getattr(lib, name)

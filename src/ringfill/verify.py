@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-_BLOCK = 1 << 16  # entries of a block of boundary pairs in verify_filling's temporaries
+_BLOCK = 1 << 14  # entries of a block of boundary pairs in verify_filling's temporaries
 
 
 def cycle_dist(i: int, j: int, n: int) -> int:
@@ -104,17 +104,23 @@ def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> np.ndarray:
     """Exact graph distances between all pairs of boundary vertices, as int64.
 
     Builds the int32 CSR of the 1-skeleton once and runs one compiled FIFO
-    BFS per boundary source over it (see :func:`_bfs_rows`), keeping only the
-    n boundary columns.  The sources are split into ``jobs`` spans of
-    ``ceil(n / jobs)`` (see :func:`_bfs_plan`), which are independent and
-    read-only over the shared graph, so they run on a pool of threads, each
-    span writing its own rows of the result; the kernel releases the GIL, so
-    the threads run in parallel and the result is the same at any ``jobs``.
+    BFS per boundary source over it (see :func:`_boundary_distances`).
+    """
+    return _boundary_distances(_graph_csr(t), t.n, jobs)
+
+
+def _boundary_distances(graph: tuple[np.ndarray, np.ndarray], n: int, jobs: int) -> np.ndarray:
+    """The ``(n, n)`` int64 BFS distances between the first n vertices of the CSR ``graph``.
+
+    The sources are split into ``jobs`` spans of ``ceil(n / jobs)`` (see
+    :func:`_bfs_plan`), which are independent and read-only over the shared
+    graph, so they run on a pool of threads, each span writing its own rows
+    of the result (see :func:`_bfs_rows`, keeping only the n boundary
+    columns); the kernel releases the GIL, so the threads run in parallel
+    and the result is the same at any ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    graph = _graph_csr(t)
-    n = t.n
     dist = np.empty((n, n), dtype=np.int64)
     spans, workers = _bfs_plan(n, jobs)
 
@@ -159,7 +165,8 @@ def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -
     realizing the worst pair, read off the BFS tree of its first vertex.
     """
     n = t.n
-    dist = boundary_distance_matrix(t, jobs=jobs)
+    graph = _graph_csr(t)  # kept for the witness BFS
+    dist = _boundary_distances(graph, n, jobs)
     # A block of rows at a time, so no n x n temporary is made.  Distinct
     # ratios of integers <= n differ by at least 1/n^2, far above float64
     # rounding, and equal ratios divide to equal floats, so the first
@@ -185,7 +192,7 @@ def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -
     delta = Fraction(d_k, d_c)
     witness = None
     if want_witness and delta < 1:
-        pred = _bfs_rows(_graph_csr(t), range(x, x + 1), np.empty((1, n), dtype=np.int64), want_pred=True)
+        pred = _bfs_rows(graph, range(x, x + 1), np.empty((1, n), dtype=np.int64), want_pred=True)
         witness = [y]
         while witness[-1] != x:
             witness.append(int(pred[witness[-1]]))

@@ -546,15 +546,20 @@ def test_bare_file_with_an_id_beyond_its_vertices_is_refused(tmp_path, capsys):
     ],
 )
 def test_unbuildable_kernel_is_a_named_error(tmp_path, capsys, monkeypatch, compiler, message):
-    # every command that validates needs the kernels: build, audit and verify
+    # every command that validates or searches needs the kernels: build, audit, verify and oracle
     from ringfill import _kernels
 
     monkeypatch.setattr(_kernels, "_CC", compiler)
     monkeypatch.setattr(_kernels, "_CACHE", tmp_path / "cache")
-    for command in ("build", "audit", "verify"):
+    for command, *args in (
+        ("build", "--n", "25", "--rho", "1/10", "--eta", "1/4"),
+        ("audit", "--n", "25", "--rho", "1/10", "--eta", "1/4"),
+        ("verify", "--n", "25", "--rho", "1/10", "--eta", "1/4"),
+        ("oracle", "--n", "5", "--max-interior", "2"),
+    ):
         _kernels.library.cache_clear()
         try:
-            assert main([command, "--n", "25", "--rho", "1/10", "--eta", "1/4"]) == 1
+            assert main([command, *args]) == 1
         finally:
             _kernels.library.cache_clear()  # the next caller builds the package's own kernels
         err = capsys.readouterr().err
@@ -576,7 +581,7 @@ def test_bound_check_on_a_bare_complex_is_refused_before_any_work(tmp_path, caps
     def _refuse(*args, **kwargs):
         raise AssertionError("boundary distances computed before the refusal")
 
-    monkeypatch.setattr(ringfill.verify, "boundary_distance_matrix", _refuse)
+    monkeypatch.setattr(ringfill.verify, "_graph_csr", _refuse)
     path = tmp_path / "cone5.json"
     dump_json(triangulation_to_dict(cone_over_cycle(5)), str(path))
     assert main(["verify", "--in", str(path), "--check-bound", "5"]) == 1

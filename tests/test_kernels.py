@@ -1,12 +1,15 @@
-"""The compiled validation kernels against the numpy code they replaced.
+"""The compiled kernels against the Python and numpy code they replaced.
 
 The edge table, the corner-graph link check, connectivity and the CSR of
 ``_kernels.c`` must give exactly the arrays, labels and failure lists of
 the numpy bodies kept in ``reference_impl``: on built complexes, on the
 oracle's stacks and on corrupted complexes.  They must also take time and
 memory linear in the triangles, whatever the ids, and be safe to call from
-several threads at once.
+several threads at once.  The oracle's isometry test must give the
+reference's verdicts, and the file must compile without warnings.
 """
+import shutil
+import subprocess
 import threading
 import time
 import tracemalloc
@@ -21,6 +24,7 @@ import ringfill.simplicial as simplicial
 import ringfill.verify as verify
 from ringfill import EnumerationBudget, Triangulation, cone_over_cycle, validate_disk
 from ringfill import _kernels, oracle
+from ringfill.oracle import is_isometric_filling
 from ringfill.simplicial import _edge_table, validate_disk_batch
 
 _REFERENCES = {"_edge_table": ref.edge_table, "_link_counts": ref.link_counts, "_components": ref.components}
@@ -96,9 +100,7 @@ def test_small_complexes_match_the_references(num_vertices, rows):
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (7, 3)])
 def test_oracle_stacks_match_the_references(n, k):
-    stacks = []
-    oracle._search(EnumerationBudget(n, k), stacks.append)
-    for chunk in stacks[:4]:
+    for chunk in list(oracle._stacks(EnumerationBudget(n, k)))[:4]:
         union = Triangulation(n, len(chunk) * (n + k + 1), chunk.reshape(-1, 3) + np.repeat(
             np.arange(len(chunk), dtype=np.int32) * (n + k + 1), chunk.shape[1])[:, None])
         _assert_labels_match(union)
@@ -232,3 +234,78 @@ def test_two_threads_validate_at_once(medium_build, flipped_builds):
     assert errors == []
     assert results[0] == want * 5
     assert results[1] == (want[1:] + want[:1]) * 5
+
+
+def test_two_threads_enumerate_at_once():
+    # Each search keeps its state in its own arrays, so two searches of the
+    # same budget running at once give the same stacks as one alone.
+    budget = EnumerationBudget(6, 2)
+    want = np.concatenate(list(oracle._fillings(budget, 7)))
+    start = threading.Barrier(2, timeout=60)
+    results, errors = [None, None], []
+
+    def run(k: int) -> None:
+        try:
+            start.wait()
+            results[k] = np.concatenate([chunk for _ in range(5) for chunk in oracle._fillings(budget, 7)])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert errors == []
+    for got in results:
+        assert np.array_equal(got, np.concatenate([want] * 5))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_isometry_of_cones_matches_the_reference(k):
+    # The cone over C_k is isometric up to k = 5; from k = 6 the apex is a shortcut.
+    t = cone_over_cycle(k)
+    assert is_isometric_filling(t) is ref.reference_is_isometric(t) is (k <= 5)
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (5, 2), (6, 3)])
+def test_isometry_of_corrupted_stacks_matches_the_reference(n, k):
+    # Take the first stack holding an isometric filling, in eight copies.
+    # In each complex one corner moves to a random vertex; that adds a chord
+    # or a spoke, which may be a shortcut, and it may drop an edge.
+    # Complexes left disconnected have no reference verdict and are skipped.
+    nv = n + k
+    rng = np.random.default_rng(n * 10 + k)
+    chunk = next(c for c in oracle._stacks(EnumerationBudget(n, k)) if oracle._isometric_rows(n, nv, c).any())
+    chunk = np.repeat(chunk, 8, axis=0)
+    broken = chunk.copy()
+    rows = np.arange(len(broken))
+    broken[rows, rng.integers(0, broken.shape[1], len(rows)), rng.integers(1, 3, len(rows))] = rng.integers(
+        0, nv, len(rows))
+    got = oracle._isometric_rows(n, nv, broken)
+    compared = flipped = 0
+    for b, tri in enumerate(broken):
+        try:
+            want = ref.reference_is_isometric(Triangulation(n, nv, tri))
+        except ValueError:  # disconnected
+            continue
+        assert got[b] == want, b
+        compared += 1
+        flipped += want != ref.reference_is_isometric(Triangulation(n, nv, chunk[b]))
+    assert compared > len(broken) // 2 and flipped > 0
+
+
+def test_isometry_test_refuses_ids_beyond_its_vertices():
+    with pytest.raises(ValueError, match="vertex id 5, beyond the 4 vertices"):
+        is_isometric_filling(Triangulation(3, 4, [(0, 1, 2), (0, 2, 5)]))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs the C compiler")
+def test_kernels_compile_without_warnings(tmp_path):
+    done = subprocess.run(
+        ["cc", "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(_kernels._SOURCE)],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

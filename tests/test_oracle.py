@@ -82,22 +82,33 @@ PAIRS = [(n, k) for n in range(3, 7) for k in range(4)] + [(7, k) for k in range
 
 def _stacks(budget):
     """The validated stacks the oracle's search hands on, in order."""
-    stacks = []
-    oracle._search(budget, stacks.append)
-    return stacks
+    return list(oracle._stacks(budget))
+
+
+def _reference_stack(n, k):
+    """The recursive reference generator's fillings of (n, k) as one ``(B, F, 3)`` int32 array."""
+    boundary = frozenset((i, i + 1) if i + 1 < n else (0, i) for i in range(n))
+    return np.array(list(reference_grow((tuple(range(n)),), (), boundary, 0, EnumerationBudget(n, k))), dtype=np.int32)
 
 
 @pytest.mark.parametrize("n,k", PAIRS + [(7, 3)])
 def test_stacks_follow_the_reference_order(n, k):
-    # The backtracking enumerator must emit the recursive generator's
-    # fillings in the same order, so candidate counts and witnesses stay put.
-    budget = EnumerationBudget(n, k)
-    boundary = frozenset((i, i + 1) if i + 1 < n else (0, i) for i in range(n))
-    expected = np.array(list(reference_grow((tuple(range(n)),), (), boundary, 0, budget)), dtype=np.int32)
-    stacks = _stacks(budget)
+    # The compiled enumerator must emit the recursive generator's fillings
+    # in the same order, so candidate counts and witnesses stay put.
+    stacks = _stacks(EnumerationBudget(n, k))
     assert all(chunk.dtype == np.int32 and len(chunk) <= oracle._CHUNK for chunk in stacks)
     assert all(len(chunk) == oracle._CHUNK for chunk in stacks[:-1])
-    assert np.array_equal(np.concatenate(stacks), expected)
+    assert np.array_equal(np.concatenate(stacks), _reference_stack(n, k))
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+@pytest.mark.parametrize("n,k", PAIRS + [(7, 3)])
+def test_search_resumes_across_stack_edges(n, k, cap):
+    # With stacks of 1 or 7 the compiled search stops and resumes at many
+    # points of the DFS; the fillings must not change.
+    stacks = list(oracle._fillings(EnumerationBudget(n, k), cap))
+    assert all(len(chunk) == cap for chunk in stacks[:-1]) and 1 <= len(stacks[-1]) <= cap
+    assert np.array_equal(np.concatenate(stacks), _reference_stack(n, k))
 
 
 def test_all_outputs_validate_and_codes_are_unique():
@@ -168,29 +179,48 @@ def test_batch_rejects_malformed_stacks():
 
 
 def _leaves(*leaves):
-    """A stand-in for the search that hands the given leaves on, whatever it is asked."""
+    """A stand-in for the compiled search that hands the given leaves on, one stack each, whatever it is asked."""
 
-    def grow(budget, leaf):
+    def fillings(budget, cap=oracle._CHUNK):
         for triangles in leaves:
-            leaf([v for tri in triangles for v in tri])
+            yield np.array([triangles], dtype=np.int32)
 
-    return grow
+    return fillings
 
 
 @pytest.mark.parametrize(
     "bad",
     [
         ((0, 1, 2), (0, 1, 3)),  # two triangles on the cycle edge (0, 1)
-        ((0, 1, 2),),  # too few triangles to stack with the others
+        ((0, 1, 2),),  # too few triangles: the search hands it on as a stack of its own
     ],
 )
 def test_invalid_leaf_raises_with_its_failures(monkeypatch, bad):
     good = ((0, 1, 2), (0, 2, 3))
-    monkeypatch.setattr(oracle, "_grow", _leaves(good, good, bad, good))
+    monkeypatch.setattr(oracle, "_fillings", _leaves(good, good, bad, good))
     failures = validate_disk(Triangulation(4, 4, bad)).failures
     message = re.escape(f"enumerator produced an invalid complex: {failures[:3]}")
     with pytest.raises(RuntimeError, match=message):
         list(enumerate_fillings(EnumerationBudget(4, 0)))
+    with pytest.raises(RuntimeError, match=message):
+        min_isometric_vertices(4, 0)
+
+
+def test_a_leaf_the_kernel_refuses_is_reported(monkeypatch):
+    # The compiled search returns -1 - T for a leaf of T triangles, T != F,
+    # left in the first T rows of the path; it reaches the search as a stack
+    # of its own.
+    class Library:
+        def grow_state_size(self, n, interior):
+            return 1
+
+        def grow_fillings(self, n, interior, state, path, out, cap):
+            path[0] = (0, 1, 2)
+            return -2
+
+    monkeypatch.setattr(oracle, "_library", Library)
+    failures = validate_disk(Triangulation(4, 4, [(0, 1, 2)])).failures
+    message = re.escape(f"enumerator produced an invalid complex: {failures[:3]}")
     with pytest.raises(RuntimeError, match=message):
         min_isometric_vertices(4, 0)
 

@@ -193,6 +193,26 @@ def test_witness_path_helper():
         assert len(path) - 1 == d_k == bfs_distances(adj, x)[y]
 
 
+def test_verify_builds_the_graph_once(monkeypatch):
+    # The witness BFS reuses the CSR that the boundary distances were
+    # computed on, instead of building it a second time.
+    import ringfill.verify as verify
+
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return graph_csr(t)
+
+    graph_csr = verify._graph_csr
+    monkeypatch.setattr(verify, "_graph_csr", counting)
+    report = verify_filling(cone_over_cycle(7))
+    assert len(calls) == 1
+    assert report.delta == Fraction(2, 3)
+    assert report.worst_pair == (0, 3, 2, 3)
+    assert report.witness_path == [0, 7, 3]
+
+
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs):
     import ringfill.verify as verify
