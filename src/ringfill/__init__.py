@@ -5,103 +5,104 @@ boundary distance, verifies that isometry exactly by breadth-first search,
 audits the circular drift of every slanted edge in exact rational
 arithmetic, and measures how the vertex count approaches its asymptotic
 density bound.
+
+Importing the package loads no numpy and none of its layers.  Each public
+name is imported from its defining module, listed in ``_EXPORTS``, on first
+access (PEP 562), so ``from ringfill import X`` loads only X's layer and
+what that layer imports.  ``ScheduleError`` and ``as_fraction`` need no
+numpy and live here.
 """
-from .analysis import (
-    ConstantsReport,
-    CoreInequalityReport,
-    ProfileIntegralCheck,
-    SweepRow,
-    check_core_inequality,
-    constants_report,
-    drift_integral,
-    profile,
-    profile_integral,
-    run_sweep,
-    stop_time,
-    vertex_count_lower_bound,
-)
-from .annuli import LayerRecord, annulus_triangles, cone_triangles, layer_ledger, staircase_indices
-from .builder import (
-    BuildResult,
-    Params,
-    Schedule,
-    ScheduleError,
-    as_fraction,
-    build_filling,
-    ceil_sqrt,
-    compute_schedule,
-    predict_density,
-)
-from .oracle import (
-    EnumerationBudget,
-    OracleResult,
-    enumerate_fillings,
-    is_isometric_filling,
-    min_isometric_vertices,
-)
-from .simplicial import (
-    Triangulation,
-    ValidationReport,
-    canonical_triangle,
-    cone_over_cycle,
-    validate_disk,
-)
-from .verify import (
-    DriftAudit,
-    VerificationReport,
-    boundary_distance_matrix,
-    cycle_dist,
-    drift_audit,
-    separation_lower_bounds,
-    step_profile_eps,
-    verify_filling,
-)
+from __future__ import annotations
+
+from fractions import Fraction
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BuildResult",
-    "ConstantsReport",
-    "CoreInequalityReport",
-    "DriftAudit",
-    "EnumerationBudget",
-    "LayerRecord",
-    "OracleResult",
-    "Params",
-    "ProfileIntegralCheck",
-    "Schedule",
-    "ScheduleError",
-    "SweepRow",
-    "Triangulation",
-    "ValidationReport",
-    "VerificationReport",
-    "annulus_triangles",
-    "as_fraction",
-    "boundary_distance_matrix",
-    "build_filling",
-    "canonical_triangle",
-    "ceil_sqrt",
-    "check_core_inequality",
-    "compute_schedule",
-    "cone_over_cycle",
-    "cone_triangles",
-    "constants_report",
-    "cycle_dist",
-    "drift_audit",
-    "drift_integral",
-    "enumerate_fillings",
-    "is_isometric_filling",
-    "layer_ledger",
-    "min_isometric_vertices",
-    "predict_density",
-    "profile",
-    "profile_integral",
-    "run_sweep",
-    "separation_lower_bounds",
-    "staircase_indices",
-    "step_profile_eps",
-    "stop_time",
-    "validate_disk",
-    "verify_filling",
-    "vertex_count_lower_bound",
-]
+_EXPORTS = {
+    "analysis": (
+        "ConstantsReport",
+        "CoreInequalityReport",
+        "ProfileIntegralCheck",
+        "SweepRow",
+        "check_core_inequality",
+        "constants_report",
+        "drift_integral",
+        "profile",
+        "profile_integral",
+        "run_sweep",
+        "stop_time",
+        "vertex_count_lower_bound",
+    ),
+    "annuli": ("LayerRecord", "annulus_triangles", "cone_triangles", "layer_ledger", "staircase_indices"),
+    "builder": (
+        "BuildResult",
+        "Params",
+        "Schedule",
+        "build_filling",
+        "ceil_sqrt",
+        "compute_schedule",
+        "predict_density",
+    ),
+    "oracle": (
+        "EnumerationBudget",
+        "OracleResult",
+        "enumerate_fillings",
+        "is_isometric_filling",
+        "min_isometric_vertices",
+    ),
+    "simplicial": ("Triangulation", "ValidationReport", "canonical_triangle", "cone_over_cycle", "validate_disk"),
+    "verify": (
+        "DriftAudit",
+        "VerificationReport",
+        "boundary_distance_matrix",
+        "cycle_dist",
+        "drift_audit",
+        "separation_lower_bounds",
+        "step_profile_eps",
+        "verify_filling",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_HOME, "ScheduleError", "as_fraction"])
+
+
+class ScheduleError(ValueError):
+    """The requested parameters cannot produce a well-formed layer schedule."""
+
+
+def as_fraction(x: Fraction | int | float | str) -> Fraction:
+    """Exact rational from a Fraction, int, decimal/fraction string, or float.
+
+    Floats go through their shortest repr, so ``as_fraction(0.1)`` is exactly
+    1/10 rather than the 53-bit binary approximation.  A string with a zero
+    denominator is a ``ValueError``, like any other malformed rational.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        return Fraction(repr(x))
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def __getattr__(name: str):
+    """A public name from its defining module, or a layer module itself, imported on first access."""
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

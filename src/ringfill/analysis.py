@@ -14,9 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import Params, as_fraction, build_filling
-from .simplicial import validate_disk
-from .verify import drift_audit, step_profile_eps, verify_filling
+from . import as_fraction
 
 __all__ = [
     "profile",
@@ -248,8 +246,13 @@ def run_sweep(
     on the row and the sweep continues.  Rows are written to ``csv_path`` in
     input order when given; failed rows are omitted from the CSV since they
     have no measurements.  A ``jobs`` below 1 raises ``ValueError`` before
-    any build.
+    any build.  The layers it runs are imported here, so that the analytic
+    checks above load no numpy.
     """
+    from .builder import Params, build_filling
+    from .simplicial import validate_disk
+    from .verify import drift_audit, step_profile_eps, verify_filling
+
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
     rho_f = as_fraction(rho)

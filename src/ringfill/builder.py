@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ScheduleError, as_fraction
 from .annuli import LayerRecord, annulus_triangles, cone_triangles, layer_ledger
 from .simplicial import MAX_TRIANGLES, Triangulation
 
@@ -29,36 +30,11 @@ __all__ = [
 ]
 
 
-class ScheduleError(ValueError):
-    """The requested parameters cannot produce a well-formed layer schedule."""
-
-
 # An isometric filling of C_n has V >= (n-1)^2/8 + (n-1)/2 vertices and
 # F = 2V - n - 2 triangles, more than MAX_TRIANGLES past this n.  Params
 # refuses such n before the schedule's O(sqrt n) work; compute_schedule
 # checks its exact triangle count.
 MAX_N = 37_838
-
-
-def as_fraction(x: Fraction | int | float | str) -> Fraction:
-    """Exact rational from a Fraction, int, decimal/fraction string, or float.
-
-    Floats go through their shortest repr, so ``as_fraction(0.1)`` is exactly
-    1/10 rather than the 53-bit binary approximation.  A string with a zero
-    denominator is a ``ValueError``, like any other malformed rational.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"{x!r} has a zero denominator") from None
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 def ceil_sqrt(value: Fraction) -> int:

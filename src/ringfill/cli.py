@@ -4,39 +4,23 @@ Every command exits 0 only if all of its assertions pass, so the whole
 acceptance story is scriptable from shell CI.  ``--jobs`` sets the number
 of BFS worker threads (default 1), at most one per CPU.
 """
+# The docstring above is the --help description.  Importing this module loads
+# argparse and the package root, not numpy: each command imports the layers it
+# runs when it runs, so --help, a usage error and analyze start no numpy, and
+# oracle loads only the search and its validation.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    check_core_inequality,
-    constants_report,
-    profile_integral,
-    run_sweep,
-)
-from .builder import Params, ScheduleError, as_fraction, build_filling, predict_density
-from .oracle import min_isometric_vertices
-from .serialize import (
-    build_to_dict,
-    complex_from_dict,
-    dump_json,
-    load_json,
-    report_to_dict,
-    triangulation_to_dict,
-    vertex_records,
-    write_obj,
-    write_off,
-)
-from .simplicial import Triangulation, validate_disk
-from .verify import (
-    cycle_dist,
-    drift_audit,
-    separation_lower_bounds,
-    step_profile_eps,
-    verify_filling,
-)
+from . import ScheduleError, as_fraction
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .builder import BuildResult
+    from .simplicial import Triangulation
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -117,16 +101,22 @@ def _add_source(parser: argparse.ArgumentParser) -> None:
 def _load_source(args: argparse.Namespace):
     """Triangulation plus build metadata, from a file or built on the spot."""
     if args.in_path:
+        from .serialize import complex_from_dict, load_json
+
         t, build = complex_from_dict(load_json(args.in_path))
         return t, build
     if args.n is None or args.rho is None or args.eta is None:
         raise ScheduleError("either --in FILE or all of --n/--rho/--eta are required")
+    from .builder import Params, build_filling
+
     build = build_filling(Params(args.n, as_fraction(args.rho), as_fraction(args.eta)))
     return build.triangulation, build
 
 
 def _invalid(t: Triangulation) -> bool:
     """Print every failed disk invariant of ``t`` as ``invalid: ...``; True if any failed."""
+    from .simplicial import validate_disk
+
     report = validate_disk(t)
     for failure in report.failures:
         print(f"invalid: {failure}", file=sys.stderr)
@@ -134,6 +124,8 @@ def _invalid(t: Triangulation) -> bool:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .builder import Params, build_filling, predict_density
+
     params = Params(args.n, as_fraction(args.rho), as_fraction(args.eta))
     build = build_filling(params)
     t = build.triangulation
@@ -147,12 +139,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
     )
     print(f"density={float(build.density)!r} asymptotic_bound={float(predict_density(params))!r}")
     if args.out:
+        from .serialize import build_to_dict, dump_json
+
         dump_json(build_to_dict(build), args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import step_profile_eps, verify_filling
+
     t, build = _load_source(args)
     if args.check_bound and build is None:
         print("bound check needs a build file with a ledger", file=sys.stderr)
@@ -171,25 +167,50 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("witness path:", " ".join(map(str, report.witness_path)))
     ok = True
     if args.check_bound:
-        rng = random.Random(args.seed)
-        table = separation_lower_bounds(build)
-        dist = report.boundary_distances
-        violations = 0
-        for _ in range(args.check_bound):
-            a = rng.randrange(t.n)
-            b = rng.randrange(t.n)
-            if table[cycle_dist(a, b, t.n)] > dist[a, b]:
-                violations += 1
-                print(f"lower bound {table[cycle_dist(a, b, t.n)]} exceeds distance {dist[a, b]} for ({a}, {b})")
+        violations = _check_bound(build, report.boundary_distances, args.check_bound, args.seed)
         print(f"bound check: {args.check_bound} pairs sampled, {violations} violations")
         ok = violations == 0
     if args.out:
+        from .serialize import dump_json, report_to_dict
+
         dump_json(report_to_dict(report, include_witness=args.dump_witness), args.out)
         print(f"wrote {args.out}")
     return 0 if ok else 1
 
 
+# Pairs drawn and checked at a time by _check_bound, so any COUNT runs in bounded memory.
+_PAIRS = 1 << 16
+
+
+def _check_bound(build: BuildResult, dist: np.ndarray, count: int, seed: int) -> int:
+    """Check the lower-bound table against ``dist`` on ``count`` sampled pairs; return the violations.
+
+    Each pair (a, b) is two ``random.Random(seed).randrange`` draws, a first,
+    and each violation prints in draw order.
+    """
+    import random
+
+    import numpy as np
+
+    from .verify import separation_lower_bounds
+
+    n = len(dist)
+    table = np.array(separation_lower_bounds(build))
+    draw = random.Random(seed).randrange
+    violations = 0
+    for done in range(0, count, _PAIRS):
+        a, b = np.array([draw(n) for _ in range(2 * min(_PAIRS, count - done))]).reshape(-1, 2).T
+        gap = abs(a - b)  # the cycle distance of (a, b) is min(gap, n - gap)
+        bound, got = table[np.minimum(gap, n - gap)], dist[a, b]
+        for i in np.flatnonzero(bound > got):
+            print(f"lower bound {bound[i]} exceeds distance {got[i]} for ({a[i]}, {b[i]})")
+            violations += 1
+    return violations
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .verify import drift_audit
+
     t, build = _load_source(args)
     if build is None:
         print("audit needs a build file with a ledger (or --n/--rho/--eta)", file=sys.stderr)
@@ -213,6 +234,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import run_sweep
+
     n_list = [int(x) for x in args.n_list.split(",") if x]
     rows = run_sweep(n_list, args.rho, args.eta, jobs=args.jobs, csv_path=args.out)
     failed = False
@@ -231,6 +254,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import min_isometric_vertices
+
     result = min_isometric_vertices(args.n, args.max_interior)
     if result.known:
         print(f"n={args.n}: minimum isometric filling has {result.min_vertices} vertices")
@@ -241,12 +266,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         )
     print(f"candidates examined: {result.enumerated}")
     if args.out and result.witness is not None:
+        from .serialize import dump_json, triangulation_to_dict
+
         dump_json(triangulation_to_dict(result.witness), args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import check_core_inequality, constants_report, profile_integral
+
     run_all = not (args.constants or args.core_inequality or args.profile_integral)
     ok = True
     if args.constants or run_all:
@@ -271,6 +300,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from .serialize import complex_from_dict, load_json, vertex_records, write_obj, write_off
+
     data = load_json(args.in_path)
     t, build = complex_from_dict(data)  # checks a bare file's records, which fix its positions
     records = data["vertices"] if build is None else list(vertex_records(t, build.ledger))

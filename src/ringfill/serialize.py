@@ -34,14 +34,16 @@ import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .annuli import LayerRecord, layer_ledger
 from .builder import BuildResult, Params, Schedule, compute_schedule
 from .simplicial import Triangulation
-from .verify import VerificationReport
+
+if TYPE_CHECKING:  # an annotation only: writing a build file loads no BFS layer
+    from .verify import VerificationReport
 
 __all__ = [
     "vertex_records",

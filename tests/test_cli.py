@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -278,8 +279,6 @@ def _run(argv, capsys, out):
 @pytest.mark.parametrize("tamper", [None, "ragged", "boolean"])
 @pytest.mark.parametrize("kind", ["build", "bare"])
 def test_commands_read_files_as_json_load_did(tmp_path, capsys, monkeypatch, kind, tamper):
-    import ringfill.cli as cli
-
     path = tmp_path / "k.json"
     if kind == "build":
         assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(path)]) == 0
@@ -303,7 +302,7 @@ def test_commands_read_files_as_json_load_did(tmp_path, capsys, monkeypatch, kin
     ):
         got = _run(argv, capsys, out)
         with monkeypatch.context() as m:
-            m.setattr(cli, "load_json", _json_load)
+            m.setattr(serialize, "load_json", _json_load)
             want = _run(argv, capsys, out)
         assert got == want
         if tamper:
@@ -404,7 +403,7 @@ def test_bare_file_with_a_huge_n_is_refused_before_validation(tmp_path, capsys, 
     def refuse(*args, **kwargs):
         raise AssertionError("validation ran on a boundary longer than the complex")
 
-    monkeypatch.setattr(ringfill.cli, "validate_disk", refuse)
+    monkeypatch.setattr(ringfill.simplicial, "validate_disk", refuse)
     assert main(["verify", "--in", str(path)]) == 1
     assert capsys.readouterr().err == (
         f"error: boundary length {10**30} exceeds the 4 vertices: a disk bounded by C_n has at least n vertices\n"
@@ -526,6 +525,88 @@ def test_command_loads_no_hashlib(argv):
         [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "[] True"
+
+
+def _loaded_after(code: str, modules: tuple[str, ...]) -> tuple[int, list[str]]:
+    """Exit code of ``code`` run in a fresh interpreter, and which of ``modules`` it loaded."""
+    probe = f"import atexit, sys; atexit.register(lambda: print([m for m in {modules!r} if m in sys.modules]))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe + code], env=_subprocess_env(), capture_output=True, text=True
+    )
+    return proc.returncode, ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["ringfill", "ringfill.cli"])
+def test_import_loads_no_numpy(module):
+    assert _loaded_after(f"import {module}", ("numpy", "ringfill.simplicial")) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "argv,code", [(["--help"], 0), (["verify", "--jobs", "0"], 2), (["analyze"], 0)], ids=["help", "usage", "analyze"]
+)
+def test_command_runs_without_numpy(argv, code):
+    assert _loaded_after(f"from ringfill.cli import main; sys.exit(main({argv!r}))", ("numpy",)) == (code, [])
+
+
+def test_oracle_loads_only_the_search_layers():
+    layers = tuple(f"ringfill.{m}" for m in ("builder", "annuli", "analysis", "serialize", "verify", "simplicial"))
+    argv = ["oracle", "--n", "5", "--max-interior", "1"]
+    code = f"from ringfill.cli import main; sys.exit(main({argv!r}))"
+    assert _loaded_after(code, layers) == (0, ["ringfill.simplicial"])
+
+
+def test_public_names_resolve_to_their_defining_module():
+    code = (
+        "import ringfill; from importlib import import_module\n"
+        "layer = ringfill.oracle.__name__  # a layer module is an attribute before it is imported\n"
+        "listed = set(ringfill.__all__) <= set(dir(ringfill))\n"
+        "homes = {name: getattr(ringfill, name).__module__ for name in ringfill.__all__}\n"
+        "same = all(getattr(import_module(home), name) is getattr(ringfill, name) for name, home in homes.items())\n"
+        "try:\n    ringfill.no_such_name\nexcept AttributeError as exc:\n    missing = str(exc)\n"
+        "print(layer, listed, same, sorted(set(homes.values())), missing)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True)
+    layers = ("analysis", "annuli", "builder", "oracle", "simplicial", "verify")
+    homes = ["ringfill", *(f"ringfill.{m}" for m in layers)]
+    assert proc.stdout == f"ringfill.oracle True True {homes} module 'ringfill' has no attribute 'no_such_name'\n"
+    namespace: dict = {}
+    exec("from ringfill import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(ringfill.__all__)
+
+
+def _sampled_bound_check(build, dist, count, seed):
+    """The per-pair loop that ``verify --check-bound`` ran before it was vectorised."""
+    import random
+
+    import ringfill.verify as verify
+
+    rng = random.Random(seed)
+    table = verify.separation_lower_bounds(build)
+    n = build.params.n
+    violations = 0
+    for _ in range(count):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        if table[verify.cycle_dist(a, b, n)] > dist[a, b]:
+            violations += 1
+            print(f"lower bound {table[verify.cycle_dist(a, b, n)]} exceeds distance {dist[a, b]} for ({a}, {b})")
+    return violations
+
+
+@pytest.mark.parametrize("raise_by", [0, 3], ids=["sound", "forced-violations"])
+def test_bound_check_matches_the_per_pair_loop(small_build, capsys, monkeypatch, raise_by):
+    import ringfill.cli as cli
+    import ringfill.verify as verify
+
+    table = verify.separation_lower_bounds
+    monkeypatch.setattr(verify, "separation_lower_bounds", lambda build: [v + raise_by for v in table(build)])
+    monkeypatch.setattr(cli, "_PAIRS", 7)  # several chunks, the last one short
+    dist = verify.verify_filling(small_build.triangulation).boundary_distances
+    for seed in range(5):
+        want = _sampled_bound_check(small_build, dist, 100, seed), capsys.readouterr().out
+        got = cli._check_bound(small_build, dist, 100, seed), capsys.readouterr().out
+        assert got == want
+        assert (want[0] > 0) == (raise_by > 0) and want[1].count("\n") == want[0]
 
 
 def test_bare_file_with_an_id_beyond_its_vertices_is_refused(tmp_path, capsys):

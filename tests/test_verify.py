@@ -170,9 +170,10 @@ def test_jobs_beyond_n_ask_the_pool_for_the_cpus_only(monkeypatch, medium_build)
 
 def test_jobs_below_one_is_an_error(small_build, monkeypatch):
     import ringfill.analysis as analysis
+    import ringfill.builder
 
     t = small_build.triangulation
-    monkeypatch.setattr(analysis, "build_filling", None)  # the sweep refuses before any build
+    monkeypatch.setattr(ringfill.builder, "build_filling", None)  # the sweep refuses before any build
     for jobs in (0, -2):
         with pytest.raises(ValueError, match=f"jobs must be a positive integer, got {jobs}"):
             verify_filling(t, jobs=jobs)
