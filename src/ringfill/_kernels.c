@@ -5,14 +5,17 @@
  *   graph_csr, bfs_rows      the 1-skeleton's CSR and the boundary BFS
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
+ *   disk_verdicts            the disk check of each complex of a stack
  *   isometric_rows           the oracle's isometry test on a stack of complexes
  *
  * ringfill._kernels compiles this file on first use and calls its functions
  * through ctypes, which releases the GIL for each call, so threads run in
  * parallel.  Nothing here keeps state between calls or allocates: every
- * scratch array is passed in by the caller, who allocates it with numpy.
- * The caller checks every array: C-contiguous, int32 unless stated, and
- * every index within the sizes given.
+ * scratch array is passed in by the caller, who allocates it as a numpy
+ * array or, in the oracle, as a bytearray.  The caller checks every array:
+ * C-contiguous, int32 unless stated, and every index within the sizes
+ * given; disk_verdicts alone takes ids of any value, since rejecting them is
+ * its job.
  *
  * Triangles are rows of three int32 ids, each row rotated so its smallest id
  * comes first.  Slot s = 3f + j of a triangle array is the edge from corner
@@ -172,12 +175,11 @@ void link_roots(const int32_t *tri, const int32_t *slot, int32_t nf, const int32
             count[ends[v]]++;
 }
 
-/* The components of the nf triangles' vertices, of nodes ids, each
- * triangle joining its corners.  label as in link_roots; count[v / stride]
- * (zeroed by the caller) gains one for each component of smallest id v. */
-void vertex_roots(const int32_t *tri, int32_t nf, int32_t nodes, int32_t stride, int32_t *label,
-                  int32_t *count)
+/* The number of connected components of the nf triangles' vertices, of
+ * nodes ids, each triangle joining its corners.  label as in link_roots. */
+int32_t vertex_roots(const int32_t *tri, int32_t nf, int32_t nodes, int32_t *label)
 {
+    int32_t components = 0;
     for (int32_t v = 0; v < nodes; v++)
         label[v] = -1;
     for (size_t f = 0; f < (size_t)nf; f++) {
@@ -186,8 +188,8 @@ void vertex_roots(const int32_t *tri, int32_t nf, int32_t nodes, int32_t stride,
     }
     finish(label, nodes);
     for (int32_t v = 0; v < nodes; v++)
-        if (label[v] == v)
-            count[v / stride]++;
+        components += label[v] == v;
+    return components;
 }
 
 /* The symmetric CSR (indptr of nv + 1, indices of 2 * ne) of ne edges
@@ -429,6 +431,88 @@ int32_t grow_fillings(int32_t n, int32_t interior, int32_t *state, int32_t *tri,
     state[HEAD_TOP] = top;
     state[HEAD_REGIONS] = regions;
     return written;
+}
+
+/* Whether the nf triangles src (rows of any order) form a triangulated disk
+ * on the vertices 0..nv-1 whose boundary is exactly the cycle 0..n-1, with
+ * nv <= 3 * nf.  The checks are validate_disk's: every id within 0..nv-1
+ * and no degenerate triangle, then on the rotated copy of the rows every
+ * edge in 1 or 2 triangles, the incidence-1 edges exactly the edges of C_n,
+ * V - E + F = 1, no two triangles on one vertex set, every vertex in a
+ * triangle with a connected link, and one component.  An id is compared
+ * before it is used as an index.  scratch is laid out as in disk_verdicts. */
+static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_t *scratch)
+{
+    int32_t size = 3 * nf, *rows = scratch, *slot = rows + size, *perm = slot + size;
+    int32_t *incidence = perm + size, *edges = incidence + size, *label = edges + 2 * (size_t)size;
+    int32_t *count = label + 2 * (size_t)size;
+    for (int32_t s = 0; s < size; s += 3) {
+        int32_t a = src[s], b = src[s + 1], c = src[s + 2];
+        if (a < 0 || b < 0 || c < 0 || a >= nv || b >= nv || c >= nv || a == b || b == c || a == c)
+            return 0;
+        put_triangle(rows + s, a, b, c);
+    }
+    int width = 1; /* one radix digit holds every id, so count needs 1 << width <= 2 * nv entries */
+    while (width < 31 && ((nv - 1) >> width))
+        width++;
+    int32_t ne = edge_slots(rows, size, width, count, perm, slot), boundary = 0;
+    memset(incidence, 0, sizeof(int32_t) * (size_t)ne);
+    edge_ends(rows, size, slot, edges, incidence);
+    for (int32_t e = 0; e < ne; e++) {
+        int32_t lo = edges[2 * e], hi = edges[2 * e + 1];
+        if (incidence[e] > 2)
+            return 0;
+        if (incidence[e] == 1) { /* edges are distinct, so n cycle edges are all of C_n */
+            if (hi >= n || (hi != lo + 1 && (lo != 0 || hi != n - 1)))
+                return 0;
+            boundary++;
+        }
+    }
+    if (boundary != n || nv - ne + nf != 1)
+        return 0;
+    /* Two triangles on one vertex set share their two smallest edge ids.
+     * Each edge lies in at most two triangles, so keeping the second
+     * smallest edge id of the last triangle seen with each smallest one
+     * finds every such pair. */
+    int32_t *second = perm;
+    for (int32_t e = 0; e < ne; e++)
+        second[e] = -1;
+    for (int32_t s = 0; s < size; s += 3) {
+        int32_t a = slot[s], b = slot[s + 1], c = slot[s + 2];
+        int32_t lo = a < b ? a : b, hi = a < b ? b : a;
+        if (c < lo) {
+            hi = lo;
+            lo = c;
+        } else if (c < hi) {
+            hi = c;
+        }
+        if (second[lo] == hi)
+            return 0;
+        second[lo] = hi;
+    }
+    memset(count, 0, sizeof(int32_t) * (size_t)nv);
+    link_roots(rows, slot, nf, edges, 2 * ne, label, count);
+    for (int32_t v = 0; v < nv; v++)
+        if (count[v] != 1) /* 0: v lies in no triangle; more: its link is disconnected */
+            return 0;
+    return vertex_roots(rows, nf, nv, label) == 1;
+}
+
+/* disk_verdicts: ok[b] is 1 iff complex b of count, rows of nf triangles in
+ * tri, is a triangulated disk on the vertices 0..nv-1 whose boundary is
+ * exactly the cycle 0..n-1 (see is_disk).  Each complex is checked on its
+ * own, its rows rotated here, and the ids of tri may take any value.
+ * scratch holds 30 * nf int32 entries: the rotated rows, the slot edge ids,
+ * the sort order (then each edge's second smallest partner), the
+ * incidences (3F each), the edges and the corner-graph labels (6F each) and
+ * the radix counts (then each vertex's link components; 6F).  No complex
+ * of F triangles covers more than 3F vertices, so for nv outside 1..3F
+ * every verdict is 0 and the scratch stays linear in F. */
+void disk_verdicts(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int32_t nf, int32_t *scratch,
+                   uint8_t *ok)
+{
+    for (size_t b = 0; b < (size_t)count; b++)
+        ok[b] = (uint8_t)(0 < nv && nv <= 3 * (int64_t)nf && is_disk(n, nv, tri + b * 3 * (size_t)nf, nf, scratch));
 }
 
 /* Which of count complexes, rows of nf triangles on ids 0..nv-1 in tri, are

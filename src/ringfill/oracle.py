@@ -11,19 +11,27 @@ order.  The counts equal W. G. Brown's closed formula for triangulated disks
 Both hot loops are compiled kernels of ``_kernels.c``: a resumable
 backtracking enumeration that writes the fillings into ``(B, F, 3)`` int32
 stacks, and an isometry test on per-complex adjacency bitsets.  Every stack
-passes :func:`validate_disk_batch`, an independent check on the enumerator,
-before its isometry test.  Budgets are tiny by design: this module exists to
-ground-truth the verifier and the small end of the construction, not to
+passes ``disk_verdicts``, the compiled per-complex form of
+:func:`ringfill.validate_disk`'s checks and an independent check on the
+enumerator, before its isometry test.  The search state, the stacks and
+the kernels' scratch are ``bytearray`` buffers cast by ``memoryview``, so a
+search imports no numpy: numpy and :mod:`ringfill.simplicial` are imported
+only to build a witness, to report an invalid leaf, and by
+:func:`enumerate_fillings`.  Budgets are tiny by design: this module exists
+to ground-truth the verifier and the small end of the construction, not to
 chase the asymptotics.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from math import prod
+from typing import TYPE_CHECKING
 
-import numpy as np
+from ._kernels import DISK_SCRATCH, library as _library
 
-from .simplicial import Triangulation, _library, validate_disk, validate_disk_batch
+if TYPE_CHECKING:
+    from .simplicial import Triangulation
 
 __all__ = [
     "EnumerationBudget",
@@ -37,10 +45,10 @@ __all__ = [
 MAX_BOUNDARY = 7
 MAX_INTERIOR = 4
 # Fillings per stack, each stack searched, validated and tested in one call
-# each.  Batched validation costs about 5.5 us a filling at 128, 4.5 at 256
-# and 3.3-4.1 at 504 (k = 3 stacks of n = 7, 2-vCPU host), and the peak RSS
-# of the n = 7 search is the same at 128 and 504 (31.7 MB).  At most 504, so
-# a test can corrupt a full first stack of n = 6 with two interior vertices.
+# each.  The peak RSS of the n = 7 search is the same at 128 and 504 (31.7
+# MB), and stacks of 504 keep the per-call costs of the three kernels small
+# beside their work.  At most 504, so a test can corrupt a full first stack
+# of n = 6 with two interior vertices.
 _CHUNK = 504
 _MAX_TINY = 255  # the most vertices is_isometric_filling takes
 
@@ -71,11 +79,16 @@ class EnumerationStats:
     duplicates: int = 0
 
 
-def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[np.ndarray]:
+def _ints(*shape: int) -> memoryview:
+    """A zeroed C-contiguous int32 buffer of ``shape``: a ``bytearray`` cast by ``memoryview``."""
+    return memoryview(bytearray(4 * prod(shape))).cast("i", shape)
+
+
+def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[memoryview]:
     """The enumeration's fillings in depth-first order, as ``(B, F, 3)`` int32 stacks of at most ``cap``.
 
     The compiled ``grow_fillings`` runs the search, its state kept in this
-    generator's arrays between stacks, so no two searches share anything.
+    generator's buffers between stacks, so no two searches share anything.
     Each step attaches the unique triangle of the final complex that sits on
     the first edge of the first open region, branching first over a fresh
     interior vertex, then over the region's other vertices as apex; a chord
@@ -88,13 +101,14 @@ def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[np.ndarr
     lib = _library()
     n, k = budget.n, budget.interior
     nf = n - 2 + 2 * k
-    state = np.zeros(lib.grow_state_size(n, k), dtype=np.int32)
-    path = np.empty((nf + 1, 3), dtype=np.int32)
+    state = _ints(lib.grow_state_size(n, k))
+    path = _ints(nf + 1, 3)
     while True:
-        stack = np.empty((cap, nf, 3), dtype=np.int32)
+        stack = _ints(cap, nf, 3)
         got = lib.grow_fillings(n, k, state, path, stack, cap)
-        if got < 0:
-            yield path[: -1 - got][None].copy()
+        if got < 0:  # a leaf of T = -1 - got triangles, left in the path
+            size = -1 - got
+            yield memoryview(bytearray(path[:size])).cast("i", (1, size, 3))
             return
         if got:
             yield stack[:got]
@@ -102,27 +116,41 @@ def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[np.ndarr
             return
 
 
-def _invalid(n: int, nv: int, leaves: Iterable[np.ndarray]) -> RuntimeError:
+def _verdicts(n: int, nv: int, stack) -> bytearray:
+    """Byte b is 1 iff complex b of the ``(B, F, 3)`` int32 ``stack`` is a disk filling C_n on ``nv`` vertices.
+
+    The compiled ``disk_verdicts`` checks each complex on its own and shares
+    no code with the search, so it is an independent check on it.
+    """
+    num, nf = stack.shape[:2]
+    ok = bytearray(num)
+    _library().disk_verdicts(n, nv, stack, num, nf, _ints(DISK_SCRATCH * nf), memoryview(ok).cast("?"))
+    return ok
+
+
+def _invalid(n: int, nv: int, leaves) -> RuntimeError:
     """The error for a stack holding a leaf that is not a disk, with the first one's failures."""
-    for leaf in leaves:
+    from .simplicial import Triangulation, validate_disk
+
+    for leaf in leaves.tolist():
         report = validate_disk(Triangulation(n, nv, leaf))
         if not report.ok:
             return RuntimeError(f"enumerator produced an invalid complex: {report.failures[:3]}")
     return RuntimeError("batched and per-complex disk validation disagree")
 
 
-def _stacks(budget: EnumerationBudget) -> Iterator[np.ndarray]:
-    """The fillings of :func:`_fillings`, each stack checked by :func:`validate_disk_batch`.
+def _stacks(budget: EnumerationBudget) -> Iterator[memoryview]:
+    """The stacks of :func:`_fillings`, each one checked by :func:`_verdicts`.
 
     Every filling has ``n + interior`` vertices and ``F = n - 2 +
-    2*interior`` triangles.  A filling failing the validation is a bug in the
-    enumerator, so it raises, with :func:`validate_disk`'s failures for the
-    first one.
+    2*interior`` triangles.  A filling failing the check is a bug in the
+    enumerator, so it raises, with :func:`ringfill.validate_disk`'s failures
+    for the first one.
     """
     n, nv = budget.n, budget.n + budget.interior
     nf = n - 2 + 2 * budget.interior
     for chunk in _fillings(budget):
-        if chunk.shape[1] != nf or not validate_disk_batch(n, nv, chunk).all():
+        if chunk.shape[1] != nf or 0 in _verdicts(n, nv, chunk):
             raise _invalid(n, nv, chunk)
         yield chunk
 
@@ -137,27 +165,32 @@ def enumerate_fillings(
     enumerator, so it raises instead of skipping.  Fillings are searched and
     validated a stack at a time as they are consumed.
     """
+    import numpy as np
+
+    from .simplicial import Triangulation
+
     if stats is None:
         stats = EnumerationStats()
     nv = budget.n + budget.interior
     for chunk in _stacks(budget):
-        for triangles in chunk:
+        for triangles in np.asarray(chunk):
             stats.emitted += 1
             yield Triangulation(budget.n, nv, triangles)
 
 
-def _isometric_rows(n: int, nv: int, triangles: np.ndarray) -> np.ndarray:
+def _isometric_rows(n: int, nv: int, triangles) -> memoryview:
     """Which complexes of a ``(B, F, 3)`` int32 stack on ids ``0..nv-1`` are isometric fillings of C_n.
 
     The compiled ``isometric_rows`` grows, on per-complex adjacency bitsets,
     the set of vertices within k steps of each boundary vertex: a shortcut
     between boundary vertices i and j has length at most ``d_cyc(i, j) - 1
     <= n // 2 - 1``, so the complex is isometric iff no pair with ``d_cyc >
-    k`` is reached within k steps, for k = 1 .. n // 2 - 1.
+    k`` is reached within k steps, for k = 1 .. n // 2 - 1.  Returns a
+    ``(B,)`` bool buffer.
     """
     num, nf = triangles.shape[:2]
-    isometric = np.empty(num, dtype=bool)
-    scratch = np.empty((nv + 2 * n) * -(-nv // 64), dtype=np.uint64)
+    isometric = memoryview(bytearray(num)).cast("?")
+    scratch = memoryview(bytearray(8 * (nv + 2 * n) * -(-nv // 64))).cast("Q")
     _library().isometric_rows(n, nv, triangles, num, nf, scratch, isometric)
     return isometric
 
@@ -173,7 +206,7 @@ def is_isometric_filling(t: Triangulation) -> bool:
     tri = t.triangles
     if len(tri) and tri.max() >= t.num_vertices:
         raise ValueError(f"triangles reference vertex id {tri.max()}, beyond the {t.num_vertices} vertices")
-    return bool(_isometric_rows(t.n, t.num_vertices, tri[None])[0])
+    return _isometric_rows(t.n, t.num_vertices, tri[None])[0]
 
 
 @dataclass
@@ -202,9 +235,11 @@ def min_isometric_vertices(n: int, max_interior: int = MAX_INTERIOR) -> OracleRe
     total = 0
     for k in range(max_interior + 1):
         for chunk in _stacks(EnumerationBudget(n, k)):
-            hits = np.flatnonzero(_isometric_rows(n, n + k, chunk))
-            if len(hits):
-                witness = Triangulation(n, n + k, chunk[hits[0]])
-                return OracleResult(n=n, min_vertices=n + k, witness=witness, enumerated=total + int(hits[0]) + 1)
+            hit = _isometric_rows(n, n + k, chunk).tobytes().find(1)
+            if hit >= 0:
+                from .simplicial import Triangulation
+
+                witness = Triangulation(n, n + k, chunk[hit : hit + 1].tolist()[0])
+                return OracleResult(n=n, min_vertices=n + k, witness=witness, enumerated=total + hit + 1)
             total += len(chunk)
     return OracleResult(n=n, min_vertices=None, witness=None, enumerated=total)

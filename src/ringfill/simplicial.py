@@ -7,8 +7,8 @@ contiguous blocks, one block per concentric layer.
 
 Triangles are one ``(F, 3)`` int32 array; edges, incidence and every
 validation check are derived from it, with vectorized numpy and the
-compiled kernels of ``_kernels.c`` (an edge-table radix sort and a
-union-find).
+compiled kernels of ``_kernels.c`` (an edge-table radix sort, a union-find,
+and the per-complex disk check of a stack of complexes).
 """
 from __future__ import annotations
 
@@ -57,11 +57,7 @@ def _triangle_rows(triangles, own: bool = False) -> np.ndarray:
         tri = tri.reshape(0, 3).astype(np.int32)
     if tri.ndim != 2 or tri.shape[1] != 3:
         raise ValueError(f"triangles must be an (F, 3) array of vertex ids, got shape {tri.shape}")
-    if tri.dtype.kind not in "iu":
-        raise ValueError(f"triangle vertex ids must be integers, got {tri.dtype}")
-    # Negative ids would silently wrap when used as numpy indices.
-    if len(tri) and (tri.min() < 0 or tri.max() > _MAX_ID):
-        raise ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
+    _check_ids(tri)
     tri = tri.astype(np.int32, copy=not own)
     a, b, c = tri.T
     second, third = (b < a) & (b <= c), (c < a) & (c < b)
@@ -69,6 +65,15 @@ def _triangle_rows(triangles, own: bool = False) -> np.ndarray:
         rows = np.flatnonzero(at)
         tri[rows] = tri[rows][:, turn]
     return tri
+
+
+def _check_ids(tri: np.ndarray) -> None:
+    """Raise ValueError unless the ids of ``tri`` are integers in ``0.._MAX_ID``."""
+    if tri.dtype.kind not in "iu":
+        raise ValueError(f"triangle vertex ids must be integers, got {tri.dtype}")
+    # Negative ids would silently wrap when used as numpy indices.
+    if tri.size and (tri.min() < 0 or tri.max() > _MAX_ID):
+        raise ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
 
 
 def _library():
@@ -232,85 +237,62 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     if not len(tri):
         rep.failures.append("complex has no triangles")
         return rep
-    _check_disks(t.n, t.num_vertices, tri, t._edge_table, 1, rep)
+    _check_disk(t.n, t.num_vertices, tri, t._edge_table, rep)
     return rep
 
 
 def validate_disk_batch(n: int, num_vertices: int, triangles) -> np.ndarray:
-    """:func:`validate_disk`'s verdicts on B complexes of one size, in one pass.
+    """:func:`validate_disk`'s verdicts on B complexes of one size, in one call.
 
     ``triangles`` is a ``(B, F, 3)`` integer array; complex b is
-    ``Triangulation(n, num_vertices, triangles[b])``.  The stack is checked
-    as one disjoint union, complex b's ids shifted by ``b * (num_vertices +
-    1)``, so numpy's fixed cost is paid once per stack, not once per
-    complex.  Ids past ``num_vertices`` all become ``num_vertices`` first:
-    that keeps them inside their own complex, which they make invalid
-    either way.  Returns a ``(B,)`` bool array, True where
-    :func:`validate_disk` reports ``ok``; ask it for the failures of a
-    complex this flags.
+    ``Triangulation(n, num_vertices, triangles[b])``.  The compiled
+    ``disk_verdicts`` checks each complex on its own, with scratch linear in
+    F, so numpy's fixed cost is paid once per stack, not once per complex.
+    Returns a ``(B,)`` bool array, True where :func:`validate_disk` reports
+    ``ok``; ask it for the failures of a complex this flags.
     """
+    from ._kernels import DISK_SCRATCH
+
     tri = np.asarray(triangles)
     if tri.ndim != 3 or tri.shape[2] != 3 or not tri.size:
         raise ValueError(f"triangles must be a (B, F, 3) array with B, F >= 1, got shape {tri.shape}")
+    _check_ids(tri)
     num, nf = tri.shape[:2]
-    stride = num_vertices + 1
-    if num * stride > _MAX_ID:
-        raise ValueError(f"a stack of {num} complexes on {num_vertices} vertices does not fit int32 ids")
-    union = np.minimum(_triangle_rows(tri.reshape(-1, 3)), num_vertices)
-    union += np.repeat(np.arange(num, dtype=np.int32) * stride, nf)[:, None]
-    return ~_check_disks(n, num_vertices, union, _edge_table(union), num)
+    if nf > MAX_TRIANGLES:
+        raise ValueError(f"{nf} triangles have too many edges for int32 edge ids")
+    ok = np.zeros(num, dtype=bool)
+    # A complex of F triangles covers at most 3F vertices, and its boundary C_n
+    # at most all of them: other counts, which may not fit int32, fail every complex.
+    if 0 <= n <= num_vertices <= 3 * nf:
+        scratch = np.empty(DISK_SCRATCH * nf, dtype=np.int32)
+        tri = np.ascontiguousarray(tri, dtype=np.int32)
+        _library().disk_verdicts(n, num_vertices, tri, num, nf, scratch, ok)
+    return ok
 
 
-def _check_disks(
-    n: int,
-    nv: int,
-    tri: np.ndarray,
-    table: tuple[np.ndarray, np.ndarray, np.ndarray],
-    num: int,
-    rep: ValidationReport | None = None,
-) -> np.ndarray:
-    """Which of ``num`` stacked complexes fail a disk invariant.
+def _check_disk(
+    n: int, nv: int, tri: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray], rep: ValidationReport
+) -> None:
+    """Write every disk invariant the canonical ``tri`` breaks into ``rep``, with witnesses, and its counts.
 
-    ``table`` is :func:`_edge_table` of the canonical ``tri``.  A single
-    complex may use any ids.  In a stack, complex b owns triangle rows
-    ``b*F .. b*F + F - 1`` and ids ``b*stride .. b*stride + nv``, with
-    ``stride = nv + 1``; the last of these stands for every out-of-range
-    id.  Edges never join two complexes.  With ``rep`` (one complex) every
-    failure is also written to it with witnesses, and the counts.
+    ``table`` is :func:`_edge_table` of ``tri``, which may use any ids.
     """
-    bad = np.zeros(num, dtype=bool)
-    stride = nv + 1 if num > 1 else nv
-
-    def owner(ids: np.ndarray) -> np.ndarray:
-        """The complex each id belongs to."""
-        return ids // stride if num > 1 else np.zeros(len(ids), dtype=np.intp)
-
-    def owned(ids: np.ndarray) -> np.ndarray:
-        """How many of ``ids`` each complex owns."""
-        return np.bincount(owner(ids), minlength=num) if num > 1 else np.array([len(ids)])
-
-    nf = len(tri) // num
+    nf = len(tri)
     edges, inc, slot = table
     ne = len(edges)
     # rows are canonical, so column 0 holds the smallest id
     degenerate = (tri[:, 0] == tri[:, 1]) | (tri[:, 0] == tri[:, 2]) | (tri[:, 1] == tri[:, 2])
-    top = np.maximum(tri[:, 1], tri[:, 2])
-    if num > 1:
-        top %= stride
-    outside = top >= nv
-    del top
+    outside = np.maximum(tri[:, 1], tri[:, 2]) >= nv
     good = ~(degenerate | outside)
     if not good.all():
-        bad[np.flatnonzero(~good) // nf] = True
-        if rep is not None:
-            degenerates = [f"degenerate triangle {x}" for x in _tuples(tri[degenerate])]
-            _report(rep.failures, degenerates, "degenerate triangles")
-            stray = _tuples(tri[outside & ~degenerate])
-            _report(
-                rep.failures,
-                [f"triangle {x} references a vertex id outside 0..{nv - 1}" for x in stray],
-                "triangles with out-of-range ids",
-            )
+        degenerates = [f"degenerate triangle {x}" for x in _tuples(tri[degenerate])]
+        _report(rep.failures, degenerates, "degenerate triangles")
+        stray = _tuples(tri[outside & ~degenerate])
+        _report(
+            rep.failures,
+            [f"triangle {x} references a vertex id outside 0..{nv - 1}" for x in stray],
+            "triangles with out-of-range ids",
+        )
         tri, slot = tri[good], slot[good]
 
     # A triangle is fixed by any two of its edges: its two smallest edge ids
@@ -320,40 +302,30 @@ def _check_disks(
     pairs = np.sort(slot, axis=1)
     unoriented = pairs[:, 0].astype(np.int64) * ne + pairs[:, 1]
     del pairs
-    multi = np.zeros(num * stride, dtype=bool)
+    multi = np.zeros(nv, dtype=bool)
     ranked = np.sort(unoriented)
     if (ranked[1:] == ranked[:-1]).any():
         oriented = slot[:, 0].astype(np.int64) * ne + slot[:, 1]
-        repeated = tri[_repeats(oriented)]
-        bad[owner(repeated[:, 0])] = True
-        if rep is not None:
-            _report(rep.failures, [f"repeated triangle {x}" for x in _tuples(repeated)], "repeated triangles")
+        repeated = _tuples(tri[_repeats(oriented)])
+        _report(rep.failures, [f"repeated triangle {x}" for x in repeated], "repeated triangles")
         multi[tri[_repeats(unoriented, every=True)]] = True
     del unoriented, ranked
 
     overfull = np.flatnonzero(inc > 2)
-    if len(overfull):
-        bad[owner(edges[overfull, 0])] = True
-        if rep is not None:
-            _report(
-                rep.failures,
-                [
-                    f"edge {e} lies in {k} triangles (expected 1 or 2)"
-                    for e, k in zip(_tuples(edges[overfull]), inc[overfull].tolist())
-                ],
-                "edges with bad incidence",
-            )
+    _report(
+        rep.failures,
+        [
+            f"edge {e} lies in {k} triangles (expected 1 or 2)"
+            for e, k in zip(_tuples(edges[overfull]), inc[overfull].tolist())
+        ],
+        "edges with bad incidence",
+    )
 
-    # Edges are distinct, so a complex's boundary is C_n iff it has n edges,
-    # each (shifted back to ids 0..) an edge of C_n.
+    # Edges are distinct, so the boundary is C_n iff it has n edges, each an edge of C_n.
     boundary = edges[inc == 1]
-    home = owner(boundary[:, 0])
-    lo, hi = (boundary - (home * stride)[:, None]).T
+    lo, hi = boundary.T
     on_cycle = (hi < n) & ((hi == lo + 1) | ((lo == 0) & (hi == n - 1)))
-    wrong = np.bincount(home, minlength=num) != n
-    wrong[home[~on_cycle]] = True
-    bad |= wrong
-    if rep is not None and wrong[0]:
+    if len(boundary) != n or not on_cycle.all():
         have = set(_tuples(boundary))
         need = {(0, n - 1)} | {(i, i + 1) for i in range(n - 1)}
         if need - have:
@@ -361,31 +333,23 @@ def _check_disks(
         if have - need:
             rep.failures.append(f"unexpected boundary edges: {sorted(have - need)[:_LISTED]}")
 
-    euler = nv - owned(edges[:, 0]) + nf
-    bad |= euler != 1
-    if rep is not None:
-        rep.counts = {
-            "vertices": nv,
-            "edges": ne,
-            "triangles": nf,
-            "boundary_edges": len(boundary),
-            "interior_edges": ne - len(boundary),
-        }
-        if euler[0] != 1:
-            rep.failures.append(
-                f"Euler formula violated: V - E + F = {nv} - {ne} + {nf} = {euler[0]}, expected 1"
-            )
+    euler = nv - ne + nf
+    rep.counts = {
+        "vertices": nv,
+        "edges": ne,
+        "triangles": nf,
+        "boundary_edges": len(boundary),
+        "interior_edges": ne - len(boundary),
+    }
+    if euler != 1:
+        rep.failures.append(f"Euler formula violated: V - E + F = {nv} - {ne} + {nf} = {euler}, expected 1")
 
-    covered = np.zeros(num * stride, dtype=bool)
+    covered = np.zeros(nv, dtype=bool)
     covered[tri] = True
-    uncovered = np.flatnonzero(~covered.reshape(num, stride)[:, :nv])
-    bad[uncovered // nv] = True
-    if rep is not None:
-        _report(rep.failures, [f"vertex {v} lies in no triangle" for v in uncovered.tolist()], "uncovered vertices")
-    links = _link_counts(edges, tri, slot, num * stride)
-    flawed = multi.reshape(num, stride).any(axis=1) | (links.reshape(num, stride) > 1).any(axis=1)
-    bad |= flawed
-    if rep is not None and flawed[0]:
+    uncovered = np.flatnonzero(~covered).tolist()
+    _report(rep.failures, [f"vertex {v} lies in no triangle" for v in uncovered], "uncovered vertices")
+    links = _link_counts(edges, tri, slot, nv)
+    if multi.any() or (links > 1).any():
         on_boundary = set(boundary.ravel().tolist())
 
         def link_lines(vs: np.ndarray, shape: str) -> list[str]:
@@ -397,11 +361,9 @@ def _check_disks(
         _report(rep.failures, link_lines(multi, "a multigraph (repeated link edge)"), "vertices with a multigraph link")
         _report(rep.failures, link_lines((links > 1) & ~multi, "disconnected"), "vertices with a disconnected link")
 
-    components = _components(tri, num, stride)
-    bad |= components > 1
-    if rep is not None and components[0] > 1:
-        rep.failures.append(f"complex is disconnected: {components[0]} components")
-    return bad
+    components = _components(tri, nv)
+    if components > 1:
+        rep.failures.append(f"complex is disconnected: {components} components")
 
 
 def _repeats(keys: np.ndarray, every: bool = False) -> np.ndarray:
@@ -432,16 +394,13 @@ def _link_counts(edges: np.ndarray, tri: np.ndarray, slot: np.ndarray, size: int
     return links
 
 
-def _components(tri: np.ndarray, num: int, stride: int) -> np.ndarray:
-    """The number of connected components of each of ``num`` complexes whose ids lie ``stride`` apart.
+def _components(tri: np.ndarray, size: int) -> int:
+    """The number of connected components of the vertices of ``tri``, whose ids lie below ``size``.
 
     Only the vertices of ``tri`` count; the kernel's union-find joins the
     corners of each triangle.
     """
-    components = np.zeros(num, dtype=np.int32)
-    nodes = num * stride
-    _library().vertex_roots(tri, len(tri), nodes, stride, np.empty(nodes, dtype=np.int32), components)
-    return components
+    return _library().vertex_roots(tri, len(tri), size, np.empty(size, dtype=np.int32))
 
 
 def cone_over_cycle(n: int) -> Triangulation:

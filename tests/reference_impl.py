@@ -460,13 +460,12 @@ def link_counts(edges, tri, slot, size):
     return np.bincount(link_components(edges, tri, slot), minlength=size).astype(np.int32)
 
 
-def components(tri, num, stride):
+def components(tri, size):
     """``ringfill.simplicial._components`` by way of :func:`min_labels` over the triangles' sides."""
-    label = min_labels(num * stride, tri.ravel(), np.take(tri, _NEXT, axis=1).ravel())
-    covered = np.zeros(num * stride, dtype=bool)
+    label = min_labels(size, tri.ravel(), np.take(tri, _NEXT, axis=1).ravel())
+    covered = np.zeros(size, dtype=bool)
     covered[tri] = True
-    roots = covered & (label == np.arange(num * stride, dtype=label.dtype))
-    return roots.reshape(num, stride).sum(axis=1)
+    return int((covered & (label == np.arange(size, dtype=label.dtype))).sum())
 
 
 def graph_csr(t):

@@ -8,11 +8,18 @@ memory linear in the triangles, whatever the ids, and be safe to call from
 several threads at once.  The oracle's isometry test must give the
 reference's verdicts, and the file must compile without warnings.
 """
+import ctypes
+import os
 import shutil
 import subprocess
+import sys
+import sysconfig
 import threading
 import time
 import tracemalloc
+from array import array
+from importlib.util import source_hash
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -66,12 +73,14 @@ def _assert_labels_match(t: Triangulation) -> None:
     assert touched.sum() == len(np.union1d(a, b))
     assert np.array_equal(label[touched], ref.min_labels(nodes, a, b)[touched])
     nv = t.num_vertices
-    label = _labels("vertex_roots", nv, tri, len(tri), nv, nv)
+    label = np.empty(nv, dtype=np.int32)
+    components = _kernels.library().vertex_roots(tri, len(tri), nv, label)
     covered = np.zeros(nv, dtype=bool)
     covered[tri] = True
     assert np.array_equal(label >= 0, covered)
     want = ref.min_labels(nv, tri.ravel(), np.take(tri, [1, 2, 0], axis=1).ravel())
     assert np.array_equal(label[covered], want[covered])
+    assert components == ref.components(tri, nv)
 
 
 def test_built_complexes_match_the_references(small_build, medium_build, flipped_builds):
@@ -100,21 +109,21 @@ def test_small_complexes_match_the_references(num_vertices, rows):
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (7, 3)])
 def test_oracle_stacks_match_the_references(n, k):
-    for chunk in list(oracle._stacks(EnumerationBudget(n, k)))[:4]:
-        union = Triangulation(n, len(chunk) * (n + k + 1), chunk.reshape(-1, 3) + np.repeat(
-            np.arange(len(chunk), dtype=np.int32) * (n + k + 1), chunk.shape[1])[:, None])
+    # The stack kernel checks each complex on its own, so its verdicts are
+    # compared with validate_disk on the numpy reference bodies, complex by
+    # complex; the union-find kernels run on the stack's disjoint union.
+    nv = n + k
+    for chunk in [np.asarray(c) for c in oracle._stacks(EnumerationBudget(n, k))][:4]:
+        union = Triangulation(n, len(chunk) * (nv + 1), chunk.reshape(-1, 3) + np.repeat(
+            np.arange(len(chunk), dtype=np.int32) * (nv + 1), chunk.shape[1])[:, None])
         _assert_labels_match(union)
-        got = validate_disk_batch(n, n + k, chunk)
-        with mock.patch.multiple(simplicial, **_REFERENCES):
-            want = validate_disk_batch(n, n + k, chunk)
-        assert got.all() and np.array_equal(got, want)
         broken = chunk.copy()
         broken[::7, 0, 2] = broken[::7, 0, 0]  # degenerate
         broken[3::7, 0, 2] = broken[3::7, 1, 0]  # a corner moved: another triangle, or a degenerate one
-        got = validate_disk_batch(n, n + k, broken)
-        with mock.patch.multiple(simplicial, **_REFERENCES):
-            want = validate_disk_batch(n, n + k, broken)
-        assert not got.all() and np.array_equal(got, want)
+        for stack, valid in ((chunk, True), (broken, False)):
+            got = validate_disk_batch(n, nv, stack)
+            want = [_reference_report(Triangulation(n, nv, rows)).ok for rows in stack]
+            assert got.tolist() == want and bool(got.all()) is valid
 
 
 _corruptions = st.lists(
@@ -158,7 +167,23 @@ def _corrupted(t: Triangulation, corruptions) -> Triangulation:
 @settings(max_examples=80, deadline=None)
 def test_corrupted_complexes_match_the_references(small_build, corruptions, base):
     t = small_build.triangulation if base == "n25" else cone_over_cycle(7)
-    _assert_table_and_report_match(_corrupted(t, corruptions))
+    broken = _corrupted(t, corruptions)
+    _assert_table_and_report_match(broken)
+    # the stack kernel, on a stack of one, gives validate_disk's verdict
+    verdicts = validate_disk_batch(broken.n, broken.num_vertices, broken.triangles[None])
+    assert verdicts.tolist() == [validate_disk(_copy(broken)).ok]
+
+
+@pytest.mark.parametrize("stray", [-1, -(2**31), 4, 2**31 - 1])
+def test_verdict_kernel_never_takes_a_stray_id_for_a_vertex(stray):
+    # validate_disk_batch refuses negative ids before the call; the kernel
+    # itself must still give any id outside 0..nv-1 a False verdict.  With
+    # the apex of the wheel renamed, the boundary and Euler's formula still
+    # hold, so only the id check stands between the stray id and an index.
+    wheel = cone_over_cycle(3).triangles
+    stack = np.stack([wheel, wheel, wheel])
+    stack[1][stack[1] == 3] = stray
+    assert list(oracle._verdicts(3, 4, stack)) == [1, 0, 1]
 
 
 def _fan(size: int) -> Triangulation:
@@ -277,7 +302,7 @@ def test_isometry_of_corrupted_stacks_matches_the_reference(n, k):
     # Complexes left disconnected have no reference verdict and are skipped.
     nv = n + k
     rng = np.random.default_rng(n * 10 + k)
-    chunk = next(c for c in oracle._stacks(EnumerationBudget(n, k)) if oracle._isometric_rows(n, nv, c).any())
+    chunk = next(c for c in oracle._stacks(EnumerationBudget(n, k)) if any(oracle._isometric_rows(n, nv, c)))
     chunk = np.repeat(chunk, 8, axis=0)
     broken = chunk.copy()
     rows = np.arange(len(broken))
@@ -309,3 +334,99 @@ def test_kernels_compile_without_warnings(tmp_path):
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+_POINTERS = [
+    pytest.param(name, k, id=f"{name}-{k}")
+    for name, (_, argtypes) in _kernels.signatures().items()
+    for k, argtype in enumerate(argtypes)
+    if isinstance(argtype, _kernels._Buffer)
+]
+_OTHER_KIND = {"i": "I", "l": "L", "q": "Q", "L": "l", "Q": "q", "?": "B"}  # same item size, another type
+
+
+@pytest.mark.parametrize("name, position", _POINTERS)
+def test_pointer_arguments_take_what_ndpointer_took(name, position):
+    # A pointer argument takes a C-contiguous numpy array of its item type
+    # and ndim, read-only or not, and the same layout in a bytearray or an
+    # array.array; anything else is an ArgumentError before the kernel runs.
+    argtypes = _kernels.signatures()[name][1]
+    pointer = argtypes[position]
+    code = min(pointer.codes)
+    shape = (2, 3) if pointer.ndim == 2 else (6,)
+    dtype = np.dtype(code)
+    wrong = [
+        np.zeros(shape, dtype=_OTHER_KIND[code]),
+        np.zeros(shape, dtype=np.float64),
+        np.zeros((shape[0], 2 * shape[-1]), dtype=dtype)[..., ::2] if pointer.ndim else np.zeros(12, dtype=dtype)[::2],
+        array("d", [0.0] * 6),
+        [0] * 6,
+    ]
+    if pointer.ndim:
+        wrong.append(np.zeros(6, dtype=dtype))
+    function = getattr(_kernels.library(), name)
+    # every other argument is valid, so the call fails in the conversion of this one, before the kernel runs
+    args = [
+        np.zeros((1,) * (t.ndim or 1), dtype=min(t.codes)) if isinstance(t, _kernels._Buffer) else t() for t in argtypes
+    ]
+    for value in wrong:
+        with pytest.raises(ctypes.ArgumentError, match=f"argument {position + 1}:"):
+            function(*args[:position], value, *args[position + 1 :])
+    frozen = np.ones(shape, dtype=dtype)
+    frozen.flags.writeable = False
+    assert pointer.from_param(frozen).value == frozen.ctypes.data
+    assert pointer.from_param(memoryview(bytearray(6 * dtype.itemsize)).cast(code, shape)) is not None
+    if code != "?" and not pointer.ndim:
+        assert pointer.from_param(array(code, range(6))) is not None
+
+
+_SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=undefined", "-g")
+_UNDER_SANITIZERS = """
+import functools, sys
+from pathlib import Path
+import pytest
+from ringfill import _kernels
+
+def refuse(source, path):
+    raise RuntimeError(f"no sanitized kernel library at {path}")
+
+_kernels._compile = refuse
+_kernels.library = functools.cache(lambda: _kernels.load(Path(sys.argv[1])))
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def test_kernels_pass_their_tests_under_sanitizers(tmp_path):
+    # The kernels take raw int32 pointers and ids: a missing bound would be a
+    # silent wrong answer, so the kernel and oracle tests run once more on a
+    # library built with AddressSanitizer and UndefinedBehaviorSanitizer,
+    # which stop at the first bad read, write or overflow.
+    if "libasan" in os.environ.get("LD_PRELOAD", ""):
+        pytest.skip("already running under the sanitizers")
+    source = _kernels._SOURCE.read_bytes()
+    library = tmp_path / f"_kernels.{source_hash(source).hex()}.{sysconfig.get_platform()}.so"
+    built = None
+    if shutil.which("cc"):
+        built = subprocess.run([*_kernels._CC, *_SANITIZE, "-x", "c", "-o", str(library), "-"], input=source,
+                               capture_output=True)
+    if built is None or built.returncode:
+        pytest.skip("cc cannot link a sanitized object")
+    runtimes = [
+        subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True).stdout.strip()
+        for name in ("libasan.so", "libubsan.so")
+    ]
+    tests = Path(__file__).parent
+    env = {
+        **os.environ,
+        "LD_PRELOAD": " ".join(runtimes),
+        "ASAN_OPTIONS": "detect_leaks=0",
+        "PYTHONPATH": os.pathsep.join([str(Path(_kernels.__file__).parents[1]), str(tests)]),
+    }
+    argv = [
+        str(tmp_path), "-q", "-p", "no:cacheprovider", "--capture=sys",  # a sanitizer's report goes to fd 2
+        str(tests / "test_kernels.py"), str(tests / "test_oracle.py"), "-k", "not under_sanitizers",
+    ]
+    done = subprocess.run([sys.executable, "-c", _UNDER_SANITIZERS, *argv], env=env, capture_output=True, text=True,
+                          cwd=tmp_path, timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert " passed" in done.stdout.splitlines()[-1] and "failed" not in done.stdout.splitlines()[-1]

@@ -81,8 +81,8 @@ PAIRS = [(n, k) for n in range(3, 7) for k in range(4)] + [(7, k) for k in range
 
 
 def _stacks(budget):
-    """The validated stacks the oracle's search hands on, in order."""
-    return list(oracle._stacks(budget))
+    """The validated stacks the oracle's search hands on, in order, as numpy arrays."""
+    return [np.asarray(chunk) for chunk in oracle._stacks(budget)]
 
 
 def _reference_stack(n, k):
@@ -215,7 +215,7 @@ def test_a_leaf_the_kernel_refuses_is_reported(monkeypatch):
             return 1
 
         def grow_fillings(self, n, interior, state, path, out, cap):
-            path[0] = (0, 1, 2)
+            np.asarray(path)[0] = (0, 1, 2)
             return -2
 
     monkeypatch.setattr(oracle, "_library", Library)
@@ -230,12 +230,13 @@ def test_search_stops_at_the_first_isometric_stack(monkeypatch):
     # fillings within 4 interior vertices; the search must stop within the
     # witness's stack instead of validating the rest.
     validated = []
+    verdicts = oracle._verdicts
 
     def counting(n, nv, chunk):
         validated.append(len(chunk))
-        return validate_disk_batch(n, nv, chunk)
+        return verdicts(n, nv, chunk)
 
-    monkeypatch.setattr(oracle, "validate_disk_batch", counting)
+    monkeypatch.setattr(oracle, "_verdicts", counting)
     result = min_isometric_vertices(7)
     assert result.enumerated == 38154
     assert 38154 <= sum(validated) <= 38154 + oracle._CHUNK
