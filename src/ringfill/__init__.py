@@ -14,6 +14,7 @@ numpy and live here.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from importlib import import_module
 
@@ -72,12 +73,34 @@ class ScheduleError(ValueError):
     """The requested parameters cannot produce a well-formed layer schedule."""
 
 
+# Python's default limit on the digits of an int converted from a string.
+# Fraction parses a decimal string's exponent into a power of ten before any
+# such check, so '1e10000000' would take seconds and a larger exponent hours.
+_MAX_DIGITS = 4300
+_DIGITS = re.compile(r"[0-9_]+")
+_EXPONENT = re.compile(r"[eE]\s*[-+]?\s*([0-9_]+)")
+
+
+def _check_length(text: str) -> None:
+    """Raise ValueError, naming ``text`` shortened, if a run of its digits or its decimal exponent passes the limit."""
+    exponent = _EXPONENT.search(text)
+    digits = max((len(run.replace("_", "")) for run in _DIGITS.findall(text)), default=0)
+    power = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if digits > _MAX_DIGITS or len(power) > len(str(_MAX_DIGITS)) or (power and int(power) > _MAX_DIGITS):
+        shown = text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+        raise ValueError(
+            f"{shown!r} ({len(text)} characters) has more than {_MAX_DIGITS} digits or a larger decimal exponent"
+        )
+
+
 def as_fraction(x: Fraction | int | float | str) -> Fraction:
     """Exact rational from a Fraction, int, decimal/fraction string, or float.
 
     Floats go through their shortest repr, so ``as_fraction(0.1)`` is exactly
     1/10 rather than the 53-bit binary approximation.  A string with a zero
-    denominator is a ``ValueError``, like any other malformed rational.
+    denominator is a ``ValueError``, like any other malformed rational, and
+    so is one with more than 4,300 digits in a row or a decimal exponent
+    beyond 4,300, refused before it is parsed.
     """
     if isinstance(x, Fraction):
         return x
@@ -86,6 +109,7 @@ def as_fraction(x: Fraction | int | float | str) -> Fraction:
     if isinstance(x, float):
         return Fraction(repr(x))
     if isinstance(x, str):
+        _check_length(x)
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -1,8 +1,13 @@
 /* The compiled kernels of ringfill.
  *
+ *   annulus_rows, cone_rows  the rows of one annulus or of the cone of a ledger
+ *   top_id, canonical_rows   the id range of an int32 array, and the canonical rotation
  *   edge_slots, edge_ends    the edge table of a triangle array
  *   link_roots, vertex_roots union-find over the corner graph and the vertices
+ *   disk_marks               validate_disk's witness marks, from the edge table
  *   graph_csr, bfs_rows      the 1-skeleton's CSR and the boundary BFS
+ *   worst_ratio              the first least ratio of BFS to cycle distance
+ *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
  *   disk_verdicts            the disk check of each complex of a stack
@@ -11,11 +16,11 @@
  * ringfill._kernels compiles this file on first use and calls its functions
  * through ctypes, which releases the GIL for each call, so threads run in
  * parallel.  Nothing here keeps state between calls or allocates: every
- * scratch array is passed in by the caller, who allocates it as a numpy
- * array or, in the oracle, as a bytearray.  The caller checks every array:
+ * array and every scratch array is passed in by the caller, as a bytearray
+ * cast by memoryview or a numpy array.  The caller checks every array:
  * C-contiguous, int32 unless stated, and every index within the sizes
- * given; disk_verdicts alone takes ids of any value, since rejecting them is
- * its job.
+ * given; disk_verdicts and disk_marks alone take vertex ids of any value,
+ * since rejecting them is their job.
  *
  * Triangles are rows of three int32 ids, each row rotated so its smallest id
  * comes first.  Slot s = 3f + j of a triangle array is the edge from corner
@@ -41,6 +46,86 @@ static inline int32_t slot_hi(const int32_t *tri, size_t s)
 {
     int32_t a = tri[s], b = tri[next_slot(s)];
     return a < b ? b : a;
+}
+
+/* The rows of the annulus between a cycle of m vertices from id outer and
+ * the next one inward, of M vertices from id inner, in the order of
+ * annuli.annulus_triangles; returns their number.  An equal-length annulus
+ * (shrink 0) gives (U_i, U_i+1, V_i) and (U_i+1, V_i, V_i+1) for each i,
+ * 2m rows.  A shrink runs the staircase k_i = floor(M i / m): outer edge i
+ * gives (U_i, U_i+1, W_i+1), followed by (U_i, W_i, W_i+1) where k_i+1 >
+ * k_i, m + min(M, m) rows in all.  Indices are taken mod the cycle length;
+ * m, M >= 1, and the caller checks that every id fits int32. */
+int32_t annulus_rows(int32_t m, int32_t outer, int32_t M, int32_t inner, int32_t shrink, int32_t *out)
+{
+    int32_t *row = out;
+    for (int32_t i = 0; i < m; i++) {
+        int32_t u0 = outer + i, u1 = outer + (i + 1) % m;
+        if (!shrink) {
+            int32_t v0 = inner + i % M, v1 = inner + (i + 1) % M;
+            row[0] = u0, row[1] = u1, row[2] = v0;
+            row[3] = u1, row[4] = v0, row[5] = v1;
+            row += 6;
+            continue;
+        }
+        int64_t k0 = (int64_t)M * i / m, k1 = (int64_t)M * (i + 1) / m;
+        int32_t w0 = inner + (int32_t)(k0 % M), w1 = inner + (int32_t)(k1 % M);
+        row[0] = u0, row[1] = u1, row[2] = w1;
+        row += 3;
+        if (k1 > k0) {
+            row[0] = u0, row[1] = w0, row[2] = w1;
+            row += 3;
+        }
+    }
+    return (int32_t)((row - out) / 3);
+}
+
+/* The fan (apex, V_i, V_i+1) closing the cycle of m vertices from id first,
+ * apex = first + m: m rows. */
+void cone_rows(int32_t m, int32_t first, int32_t *out)
+{
+    for (int32_t i = 0; i < m; i++) {
+        out[3 * (size_t)i] = first + m;
+        out[3 * (size_t)i + 1] = first + i;
+        out[3 * (size_t)i + 2] = first + (i + 1) % m;
+    }
+}
+
+/* The largest of the size ids, 0 if there are none, or -1 if one is negative. */
+int32_t top_id(const int32_t *ids, int64_t size)
+{
+    int32_t top = 0;
+    for (int64_t i = 0; i < size; i++) {
+        if (ids[i] < 0)
+            return -1;
+        if (ids[i] > top)
+            top = ids[i];
+    }
+    return top;
+}
+
+/* Rotates each of the rows of three ids in tri so that its first smallest
+ * id comes first, as numpy's argmin picks it, and returns top_id of the
+ * rows.  It stops at the first row with a negative id and returns -1, the
+ * rows before that one rotated: a rotation keeps the oriented triangle. */
+int32_t canonical_rows(int32_t *tri, int64_t rows)
+{
+    int32_t top = 0;
+    for (int64_t f = 0; f < rows; f++) {
+        int32_t *t = tri + 3 * f, a = t[0], b = t[1], c = t[2];
+        if (a < 0 || b < 0 || c < 0)
+            return -1;
+        if (b < a && b <= c) {
+            t[0] = b, t[1] = c, t[2] = a;
+        } else if (c < a && c < b) {
+            t[0] = c, t[1] = a, t[2] = b;
+        }
+        int32_t hi = a > b ? a : b;
+        hi = hi > c ? hi : c;
+        if (hi > top)
+            top = hi;
+    }
+    return top;
 }
 
 /* Edge ids of the size slots of tri, ranked by (lo, hi): slot_edge[s] gets
@@ -149,6 +234,29 @@ static void finish(int32_t *label, int32_t nodes)
             label[v] = label[label[v]];
 }
 
+static void clear(int32_t *label, int32_t nodes)
+{
+    for (int32_t v = 0; v < nodes; v++)
+        label[v] = -1;
+}
+
+/* Corner j of triangle t, whose slots have the edge ids e, joins the edges
+ * directed away from it along slot j and along slot j - 1 (see link_roots). */
+static void link_join(int32_t *label, const int32_t *t, const int32_t *e)
+{
+    for (int j = 0; j < 3; j++) {
+        int k = (j + 1) % 3, p = (j + 2) % 3;
+        join(label, 2 * e[j] + (t[j] > t[k]), (2 * e[p] + (t[p] > t[j])) ^ 1);
+    }
+}
+
+/* Triangle t joins its three corners (see vertex_roots). */
+static void corner_join(int32_t *label, const int32_t *t)
+{
+    join(label, t[0], t[1]);
+    join(label, t[1], t[2]);
+}
+
 /* The corner graph's components, counted by the vertex whose link each is.
  *
  * Node 2e + d is edge e directed away from its end ends[2e + d], and node ^ 1
@@ -160,15 +268,9 @@ static void finish(int32_t *label, int32_t nodes)
 void link_roots(const int32_t *tri, const int32_t *slot, int32_t nf, const int32_t *ends, int32_t nodes,
                 int32_t *label, int32_t *count)
 {
-    for (int32_t v = 0; v < nodes; v++)
-        label[v] = -1;
-    for (size_t f = 0; f < (size_t)nf; f++) {
-        const int32_t *t = tri + 3 * f, *e = slot + 3 * f;
-        for (int j = 0; j < 3; j++) {
-            int k = (j + 1) % 3, p = (j + 2) % 3;
-            join(label, 2 * e[j] + (t[j] > t[k]), (2 * e[p] + (t[p] > t[j])) ^ 1);
-        }
-    }
+    clear(label, nodes);
+    for (size_t f = 0; f < (size_t)nf; f++)
+        link_join(label, tri + 3 * f, slot + 3 * f);
     finish(label, nodes);
     for (int32_t v = 0; v < nodes; v++)
         if (label[v] == v)
@@ -180,14 +282,190 @@ void link_roots(const int32_t *tri, const int32_t *slot, int32_t nf, const int32
 int32_t vertex_roots(const int32_t *tri, int32_t nf, int32_t nodes, int32_t *label)
 {
     int32_t components = 0;
-    for (int32_t v = 0; v < nodes; v++)
-        label[v] = -1;
-    for (size_t f = 0; f < (size_t)nf; f++) {
-        join(label, tri[3 * f], tri[3 * f + 1]);
-        join(label, tri[3 * f + 1], tri[3 * f + 2]);
-    }
+    clear(label, nodes);
+    for (size_t f = 0; f < (size_t)nf; f++)
+        corner_join(label, tri + 3 * f);
     finish(label, nodes);
     for (int32_t v = 0; v < nodes; v++)
+        components += label[v] == v;
+    return components;
+}
+
+/* The kinds of an edge for a disk bounded by the cycle 0..n-1: an interior
+ * edge (in 2 triangles), a cycle edge or any other edge in 1 triangle, or
+ * an edge in more than 2. */
+enum { EDGE_INTERIOR, EDGE_CYCLE, EDGE_STRAY, EDGE_OVERFULL };
+
+/* The kind of edge (lo, hi), lo < hi, of incidence k >= 1; for a cycle
+ * edge (i, i + 1 mod n), *at gets i. */
+static int edge_kind(int32_t lo, int32_t hi, int32_t k, int32_t n, int32_t *at)
+{
+    if (k > 2)
+        return EDGE_OVERFULL;
+    if (k == 2)
+        return EDGE_INTERIOR;
+    if (hi < n && hi == lo + 1) {
+        *at = lo;
+        return EDGE_CYCLE;
+    }
+    if (hi < n && lo == 0 && hi == n - 1) {
+        *at = n - 1;
+        return EDGE_CYCLE;
+    }
+    return EDGE_STRAY;
+}
+
+/* The two smallest of the three edge ids e of a triangle, lo < hi. */
+static void two_smallest(const int32_t *e, int32_t *lo, int32_t *hi)
+{
+    int32_t a = e[0], b = e[1], c = e[2];
+    *lo = a < b ? a : b;
+    *hi = a < b ? b : a;
+    if (c < *lo) {
+        *hi = *lo;
+        *lo = c;
+    } else if (c < *hi) {
+        *hi = c;
+    }
+}
+
+/* The marks disk_marks gives triangles and vertices.  A good triangle is
+ * TRI_OK or TRI_REPEATED. */
+enum { TRI_OK, TRI_DEGENERATE, TRI_STRAY, TRI_REPEATED };
+enum { VERTEX_OK, VERTEX_UNCOVERED, VERTEX_MULTI_PATH, VERTEX_MULTI_CYCLE, VERTEX_SPLIT_PATH, VERTEX_SPLIT_CYCLE };
+#define LINKS 3     /* vertex_mark bits while counting: its link's components, up to 2, */
+#define ON_EDGE 4   /* whether it lies on an incidence-1 edge, */
+#define MULTI 8     /* and whether it lies in two good triangles on one vertex set */
+
+static inline int good(uint8_t mark)
+{
+    return mark == TRI_OK || mark == TRI_REPEATED;
+}
+
+/* validate_disk's witnesses for the nf canonical triangles tri with the
+ * edge table from edge_slots and edge_ends (the slot edge ids, the ne edges
+ * and their incidence), on nv vertices and the boundary cycle 0..n-1, with
+ * 3 <= n <= nv: one mark per triangle, edge, vertex and cycle edge.  Returns
+ * the number of connected components of the good triangles' vertices.
+ *
+ *   tri_mark[f]     TRI_DEGENERATE, TRI_STRAY (a good-looking row with an id
+ *                   outside 0..nv-1), TRI_REPEATED (a good triangle whose row
+ *                   an earlier good one has), or TRI_OK
+ *   edge_mark[e]    edge_kind of edge e
+ *   cycle_mark[i]   1 iff cycle edge (i, i + 1 mod n) lies in one triangle
+ *   vertex_mark[v]  VERTEX_UNCOVERED (in no good triangle), VERTEX_MULTI_*
+ *                   (in two good triangles on one vertex set: a multigraph
+ *                   link), VERTEX_SPLIT_* (else a disconnected link), each
+ *                   _PATH for a vertex on an incidence-1 edge, or VERTEX_OK
+ *
+ * Only good triangles enter the repeat, link and connectivity checks.  Two
+ * triangles on one vertex set share their two smallest edge ids, so the
+ * good triangles are counting-sorted by those ids, the second smallest
+ * first, and each run of equal keys is one vertex set, its rows in order.
+ * scratch holds max(2 ne, ne + 1 + 2 nf, nv) entries: the corner-graph
+ * labels, then the sort's counts and two orders, then the vertex labels.
+ * Vertex ids are compared with nv before they index anything; the edge ids
+ * of slot lie in 0..ne-1. */
+int32_t disk_marks(int32_t n, int32_t nv, const int32_t *tri, int32_t nf, const int32_t *slot,
+                   const int32_t *edges, const int32_t *incidence, int32_t ne, int32_t *scratch,
+                   uint8_t *tri_mark, uint8_t *edge_mark, uint8_t *vertex_mark, uint8_t *cycle_mark)
+{
+    memset(cycle_mark, 0, (size_t)n);
+    memset(vertex_mark, 0, (size_t)nv);
+    for (int32_t e = 0, at = 0; e < ne; e++) {
+        edge_mark[e] = (uint8_t)edge_kind(edges[2 * e], edges[2 * e + 1], incidence[e], n, &at);
+        if (edge_mark[e] == EDGE_CYCLE)
+            cycle_mark[at] = 1;
+        for (int d = 0; d < 2 && incidence[e] == 1; d++)
+            if (edges[2 * e + d] < nv)
+                vertex_mark[edges[2 * e + d]] |= ON_EDGE;
+    }
+    for (size_t f = 0; f < (size_t)nf; f++) {
+        int32_t a = tri[3 * f], b = tri[3 * f + 1], c = tri[3 * f + 2];
+        if (a == b || b == c || a == c)
+            tri_mark[f] = TRI_DEGENERATE;
+        else if (a < 0 || b < 0 || c < 0 || a >= nv || b >= nv || c >= nv)
+            tri_mark[f] = TRI_STRAY;
+        else
+            tri_mark[f] = TRI_OK;
+    }
+
+    int32_t *label = scratch, nodes = 2 * ne;
+    clear(label, nodes);
+    for (size_t f = 0; f < (size_t)nf; f++)
+        if (good(tri_mark[f]))
+            link_join(label, tri + 3 * f, slot + 3 * f);
+    finish(label, nodes);
+    for (int32_t v = 0; v < nodes; v++)
+        if (label[v] == v && edges[v] < nv && (vertex_mark[edges[v]] & LINKS) < 2)
+            vertex_mark[edges[v]]++;
+
+    int32_t *count = scratch, *by_second = count + ne + 1, *order = by_second + nf, kept = 0, lo, hi;
+    memset(count, 0, sizeof(int32_t) * ((size_t)ne + 1));
+    for (int32_t f = 0; f < nf; f++)
+        if (good(tri_mark[f])) {
+            two_smallest(slot + 3 * (size_t)f, &lo, &hi);
+            count[hi + 1]++;
+            kept++;
+        }
+    for (int32_t e = 0; e < ne; e++)
+        count[e + 1] += count[e];
+    for (int32_t f = 0; f < nf; f++)
+        if (good(tri_mark[f])) {
+            two_smallest(slot + 3 * (size_t)f, &lo, &hi);
+            by_second[count[hi]++] = f;
+        }
+    memset(count, 0, sizeof(int32_t) * ((size_t)ne + 1));
+    for (int32_t i = 0; i < kept; i++) {
+        two_smallest(slot + 3 * (size_t)by_second[i], &lo, &hi);
+        count[lo + 1]++;
+    }
+    for (int32_t e = 0; e < ne; e++)
+        count[e + 1] += count[e];
+    for (int32_t i = 0; i < kept; i++) {
+        two_smallest(slot + 3 * (size_t)by_second[i], &lo, &hi);
+        order[count[lo]++] = by_second[i];
+    }
+    for (int32_t i = 0, j; i < kept; i = j) {
+        int32_t lo_i, hi_i;
+        two_smallest(slot + 3 * (size_t)order[i], &lo_i, &hi_i);
+        for (j = i + 1; j < kept; j++) {
+            two_smallest(slot + 3 * (size_t)order[j], &lo, &hi);
+            if (lo != lo_i || hi != hi_i)
+                break;
+        }
+        int seen[2] = {0, 0};
+        for (int32_t k = i; j - i > 1 && k < j; k++) {
+            const int32_t *t = tri + 3 * (size_t)order[k];
+            int turn = t[1] < t[2];
+            if (seen[turn])
+                tri_mark[order[k]] = TRI_REPEATED;
+            seen[turn] = 1;
+            for (int d = 0; d < 3; d++)
+                vertex_mark[t[d]] |= MULTI;
+        }
+    }
+
+    for (int32_t v = 0; v < nv; v++) {
+        uint8_t mark = vertex_mark[v], cycle = !(mark & ON_EDGE);
+        if (!(mark & LINKS))
+            vertex_mark[v] = VERTEX_UNCOVERED;
+        else if (mark & MULTI)
+            vertex_mark[v] = VERTEX_MULTI_PATH + cycle;
+        else if ((mark & LINKS) > 1)
+            vertex_mark[v] = VERTEX_SPLIT_PATH + cycle;
+        else
+            vertex_mark[v] = VERTEX_OK;
+    }
+
+    int32_t components = 0;
+    label = scratch;
+    clear(label, nv);
+    for (size_t f = 0; f < (size_t)nf; f++)
+        if (good(tri_mark[f]))
+            corner_join(label, tri + 3 * f);
+    finish(label, nv);
+    for (int32_t v = 0; v < nv; v++)
         components += label[v] == v;
     return components;
 }
@@ -254,6 +532,56 @@ int bfs_rows(int32_t nv, const int32_t *indptr, const int32_t *indices,
             out[(size_t)k * cols + v] = dist[v];
     }
     return 0;
+}
+
+/* The pair (x, y), x != y, of the n x n distances dist (each below 2^31)
+ * whose ratio dist[x][y] / d_cyc(x, y) is least, the first in row-major
+ * order among equal ratios, compared exactly by cross-multiplying in int64:
+ * out gets (x, y) and the result is 0.  If some distance exceeds its pair's
+ * cycle distance, out gets the first such pair instead and the result is 1. */
+int worst_ratio(const int64_t *dist, int32_t n, int32_t *out)
+{
+    int64_t best_d = 1, best_c = 0; /* no pair yet: an infinite ratio */
+    for (int32_t x = 0; x < n; x++)
+        for (int32_t y = 0; y < n; y++) {
+            int32_t gap = x < y ? y - x : x - y, c = gap < n - gap ? gap : n - gap;
+            int64_t d = dist[(size_t)x * n + y];
+            if (d > c) {
+                out[0] = x, out[1] = y;
+                return 1;
+            }
+            if (c > 0 && d * best_c < best_d * c) {
+                best_d = d, best_c = c;
+                out[0] = x, out[1] = y;
+            }
+        }
+    return 0;
+}
+
+/* Python's a // b, for b > 0. */
+static inline int64_t floor_div(int64_t a, int64_t b)
+{
+    return a / b - (a % b < 0);
+}
+
+/* The separation lower-bound table of a ledger (verify.separation_lower_bounds):
+ * entry s < size is the least of cone and, over the layers h < layers, 2h
+ * where s <= w[h], else 2h - (q[h] - m[h] (s - w[h])) // n, with Python's
+ * floor division.  The caller checks 0 <= w[h], 0 <= q[h] < m[h] < 2^31,
+ * n >= 1 and size <= 2^31, so no product overflows. */
+void lower_bounds(int64_t n, int32_t layers, const int64_t *w, const int64_t *q, const int64_t *m, int64_t cone,
+                  int64_t *table, int32_t size)
+{
+    for (int32_t s = 0; s < size; s++)
+        table[s] = cone;
+    for (int32_t h = 0; h < layers; h++)
+        for (int32_t s = 0; s < size; s++) {
+            int64_t row = 2 * (int64_t)h;
+            if (s > w[h])
+                row -= floor_div(q[h] - m[h] * (s - w[h]), n);
+            if (row < table[s])
+                table[s] = row;
+        }
 }
 
 /* The oracle's enumeration of the triangulated disks that fill the labeled
@@ -458,15 +786,11 @@ static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_
     int32_t ne = edge_slots(rows, size, width, count, perm, slot), boundary = 0;
     memset(incidence, 0, sizeof(int32_t) * (size_t)ne);
     edge_ends(rows, size, slot, edges, incidence);
-    for (int32_t e = 0; e < ne; e++) {
-        int32_t lo = edges[2 * e], hi = edges[2 * e + 1];
-        if (incidence[e] > 2)
+    for (int32_t e = 0, at; e < ne; e++) { /* edges are distinct, so n cycle edges are all of C_n */
+        int kind = edge_kind(edges[2 * e], edges[2 * e + 1], incidence[e], n, &at);
+        if (kind == EDGE_STRAY || kind == EDGE_OVERFULL)
             return 0;
-        if (incidence[e] == 1) { /* edges are distinct, so n cycle edges are all of C_n */
-            if (hi >= n || (hi != lo + 1 && (lo != 0 || hi != n - 1)))
-                return 0;
-            boundary++;
-        }
+        boundary += kind == EDGE_CYCLE;
     }
     if (boundary != n || nv - ne + nf != 1)
         return 0;
@@ -477,15 +801,8 @@ static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_
     int32_t *second = perm;
     for (int32_t e = 0; e < ne; e++)
         second[e] = -1;
-    for (int32_t s = 0; s < size; s += 3) {
-        int32_t a = slot[s], b = slot[s + 1], c = slot[s + 2];
-        int32_t lo = a < b ? a : b, hi = a < b ? b : a;
-        if (c < lo) {
-            hi = lo;
-            lo = c;
-        } else if (c < hi) {
-            hi = c;
-        }
+    for (int32_t s = 0, lo, hi; s < size; s += 3) {
+        two_smallest(slot + s, &lo, &hi);
         if (second[lo] == hi)
             return 0;
         second[lo] = hi;

@@ -1,22 +1,39 @@
 """The compiled kernels of this package: ``_kernels.c``, built on first use and loaded through ctypes.
 
-Validation, the boundary BFS, the oracle's search and everything that
-needs them load one shared object through :func:`library`.  The loader imports what it needs
-on the first call, so importing the package loads no ctypes, subprocess
-or hash module, and it never imports numpy: its pointer arguments take numpy
-arrays and the standard library's buffers alike (see :class:`_Buffer`).
+Assembly, validation, the boundary BFS and its certificate, the oracle's
+search and everything that needs them load one shared object through
+:func:`library`.  The loader imports what it needs on the first call, so
+importing the package loads no ctypes, subprocess or hash module, and it
+never imports numpy: its pointer arguments take numpy arrays and the
+standard library's buffers alike (see :class:`_Buffer`), and
+:func:`buffer` makes the latter.
 """
 from __future__ import annotations
 
 import functools
 import os
 import tempfile
+from math import prod
 from pathlib import Path
+from struct import calcsize
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")  # beside the .pyc files, with their trust
 _CC = ("cc", "-O2", "-shared", "-fPIC")
 DISK_SCRATCH = 30  # int32 scratch entries per triangle that disk_verdicts takes
+MAX_ID = 2**31 - 1  # the largest vertex id of the kernels' int32 arrays
+
+
+def buffer(code: str, *shape: int) -> memoryview:
+    """A zeroed C-contiguous buffer of ``shape`` items of ``struct`` format ``code``: a cast ``bytearray``.
+
+    A first dimension of 0 is allowed (a view of no rows), which
+    ``memoryview.cast`` alone refuses; numpy callers view the buffer with
+    ``numpy.asarray`` without a copy.
+    """
+    rows, rest = shape[0], shape[1:]
+    view = memoryview(bytearray(calcsize(code) * prod(rest) * max(rows, 1)))
+    return view.cast(code, (max(rows, 1), *rest))[:rows]
 
 
 class _Buffer:
@@ -27,17 +44,20 @@ class _Buffer:
     ``struct`` format characters) and, if ``ndim`` is given, of that many
     dimensions, read-only arrays included.  It also takes a writable buffer
     of the same layout from the standard library: an ``array.array``, or a
-    ``bytearray`` cast by ``memoryview.cast``.  Anything else raises, which
-    ctypes reports as ``ctypes.ArgumentError``.
+    ``bytearray`` cast by ``memoryview.cast``, such as :func:`buffer` makes.
+    A ``nullable`` pointer also takes None, for NULL.  Anything else raises,
+    which ctypes reports as ``ctypes.ArgumentError``.
     """
 
-    def __init__(self, name: str, codes: set[str], ndim: int | None = None):
-        self.codes, self.ndim = codes, ndim
+    def __init__(self, name: str, codes: set[str], ndim: int | None = None, nullable: bool = False):
+        self.codes, self.ndim, self.nullable = codes, ndim, nullable
         self.what = f"a C-contiguous {name} buffer" + ("" if ndim is None else f" of {ndim} dimensions")
 
     def from_param(self, obj):
         import ctypes
 
+        if obj is None and self.nullable:
+            return None  # ctypes passes NULL
         view = memoryview(obj)  # a TypeError for what is no buffer
         if view.format not in self.codes or not view.c_contiguous or self.ndim not in (None, view.ndim):
             raise TypeError(
@@ -123,16 +143,26 @@ def signatures() -> dict:
 
     ids = _Buffer("int32", codes("bhilq", 4))
     rows = _Buffer("int64", codes("bhilq", 8), ndim=2)
+    wide = _Buffer("int64", codes("bhilq", 8))
     words = _Buffer("uint64", codes("BHILQ", 8))
     flags = _Buffer("bool", {"?"})
-    i32 = ctypes.c_int32
+    marks = _Buffer("uint8", {"B"})
+    parents = _Buffer("int32", ids.codes, nullable=True)
+    i32, i64 = ctypes.c_int32, ctypes.c_int64
     return {
+        "annulus_rows": (i32, [i32, i32, i32, i32, i32, ids]),
+        "cone_rows": (None, [i32, i32, ids]),
+        "top_id": (i32, [ids, i64]),
+        "canonical_rows": (i32, [ids, i64]),
         "edge_slots": (i32, [ids, i32, i32, ids, ids, ids]),
         "edge_ends": (None, [ids, i32, ids, ids, ids]),
         "link_roots": (None, [ids, ids, i32, ids, i32, ids, ids]),
         "vertex_roots": (i32, [ids, i32, i32, ids]),
+        "disk_marks": (i32, [i32, i32, ids, i32, ids, ids, ids, i32, ids, marks, marks, marks, marks]),
         "graph_csr": (None, [ids, i32, i32, ids, ids]),
-        "bfs_rows": (ctypes.c_int, [i32, ids, ids, ids, i32, i32, rows, ids, ids, ctypes.c_void_p]),
+        "bfs_rows": (ctypes.c_int, [i32, ids, ids, ids, i32, i32, rows, ids, ids, parents]),
+        "worst_ratio": (ctypes.c_int, [rows, i32, ids]),
+        "lower_bounds": (None, [i64, i32, wide, wide, wide, i64, wide, i32]),
         "grow_state_size": (i32, [i32, i32]),
         "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),
         "disk_verdicts": (None, [i32, i32, ids, i32, i32, ids, flags]),

@@ -8,7 +8,9 @@ spurious failures right at the bound.
 
 The layer ledger is computed first, from the sequence of annuli alone; each
 annulus's triangles then follow from its two ledger records, and the cone's
-from the innermost one.
+from the innermost one.  The compiled ``annulus_rows`` and ``cone_rows``
+write them as int32 rows into a buffer the caller sizes, so a whole filling
+is assembled in one array.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from . import _kernels
 
 __all__ = [
     "staircase_indices",
@@ -63,8 +65,8 @@ class LayerRecord:
     annulus_kind: str | None = None
     drift_bound: Fraction | None = None
 
-    def vertex(self, i: int | np.ndarray) -> int | np.ndarray:
-        """Id of the ``i``-th cycle vertex (elementwise for arrays), indices taken mod length."""
+    def vertex(self, i):
+        """Id of the ``i``-th cycle vertex (elementwise for numpy arrays), indices taken mod length."""
         return self.first_vertex + (i % self.length)
 
 
@@ -98,7 +100,63 @@ def layer_ledger(n: int, annuli: Iterable[tuple[str, int]]) -> list[LayerRecord]
     return ledger
 
 
-def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> np.ndarray:
+def _check_cycle(rec: LayerRecord, extra: int = 0) -> None:
+    """Raise ValueError unless ``rec``'s cycle (and ``extra`` ids after it) has int32 ids and a vertex."""
+    last = rec.first_vertex + rec.length - 1 + extra
+    if rec.length < 1 or rec.first_vertex < 0 or last > _kernels.MAX_ID:
+        raise ValueError(
+            f"cycle {rec.index} of {rec.length} vertices from id {rec.first_vertex} needs ids in 0..{_kernels.MAX_ID}"
+        )
+
+
+def _check_rows(out, size: int) -> None:
+    """Raise ValueError unless ``out`` is a C-contiguous ``(size, 3)`` int32 buffer."""
+    view = memoryview(out)
+    if view.format != "i" or view.shape != (size, 3) or not view.c_contiguous or view.readonly:
+        raise ValueError(
+            f"rows need a writable C-contiguous ({size}, 3) int32 buffer, got format {view.format!r} "
+            f"and shape {view.shape}"
+        )
+
+
+def _annulus_size(outer: LayerRecord, inner: LayerRecord) -> int:
+    """The number of triangles of the annulus between two consecutive ledger cycles.
+
+    2m for an equal-length annulus of m outer vertices; m + M for a shrink
+    to M <= m vertices (each outer edge gives one triangle, and M more where
+    the staircase advances).
+    """
+    m = outer.length
+    return m + min(inner.length, m) if outer.annulus_kind == "shrink" else 2 * m
+
+
+def _write_annulus(outer: LayerRecord, inner: LayerRecord, out) -> None:
+    """Write the triangles of the annulus between two consecutive ledger cycles into ``out``.
+
+    ``out`` is a writable ``(_annulus_size(outer, inner), 3)`` int32 buffer,
+    and the ids of both cycles must fit int32: both are checked, and a
+    ValueError raised otherwise, before the compiled ``annulus_rows`` runs.
+    """
+    _check_cycle(outer)
+    _check_cycle(inner)
+    _check_rows(out, _annulus_size(outer, inner))
+    shrink = outer.annulus_kind == "shrink"
+    _kernels.library().annulus_rows(outer.length, outer.first_vertex, inner.length, inner.first_vertex, shrink, out)
+
+
+def _write_cone(innermost: LayerRecord, out) -> None:
+    """Write the fan closing ``innermost`` with its apex, the id after the cycle's, into ``out``.
+
+    ``out`` is a writable ``(innermost.length, 3)`` int32 buffer, and the
+    apex id must fit int32: both are checked, and a ValueError raised
+    otherwise, before the compiled ``cone_rows`` runs.
+    """
+    _check_cycle(innermost, extra=1)
+    _check_rows(out, innermost.length)
+    _kernels.library().cone_rows(innermost.length, innermost.first_vertex, out)
+
+
+def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> memoryview:
     """The ``(k, 3)`` int32 triangles of the annulus between two consecutive ledger cycles.
 
     An equal-length annulus emits the 2m triangles (U_i, U_{i+1}, V_i) and
@@ -106,25 +164,16 @@ def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> np.ndarray:
     exactly n/(2m).  A shrink to length M runs the staircase: each outer edge
     contributes one triangle when its staircase index stays put and two when
     it advances, m + M triangles in all, and every slanted edge has circular
-    displacement at most n/M.
+    displacement at most n/M.  The rows are a new int32 buffer (see
+    :func:`_write_annulus`).
     """
-    m = outer.length
-    i = np.arange(m, dtype=np.int32)
-    u0, u1 = outer.vertex(i), outer.vertex(i + 1)
-    if outer.annulus_kind != "shrink":
-        v0, v1 = inner.vertex(i), inner.vertex(i + 1)
-        pair = np.stack([np.column_stack([u0, u1, v0]), np.column_stack([u1, v0, v1])], axis=1)
-        return pair.reshape(2 * m, 3)
-    steps = np.array(staircase_indices(m, inner.length), dtype=np.int32)
-    w0, w1 = inner.vertex(steps[:-1]), inner.vertex(steps[1:])
-    # Outer edge i always gets (u0, u1, w1); where the staircase advances
-    # (w1 != w0) it is followed by (u0, w0, w1).
-    pair = np.stack([np.column_stack([u0, u1, w1]), np.column_stack([u0, w0, w1])], axis=1)
-    return pair[np.column_stack([np.ones(m, dtype=bool), steps[1:] > steps[:-1]])]
+    out = _kernels.buffer("i", _annulus_size(outer, inner), 3)
+    _write_annulus(outer, inner, out)
+    return out
 
 
-def cone_triangles(innermost: LayerRecord) -> np.ndarray:
-    """The int32 fan closing the innermost cycle with one apex, the id after the cycle's."""
-    i = np.arange(innermost.length, dtype=np.int32)
-    apex = innermost.first_vertex + innermost.length
-    return np.column_stack([np.full_like(i, apex), innermost.vertex(i), innermost.vertex(i + 1)])
+def cone_triangles(innermost: LayerRecord) -> memoryview:
+    """The int32 fan closing the innermost cycle with one apex, the id after the cycle's (see :func:`_write_cone`)."""
+    out = _kernels.buffer("i", innermost.length, 3)
+    _write_cone(innermost, out)
+    return out

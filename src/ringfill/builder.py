@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import ScheduleError, as_fraction
-from .annuli import LayerRecord, annulus_triangles, cone_triangles, layer_ledger
+from ._kernels import buffer
+from .annuli import LayerRecord, _annulus_size, _write_annulus, _write_cone, layer_ledger
 from .simplicial import MAX_TRIANGLES, Triangulation
 
 __all__ = [
@@ -202,21 +201,24 @@ def build_filling(p: Params) -> BuildResult:
     triangles then follow from its two ledger records.  The boundary of the
     result is exactly the labeled cycle 0..n-1.  The vertex and triangle
     counts are predicted from the schedule in closed form and checked against
-    the assembled complex before returning.
+    the ledger's before any triangle is written; the triangles are then
+    written straight into one int32 buffer of that size, which the complex
+    takes over.
     """
     sched = compute_schedule(p)
     ledger = layer_ledger(p.n, sched.annuli)
-    blocks = map(annulus_triangles, ledger, ledger[1:])
-    # The int32 blocks live only until they are concatenated; the complex takes that array over.
-    triangles = np.concatenate([*blocks, cone_triangles(ledger[-1])])
-    tri = Triangulation(p.n, ledger[-1].first_vertex + ledger[-1].length + 1, triangles, own=True)
+    sizes = [*map(_annulus_size, ledger, ledger[1:]), ledger[-1].length]
+    nv, nf = ledger[-1].first_vertex + ledger[-1].length + 1, sum(sizes)
     pv, pt = sched.predicted_vertex_count, sched.predicted_triangle_count
-    if pv != tri.num_vertices or pt != tri.num_triangles:
-        raise RuntimeError(
-            f"count mismatch: predicted {pv} vertices / {pt} triangles, "
-            f"built {tri.num_vertices} / {tri.num_triangles}"
-        )
-    return BuildResult(tri, ledger, sched, p)
+    if pv != nv or pt != nf:
+        raise RuntimeError(f"count mismatch: predicted {pv} vertices / {pt} triangles, built {nv} / {nf}")
+    triangles = buffer("i", nf, 3)
+    top = 0
+    for outer, inner, size in zip(ledger, ledger[1:], sizes):
+        _write_annulus(outer, inner, triangles[top : top + size])
+        top += size
+    _write_cone(ledger[-1], triangles[top:])
+    return BuildResult(Triangulation(p.n, nv, triangles, own=True), ledger, sched, p)
 
 
 def predict_density(p: Params) -> Fraction:

@@ -6,8 +6,9 @@ of BFS worker threads (default 1), at most one per CPU.
 """
 # The docstring above is the --help description.  Importing this module loads
 # argparse and the package root, not numpy: each command imports the layers it
-# runs when it runs, so --help, a usage error and analyze start no numpy, and
-# oracle loads only the search and its validation.
+# runs when it runs.  --help, a usage error, analyze, oracle, build without
+# --out and verify of a build from --n/--rho/--eta run without numpy; the
+# commands that read or write a file, audit and sweep (which audit) load it.
 from __future__ import annotations
 
 import argparse
@@ -17,8 +18,6 @@ from typing import TYPE_CHECKING
 from . import ScheduleError, as_fraction
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .builder import BuildResult
     from .simplicial import Triangulation
 
@@ -50,7 +49,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_source(p_audit)
 
     p_sweep = sub.add_parser("sweep", help="build/validate/audit/verify over a list of n")
-    p_sweep.add_argument("--n-list", required=True, help="comma-separated boundary lengths")
+    p_sweep.add_argument("--n-list", required=True, type=_n_list, help="comma-separated boundary lengths")
     p_sweep.add_argument("--rho", required=True, help="collar fraction, e.g. 0.1")
     p_sweep.add_argument("--eta", required=True, help="stopping scale, e.g. 0.25")
     p_sweep.add_argument(
@@ -85,6 +84,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _n_list(text: str) -> list[int]:
+    """Comma-separated boundary lengths, at least one; anything else is a usage error (exit 2)."""
+    try:
+        values = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"must list at least one boundary length, got {text!r}")
+    return values
 
 
 def _add_params(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -178,32 +188,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-# Pairs drawn and checked at a time by _check_bound, so any COUNT runs in bounded memory.
-_PAIRS = 1 << 16
-
-
-def _check_bound(build: BuildResult, dist: np.ndarray, count: int, seed: int) -> int:
+def _check_bound(build: BuildResult, dist, count: int, seed: int) -> int:
     """Check the lower-bound table against ``dist`` on ``count`` sampled pairs; return the violations.
 
     Each pair (a, b) is two ``random.Random(seed).randrange`` draws, a first,
-    and each violation prints in draw order.
+    and each violation prints in draw order.  ``dist`` is the ``(n, n)``
+    BFS matrix, read one pair at a time.
     """
     import random
-
-    import numpy as np
 
     from .verify import separation_lower_bounds
 
     n = len(dist)
-    table = np.array(separation_lower_bounds(build))
+    table = separation_lower_bounds(build)
     draw = random.Random(seed).randrange
     violations = 0
-    for done in range(0, count, _PAIRS):
-        a, b = np.array([draw(n) for _ in range(2 * min(_PAIRS, count - done))]).reshape(-1, 2).T
+    for _ in range(count):
+        a, b = draw(n), draw(n)
         gap = abs(a - b)  # the cycle distance of (a, b) is min(gap, n - gap)
-        bound, got = table[np.minimum(gap, n - gap)], dist[a, b]
-        for i in np.flatnonzero(bound > got):
-            print(f"lower bound {bound[i]} exceeds distance {got[i]} for ({a[i]}, {b[i]})")
+        bound, got = table[min(gap, n - gap)], dist[a, b]
+        if bound > got:
+            print(f"lower bound {bound} exceeds distance {got} for ({a}, {b})")
             violations += 1
     return violations
 
@@ -236,8 +241,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis import run_sweep
 
-    n_list = [int(x) for x in args.n_list.split(",") if x]
-    rows = run_sweep(n_list, args.rho, args.eta, jobs=args.jobs, csv_path=args.out)
+    rows = run_sweep(args.n_list, args.rho, args.eta, jobs=args.jobs, csv_path=args.out)
     failed = False
     for row in rows:
         if row.error is not None:

@@ -15,8 +15,8 @@ passes ``disk_verdicts``, the compiled per-complex form of
 :func:`ringfill.validate_disk`'s checks and an independent check on the
 enumerator, before its isometry test.  The search state, the stacks and
 the kernels' scratch are ``bytearray`` buffers cast by ``memoryview``, so a
-search imports no numpy: numpy and :mod:`ringfill.simplicial` are imported
-only to build a witness, to report an invalid leaf, and by
+search imports no numpy: :mod:`ringfill.simplicial` is imported only to
+build a witness and to report an invalid leaf, and numpy only by
 :func:`enumerate_fillings`.  Budgets are tiny by design: this module exists
 to ground-truth the verifier and the small end of the construction, not to
 chase the asymptotics.
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import prod
 from typing import TYPE_CHECKING
 
-from ._kernels import DISK_SCRATCH, library as _library
+from ._kernels import DISK_SCRATCH, buffer, library as _library
 
 if TYPE_CHECKING:
     from .simplicial import Triangulation
@@ -79,11 +78,6 @@ class EnumerationStats:
     duplicates: int = 0
 
 
-def _ints(*shape: int) -> memoryview:
-    """A zeroed C-contiguous int32 buffer of ``shape``: a ``bytearray`` cast by ``memoryview``."""
-    return memoryview(bytearray(4 * prod(shape))).cast("i", shape)
-
-
 def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[memoryview]:
     """The enumeration's fillings in depth-first order, as ``(B, F, 3)`` int32 stacks of at most ``cap``.
 
@@ -101,10 +95,10 @@ def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[memoryvi
     lib = _library()
     n, k = budget.n, budget.interior
     nf = n - 2 + 2 * k
-    state = _ints(lib.grow_state_size(n, k))
-    path = _ints(nf + 1, 3)
+    state = buffer("i", lib.grow_state_size(n, k))
+    path = buffer("i", nf + 1, 3)
     while True:
-        stack = _ints(cap, nf, 3)
+        stack = buffer("i", cap, nf, 3)
         got = lib.grow_fillings(n, k, state, path, stack, cap)
         if got < 0:  # a leaf of T = -1 - got triangles, left in the path
             size = -1 - got
@@ -124,7 +118,7 @@ def _verdicts(n: int, nv: int, stack) -> bytearray:
     """
     num, nf = stack.shape[:2]
     ok = bytearray(num)
-    _library().disk_verdicts(n, nv, stack, num, nf, _ints(DISK_SCRATCH * nf), memoryview(ok).cast("?"))
+    _library().disk_verdicts(n, nv, stack, num, nf, buffer("i", DISK_SCRATCH * nf), memoryview(ok).cast("?"))
     return ok
 
 
@@ -203,10 +197,13 @@ def is_isometric_filling(t: Triangulation) -> bool:
     """
     if t.num_vertices > _MAX_TINY:
         raise ValueError(f"is_isometric_filling takes at most {_MAX_TINY} vertices, got {t.num_vertices}")
-    tri = t.triangles
-    if len(tri) and tri.max() >= t.num_vertices:
-        raise ValueError(f"triangles reference vertex id {tri.max()}, beyond the {t.num_vertices} vertices")
-    return _isometric_rows(t.n, t.num_vertices, tri[None])[0]
+    tri = memoryview(t.triangles)
+    if not len(tri):  # no edge, so no shortcut
+        return True
+    top = _library().top_id(tri, 3 * len(tri))
+    if top >= t.num_vertices:
+        raise ValueError(f"triangles reference vertex id {top}, beyond the {t.num_vertices} vertices")
+    return _isometric_rows(t.n, t.num_vertices, tri.cast("B").cast("i", (1, *tri.shape)))[0]
 
 
 @dataclass

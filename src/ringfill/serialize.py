@@ -24,7 +24,7 @@ error, either way.
 :func:`dump_json` is the one writer.  It takes a dict with str keys, and its
 bytes are those of ``json.dump(data, fh, indent=2)`` plus a newline, with an
 ndarray value written as its ``.tolist()``; the to-dict functions hand over
-the complex's own triangle array.  Field order is fixed, so output bytes
+the complex's own triangle buffer, viewed as an ndarray without a copy.  Field order is fixed, so output bytes
 are deterministic for fixed inputs.
 """
 from __future__ import annotations
@@ -165,7 +165,7 @@ def triangulation_to_dict(t: Triangulation) -> dict[str, Any]:
     return {
         "n": t.n,
         "vertices": list(vertex_records(t)),
-        "triangles": t.triangles,
+        "triangles": np.asarray(t.triangles),
     }
 
 
@@ -237,7 +237,7 @@ def _header(build: BuildResult) -> dict[str, Any]:
 
 def build_to_dict(build: BuildResult) -> dict[str, Any]:
     """A version 2 build file: the header the params determine, then the triangles, with no vertex records."""
-    return {"version": _VERSION, **_header(build), "triangles": build.triangulation.triangles}
+    return {"version": _VERSION, **_header(build), "triangles": np.asarray(build.triangulation.triangles)}
 
 
 def _show(x: Any, limit: int = 200) -> str:

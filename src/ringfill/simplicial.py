@@ -5,17 +5,23 @@ in cyclic order, so the cycle distance between two boundary vertices can be
 read off their ids as ``min(|i-j|, n-|i-j|)``.  Interior vertices follow in
 contiguous blocks, one block per concentric layer.
 
-Triangles are one ``(F, 3)`` int32 array; edges, incidence and every
-validation check are derived from it, with vectorized numpy and the
-compiled kernels of ``_kernels.c`` (an edge-table radix sort, a union-find,
-and the per-complex disk check of a stack of complexes).
+Triangles are one C-contiguous ``(F, 3)`` int32 buffer: a ``bytearray``
+cast by ``memoryview``, or the caller's int32 array when it hands one over.
+Edges, incidence and every validation check are derived from it by the
+compiled kernels of ``_kernels.c`` (the canonical rotation, an edge-table
+radix sort, a union-find, the witness marks of :func:`validate_disk`, and
+the per-complex disk check of a stack of complexes) on such buffers, so
+this module imports no numpy; numpy callers view any of them with
+``numpy.asarray`` without a copy.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
 
-import numpy as np
+from ._kernels import MAX_ID as _MAX_ID, buffer
 
 __all__ = [
     "Triangulation",
@@ -26,10 +32,9 @@ __all__ = [
     "cone_over_cycle",
 ]
 
-_MAX_ID = np.iinfo(np.int32).max
 MAX_TRIANGLES = _MAX_ID // 6  # the most _edge_table takes, so that its int32 ids cannot wrap
-_NEXT = [1, 2, 0]  # corner j+1 for corner j
-_PREV = [2, 0, 1]  # corner j-1 for corner j
+_INT_FORMATS = frozenset("bBhHiIlLqQnN")  # struct formats of integers
+_INT32 = frozenset(c for c in ("i", "l") if array(c).itemsize == 4)
 
 
 def canonical_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -43,37 +48,84 @@ def canonical_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
     return (b, c, a) if b <= c else (c, a, b)
 
 
-def _triangle_rows(triangles, own: bool = False) -> np.ndarray:
-    """Checked ``(F, 3)`` int32 triangles, each row rotated so its smallest id comes first.
+def _id_range_error() -> ValueError:
+    return ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
 
-    The result is a new int32 array, never the caller's, unless ``own``
-    says the caller hands over ``triangles``: an int32 array is then kept
-    and rotated where it is.  Only the rows whose smallest id is not first
-    (the first smallest, as ``argmin`` picks it) are gathered and rotated in
-    place, so no F-sized index array is made.
+
+def _view(obj) -> memoryview | None:
+    """``obj``'s buffer, or None for an object that exports none, such as a list."""
+    try:
+        return memoryview(obj)
+    except TypeError:
+        return None
+
+
+def _shaped(flat: array, width: int = 3) -> memoryview:
+    """The int32 ids of ``flat`` copied into a new ``(len // width, width)`` buffer."""
+    out = buffer("i", len(flat) // width, width)
+    if flat:
+        out.cast("B")[:] = memoryview(flat).cast("B")
+    return out
+
+
+def _int32_rows(triangles, view: memoryview | None) -> memoryview:
+    """A new ``(F, 3)`` int32 buffer holding ``triangles``, rows of three integer ids; ``view`` is its buffer or None.
+
+    A buffer of int32 ids is copied in C order, whatever its strides; any
+    other is read as a sequence of rows.  Raises ValueError for a row that
+    is not three ids, an id that is not an integer, or one that int32 does
+    not hold.
     """
-    tri = np.asarray(triangles)
-    if tri.size == 0:
-        tri = tri.reshape(0, 3).astype(np.int32)
-    if tri.ndim != 2 or tri.shape[1] != 3:
-        raise ValueError(f"triangles must be an (F, 3) array of vertex ids, got shape {tri.shape}")
-    _check_ids(tri)
-    tri = tri.astype(np.int32, copy=not own)
-    a, b, c = tri.T
-    second, third = (b < a) & (b <= c), (c < a) & (c < b)
-    for at, turn in ((second, _NEXT), (third, _PREV)):
-        rows = np.flatnonzero(at)
-        tri[rows] = tri[rows][:, turn]
-    return tri
+    if view is not None:
+        if not view.nbytes:
+            return buffer("i", 0, 3)
+        if view.format.lstrip("@=<>!") not in _INT_FORMATS:
+            raise ValueError(f"triangle vertex ids must be integers, got format {view.format!r}")
+        if view.ndim != 2 or view.shape[1] != 3:
+            raise ValueError(f"triangles must be an (F, 3) array of vertex ids, got shape {view.shape}")
+        if view.format in _INT32:
+            rows = buffer("i", len(view), 3)
+            rows.cast("B")[:] = view.cast("B") if view.c_contiguous else view.tobytes()
+            return rows
+        triangles = view.tolist()
+    rows = list(triangles)
+    for row in rows:
+        try:
+            if len(row) == 3:
+                continue
+        except TypeError:
+            pass
+        raise ValueError(f"triangles must be an (F, 3) array of vertex ids, got the row {row!r}")
+    try:
+        return _shaped(array("i", chain.from_iterable(rows)))
+    except OverflowError:
+        raise _id_range_error() from None
+    except TypeError:
+        bad = next(x for row in rows for x in row if not isinstance(x, int))
+        raise ValueError(f"triangle vertex ids must be integers, got {type(bad).__name__}") from None
 
 
-def _check_ids(tri: np.ndarray) -> None:
-    """Raise ValueError unless the ids of ``tri`` are integers in ``0.._MAX_ID``."""
-    if tri.dtype.kind not in "iu":
-        raise ValueError(f"triangle vertex ids must be integers, got {tri.dtype}")
-    # Negative ids would silently wrap when used as numpy indices.
-    if tri.size and (tri.min() < 0 or tri.max() > _MAX_ID):
-        raise ValueError(f"triangle vertex ids must lie in 0..{_MAX_ID}")
+def _triangle_rows(triangles, own: bool = False):
+    """Checked ``(F, 3)`` int32 triangles, each row rotated so its first smallest id comes first.
+
+    The result is a new int32 buffer, never the caller's, unless ``own``
+    says the caller hands over ``triangles``: a writable C-contiguous int32
+    one is then kept and rotated where it is.  The compiled
+    ``canonical_rows`` rotates and checks every id in one pass.
+    """
+    view = _view(triangles)
+    keep = (
+        own
+        and view is not None
+        and view.format in _INT32
+        and view.shape[1:] == (3,)
+        and view.c_contiguous
+        and not view.readonly
+    )
+    rows = triangles if keep else _int32_rows(triangles, view)
+    if _library().canonical_rows(rows, len(rows)) < 0:
+        raise _id_range_error()
+    return rows
 
 
 def _library():
@@ -86,7 +138,17 @@ def _library():
     return _kernels.library()
 
 
-def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _table_rows(tri):
+    """``tri`` as a memoryview, or ValueError unless it is a C-contiguous ``(F, 3)`` int32 buffer."""
+    view = memoryview(tri)
+    if view.format not in _INT32 or view.shape[1:] != (3,) or not view.c_contiguous:
+        raise ValueError(
+            f"triangles must be a C-contiguous (F, 3) int32 buffer, got format {view.format!r} and shape {view.shape}"
+        )
+    return view
+
+
+def _edge_table(tri) -> tuple[memoryview, memoryview, memoryview]:
     """Edges, incidence and per-slot edge ids of canonical triangles, from one compiled radix sort.
 
     Slot ``(f, j)`` is the edge from corner j to corner j+1 of triangle f.
@@ -103,18 +165,22 @@ def _edge_table(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if len(tri) > MAX_TRIANGLES:
         raise ValueError(f"{len(tri)} triangles have too many edges for int32 edge ids")
+    view = _table_rows(tri)
     lib = _library()
-    size = tri.size
-    bits = max(1, int(tri.max(initial=0)).bit_length())
+    nf = len(view)
+    size = 3 * nf
+    top = lib.top_id(view, size)
+    if top < 0:
+        raise _id_range_error()
+    bits = max(1, top.bit_length())
     digits = -(-bits // max(8, size.bit_length() - 1))
     width = -(-bits // digits)
-    slot_edge, perm = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
-    ne = lib.edge_slots(tri, size, width, np.empty(1 << width, dtype=np.int32), perm, slot_edge)
+    slot_edge, perm = buffer("i", nf, 3), buffer("i", size)
+    ne = lib.edge_slots(view, size, width, buffer("i", 1 << width), perm, slot_edge)
     del perm
-    edges = np.empty((ne, 2), dtype=np.int32)
-    incidence = np.zeros(ne, dtype=np.int32)
-    lib.edge_ends(tri, size, slot_edge, edges, incidence)
-    return edges, incidence, slot_edge.reshape(-1, 3)
+    edges, incidence = buffer("i", ne, 2), buffer("i", ne)
+    lib.edge_ends(view, size, slot_edge, edges, incidence)
+    return edges, incidence, slot_edge
 
 
 @dataclass(eq=False)
@@ -122,19 +188,20 @@ class Triangulation:
     """Immutable-by-convention abstract 2-complex on vertex ids ``0..num_vertices-1``.
 
     No per-vertex object is kept; a built filling's positions live in its
-    layer ledger.  ``triangles`` may be given as any ``(F, 3)`` array-like of
-    non-negative integer ids; it is stored as a new int32 array in canonical
-    rotation (each row rotated so its smallest id comes first, as
-    :func:`canonical_triangle` does).  With ``own=True`` the caller hands
-    over its array: an int32 one is kept and rotated in place, not copied.
-    Edges and incidence are derived lazily from one sort and cached,
-    so instances are cheap to pass around and safe to share read-only between
-    workers.
+    layer ledger.  ``triangles`` may be given as any ``(F, 3)`` sequence or
+    buffer of non-negative integer ids; it is stored as a new C-contiguous
+    int32 buffer in canonical rotation (each row rotated so its smallest id
+    comes first, as :func:`canonical_triangle` does).  With ``own=True`` the
+    caller hands over its buffer: a writable C-contiguous int32 one, such as
+    a numpy array, is kept and rotated in place, not copied.  Edges and
+    incidence are derived lazily from one sort and cached, as int32
+    buffers, so instances are cheap to pass around and safe to share
+    read-only between workers.
     """
 
     n: int
     num_vertices: int
-    triangles: np.ndarray
+    triangles: memoryview
     own: InitVar[bool] = False
 
     def __post_init__(self, own: bool) -> None:
@@ -152,23 +219,25 @@ class Triangulation:
         return len(self.triangles)
 
     @cached_property
-    def _edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _edge_table(self) -> tuple[memoryview, memoryview, memoryview]:
         return _edge_table(self.triangles)
 
     @property
-    def edges(self) -> np.ndarray:
-        """Undirected edges ``(u, v)`` with ``u <= v`` as an ``(E, 2)`` int32 array, ascending."""
+    def edges(self) -> memoryview:
+        """Undirected edges ``(u, v)`` with ``u <= v`` as an ``(E, 2)`` int32 buffer, ascending."""
         return self._edge_table[0]
 
     @property
-    def incidence(self) -> np.ndarray:
+    def incidence(self) -> memoryview:
         """Number of triangle slots on each edge of :attr:`edges`."""
         return self._edge_table[1]
 
     @property
-    def boundary_edges(self) -> np.ndarray:
-        """The incidence-1 edges, ascending."""
-        return self.edges[self.incidence == 1]
+    def boundary_edges(self) -> memoryview:
+        """The incidence-1 edges, ascending, as a ``(k, 2)`` int32 buffer."""
+        edges = self.edges
+        ends = chain.from_iterable((edges[e, 0], edges[e, 1]) for e, k in enumerate(self.incidence) if k == 1)
+        return _shaped(array("i", ends), 2)
 
     @property
     def num_edges(self) -> int:
@@ -188,26 +257,40 @@ class ValidationReport:
 
 
 _LISTED = 10  # witnesses listed per kind of failure
+# The marks of the compiled disk_marks (see _kernels.c), per triangle, per
+# edge and per vertex; a vertex mark is one more where its link should be a cycle.
+_DEGENERATE, _OUTSIDE, _REPEATED = 1, 2, 3
+_CYCLE_EDGE, _OFF_CYCLE, _OVERFULL = 1, 2, 3
+_UNCOVERED, _MULTI_PATH, _SPLIT_PATH = 1, 2, 4
 
 
-def _report(failures: list[str], lines: list[str], what: str) -> None:
-    """Append up to ten of ``lines`` to ``failures``, then how many more ``what`` there are."""
+def _report(failures: list[str], lines: list[str], what: str, total: int | None = None) -> None:
+    """Append up to ten of ``lines`` to ``failures``, then how many more ``what`` there are, of ``total``."""
+    total = len(lines) if total is None else total
     failures.extend(lines[:_LISTED])
-    if len(lines) > _LISTED:
-        failures.append(f"... and {len(lines) - _LISTED} more {what}")
+    if total > _LISTED:
+        failures.append(f"... and {total - _LISTED} more {what}")
 
 
-def _tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(r) for r in rows.tolist()]
+def _first(marks: bytearray, *codes: int) -> list[int]:
+    """The first ten positions, ascending, whose mark is one of ``codes``."""
+    found = []
+    for code in codes:
+        at = marks.find(code)
+        for _ in range(_LISTED):
+            if at < 0:
+                break
+            found.append(at)
+            at = marks.find(code, at + 1)
+    return sorted(found)[:_LISTED]
 
 
 def validate_disk(t: Triangulation) -> ValidationReport:
     """Check that ``t`` is a triangulated disk with boundary exactly C_n.
 
-    Runs every structural invariant in vectorized numpy and compiled
-    kernels and reports all failures at once instead of stopping at the
-    first, so a broken complex can be diagnosed in one pass (up to ten
-    witnesses per kind of failure):
+    Runs every structural invariant in compiled kernels and reports all
+    failures at once instead of stopping at the first, so a broken complex
+    can be diagnosed in one pass (up to ten witnesses per kind of failure):
 
     * no degenerate or repeated triangle, all vertex ids in range,
     * every edge lies in exactly 1 (boundary) or 2 (interior) triangles,
@@ -223,40 +306,147 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     Two triangles on one vertex set make that link a multigraph; otherwise,
     with every incidence 1 or 2, each link is a disjoint union of paths and
     cycles, and it is a path or a cycle exactly when it is connected, a path
-    exactly when v lies on an incidence-1 edge.  Connectivity, of the links
-    and of the complex, comes from the kernels' union-find, which hooks
-    the larger root under the smaller; the edge table comes from their
-    radix sort.  Both take int32 memory linear in the triangles and
-    vertices, whatever the ids.  The last check is not implied by the
+    exactly when v lies on an incidence-1 edge.  The compiled
+    ``disk_marks`` reads the cached edge table (from the kernels' radix
+    sort) and marks every triangle, edge, vertex and cycle edge with the
+    failure it witnesses: repeated triangles by a counting sort on their two
+    smallest edge ids, links and connectivity by a union-find that hooks the
+    larger root under the smaller.  It takes int32 scratch linear in the
+    triangles and vertices, whatever the ids, and this function lists the
+    first ten marks of each kind.  The last check is not implied by the
     others: a disk plus a disjoint torus passes every other one.
     Degenerate and out-of-range triangles are reported and left out of the
-    link and connectivity checks; edge counts include them.
+    link, repeat and connectivity checks; edge counts include them.
     """
     rep = ValidationReport()
-    tri = t.triangles
-    if not len(tri):
+    if not t.num_triangles:
         rep.failures.append("complex has no triangles")
         return rep
-    _check_disk(t.n, t.num_vertices, tri, t._edge_table, rep)
+    _disk_failures(t.n, t.num_vertices, t.triangles, t._edge_table, rep)
     return rep
 
 
-def validate_disk_batch(n: int, num_vertices: int, triangles) -> np.ndarray:
+def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) -> None:
+    """Write every disk invariant the canonical ``tri`` breaks into ``rep``, with witnesses, and its counts.
+
+    ``table`` is :func:`_edge_table` of ``tri``, which may use any ids.
+    Raises ValueError, before the kernel runs, unless the buffers have the
+    table's shapes and int32 format, its slot edge ids lie below the edge
+    count, and ``3 <= n <= nv``.
+    """
+    tri = _table_rows(tri)
+    edges, inc, slot = map(memoryview, table)
+    nf, ne = len(tri), len(edges)
+    if not (
+        edges.shape == (ne, 2)
+        and inc.shape == (ne,)
+        and slot.shape == (nf, 3)
+        and {edges.format, inc.format, slot.format} <= _INT32
+        and edges.c_contiguous
+        and inc.c_contiguous
+        and slot.c_contiguous
+    ):
+        raise ValueError(
+            f"an edge table of {nf} triangles needs (E, 2), (E,) and ({nf}, 3) int32 buffers, "
+            f"got shapes {edges.shape}, {inc.shape} and {slot.shape}"
+        )
+    lib = _library()
+    if not 0 <= lib.top_id(slot, 3 * nf) < max(ne, 1):
+        raise ValueError(f"slot edge ids must lie in 0..{ne - 1}")
+    if not 3 <= n <= nv <= _MAX_ID:
+        raise ValueError(f"a disk bounded by C_{n} needs 3 <= n <= {nv} vertices <= {_MAX_ID}")
+    tri_mark, edge_mark, vertex_mark, cycle_mark = bytearray(nf), bytearray(ne), bytearray(nv), bytearray(n)
+    scratch = buffer("i", max(2 * ne, ne + 1 + 2 * nf, nv))
+    components = lib.disk_marks(
+        n, nv, tri, nf, slot, edges, inc, ne, scratch, tri_mark, edge_mark, vertex_mark, cycle_mark
+    )
+    del scratch
+
+    def rows(mark: int) -> list[tuple[int, int, int]]:
+        return [(tri[f, 0], tri[f, 1], tri[f, 2]) for f in _first(tri_mark, mark)]
+
+    def ends(mark: int) -> list[tuple[tuple[int, int], int]]:
+        return [((edges[e, 0], edges[e, 1]), inc[e]) for e in _first(edge_mark, mark)]
+
+    failures = rep.failures
+    for mark, line, what in (
+        (_DEGENERATE, "degenerate triangle {}", "degenerate triangles"),
+        (_OUTSIDE, f"triangle {{}} references a vertex id outside 0..{nv - 1}", "triangles with out-of-range ids"),
+        (_REPEATED, "repeated triangle {}", "repeated triangles"),
+    ):
+        _report(failures, [line.format(x) for x in rows(mark)], what, tri_mark.count(mark))
+    _report(
+        failures,
+        [f"edge {e} lies in {k} triangles (expected 1 or 2)" for e, k in ends(_OVERFULL)],
+        "edges with bad incidence",
+        edge_mark.count(_OVERFULL),
+    )
+    # Edges are distinct, so the boundary is C_n iff its n cycle edges are all incidence-1 edges and no other is.
+    absent = [i for i in (*_first(cycle_mark, 0), n - 1) if not cycle_mark[i]]
+    if absent:
+        missing = sorted({(0, n - 1) if i == n - 1 else (i, i + 1) for i in absent})
+        failures.append(f"cycle edges missing from the boundary: {missing[:_LISTED]}")
+    if _OFF_CYCLE in edge_mark:
+        failures.append(f"unexpected boundary edges: {[e for e, _ in ends(_OFF_CYCLE)]}")
+
+    boundary = edge_mark.count(_CYCLE_EDGE) + edge_mark.count(_OFF_CYCLE)
+    euler = nv - ne + nf
+    rep.counts = {
+        "vertices": nv,
+        "edges": ne,
+        "triangles": nf,
+        "boundary_edges": boundary,
+        "interior_edges": ne - boundary,
+    }
+    if euler != 1:
+        failures.append(f"Euler formula violated: V - E + F = {nv} - {ne} + {nf} = {euler}, expected 1")
+
+    _report(
+        failures,
+        [f"vertex {v} lies in no triangle" for v in _first(vertex_mark, _UNCOVERED)],
+        "uncovered vertices",
+        vertex_mark.count(_UNCOVERED),
+    )
+    for path, shape, what in (
+        (_MULTI_PATH, "a multigraph (repeated link edge)", "vertices with a multigraph link"),
+        (_SPLIT_PATH, "disconnected", "vertices with a disconnected link"),
+    ):
+        _report(
+            failures,
+            [
+                f"link of vertex {v} is {shape}, expected a {'path' if vertex_mark[v] == path else 'cycle'}"
+                for v in _first(vertex_mark, path, path + 1)
+            ],
+            what,
+            vertex_mark.count(path) + vertex_mark.count(path + 1),
+        )
+    if components > 1:
+        failures.append(f"complex is disconnected: {components} components")
+
+
+def validate_disk_batch(n: int, num_vertices: int, triangles):
     """:func:`validate_disk`'s verdicts on B complexes of one size, in one call.
 
     ``triangles`` is a ``(B, F, 3)`` integer array; complex b is
     ``Triangulation(n, num_vertices, triangles[b])``.  The compiled
     ``disk_verdicts`` checks each complex on its own, with scratch linear in
     F, so numpy's fixed cost is paid once per stack, not once per complex.
-    Returns a ``(B,)`` bool array, True where :func:`validate_disk` reports
-    ``ok``; ask it for the failures of a complex this flags.
+    Returns a ``(B,)`` numpy bool array, True where :func:`validate_disk`
+    reports ``ok``; ask it for the failures of a complex this flags.  The
+    oracle calls the kernel on its own stacks; this numpy form, for numpy
+    callers, imports numpy when called.
     """
+    import numpy as np
+
     from ._kernels import DISK_SCRATCH
 
     tri = np.asarray(triangles)
     if tri.ndim != 3 or tri.shape[2] != 3 or not tri.size:
         raise ValueError(f"triangles must be a (B, F, 3) array with B, F >= 1, got shape {tri.shape}")
-    _check_ids(tri)
+    if tri.dtype.kind not in "iu":
+        raise ValueError(f"triangle vertex ids must be integers, got {tri.dtype}")
+    if tri.min() < 0 or tri.max() > _MAX_ID:
+        raise _id_range_error()
     num, nf = tri.shape[:2]
     if nf > MAX_TRIANGLES:
         raise ValueError(f"{nf} triangles have too many edges for int32 edge ids")
@@ -268,139 +458,6 @@ def validate_disk_batch(n: int, num_vertices: int, triangles) -> np.ndarray:
         tri = np.ascontiguousarray(tri, dtype=np.int32)
         _library().disk_verdicts(n, num_vertices, tri, num, nf, scratch, ok)
     return ok
-
-
-def _check_disk(
-    n: int, nv: int, tri: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray], rep: ValidationReport
-) -> None:
-    """Write every disk invariant the canonical ``tri`` breaks into ``rep``, with witnesses, and its counts.
-
-    ``table`` is :func:`_edge_table` of ``tri``, which may use any ids.
-    """
-    nf = len(tri)
-    edges, inc, slot = table
-    ne = len(edges)
-    # rows are canonical, so column 0 holds the smallest id
-    degenerate = (tri[:, 0] == tri[:, 1]) | (tri[:, 0] == tri[:, 2]) | (tri[:, 1] == tri[:, 2])
-    outside = np.maximum(tri[:, 1], tri[:, 2]) >= nv
-    good = ~(degenerate | outside)
-    if not good.all():
-        degenerates = [f"degenerate triangle {x}" for x in _tuples(tri[degenerate])]
-        _report(rep.failures, degenerates, "degenerate triangles")
-        stray = _tuples(tri[outside & ~degenerate])
-        _report(
-            rep.failures,
-            [f"triangle {x} references a vertex id outside 0..{nv - 1}" for x in stray],
-            "triangles with out-of-range ids",
-        )
-        tri, slot = tri[good], slot[good]
-
-    # A triangle is fixed by any two of its edges: its two smallest edge ids
-    # fix its vertex set, and (rotation being canonical) the edges leaving
-    # corners 0 and 1 fix it with its orientation.
-    # The keys are int64: an int32 product of edge ids wraps once E > 46,341.
-    pairs = np.sort(slot, axis=1)
-    unoriented = pairs[:, 0].astype(np.int64) * ne + pairs[:, 1]
-    del pairs
-    multi = np.zeros(nv, dtype=bool)
-    ranked = np.sort(unoriented)
-    if (ranked[1:] == ranked[:-1]).any():
-        oriented = slot[:, 0].astype(np.int64) * ne + slot[:, 1]
-        repeated = _tuples(tri[_repeats(oriented)])
-        _report(rep.failures, [f"repeated triangle {x}" for x in repeated], "repeated triangles")
-        multi[tri[_repeats(unoriented, every=True)]] = True
-    del unoriented, ranked
-
-    overfull = np.flatnonzero(inc > 2)
-    _report(
-        rep.failures,
-        [
-            f"edge {e} lies in {k} triangles (expected 1 or 2)"
-            for e, k in zip(_tuples(edges[overfull]), inc[overfull].tolist())
-        ],
-        "edges with bad incidence",
-    )
-
-    # Edges are distinct, so the boundary is C_n iff it has n edges, each an edge of C_n.
-    boundary = edges[inc == 1]
-    lo, hi = boundary.T
-    on_cycle = (hi < n) & ((hi == lo + 1) | ((lo == 0) & (hi == n - 1)))
-    if len(boundary) != n or not on_cycle.all():
-        have = set(_tuples(boundary))
-        need = {(0, n - 1)} | {(i, i + 1) for i in range(n - 1)}
-        if need - have:
-            rep.failures.append(f"cycle edges missing from the boundary: {sorted(need - have)[:_LISTED]}")
-        if have - need:
-            rep.failures.append(f"unexpected boundary edges: {sorted(have - need)[:_LISTED]}")
-
-    euler = nv - ne + nf
-    rep.counts = {
-        "vertices": nv,
-        "edges": ne,
-        "triangles": nf,
-        "boundary_edges": len(boundary),
-        "interior_edges": ne - len(boundary),
-    }
-    if euler != 1:
-        rep.failures.append(f"Euler formula violated: V - E + F = {nv} - {ne} + {nf} = {euler}, expected 1")
-
-    covered = np.zeros(nv, dtype=bool)
-    covered[tri] = True
-    uncovered = np.flatnonzero(~covered).tolist()
-    _report(rep.failures, [f"vertex {v} lies in no triangle" for v in uncovered], "uncovered vertices")
-    links = _link_counts(edges, tri, slot, nv)
-    if multi.any() or (links > 1).any():
-        on_boundary = set(boundary.ravel().tolist())
-
-        def link_lines(vs: np.ndarray, shape: str) -> list[str]:
-            return [
-                f"link of vertex {v} is {shape}, expected a {'path' if v in on_boundary else 'cycle'}"
-                for v in np.flatnonzero(vs).tolist()
-            ]
-
-        _report(rep.failures, link_lines(multi, "a multigraph (repeated link edge)"), "vertices with a multigraph link")
-        _report(rep.failures, link_lines((links > 1) & ~multi, "disconnected"), "vertices with a disconnected link")
-
-    components = _components(tri, nv)
-    if components > 1:
-        rep.failures.append(f"complex is disconnected: {components} components")
-
-
-def _repeats(keys: np.ndarray, every: bool = False) -> np.ndarray:
-    """Positions of keys seen earlier in ``keys`` (all members of repeated keys if ``every``)."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    same = ranked[1:] == ranked[:-1]
-    later = np.zeros(len(keys), dtype=bool)
-    later[1:] = same
-    if every:
-        later[:-1] |= same
-    return np.sort(order[later])
-
-
-def _link_counts(edges: np.ndarray, tri: np.ndarray, slot: np.ndarray, size: int) -> np.ndarray:
-    """How many components of the corner graph each of ``size`` vertices owns, as the tail of their nodes.
-
-    Node ``2e + d`` is edge e directed away from its endpoint ``edges[e, d]``,
-    and ``node ^ 1`` is its reverse.  Corner j of a triangle joins the
-    directed edges leaving it along slot j and along slot j-1.  Components
-    never mix tails, so a vertex's link is connected iff it owns exactly
-    one.  The kernel's union-find computes the joins from ``tri`` and
-    ``slot`` itself, so no list of joins is made.
-    """
-    links = np.zeros(size, dtype=np.int32)
-    nodes = 2 * len(edges)
-    _library().link_roots(tri, slot, len(tri), edges, nodes, np.empty(nodes, dtype=np.int32), links)
-    return links
-
-
-def _components(tri: np.ndarray, size: int) -> int:
-    """The number of connected components of the vertices of ``tri``, whose ids lie below ``size``.
-
-    Only the vertices of ``tri`` count; the kernel's union-find joins the
-    corners of each triangle.
-    """
-    return _library().vertex_roots(tri, len(tri), size, np.empty(size, dtype=np.int32))
 
 
 def cone_over_cycle(n: int) -> Triangulation:

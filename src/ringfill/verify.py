@@ -6,24 +6,30 @@ Three independent instruments:
   compiled FIFO search per source over an int32 CSR of the 1-skeleton
   (``_kernels.c``, built with the C compiler on first use and loaded
   through ctypes by :mod:`ringfill._kernels`), giving the exact Lipschitz
-  constant delta of the filling;
+  constant delta of the filling, whose worst pair a compiled scan finds by
+  exact int64 cross-multiplication;
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact scaled int64 arithmetic, positions read from the ledger;
 * an analytic lower-bound predictor for boundary distances derived from the
   accumulated drift of the layer ledger, sound by construction and checked
-  against BFS exhaustively in the tests.
+  against BFS exhaustively in the tests, its table written by a kernel.
+
+The CSR, the distance matrix and the table are stdlib buffers (``bytearray``
+cast by ``memoryview``), so verification imports no numpy; numpy callers
+view the matrix with ``numpy.asarray`` without a copy.  Only
+:func:`drift_audit` still imports numpy, when called.
 """
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-import numpy as np
-
+from ._kernels import buffer
 from .builder import BuildResult
 from .simplicial import _MAX_ID, Triangulation, _library, _report
 
@@ -40,16 +46,13 @@ __all__ = [
 ]
 
 
-_BLOCK = 1 << 14  # entries of a block of boundary pairs in verify_filling's temporaries
-
-
 def cycle_dist(i: int, j: int, n: int) -> int:
     """Distance between boundary vertices i and j along the cycle C_n."""
     d = abs(i - j) % n
     return min(d, n - d)
 
 
-def _graph_csr(t: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+def _graph_csr(t: Triangulation) -> tuple[memoryview, memoryview]:
     """The symmetric 1-skeleton as int32 CSR ``(indptr, indices)``, each neighbour list ascending.
 
     Built by the kernel from the sorted edge table in linear time: each
@@ -62,29 +65,29 @@ def _graph_csr(t: Triangulation) -> tuple[np.ndarray, np.ndarray]:
     if v > _MAX_ID:
         raise ValueError(f"{v} vertices are more than the BFS kernel's int32 ids hold")
     edges = t.edges
-    if len(edges) and edges[:, 1].max() >= v:
-        raise ValueError(f"triangles reference vertex id {edges[:, 1].max()}, beyond the {v} vertices")
-    indptr = np.empty(v + 1, dtype=np.int32)
-    indices = np.empty(2 * len(edges), dtype=np.int32)
+    top = _library().top_id(edges, 2 * len(edges))
+    if top >= v:
+        raise ValueError(f"triangles reference vertex id {top}, beyond the {v} vertices")
+    indptr, indices = buffer("i", v + 1), buffer("i", 2 * len(edges))
     _library().graph_csr(edges, len(edges), v, indptr, indices)
     return indptr, indices
 
 
-def _bfs_rows(graph: tuple[np.ndarray, np.ndarray], sources: range, out: np.ndarray, want_pred: bool = False):
+def _bfs_rows(graph: tuple, sources: range, out, want_pred: bool = False) -> memoryview | None:
     """Row k of ``out`` gets the BFS distances from ``sources[k]`` to the vertices ``0..out.shape[1]-1``.
 
-    Returns the BFS parent of every vertex from the last source (-1 at the
-    source) if ``want_pred``, else None.
+    ``out`` is a C-contiguous int64 buffer of one row per source.  Returns
+    the BFS parent of every vertex from the last source (-1 at the source)
+    as an int32 buffer if ``want_pred``, else None.
     """
     indptr, indices = graph
     size = len(indptr) - 1
-    src = np.arange(sources.start, sources.stop, dtype=np.int32)
-    dist, queue = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
-    pred = np.empty(size, dtype=np.int32) if want_pred else None
+    src = array("i", sources)
+    dist, queue = buffer("i", size), buffer("i", size)
+    pred = buffer("i", size) if want_pred else None
     if len(out) != len(src) or max(sources.stop, out.shape[1]) > size:
         raise ValueError(f"{len(src)} BFS sources and {out.shape} outputs do not fit {size} vertices")
-    parents = None if pred is None else pred.ctypes.data
-    if _library().bfs_rows(size, indptr, indices, src, len(src), out.shape[1], out, dist, queue, parents):
+    if _library().bfs_rows(size, indptr, indices, src, len(src), out.shape[1], out, dist, queue, pred):
         raise ValueError("graph is disconnected: some vertex is unreachable from the boundary")
     return pred
 
@@ -100,8 +103,8 @@ def _bfs_plan(n: int, jobs: int) -> tuple[list[range], int]:
     return spans, min(len(spans), os.cpu_count() or 1)
 
 
-def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> np.ndarray:
-    """Exact graph distances between all pairs of boundary vertices, as int64.
+def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> memoryview:
+    """Exact graph distances between all pairs of boundary vertices, as an ``(n, n)`` int64 buffer.
 
     Builds the int32 CSR of the 1-skeleton once and runs one compiled FIFO
     BFS per boundary source over it (see :func:`_boundary_distances`).
@@ -109,7 +112,7 @@ def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> np.ndarray:
     return _boundary_distances(_graph_csr(t), t.n, jobs)
 
 
-def _boundary_distances(graph: tuple[np.ndarray, np.ndarray], n: int, jobs: int) -> np.ndarray:
+def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
     """The ``(n, n)`` int64 BFS distances between the first n vertices of the CSR ``graph``.
 
     The sources are split into ``jobs`` spans of ``ceil(n / jobs)`` (see
@@ -121,7 +124,7 @@ def _boundary_distances(graph: tuple[np.ndarray, np.ndarray], n: int, jobs: int)
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    dist = np.empty((n, n), dtype=np.int64)
+    dist = buffer("q", n, n)
     spans, workers = _bfs_plan(n, jobs)
 
     def run(sources: range) -> None:
@@ -139,6 +142,31 @@ def _boundary_distances(graph: tuple[np.ndarray, np.ndarray], n: int, jobs: int)
     return dist
 
 
+def _worst_pair(dist, n: int) -> tuple[int, int]:
+    """The first pair, in row-major order, of least ratio of ``dist`` to cycle distance.
+
+    ``dist`` is the C-contiguous ``(n, n)`` int64 BFS matrix.  The compiled
+    ``worst_ratio`` compares ratios exactly, by int64 cross-multiplication,
+    so the first exact minimum is found without a float.  Raises ValueError
+    if ``dist`` has another shape or format, which the kernel would misread,
+    or if some graph distance exceeds its cycle distance.
+    """
+    view = memoryview(dist)
+    if view.format not in ("l", "q") or view.itemsize != 8 or view.shape != (n, n) or not view.c_contiguous:
+        raise ValueError(
+            f"distances must be a C-contiguous ({n}, {n}) int64 buffer, "
+            f"got format {view.format!r} and shape {view.shape}"
+        )
+    pair = buffer("i", 2)
+    if _library().worst_ratio(view, n, pair):
+        x, y = pair
+        raise ValueError(
+            f"graph distance {view[x, y]} exceeds cycle distance {cycle_dist(x, y, n)} "
+            f"for pair ({x}, {y}): boundary cycle edges are missing"
+        )
+    return pair[0], pair[1]
+
+
 @dataclass(eq=False)
 class VerificationReport:
     """Outcome of the exact boundary-distance verification.
@@ -153,7 +181,7 @@ class VerificationReport:
     is_isometric: bool
     worst_pair: tuple[int, int, int, int]  # (x, y, d_complex, d_cycle)
     witness_path: list[int] | None
-    boundary_distances: np.ndarray
+    boundary_distances: memoryview  # (n, n) int64
     eps: float | None = None
 
 
@@ -167,35 +195,15 @@ def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -
     n = t.n
     graph = _graph_csr(t)  # kept for the witness BFS
     dist = _boundary_distances(graph, n, jobs)
-    # A block of rows at a time, so no n x n temporary is made.  Distinct
-    # ratios of integers <= n differ by at least 1/n^2, far above float64
-    # rounding, and equal ratios divide to equal floats, so the first
-    # smallest float in row-major order is the first exact minimum.
-    idx = np.arange(n)
-    rows = max(1, _BLOCK // n)
-    best, x, y = np.inf, 0, 0
-    for top in range(0, n, rows):
-        d = dist[top : top + rows]
-        gap = np.abs(idx[top : top + rows, None] - idx)
-        dcyc = np.minimum(gap, n - gap)
-        if (d > dcyc).any():
-            r, c = map(int, np.argwhere(d > dcyc)[0])
-            raise ValueError(
-                f"graph distance {d[r, c]} exceeds cycle distance {dcyc[r, c]} "
-                f"for pair ({top + r}, {c}): boundary cycle edges are missing"
-            )
-        ratios = np.where(dcyc > 0, d / np.maximum(dcyc, 1), np.inf)
-        r, c = divmod(int(np.argmin(ratios)), n)
-        if ratios[r, c] < best:
-            best, x, y = ratios[r, c], top + r, c
-    d_k, d_c = int(dist[x, y]), cycle_dist(x, y, n)
+    x, y = _worst_pair(dist, n)
+    d_k, d_c = dist[x, y], cycle_dist(x, y, n)
     delta = Fraction(d_k, d_c)
     witness = None
     if want_witness and delta < 1:
-        pred = _bfs_rows(graph, range(x, x + 1), np.empty((1, n), dtype=np.int64), want_pred=True)
+        pred = _bfs_rows(graph, range(x, x + 1), buffer("q", 1, n), want_pred=True)
         witness = [y]
         while witness[-1] != x:
-            witness.append(int(pred[witness[-1]]))
+            witness.append(pred[witness[-1]])
         witness.reverse()
     return VerificationReport(
         n=n,
@@ -260,8 +268,11 @@ def drift_audit(build: BuildResult) -> DriftAudit:
 
     Equal-length annuli must achieve their bound n/(2m) with equality on
     every slanted edge; shrink annuli stay at or below n/M.  A violation
-    marks a construction bug, never a tolerance issue.
+    marks a construction bug, never a tolerance issue.  This is the one
+    stage that still works in numpy, which it imports when called.
     """
+    import numpy as np
+
     t = build.triangulation
     n = t.n
     ledger = build.ledger
@@ -271,7 +282,7 @@ def drift_audit(build: BuildResult) -> DriftAudit:
     lengths = [rec.length for rec in ledger] + [1]
     if first[0] != 0 or (first[1:] != first[:-1] + lengths[:-1]).any():
         raise ValueError("ledger cycles do not tile the vertex ids 0..apex-1 in order")
-    edges = t.edges
+    edges = np.asarray(t.edges)
     if len(edges) and edges[:, 1].max() > build.apex:
         raise ValueError(f"triangles reference vertex ids beyond the apex {build.apex}")
 
@@ -343,20 +354,32 @@ def separation_lower_bounds(build: BuildResult) -> list[int]:
     w = floor(D_h) and q = floor(m_h (D_h - w)), an integer s exceeds D_h iff
     s > w, and ceil((k - x)/n) = -floor((floor(x) - k)/n) for integers k and
     n > 0, so with k = m_h (s - w) the row is 2h - (q - m_h (s - w)) // n
-    where s > w.  The cone term counts 2 edges per collar and equal annulus,
-    leaving out block transitions and apex edges: sound but loose.
+    where s > w.  The compiled ``lower_bounds`` writes the rows' minimum in
+    int64 with that floor division; this function checks first that every
+    w, q and m_h keeps its products in range, and raises ValueError for a
+    ledger that does not.  The cone term counts 2 edges per collar and equal
+    annulus, leaving out block transitions and apex edges: sound but loose.
     """
     n = build.params.n
     sched = build.schedule
     cone_bound = 2 * sched.collar_layers + 2 * sched.num_blocks * sched.layers_per_block
-    s = np.arange(n // 2 + 1, dtype=np.int64)
-    table = np.full_like(s, cone_bound)
+    size = n // 2 + 1
+    w, q, m = array("q"), array("q"), array("q")
     drifts = accumulate((2 * rec.drift_bound for rec in build.ledger[:-1]), initial=Fraction(0))
     for h, (rec, drift) in enumerate(zip(build.ledger, drifts)):
-        w, m = math.floor(drift), rec.length
-        row = np.full_like(s, 2 * h)
-        row[w + 1 :] -= (math.floor(m * (drift - w)) - m * (s[w + 1 :] - w)) // n
-        np.minimum(table, row, out=table)
+        floor = math.floor(drift)
+        w.append(min(floor, size))  # s never exceeds a larger w
+        m.append(rec.length)
+        q.append(math.floor(rec.length * (drift - floor)))
+        if floor < 0 or not 0 < rec.length <= _MAX_ID:
+            raise ValueError(
+                f"layer {h} of the ledger needs drift >= 0 and a length in 1..{_MAX_ID}, "
+                f"got drift {drift} and length {rec.length}"
+            )
+    if not 0 < n <= _MAX_ID:
+        raise ValueError(f"the separation table needs 1 <= n <= {_MAX_ID}, got {n}")
+    table = buffer("q", size)
+    _library().lower_bounds(n, len(m), w, q, m, cone_bound, table, size)
     return table.tolist()
 
 

@@ -21,7 +21,7 @@ def medium_build():
 
 def _flipped(build, a, b):
     """A copy of ``build`` with edge (a, b) flipped: (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c)."""
-    tri = build.triangulation.triangles
+    tri = np.asarray(build.triangulation.triangles)
     pair = np.flatnonzero((tri == a).any(axis=1) & (tri == b).any(axis=1))
     rows = tri[pair].tolist()
     if rows[0].index(b) != (rows[0].index(a) + 1) % 3:

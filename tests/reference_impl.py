@@ -24,7 +24,11 @@ At the end are the numpy bodies that the compiled kernels of
 ``_kernels.c`` replaced: the int64-key ``edge_table``, ``min_labels``
 propagation with pointer jumping, the corner-graph ``link_components``
 and the sorted-key ``graph_csr``, with ``link_counts`` and ``components``
-shaped as the library's hooks, so a test can swap them in.
+as the validator's former hooks; the validator itself (``check_disk``,
+its int64-key ``repeats``), the stacked ``annulus_triangles`` and
+``cone_triangles``, the blocked float ratio scan ``worst_pair``, the
+vectorized ``separation_table`` and the chunked ``check_bound`` that
+``verify --check-bound`` ran.
 """
 from __future__ import annotations
 
@@ -389,6 +393,7 @@ def edge_table(tri):
     Slot ``(f, j)`` is the edge from corner j to corner j+1 of triangle f;
     its key ``lo * 2**32 + hi`` orders edges as ``(lo, hi)`` pairs do.
     """
+    tri = np.asarray(tri)
     a = tri.ravel()
     b = np.take(tri, _NEXT, axis=1).ravel()
     keys = np.minimum(a, b).astype(np.int64)
@@ -437,6 +442,7 @@ def link_joins(tri, slot):
     Corner j of a triangle joins the directed edges leaving it along slot j
     and along slot j-1.
     """
+    tri, slot = np.asarray(tri), np.asarray(slot)
     out = 2 * slot
     out += tri > np.take(tri, _NEXT, axis=1)  # slot j directed away from corner j
     b = np.take(out, _PREV, axis=1).ravel()
@@ -457,11 +463,12 @@ def link_components(edges, tri, slot):
 
 def link_counts(edges, tri, slot, size):
     """``ringfill.simplicial._link_counts`` by way of :func:`link_components`."""
-    return np.bincount(link_components(edges, tri, slot), minlength=size).astype(np.int32)
+    return np.bincount(link_components(np.asarray(edges), tri, slot), minlength=size).astype(np.int32)
 
 
 def components(tri, size):
     """``ringfill.simplicial._components`` by way of :func:`min_labels` over the triangles' sides."""
+    tri = np.asarray(tri)
     label = min_labels(size, tri.ravel(), np.take(tri, _NEXT, axis=1).ravel())
     covered = np.zeros(size, dtype=bool)
     covered[tri] = True
@@ -471,7 +478,7 @@ def components(tri, size):
 def graph_csr(t):
     """The symmetric 1-skeleton as int32 CSR, from int64 keys ``vertex * V + neighbour`` sorted."""
     v = t.num_vertices
-    edges = t.edges
+    edges = np.asarray(t.edges)
     keys = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.int64)
     indptr = np.zeros(v + 1, dtype=np.int32)
     indptr[1:] = np.cumsum(np.bincount(keys, minlength=v))
@@ -480,3 +487,206 @@ def graph_csr(t):
     keys.sort()
     keys %= v
     return indptr, keys.astype(np.int32)
+
+
+def annulus_triangles(outer, inner):
+    """``ringfill.annulus_triangles`` as numpy stacks: the rows of one annulus, int32."""
+    m = outer.length
+    i = np.arange(m, dtype=np.int32)
+    u0, u1 = outer.vertex(i), outer.vertex(i + 1)
+    if outer.annulus_kind != "shrink":
+        v0, v1 = inner.vertex(i), inner.vertex(i + 1)
+        pair = np.stack([np.column_stack([u0, u1, v0]), np.column_stack([u1, v0, v1])], axis=1)
+        return pair.reshape(2 * m, 3)
+    steps = np.array([(inner.length * k) // m for k in range(m + 1)], dtype=np.int32)
+    w0, w1 = inner.vertex(steps[:-1]), inner.vertex(steps[1:])
+    pair = np.stack([np.column_stack([u0, u1, w1]), np.column_stack([u0, w0, w1])], axis=1)
+    return pair[np.column_stack([np.ones(m, dtype=bool), steps[1:] > steps[:-1]])]
+
+
+def cone_triangles(innermost):
+    """``ringfill.cone_triangles`` as numpy columns."""
+    i = np.arange(innermost.length, dtype=np.int32)
+    apex = innermost.first_vertex + innermost.length
+    return np.column_stack([np.full_like(i, apex), innermost.vertex(i), innermost.vertex(i + 1)])
+
+
+def rotated(tri):
+    """The rows of ``tri`` as int32, each rotated so its first smallest id comes first, by numpy masks."""
+    tri = np.array(tri, dtype=np.int32).reshape(-1, 3)
+    a, b, c = tri.T
+    second, third = (b < a) & (b <= c), (c < a) & (c < b)
+    for at, turn in ((second, _NEXT), (third, _PREV)):
+        rows = np.flatnonzero(at)
+        tri[rows] = tri[rows][:, turn]
+    return tri
+
+
+def _tuples(rows):
+    return [tuple(r) for r in rows.tolist()]
+
+
+def _report(failures, lines, what):
+    failures.extend(lines[:10])
+    if len(lines) > 10:
+        failures.append(f"... and {len(lines) - 10} more {what}")
+
+
+def repeats(keys, every=False):
+    """Positions of keys seen earlier in ``keys`` (all members of repeated keys if ``every``)."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    same = ranked[1:] == ranked[:-1]
+    later = np.zeros(len(keys), dtype=bool)
+    later[1:] = same
+    if every:
+        later[:-1] |= same
+    return np.sort(order[later])
+
+
+def check_disk(t) -> ValidationReport:
+    """``ringfill.validate_disk`` as the numpy body it had: int64 keys, two sorts and the reference hooks above."""
+    rep = ValidationReport()
+    n, nv, tri = t.n, t.num_vertices, np.asarray(t.triangles)
+    if not len(tri):
+        rep.failures.append("complex has no triangles")
+        return rep
+    nf = len(tri)
+    edges, inc, slot = edge_table(tri)
+    ne = len(edges)
+    degenerate = (tri[:, 0] == tri[:, 1]) | (tri[:, 0] == tri[:, 2]) | (tri[:, 1] == tri[:, 2])
+    outside = np.maximum(tri[:, 1], tri[:, 2]) >= nv
+    good = ~(degenerate | outside)
+    if not good.all():
+        _report(rep.failures, [f"degenerate triangle {x}" for x in _tuples(tri[degenerate])], "degenerate triangles")
+        stray = _tuples(tri[outside & ~degenerate])
+        _report(
+            rep.failures,
+            [f"triangle {x} references a vertex id outside 0..{nv - 1}" for x in stray],
+            "triangles with out-of-range ids",
+        )
+        tri, slot = tri[good], slot[good]
+    pairs = np.sort(slot, axis=1)
+    unoriented = pairs[:, 0].astype(np.int64) * ne + pairs[:, 1]
+    multi = np.zeros(nv, dtype=bool)
+    ranked = np.sort(unoriented)
+    if (ranked[1:] == ranked[:-1]).any():
+        oriented = slot[:, 0].astype(np.int64) * ne + slot[:, 1]
+        repeated = _tuples(tri[repeats(oriented)])
+        _report(rep.failures, [f"repeated triangle {x}" for x in repeated], "repeated triangles")
+        multi[tri[repeats(unoriented, every=True)]] = True
+    overfull = np.flatnonzero(inc > 2)
+    _report(
+        rep.failures,
+        [
+            f"edge {e} lies in {k} triangles (expected 1 or 2)"
+            for e, k in zip(_tuples(edges[overfull]), inc[overfull].tolist())
+        ],
+        "edges with bad incidence",
+    )
+    boundary = edges[inc == 1]
+    lo, hi = boundary.T
+    on_cycle = (hi < n) & ((hi == lo + 1) | ((lo == 0) & (hi == n - 1)))
+    if len(boundary) != n or not on_cycle.all():
+        have = set(_tuples(boundary))
+        need = {(0, n - 1)} | {(i, i + 1) for i in range(n - 1)}
+        if need - have:
+            rep.failures.append(f"cycle edges missing from the boundary: {sorted(need - have)[:10]}")
+        if have - need:
+            rep.failures.append(f"unexpected boundary edges: {sorted(have - need)[:10]}")
+    euler = nv - ne + nf
+    rep.counts = {
+        "vertices": nv,
+        "edges": ne,
+        "triangles": nf,
+        "boundary_edges": len(boundary),
+        "interior_edges": ne - len(boundary),
+    }
+    if euler != 1:
+        rep.failures.append(f"Euler formula violated: V - E + F = {nv} - {ne} + {nf} = {euler}, expected 1")
+    covered = np.zeros(nv, dtype=bool)
+    covered[tri] = True
+    uncovered = np.flatnonzero(~covered).tolist()
+    _report(rep.failures, [f"vertex {v} lies in no triangle" for v in uncovered], "uncovered vertices")
+    links = link_counts(edges, tri, slot, nv)
+    if multi.any() or (links > 1).any():
+        on_boundary = set(boundary.ravel().tolist())
+
+        def link_lines(vs, shape):
+            return [
+                f"link of vertex {v} is {shape}, expected a {'path' if v in on_boundary else 'cycle'}"
+                for v in np.flatnonzero(vs).tolist()
+            ]
+
+        _report(rep.failures, link_lines(multi, "a multigraph (repeated link edge)"), "vertices with a multigraph link")
+        _report(rep.failures, link_lines((links > 1) & ~multi, "disconnected"), "vertices with a disconnected link")
+    count = components(tri, nv)
+    if count > 1:
+        rep.failures.append(f"complex is disconnected: {count} components")
+    return rep
+
+
+def worst_pair(dist, n, block=1 << 14):
+    """The first exact minimum of ``dist / d_cyc`` in row-major order, by float ratios a block of rows at a time.
+
+    Raises ValueError, as ``verify_filling`` does, on the first pair whose
+    distance exceeds its cycle distance.
+    """
+    dist = np.asarray(dist)
+    idx = np.arange(n)
+    rows = max(1, block // n)
+    best, x, y = np.inf, 0, 0
+    for top in range(0, n, rows):
+        d = dist[top : top + rows]
+        gap = np.abs(idx[top : top + rows, None] - idx)
+        dcyc = np.minimum(gap, n - gap)
+        if (d > dcyc).any():
+            r, c = map(int, np.argwhere(d > dcyc)[0])
+            raise ValueError(
+                f"graph distance {d[r, c]} exceeds cycle distance {dcyc[r, c]} "
+                f"for pair ({top + r}, {c}): boundary cycle edges are missing"
+            )
+        ratios = np.where(dcyc > 0, d / np.maximum(dcyc, 1), np.inf)
+        r, c = divmod(int(np.argmin(ratios)), n)
+        if ratios[r, c] < best:
+            best, x, y = ratios[r, c], top + r, c
+    return x, y
+
+
+def separation_table(build):
+    """``ringfill.separation_lower_bounds`` by numpy rows, one per layer."""
+    from itertools import accumulate
+
+    n = build.params.n
+    sched = build.schedule
+    cone_bound = 2 * sched.collar_layers + 2 * sched.num_blocks * sched.layers_per_block
+    s = np.arange(n // 2 + 1, dtype=np.int64)
+    table = np.full_like(s, cone_bound)
+    drifts = accumulate((2 * rec.drift_bound for rec in build.ledger[:-1]), initial=Fraction(0))
+    for h, (rec, drift) in enumerate(zip(build.ledger, drifts)):
+        w, m = math.floor(drift), rec.length
+        row = np.full_like(s, 2 * h)
+        row[w + 1 :] -= (math.floor(m * (drift - w)) - m * (s[w + 1 :] - w)) // n
+        np.minimum(table, row, out=table)
+    return table.tolist()
+
+
+def check_bound(build, dist, count, seed, pairs=1 << 16):
+    """``verify --check-bound``'s check as it was vectorised: ``pairs`` draws at a time, violations in draw order."""
+    import random
+
+    import ringfill.verify as verify
+
+    dist = np.asarray(dist)
+    n = len(dist)
+    table = np.array(verify.separation_lower_bounds(build))
+    draw = random.Random(seed).randrange
+    violations = 0
+    for done in range(0, count, pairs):
+        a, b = np.array([draw(n) for _ in range(2 * min(pairs, count - done))]).reshape(-1, 2).T
+        gap = abs(a - b)
+        bound, got = table[np.minimum(gap, n - gap)], dist[a, b]
+        for i in np.flatnonzero(bound > got):
+            print(f"lower bound {bound[i]} exceeds distance {got[i]} for ({a[i]}, {b[i]})")
+            violations += 1
+    return violations

@@ -5,10 +5,12 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import reference_impl as ref
 
 import ringfill
 import ringfill.serialize as serialize
@@ -541,8 +543,21 @@ def test_import_loads_no_numpy(module):
     assert _loaded_after(f"import {module}", ("numpy", "ringfill.simplicial")) == (0, [])
 
 
+_VERIFY_64 = ["verify", "--n", "64", "--rho", "1/10", "--eta", "1/4", "--check-bound", "1000", "--seed", "3"]
+
+
 @pytest.mark.parametrize(
-    "argv,code", [(["--help"], 0), (["verify", "--jobs", "0"], 2), (["analyze"], 0)], ids=["help", "usage", "analyze"]
+    "argv,code",
+    [
+        (["--help"], 0),
+        (["verify", "--jobs", "0"], 2),
+        (["analyze"], 0),
+        (_VERIFY_64, 0),
+        ([*_VERIFY_64, "--jobs", "2"], 0),
+        (["verify", "--n", "64", "--rho", "1/10", "--eta", "1/4"], 0),
+        (["build", "--n", "25", "--rho", "1/10", "--eta", "1/4"], 0),
+    ],
+    ids=["help", "usage", "analyze", "verify-bound", "verify-bound-jobs", "verify", "build"],
 )
 def test_command_runs_without_numpy(argv, code):
     assert _loaded_after(f"from ringfill.cli import main; sys.exit(main({argv!r}))", ("numpy",)) == (code, [])
@@ -550,12 +565,12 @@ def test_command_runs_without_numpy(argv, code):
 
 def test_oracle_loads_only_the_search_layers():
     # The search and its validation run in the compiled kernels on stdlib
-    # buffers: numpy and the complex type are loaded only to build a witness.
+    # buffers: the complex type is loaded only to build a witness, and numpy never.
     layers = ("builder", "annuli", "analysis", "serialize", "verify", "simplicial")
     modules = ("numpy", *(f"ringfill.{m}" for m in layers))
     for argv, loaded in (
         (["oracle", "--n", "7", "--max-interior", "3"], []),
-        (["oracle", "--n", "5", "--max-interior", "1"], ["numpy", "ringfill.simplicial"]),
+        (["oracle", "--n", "5", "--max-interior", "1"], ["ringfill.simplicial"]),
     ):
         code = f"from ringfill.cli import main; sys.exit(main({argv!r}))"
         assert _loaded_after(code, modules) == (0, loaded), argv
@@ -606,13 +621,14 @@ def test_bound_check_matches_the_per_pair_loop(small_build, capsys, monkeypatch,
 
     table = verify.separation_lower_bounds
     monkeypatch.setattr(verify, "separation_lower_bounds", lambda build: [v + raise_by for v in table(build)])
-    monkeypatch.setattr(cli, "_PAIRS", 7)  # several chunks, the last one short
     dist = verify.verify_filling(small_build.triangulation).boundary_distances
     for seed in range(5):
         want = _sampled_bound_check(small_build, dist, 100, seed), capsys.readouterr().out
         got = cli._check_bound(small_build, dist, 100, seed), capsys.readouterr().out
         assert got == want
         assert (want[0] > 0) == (raise_by > 0) and want[1].count("\n") == want[0]
+        # the numpy check it replaced, in chunks of 7 pairs with a short last one
+        assert (ref.check_bound(small_build, dist, 100, seed, pairs=7), capsys.readouterr().out) == want
 
 
 def test_bare_file_with_an_id_beyond_its_vertices_is_refused(tmp_path, capsys):
@@ -732,6 +748,39 @@ def test_zero_denominator_on_the_command_line_is_a_named_error(argv):
     assert proc.returncode == 1
     assert "error: '1/0' has a zero denominator" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("1e10000000", "'1e10000000' (10 characters)"),
+        ("1e-4301", "'1e-4301' (7 characters)"),
+        ("1/" + "7" * 4301, "'1/77777777...7777777777' (4303 characters)"),
+        ("0." + "0" * 4400 + "1", "'0.00000000...0000000001' (4403 characters)"),
+    ],
+    ids=["exponent", "negative-exponent", "denominator", "decimals"],
+)
+def test_hostile_parameters_are_refused_at_once(capsys, value, shown):
+    # Fraction('1e10000000') alone takes 11 s, and a larger exponent hours:
+    # the value is refused before it is parsed.
+    start = time.perf_counter()
+    assert main(["verify", "--n", "64", "--rho", "1/10", "--eta", value]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: {shown} has more than 4300 digits or a larger decimal exponent\n"
+
+
+def test_largest_accepted_exponent_still_parses():
+    assert ringfill.as_fraction("1e-4300") == Fraction(1, 10**4300)
+    assert ringfill.as_fraction("2_5e-1") == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("n_list", [",", "", ",,", "25,x"], ids=["comma", "empty", "commas", "not-a-number"])
+def test_sweep_without_a_boundary_length_is_a_usage_error(capsys, n_list):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n-list", n_list, "--rho", "0.1", "--eta", "0.25"])
+    assert exc.value.code == 2
+    assert "argument --n-list: must " in capsys.readouterr().err
 
 
 def test_readme_commands_parse():

@@ -1,14 +1,17 @@
 """The compiled kernels against the Python and numpy code they replaced.
 
-The edge table, the corner-graph link check, connectivity and the CSR of
-``_kernels.c`` must give exactly the arrays, labels and failure lists of
-the numpy bodies kept in ``reference_impl``: on built complexes, on the
-oracle's stacks and on corrupted complexes.  They must also take time and
+The edge table, the corner-graph link check, connectivity, the witness
+marks of validation and the CSR of ``_kernels.c`` must give exactly the
+arrays, labels and failure lists of the numpy bodies kept in
+``reference_impl``: on built complexes, on the oracle's stacks and on
+corrupted complexes.  They must also take time and
 memory linear in the triangles, whatever the ids, and be safe to call from
 several threads at once.  The oracle's isometry test must give the
 reference's verdicts, and the file must compile without warnings.
 """
+import copy
 import ctypes
+import math
 import os
 import shutil
 import subprocess
@@ -19,23 +22,34 @@ import time
 import tracemalloc
 from array import array
 from importlib.util import source_hash
+from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 import reference_impl as ref
 from hypothesis import given, settings, strategies as st
 
+import ringfill.annuli as annuli
 import ringfill.simplicial as simplicial
 import ringfill.verify as verify
-from ringfill import EnumerationBudget, Triangulation, cone_over_cycle, validate_disk
+from ringfill import (
+    EnumerationBudget,
+    LayerRecord,
+    Params,
+    Triangulation,
+    annulus_triangles,
+    build_filling,
+    cone_over_cycle,
+    cone_triangles,
+    layer_ledger,
+    separation_lower_bounds,
+    validate_disk,
+    verify_filling,
+)
 from ringfill import _kernels, oracle
 from ringfill.oracle import is_isometric_filling
 from ringfill.simplicial import _edge_table, validate_disk_batch
-
-_REFERENCES = {"_edge_table": ref.edge_table, "_link_counts": ref.link_counts, "_components": ref.components}
-
 
 def _copy(t: Triangulation) -> Triangulation:
     """``t`` afresh, with no edge table cached."""
@@ -43,13 +57,13 @@ def _copy(t: Triangulation) -> Triangulation:
 
 
 def _reference_report(t: Triangulation):
-    with mock.patch.multiple(simplicial, **_REFERENCES):
-        return validate_disk(_copy(t))
+    return ref.check_disk(_copy(t))
 
 
 def _assert_table_and_report_match(t: Triangulation) -> None:
     got, want = _edge_table(t.triangles), ref.edge_table(t.triangles)
     for a, b in zip(got, want):
+        a = np.asarray(a)
         assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
     report, reference = validate_disk(_copy(t)), _reference_report(t)
     assert report.failures == reference.failures
@@ -64,8 +78,8 @@ def _labels(function: str, nodes: int, *args) -> np.ndarray:
 
 
 def _assert_labels_match(t: Triangulation) -> None:
-    tri = t.triangles
-    edges, _, slot = t._edge_table
+    tri = np.asarray(t.triangles)
+    edges, _, slot = map(np.asarray, t._edge_table)
     nodes = 2 * len(edges)
     a, b = ref.link_joins(tri, slot)
     label = _labels("link_roots", nodes, tri, slot, len(tri), edges, nodes)
@@ -170,7 +184,7 @@ def test_corrupted_complexes_match_the_references(small_build, corruptions, base
     broken = _corrupted(t, corruptions)
     _assert_table_and_report_match(broken)
     # the stack kernel, on a stack of one, gives validate_disk's verdict
-    verdicts = validate_disk_batch(broken.n, broken.num_vertices, broken.triangles[None])
+    verdicts = validate_disk_batch(broken.n, broken.num_vertices, np.asarray(broken.triangles)[None])
     assert verdicts.tolist() == [validate_disk(_copy(broken)).ok]
 
 
@@ -201,7 +215,7 @@ def test_fan_of_200k_triangles_validates_in_linear_time(order):
     # takes about 0.1 s either way on a 2-vCPU host.
     t = _fan(200_000)
     if order == "descending":
-        t = Triangulation(t.n, t.num_vertices, t.triangles[::-1])
+        t = Triangulation(t.n, t.num_vertices, np.asarray(t.triangles)[::-1])
     start = time.perf_counter()
     report = validate_disk(t)
     assert report.ok and report.counts["triangles"] == 200_000
@@ -326,6 +340,151 @@ def test_isometry_test_refuses_ids_beyond_its_vertices():
         is_isometric_filling(Triangulation(3, 4, [(0, 1, 2), (0, 2, 5)]))
 
 
+def _latitude(n: int):
+    """The naive latitude filling of C_n: shrink annuli to round(n cos(2 pi h / n)), then the cone; delta < 1."""
+    annuli, h = [], 1
+    while (m := round(n * math.cos(2 * math.pi * h / n))) >= 3:
+        annuli.append(("shrink", min(m, annuli[-1][1] if annuli else n)))
+        h += 1
+    return layer_ledger(n, annuli)
+
+
+def _blocks(ledger, annulus, cone):
+    return [*map(annulus, ledger, ledger[1:]), cone(ledger[-1])]
+
+
+_SCHEDULES = [
+    (25, "1/10", "1/4"), (32, "1/5", "1/3"), (64, "1/10", "1/4"), (100, "1/100", "1/20"), (257, "1/20", "1/5"),
+]
+
+
+@pytest.mark.parametrize("n, rho, eta", _SCHEDULES)
+def test_built_triangle_bytes_match_the_reference(n, rho, eta):
+    # Each annulus and the cone row for row, then the whole complex: the
+    # reference's stacked blocks, concatenated and rotated by numpy masks.
+    build = build_filling(Params(n, Fraction(rho), Fraction(eta)))
+    for ledger in (build.ledger, _latitude(n)):
+        got = _blocks(ledger, annulus_triangles, cone_triangles)
+        want = _blocks(ledger, ref.annulus_triangles, ref.cone_triangles)
+        assert [bytes(block) for block in got] == [block.astype(np.int32).tobytes() for block in want]
+    want = ref.rotated(np.concatenate(_blocks(build.ledger, ref.annulus_triangles, ref.cone_triangles)))
+    assert bytes(build.triangulation.triangles) == want.tobytes()
+
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_canonical_rotation_matches_the_reference(rows):
+    # ids 0..3 make ties frequent: the first smallest id comes first, as argmin picks it
+    assert Triangulation(3, 4, rows).triangles.tolist() == ref.rotated(rows).tolist()
+    owned = np.array(rows, dtype=np.int32).reshape(-1, 3)
+    assert Triangulation(3, 4, owned, own=True).triangles is owned
+    assert owned.tolist() == ref.rotated(rows).tolist()
+
+
+@pytest.mark.parametrize("n, rho, eta", [(64, "1/10", "1/4"), (320, "1/10", "1/4"), (2048, "1/100", "1/20")])
+def test_separation_table_matches_the_reference(n, rho, eta):
+    build = build_filling(Params(n, Fraction(rho), Fraction(eta)))
+    assert separation_lower_bounds(build) == ref.separation_table(build)
+    for rec in build.ledger[:-1]:  # drift bounds four times as large: rows from deeper layers reach further
+        rec.drift_bound *= 4
+    assert separation_lower_bounds(build) == ref.separation_table(build)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worst_pair_and_witness_of_a_shortcut_match_the_reference(jobs):
+    # The latitude filling of C_64 has delta = 7/8: its worst pair is the
+    # float scan's, and the witness a shortest path of the reference BFS.
+    ledger = _latitude(64)
+    t = Triangulation(64, ledger[-1].first_vertex + ledger[-1].length + 1,
+                      np.concatenate(_blocks(ledger, annulus_triangles, cone_triangles)))
+    assert validate_disk(t).ok
+    report = verify_filling(t, jobs=jobs)
+    x, y, d_k, d_c = report.worst_pair
+    assert report.delta == Fraction(7, 8) == Fraction(d_k, d_c)
+    assert (x, y) == ref.worst_pair(report.boundary_distances, 64)
+    adj = ref.skeleton_graph(t)
+    path = report.witness_path
+    assert path[0] == x and path[-1] == y and len(path) - 1 == d_k == ref.bfs_distances(adj, x)[y]
+    assert all(b in adj[a] for a, b in zip(path, path[1:]))
+
+
+def _refuse_kernels(monkeypatch, *names):
+    def refuse(*args):
+        raise AssertionError("the kernel was reached")
+
+    for name in names:
+        monkeypatch.setattr(_kernels.library(), name, refuse)
+
+
+def test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel(monkeypatch):
+    _refuse_kernels(monkeypatch, "annulus_rows", "cone_rows")
+    outer = LayerRecord(0, 4, Fraction(0), 2**31 - 4, "equal", Fraction(1, 2))
+    far = LayerRecord(1, 4, Fraction(1, 2), 2**31 - 3)
+    with pytest.raises(ValueError, match=r"cycle 1 of 4 vertices from id 2147483645 needs ids in 0..2147483647"):
+        annulus_triangles(outer, far)  # the inner cycle would run past the int32 maximum
+    with pytest.raises(ValueError, match=r"cycle 1 of 4 vertices from id 2147483644 needs ids in 0..2147483647"):
+        cone_triangles(LayerRecord(1, 4, Fraction(0), 2**31 - 4))  # the apex would be 2**31
+    inner = LayerRecord(1, 4, Fraction(1, 2), 4)
+    outer = LayerRecord(0, 4, Fraction(0), 0, "equal", Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"rows need a writable C-contiguous \(8, 3\) int32 buffer"):
+        annuli._write_annulus(outer, inner, np.zeros((8, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"rows need a writable C-contiguous \(4, 3\) int32 buffer"):
+        annuli._write_cone(inner, np.zeros((5, 3), dtype=np.int32))
+
+
+def test_canonical_rotation_refuses_ids_and_formats(monkeypatch):
+    with pytest.raises(ValueError, match=r"must lie in 0..2147483647"):
+        Triangulation(3, 3, np.array([(0, 1, 2), (2, -7, 1)], dtype=np.int32), own=True)
+    with pytest.raises(ValueError, match=r"must lie in 0..2147483647"):
+        Triangulation(3, 3, np.array([(0, 1, 2**31)], dtype=np.int64))
+    _refuse_kernels(monkeypatch, "canonical_rows")
+    with pytest.raises(ValueError, match=r"must be integers, got format '\?'"):
+        Triangulation(3, 3, np.ones((1, 3), dtype=bool))
+
+
+def test_edge_table_refuses_other_formats_before_the_kernel(monkeypatch):
+    _refuse_kernels(monkeypatch, "top_id", "edge_slots", "edge_ends")
+    with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer, got format 'l'"):
+        _edge_table(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer"):
+        _edge_table(np.zeros((3, 6), dtype=np.int32)[:, ::2])
+
+
+def test_disk_marks_refuse_a_table_that_does_not_fit_before_the_kernel(monkeypatch):
+    t = cone_over_cycle(5)
+    edges, inc, slot = t._edge_table
+    _refuse_kernels(monkeypatch, "disk_marks")
+    report = simplicial.ValidationReport()
+    stray = np.array(slot)
+    stray[2, 1] = len(edges)  # an edge id past the edge table
+    with pytest.raises(ValueError, match=r"slot edge ids must lie in 0..9"):
+        simplicial._disk_failures(t.n, t.num_vertices, t.triangles, (edges, inc, stray), report)
+    with pytest.raises(ValueError, match=r"an edge table of 5 triangles needs \(E, 2\), \(E,\) and \(5, 3\) int32"):
+        simplicial._disk_failures(t.n, t.num_vertices, t.triangles, (edges, np.asarray(inc, np.int64), slot), report)
+    assert report.failures == []
+
+
+def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):
+    _refuse_kernels(monkeypatch, "worst_ratio")
+    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 buffer, got format 'i'"):
+        verify._worst_pair(np.zeros((4, 4), dtype=np.int32), 4)
+    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 buffer"):
+        verify._worst_pair(np.zeros((4, 5), dtype=np.int64), 4)
+
+
+def test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel(monkeypatch, small_build):
+    _refuse_kernels(monkeypatch, "lower_bounds")
+    build = copy.copy(small_build)
+    build.ledger = [copy.copy(rec) for rec in small_build.ledger]
+    build.ledger[2].drift_bound = Fraction(-10**9)
+    with pytest.raises(ValueError, match=r"layer 3 of the ledger needs drift >= 0 and a length in 1..2147483647"):
+        separation_lower_bounds(build)
+    build.ledger[2].drift_bound = small_build.ledger[2].drift_bound
+    build.ledger[4].length = 2**31
+    with pytest.raises(ValueError, match=r"layer 4 of the ledger needs drift >= 0 and a length in 1..2147483647"):
+        separation_lower_bounds(build)
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs the C compiler")
 def test_kernels_compile_without_warnings(tmp_path):
     done = subprocess.run(
@@ -342,7 +501,7 @@ _POINTERS = [
     for k, argtype in enumerate(argtypes)
     if isinstance(argtype, _kernels._Buffer)
 ]
-_OTHER_KIND = {"i": "I", "l": "L", "q": "Q", "L": "l", "Q": "q", "?": "B"}  # same item size, another type
+_OTHER_KIND = {"i": "I", "l": "L", "q": "Q", "L": "l", "Q": "q", "?": "B", "B": "b"}  # same item size, another type
 
 
 @pytest.mark.parametrize("name, position", _POINTERS)
@@ -398,9 +557,10 @@ sys.exit(pytest.main(sys.argv[2:]))
 
 def test_kernels_pass_their_tests_under_sanitizers(tmp_path):
     # The kernels take raw int32 pointers and ids: a missing bound would be a
-    # silent wrong answer, so the kernel and oracle tests run once more on a
-    # library built with AddressSanitizer and UndefinedBehaviorSanitizer,
-    # which stop at the first bad read, write or overflow.
+    # silent wrong answer, so the kernel, oracle, validation, verification
+    # and acceptance tests run once more on a library built with
+    # AddressSanitizer and UndefinedBehaviorSanitizer, which stop at the
+    # first bad read, write or overflow.
     if "libasan" in os.environ.get("LD_PRELOAD", ""):
         pytest.skip("already running under the sanitizers")
     source = _kernels._SOURCE.read_bytes()
@@ -424,7 +584,9 @@ def test_kernels_pass_their_tests_under_sanitizers(tmp_path):
     }
     argv = [
         str(tmp_path), "-q", "-p", "no:cacheprovider", "--capture=sys",  # a sanitizer's report goes to fd 2
-        str(tests / "test_kernels.py"), str(tests / "test_oracle.py"), "-k", "not under_sanitizers",
+        *(str(tests / f"test_{name}.py") for name in ("kernels", "oracle", "simplicial", "verify", "acceptance")),
+        # the loader's tests compile libraries of their own, which the patched loader refuses
+        "-k", "not under_sanitizers and not first_builds_share and not unwritable_cache and not edited_source",
     ]
     done = subprocess.run([sys.executable, "-c", _UNDER_SANITIZERS, *argv], env=env, capture_output=True, text=True,
                           cwd=tmp_path, timeout=600)

@@ -37,7 +37,7 @@ def _outcome(load, path):
         t, build = complex_from_dict(data)
     except Exception as exc:
         return shown, type(exc), str(exc)
-    return shown, t.n, t.num_vertices, t.triangles.dtype, t.triangles.tolist(), build and build.ledger
+    return shown, t.n, t.num_vertices, np.asarray(t.triangles).dtype, t.triangles.tolist(), build and build.ledger
 
 
 def _fast(path):

@@ -47,7 +47,7 @@ def test_cone_over_c4_is_a_disk():
 
 def test_cone_with_missing_triangle_is_invalid():
     t = cone_over_cycle(4)
-    broken = Triangulation(4, t.num_vertices, t.triangles[:-1])
+    broken = Triangulation(4, t.num_vertices, np.asarray(t.triangles)[:-1])
     rep = validate_disk(broken)
     assert not rep.ok
     # the two spokes of the removed triangle now have incidence 1 off the cycle,
@@ -116,7 +116,7 @@ def test_disk_plus_disjoint_torus_is_disconnected():
 
 def test_opposite_rotation_duplicate_is_a_link_multigraph():
     cone = cone_over_cycle(5)
-    a, b, c = cone.triangles[0].tolist()
+    a, b, c = np.asarray(cone.triangles)[0].tolist()
     t = Triangulation(5, cone.num_vertices, np.vstack([cone.triangles, [(a, c, b)]]))
     rep = assert_rejected_like_reference(t, "is a multigraph (repeated link edge)")
     # opposite orientations are different oriented triangles, not repeats
@@ -132,14 +132,14 @@ def test_isolated_vertex_is_rejected():
 
 def test_out_of_range_vertex_id_is_rejected():
     cone = cone_over_cycle(5)
-    tris = cone.triangles.copy()
+    tris = np.array(cone.triangles)
     tris[0, 0] = 6
     assert_rejected_like_reference(Triangulation(5, cone.num_vertices, tris), "references a vertex id outside 0..5")
 
 
 def test_triangle_array_is_checked_and_canonicalized():
     t = Triangulation(3, 3, [(2, 0, 1), (1, 2, 0)])
-    assert t.triangles.dtype == np.int32
+    assert np.asarray(t.triangles).dtype == np.int32
     assert t.triangles.tolist() == [[0, 1, 2], [0, 1, 2]]
     assert Triangulation(3, 3, []).triangles.shape == (0, 3)
     with pytest.raises(ValueError, match="must lie in"):
@@ -158,7 +158,8 @@ def test_only_an_owned_int32_array_is_kept():
     assert t.triangles is rows and rows.tolist() == [[0, 1, 2], [0, 1, 2]]
     wide = np.array([(2, 0, 1)], dtype=np.int64)
     t = Triangulation(3, 3, wide, own=True)
-    assert t.triangles.dtype == np.int32 and t.triangles.tolist() == [[0, 1, 2]] and wide.tolist() == [[2, 0, 1]]
+    assert np.asarray(t.triangles).dtype == np.int32 and t.triangles.tolist() == [[0, 1, 2]]
+    assert wide.tolist() == [[2, 0, 1]]
 
 
 def test_contiguous_vertex_ids_enforced():
@@ -211,7 +212,7 @@ def test_triangle_keys_stay_exact_past_int32():
     # (12212, 12213, 12596) and be reported as a second repeated triangle.
     t = build_filling(Params(384, Fraction(1, 10), Fraction(1, 4))).triangulation
     assert t.num_edges == 127_692
-    tri, nv = t.triangles, t.num_vertices
+    tri, nv = np.asarray(t.triangles), t.num_vertices
     dup = tri[40000]
     assert dup.tolist() == [20009, 20010, 20375]
     bad = np.vstack([tri, dup, [(1000, 19017, 19382)]])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_impl as ref
 from reference_impl import bfs_distances, reference_drift_audit, reference_separation_lower_bounds, skeleton_graph
 
 from ringfill import (
@@ -23,7 +24,7 @@ def floyd_warshall(t):
     big = 10**6
     d = np.full((t.num_vertices, t.num_vertices), big, dtype=np.int64)
     np.fill_diagonal(d, 0)
-    for u, v in t.edges:
+    for u, v in t.edges.tolist():
         d[u, v] = d[v, u] = 1
     for k in range(t.num_vertices):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
@@ -55,7 +56,7 @@ def test_bfs_agrees_with_floyd_warshall(small_build):
         adj = skeleton_graph(t)
         for src in (0, t.n // 2):
             assert bfs_distances(adj, src) == fw[src].tolist()
-        assert (boundary_distance_matrix(t) == fw[: t.n, : t.n]).all()
+        assert (np.asarray(boundary_distance_matrix(t)) == fw[: t.n, : t.n]).all()
 
 
 def test_verify_cone_c5_isometric():
@@ -78,34 +79,34 @@ def test_verify_cone_c6_shortcut():
 
 
 @pytest.mark.parametrize("block", [1, 40, 1 << 16])
-def test_worst_pair_is_the_first_exact_minimum(small_build, monkeypatch, block):
-    import ringfill.verify
-
-    # blocks of one row, of a few rows with a short last block, and of all rows
-    monkeypatch.setattr(ringfill.verify, "_BLOCK", block)
-    # many pairs meet the build's delta = 1, and several meet each cone's delta < 1 from C_6 on
+def test_worst_pair_is_the_first_exact_minimum(small_build, block):
+    # The compiled scan against the float scan it replaced, in blocks of one
+    # entry (one row), of a few rows with a short last block, and of all rows.
+    # Many pairs meet the build's delta = 1, and several meet each cone's delta < 1 from C_6 on.
     for t in [cone_over_cycle(k) for k in range(3, 12)] + [small_build.triangulation]:
         report = verify_filling(t)
         d = report.boundary_distances
         pairs = [(x, y) for x in range(t.n) for y in range(t.n) if x != y]
-        x, y = min(pairs, key=lambda p: Fraction(int(d[p]), cycle_dist(*p, t.n)))
+        x, y = min(pairs, key=lambda p: Fraction(d[p], cycle_dist(*p, t.n)))
         assert report.worst_pair == (x, y, d[x, y], cycle_dist(x, y, t.n))
-        assert report.delta == Fraction(int(d[x, y]), cycle_dist(x, y, t.n))
+        assert report.delta == Fraction(d[x, y], cycle_dist(x, y, t.n))
+        assert ref.worst_pair(d, t.n, block) == (x, y)
 
 
 @pytest.mark.parametrize("block", [6, 1 << 16])
-def test_missing_cycle_edge_is_named(monkeypatch, block):
-    import ringfill.verify
-
-    monkeypatch.setattr(ringfill.verify, "_BLOCK", block)
-    # C_6 coned off without its triangle on edge (3, 4): that edge is gone
+def test_missing_cycle_edge_is_named(block):
+    # C_6 coned off without its triangle on edge (3, 4): that edge is gone.
+    # The float scan it replaced, in blocks of one row and of all rows, names the same pair.
     t = Triangulation(6, 7, [(6, i, (i + 1) % 6) for i in range(6) if i != 3])
-    with pytest.raises(ValueError, match=r"graph distance 2 exceeds cycle distance 1 for pair \(3, 4\)"):
+    message = r"graph distance 2 exceeds cycle distance 1 for pair \(3, 4\)"
+    with pytest.raises(ValueError, match=message):
         verify_filling(t)
+    with pytest.raises(ValueError, match=message):
+        ref.worst_pair(boundary_distance_matrix(t), 6, block)
 
 
 def test_verify_matrix_is_symmetric_with_triangle_inequality(small_build):
-    d = verify_filling(small_build.triangulation).boundary_distances
+    d = np.asarray(verify_filling(small_build.triangulation).boundary_distances)
     assert (d == d.T).all()
     n = small_build.params.n
     rng = random.Random(7)
@@ -120,9 +121,9 @@ def test_verify_jobs_deterministic(medium_build):
     threaded = verify_filling(t, jobs=4)
     assert serial.delta == threaded.delta
     assert serial.worst_pair == threaded.worst_pair
-    assert (serial.boundary_distances == threaded.boundary_distances).all()
+    assert serial.boundary_distances.tolist() == threaded.boundary_distances.tolist()
     # uneven spans of 22, 22 and 20 sources
-    assert (boundary_distance_matrix(t, jobs=3) == serial.boundary_distances).all()
+    assert boundary_distance_matrix(t, jobs=3).tolist() == serial.boundary_distances.tolist()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64, None])
@@ -165,7 +166,7 @@ def test_jobs_beyond_n_ask_the_pool_for_the_cpus_only(monkeypatch, medium_build)
     t = medium_build.triangulation
     dist = boundary_distance_matrix(t, jobs=10**6)
     assert asked == [4]
-    assert (dist == boundary_distance_matrix(t, jobs=1)).all()
+    assert dist.tolist() == boundary_distance_matrix(t, jobs=1).tolist()
 
 
 def test_jobs_below_one_is_an_error(small_build, monkeypatch):
@@ -229,7 +230,8 @@ def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs)
         assert boundary_distance_matrix(t, jobs=jobs).tolist() == [row[: t.n] for row in ref]
         for src in range(0, t.n, 7):
             d = np.array(ref[src])
-            pred = verify._bfs_rows(graph, range(src, src + 1), np.empty((1, t.n), np.int64), want_pred=True)
+            out = np.empty((1, t.n), np.int64)
+            pred = np.asarray(verify._bfs_rows(graph, range(src, src + 1), out, want_pred=True))
             assert pred[src] == -1
             others = np.flatnonzero(np.arange(t.num_vertices) != src)
             assert (d[pred[others]] == d[others] - 1).all()  # each parent is one level up ...
@@ -238,7 +240,7 @@ def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs)
         t = cone_over_cycle(k)
         fw = floyd_warshall(t)
         report = verify_filling(t, jobs=jobs)
-        assert (report.boundary_distances == fw[:k, :k]).all()
+        assert (np.asarray(report.boundary_distances) == fw[:k, :k]).all()
         x, y, d_k, _ = report.worst_pair
         path = report.witness_path
         assert report.delta < 1 and path[0] == x and path[-1] == y
@@ -369,7 +371,7 @@ def test_drift_audit_matches_fraction_reference(small_build, medium_build):
     tampered = copy.copy(medium_build)
     t = medium_build.triangulation
     cycle = medium_build.ledger[5]
-    tris = t.triangles.copy()
+    tris = np.array(t.triangles)
     hits = np.argwhere((tris >= cycle.first_vertex) & (tris < cycle.first_vertex + cycle.length))
     f, j = next((f, j) for f, j in hits if tris[f].min() < cycle.first_vertex)
     tris[f, j] = cycle.first_vertex + (tris[f, j] - cycle.first_vertex + 3) % cycle.length
