@@ -12,6 +12,8 @@
  *   grow_fillings            the oracle's resumable backtracking enumeration
  *   disk_verdicts            the disk check of each complex of a stack
  *   isometric_rows           the oracle's isometry test on a stack of complexes
+ *   drift_rows               the drift audit's pass over the edges of one cycle
+ *   rows_text, parse_rows    build-file rows written as JSON text and read back
  *
  * ringfill._kernels compiles this file on first use and calls its functions
  * through ctypes, which releases the GIL for each call, so threads run in
@@ -20,7 +22,7 @@
  * cast by memoryview or a numpy array.  The caller checks every array:
  * C-contiguous, int32 unless stated, and every index within the sizes
  * given; disk_verdicts and disk_marks alone take vertex ids of any value,
- * since rejecting them is their job.
+ * and parse_rows text of any content, since rejecting them is their job.
  *
  * Triangles are rows of three int32 ids, each row rotated so its smallest id
  * comes first.  Slot s = 3f + j of a triangle array is the edge from corner
@@ -882,5 +884,161 @@ void isometric_rows(int32_t n, int32_t nv, const int32_t *tri, int32_t count, in
                 }
         }
         ok[b] = (uint8_t)good;
+    }
+}
+
+/* drift_audit's pass over the count edges (lo, hi), lo <= hi, of one cycle:
+ * each lo lies on the cycle of m vertices from id first, and the next cycle
+ * inward has M vertices from id first + m (M = 1 for the apex, 0 past it).
+ * An edge within the cycle whose ends are adjacent on it, or equal on a
+ * cycle of one vertex, is a cycle edge; an edge to the next cycle is
+ * slanted; every other edge is stray, and stray[k] gets 1 for it, 0 for
+ * the rest.  Returns the largest min(x, period - x), x = (a + b i - c j) mod
+ * period, over the slanted edges from vertex i of the cycle to vertex j of
+ * the next one (0 if period is 0), or -1 if there are none.  The caller
+ * checks first <= lo < first + m, first + m + M <= 2^31 and, unless period
+ * is 0, 0 <= a, b (m - 1), c (M - 1) < period and 2 period < 2^63, so that
+ * a + b i - c j lies in (-period, 2 period) without overflow. */
+int64_t drift_rows(const int32_t *edges, int32_t count, int32_t first, int32_t m, int32_t M, int64_t a,
+                   int64_t b, int64_t c, int64_t period, uint8_t *stray)
+{
+    int64_t worst = -1;
+    for (size_t k = 0; k < (size_t)count; k++) {
+        int64_t i = (int64_t)edges[2 * k] - first, j = (int64_t)edges[2 * k + 1] - first;
+        if (j < m) {
+            stray[k] = j - i != 1 && j - i != m - 1;
+            continue;
+        }
+        j -= m;
+        stray[k] = j >= M;
+        if (stray[k])
+            continue;
+        int64_t x = 0;
+        if (period) {
+            x = a + b * i - c * j;
+            x = x < 0 ? x + period : x >= period ? x - period : x;
+            x = x < period - x ? x : period - x;
+        }
+        if (x > worst)
+            worst = x;
+    }
+    return worst;
+}
+
+/* Writes v in decimal at out; returns the characters written (at most 11). */
+static int put_int(char *out, int32_t v)
+{
+    char digits[10];
+    int len = 0, n = 0;
+    int64_t x = v;
+    if (x < 0) {
+        out[n++] = '-';
+        x = -x;
+    }
+    do {
+        digits[len++] = (char)('0' + x % 10);
+        x /= 10;
+    } while (x);
+    while (len)
+        out[n++] = digits[--len];
+    return n;
+}
+
+/* The text that json.dump(indent=2) writes for count rows of width >= 1
+ * ids at rows, as elements of a list held by a top-level object: each row
+ * is "\n    [", its ids each after "\n      " and separated by ",", then
+ * "\n    ]", and the rows are separated by ",", with a "," before the first
+ * one too unless first is nonzero.  Returns the characters written; out
+ * holds at least count (13 + 19 width) of them, as the caller checks. */
+int64_t rows_text(const int32_t *rows, int64_t count, int32_t width, int32_t first, char *out)
+{
+    static const char open[] = "\n    [", item[] = "\n      ", close[] = "\n    ]";
+    char *at = out;
+    for (int64_t r = 0; r < count; r++) {
+        if (r || !first)
+            *at++ = ',';
+        memcpy(at, open, 6);
+        at += 6;
+        for (int32_t j = 0; j < width; j++) {
+            if (j)
+                *at++ = ',';
+            memcpy(at, item, 7);
+            at += 7;
+            at += put_int(at, rows[r * width + j]);
+        }
+        memcpy(at, close, 6);
+        at += 6;
+    }
+    return at - out;
+}
+
+static inline int json_space(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/* Reads the JSON integer at *at, before end, into *id: an optional '-',
+ * then 0 or a digit 1-9 and more digits, within int32.  Returns 0, *at
+ * past it, or -1 for any other text; the character after it is left to
+ * the caller, which refuses a '.', 'e' or another digit there. */
+static int parse_id(const char **at, const char *end, int32_t *id)
+{
+    const char *p = *at;
+    int negative = p < end && *p == '-';
+    p += negative;
+    if (p == end || *p < '0' || *p > '9' || (*p == '0' && p + 1 < end && p[1] >= '0' && p[1] <= '9'))
+        return -1;
+    int64_t x = 0, limit = negative ? (int64_t)INT32_MAX + 1 : INT32_MAX;
+    for (; p < end && *p >= '0' && *p <= '9'; p++) {
+        x = 10 * x + (*p - '0');
+        if (x > limit)
+            return -1;
+    }
+    *id = (int32_t)(negative ? -x : x);
+    *at = p;
+    return 0;
+}
+
+/* Skips JSON whitespace from p; returns the first other position, or end. */
+static const char *skip_space(const char *p, const char *end)
+{
+    while (p < end && json_space(*p))
+        p++;
+    return p;
+}
+
+/* The rows of the ASCII text "[a, b, c], [d, e, f], ..." of len characters,
+ * one or more of three JSON integers each within int32, read into out as
+ * int32, at most room rows: the list json.loads("[" + text + "]") reads
+ * when it is such rows.  Between tokens only JSON's four whitespace
+ * characters may stand.  Returns the number of rows, or -1 for any other
+ * text: no row, a row not of three ids, an id that is no JSON integer or
+ * beyond int32, a trailing comma, any other character, or more than room
+ * rows. */
+int64_t parse_rows(const char *text, int64_t len, int32_t *out, int64_t room)
+{
+    const char *p = text, *end = text + len;
+    int64_t rows = 0;
+    while (1) {
+        p = skip_space(p, end);
+        if (p == end || *p != '[' || rows == room)
+            return -1;
+        p++;
+        for (int j = 0; j < 3; j++) {
+            p = skip_space(p, end);
+            if (parse_id(&p, end, out + 3 * rows + j))
+                return -1;
+            p = skip_space(p, end);
+            if (p == end || *p != (j < 2 ? ',' : ']'))
+                return -1;
+            p++;
+        }
+        rows++;
+        p = skip_space(p, end);
+        if (p == end)
+            return rows;
+        if (*p != ',')
+            return -1;
+        p++;
     }
 }

@@ -167,6 +167,9 @@ def signatures() -> dict:
         "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),
         "disk_verdicts": (None, [i32, i32, ids, i32, i32, ids, flags]),
         "isometric_rows": (None, [i32, i32, ids, i32, i32, words, flags]),
+        "drift_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, marks]),
+        "rows_text": (i64, [ids, i64, i32, i32, marks]),
+        "parse_rows": (i64, [ctypes.c_char_p, i64, ids, i64]),
     }
 
 

@@ -1,10 +1,11 @@
 """Block reader of a JSON file whose bulk is one top-level list of triangle rows.
 
 :func:`read_object` reads the text in blocks and the ``"triangles"`` list a
-slice of rows at a time, each slice checked as :func:`serialize._triangles`
-checks a parsed list and written into int32, so the rows never exist as
-Python lists all at once.  It takes only files whose values it reads
-exactly as ``json.load`` does; on anything else it raises a ValueError.
+slice of rows at a time, each slice read by the compiled ``parse_rows``
+straight into one growing int32 buffer, so the rows never exist as Python
+lists and the triangles are held once.  It takes only files whose values
+it reads exactly as ``json.load`` does; on anything else it raises a
+ValueError.  It imports no numpy.
 """
 from __future__ import annotations
 
@@ -14,14 +15,13 @@ from collections.abc import Callable
 from json.decoder import WHITESPACE, scanstring
 from typing import Any
 
-import numpy as np
+from . import _kernels
 
 _ROW_TEXT = 1 << 16  # characters of triangle rows parsed at a time, and of a block read
 
 _DECODER = json.JSONDecoder()
 _WHITESPACE = WHITESPACE.match  # JSON's four whitespace characters
 _LIST_END = re.compile(r"\][ \t\n\r]*\]")
-_INT32 = np.iinfo(np.int32)
 
 
 class _Irregular(ValueError):
@@ -81,35 +81,41 @@ def _step(src: _Text, i: int, parse: Callable[[str, int], tuple[Any, int]], foll
             raise _Irregular
 
 
-def _int32_rows(text: str) -> np.ndarray:
-    """The rows ``[a, b, c], ...`` of ``text`` as int32, if every id is a JSON integer within int32.
+def _int32_rows(text: str) -> bytearray:
+    """The rows ``[a, b, c], ...`` of ``text`` as int32 bytes, if every id is a JSON integer within int32.
 
-    The checks are those of :func:`serialize._triangles`: rows of one
-    shape, no JSON boolean, an integer dtype; anything else is irregular.
+    These are the rows ``json.loads("[" + text + "]")`` reads as a list of
+    rows of three integers each within int32; any other text is irregular.
+    Non-ASCII text is irregular before the compiled ``parse_rows`` runs, so
+    the kernel reads one byte per character, and it gets room for one row
+    per ``]``, the number of rows of any text it takes.  Every ``]`` of a
+    slice but its last lies within its first ``_ROW_TEXT`` characters (see
+    :func:`_triangle_list`), so however long hostile text makes a slice,
+    the room stays within ``_ROW_TEXT + 1`` rows.
     """
-    rows = json.loads("[" + text + "]")
-    tri = np.asarray(rows)  # ragged rows raise a ValueError
-    if not (tri.ndim == 2 and tri.shape[1] == 3 and tri.dtype.kind == "i"):
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        raise _Irregular from None
+    room = text.count("]")
+    rows = bytearray(12 * room)
+    if _kernels.library().parse_rows(raw, len(raw), memoryview(rows).cast("i"), room) != room:
         raise _Irregular
-    if tri.min() < _INT32.min or tri.max() > _INT32.max:
-        raise _Irregular
-    if any(bool in map(type, rows[i]) for i in np.flatnonzero((tri <= 1).any(axis=1)).tolist()):
-        raise _Irregular
-    return tri.astype(np.int32)
+    return rows
 
 
-def _triangle_list(src: _Text, i: int) -> tuple[np.ndarray, int]:
-    """The int32 array of the JSON list of triangle rows at index ``i``, and the index after the list.
+def _triangle_list(src: _Text, i: int) -> tuple[memoryview, int]:
+    """The ``(F, 3)`` int32 buffer of the JSON list of triangle rows at index ``i``, and the index after the list.
 
     The rows are parsed about ``_ROW_TEXT`` characters at a time: each
     slice runs to the first ``]`` after that many characters, which must be
     followed by a comma, and the last slice to the first ``]`` ``]``.  Each
     slice holds whole rows exactly when ``json.loads`` reads it as a list of
-    rows, so once every slice is read the text is that one list, and
-    nothing before the int32 slices holds more than one slice of rows.
+    rows, so once every slice is read the text is that one list.  Each
+    slice's rows are appended to one ``bytearray``, which the result views.
     """
     _, i = _step(src, i, _nothing, "[")
-    parts = []
+    rows = bytearray()
     while True:
         src.drop(i + 1)
         while True:
@@ -119,14 +125,14 @@ def _triangle_list(src: _Text, i: int) -> tuple[np.ndarray, int]:
             if after < len(text) or not src.more():
                 break
         if text[after : after + 1] == ",":
-            parts.append(_int32_rows(text[: cut + 1]))
+            rows += _int32_rows(text[: cut + 1])
             i = after
             continue
         end = _LIST_END.search(text, 0, after + 1)
         if end is None:
             raise _Irregular
-        parts.append(_int32_rows(text[: end.start() + 1]))
-        return np.concatenate(parts), end.end()
+        rows += _int32_rows(text[: end.start() + 1])
+        return memoryview(rows).cast("i", (len(rows) // 12, 3)), end.end()
 
 
 def read_object(fh: Any) -> dict[str, Any]:

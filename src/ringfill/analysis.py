@@ -247,7 +247,7 @@ def run_sweep(
     input order when given; failed rows are omitted from the CSV since they
     have no measurements.  A ``jobs`` below 1 raises ``ValueError`` before
     any build.  The layers it runs are imported here, so that the analytic
-    checks above load no numpy.
+    checks above load none of them.
     """
     from .builder import Params, build_filling
     from .simplicial import validate_disk

@@ -6,9 +6,8 @@ of BFS worker threads (default 1), at most one per CPU.
 """
 # The docstring above is the --help description.  Importing this module loads
 # argparse and the package root, not numpy: each command imports the layers it
-# runs when it runs.  --help, a usage error, analyze, oracle, build without
-# --out and verify of a build from --n/--rho/--eta run without numpy; the
-# commands that read or write a file, audit and sweep (which audit) load it.
+# runs when it runs, and none of them imports numpy, reading and writing files
+# included.
 from __future__ import annotations
 
 import argparse

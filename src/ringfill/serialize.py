@@ -15,32 +15,32 @@ field, a zero denominator or a boolean triangle id included, is a
 ValueError naming it.
 
 :func:`load_json` reads a file in blocks and its top-level triangles list a
-slice of rows at a time, straight into one int32 array (:mod:`ringfill._reader`),
-so the rows never exist as Python lists all at once.  Any file that reader
-does not take is read again by ``json.load``, whose lists :func:`_triangles`
-checks, so every file loads to the same triangles, or fails with the same
-error, either way.
+slice of rows at a time, straight into one growing int32 buffer
+(:mod:`ringfill._reader`), so the rows never exist as Python lists all at
+once.  Any file that reader does not take is read again by ``json.load``,
+whose lists :func:`_triangles` checks row by row, so every file loads to
+the same triangles, or fails with the same error, either way.
 
 :func:`dump_json` is the one writer.  It takes a dict with str keys, and its
 bytes are those of ``json.dump(data, fh, indent=2)`` plus a newline, with an
-ndarray value written as its ``.tolist()``; the to-dict functions hand over
-the complex's own triangle buffer, viewed as an ndarray without a copy.  Field order is fixed, so output bytes
-are deterministic for fixed inputs.
+array value (a numpy array, ``array.array`` or memoryview) written as its
+``.tolist()``; the to-dict functions hand over the complex's own int32
+triangle buffer, whose rows a compiled kernel formats.  Field order is
+fixed, so output bytes are deterministic for fixed inputs.  Neither
+direction imports numpy.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterator
+from array import array
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 from .annuli import LayerRecord, layer_ledger
 from .builder import BuildResult, Params, Schedule, compute_schedule
-from .simplicial import Triangulation
+from .simplicial import _INT32, Triangulation, _library
 
 if TYPE_CHECKING:  # an annotation only: writing a build file loads no BFS layer
     from .verify import VerificationReport
@@ -64,10 +64,7 @@ _VERSION = 2
 
 _MISSING = object()
 _INDENT = "  "
-# Rows formatted per write.  A chunk's lists, tuple and text stay in memory
-# beside whatever the caller holds; at 4096 rows they raised the peak RSS of
-# `build --out` at n = 384 by 1.9 MB and wrote no faster than at 1024.
-_ROWS_PER_CHUNK = 1024
+_ROWS_PER_CHUNK = 1024  # rows formatted per write
 
 
 def _frac_pair(x: Fraction | None) -> tuple[int | None, int | None]:
@@ -141,31 +138,46 @@ def _check_record(rec: Any) -> None:
     )
 
 
-def _triangles(data: Any, where: str) -> Any:
-    """The triangles field of a parsed file as an array, refusing a ragged list or a JSON boolean id.
+def _kind(x: Any) -> str:
+    """The JSON kind of a parsed value, by its Python type; ``boolean`` and ``null`` by their JSON names."""
+    return "boolean" if isinstance(x, bool) else "null" if x is None else type(x).__name__
 
-    numpy reads ``true`` as 1 and ``false`` as 0, so only the rows holding
-    an id of at most 1 can hide one, and only those are scanned.  An array,
-    such as the int32 rows :func:`load_json` has already checked, is taken
-    as it is.
+
+def _triangles(data: Any, where: str) -> Any:
+    """The triangles field of a parsed file: a buffer, or a list of rows of three integer ids, checked row by row.
+
+    A buffer, such as the int32 rows :func:`load_json` has already read, is
+    taken as it is.  A list parsed by ``json.load`` must hold rows of one
+    shape, lists of three ids, and each id must be a JSON integer, not a
+    boolean; the first row that breaks this is named in a ValueError.  Ids
+    beyond int32 are left to :class:`Triangulation`, which refuses them.
     """
     rows = _get(data, "triangles", where)
-    try:
-        tri = np.asarray(rows)
-    except ValueError:  # numpy refuses nested lists of uneven shape
-        raise ValueError("triangles must be a list of rows of three vertex ids; its rows differ in shape") from None
-    if isinstance(rows, list) and tri.ndim == 2 and tri.dtype.kind in "iu":
-        for i in np.flatnonzero((tri <= 1).any(axis=1)).tolist():
-            if bool in map(type, rows[i]):
-                raise ValueError(f"triangles[{i}] has a boolean vertex id")
-    return tri
+    if not isinstance(rows, list):
+        try:
+            memoryview(rows)
+        except TypeError:
+            raise ValueError(f"triangles must be a list of rows of three vertex ids, got {_kind(rows)}") from None
+        return rows
+    shapes = {len(row) if isinstance(row, list) else None for row in rows}
+    if len(shapes) > 1:
+        raise ValueError("triangles must be a list of rows of three vertex ids; its rows differ in shape")
+    if rows and shapes != {3}:
+        width = shapes.pop()
+        shape = (len(rows),) if width is None else (len(rows), width)
+        raise ValueError(f"triangles must be an (F, 3) array of vertex ids, got shape {shape}")
+    for i, row in enumerate(rows):
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"triangles[{i}] has a {_kind(x)} vertex id")
+    return rows
 
 
 def triangulation_to_dict(t: Triangulation) -> dict[str, Any]:
     return {
         "n": t.n,
         "vertices": list(vertex_records(t)),
-        "triangles": np.asarray(t.triangles),
+        "triangles": t.triangles,
     }
 
 
@@ -237,7 +249,7 @@ def _header(build: BuildResult) -> dict[str, Any]:
 
 def build_to_dict(build: BuildResult) -> dict[str, Any]:
     """A version 2 build file: the header the params determine, then the triangles, with no vertex records."""
-    return {"version": _VERSION, **_header(build), "triangles": np.asarray(build.triangulation.triangles)}
+    return {"version": _VERSION, **_header(build), "triangles": build.triangulation.triangles}
 
 
 def _show(x: Any, limit: int = 200) -> str:
@@ -282,7 +294,7 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
     tri = _triangles(data, "build file")
     if "vertices" in data:
         raise ValueError("a version 2 build file has no vertices field: the ledger fixes every vertex")
-    if tri.ndim == 0 or len(tri) <= n:
+    if len(tri) <= n:
         raise ValueError(f"triangles must be a list of more than n = {n} rows")
     params = Params(n, rho, eta)
     schedule = compute_schedule(params)
@@ -312,8 +324,8 @@ def complex_from_dict(data: dict[str, Any]) -> tuple[Triangulation, BuildResult 
     A file with a ledger but no version, as written before build files were
     versioned, is refused by :func:`build_from_dict`; read as a bare file,
     its vertex records would pass.  The complex takes the triangles over:
-    an int32 array, such as the one :func:`load_json` reads, becomes the
-    complex's own array, its rows rotated in place, and a parsed list, which
+    an int32 buffer, such as the one :func:`load_json` reads, becomes the
+    complex's own, its rows rotated in place, and a parsed list, which
     :func:`_triangles` checks, is converted once.
     """
     if isinstance(data, dict) and ("ledger" in data or "version" in data):
@@ -337,38 +349,75 @@ def report_to_dict(report: VerificationReport, include_witness: bool = False) ->
     return out
 
 
-def _write_rows(write: Callable[[str], Any], rows: np.ndarray) -> None:
-    """Write a non-empty 2-d int array held by the top-level dict chunk by chunk, one ``%`` template per chunk."""
-    outer, inner = "\n" + _INDENT * 2, "\n" + _INDENT * 3
-    row = "[" + ",".join([inner + "%d"] * rows.shape[1]) + outer + "]"
-    sep = "," + outer
-    write("[")
-    for start in range(0, len(rows), _ROWS_PER_CHUNK):
-        chunk = rows[start : start + _ROWS_PER_CHUNK].tolist()
-        write((sep if start else outer) + sep.join([row] * len(chunk)) % tuple(chain.from_iterable(chunk)))
-    write("\n" + _INDENT + "]")
+def _array(value: Any) -> memoryview | None:
+    """The buffer of a numpy array, an ``array.array`` or a memoryview, which json writes as its ``.tolist()``."""
+    if isinstance(value, (memoryview, array)) or hasattr(value, "__array_interface__"):
+        return memoryview(value)
+    return None
+
+
+def _kernel_rows(value: Any, view: memoryview) -> bool:
+    """Whether ``value``, whose buffer is ``view``, holds rows the kernels read in place.
+
+    Those are a non-empty C-contiguous 2-d int32 numpy array or writable
+    buffer: ctypes takes a read-only buffer's address only from numpy.
+    """
+    return bool(
+        view.format in _INT32
+        and view.ndim == 2
+        and view.nbytes
+        and view.c_contiguous
+        and (not view.readonly or hasattr(value, "__array_interface__"))
+    )
+
+
+def _write_rows(write: Any, rows: Any) -> None:
+    """Write the rows of ``rows``, a list held by the top-level dict, with the compiled ``rows_text``.
+
+    The kernel formats a chunk of rows at a time into one reused
+    ``bytearray``, in the bytes ``json.dump(indent=2)`` gives.  Raises
+    ValueError, before the kernel runs, unless :func:`_kernel_rows` takes
+    ``rows``.
+    """
+    view = memoryview(rows)
+    if not _kernel_rows(rows, view):
+        raise ValueError(
+            "rows must be a non-empty C-contiguous 2-d int32 array or writable buffer, "
+            f"got format {view.format!r} and shape {view.shape}"
+        )
+    count, width = view.shape
+    out = bytearray(min(count, _ROWS_PER_CHUNK) * (13 + 19 * width))  # rows_text's most per row
+    text = memoryview(out)
+    lib = _library()
+    write(b"[")
+    for start in range(0, count, _ROWS_PER_CHUNK):
+        chunk = rows[start : start + _ROWS_PER_CHUNK]
+        write(text[: lib.rows_text(chunk, len(chunk), width, start == 0, out)])
+    write(b"\n" + _INDENT.encode() + b"]")
 
 
 def dump_json(data: dict[str, Any], path: str) -> None:
     """Write the str-keyed dict ``data`` with the bytes of ``json.dump(data, fh, indent=2)`` and a newline.
 
-    An ndarray value is written as its ``.tolist()``: a non-empty 2-d integer
-    one, such as the triangles, in chunks by :func:`_write_rows`; every other
-    value goes through ``json.dumps(indent=2)``, indented by one level.
+    An array value (see :func:`_array`) is written as its ``.tolist()``:
+    int32 rows that :func:`_kernel_rows` takes, such as the triangles, by
+    :func:`_write_rows`; every other value goes through
+    ``json.dumps(indent=2)``, which writes ASCII, indented by one level.
     """
     bad = [key for key in data if not isinstance(key, str)]
     if bad:
         raise TypeError(f"dump_json writes a dict with str keys, got {bad!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
+    with open(path, "wb") as fh:
+        fh.write(b"{")
         for i, (key, value) in enumerate(data.items()):
-            fh.write(("," if i else "") + "\n" + _INDENT + json.dumps(key) + ": ")
-            if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu" and value.size:
+            fh.write((("," if i else "") + "\n" + _INDENT + json.dumps(key) + ": ").encode())
+            view = _array(value)
+            if view is not None and _kernel_rows(value, view):
                 _write_rows(fh.write, value)
             else:
-                text = json.dumps(value.tolist() if isinstance(value, np.ndarray) else value, indent=2)
-                fh.write(text.replace("\n", "\n" + _INDENT))
-        fh.write("\n}\n" if data else "}\n")
+                text = json.dumps(value if view is None else value.tolist(), indent=2)
+                fh.write(text.replace("\n", "\n" + _INDENT).encode())
+        fh.write(b"\n}\n" if data else b"}\n")
 
 
 def load_json(path: str) -> Any:

@@ -9,29 +9,30 @@ Three independent instruments:
   constant delta of the filling, whose worst pair a compiled scan finds by
   exact int64 cross-multiplication;
 * a per-edge drift audit checking every slanted edge against its annulus
-  bound in exact scaled int64 arithmetic, positions read from the ledger;
+  bound in exact scaled int64 arithmetic, one compiled pass per cycle,
+  positions read from the ledger;
 * an analytic lower-bound predictor for boundary distances derived from the
   accumulated drift of the layer ledger, sound by construction and checked
   against BFS exhaustively in the tests, its table written by a kernel.
 
 The CSR, the distance matrix and the table are stdlib buffers (``bytearray``
-cast by ``memoryview``), so verification imports no numpy; numpy callers
-view the matrix with ``numpy.asarray`` without a copy.  Only
-:func:`drift_audit` still imports numpy, when called.
+cast by ``memoryview``), and the audit reads the complex's int32 edge table
+in place, so this module imports no numpy; numpy callers view the matrix
+with ``numpy.asarray`` without a copy.
 """
 from __future__ import annotations
 
 import math
 import os
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
 from ._kernels import buffer
 from .builder import BuildResult
-from .simplicial import _MAX_ID, Triangulation, _library, _report
+from .simplicial import _INT32, _MAX_ID, Triangulation, _library, _report
 
 __all__ = [
     "cycle_dist",
@@ -245,6 +246,58 @@ class DriftAudit:
         return [row for row in self.rows if not row.ok]
 
 
+def _pair_terms(n: int, ledger: list, r: int, s: int) -> tuple[int, int, int, int]:
+    """The scale ``S`` and the terms ``a, b, c`` of the circular distance of edges from cycle r to cycle s.
+
+    With the phase offset ``(p_r - p_s) mod n = num/den`` and lengths m and
+    M, vertex i of cycle r and vertex j of cycle s sit ``(a + b i - c j) mod
+    n S`` units of ``1/S`` apart, for ``S = den m M``, ``a = num m M``,
+    ``b = n den M`` and ``c = n den m``.
+    """
+    m, M = ledger[r].length, ledger[s].length
+    offset = (ledger[r].phase - ledger[s].phase) % n
+    den = offset.denominator
+    return den * m * M, offset.numerator * m * M, n * den * M, n * den * m
+
+
+def _int64_error(r: int, s: int, scale: int) -> ValueError:
+    return ValueError(
+        f"drift audit of cycles {r} and {s} needs positions in units of 1/{scale}: exceeds int64 arithmetic"
+    )
+
+
+def _cycle_edges(span, first: int, m: int, M: int, terms: tuple[int, int, int, int]) -> tuple[int, bytearray]:
+    """The compiled ``drift_rows`` over ``span``, the sorted edges whose lower end lies on one cycle.
+
+    That cycle has m vertices from id ``first``, the next one inward M.
+    ``terms`` are ``a, b, c`` and the period ``n S`` of :func:`_pair_terms`,
+    all 0 where no drift is measured.  Returns the largest scaled
+    displacement of an edge to the next cycle (0 without terms), or -1 if
+    there is none, and a mark per edge, 1 for an edge of neither cycle nor
+    annulus.  Raises ValueError, before the kernel runs, unless ``span`` is
+    a C-contiguous ``(k, 2)`` int32 buffer whose lower ends lie on the cycle,
+    the ids of both cycles fit int32, and the terms keep the kernel's
+    arithmetic within int64.
+    """
+    view = memoryview(span)
+    if view.format not in _INT32 or view.ndim != 2 or view.shape[1] != 2 or not view.c_contiguous:
+        raise ValueError(
+            f"edges must be a C-contiguous (k, 2) int32 buffer, got format {view.format!r} and shape {view.shape}"
+        )
+    count = len(view)
+    if not (0 <= first and m >= 1 and M >= 0 and first + m + M <= _MAX_ID + 1):
+        raise ValueError(f"cycles of {m} and {M} vertices from id {first} need ids in 0..{_MAX_ID}")
+    if count and not first <= view[0, 0] <= view[count - 1, 0] < first + m:
+        raise ValueError(f"edges of the cycle of {m} vertices from id {first} must start on it")
+    a, b, c, period = terms
+    if period and not (
+        2 * period < 2**63 and 0 <= a < period and 0 <= b * (m - 1) < period and 0 <= c * (M - 1) < period
+    ):
+        raise ValueError(f"drift terms {terms[:3]} exceed the int64 period {period}")
+    stray = bytearray(count)
+    return _library().drift_rows(view, count, first, m, M, a, b, c, period, stray), stray
+
+
 def drift_audit(build: BuildResult) -> DriftAudit:
     """Check that every edge is a cycle, annulus or cone edge, and every slanted edge its annulus's drift bound.
 
@@ -256,34 +309,35 @@ def drift_audit(build: BuildResult) -> DriftAudit:
     cycles r < s of lengths m and M is charged to annulus r.  With the
     phase offset ``(p_r - p_s) mod n = a/den`` and ``S = den*m*M``, every
     position on both cycles is an integer multiple of ``1/S``, so circular
-    distances are exact int64 arithmetic mod ``n*S``.  Absolute phases are
-    never combined: their denominators grow far past int64 down the ledger.
-    If ``n*S`` is too large for int64 the audit raises ValueError instead of
-    wrapping.
+    distances are exact integer arithmetic mod ``n*S`` (see
+    :func:`_pair_terms`).  Absolute phases are never combined: their
+    denominators grow far past int64 down the ledger.  If ``n*S`` is too
+    large for int64 the audit raises ValueError instead of wrapping.
 
     The audit works one cycle at a time.  The int32 edges are sorted by
     ``(lo, hi)`` and cycles are contiguous id blocks, so the edges whose
-    lower end lies on cycle r are one slice of them; only that slice is
-    widened to int64, and no edge-sized table is made.
+    lower end lies on cycle r are one slice of them, which the compiled
+    ``drift_rows`` reads in place (see :func:`_cycle_edges`): it sorts
+    each edge into cycle, slanted and stray, and measures the slanted ones
+    in int64.  Stray edges, found only in corrupted complexes, are measured
+    here in exact integers, an edge from cycle r to a deeper cycle charged
+    to annulus r as well.
 
     Equal-length annuli must achieve their bound n/(2m) with equality on
     every slanted edge; shrink annuli stay at or below n/M.  A violation
-    marks a construction bug, never a tolerance issue.  This is the one
-    stage that still works in numpy, which it imports when called.
+    marks a construction bug, never a tolerance issue.
     """
-    import numpy as np
-
     t = build.triangulation
     n = t.n
     ledger = build.ledger
     depth = len(ledger)
     # the apex counts as one more layer, of one vertex
-    first = np.array([rec.first_vertex for rec in ledger] + [build.apex], dtype=np.int64)
+    first = [rec.first_vertex for rec in ledger] + [build.apex]
     lengths = [rec.length for rec in ledger] + [1]
-    if first[0] != 0 or (first[1:] != first[:-1] + lengths[:-1]).any():
+    if first[0] != 0 or any(m < 1 or f != p + m for p, f, m in zip(first, first[1:], lengths)):
         raise ValueError("ledger cycles do not tile the vertex ids 0..apex-1 in order")
-    edges = np.asarray(t.edges)
-    if len(edges) and edges[:, 1].max() > build.apex:
+    edges = t.edges
+    if len(edges) and _library().top_id(edges, 2 * len(edges)) > build.apex:
         raise ValueError(f"triangles reference vertex ids beyond the apex {build.apex}")
 
     def misplaced(r: int, s: int) -> str:
@@ -295,33 +349,35 @@ def drift_audit(build: BuildResult) -> DriftAudit:
 
     lines: list[str] = []
     max_obs = [Fraction(0)] * (depth - 1)
-    # bisect reads the column in place, where np.searchsorted would copy it to int64
-    cuts = [bisect_left(edges[:, 0], v) for v in first.tolist()] + [len(edges)]
+    rows = range(len(edges))
+    cuts = [bisect_left(rows, v, key=lambda e: edges[e, 0]) for v in first] + [len(edges)]
     for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-        lo, hi = edges[start:stop].T.astype(np.int64)
-        layer = np.searchsorted(first, hi, side="right") - 1
-        i, j = lo - first[r], hi - first[layer]
-        chord = layer == r
-        cycle_edge = chord & ((j - i == 1) | (j - i == lengths[r] - 1))
-        stray = ~cycle_edge & (layer != r + 1)
-        for u, v, s in zip(lo[stray].tolist(), hi[stray].tolist(), layer[stray].tolist()):
+        span = edges[start:stop]
+        scale, terms = 1, (0, 0, 0, 0)
+        if r + 1 < depth:
+            scale, a, b, c = _pair_terms(n, ledger, r, r + 1)
+            if 2 * n * scale < 2**63:
+                terms = (a, b, c, n * scale)
+        worst, stray = _cycle_edges(span, first[r], lengths[r], lengths[r + 1] if r < depth else 0, terms)
+        if worst >= 0 and r + 1 < depth:
+            if not terms[3]:
+                raise _int64_error(r, r + 1, scale)
+            max_obs[r] = Fraction(worst, scale)
+        reach: dict[int, list[tuple[int, int]]] = {}  # the stray edges to each deeper cycle, as (i, j)
+        at = stray.find(1)
+        while at >= 0:
+            u, v = span[at, 0], span[at, 1]
+            s = bisect_right(first, v) - 1
             lines.append(f"edge ({u}, {v}) {misplaced(r, s)}")
-        cross = ~chord & (layer < depth)
-        # the cycles below r that its slanted edges reach (np.unique would import numpy.ma)
-        for s in (r + np.flatnonzero(np.bincount(layer[cross] - r))).tolist():
-            m, M = lengths[r], lengths[s]
-            offset = (ledger[r].phase - ledger[s].phase) % n
-            den = offset.denominator
-            scale = den * m * M
+            if r < s < depth:
+                reach.setdefault(s, []).append((u - first[r], v - first[s]))
+            at = stray.find(1, at + 1)
+        for s in sorted(reach):
+            scale, a, b, c = _pair_terms(n, ledger, r, s)
             if 2 * n * scale >= 2**63:
-                raise ValueError(
-                    f"drift audit of cycles {r} and {s} needs positions in units of 1/{scale}: "
-                    "exceeds int64 arithmetic"
-                )
-            pair = cross & (layer == s)
+                raise _int64_error(r, s, scale)
             period = n * scale
-            d = (offset.numerator * m * M + n * den * M * i[pair] - n * den * m * j[pair]) % period
-            worst = int(np.minimum(d, period - d).max())
+            worst = max(min(d, period - d) for d in ((a + b * i - c * j) % period for i, j in reach[s]))
             max_obs[r] = max(max_obs[r], Fraction(worst, scale))
     audit = DriftAudit()
     _report(audit.stray_edges, lines, "edges of no cycle, annulus or cone")

@@ -28,7 +28,9 @@ as the validator's former hooks; the validator itself (``check_disk``,
 its int64-key ``repeats``), the stacked ``annulus_triangles`` and
 ``cone_triangles``, the blocked float ratio scan ``worst_pair``, the
 vectorized ``separation_table`` and the chunked ``check_bound`` that
-``verify --check-bound`` ran.
+``verify --check-bound`` ran; the build-file writer's ``%``-template
+``write_rows``, the block reader's ``json.loads`` slice reader
+``int32_rows`` and the numpy ``drift_audit``.
 """
 from __future__ import annotations
 
@@ -690,3 +692,90 @@ def check_bound(build, dist, count, seed, pairs=1 << 16):
             print(f"lower bound {bound[i]} exceeds distance {got[i]} for ({a[i]}, {b[i]})")
             violations += 1
     return violations
+
+
+def write_rows(write, rows, chunk_rows=1024):
+    """``serialize.dump_json``'s writer of a non-empty 2-d int array, as it was: one ``%`` template per chunk."""
+    from itertools import chain
+
+    rows = np.asarray(rows)
+    outer, inner = "\n    ", "\n      "
+    row = "[" + ",".join([inner + "%d"] * rows.shape[1]) + outer + "]"
+    sep = "," + outer
+    write("[")
+    for start in range(0, len(rows), chunk_rows):
+        chunk = rows[start : start + chunk_rows].tolist()
+        write((sep if start else outer) + sep.join([row] * len(chunk)) % tuple(chain.from_iterable(chunk)))
+    write("\n  ]")
+
+
+def int32_rows(text):
+    """The block reader's rows ``[a, b, c], ...`` of ``text`` as it read them: ``json.loads`` and ``np.asarray``.
+
+    Raises ValueError for rows of another shape, a boolean, float or other
+    non-integer id, or an id beyond int32.
+    """
+    import json
+
+    rows = json.loads("[" + text + "]")
+    tri = np.asarray(rows)
+    if not (tri.ndim == 2 and tri.shape[1] == 3 and tri.dtype.kind == "i"):
+        raise ValueError("irregular")
+    if tri.min() < np.iinfo(np.int32).min or tri.max() > np.iinfo(np.int32).max:
+        raise ValueError("irregular")
+    if any(bool in map(type, rows[i]) for i in np.flatnonzero((tri <= 1).any(axis=1)).tolist()):
+        raise ValueError("irregular")
+    return tri.astype(np.int32)
+
+
+def drift_audit(build):
+    """``ringfill.drift_audit``'s rows and stray-edge lines as its numpy body computed them, a cycle at a time.
+
+    Returns ``(max_observed per annulus, stray-edge lines)``.
+    """
+    from bisect import bisect_left
+
+    t = build.triangulation
+    n = t.n
+    ledger = build.ledger
+    depth = len(ledger)
+    first = np.array([rec.first_vertex for rec in ledger] + [build.apex], dtype=np.int64)
+    lengths = [rec.length for rec in ledger] + [1]
+    edges = np.asarray(t.edges)
+
+    def misplaced(r, s):
+        if r == s:
+            return f"is a chord of cycle {r}"
+        if s == depth:
+            return f"joins the apex to cycle {r}, not to the innermost cycle {s - 1}"
+        return f"joins cycle {r} to cycle {s}, which are not adjacent"
+
+    lines = []
+    max_obs = [Fraction(0)] * (depth - 1)
+    cuts = [bisect_left(edges[:, 0], v) for v in first.tolist()] + [len(edges)]
+    for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        lo, hi = edges[start:stop].T.astype(np.int64)
+        layer = np.searchsorted(first, hi, side="right") - 1
+        i, j = lo - first[r], hi - first[layer]
+        chord = layer == r
+        cycle_edge = chord & ((j - i == 1) | (j - i == lengths[r] - 1))
+        stray = ~cycle_edge & (layer != r + 1)
+        for u, v, s in zip(lo[stray].tolist(), hi[stray].tolist(), layer[stray].tolist()):
+            lines.append(f"edge ({u}, {v}) {misplaced(r, s)}")
+        cross = ~chord & (layer < depth)
+        for s in (r + np.flatnonzero(np.bincount(layer[cross] - r))).tolist():
+            m, M = lengths[r], lengths[s]
+            offset = (ledger[r].phase - ledger[s].phase) % n
+            den = offset.denominator
+            scale = den * m * M
+            if 2 * n * scale >= 2**63:
+                raise ValueError(
+                    f"drift audit of cycles {r} and {s} needs positions in units of 1/{scale}: "
+                    "exceeds int64 arithmetic"
+                )
+            pair = cross & (layer == s)
+            period = n * scale
+            d = (offset.numerator * m * M + n * den * M * i[pair] - n * den * m * j[pair]) % period
+            worst = int(np.minimum(d, period - d).max())
+            max_obs[r] = max(max_obs[r], Fraction(worst, scale))
+    return max_obs, lines

@@ -224,6 +224,35 @@ def test_boolean_triangle_id_is_a_named_error(tmp_path, capsys, kind, value):
     assert "isometric" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("7", "triangles[3] has a str vertex id"),
+        (7.0, "triangles[3] has a float vertex id"),
+        (None, "triangles[3] has a null vertex id"),
+        ([7], "triangles[3] has a list vertex id"),
+        (2**64, "triangle vertex ids must lie in 0..2147483647"),
+    ],
+    ids=["str", "float", "null", "list", "above-int64"],
+)
+@pytest.mark.parametrize("kind", ["bare", "build"])
+def test_non_integer_triangle_id_is_a_named_error(tmp_path, capsys, kind, value, message):
+    # json.load reads these files after the block reader refuses them; the
+    # parsed rows are checked one by one and the first bad row named
+    path = tmp_path / "k.json"
+    if kind == "bare":
+        dump_json(triangulation_to_dict(cone_over_cycle(5)), str(path))
+    else:
+        assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["triangles"][3][1] = value
+    path.write_text(json.dumps(data))
+    for command in ("verify", "audit"):
+        capsys.readouterr()
+        assert main([command, "--in", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_export_bytes_are_pinned(tmp_path, capsys):
     # sha256 of the OFF and OBJ exports of the pinned build file and bare
     # complex; the digests were taken when build files stored the positions
@@ -546,6 +575,18 @@ def test_import_loads_no_numpy(module):
 _VERIFY_64 = ["verify", "--n", "64", "--rho", "1/10", "--eta", "1/4", "--check-bound", "1000", "--seed", "3"]
 
 
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A directory holding the n = 25 build file ``k.json`` and the n = 5 oracle witness ``w.json``."""
+    path = tmp_path_factory.mktemp("files")
+    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(path / "k.json")]) == 0
+    assert main(["oracle", "--n", "5", "--max-interior", "1", "--out", str(path / "w.json")]) == 0
+    return path
+
+
+_PARAMS_25 = ["--n", "25", "--rho", "1/10", "--eta", "1/4"]
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -555,11 +596,24 @@ _VERIFY_64 = ["verify", "--n", "64", "--rho", "1/10", "--eta", "1/4", "--check-b
         (_VERIFY_64, 0),
         ([*_VERIFY_64, "--jobs", "2"], 0),
         (["verify", "--n", "64", "--rho", "1/10", "--eta", "1/4"], 0),
-        (["build", "--n", "25", "--rho", "1/10", "--eta", "1/4"], 0),
+        (["build", *_PARAMS_25], 0),
+        (["build", *_PARAMS_25, "--out", "{files}/out.json"], 0),
+        (["audit", "--in", "{files}/k.json"], 0),
+        (["verify", "--in", "{files}/k.json"], 0),
+        (["audit", *_PARAMS_25], 0),
+        (["oracle", "--n", "5", "--max-interior", "1", "--out", "{files}/witness.json"], 0),
+        (["verify", "--in", "{files}/w.json"], 0),
+        (["export", "--in", "{files}/k.json", "--format", "off", "--out", "{files}/k.off"], 0),
+        (["export", "--in", "{files}/w.json", "--format", "obj", "--out", "{files}/w.obj"], 0),
+        (["sweep", "--n-list", "25", "--rho", "1/10", "--eta", "1/4"], 0),
     ],
-    ids=["help", "usage", "analyze", "verify-bound", "verify-bound-jobs", "verify", "build"],
+    ids=[
+        "help", "usage", "analyze", "verify-bound", "verify-bound-jobs", "verify", "build", "build-out",
+        "audit-in", "verify-in", "audit", "oracle-out", "verify-witness", "export-build", "export-witness", "sweep",
+    ],
 )
-def test_command_runs_without_numpy(argv, code):
+def test_command_runs_without_numpy(files, argv, code):
+    argv = [arg.format(files=files) for arg in argv]
     assert _loaded_after(f"from ringfill.cli import main; sys.exit(main({argv!r}))", ("numpy",)) == (code, [])
 
 

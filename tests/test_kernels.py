@@ -30,10 +30,13 @@ import pytest
 import reference_impl as ref
 from hypothesis import given, settings, strategies as st
 
+import ringfill._reader as reader
 import ringfill.annuli as annuli
+import ringfill.serialize as serialize
 import ringfill.simplicial as simplicial
 import ringfill.verify as verify
 from ringfill import (
+    BuildResult,
     EnumerationBudget,
     LayerRecord,
     Params,
@@ -485,6 +488,116 @@ def test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel(monkey
         separation_lower_bounds(build)
 
 
+def test_row_writer_refuses_other_buffers_before_the_kernel(monkeypatch):
+    _refuse_kernels(monkeypatch, "rows_text")
+    out = []
+    for rows in (
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros((0, 3), dtype=np.int32),
+        np.zeros(6, dtype=np.int32),
+        np.zeros((3, 6), dtype=np.int32)[:, ::2],
+        memoryview(bytes(24)).cast("i", (2, 3)),  # read-only, so ctypes has no address for it
+    ):
+        with pytest.raises(ValueError, match=r"rows must be a non-empty C-contiguous 2-d int32 array or writable buffer"):
+            serialize._write_rows(out.append, rows)
+    assert out == []
+
+
+def test_row_reader_refuses_non_ascii_text_before_the_kernel(monkeypatch):
+    _refuse_kernels(monkeypatch, "parse_rows")
+    for text in ("[0, 1, 2],\u00a0[1, 2, 3]", "[0, 1, \u0662]"):  # a no-break space, an Arabic-Indic digit
+        with pytest.raises(reader._Irregular):
+            reader._int32_rows(text)
+
+
+def test_drift_pass_refuses_what_the_kernel_would_misread(monkeypatch, small_build):
+    _refuse_kernels(monkeypatch, "drift_rows")
+    edges = small_build.triangulation.edges
+    rec = small_build.ledger[0]
+    with pytest.raises(ValueError, match=r"edges must be a C-contiguous \(k, 2\) int32 buffer, got format 'l'"):
+        verify._cycle_edges(np.zeros((2, 2), dtype=np.int64), 0, 25, 24, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"edges of the cycle of 25 vertices from id 1 must start on it"):
+        verify._cycle_edges(edges[:3], 1, 25, 24, (0, 0, 0, 0))  # (0, 1) starts before the cycle
+    with pytest.raises(ValueError, match=r"cycles of 25 and 2147483647 vertices from id 0 need ids in"):
+        verify._cycle_edges(edges[:3], 0, 25, 2**31 - 1, (0, 0, 0, 0))
+    scale, a, b, c = verify._pair_terms(25, small_build.ledger, 0, 1)
+    with pytest.raises(ValueError, match=r"exceed the int64 period"):
+        verify._cycle_edges(edges[:3], 0, rec.length, 24, (a, b, c, b))  # b (m - 1) >= period
+    with pytest.raises(ValueError, match=r"exceed the int64 period"):
+        verify._cycle_edges(edges[:3], 0, rec.length, 24, (0, 1, 1, 2**62))  # 2 period >= 2**63
+    build = copy.copy(small_build)
+    build.ledger = [copy.copy(r) for r in small_build.ledger]
+    for r in build.ledger[1:]:
+        r.first_vertex += 2**31
+    build.ledger[0].length += 2**31
+    with pytest.raises(ValueError, match=r"cycles of 2147483673 and \d+ vertices from id 0 need ids in 0..2147483647"):
+        verify.drift_audit(build)
+
+
+def _audit_outcome(build):
+    """``drift_audit``'s observed drifts and stray-edge lines, or its error."""
+    try:
+        audit = verify.drift_audit(build)
+    except ValueError as exc:
+        return str(exc)
+    return [row.max_observed for row in audit.rows], audit.stray_edges
+
+
+def _reference_audit_outcome(build):
+    try:
+        rows, lines = ref.drift_audit(build)
+    except ValueError as exc:
+        return str(exc)
+    listed = []
+    simplicial._report(listed, lines, "edges of no cycle, annulus or cone")
+    return rows, listed
+
+
+def _latitude_build(n: int):
+    ledger = _latitude(n)
+    t = Triangulation(n, ledger[-1].first_vertex + ledger[-1].length + 1,
+                      np.concatenate(_blocks(ledger, annulus_triangles, cone_triangles)))
+    return BuildResult(t, ledger, None, None)
+
+
+@pytest.mark.parametrize("n, rho, eta", _SCHEDULES)
+def test_drift_pass_matches_the_numpy_audit(n, rho, eta):
+    build = build_filling(Params(n, Fraction(rho), Fraction(eta)))
+    for audited in (build, _latitude_build(n)):
+        got = _audit_outcome(audited)
+        assert got == _reference_audit_outcome(audited)
+        assert got[1] == []
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 10**6)), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_drift_pass_matches_the_numpy_audit_on_corrupted_complexes(medium_build, changes):
+    # Any id of any row replaced by any vertex: chords, degenerate rows,
+    # edges that skip cycles or join the apex to any cycle, in any number.
+    tri = np.array(medium_build.triangulation.triangles)
+    nv = medium_build.triangulation.num_vertices
+    for f, j, v in changes:
+        tri[f % len(tri), j] = v % nv
+    broken = copy.copy(medium_build)
+    broken.triangulation = Triangulation(medium_build.params.n, nv, tri)
+    assert _audit_outcome(broken) == _reference_audit_outcome(broken)
+
+
+def test_drift_pass_raises_the_int64_error_where_the_numpy_audit_did(flipped_builds):
+    # a phase offset too fine for int64 between cycles 2 and 4, which only the stray edge joins
+    build, _ = flipped_builds["layer-skipping"]
+    build = copy.copy(build)
+    build.ledger = [copy.copy(rec) for rec in build.ledger]
+    build.ledger[4].phase += Fraction(1, 2**61 + 1)
+    want = _reference_audit_outcome(build)
+    assert want == "drift audit of cycles 2 and 4 needs positions in units of 1/" + want.split("1/")[1]
+    assert _audit_outcome(build) == want
+    build.ledger[3].phase += Fraction(1, 2**61 + 1)  # now cycles 2 and 3 too, which come first
+    want = _reference_audit_outcome(build)
+    assert want.startswith("drift audit of cycles 2 and 3 ")
+    assert _audit_outcome(build) == want
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs the C compiler")
 def test_kernels_compile_without_warnings(tmp_path):
     done = subprocess.run(
@@ -584,7 +697,8 @@ def test_kernels_pass_their_tests_under_sanitizers(tmp_path):
     }
     argv = [
         str(tmp_path), "-q", "-p", "no:cacheprovider", "--capture=sys",  # a sanitizer's report goes to fd 2
-        *(str(tests / f"test_{name}.py") for name in ("kernels", "oracle", "simplicial", "verify", "acceptance")),
+        *(str(tests / f"test_{name}.py")
+          for name in ("kernels", "oracle", "simplicial", "verify", "acceptance", "load_json", "serialize")),
         # the loader's tests compile libraries of their own, which the patched loader refuses
         "-k", "not under_sanitizers and not first_builds_share and not unwritable_cache and not edited_source",
     ]

@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import reference_impl as ref
 from hypothesis import given, settings, strategies as st
 
 import ringfill._reader as reader
@@ -27,12 +28,12 @@ def _reference(path):
 
 
 def _outcome(load, path):
-    """The loaded value in JSON (a triangle array as its list) and the complex, or each step's error."""
+    """The loaded value in JSON (a triangle buffer as its list) and the complex, or each step's error."""
     try:
         data = load(path)
     except Exception as exc:  # the error is compared, whatever its type
         return "load", type(exc), str(exc)
-    shown = json.dumps(data, default=np.ndarray.tolist)
+    shown = json.dumps(data, default=lambda rows: rows.tolist())
     try:
         t, build = complex_from_dict(data)
     except Exception as exc:
@@ -262,7 +263,104 @@ def test_written_files_load_as_int32_rows(texts, tmp_path, monkeypatch, name, ro
     want = json.loads(texts[name])
     assert list(data) == list(want)
     assert {k: v for k, v in data.items() if k != "triangles"} == {k: v for k, v in want.items() if k != "triangles"}
-    assert data["triangles"].dtype == np.int32
+    assert np.asarray(data["triangles"]).dtype == np.int32
     assert data["triangles"].tolist() == want["triangles"]
     t, _ = complex_from_dict(data)
     assert t.triangles is data["triangles"]  # taken over, not copied
+
+
+def _slice_outcome(read, text):
+    """The int32 bytes a slice reader makes of ``text``, or None where it refuses it."""
+    try:
+        return bytes(read(text))
+    except ValueError:
+        return None
+
+
+def _reference_rows(text):
+    return ref.int32_rows(text).tobytes()
+
+
+_ACCEPTED = [
+    "[0, 1, 2]",
+    "[0,1,2],[3,4,5]",
+    "\t[0,\t1,\t2]\t,\r\n[3 ,4, 5\r]",
+    "\n    [\n      -0,\n      2147483647,\n      -2147483648\n    ]",
+    "[10, 9, 100], [-1, -10, 0]",
+]
+_REFUSED = {
+    "leading-zero": "[01, 1, 2]",
+    "fraction": "[1.0, 1, 2]",
+    "exponent": "[1e3, 1, 2]",
+    "boolean": "[true, 1, 2]",
+    "no-break-space": "[0,\u00a01, 2]",
+    "above-int32": "[2147483648, 1, 2]",
+    "below-int32": "[-2147483649, 1, 2]",
+    "two-ids": "[0, 1]",
+    "four-ids": "[0, 1, 2, 3]",
+    "trailing-comma": "[0, 1, 2],",
+    "no-row": "  ",
+    "nested": "[[0, 1, 2]]",
+    "minus-only": "[-, 1, 2]",
+    "vertical-tab": "[0,\x0b1, 2]",
+}
+
+
+@pytest.mark.parametrize("text", _ACCEPTED)
+def test_row_kernel_reads_what_json_loads_reads(text):
+    assert _slice_outcome(reader._int32_rows, text) == _reference_rows(text)
+
+
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_row_kernel_refuses_what_the_numpy_reader_refused(texts, tmp_path, name):
+    text = _REFUSED[name]
+    assert _slice_outcome(reader._int32_rows, text) is None
+    assert _slice_outcome(_reference_rows, text) is None
+    # in a file, the refused rows fall back to json.load, which decides
+    for kind in ("build", "bare"):
+        path = tmp_path / f"{kind}.json"
+        _write(path, _set_triangles(texts[kind], "[[0, 1, 2], " + text + ", [1, 2, 3]]"), "utf-8")
+        assert not _fast(str(path))
+        assert _outcome(load_json, str(path)) == _outcome(_reference, str(path))
+
+
+_tokens = st.one_of(
+    st.integers(-(2**31), 2**31 - 1).map(str),
+    st.integers(-(2**33), 2**33).map(str),
+    st.sampled_from(["-0", "01", "-01", "1.0", "1e3", "1E3", "true", "false", "null", '"1"', "-", "", "0x1", "+1"]),
+)
+_gaps = st.sampled_from(["", "", " ", "\t", "\n", "\r", "\r\n  ", " ", "\x0b", "\f", "\x00"])
+
+
+@st.composite
+def _row_texts(draw):
+    """Row text from JSON tokens and gaps: mostly rows of three integers, sometimes anything the reader must refuse."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        ids = draw(st.lists(_tokens, min_size=2, max_size=4))
+        gaps = draw(st.lists(_gaps, min_size=2 * len(ids) + 2, max_size=2 * len(ids) + 2))
+        cells = [g + t + h for g, t, h in zip(gaps[1::2], ids, gaps[2::2])]
+        rows.append(gaps[0] + "[" + ",".join(cells) + "]" + gaps[-1])
+    return draw(st.sampled_from([",", ",", " ,", ", \n", ";"])).join(rows) + draw(st.sampled_from(["", "", ","]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_texts())
+def test_row_kernel_matches_json_loads(text):
+    assert _slice_outcome(reader._int32_rows, text) == _slice_outcome(_reference_rows, text)
+
+
+def test_row_kernel_room_follows_the_closing_brackets():
+    # a slice of a million opening brackets gets room for its one row, not a
+    # million: the rows buffer never outgrows the text that would fill it
+    import tracemalloc
+
+    text = "[" * 10**6 + "0, 1, 2]"
+    tracemalloc.start()
+    try:
+        with pytest.raises(reader._Irregular):
+            reader._int32_rows(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text)

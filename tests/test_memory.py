@@ -4,7 +4,7 @@ K_384 at (1/10, 1/4) has F = 85,000 triangles, so its ``(F, 3)`` int32
 array takes 1.02 MB.  ``tracemalloc`` sees numpy's buffers and the
 ``bytearray`` buffers of the compiled kernels as well as Python objects.
 Each bound is a little above the peak measured when it was set (1.2, 3.9,
-2.1 and 0.1 times for build, validate, load and audit) and well below the
+1.44 and 0.1 times for build, validate, load and audit) and well below the
 8.8, 24, 6.7 and 13.4 times of int64 working sets, edge-sized audit tables
 and an F x 3 rotation index, so a return to any of them fails.  The build
 writes every annulus straight into one buffer of the predicted size, where
@@ -13,7 +13,10 @@ edge table with union-find and counting-sort scratch linear in the edges,
 where the int64 keys and two sorts of the numpy validator took 4.6 times
 and the int64-key edge sort with numpy label propagation before it 8.9.
 Loading is traced from the file on: reading the rows as Python lists with
-``json.load`` took 19.7 times.
+``json.load`` took 19.7 times, and concatenating int32 slices 2.1.  Its
+rows now grow one ``bytearray``, whose growth headroom (up to an eighth)
+and the reader's 64 KiB text blocks (about 0.3 of the array at this size,
+a constant) make up the rest.
 """
 import tracemalloc
 from fractions import Fraction
@@ -51,6 +54,6 @@ def peaks(tmp_path_factory):
     return {"build": built / size, "validate": validated / size, "audit": audited / size, "load": loaded / size}
 
 
-@pytest.mark.parametrize("stage, bound", [("build", 1.3), ("validate", 4.1), ("load", 2.5), ("audit", 0.5)])
+@pytest.mark.parametrize("stage, bound", [("build", 1.3), ("validate", 4.1), ("load", 1.5), ("audit", 0.5)])
 def test_stage_peaks_a_small_multiple_of_the_triangles(peaks, stage, bound):
     assert peaks[stage] <= bound, peaks

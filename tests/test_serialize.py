@@ -1,14 +1,18 @@
 import json
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+import reference_impl as ref
 from reference_impl import theta
 
+import ringfill.serialize as serialize
 from ringfill import Params, build_filling, cone_over_cycle, validate_disk, verify_filling
+from ringfill._kernels import buffer
 from ringfill.serialize import (
     build_from_dict,
     build_to_dict,
@@ -129,7 +133,7 @@ def test_loading_a_build_file_assembles_no_complex(monkeypatch, medium_build):
     t, build = complex_from_dict(build_to_dict(medium_build))
     assert build.ledger == medium_build.ledger
     assert t.num_vertices == medium_build.triangulation.num_vertices
-    assert (t.triangles == medium_build.triangulation.triangles).all()
+    assert t.triangles.tolist() == medium_build.triangulation.triangles.tolist()
 
 
 def test_json_bytes_deterministic(tmp_path, small_build):
@@ -220,6 +224,26 @@ def test_dump_json_writes_an_array_as_its_list(tmp_path, dtype, shape):
     assert path.read_bytes() == _reference_bytes(data)
 
 
+_IDS = [0, 9, 10, -1, 2**31 - 1, -(2**31)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 5000])
+def test_row_writer_matches_the_template_writer(tmp_path, count):
+    # the ids cycle through one and two digits, -1 and both ends of int32,
+    # and the counts straddle the 1024-row chunk
+    rows = buffer("i", count, 3)
+    if count:
+        rows.cast("B")[:] = array("i", (_IDS[k % len(_IDS)] for k in range(3 * count))).tobytes()
+        got, want = [], []
+        serialize._write_rows(lambda text: got.append(bytes(text)), rows)
+        ref.write_rows(want.append, np.asarray(rows))
+        assert b"".join(got) == "".join(want).encode()
+    data = {"n": 5, "triangles": rows}
+    path = tmp_path / "x.json"
+    dump_json(data, str(path))
+    assert path.read_bytes() == _reference_bytes({**data, "triangles": rows.tolist()})
+
+
 def test_dump_json_refuses_a_non_str_key(tmp_path):
     # json.dump would write the key 1 as "1"; the writer refuses it before writing anything
     path = tmp_path / "x.json"
@@ -230,10 +254,11 @@ def test_dump_json_refuses_a_non_str_key(tmp_path):
 
 @pytest.mark.parametrize("n", [64, 384])
 def test_build_file_bytes_match_the_reference_encoder(tmp_path, n):
-    data = build_to_dict(build_filling(Params(n, Fraction(1, 10), Fraction(1, 4))))
+    build = build_filling(Params(n, Fraction(1, 10), Fraction(1, 4)))
+    data = build_to_dict(build)
     path = tmp_path / "k.json"
     dump_json(data, str(path))
-    assert isinstance(data["triangles"], np.ndarray)
+    assert data["triangles"] is build.triangulation.triangles  # the complex's own buffer, not a copy
     assert path.read_bytes() == _reference_bytes({**data, "triangles": data["triangles"].tolist()})
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import reference_impl as ref
 from reference_impl import bfs_distances, reference_drift_audit, reference_separation_lower_bounds, skeleton_graph
+from reference_impl import drift_audit as numpy_drift_audit
 
 from ringfill import (
     Triangulation,
@@ -390,6 +391,7 @@ def test_drift_audit_refuses_an_edge_of_no_annulus(flipped_builds, flip):
     assert not audit.ok
     assert audit.stray_edges == [line]
     assert [row.max_observed for row in audit.rows] == reference_drift_audit(build)
+    assert ([row.max_observed for row in audit.rows], [line]) == numpy_drift_audit(build)
 
 
 def test_drift_audit_refuses_int64_overflow(small_build):
