@@ -5,7 +5,10 @@
  *   edge_slots, edge_ends    the edge table of a triangle array
  *   link_roots, vertex_roots union-find over the corner graph and the vertices
  *   disk_marks               validate_disk's witness marks, from the edge table
- *   graph_csr, bfs_rows      the 1-skeleton's CSR and the boundary BFS
+ *   graph_csr                the 1-skeleton's CSR
+ *   bfs_rows                 plain BFS rows, and the witness's BFS tree
+ *   boundary_tree,
+ *   boundary_rows            the boundary distance matrix, each search confined
  *   worst_ratio              the first least ratio of BFS to cycle distance
  *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
@@ -498,40 +501,223 @@ void graph_csr(const int32_t *edges, int32_t ne, int32_t nv, int32_t *indptr, in
     indptr[0] = 0;
 }
 
-/* For each sources[k], k < count, a FIFO search that visits each vertex's
- * neighbours in CSR order writes the distances to vertices 0..cols-1 into
- * row k of out (int64, count rows of cols).  dist and queue are scratch
- * arrays of nv entries.  If pred is not NULL, it receives every vertex's BFS
- * parent from the last source (-1 at the source).  Returns 1 as soon as some
- * vertex is unreachable from a source, else 0. */
+#define EXCLUDED INT32_MIN /* in dist: a vertex no search enters */
+#define ON_PATH (INT32_MIN + 1) /* in dist, while E grows: a vertex of the tree path pi_x */
+#define UNBOUNDED INT32_MAX /* no bound on d + layer: a plain search */
+
+/* The one BFS loop.  queue[0..tail) holds the sources, each at distance 0
+ * in dist (and its parent set in pred, if pred is not NULL).  Every other
+ * vertex v holds -1 - layer(v) in dist, where layer(v) is a lower bound on
+ * its distance to every target (0 in a plain search), or EXCLUDED.  A FIFO
+ * search that visits each vertex's neighbours in CSR order enqueues w,
+ * reached at distance d, only if d + layer(w) <= bound: that is
+ * d - 1 - bound <= dist[w] < 0, one load per edge, which EXCLUDED never
+ * meets.  Returns the number of vertices enqueued, in order in queue. */
+static int32_t search(const int32_t *indptr, const int32_t *indices, int32_t tail, int32_t bound,
+                      int32_t *dist, int32_t *queue, int32_t *pred)
+{
+    for (int32_t head = 0; head < tail; head++) {
+        int32_t u = queue[head], d = dist[u] + 1, floor = d - 1 - bound;
+        for (int32_t e = indptr[u]; e < indptr[u + 1]; e++) {
+            int32_t w = indices[e];
+            if (dist[w] < 0 && dist[w] >= floor) {
+                dist[w] = d;
+                queue[tail++] = w;
+                if (pred)
+                    pred[w] = u;
+            }
+        }
+    }
+    return tail;
+}
+
+/* A plain search from s over the nv vertices: all of dist reset first. */
+static int32_t search_from(int32_t nv, const int32_t *indptr, const int32_t *indices, int32_t s,
+                           int32_t *dist, int32_t *queue, int32_t *pred)
+{
+    for (int32_t v = 0; v < nv; v++)
+        dist[v] = -1;
+    dist[s] = 0;
+    queue[0] = s;
+    if (pred)
+        pred[s] = -1;
+    return search(indptr, indices, 1, UNBOUNDED, dist, queue, pred);
+}
+
+/* For each sources[k], k < count, a plain search writes the distances to
+ * vertices 0..cols-1 into row k of out (int64, count rows of cols).  dist
+ * and queue are scratch arrays of nv entries.  If pred is not NULL, it
+ * receives every vertex's BFS parent from the last source (-1 at the
+ * source).  Returns 1 as soon as some vertex is unreachable from a source,
+ * else 0. */
 int bfs_rows(int32_t nv, const int32_t *indptr, const int32_t *indices,
              const int32_t *sources, int32_t count, int32_t cols,
              int64_t *out, int32_t *dist, int32_t *queue, int32_t *pred)
 {
     for (int32_t k = 0; k < count; k++) {
-        int32_t head = 0, tail = 1, s = sources[k];
-        for (int32_t v = 0; v < nv; v++)
-            dist[v] = -1;
-        dist[s] = 0;
-        queue[0] = s;
-        if (pred)
-            pred[s] = -1;
-        while (head < tail) {
-            int32_t u = queue[head++], d = dist[u] + 1;
-            for (int32_t e = indptr[u]; e < indptr[u + 1]; e++) {
-                int32_t w = indices[e];
-                if (dist[w] < 0) {
-                    dist[w] = d;
-                    queue[tail++] = w;
-                    if (pred)
-                        pred[w] = u;
-                }
-            }
-        }
-        if (tail < nv)
+        if (search_from(nv, indptr, indices, sources[k], dist, queue, pred) < nv)
             return 1;
         for (int32_t v = 0; v < cols; v++)
             out[(size_t)k * cols + v] = dist[v];
+    }
+    return 0;
+}
+
+/* What boundary_rows needs, over a graph of nv vertices whose first n are
+ * the boundary cycle.  Returns 2, writing nothing, if some cycle edge
+ * (i, i + 1 mod n) is missing.  Else one search from all n boundary
+ * vertices writes each vertex's layer, its distance to the boundary, and
+ * the result is 1 if it leaves a vertex unreached: with the cycle edges
+ * the boundary is connected, so the graph is not.  Else a plain search
+ * from vertex 0 writes row 0 and column 0 of out (n x n) and each vertex's
+ * parent in its BFS tree (-1 at 0), and the result is 0.  dist and queue
+ * are scratch arrays of nv entries. */
+int boundary_tree(int32_t nv, const int32_t *indptr, const int32_t *indices, int32_t n,
+                  int32_t *layer, int32_t *parent, int64_t *out, int32_t *dist, int32_t *queue)
+{
+    for (int32_t i = 0; i < n; i++) {
+        int32_t j = (i + 1) % n, e = indptr[i];
+        while (e < indptr[i + 1] && indices[e] != j)
+            e++;
+        if (e == indptr[i + 1])
+            return 2;
+    }
+    for (int32_t v = 0; v < nv; v++)
+        layer[v] = -1;
+    for (int32_t i = 0; i < n; i++) {
+        layer[i] = 0;
+        queue[i] = i;
+    }
+    if (search(indptr, indices, n, UNBOUNDED, layer, queue, NULL) < nv)
+        return 1;
+    search_from(nv, indptr, indices, 0, dist, queue, parent);
+    for (int32_t y = 0; y < n; y++)
+        out[y] = out[(size_t)y * n] = dist[y];
+    return 0;
+}
+
+/* Sets every vertex of the tree path pi_x from x up to vertex 0 to
+ * ON_PATH in dist; 0 if one of them was excluded, else 1. */
+static int mark_path(const int32_t *parent, int32_t x, int32_t *dist)
+{
+    int clear = 1;
+    for (int32_t v = x; v >= 0; v = parent[v]) {
+        clear &= dist[v] != EXCLUDED;
+        dist[v] = ON_PATH;
+    }
+    return clear;
+}
+
+/* Excludes every vertex reached from the top excluded vertices of stack
+ * through vertices off the path marked ON_PATH, so that every neighbour
+ * of an excluded vertex is excluded or on the path.  Returns 0 as soon as
+ * it would exclude a target, a boundary vertex y with x < y < n, else 1. */
+static int flood(const int32_t *indptr, const int32_t *indices, int32_t n, int32_t x, int32_t *dist,
+                 int32_t *stack, int32_t top)
+{
+    while (top > 0) {
+        int32_t u = stack[--top];
+        for (int32_t e = indptr[u]; e < indptr[u + 1]; e++) {
+            int32_t w = indices[e];
+            if (dist[w] > ON_PATH) {
+                if (x < w && w < n)
+                    return 0;
+                dist[w] = EXCLUDED;
+                stack[top++] = w;
+            }
+        }
+    }
+    return 1;
+}
+
+/* Every vertex unreached and not excluded: -1 - layer in dist. */
+static void unreached(int32_t nv, const int32_t *layer, int32_t *dist)
+{
+    for (int32_t v = 0; v < nv; v++)
+        dist[v] = -1 - layer[v];
+}
+
+/* Grows the excluded set E in dist for source x, the span's first if x is
+ * first: from the boundary vertices 1..x-1 off pi_x then, else from
+ * pi_{x-1} \ pi_x.  Returns 1, with E grown and every other vertex at
+ * -1 - layer, if E holds neither a vertex of pi_x nor a target; else 0,
+ * dist then in no defined state. */
+static int grow(const int32_t *indptr, const int32_t *indices, int32_t n, const int32_t *layer,
+                const int32_t *parent, int32_t x, int32_t first, int32_t *dist, int32_t *stack)
+{
+    int32_t top = 0;
+    if (!mark_path(parent, x, dist))
+        return 0;
+    if (x == first) {
+        for (int32_t v = 1; v < x; v++)
+            if (dist[v] != ON_PATH) {
+                dist[v] = EXCLUDED;
+                stack[top++] = v;
+            }
+    } else
+        for (int32_t v = x - 1; dist[v] != ON_PATH; v = parent[v]) {
+            if (x < v && v < n)
+                return 0;
+            dist[v] = EXCLUDED;
+            stack[top++] = v;
+        }
+    if (!flood(indptr, indices, n, x, dist, stack, top))
+        return 0;
+    for (int32_t v = x; v >= 0; v = parent[v])
+        dist[v] = -1 - layer[v];
+    return 1;
+}
+
+/* Rows lo..hi-1 of the boundary distances out (n x n), after boundary_tree
+ * returned 0 with layer and parent: the search from each x >= 1 writes
+ * out[x][y] and out[y][x] for the targets y > x only, and skips two kinds
+ * of vertices, each exactly.
+ *
+ * Side.  With pi_x the tree path from 0 to x, a geodesic, the excluded set
+ * E grows by flooding (see flood) from pi_{x-1} \ pi_x, and at the span's
+ * first x from the boundary vertices 1..x-1 off pi_x, so every neighbour
+ * of E lies in E or on pi_x.  If E holds neither a vertex of pi_x nor a
+ * target, a shortest path from x to a target that enters E leaves it onto
+ * pi_x again, and the part between can follow pi_x at no cost.
+ *
+ * Depth.  With every cycle edge, d(x, y) <= cyc(x, y) <= min(n/2, n-1-x),
+ * and d(w, y) >= layer(w), so no vertex w with d(x, w) + layer(w) beyond
+ * that bound is on a shortest path to a target.
+ *
+ * Both are graph facts, checked, not planarity: if pi_x meets E, E would
+ * take a target, or a target is left unreached, the rest of the span runs
+ * without E.  dist and queue are scratch arrays of nv entries.  Returns 1
+ * if a search without E leaves a target unreached, which the cycle edges
+ * rule out, else 0. */
+int boundary_rows(int32_t nv, const int32_t *indptr, const int32_t *indices, int32_t n,
+                  const int32_t *layer, const int32_t *parent, int32_t lo, int32_t hi,
+                  int64_t *out, int32_t *dist, int32_t *queue)
+{
+    int side = 1;
+    int32_t first = lo > 1 ? lo : 1;
+    unreached(nv, layer, dist);
+    for (int32_t x = first; x < hi && x < n - 1; x++) {
+        int32_t bound = n / 2 < n - 1 - x ? n / 2 : n - 1 - x, tail;
+        if (side && !(side = grow(indptr, indices, n, layer, parent, x, first, dist, queue)))
+            unreached(nv, layer, dist);
+        for (;;) {
+            dist[x] = 0;
+            queue[0] = x;
+            tail = search(indptr, indices, 1, bound, dist, queue, NULL);
+            int32_t y = x + 1;
+            while (y < n && dist[y] >= 0)
+                y++;
+            if (y == n)
+                break;
+            if (!side)
+                return 1;
+            side = 0;
+            unreached(nv, layer, dist);
+        }
+        for (int32_t y = x + 1; y < n; y++)
+            out[(size_t)x * n + y] = out[(size_t)y * n + x] = dist[y];
+        for (int32_t k = 0; k < tail; k++)
+            dist[queue[k]] = -1 - layer[queue[k]];
     }
     return 0;
 }

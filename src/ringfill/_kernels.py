@@ -161,6 +161,8 @@ def signatures() -> dict:
         "disk_marks": (i32, [i32, i32, ids, i32, ids, ids, ids, i32, ids, marks, marks, marks, marks]),
         "graph_csr": (None, [ids, i32, i32, ids, ids]),
         "bfs_rows": (ctypes.c_int, [i32, ids, ids, ids, i32, i32, rows, ids, ids, parents]),
+        "boundary_tree": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, rows, ids, ids]),
+        "boundary_rows": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, i32, i32, rows, ids, ids]),
         "worst_ratio": (ctypes.c_int, [rows, i32, ids]),
         "lower_bounds": (None, [i64, i32, wide, wide, wide, i64, wide, i32]),
         "grow_state_size": (i32, [i32, i32]),

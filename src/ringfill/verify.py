@@ -7,7 +7,22 @@ Three independent instruments:
   (``_kernels.c``, built with the C compiler on first use and loaded
   through ctypes by :mod:`ringfill._kernels`), giving the exact Lipschitz
   constant delta of the filling, whose worst pair a compiled scan finds by
-  exact int64 cross-multiplication;
+  exact int64 cross-multiplication.  The search from a source x >= 1
+  fills only the pairs (x, y) with y > x and skips two sets of vertices,
+  each exactly.  *Side:* the path pi_x from 0 to x in a BFS tree of
+  vertex 0 is a geodesic, and the excluded set E, flooded from the earlier
+  paths through vertices off pi_x, has every neighbour in E or on pi_x; so
+  a shortest path from x to a target that enters E leaves it onto pi_x
+  again, and the part between can follow pi_x at no cost (the uncrossing
+  lemma under Klein's multiple-source shortest paths).  *Depth:* with
+  every boundary cycle edge, d(x, y) <= cyc(x, y) <= min(n // 2, n - 1 - x),
+  and d(w, y) is at least w's layer, its distance to the boundary, so no
+  vertex w with d(x, w) + layer(w) above that bound lies on a shortest
+  path to a target.  Neither rests on planarity, and the kernel checks
+  both rather than trusting the input: if pi_x meets E, E would take a
+  target, or a target is left unreached, the rest of that span of sources
+  runs without E, and if a cycle edge is missing every source runs a
+  plain search;
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact scaled int64 arithmetic, one compiled pass per cycle,
   positions read from the ledger;
@@ -45,6 +60,9 @@ __all__ = [
     "separation_lower_bounds",
     "step_profile_eps",
 ]
+
+
+_SPANS_PER_THREAD = 4  # spans per BFS thread, so that a thread done early takes another
 
 
 def cycle_dist(i: int, j: int, n: int) -> int:
@@ -94,14 +112,22 @@ def _bfs_rows(graph: tuple, sources: range, out, want_pred: bool = False) -> mem
 
 
 def _bfs_plan(n: int, jobs: int) -> tuple[list[range], int]:
-    """The spans of boundary sources, ``ceil(n / jobs)`` each, and the threads to run them on.
+    """The spans of boundary sources, in order, and the threads to run them on.
 
-    There are never more threads than spans or than CPUs, so a ``jobs``
-    beyond n starts no more threads than the machine runs at once.
+    There are never more threads than ``jobs``, than sources or than CPUs,
+    so a ``jobs`` beyond n starts no more threads than the machine runs at
+    once.  One thread takes all n sources as one span.  More threads take
+    spans of ``ceil(n / (_SPANS_PER_THREAD * threads))`` sources, handed
+    out as threads come free.  A search from the first half of the
+    boundary costs far more than one from the second (50 to 100 times on
+    the built fillings, whose BFS tree paths from vertex 0 follow the
+    boundary, so the side cut takes nothing from the first half and all
+    but the path from the second), and one equal span per thread would
+    leave all threads but the first idle for most of the run.
     """
-    size = -(-n // jobs)
-    spans = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
-    return spans, min(len(spans), os.cpu_count() or 1)
+    threads = min(jobs, n, os.cpu_count() or 1)
+    size = -(-n // (_SPANS_PER_THREAD * threads)) if threads > 1 else n
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)], threads
 
 
 def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> memoryview:
@@ -116,22 +142,53 @@ def boundary_distance_matrix(t: Triangulation, jobs: int = 1) -> memoryview:
 def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
     """The ``(n, n)`` int64 BFS distances between the first n vertices of the CSR ``graph``.
 
-    The sources are split into ``jobs`` spans of ``ceil(n / jobs)`` (see
-    :func:`_bfs_plan`), which are independent and read-only over the shared
-    graph, so they run on a pool of threads, each span writing its own rows
-    of the result (see :func:`_bfs_rows`, keeping only the n boundary
-    columns); the kernel releases the GIL, so the threads run in parallel
-    and the result is the same at any ``jobs``.
+    One compiled search from all n boundary vertices gives every vertex its
+    layer, its distance to the boundary, and one from vertex 0 gives row 0
+    and a BFS tree (``boundary_tree``).  The search from each later source x
+    then fills the pairs (x, y), y > x, only, confined to one side of the
+    tree path from 0 to x and pruned by layer (``boundary_rows``; the module
+    docstring says why both cuts are exact).  If a boundary cycle edge is
+    missing, the depth cut does not hold, so every source runs a plain
+    search (see :func:`_bfs_rows`) and :func:`_worst_pair` names the edge.
+
+    The sources are split into spans (see :func:`_bfs_plan`), which are
+    independent and read-only over the shared graph, so they run on a pool
+    of up to ``jobs`` threads, each span writing its own pairs of the
+    result; the kernels release the GIL, so the threads run in
+    parallel and the result is the same at any ``jobs``.  Raises ValueError
+    before any search if the CSR does not fit its vertex count or the n
+    boundary vertices.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
+    indptr, indices = graph
+    size, lib = len(indptr) - 1, _library()  # built here, before any thread would race to build it
+    if not (
+        0 < n <= size
+        and indptr[size] == len(indices)
+        and 0 <= lib.top_id(indptr, size + 1) <= len(indices)
+        and lib.top_id(indices, len(indices)) < size
+    ):
+        raise ValueError(f"a CSR of {size} vertices and {len(indices)} neighbours cannot hold {n} boundary vertices")
     dist = buffer("q", n, n)
     spans, workers = _bfs_plan(n, jobs)
+    layer, parent = buffer("i", size), buffer("i", size)
+    scratch = [(buffer("i", size), buffer("i", size)) for _ in range(workers)]  # one pair for each running span
+    found = lib.boundary_tree(size, indptr, indices, n, layer, parent, dist, *scratch[0])
+    if found == 1:
+        raise ValueError("graph is disconnected: some vertex is unreachable from the boundary")
 
     def run(sources: range) -> None:
-        _bfs_rows(graph, sources, dist[sources.start : sources.stop])
+        if found == 2:  # a cycle edge is missing
+            _bfs_rows(graph, sources, dist[sources.start : sources.stop])
+            return
+        pair = scratch.pop()  # atomic, as is the append: no two spans share a pair
+        try:
+            if lib.boundary_rows(size, indptr, indices, n, layer, parent, sources.start, sources.stop, dist, *pair):
+                raise RuntimeError(f"the search from boundary sources {sources} left a target unreached")
+        finally:
+            scratch.append(pair)
 
-    _library()  # built here, before any thread would race to build it
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # here, not at module load: it imports logging
 

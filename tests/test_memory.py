@@ -17,13 +17,20 @@ Loading is traced from the file on: reading the rows as Python lists with
 rows now grow one ``bytearray``, whose growth headroom (up to an eighth)
 and the reader's 64 KiB text blocks (about 0.3 of the array at this size,
 a constant) make up the rest.
+
+Verification is traced over ``verify_filling`` with the edge table cached,
+as the command line runs it after validation: 3.0 times (1.19 MB of CSR,
+the 1.18 MB boundary matrix, the layer and BFS-tree arrays of the
+confined searches and two arrays of scratch, each of one int32 per
+vertex).  A matrix of the distances from each source to every vertex
+would take 128 times, and scratch kept for each source 64.
 """
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from ringfill import Params, build_filling, drift_audit, validate_disk
+from ringfill import Params, build_filling, drift_audit, validate_disk, verify_filling
 from ringfill.serialize import build_to_dict, complex_from_dict, dump_json, load_json
 
 PARAMS = Params(384, Fraction(1, 10), Fraction(1, 4))
@@ -42,18 +49,22 @@ def _peak(call):
 
 @pytest.fixture(scope="module")
 def peaks(tmp_path_factory):
-    """Peak of each stage over the triangle array's bytes: build, validate, audit, and loading the build file."""
+    """Peak of each stage over the triangle array's bytes: build, validate, audit, verify, and loading the build file."""
     build, built = _peak(lambda: build_filling(PARAMS))
     size = build.triangulation.triangles.nbytes
     _, validated = _peak(lambda: validate_disk(build.triangulation))
     # the edge table is cached now, as it is when the command line audits
     _, audited = _peak(lambda: drift_audit(build))
+    _, verified = _peak(lambda: verify_filling(build.triangulation))
     path = tmp_path_factory.mktemp("memory") / "k384.json"
     dump_json(build_to_dict(build), str(path))
     _, loaded = _peak(lambda: complex_from_dict(load_json(str(path))))
-    return {"build": built / size, "validate": validated / size, "audit": audited / size, "load": loaded / size}
+    return {"build": built / size, "validate": validated / size, "audit": audited / size, "verify": verified / size,
+            "load": loaded / size}
 
 
-@pytest.mark.parametrize("stage, bound", [("build", 1.3), ("validate", 4.1), ("load", 1.5), ("audit", 0.5)])
+@pytest.mark.parametrize(
+    "stage, bound", [("build", 1.3), ("validate", 4.1), ("load", 1.5), ("audit", 0.5), ("verify", 3.2)]
+)
 def test_stage_peaks_a_small_multiple_of_the_triangles(peaks, stage, bound):
     assert peaks[stage] <= bound, peaks

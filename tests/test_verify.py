@@ -4,12 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import reference_impl as ref
+from hypothesis import assume, given, settings, strategies as st
 from reference_impl import bfs_distances, reference_drift_audit, reference_separation_lower_bounds, skeleton_graph
 from reference_impl import drift_audit as numpy_drift_audit
 
 from ringfill import (
+    Params,
+    ScheduleError,
     Triangulation,
     boundary_distance_matrix,
+    build_filling,
     cone_over_cycle,
     cycle_dist,
     drift_audit,
@@ -131,13 +135,41 @@ def test_verify_jobs_deterministic(medium_build):
 def test_bfs_threads_are_capped_by_spans_and_cpus(monkeypatch, cpus):
     import ringfill.verify as verify
 
-    # only the arithmetic: no thread is started
+    # only the arithmetic: no thread is started.  One thread takes one span;
+    # more take four spans each, since sources in the first half of the
+    # boundary cost far more than those in the second.
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    for n, jobs, sizes in [(64, 3, [22, 22, 20]), (25, 1, [25]), (7, 7, [1] * 7), (4096, 100_000, [1] * 4096)]:
+    threads = cpus or 1
+    for n, jobs, sizes in [
+        (64, 3, {1: [64], 2: [8] * 8, 64: [6] * 10 + [4]}),
+        (25, 1, {1: [25], 2: [25], 64: [25]}),
+        (7, 7, {1: [7], 2: [1] * 7, 64: [1] * 7}),
+        (4096, 100_000, {1: [4096], 2: [512] * 8, 64: [16] * 256}),
+    ]:
         spans, workers = verify._bfs_plan(n, jobs)
-        assert [len(span) for span in spans] == sizes
+        assert [len(span) for span in spans] == sizes[threads]
         assert [i for span in spans for i in span] == list(range(n))
-        assert workers == min(len(sizes), cpus or 1)
+        assert workers == min(jobs, n, threads)
+
+
+def test_running_spans_never_share_scratch(monkeypatch):
+    # Eight threads on however few cores, switching as often as the
+    # interpreter allows: two running spans given one scratch pair would
+    # garble each other's searches.
+    import sys
+
+    import ringfill.verify as verify
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    t = build_filling(Params(320, Fraction(1, 10), Fraction(1, 4))).triangulation
+    want = boundary_distance_matrix(t, jobs=1).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert boundary_distance_matrix(t, jobs=8).tolist() == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_jobs_beyond_n_ask_the_pool_for_the_cpus_only(monkeypatch, medium_build):
@@ -249,19 +281,114 @@ def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs)
         assert all(fw[a, b] == 1 for a, b in zip(path, path[1:]))
 
 
+def _reference_rows(t):
+    adj = skeleton_graph(t)
+    return [bfs_distances(adj, src)[: t.n] for src in range(t.n)]
+
+
+def _plans(monkeypatch, jobs):
+    """The plan of ``jobs`` threads, however many CPUs run the tests, or each source a span of its own ("each")."""
+    import ringfill.verify as verify
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    if jobs == "each":
+        monkeypatch.setattr(verify, "_bfs_plan", lambda n, jobs: ([range(x, x + 1) for x in range(n)], 1))
+        return 1
+    return jobs
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, "each"])
+def test_confined_searches_give_the_per_source_matrix(flipped_builds, monkeypatch, jobs):
+    # Each search from x >= 1 skips one side of the tree path from 0 to x and
+    # every vertex too deep to lie on a shortest path to a target y > x; every
+    # span of sources starts with its own flood.  The matrix must still be the
+    # plain searches', byte for byte: on the cones (delta < 1 from C_6 on), on
+    # valid disks with a stray edge, and on the latitude filling of C_64
+    # (delta = 7/8), whose worst pair and witness must not change either.
+    from test_kernels import _latitude_build
+
+    jobs = _plans(monkeypatch, jobs)
+    for t in [cone_over_cycle(k) for k in range(3, 13)] + [b.triangulation for b, _ in flipped_builds.values()]:
+        assert boundary_distance_matrix(t, jobs=jobs).tolist() == _reference_rows(t)
+    t = _latitude_build(64).triangulation
+    want = _reference_rows(t)
+    report = verify_filling(t, jobs=jobs)
+    assert report.boundary_distances.tolist() == want
+    x, y, d_k, d_c = report.worst_pair
+    assert report.delta == Fraction(7, 8) and (x, y) == ref.worst_pair(np.array(want), 64)
+    path = report.witness_path
+    adj = skeleton_graph(t)
+    assert path[0] == x and path[-1] == y and len(path) - 1 == d_k == want[x][y]
+    assert all(b in adj[a] for a, b in zip(path, path[1:]))
+
+
+@given(st.integers(12, 64), st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(3, 10)]),
+       st.sampled_from([Fraction(1, 5), Fraction(1, 4), Fraction(2, 5)]), st.sampled_from([1, 2, 3, "each"]))
+@settings(max_examples=12, deadline=None)
+def test_confined_searches_match_the_reference_on_builds(n, rho, eta, jobs):
+    assume(eta * eta < rho)
+    try:
+        t = build_filling(Params(n, rho, eta)).triangulation
+    except ScheduleError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert boundary_distance_matrix(t, jobs=_plans(monkeypatch, jobs)).tolist() == _reference_rows(t)
+
+
+def _with_triangles(t, rows, extra=0):
+    return Triangulation(t.n, t.num_vertices + extra, np.vstack([np.asarray(t.triangles), rows]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, "each"])
+def test_hostile_inputs_give_the_reference_or_the_named_error(small_build, monkeypatch, jobs):
+    jobs = _plans(monkeypatch, jobs)
+    t = small_build.triangulation
+    v = t.num_vertices
+    # without boundary edge (3, 4) the depth cut does not hold: every source
+    # runs a plain search, and the worst pair scan names the edge
+    gap = Triangulation(25, v, [row for row in t.triangles.tolist() if not {3, 4} <= set(row)])
+    assert boundary_distance_matrix(gap, jobs=jobs).tolist() == _reference_rows(gap)
+    with pytest.raises(ValueError, match=r"for pair \(0, 4\): boundary cycle edges are missing"):
+        verify_filling(gap, jobs=jobs)
+    # a stray triangle leaves three vertices that no search reaches
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        boundary_distance_matrix(_with_triangles(t, [(v, v + 1, v + 2)], 3), jobs=jobs)
+    # Shortcuts through a new vertex across the disk, or between boundary
+    # vertices, are no planar disk: the flood from one side of a tree path
+    # crosses them and reaches a target, so the rest of the span runs
+    # without the side cut and must still give the plain searches' matrix.
+    cycle = small_build.ledger[1]
+    for ends in [(cycle.vertex(2), cycle.vertex(14)), (cycle.vertex(20), cycle.vertex(5)), (0, 12), (24, 6)]:
+        shortcut = _with_triangles(t, [(*ends, v)], 1)
+        assert boundary_distance_matrix(shortcut, jobs=jobs).tolist() == _reference_rows(shortcut)
+    both = _with_triangles(t, [(24, 6, v), (1, 8, v + 1)], 2)
+    assert boundary_distance_matrix(both, jobs=jobs).tolist() == _reference_rows(both)
+
+
 def test_out_of_range_ids_are_refused_before_the_kernel(monkeypatch):
+    from array import array
+
+    import ringfill.verify as verify
     from ringfill import _kernels
 
     def _refuse(*args):
         raise AssertionError("the kernel was reached")
 
-    for entry in ("graph_csr", "bfs_rows"):
+    indptr, indices = verify._graph_csr(cone_over_cycle(4))
+    for entry in ("graph_csr", "bfs_rows", "boundary_tree", "boundary_rows"):
         monkeypatch.setattr(_kernels.library(), entry, _refuse)
     # Triangulation takes ids up to the int32 maximum whatever its vertex count
     with pytest.raises(ValueError, match="vertex id 5, beyond the 3 vertices"):
         boundary_distance_matrix(Triangulation(3, 3, [(0, 1, 2), (0, 1, 5)]))
     with pytest.raises(ValueError, match="2147483648 vertices are more than the BFS kernel's int32 ids hold"):
         boundary_distance_matrix(Triangulation(3, 2**31, [(0, 1, 2)]))
+    # the boundary driver's caller checks the CSR it is handed against its vertex count and n
+    past_end, beyond, negative = array("i", indptr), array("i", indices), array("i", indptr)
+    past_end[2], beyond[3], negative[1] = 17, 5, -1
+    for graph, n in [((indptr, indices), 6), ((indptr, indices), 0), ((past_end, indices), 4),
+                     ((indptr, beyond), 4), ((negative, indices), 4), ((indptr, indices[:-1]), 4)]:
+        with pytest.raises(ValueError, match=f"a CSR of 5 vertices and 1[56] neighbours cannot hold {n} boundary"):
+            verify._boundary_distances(graph, n, 1)
 
 
 def _use_kernel(monkeypatch, library):
