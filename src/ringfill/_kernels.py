@@ -22,6 +22,8 @@ _CACHE = Path(__file__).with_name("__pycache__")  # beside the .pyc files, with 
 _CC = ("cc", "-O2", "-shared", "-fPIC")
 DISK_SCRATCH = 30  # int32 scratch entries per triangle that disk_verdicts takes
 MAX_ID = 2**31 - 1  # the largest vertex id of the kernels' int32 arrays
+MAX_TRIANGLES = MAX_ID // 6  # the most triangles a complex may have, so that int32 edge and corner ids cannot wrap
+INT32 = frozenset(c for c in "il" if calcsize(c) == 4)  # the struct formats of int32
 
 
 def buffer(code: str, *shape: int) -> memoryview:
@@ -46,7 +48,12 @@ class _Buffer:
     of the same layout from the standard library: an ``array.array``, or a
     ``bytearray`` cast by ``memoryview.cast``, such as :func:`buffer` makes.
     A ``nullable`` pointer also takes None, for NULL.  Anything else raises,
-    which ctypes reports as ``ctypes.ArgumentError``.
+    which ctypes reports as ``ctypes.ArgumentError``.  The package itself
+    passes only the latter; numpy arrays come from numpy callers, such as
+    the tests: ``test_pointer_arguments_take_what_ndpointer_took`` hands
+    every pointer a read-only array, and the differential tests of
+    ``test_kernels``, ``test_oracle`` and ``test_simplicial`` hand the
+    kernels' callers numpy stacks and triangles.
     """
 
     def __init__(self, name: str, codes: set[str], ndim: int | None = None, nullable: bool = False):
@@ -141,7 +148,7 @@ def signatures() -> dict:
     def codes(chars: str, size: int) -> set[str]:
         return {c for c in chars if calcsize(c) == size}
 
-    ids = _Buffer("int32", codes("bhilq", 4))
+    ids = _Buffer("int32", INT32)
     rows = _Buffer("int64", codes("bhilq", 8), ndim=2)
     wide = _Buffer("int64", codes("bhilq", 8))
     words = _Buffer("uint64", codes("BHILQ", 8))

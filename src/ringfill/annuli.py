@@ -66,7 +66,7 @@ class LayerRecord:
     drift_bound: Fraction | None = None
 
     def vertex(self, i):
-        """Id of the ``i``-th cycle vertex (elementwise for numpy arrays), indices taken mod length."""
+        """Id of the ``i``-th cycle vertex, the index taken mod length."""
         return self.first_vertex + (i % self.length)
 
 

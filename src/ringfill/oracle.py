@@ -11,15 +11,15 @@ order.  The counts equal W. G. Brown's closed formula for triangulated disks
 Both hot loops are compiled kernels of ``_kernels.c``: a resumable
 backtracking enumeration that writes the fillings into ``(B, F, 3)`` int32
 stacks, and an isometry test on per-complex adjacency bitsets.  Every stack
-passes ``disk_verdicts``, the compiled per-complex form of
+passes :func:`validate_disk_batch`, the compiled per-complex form of
 :func:`ringfill.validate_disk`'s checks and an independent check on the
 enumerator, before its isometry test.  The search state, the stacks and
-the kernels' scratch are ``bytearray`` buffers cast by ``memoryview``, so a
-search imports no numpy: :mod:`ringfill.simplicial` is imported only to
-build a witness and to report an invalid leaf, and numpy only by
-:func:`enumerate_fillings`.  Budgets are tiny by design: this module exists
-to ground-truth the verifier and the small end of the construction, not to
-chase the asymptotics.
+the kernels' scratch are ``bytearray`` buffers cast by ``memoryview``, and
+a filling taken out of a stack is a view of its rows, so this module
+imports no numpy: :mod:`ringfill.simplicial` is imported only to hand a
+filling on, to build a witness and to report an invalid leaf.  Budgets
+are tiny by design: this module exists to ground-truth the verifier and
+the small end of the construction, not to chase the asymptotics.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._kernels import DISK_SCRATCH, buffer, library as _library
+from ._kernels import DISK_SCRATCH, INT32, MAX_ID, MAX_TRIANGLES, buffer, library as _library
 
 if TYPE_CHECKING:
     from .simplicial import Triangulation
@@ -39,6 +39,7 @@ __all__ = [
     "is_isometric_filling",
     "OracleResult",
     "min_isometric_vertices",
+    "validate_disk_batch",
 ]
 
 MAX_BOUNDARY = 7
@@ -110,15 +111,37 @@ def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[memoryvi
             return
 
 
-def _verdicts(n: int, nv: int, stack) -> bytearray:
-    """Byte b is 1 iff complex b of the ``(B, F, 3)`` int32 ``stack`` is a disk filling C_n on ``nv`` vertices.
+def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
+    """:func:`ringfill.validate_disk`'s verdicts on the B complexes of one size in a stack, in one call.
 
-    The compiled ``disk_verdicts`` checks each complex on its own and shares
-    no code with the search, so it is an independent check on it.
+    ``stack`` is a C-contiguous ``(B, F, 3)`` int32 buffer, such as the
+    search's stacks or a numpy int32 array; complex b is
+    ``Triangulation(n, num_vertices, stack[b])``.  The compiled
+    ``disk_verdicts`` checks each complex on its own, with scratch linear in
+    F, and shares no code with the search, so it is an independent check on
+    it.  A complex of F triangles covers at most 3F vertices, so any other
+    ``num_vertices`` fails every complex.  Returns a ``(B,)`` bool buffer,
+    True where :func:`ringfill.validate_disk` reports ``ok``; ask it for the
+    failures of a complex this flags.  Raises ValueError, before the kernel
+    runs, for another shape or format, an empty stack, a negative id, or
+    more than ``MAX_TRIANGLES`` triangles a complex.
     """
-    num, nf = stack.shape[:2]
-    ok = bytearray(num)
-    _library().disk_verdicts(n, nv, stack, num, nf, buffer("i", DISK_SCRATCH * nf), memoryview(ok).cast("?"))
+    view = memoryview(stack)
+    if view.ndim != 3 or view.shape[2] != 3 or not view.nbytes:
+        raise ValueError(f"triangles must be a (B, F, 3) array with B, F >= 1, got shape {view.shape}")
+    num, nf = view.shape[:2]
+    if nf > MAX_TRIANGLES:
+        raise ValueError(f"{nf} triangles have too many edges for int32 edge ids")
+    if view.format not in INT32 or not view.c_contiguous:
+        raise ValueError(
+            f"triangle vertex ids must be integers in a C-contiguous int32 buffer, got format {view.format!r}"
+        )
+    lib = _library()
+    if lib.top_id(stack, 3 * num * nf) < 0:
+        raise ValueError(f"triangle vertex ids must lie in 0..{MAX_ID}")
+    ok = buffer("?", num)
+    if 0 <= n <= num_vertices <= 3 * nf:
+        lib.disk_verdicts(n, num_vertices, stack, num, nf, buffer("i", DISK_SCRATCH * nf), ok)
     return ok
 
 
@@ -134,7 +157,7 @@ def _invalid(n: int, nv: int, leaves) -> RuntimeError:
 
 
 def _stacks(budget: EnumerationBudget) -> Iterator[memoryview]:
-    """The stacks of :func:`_fillings`, each one checked by :func:`_verdicts`.
+    """The stacks of :func:`_fillings`, each one checked by :func:`validate_disk_batch`.
 
     Every filling has ``n + interior`` vertices and ``F = n - 2 +
     2*interior`` triangles.  A filling failing the check is a bug in the
@@ -144,7 +167,7 @@ def _stacks(budget: EnumerationBudget) -> Iterator[memoryview]:
     n, nv = budget.n, budget.n + budget.interior
     nf = n - 2 + 2 * budget.interior
     for chunk in _fillings(budget):
-        if chunk.shape[1] != nf or 0 in _verdicts(n, nv, chunk):
+        if chunk.shape[1] != nf or not all(validate_disk_batch(n, nv, chunk)):
             raise _invalid(n, nv, chunk)
         yield chunk
 
@@ -159,17 +182,23 @@ def enumerate_fillings(
     enumerator, so it raises instead of skipping.  Fillings are searched and
     validated a stack at a time as they are consumed.
     """
-    import numpy as np
-
-    from .simplicial import Triangulation
-
     if stats is None:
         stats = EnumerationStats()
     nv = budget.n + budget.interior
     for chunk in _stacks(budget):
-        for triangles in np.asarray(chunk):
+        for filling in _triangulations(budget.n, nv, chunk):
             stats.emitted += 1
-            yield Triangulation(budget.n, nv, triangles)
+            yield filling
+
+
+def _triangulations(n: int, nv: int, stack, start: int = 0) -> Iterator[Triangulation]:
+    """The complexes of a ``(B, F, 3)`` int32 ``stack`` from complex ``start`` on, each from a view of its F rows."""
+    from .simplicial import Triangulation
+
+    num, nf = stack.shape[:2]
+    rows = memoryview(stack).cast("B").cast("i", (num * nf, 3))
+    for b in range(start, num):
+        yield Triangulation(n, nv, rows[b * nf : (b + 1) * nf])
 
 
 def _isometric_rows(n: int, nv: int, triangles) -> memoryview:
@@ -234,9 +263,7 @@ def min_isometric_vertices(n: int, max_interior: int = MAX_INTERIOR) -> OracleRe
         for chunk in _stacks(EnumerationBudget(n, k)):
             hit = _isometric_rows(n, n + k, chunk).tobytes().find(1)
             if hit >= 0:
-                from .simplicial import Triangulation
-
-                witness = Triangulation(n, n + k, chunk[hit : hit + 1].tolist()[0])
+                witness = next(_triangulations(n, n + k, chunk, hit))
                 return OracleResult(n=n, min_vertices=n + k, witness=witness, enumerated=total + hit + 1)
             total += len(chunk)
     return OracleResult(n=n, min_vertices=None, witness=None, enumerated=total)

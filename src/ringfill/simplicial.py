@@ -9,10 +9,10 @@ Triangles are one C-contiguous ``(F, 3)`` int32 buffer: a ``bytearray``
 cast by ``memoryview``, or the caller's int32 array when it hands one over.
 Edges, incidence and every validation check are derived from it by the
 compiled kernels of ``_kernels.c`` (the canonical rotation, an edge-table
-radix sort, a union-find, the witness marks of :func:`validate_disk`, and
-the per-complex disk check of a stack of complexes) on such buffers, so
-this module imports no numpy; numpy callers view any of them with
-``numpy.asarray`` without a copy.
+radix sort, a union-find and the witness marks of :func:`validate_disk`)
+on such buffers, so this module imports no numpy; numpy callers view any
+of them with ``numpy.asarray`` without a copy.  The same checks on a stack
+of complexes of one size are :func:`ringfill.oracle.validate_disk_batch`.
 """
 from __future__ import annotations
 
@@ -21,20 +21,17 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from ._kernels import MAX_ID as _MAX_ID, buffer
+from ._kernels import INT32 as _INT32, MAX_ID as _MAX_ID, MAX_TRIANGLES, buffer
 
 __all__ = [
     "Triangulation",
     "ValidationReport",
     "canonical_triangle",
     "validate_disk",
-    "validate_disk_batch",
     "cone_over_cycle",
 ]
 
-MAX_TRIANGLES = _MAX_ID // 6  # the most _edge_table takes, so that its int32 ids cannot wrap
 _INT_FORMATS = frozenset("bBhHiIlLqQnN")  # struct formats of integers
-_INT32 = frozenset(c for c in ("i", "l") if array(c).itemsize == 4)
 
 
 def canonical_triangle(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -422,42 +419,6 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
         )
     if components > 1:
         failures.append(f"complex is disconnected: {components} components")
-
-
-def validate_disk_batch(n: int, num_vertices: int, triangles):
-    """:func:`validate_disk`'s verdicts on B complexes of one size, in one call.
-
-    ``triangles`` is a ``(B, F, 3)`` integer array; complex b is
-    ``Triangulation(n, num_vertices, triangles[b])``.  The compiled
-    ``disk_verdicts`` checks each complex on its own, with scratch linear in
-    F, so numpy's fixed cost is paid once per stack, not once per complex.
-    Returns a ``(B,)`` numpy bool array, True where :func:`validate_disk`
-    reports ``ok``; ask it for the failures of a complex this flags.  The
-    oracle calls the kernel on its own stacks; this numpy form, for numpy
-    callers, imports numpy when called.
-    """
-    import numpy as np
-
-    from ._kernels import DISK_SCRATCH
-
-    tri = np.asarray(triangles)
-    if tri.ndim != 3 or tri.shape[2] != 3 or not tri.size:
-        raise ValueError(f"triangles must be a (B, F, 3) array with B, F >= 1, got shape {tri.shape}")
-    if tri.dtype.kind not in "iu":
-        raise ValueError(f"triangle vertex ids must be integers, got {tri.dtype}")
-    if tri.min() < 0 or tri.max() > _MAX_ID:
-        raise _id_range_error()
-    num, nf = tri.shape[:2]
-    if nf > MAX_TRIANGLES:
-        raise ValueError(f"{nf} triangles have too many edges for int32 edge ids")
-    ok = np.zeros(num, dtype=bool)
-    # A complex of F triangles covers at most 3F vertices, and its boundary C_n
-    # at most all of them: other counts, which may not fit int32, fail every complex.
-    if 0 <= n <= num_vertices <= 3 * nf:
-        scratch = np.empty(DISK_SCRATCH * nf, dtype=np.int32)
-        tri = np.ascontiguousarray(tri, dtype=np.int32)
-        _library().disk_verdicts(n, num_vertices, tri, num, nf, scratch, ok)
-    return ok
 
 
 def cone_over_cycle(n: int) -> Triangulation:

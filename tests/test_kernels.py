@@ -51,8 +51,8 @@ from ringfill import (
     verify_filling,
 )
 from ringfill import _kernels, oracle
-from ringfill.oracle import is_isometric_filling
-from ringfill.simplicial import _edge_table, validate_disk_batch
+from ringfill.oracle import is_isometric_filling, validate_disk_batch
+from ringfill.simplicial import _edge_table
 
 def _copy(t: Triangulation) -> Triangulation:
     """``t`` afresh, with no edge table cached."""
@@ -140,7 +140,7 @@ def test_oracle_stacks_match_the_references(n, k):
         for stack, valid in ((chunk, True), (broken, False)):
             got = validate_disk_batch(n, nv, stack)
             want = [_reference_report(Triangulation(n, nv, rows)).ok for rows in stack]
-            assert got.tolist() == want and bool(got.all()) is valid
+            assert got.tolist() == want and all(got) is valid
 
 
 _corruptions = st.lists(
@@ -200,7 +200,10 @@ def test_verdict_kernel_never_takes_a_stray_id_for_a_vertex(stray):
     wheel = cone_over_cycle(3).triangles
     stack = np.stack([wheel, wheel, wheel])
     stack[1][stack[1] == 3] = stray
-    assert list(oracle._verdicts(3, 4, stack)) == [1, 0, 1]
+    ok = np.zeros(3, dtype=bool)
+    scratch = np.zeros(_kernels.DISK_SCRATCH * 3, dtype=np.int32)
+    _kernels.library().disk_verdicts(3, 4, stack, 3, 3, scratch, ok)
+    assert ok.tolist() == [True, False, True]
 
 
 def _fan(size: int) -> Triangulation:
@@ -465,6 +468,35 @@ def test_disk_marks_refuse_a_table_that_does_not_fit_before_the_kernel(monkeypat
     with pytest.raises(ValueError, match=r"an edge table of 5 triangles needs \(E, 2\), \(E,\) and \(5, 3\) int32"):
         simplicial._disk_failures(t.n, t.num_vertices, t.triangles, (edges, np.asarray(inc, np.int64), slot), report)
     assert report.failures == []
+
+
+def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
+    wheel = np.asarray(cone_over_cycle(3).triangles)
+    frozen = np.stack([wheel, wheel])
+    frozen.flags.writeable = False  # a read-only numpy stack is taken, by its address
+    assert validate_disk_batch(3, 4, frozen).tolist() == [True, True]
+    _refuse_kernels(monkeypatch, "disk_verdicts")
+    for stack, message in (
+        (wheel, r"\(B, F, 3\) array with B, F >= 1, got shape \(3, 3\)"),
+        (np.zeros((1, 2, 4), dtype=np.int32), r"\(B, F, 3\) array with B, F >= 1, got shape \(1, 2, 4\)"),
+        (np.zeros((0, 1, 3), dtype=np.int32), r"\(B, F, 3\) array with B, F >= 1, got shape \(0, 1, 3\)"),
+        (np.zeros((1, 0, 3), dtype=np.int32), r"\(B, F, 3\) array with B, F >= 1, got shape \(1, 0, 3\)"),
+        (np.asarray(frozen, dtype=np.int64), r"integers in a C-contiguous int32 buffer, got format 'l'"),
+        (np.full((1, 1, 3), 2**31, dtype=np.int64), r"integers in a C-contiguous int32 buffer, got format 'l'"),
+        (np.ones((1, 1, 3), dtype=bool), r"integers in a C-contiguous int32 buffer, got format '\?'"),
+        (np.zeros((1, 2, 6), dtype=np.int32)[:, :, ::2], r"integers in a C-contiguous int32 buffer, got format 'i'"),
+        (np.asarray([[(0, 1, -2)]], dtype=np.int32), r"triangle vertex ids must lie in 0..2147483647"),
+        (np.asarray([wheel, wheel - 1]), r"triangle vertex ids must lie in 0..2147483647"),
+        # a broadcast view has the length without the memory
+        (np.broadcast_to(wheel[0], (1, simplicial.MAX_TRIANGLES + 1, 3)), r"357913942 triangles have too many edges"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            validate_disk_batch(3, 4, stack)
+    with pytest.raises(TypeError):  # a list exports no buffer
+        validate_disk_batch(3, 4, wheel[None].tolist())
+    # a vertex count outside 1..3F, or below n, fails every complex without a call
+    for n, nv in ((3, 0), (3, 10), (3, 10**30), (4, 3), (-1, 4)):
+        assert validate_disk_batch(n, nv, frozen).tolist() == [False, False], (n, nv)
 
 
 def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):

@@ -14,8 +14,7 @@ from ringfill import (
     validate_disk,
 )
 from ringfill import oracle
-from ringfill.oracle import EnumerationStats
-from ringfill.simplicial import validate_disk_batch
+from ringfill.oracle import EnumerationStats, validate_disk_batch
 from reference_impl import interior_canonical_code, reference_grow, reference_is_isometric
 
 
@@ -165,7 +164,7 @@ def test_batch_flags_exactly_the_corrupted_complex(kind):
         broken = chunk.copy()
         broken[i] = _corrupt(chunk[i], kind)
         verdicts = validate_disk_batch(n, n + k, broken)
-        assert np.flatnonzero(~verdicts).tolist() == [i], (kind, i)
+        assert [b for b, ok in enumerate(verdicts) if not ok] == [i], (kind, i)
         assert not validate_disk(Triangulation(n, n + k, broken[i])).ok
 
 
@@ -175,7 +174,7 @@ def test_batch_rejects_malformed_stacks():
     with pytest.raises(ValueError, match=r"\(B, F, 3\) array"):
         validate_disk_batch(3, 3, np.zeros((0, 1, 3), dtype=np.int32))
     with pytest.raises(ValueError, match="must lie in"):
-        validate_disk_batch(3, 3, [[(0, 1, -2)]])
+        validate_disk_batch(3, 3, np.asarray([[(0, 1, -2)]], dtype=np.int32))
 
 
 def _leaves(*leaves):
@@ -230,13 +229,13 @@ def test_search_stops_at_the_first_isometric_stack(monkeypatch):
     # fillings within 4 interior vertices; the search must stop within the
     # witness's stack instead of validating the rest.
     validated = []
-    verdicts = oracle._verdicts
+    verdicts = oracle.validate_disk_batch
 
     def counting(n, nv, chunk):
         validated.append(len(chunk))
         return verdicts(n, nv, chunk)
 
-    monkeypatch.setattr(oracle, "_verdicts", counting)
+    monkeypatch.setattr(oracle, "validate_disk_batch", counting)
     result = min_isometric_vertices(7)
     assert result.enumerated == 38154
     assert 38154 <= sum(validated) <= 38154 + oracle._CHUNK

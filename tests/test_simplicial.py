@@ -12,7 +12,8 @@ from ringfill import (
     cone_over_cycle,
     validate_disk,
 )
-from ringfill.simplicial import _edge_table, validate_disk_batch
+from ringfill.oracle import validate_disk_batch
+from ringfill.simplicial import _edge_table
 from ringfill.serialize import triangulation_from_dict
 
 
@@ -232,7 +233,7 @@ def test_triangle_keys_stay_exact_past_int32():
     # triangle subdivided at a new vertex, on one vertex more.
     a, b, c = dup.tolist()
     good = np.vstack([np.delete(tri, 40000, axis=0), [(a, b, nv), (b, c, nv), (c, a, nv)]])
-    stack = np.stack([good, bad])
+    stack = np.asarray(np.stack([good, bad]), dtype=np.int32)
     want = [validate_disk(Triangulation(384, nv + 1, rows)).ok for rows in stack]
     assert want == [True, False]
     assert validate_disk_batch(384, nv + 1, stack).tolist() == want
