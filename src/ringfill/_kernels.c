@@ -3,7 +3,6 @@
  *   annulus_rows, cone_rows  the rows of one annulus or of the cone of a ledger
  *   top_id, canonical_rows   the id range of an int32 array, and the canonical rotation
  *   edge_slots, edge_ends    the edge table of a triangle array
- *   link_roots, vertex_roots union-find over the corner graph and the vertices
  *   disk_marks               validate_disk's witness marks, from the edge table
  *   graph_csr                the 1-skeleton's CSR
  *   bfs_rows                 plain BFS rows, and the witness's BFS tree
@@ -13,7 +12,7 @@
  *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
- *   disk_verdicts            the disk check of each complex of a stack
+ *   disk_verdicts            validate_disk's verdict on each complex of a stack
  *   isometric_rows           the oracle's isometry test on a stack of complexes
  *   drift_rows               the drift audit's pass over the edges of one cycle
  *   rows_text, parse_rows    build-file rows written as JSON text and read back
@@ -24,8 +23,9 @@
  * array and every scratch array is passed in by the caller, as a bytearray
  * cast by memoryview or a numpy array.  The caller checks every array:
  * C-contiguous, int32 unless stated, and every index within the sizes
- * given; disk_verdicts and disk_marks alone take vertex ids of any value,
- * and parse_rows text of any content, since rejecting them is their job.
+ * given; disk_verdicts alone takes vertex ids of any value, disk_marks any
+ * non-negative ones, and parse_rows text of any content, since rejecting
+ * them is their job.
  *
  * Triangles are rows of three int32 ids, each row rotated so its smallest id
  * comes first.  Slot s = 3f + j of a triangle array is the edge from corner
@@ -246,7 +246,8 @@ static void clear(int32_t *label, int32_t nodes)
 }
 
 /* Corner j of triangle t, whose slots have the edge ids e, joins the edges
- * directed away from it along slot j and along slot j - 1 (see link_roots). */
+ * directed away from it along slot j and along slot j - 1: node 2e + d of
+ * the corner graph is edge e directed away from its end d (see disk_marks). */
 static void link_join(int32_t *label, const int32_t *t, const int32_t *e)
 {
     for (int j = 0; j < 3; j++) {
@@ -255,45 +256,11 @@ static void link_join(int32_t *label, const int32_t *t, const int32_t *e)
     }
 }
 
-/* Triangle t joins its three corners (see vertex_roots). */
+/* Triangle t joins its three corners, in the union-find over the vertices. */
 static void corner_join(int32_t *label, const int32_t *t)
 {
     join(label, t[0], t[1]);
     join(label, t[1], t[2]);
-}
-
-/* The corner graph's components, counted by the vertex whose link each is.
- *
- * Node 2e + d is edge e directed away from its end ends[2e + d], and node ^ 1
- * is its reverse; there are nodes = 2E of them.  Corner j of a triangle joins
- * the directed edges leaving it along slot j and along slot j - 1, whose edge
- * ids slot gives.  label (nodes entries) ends as each touched node's
- * smallest node of its component, or -1; count[v] (zeroed by the caller)
- * gains one for each component with tail v. */
-void link_roots(const int32_t *tri, const int32_t *slot, int32_t nf, const int32_t *ends, int32_t nodes,
-                int32_t *label, int32_t *count)
-{
-    clear(label, nodes);
-    for (size_t f = 0; f < (size_t)nf; f++)
-        link_join(label, tri + 3 * f, slot + 3 * f);
-    finish(label, nodes);
-    for (int32_t v = 0; v < nodes; v++)
-        if (label[v] == v)
-            count[ends[v]]++;
-}
-
-/* The number of connected components of the nf triangles' vertices, of
- * nodes ids, each triangle joining its corners.  label as in link_roots. */
-int32_t vertex_roots(const int32_t *tri, int32_t nf, int32_t nodes, int32_t *label)
-{
-    int32_t components = 0;
-    clear(label, nodes);
-    for (size_t f = 0; f < (size_t)nf; f++)
-        corner_join(label, tri + 3 * f);
-    finish(label, nodes);
-    for (int32_t v = 0; v < nodes; v++)
-        components += label[v] == v;
-    return components;
 }
 
 /* The kinds of an edge for a disk bounded by the cycle 0..n-1: an interior
@@ -350,7 +317,7 @@ static inline int good(uint8_t mark)
 /* validate_disk's witnesses for the nf canonical triangles tri with the
  * edge table from edge_slots and edge_ends (the slot edge ids, the ne edges
  * and their incidence), on nv vertices and the boundary cycle 0..n-1, with
- * 3 <= n <= nv: one mark per triangle, edge, vertex and cycle edge.  Returns
+ * 0 <= n <= nv: one mark per triangle, edge, vertex and cycle edge.  Returns
  * the number of connected components of the good triangles' vertices.
  *
  *   tri_mark[f]     TRI_DEGENERATE, TRI_STRAY (a good-looking row with an id
@@ -364,13 +331,15 @@ static inline int good(uint8_t mark)
  *                   _PATH for a vertex on an incidence-1 edge, or VERTEX_OK
  *
  * Only good triangles enter the repeat, link and connectivity checks.  Two
- * triangles on one vertex set share their two smallest edge ids, so the
- * good triangles are counting-sorted by those ids, the second smallest
- * first, and each run of equal keys is one vertex set, its rows in order.
- * scratch holds max(2 ne, ne + 1 + 2 nf, nv) entries: the corner-graph
- * labels, then the sort's counts and two orders, then the vertex labels.
- * Vertex ids are compared with nv before they index anything; the edge ids
- * of slot lie in 0..ne-1. */
+ * triangles on one vertex set share their two smallest edge ids lo < hi.
+ * The good triangles are counting-sorted by lo, stably, so each run of
+ * equal lo keeps its rows in order, and within a run seen[hi] holds 4 times
+ * the run's start plus a bit for each orientation seen on that vertex set
+ * (an entry below 4 times the start is left from an earlier run).  scratch
+ * holds max(2 ne, ne + 1 + nf, nv) entries: the corner-graph labels, then
+ * the sort's counts (then seen) and order, then the vertex labels.  Vertex
+ * ids are compared with nv before they index anything; the edge ids of
+ * slot lie in 0..ne-1, and 4 nf + 3 fits int32. */
 int32_t disk_marks(int32_t n, int32_t nv, const int32_t *tri, int32_t nf, const int32_t *slot,
                    const int32_t *edges, const int32_t *incidence, int32_t ne, int32_t *scratch,
                    uint8_t *tri_mark, uint8_t *edge_mark, uint8_t *vertex_mark, uint8_t *cycle_mark)
@@ -405,12 +374,12 @@ int32_t disk_marks(int32_t n, int32_t nv, const int32_t *tri, int32_t nf, const 
         if (label[v] == v && edges[v] < nv && (vertex_mark[edges[v]] & LINKS) < 2)
             vertex_mark[edges[v]]++;
 
-    int32_t *count = scratch, *by_second = count + ne + 1, *order = by_second + nf, kept = 0, lo, hi;
+    int32_t *count = scratch, *order = count + ne + 1, kept = 0, lo, hi;
     memset(count, 0, sizeof(int32_t) * ((size_t)ne + 1));
     for (int32_t f = 0; f < nf; f++)
         if (good(tri_mark[f])) {
             two_smallest(slot + 3 * (size_t)f, &lo, &hi);
-            count[hi + 1]++;
+            count[lo + 1]++;
             kept++;
         }
     for (int32_t e = 0; e < ne; e++)
@@ -418,37 +387,28 @@ int32_t disk_marks(int32_t n, int32_t nv, const int32_t *tri, int32_t nf, const 
     for (int32_t f = 0; f < nf; f++)
         if (good(tri_mark[f])) {
             two_smallest(slot + 3 * (size_t)f, &lo, &hi);
-            by_second[count[hi]++] = f;
+            order[count[lo]++] = f;
         }
-    memset(count, 0, sizeof(int32_t) * ((size_t)ne + 1));
-    for (int32_t i = 0; i < kept; i++) {
-        two_smallest(slot + 3 * (size_t)by_second[i], &lo, &hi);
-        count[lo + 1]++;
-    }
+    int32_t *seen = count;
     for (int32_t e = 0; e < ne; e++)
-        count[e + 1] += count[e];
-    for (int32_t i = 0; i < kept; i++) {
-        two_smallest(slot + 3 * (size_t)by_second[i], &lo, &hi);
-        order[count[lo]++] = by_second[i];
-    }
-    for (int32_t i = 0, j; i < kept; i = j) {
-        int32_t lo_i, hi_i;
-        two_smallest(slot + 3 * (size_t)order[i], &lo_i, &hi_i);
-        for (j = i + 1; j < kept; j++) {
-            two_smallest(slot + 3 * (size_t)order[j], &lo, &hi);
-            if (lo != lo_i || hi != hi_i)
-                break;
+        seen[e] = -1;
+    for (int32_t k = 0, start = 0, run = -1; k < kept; k++) {
+        const int32_t *t = tri + 3 * (size_t)order[k];
+        int turn = 1 << (t[1] < t[2]);
+        two_smallest(slot + 3 * (size_t)order[k], &lo, &hi);
+        if (lo != run) {
+            run = lo;
+            start = k;
         }
-        int seen[2] = {0, 0};
-        for (int32_t k = i; j - i > 1 && k < j; k++) {
-            const int32_t *t = tri + 3 * (size_t)order[k];
-            int turn = t[1] < t[2];
-            if (seen[turn])
-                tri_mark[order[k]] = TRI_REPEATED;
-            seen[turn] = 1;
-            for (int d = 0; d < 3; d++)
-                vertex_mark[t[d]] |= MULTI;
+        if (seen[hi] < 4 * start) {
+            seen[hi] = 4 * start + turn;
+            continue;
         }
+        if (seen[hi] & turn)
+            tri_mark[order[k]] = TRI_REPEATED;
+        seen[hi] |= turn;
+        for (int d = 0; d < 3; d++)
+            vertex_mark[t[d]] |= MULTI;
     }
 
     for (int32_t v = 0; v < nv; v++) {
@@ -949,75 +909,58 @@ int32_t grow_fillings(int32_t n, int32_t interior, int32_t *state, int32_t *tri,
     return written;
 }
 
-/* Whether the nf triangles src (rows of any order) form a triangulated disk
- * on the vertices 0..nv-1 whose boundary is exactly the cycle 0..n-1, with
- * nv <= 3 * nf.  The checks are validate_disk's: every id within 0..nv-1
- * and no degenerate triangle, then on the rotated copy of the rows every
- * edge in 1 or 2 triangles, the incidence-1 edges exactly the edges of C_n,
- * V - E + F = 1, no two triangles on one vertex set, every vertex in a
- * triangle with a connected link, and one component.  An id is compared
- * before it is used as an index.  scratch is laid out as in disk_verdicts. */
+/* Whether the nf triangles src, on 1 <= nv <= 3 nf vertices with 0 <= n <=
+ * nv, pass validate_disk's checks: their rows copied and rotated by
+ * canonical_rows, an id outside 0..nv-1 failing them before any use as an
+ * index, then edge_slots, edge_ends and disk_marks, with no triangle,
+ * vertex or off-cycle edge marked, every cycle edge present, V - E + F = 1
+ * and one component.  scratch is laid out as in disk_verdicts. */
 static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_t *scratch)
 {
     int32_t size = 3 * nf, *rows = scratch, *slot = rows + size, *perm = slot + size;
-    int32_t *incidence = perm + size, *edges = incidence + size, *label = edges + 2 * (size_t)size;
-    int32_t *count = label + 2 * (size_t)size;
-    for (int32_t s = 0; s < size; s += 3) {
-        int32_t a = src[s], b = src[s + 1], c = src[s + 2];
-        if (a < 0 || b < 0 || c < 0 || a >= nv || b >= nv || c >= nv || a == b || b == c || a == c)
-            return 0;
-        put_triangle(rows + s, a, b, c);
-    }
-    int width = 1; /* one radix digit holds every id, so count needs 1 << width <= 2 * nv entries */
+    int32_t *incidence = perm + size, *edges = incidence + size, *work = edges + 2 * (size_t)size;
+    memcpy(rows, src, sizeof(int32_t) * (size_t)size);
+    int32_t top = canonical_rows(rows, nf);
+    if (top < 0 || top >= nv)
+        return 0;
+    int width = 1; /* one radix digit holds every id, so work needs 1 << width <= 2 * nv counts */
     while (width < 31 && ((nv - 1) >> width))
         width++;
-    int32_t ne = edge_slots(rows, size, width, count, perm, slot), boundary = 0;
+    int32_t ne = edge_slots(rows, size, width, work, perm, slot);
     memset(incidence, 0, sizeof(int32_t) * (size_t)ne);
     edge_ends(rows, size, slot, edges, incidence);
-    for (int32_t e = 0, at; e < ne; e++) { /* edges are distinct, so n cycle edges are all of C_n */
-        int kind = edge_kind(edges[2 * e], edges[2 * e + 1], incidence[e], n, &at);
-        if (kind == EDGE_STRAY || kind == EDGE_OVERFULL)
-            return 0;
-        boundary += kind == EDGE_CYCLE;
-    }
-    if (boundary != n || nv - ne + nf != 1)
-        return 0;
-    /* Two triangles on one vertex set share their two smallest edge ids.
-     * Each edge lies in at most two triangles, so keeping the second
-     * smallest edge id of the last triangle seen with each smallest one
-     * finds every such pair. */
-    int32_t *second = perm;
+    uint8_t *tri_mark = (uint8_t *)perm, *edge_mark = tri_mark + nf, *vertex_mark = edge_mark + ne;
+    uint8_t *cycle_mark = vertex_mark + nv;
+    int bad = disk_marks(n, nv, rows, nf, slot, edges, incidence, ne, work, tri_mark, edge_mark, vertex_mark,
+                         cycle_mark) != 1 || nv - ne + nf != 1;
+    for (int32_t f = 0; f < nf; f++)
+        bad |= tri_mark[f] != TRI_OK;
     for (int32_t e = 0; e < ne; e++)
-        second[e] = -1;
-    for (int32_t s = 0, lo, hi; s < size; s += 3) {
-        two_smallest(slot + s, &lo, &hi);
-        if (second[lo] == hi)
-            return 0;
-        second[lo] = hi;
-    }
-    memset(count, 0, sizeof(int32_t) * (size_t)nv);
-    link_roots(rows, slot, nf, edges, 2 * ne, label, count);
+        bad |= edge_mark[e] > EDGE_CYCLE;
     for (int32_t v = 0; v < nv; v++)
-        if (count[v] != 1) /* 0: v lies in no triangle; more: its link is disconnected */
-            return 0;
-    return vertex_roots(rows, nf, nv, label) == 1;
+        bad |= vertex_mark[v] != VERTEX_OK;
+    for (int32_t i = 0; i < n; i++)
+        bad |= !cycle_mark[i];
+    return !bad;
 }
 
 /* disk_verdicts: ok[b] is 1 iff complex b of count, rows of nf triangles in
  * tri, is a triangulated disk on the vertices 0..nv-1 whose boundary is
- * exactly the cycle 0..n-1 (see is_disk).  Each complex is checked on its
- * own, its rows rotated here, and the ids of tri may take any value.
- * scratch holds 30 * nf int32 entries: the rotated rows, the slot edge ids,
- * the sort order (then each edge's second smallest partner), the
- * incidences (3F each), the edges and the corner-graph labels (6F each) and
- * the radix counts (then each vertex's link components; 6F).  No complex
- * of F triangles covers more than 3F vertices, so for nv outside 1..3F
- * every verdict is 0 and the scratch stays linear in F. */
+ * exactly the cycle 0..n-1: iff validate_disk reports no failure for it
+ * (see is_disk).  Each complex is checked on its own, and the ids of tri
+ * may take any value.  scratch holds 24 * nf int32 entries, in regions of
+ * 3F: the rotated rows, the slot edge ids, the sort order (then the marks,
+ * F + E + nv + n <= 10F bytes), the incidences; then 6F for the edges and
+ * 6F for the radix counts (then disk_marks's scratch, max(2E, E + 1 + F,
+ * nv) <= 6F entries).  No complex of F triangles covers more than 3F
+ * vertices, so for nv outside n..3F every verdict is 0 and the scratch
+ * stays linear in F. */
 void disk_verdicts(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int32_t nf, int32_t *scratch,
                    uint8_t *ok)
 {
+    int sized = 0 <= n && n <= nv && 0 < nv && nv <= 3 * (int64_t)nf;
     for (size_t b = 0; b < (size_t)count; b++)
-        ok[b] = (uint8_t)(0 < nv && nv <= 3 * (int64_t)nf && is_disk(n, nv, tri + b * 3 * (size_t)nf, nf, scratch));
+        ok[b] = (uint8_t)(sized && is_disk(n, nv, tri + b * 3 * (size_t)nf, nf, scratch));
 }
 
 /* Which of count complexes, rows of nf triangles on ids 0..nv-1 in tri, are

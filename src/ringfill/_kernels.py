@@ -20,7 +20,10 @@ from struct import calcsize
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")  # beside the .pyc files, with their trust
 _CC = ("cc", "-O2", "-shared", "-fPIC")
-DISK_SCRATCH = 30  # int32 scratch entries per triangle that disk_verdicts takes
+# int32 scratch entries per triangle that disk_verdicts takes: 3 each for the
+# rotated rows, slot edge ids, sort order (then the marks) and incidences, 6
+# each for the edges and the radix counts (then disk_marks's scratch)
+DISK_SCRATCH = 24
 MAX_ID = 2**31 - 1  # the largest vertex id of the kernels' int32 arrays
 MAX_TRIANGLES = MAX_ID // 6  # the most triangles a complex may have, so that int32 edge and corner ids cannot wrap
 INT32 = frozenset(c for c in "il" if calcsize(c) == 4)  # the struct formats of int32
@@ -163,8 +166,6 @@ def signatures() -> dict:
         "canonical_rows": (i32, [ids, i64]),
         "edge_slots": (i32, [ids, i32, i32, ids, ids, ids]),
         "edge_ends": (None, [ids, i32, ids, ids, ids]),
-        "link_roots": (None, [ids, ids, i32, ids, i32, ids, ids]),
-        "vertex_roots": (i32, [ids, i32, i32, ids]),
         "disk_marks": (i32, [i32, i32, ids, i32, ids, ids, ids, i32, ids, marks, marks, marks, marks]),
         "graph_csr": (None, [ids, i32, i32, ids, ids]),
         "bfs_rows": (ctypes.c_int, [i32, ids, ids, ids, i32, i32, rows, ids, ids, parents]),

@@ -11,9 +11,9 @@ order.  The counts equal W. G. Brown's closed formula for triangulated disks
 Both hot loops are compiled kernels of ``_kernels.c``: a resumable
 backtracking enumeration that writes the fillings into ``(B, F, 3)`` int32
 stacks, and an isometry test on per-complex adjacency bitsets.  Every stack
-passes :func:`validate_disk_batch`, the compiled per-complex form of
-:func:`ringfill.validate_disk`'s checks and an independent check on the
-enumerator, before its isometry test.  The search state, the stacks and
+passes :func:`validate_disk_batch`, which runs the kernels of
+:func:`ringfill.validate_disk` on each complex and shares no code with the
+search, before its isometry test.  The search state, the stacks and
 the kernels' scratch are ``bytearray`` buffers cast by ``memoryview``, and
 a filling taken out of a stack is a view of its rows, so this module
 imports no numpy: :mod:`ringfill.simplicial` is imported only to hand a
@@ -118,13 +118,17 @@ def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
     search's stacks or a numpy int32 array; complex b is
     ``Triangulation(n, num_vertices, stack[b])``.  The compiled
     ``disk_verdicts`` checks each complex on its own, with scratch linear in
-    F, and shares no code with the search, so it is an independent check on
-    it.  A complex of F triangles covers at most 3F vertices, so any other
+    F, through validate_disk's own kernels: the canonical rotation, the
+    edge table and ``disk_marks``, whose marks it reduces to one verdict.
+    It shares no code with the search, so it is an independent check on it.
+    A complex of F triangles covers at most 3F vertices, so any other
     ``num_vertices`` fails every complex.  Returns a ``(B,)`` bool buffer,
     True where :func:`ringfill.validate_disk` reports ``ok``; ask it for the
-    failures of a complex this flags.  Raises ValueError, before the kernel
-    runs, for another shape or format, an empty stack, a negative id, or
-    more than ``MAX_TRIANGLES`` triangles a complex.
+    failures of a complex this flags.  Raises ValueError, before any kernel
+    runs, for another shape or format, an empty stack, a read-only buffer
+    that is no numpy array (ctypes takes a read-only buffer's address only
+    from numpy), a negative id, or more than ``MAX_TRIANGLES`` triangles a
+    complex.
     """
     view = memoryview(stack)
     if view.ndim != 3 or view.shape[2] != 3 or not view.nbytes:
@@ -136,6 +140,8 @@ def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
         raise ValueError(
             f"triangle vertex ids must be integers in a C-contiguous int32 buffer, got format {view.format!r}"
         )
+    if view.readonly and not hasattr(stack, "__array_interface__"):
+        raise ValueError("a read-only stack must be a numpy array: ctypes takes no other read-only buffer's address")
     lib = _library()
     if lib.top_id(stack, 3 * num * nf) < 0:
         raise ValueError(f"triangle vertex ids must lie in 0..{MAX_ID}")

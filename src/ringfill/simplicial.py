@@ -306,8 +306,8 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     exactly when v lies on an incidence-1 edge.  The compiled
     ``disk_marks`` reads the cached edge table (from the kernels' radix
     sort) and marks every triangle, edge, vertex and cycle edge with the
-    failure it witnesses: repeated triangles by a counting sort on their two
-    smallest edge ids, links and connectivity by a union-find that hooks the
+    failure it witnesses: repeated triangles by a counting sort on their
+    smallest edge id, links and connectivity by a union-find that hooks the
     larger root under the smaller.  It takes int32 scratch linear in the
     triangles and vertices, whatever the ids, and this function lists the
     first ten marks of each kind.  The last check is not implied by the
@@ -353,7 +353,7 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
     if not 3 <= n <= nv <= _MAX_ID:
         raise ValueError(f"a disk bounded by C_{n} needs 3 <= n <= {nv} vertices <= {_MAX_ID}")
     tri_mark, edge_mark, vertex_mark, cycle_mark = bytearray(nf), bytearray(ne), bytearray(nv), bytearray(n)
-    scratch = buffer("i", max(2 * ne, ne + 1 + 2 * nf, nv))
+    scratch = buffer("i", max(2 * ne, ne + 1 + nf, nv))
     components = lib.disk_marks(
         n, nv, tri, nf, slot, edges, inc, ne, scratch, tri_mark, edge_mark, vertex_mark, cycle_mark
     )

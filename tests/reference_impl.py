@@ -23,14 +23,14 @@ and exact rationals, with no numpy.
 At the end are the numpy bodies that the compiled kernels of
 ``_kernels.c`` replaced: the int64-key ``edge_table``, ``min_labels``
 propagation with pointer jumping, the corner-graph ``link_components``
-and the sorted-key ``graph_csr``, with ``link_counts`` and ``components``
-as the validator's former hooks; the validator itself (``check_disk``,
-its int64-key ``repeats``), the stacked ``annulus_triangles`` and
-``cone_triangles``, the blocked float ratio scan ``worst_pair``, the
-vectorized ``separation_table`` and the chunked ``check_bound`` that
-``verify --check-bound`` ran; the build-file writer's ``%``-template
-``write_rows``, the block reader's ``json.loads`` slice reader
-``int32_rows`` and the numpy ``drift_audit``.
+and the sorted-key ``graph_csr``, with ``link_counts`` and ``components``,
+the link and connectivity counts of ``check_disk``; the validator itself
+(``check_disk``, its int64-key ``repeats``), the stacked
+``annulus_triangles`` and ``cone_triangles``, the blocked float ratio scan
+``worst_pair``, the vectorized ``separation_table`` and the chunked
+``check_bound`` that ``verify --check-bound`` ran; the build-file writer's
+``%``-template ``write_rows``, the block reader's ``json.loads`` slice
+reader ``int32_rows`` and the numpy ``drift_audit``.
 """
 from __future__ import annotations
 
@@ -464,12 +464,12 @@ def link_components(edges, tri, slot):
 
 
 def link_counts(edges, tri, slot, size):
-    """``ringfill.simplicial._link_counts`` by way of :func:`link_components`."""
+    """The number of link components of each of ``size`` vertices, by way of :func:`link_components`."""
     return np.bincount(link_components(np.asarray(edges), tri, slot), minlength=size).astype(np.int32)
 
 
 def components(tri, size):
-    """``ringfill.simplicial._components`` by way of :func:`min_labels` over the triangles' sides."""
+    """The number of connected components of the covered vertices, by :func:`min_labels` over the triangles' sides."""
     tri = np.asarray(tri)
     label = min_labels(size, tri.ravel(), np.take(tri, _NEXT, axis=1).ravel())
     covered = np.zeros(size, dtype=bool)

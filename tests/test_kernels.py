@@ -2,17 +2,19 @@
 
 The edge table, the corner-graph link check, connectivity, the witness
 marks of validation and the CSR of ``_kernels.c`` must give exactly the
-arrays, labels and failure lists of the numpy bodies kept in
-``reference_impl``: on built complexes, on the oracle's stacks and on
-corrupted complexes.  They must also take time and
-memory linear in the triangles, whatever the ids, and be safe to call from
-several threads at once.  The oracle's isometry test must give the
-reference's verdicts, and the file must compile without warnings.
+arrays and failure lists of the numpy bodies kept in ``reference_impl``:
+on built complexes, on the oracle's stacks and on corrupted complexes.
+They must also take time and memory linear in the triangles, whatever the
+ids, and be safe to call from several threads at once.  The oracle's
+isometry test must give the reference's verdicts, the file must compile
+without warnings, and each function it exports must be a declared kernel
+that the package calls.
 """
 import copy
 import ctypes
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -73,38 +75,10 @@ def _assert_table_and_report_match(t: Triangulation) -> None:
     assert report.counts == reference.counts
 
 
-def _labels(function: str, nodes: int, *args) -> np.ndarray:
-    """The kernel's labels: each touched node's smallest node of its component, -1 elsewhere."""
-    label = np.empty(nodes, dtype=np.int32)
-    getattr(_kernels.library(), function)(*args, label, np.zeros(nodes, dtype=np.int32))
-    return label
-
-
-def _assert_labels_match(t: Triangulation) -> None:
-    tri = np.asarray(t.triangles)
-    edges, _, slot = map(np.asarray, t._edge_table)
-    nodes = 2 * len(edges)
-    a, b = ref.link_joins(tri, slot)
-    label = _labels("link_roots", nodes, tri, slot, len(tri), edges, nodes)
-    touched = label >= 0
-    assert touched.sum() == len(np.union1d(a, b))
-    assert np.array_equal(label[touched], ref.min_labels(nodes, a, b)[touched])
-    nv = t.num_vertices
-    label = np.empty(nv, dtype=np.int32)
-    components = _kernels.library().vertex_roots(tri, len(tri), nv, label)
-    covered = np.zeros(nv, dtype=bool)
-    covered[tri] = True
-    assert np.array_equal(label >= 0, covered)
-    want = ref.min_labels(nv, tri.ravel(), np.take(tri, [1, 2, 0], axis=1).ravel())
-    assert np.array_equal(label[covered], want[covered])
-    assert components == ref.components(tri, nv)
-
-
 def test_built_complexes_match_the_references(small_build, medium_build, flipped_builds):
     builds = [small_build, medium_build, *(build for build, _ in flipped_builds.values())]
     for t in [build.triangulation for build in builds] + [cone_over_cycle(k) for k in (3, 4, 9)]:
         _assert_table_and_report_match(t)
-        _assert_labels_match(t)
         for a, b in zip(verify._graph_csr(t), ref.graph_csr(t)):
             assert np.array_equal(a, b)
 
@@ -124,16 +98,26 @@ def test_small_complexes_match_the_references(num_vertices, rows):
     _assert_table_and_report_match(Triangulation(3, num_vertices, rows))
 
 
+@given(st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_dense_complexes_match_the_references(rows):
+    # Six ids in up to 30 rows: edges lie in many triangles, and one vertex
+    # set comes in several rows, in either orientation, beside other vertex
+    # sets that share its smallest edge.
+    _assert_table_and_report_match(Triangulation(3, 6, rows))
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (7, 3)])
 def test_oracle_stacks_match_the_references(n, k):
     # The stack kernel checks each complex on its own, so its verdicts are
     # compared with validate_disk on the numpy reference bodies, complex by
-    # complex; the union-find kernels run on the stack's disjoint union.
+    # complex; validate_disk also runs on the stack's disjoint union, whose
+    # union-find labels span many components.
     nv = n + k
     for chunk in [np.asarray(c) for c in oracle._stacks(EnumerationBudget(n, k))][:4]:
         union = Triangulation(n, len(chunk) * (nv + 1), chunk.reshape(-1, 3) + np.repeat(
             np.arange(len(chunk), dtype=np.int32) * (nv + 1), chunk.shape[1])[:, None])
-        _assert_labels_match(union)
+        _assert_table_and_report_match(union)
         broken = chunk.copy()
         broken[::7, 0, 2] = broken[::7, 0, 0]  # degenerate
         broken[3::7, 0, 2] = broken[3::7, 1, 0]  # a corner moved: another triangle, or a degenerate one
@@ -180,10 +164,13 @@ def _corrupted(t: Triangulation, corruptions) -> Triangulation:
     return Triangulation(t.n, nv, tris)
 
 
-@given(corruptions=_corruptions, base=st.sampled_from(["n25", "cone7"]))
+@given(corruptions=_corruptions, base=st.sampled_from(["n25", "cone7", "oracle73"]))
 @settings(max_examples=80, deadline=None)
 def test_corrupted_complexes_match_the_references(small_build, corruptions, base):
-    t = small_build.triangulation if base == "n25" else cone_over_cycle(7)
+    if base == "oracle73":  # the oracle's first (7, 3) filling, of the size it validates: F = 11
+        t = Triangulation(7, 10, np.asarray(next(oracle._fillings(EnumerationBudget(7, 3), 1)))[0])
+    else:
+        t = small_build.triangulation if base == "n25" else cone_over_cycle(7)
     broken = _corrupted(t, corruptions)
     _assert_table_and_report_match(broken)
     # the stack kernel, on a stack of one, gives validate_disk's verdict
@@ -226,7 +213,6 @@ def test_fan_of_200k_triangles_validates_in_linear_time(order):
     report = validate_disk(t)
     assert report.ok and report.counts["triangles"] == 200_000
     assert time.perf_counter() - start < 5.0
-    _assert_labels_match(t)  # every node of the chain points at its root
 
 
 def _validation_peak(t: Triangulation) -> int:
@@ -487,6 +473,8 @@ def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
         (np.zeros((1, 2, 6), dtype=np.int32)[:, :, ::2], r"integers in a C-contiguous int32 buffer, got format 'i'"),
         (np.asarray([[(0, 1, -2)]], dtype=np.int32), r"triangle vertex ids must lie in 0..2147483647"),
         (np.asarray([wheel, wheel - 1]), r"triangle vertex ids must lie in 0..2147483647"),
+        # read-only and no numpy array, so ctypes has no address for it
+        (memoryview(wheel.tobytes()).cast("i", (1, 3, 3)), r"a read-only stack must be a numpy array"),
         # a broadcast view has the length without the memory
         (np.broadcast_to(wheel[0], (1, simplicial.MAX_TRIANGLES + 1, 3)), r"357913942 triangles have too many edges"),
     ):
@@ -638,6 +626,16 @@ def test_kernels_compile_without_warnings(tmp_path):
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_every_kernel_is_declared_and_called():
+    # The exported functions of _kernels.c are exactly the kernels with a
+    # ctypes signature, and the package calls each of them.
+    source = _kernels._SOURCE.read_text()
+    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w\s*]*?\b(\w+)\(", source, re.M)
+    assert sorted(exported) == sorted(_kernels.signatures())
+    package = "".join(path.read_text() for path in _kernels._SOURCE.parent.glob("*.py"))
+    assert [name for name in exported if f".{name}(" not in package] == []
 
 
 _POINTERS = [
