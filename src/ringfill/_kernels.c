@@ -9,6 +9,7 @@
  *   boundary_tree,
  *   boundary_rows            the boundary distance matrix, each search confined
  *   worst_ratio              the first least ratio of BFS to cycle distance
+ *   bound_violation          the first pair whose lower bound exceeds its BFS distance
  *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
@@ -191,16 +192,19 @@ int32_t edge_slots(const int32_t *tri, int32_t size, int32_t width, int32_t *cou
     return id + 1;
 }
 
-/* The (E, 2) edges (lo, hi) and incidence of edge_slots's edge ids;
- * incidence starts at zero. */
+/* The (E, 2) edges (lo, hi) of edge_slots's edge ids, unless edges is NULL,
+ * and their incidence, unless incidence is NULL; incidence starts at zero. */
 void edge_ends(const int32_t *tri, int32_t size, const int32_t *slot_edge, int32_t *edges,
                int32_t *incidence)
 {
     for (int32_t s = 0; s < size; s++) {
         int32_t e = slot_edge[s];
-        edges[2 * (size_t)e] = slot_lo(tri, s);
-        edges[2 * (size_t)e + 1] = slot_hi(tri, s);
-        incidence[e]++;
+        if (edges) {
+            edges[2 * (size_t)e] = slot_lo(tri, s);
+            edges[2 * (size_t)e + 1] = slot_hi(tri, s);
+        }
+        if (incidence)
+            incidence[e]++;
     }
 }
 
@@ -315,10 +319,10 @@ static inline int good(uint8_t mark)
 }
 
 /* validate_disk's witnesses for the nf canonical triangles tri with the
- * edge table from edge_slots and edge_ends (the slot edge ids, the ne edges
- * and their incidence), on nv vertices and the boundary cycle 0..n-1, with
- * 0 <= n <= nv: one mark per triangle, edge, vertex and cycle edge.  Returns
- * the number of connected components of the good triangles' vertices.
+ * edge table from edge_slots and edge_ends (the slot edge ids and the ne
+ * edges), on nv vertices and the boundary cycle 0..n-1, with 0 <= n <= nv:
+ * one mark per triangle, edge, vertex and cycle edge.  Returns the number
+ * of connected components of the good triangles' vertices.
  *
  *   tri_mark[f]     TRI_DEGENERATE, TRI_STRAY (a good-looking row with an id
  *                   outside 0..nv-1), TRI_REPEATED (a good triangle whose row
@@ -336,14 +340,19 @@ static inline int good(uint8_t mark)
  * equal lo keeps its rows in order, and within a run seen[hi] holds 4 times
  * the run's start plus a bit for each orientation seen on that vertex set
  * (an entry below 4 times the start is left from an earlier run).  scratch
- * holds max(2 ne, ne + 1 + nf, nv) entries: the corner-graph labels, then
- * the sort's counts (then seen) and order, then the vertex labels.  Vertex
- * ids are compared with nv before they index anything; the edge ids of
- * slot lie in 0..ne-1, and 4 nf + 3 fits int32. */
+ * holds max(2 ne, ne + 1 + nf, nv) entries: each edge's incidence, counted
+ * from slot and read once by the edge marks, then the corner-graph labels,
+ * then the sort's counts (then seen) and order, then the vertex labels.
+ * Vertex ids are compared with nv before they index anything; the edge ids
+ * of slot lie in 0..ne-1, and 4 nf + 3 fits int32. */
 int32_t disk_marks(int32_t n, int32_t nv, const int32_t *tri, int32_t nf, const int32_t *slot,
-                   const int32_t *edges, const int32_t *incidence, int32_t ne, int32_t *scratch,
-                   uint8_t *tri_mark, uint8_t *edge_mark, uint8_t *vertex_mark, uint8_t *cycle_mark)
+                   const int32_t *edges, int32_t ne, int32_t *scratch, uint8_t *tri_mark, uint8_t *edge_mark,
+                   uint8_t *vertex_mark, uint8_t *cycle_mark)
 {
+    int32_t *incidence = scratch;
+    memset(incidence, 0, sizeof(int32_t) * (size_t)ne);
+    for (size_t s = 0; s < 3 * (size_t)nf; s++)
+        incidence[slot[s]]++;
     memset(cycle_mark, 0, (size_t)n);
     memset(vertex_mark, 0, (size_t)nv);
     for (int32_t e = 0, at = 0; e < ne; e++) {
@@ -472,21 +481,32 @@ void graph_csr(const int32_t *edges, int32_t ne, int32_t nv, int32_t *indptr, in
  * search that visits each vertex's neighbours in CSR order enqueues w,
  * reached at distance d, only if d + layer(w) <= bound: that is
  * d - 1 - bound <= dist[w] < 0, one load per edge, which EXCLUDED never
- * meets.  Returns the number of vertices enqueued, in order in queue. */
-static int32_t search(const int32_t *indptr, const int32_t *indices, int32_t tail, int32_t bound,
-                      int32_t *dist, int32_t *queue, int32_t *pred)
+ * meets.  A vertex's distance is final once it is enqueued, so if lo < hi
+ * the search returns after the first level whose expansion leaves every
+ * target, the vertices lo..hi-1, reached: a cursor over the targets is
+ * moved once a level, so no vertex pays for the check.  Returns the number
+ * of vertices enqueued, in order in queue. */
+static int32_t search(const int32_t *indptr, const int32_t *indices, int32_t tail, int32_t bound, int32_t lo,
+                      int32_t hi, int32_t *dist, int32_t *queue, int32_t *pred)
 {
-    for (int32_t head = 0; head < tail; head++) {
-        int32_t u = queue[head], d = dist[u] + 1, floor = d - 1 - bound;
-        for (int32_t e = indptr[u]; e < indptr[u + 1]; e++) {
-            int32_t w = indices[e];
-            if (dist[w] < 0 && dist[w] >= floor) {
-                dist[w] = d;
-                queue[tail++] = w;
-                if (pred)
-                    pred[w] = u;
+    int targets = lo < hi;
+    for (int32_t head = 0; head < tail;) {
+        for (int32_t end = tail; head < end; head++) {
+            int32_t u = queue[head], d = dist[u] + 1, floor = d - 1 - bound;
+            for (int32_t e = indptr[u]; e < indptr[u + 1]; e++) {
+                int32_t w = indices[e];
+                if (dist[w] < 0 && dist[w] >= floor) {
+                    dist[w] = d;
+                    queue[tail++] = w;
+                    if (pred)
+                        pred[w] = u;
+                }
             }
         }
+        while (lo < hi && dist[lo] >= 0)
+            lo++;
+        if (targets && lo == hi)
+            return tail;
     }
     return tail;
 }
@@ -501,7 +521,7 @@ static int32_t search_from(int32_t nv, const int32_t *indptr, const int32_t *ind
     queue[0] = s;
     if (pred)
         pred[s] = -1;
-    return search(indptr, indices, 1, UNBOUNDED, dist, queue, pred);
+    return search(indptr, indices, 1, UNBOUNDED, 0, 0, dist, queue, pred);
 }
 
 /* For each sources[k], k < count, a plain search writes the distances to
@@ -548,7 +568,7 @@ int boundary_tree(int32_t nv, const int32_t *indptr, const int32_t *indices, int
         layer[i] = 0;
         queue[i] = i;
     }
-    if (search(indptr, indices, n, UNBOUNDED, layer, queue, NULL) < nv)
+    if (search(indptr, indices, n, UNBOUNDED, 0, 0, layer, queue, NULL) < nv)
         return 1;
     search_from(nv, indptr, indices, 0, dist, queue, parent);
     for (int32_t y = 0; y < n; y++)
@@ -644,6 +664,8 @@ static int grow(const int32_t *indptr, const int32_t *indices, int32_t n, const 
  * and d(w, y) >= layer(w), so no vertex w with d(x, w) + layer(w) beyond
  * that bound is on a shortest path to a target.
  *
+ * Each search returns once it has reached its last target (see search).
+ *
  * Both are graph facts, checked, not planarity: if pi_x meets E, E would
  * take a target, or a target is left unreached, the rest of the span runs
  * without E.  dist and queue are scratch arrays of nv entries.  Returns 1
@@ -663,7 +685,7 @@ int boundary_rows(int32_t nv, const int32_t *indptr, const int32_t *indices, int
         for (;;) {
             dist[x] = 0;
             queue[0] = x;
-            tail = search(indptr, indices, 1, bound, dist, queue, NULL);
+            tail = search(indptr, indices, 1, bound, x + 1, n, dist, queue, NULL);
             int32_t y = x + 1;
             while (y < n && dist[y] >= 0)
                 y++;
@@ -701,6 +723,23 @@ int worst_ratio(const int64_t *dist, int32_t n, int32_t *out)
             if (c > 0 && d * best_c < best_d * c) {
                 best_d = d, best_c = c;
                 out[0] = x, out[1] = y;
+            }
+        }
+    return 0;
+}
+
+/* The first pair (x, y), in row-major order, of the n x n distances dist
+ * whose cycle distance s has table[s] > dist[x][y], table holding n / 2 + 1
+ * entries: out gets (x, y) and the result is 1.  If no pair has one, the
+ * result is 0 and out is left as it was. */
+int bound_violation(const int64_t *dist, int32_t n, const int64_t *table, int32_t *out)
+{
+    for (int32_t x = 0; x < n; x++)
+        for (int32_t y = 0; y < n; y++) {
+            int32_t gap = x < y ? y - x : x - y;
+            if (table[gap < n - gap ? gap : n - gap] > dist[(size_t)x * n + y]) {
+                out[0] = x, out[1] = y;
+                return 1;
             }
         }
     return 0;
@@ -909,7 +948,7 @@ int32_t grow_fillings(int32_t n, int32_t interior, int32_t *state, int32_t *tri,
     return written;
 }
 
-/* Whether the nf triangles src, on 1 <= nv <= 3 nf vertices with 0 <= n <=
+/* Whether the nf triangles src, on 1 <= nv <= 3 nf vertices with 3 <= n <=
  * nv, pass validate_disk's checks: their rows copied and rotated by
  * canonical_rows, an id outside 0..nv-1 failing them before any use as an
  * index, then edge_slots, edge_ends and disk_marks, with no triangle,
@@ -918,7 +957,7 @@ int32_t grow_fillings(int32_t n, int32_t interior, int32_t *state, int32_t *tri,
 static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_t *scratch)
 {
     int32_t size = 3 * nf, *rows = scratch, *slot = rows + size, *perm = slot + size;
-    int32_t *incidence = perm + size, *edges = incidence + size, *work = edges + 2 * (size_t)size;
+    int32_t *edges = perm + size, *work = edges + 2 * (size_t)size;
     memcpy(rows, src, sizeof(int32_t) * (size_t)size);
     int32_t top = canonical_rows(rows, nf);
     if (top < 0 || top >= nv)
@@ -927,12 +966,11 @@ static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_
     while (width < 31 && ((nv - 1) >> width))
         width++;
     int32_t ne = edge_slots(rows, size, width, work, perm, slot);
-    memset(incidence, 0, sizeof(int32_t) * (size_t)ne);
-    edge_ends(rows, size, slot, edges, incidence);
+    edge_ends(rows, size, slot, edges, NULL);
     uint8_t *tri_mark = (uint8_t *)perm, *edge_mark = tri_mark + nf, *vertex_mark = edge_mark + ne;
     uint8_t *cycle_mark = vertex_mark + nv;
-    int bad = disk_marks(n, nv, rows, nf, slot, edges, incidence, ne, work, tri_mark, edge_mark, vertex_mark,
-                         cycle_mark) != 1 || nv - ne + nf != 1;
+    int bad = disk_marks(n, nv, rows, nf, slot, edges, ne, work, tri_mark, edge_mark, vertex_mark, cycle_mark) != 1
+              || nv - ne + nf != 1;
     for (int32_t f = 0; f < nf; f++)
         bad |= tri_mark[f] != TRI_OK;
     for (int32_t e = 0; e < ne; e++)
@@ -948,17 +986,17 @@ static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_
  * tri, is a triangulated disk on the vertices 0..nv-1 whose boundary is
  * exactly the cycle 0..n-1: iff validate_disk reports no failure for it
  * (see is_disk).  Each complex is checked on its own, and the ids of tri
- * may take any value.  scratch holds 24 * nf int32 entries, in regions of
+ * may take any value.  scratch holds 21 * nf int32 entries, in regions of
  * 3F: the rotated rows, the slot edge ids, the sort order (then the marks,
- * F + E + nv + n <= 10F bytes), the incidences; then 6F for the edges and
- * 6F for the radix counts (then disk_marks's scratch, max(2E, E + 1 + F,
- * nv) <= 6F entries).  No complex of F triangles covers more than 3F
- * vertices, so for nv outside n..3F every verdict is 0 and the scratch
- * stays linear in F. */
+ * F + E + nv + n <= 10F bytes); then 6F for the edges and 6F for the radix
+ * counts (then disk_marks's scratch, max(2E, E + 1 + F, nv) <= 6F
+ * entries).  No complex of F triangles covers more than 3F vertices, so
+ * for nv outside n..3F every verdict is 0 and the scratch stays linear in
+ * F; with n < 3 there is no boundary cycle, and every verdict is 0 too. */
 void disk_verdicts(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int32_t nf, int32_t *scratch,
                    uint8_t *ok)
 {
-    int sized = 0 <= n && n <= nv && 0 < nv && nv <= 3 * (int64_t)nf;
+    int sized = 3 <= n && n <= nv && nv <= 3 * (int64_t)nf;
     for (size_t b = 0; b < (size_t)count; b++)
         ok[b] = (uint8_t)(sized && is_disk(n, nv, tri + b * 3 * (size_t)nf, nf, scratch));
 }

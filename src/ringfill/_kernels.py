@@ -21,9 +21,10 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")  # beside the .pyc files, with their trust
 _CC = ("cc", "-O2", "-shared", "-fPIC")
 # int32 scratch entries per triangle that disk_verdicts takes: 3 each for the
-# rotated rows, slot edge ids, sort order (then the marks) and incidences, 6
-# each for the edges and the radix counts (then disk_marks's scratch)
-DISK_SCRATCH = 24
+# rotated rows, slot edge ids and sort order (then the marks), 6 each for the
+# edges and the radix counts (then disk_marks's scratch, which also counts
+# the incidences)
+DISK_SCRATCH = 21
 MAX_ID = 2**31 - 1  # the largest vertex id of the kernels' int32 arrays
 MAX_TRIANGLES = MAX_ID // 6  # the most triangles a complex may have, so that int32 edge and corner ids cannot wrap
 INT32 = frozenset(c for c in "il" if calcsize(c) == 4)  # the struct formats of int32
@@ -157,7 +158,7 @@ def signatures() -> dict:
     words = _Buffer("uint64", codes("BHILQ", 8))
     flags = _Buffer("bool", {"?"})
     marks = _Buffer("uint8", {"B"})
-    parents = _Buffer("int32", ids.codes, nullable=True)
+    optional = _Buffer("int32", ids.codes, nullable=True)
     i32, i64 = ctypes.c_int32, ctypes.c_int64
     return {
         "annulus_rows": (i32, [i32, i32, i32, i32, i32, ids]),
@@ -165,13 +166,14 @@ def signatures() -> dict:
         "top_id": (i32, [ids, i64]),
         "canonical_rows": (i32, [ids, i64]),
         "edge_slots": (i32, [ids, i32, i32, ids, ids, ids]),
-        "edge_ends": (None, [ids, i32, ids, ids, ids]),
-        "disk_marks": (i32, [i32, i32, ids, i32, ids, ids, ids, i32, ids, marks, marks, marks, marks]),
+        "edge_ends": (None, [ids, i32, ids, optional, optional]),
+        "disk_marks": (i32, [i32, i32, ids, i32, ids, ids, i32, ids, marks, marks, marks, marks]),
         "graph_csr": (None, [ids, i32, i32, ids, ids]),
-        "bfs_rows": (ctypes.c_int, [i32, ids, ids, ids, i32, i32, rows, ids, ids, parents]),
+        "bfs_rows": (ctypes.c_int, [i32, ids, ids, ids, i32, i32, rows, ids, ids, optional]),
         "boundary_tree": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, rows, ids, ids]),
         "boundary_rows": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, i32, i32, rows, ids, ids]),
         "worst_ratio": (ctypes.c_int, [rows, i32, ids]),
+        "bound_violation": (ctypes.c_int, [rows, i32, wide, ids]),
         "lower_bounds": (None, [i64, i32, wide, wide, wide, i64, wide, i32]),
         "grow_state_size": (i32, [i32, i32]),
         "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),

@@ -125,11 +125,15 @@ def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
     ``num_vertices`` fails every complex.  Returns a ``(B,)`` bool buffer,
     True where :func:`ringfill.validate_disk` reports ``ok``; ask it for the
     failures of a complex this flags.  Raises ValueError, before any kernel
-    runs, for another shape or format, an empty stack, a read-only buffer
-    that is no numpy array (ctypes takes a read-only buffer's address only
-    from numpy), a negative id, or more than ``MAX_TRIANGLES`` triangles a
-    complex.
+    runs, for a boundary length below 3 (which :class:`Triangulation`
+    refuses too: with no boundary cycle, a closed surface such as the
+    projective plane would pass), another shape or format, an empty stack,
+    a read-only buffer that is no numpy array (ctypes takes a read-only
+    buffer's address only from numpy), a negative id, or more than
+    ``MAX_TRIANGLES`` triangles a complex.
     """
+    if n < 3:
+        raise ValueError(f"boundary length must be >= 3, got {n}")
     view = memoryview(stack)
     if view.ndim != 3 or view.shape[2] != 3 or not view.nbytes:
         raise ValueError(f"triangles must be a (B, F, 3) array with B, F >= 1, got shape {view.shape}")

@@ -145,8 +145,8 @@ def _table_rows(tri):
     return view
 
 
-def _edge_table(tri) -> tuple[memoryview, memoryview, memoryview]:
-    """Edges, incidence and per-slot edge ids of canonical triangles, from one compiled radix sort.
+def _edge_table(tri) -> tuple[memoryview, memoryview]:
+    """Edges and per-slot edge ids of canonical triangles, from one compiled radix sort.
 
     Slot ``(f, j)`` is the edge from corner j to corner j+1 of triangle f.
     The kernel sorts the 3F slots stably by ``hi`` and then ``lo`` in int32
@@ -156,9 +156,9 @@ def _edge_table(tri) -> tuple[memoryview, memoryview, memoryview]:
     more entries than there are slots: the ids of a built complex take one
     pass each for ``hi`` and ``lo``, and an id up to ``2**31 - 1`` a few
     more passes, never an id-sized array.  Returns the ``(E, 2)`` int32 edges,
-    ascending, their int32 incidence and the ``(F, 3)`` int32 edge id of
-    each slot.  Edge ids stay below ``3F``, so node ``2e + 1`` of the corner
-    graph fits int32 too.
+    ascending, and the ``(F, 3)`` int32 edge id of each slot, from which
+    :func:`_incidence` counts each edge's triangles.  Edge ids stay below
+    ``3F``, so node ``2e + 1`` of the corner graph fits int32 too.
     """
     if len(tri) > MAX_TRIANGLES:
         raise ValueError(f"{len(tri)} triangles have too many edges for int32 edge ids")
@@ -175,9 +175,19 @@ def _edge_table(tri) -> tuple[memoryview, memoryview, memoryview]:
     slot_edge, perm = buffer("i", nf, 3), buffer("i", size)
     ne = lib.edge_slots(view, size, width, buffer("i", 1 << width), perm, slot_edge)
     del perm
-    edges, incidence = buffer("i", ne, 2), buffer("i", ne)
-    lib.edge_ends(view, size, slot_edge, edges, incidence)
-    return edges, incidence, slot_edge
+    edges = buffer("i", ne, 2)
+    lib.edge_ends(view, size, slot_edge, edges, None)
+    return edges, slot_edge
+
+
+def _incidence(tri, slot_edge, ne: int) -> memoryview:
+    """The number of slots of ``tri`` on each of its ``ne`` edges, as int32: ``slot_edge``'s ids counted.
+
+    ``slot_edge`` is :func:`_edge_table`'s, or ids checked to lie below ``ne``.
+    """
+    incidence = buffer("i", ne)
+    _library().edge_ends(tri, 3 * len(tri), slot_edge, None, incidence)
+    return incidence
 
 
 @dataclass(eq=False)
@@ -190,10 +200,14 @@ class Triangulation:
     int32 buffer in canonical rotation (each row rotated so its smallest id
     comes first, as :func:`canonical_triangle` does).  With ``own=True`` the
     caller hands over its buffer: a writable C-contiguous int32 one, such as
-    a numpy array, is kept and rotated in place, not copied.  Edges and
-    incidence are derived lazily from one sort and cached, as int32
-    buffers, so instances are cheap to pass around and safe to share
-    read-only between workers.
+    a numpy array, is kept and rotated in place, not copied.  The edge
+    table (the edges and each slot's edge id, 2 triangle arrays of int32)
+    is derived lazily from one sort and cached for validation, the audit
+    and the CSR of :func:`ringfill.verify_filling`, which releases it once
+    its CSR is built; the next use derives it again, byte for byte the
+    same.  Incidence is counted afresh from the slot ids on each use, so
+    no incidence array is kept.  Instances are cheap to pass around and
+    safe to share read-only between workers.
     """
 
     n: int
@@ -216,8 +230,12 @@ class Triangulation:
         return len(self.triangles)
 
     @cached_property
-    def _edge_table(self) -> tuple[memoryview, memoryview, memoryview]:
+    def _edge_table(self) -> tuple[memoryview, memoryview]:
         return _edge_table(self.triangles)
+
+    def _release_edge_table(self) -> None:
+        """Drop the cached edge table, if any: buffers handed out stay valid, and the next use derives it again."""
+        self.__dict__.pop("_edge_table", None)
 
     @property
     def edges(self) -> memoryview:
@@ -226,8 +244,9 @@ class Triangulation:
 
     @property
     def incidence(self) -> memoryview:
-        """Number of triangle slots on each edge of :attr:`edges`."""
-        return self._edge_table[1]
+        """Number of triangle slots on each edge of :attr:`edges`, counted afresh as a new int32 buffer."""
+        edges, slot_edge = self._edge_table
+        return _incidence(self.triangles, slot_edge, len(edges))
 
     @property
     def boundary_edges(self) -> memoryview:
@@ -306,12 +325,15 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     exactly when v lies on an incidence-1 edge.  The compiled
     ``disk_marks`` reads the cached edge table (from the kernels' radix
     sort) and marks every triangle, edge, vertex and cycle edge with the
-    failure it witnesses: repeated triangles by a counting sort on their
-    smallest edge id, links and connectivity by a union-find that hooks the
-    larger root under the smaller.  It takes int32 scratch linear in the
-    triangles and vertices, whatever the ids, and this function lists the
-    first ten marks of each kind.  The last check is not implied by the
-    others: a disk plus a disjoint torus passes every other one.
+    failure it witnesses: incidences by counting the slot edge ids, repeated
+    triangles by a counting sort on their smallest edge id, links and
+    connectivity by a union-find that hooks the larger root under the
+    smaller.  It takes one int32 scratch array linear in the triangles and
+    vertices, whatever the ids, which holds the incidences before the
+    union-find reuses it, and this function lists the first ten marks of
+    each kind (an overfull edge's incidence counted again to name it).
+    The last check is not implied by the others: a disk plus a disjoint
+    torus passes every other one.
     Degenerate and out-of-range triangles are reported and left out of the
     link, repeat and connectivity checks; edge counts include them.
     """
@@ -332,20 +354,18 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
     count, and ``3 <= n <= nv``.
     """
     tri = _table_rows(tri)
-    edges, inc, slot = map(memoryview, table)
+    edges, slot = map(memoryview, table)
     nf, ne = len(tri), len(edges)
     if not (
         edges.shape == (ne, 2)
-        and inc.shape == (ne,)
         and slot.shape == (nf, 3)
-        and {edges.format, inc.format, slot.format} <= _INT32
+        and {edges.format, slot.format} <= _INT32
         and edges.c_contiguous
-        and inc.c_contiguous
         and slot.c_contiguous
     ):
         raise ValueError(
-            f"an edge table of {nf} triangles needs (E, 2), (E,) and ({nf}, 3) int32 buffers, "
-            f"got shapes {edges.shape}, {inc.shape} and {slot.shape}"
+            f"an edge table of {nf} triangles needs (E, 2) and ({nf}, 3) int32 buffers, "
+            f"got shapes {edges.shape} and {slot.shape}"
         )
     lib = _library()
     if not 0 <= lib.top_id(slot, 3 * nf) < max(ne, 1):
@@ -355,15 +375,12 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
     tri_mark, edge_mark, vertex_mark, cycle_mark = bytearray(nf), bytearray(ne), bytearray(nv), bytearray(n)
     scratch = buffer("i", max(2 * ne, ne + 1 + nf, nv))
     components = lib.disk_marks(
-        n, nv, tri, nf, slot, edges, inc, ne, scratch, tri_mark, edge_mark, vertex_mark, cycle_mark
+        n, nv, tri, nf, slot, edges, ne, scratch, tri_mark, edge_mark, vertex_mark, cycle_mark
     )
     del scratch
 
     def rows(mark: int) -> list[tuple[int, int, int]]:
         return [(tri[f, 0], tri[f, 1], tri[f, 2]) for f in _first(tri_mark, mark)]
-
-    def ends(mark: int) -> list[tuple[tuple[int, int], int]]:
-        return [((edges[e, 0], edges[e, 1]), inc[e]) for e in _first(edge_mark, mark)]
 
     failures = rep.failures
     for mark, line, what in (
@@ -372,9 +389,11 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
         (_REPEATED, "repeated triangle {}", "repeated triangles"),
     ):
         _report(failures, [line.format(x) for x in rows(mark)], what, tri_mark.count(mark))
+    overfull = _first(edge_mark, _OVERFULL)
+    inc = _incidence(tri, slot, ne) if overfull else None
     _report(
         failures,
-        [f"edge {e} lies in {k} triangles (expected 1 or 2)" for e, k in ends(_OVERFULL)],
+        [f"edge {(edges[e, 0], edges[e, 1])} lies in {inc[e]} triangles (expected 1 or 2)" for e in overfull],
         "edges with bad incidence",
         edge_mark.count(_OVERFULL),
     )
@@ -384,7 +403,8 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
         missing = sorted({(0, n - 1) if i == n - 1 else (i, i + 1) for i in absent})
         failures.append(f"cycle edges missing from the boundary: {missing[:_LISTED]}")
     if _OFF_CYCLE in edge_mark:
-        failures.append(f"unexpected boundary edges: {[e for e, _ in ends(_OFF_CYCLE)]}")
+        stray = [(edges[e, 0], edges[e, 1]) for e in _first(edge_mark, _OFF_CYCLE)]
+        failures.append(f"unexpected boundary edges: {stray}")
 
     boundary = edge_mark.count(_CYCLE_EDGE) + edge_mark.count(_OFF_CYCLE)
     euler = nv - ne + nf

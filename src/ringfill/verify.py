@@ -18,7 +18,8 @@ Three independent instruments:
   every boundary cycle edge, d(x, y) <= cyc(x, y) <= min(n // 2, n - 1 - x),
   and d(w, y) is at least w's layer, its distance to the boundary, so no
   vertex w with d(x, w) + layer(w) above that bound lies on a shortest
-  path to a target.  Neither rests on planarity, and the kernel checks
+  path to a target, and a search returns once it has reached its last
+  target.  Neither cut rests on planarity, and the kernel checks
   both rather than trusting the input: if pi_x meets E, E would take a
   target, or a target is left unreached, the rest of that span of sources
   runs without E, and if a cycle edge is missing every source runs a
@@ -200,6 +201,17 @@ def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
     return dist
 
 
+def _distances(dist, n: int) -> memoryview:
+    """``dist`` as a memoryview, or ValueError unless it is a C-contiguous ``(n, n)`` int64 buffer."""
+    view = memoryview(dist)
+    if view.format not in ("l", "q") or view.itemsize != 8 or view.shape != (n, n) or not view.c_contiguous:
+        raise ValueError(
+            f"distances must be a C-contiguous ({n}, {n}) int64 buffer, "
+            f"got format {view.format!r} and shape {view.shape}"
+        )
+    return view
+
+
 def _worst_pair(dist, n: int) -> tuple[int, int]:
     """The first pair, in row-major order, of least ratio of ``dist`` to cycle distance.
 
@@ -209,12 +221,7 @@ def _worst_pair(dist, n: int) -> tuple[int, int]:
     if ``dist`` has another shape or format, which the kernel would misread,
     or if some graph distance exceeds its cycle distance.
     """
-    view = memoryview(dist)
-    if view.format not in ("l", "q") or view.itemsize != 8 or view.shape != (n, n) or not view.c_contiguous:
-        raise ValueError(
-            f"distances must be a C-contiguous ({n}, {n}) int64 buffer, "
-            f"got format {view.format!r} and shape {view.shape}"
-        )
+    view = _distances(dist, n)
     pair = buffer("i", 2)
     if _library().worst_ratio(view, n, pair):
         x, y = pair
@@ -223,6 +230,23 @@ def _worst_pair(dist, n: int) -> tuple[int, int]:
             f"for pair ({x}, {y}): boundary cycle edges are missing"
         )
     return pair[0], pair[1]
+
+
+def _bound_violation(table: list[int], dist, n: int) -> tuple[int, int] | None:
+    """The first pair (x, y), in row-major order, whose entry of ``table`` at cycle distance exceeds ``dist[x, y]``.
+
+    ``table`` is :func:`separation_lower_bounds`' list of ``n // 2 + 1``
+    bounds, and ``dist`` the C-contiguous ``(n, n)`` int64 BFS matrix; the
+    compiled ``bound_violation`` compares every pair.  Returns None if no
+    pair violates the table.  Raises ValueError, before the kernel runs, if
+    the table has another length or the matrix another shape or format,
+    which the kernel would misread.
+    """
+    view = _distances(dist, n)
+    if len(table) != n // 2 + 1:
+        raise ValueError(f"the separation table of C_{n} needs {n // 2 + 1} bounds, got {len(table)}")
+    pair = buffer("i", 2)
+    return (pair[0], pair[1]) if _library().bound_violation(view, n, array("q", table), pair) else None
 
 
 @dataclass(eq=False)
@@ -249,9 +273,15 @@ def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -
     Requires a complex that already passed :func:`validate_disk`.  When a
     shortcut exists (delta < 1) the report carries one shortest path
     realizing the worst pair, read off the BFS tree of its first vertex.
+    The CSR is the only reader of ``t``'s edge table, so ``t`` releases the
+    table once the CSR is built, before any BFS buffer is allocated: the
+    searches then take the table's memory, and verification after
+    validation peaks no higher than validation.  A later use of ``t``'s
+    edges derives the table again, byte for byte the same.
     """
     n = t.n
     graph = _graph_csr(t)  # kept for the witness BFS
+    t._release_edge_table()
     dist = _boundary_distances(graph, n, jobs)
     x, y = _worst_pair(dist, n)
     d_k, d_c = dist[x, y], cycle_dist(x, y, n)

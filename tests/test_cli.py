@@ -685,6 +685,43 @@ def test_bound_check_matches_the_per_pair_loop(small_build, capsys, monkeypatch,
         assert (ref.check_bound(small_build, dist, 100, seed, pairs=7), capsys.readouterr().out) == want
 
 
+def test_sound_bound_check_draws_no_sample(capsys, monkeypatch):
+    # the compiled pass over every pair finds no violation, so no pair is drawn
+    import ringfill.cli as cli
+
+    monkeypatch.setattr(cli, "_check_bound", lambda *args: pytest.fail("a sample was drawn"))
+    assert main(_VERIFY_64) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "bound check: 1000 pairs sampled, 0 violations"
+
+
+def test_bound_check_names_a_violation_the_sample_misses(capsys, monkeypatch):
+    # The table raised at one separation is violated by every pair there,
+    # none of which the one sampled pair is: the first in row-major order,
+    # (0, sep), is named and the command fails.
+    import random
+
+    import ringfill.verify as verify
+
+    n, seed = 25, 3
+    draw = random.Random(seed).randrange
+    a, b = draw(n), draw(n)
+    sep = 6 if verify.cycle_dist(a, b, n) == 5 else 5
+    table = verify.separation_lower_bounds
+
+    def raised(build):
+        bounds = table(build)
+        bounds[sep] = sep + 1
+        return bounds
+
+    monkeypatch.setattr(verify, "separation_lower_bounds", raised)
+    assert main(["verify", *_PARAMS_25, "--check-bound", "1", "--seed", str(seed)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "bound check: 1 pairs sampled, 0 violations",
+        f"lower bound {sep + 1} exceeds distance {sep} for (0, {sep}): "
+        "the first violation in row-major order, missed by the sample",
+    ]
+
+
 def test_bare_file_with_an_id_beyond_its_vertices_is_refused(tmp_path, capsys):
     from ringfill import Triangulation
 

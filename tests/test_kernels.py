@@ -66,8 +66,9 @@ def _reference_report(t: Triangulation):
 
 
 def _assert_table_and_report_match(t: Triangulation) -> None:
-    got, want = _edge_table(t.triangles), ref.edge_table(t.triangles)
-    for a, b in zip(got, want):
+    edges, slot = _edge_table(t.triangles)
+    got = (edges, simplicial._incidence(t.triangles, slot, len(edges)), slot)
+    for a, b in zip(got, ref.edge_table(t.triangles), strict=True):
         a = np.asarray(a)
         assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
     report, reference = validate_disk(_copy(t)), _reference_report(t)
@@ -444,15 +445,17 @@ def test_edge_table_refuses_other_formats_before_the_kernel(monkeypatch):
 
 def test_disk_marks_refuse_a_table_that_does_not_fit_before_the_kernel(monkeypatch):
     t = cone_over_cycle(5)
-    edges, inc, slot = t._edge_table
-    _refuse_kernels(monkeypatch, "disk_marks")
+    edges, slot = t._edge_table
+    _refuse_kernels(monkeypatch, "disk_marks", "edge_ends")
     report = simplicial.ValidationReport()
     stray = np.array(slot)
     stray[2, 1] = len(edges)  # an edge id past the edge table
     with pytest.raises(ValueError, match=r"slot edge ids must lie in 0..9"):
-        simplicial._disk_failures(t.n, t.num_vertices, t.triangles, (edges, inc, stray), report)
-    with pytest.raises(ValueError, match=r"an edge table of 5 triangles needs \(E, 2\), \(E,\) and \(5, 3\) int32"):
-        simplicial._disk_failures(t.n, t.num_vertices, t.triangles, (edges, np.asarray(inc, np.int64), slot), report)
+        simplicial._disk_failures(t.n, t.num_vertices, t.triangles, (edges, stray), report)
+    wide, strided, column = np.asarray(slot, np.int64), np.asarray(edges)[:, ::-1], np.asarray(edges)[:, 0]
+    for table in ((edges, wide), (strided, slot), (column, slot)):
+        with pytest.raises(ValueError, match=r"an edge table of 5 triangles needs \(E, 2\) and \(5, 3\) int32"):
+            simplicial._disk_failures(t.n, t.num_vertices, t.triangles, table, report)
     assert report.failures == []
 
 
@@ -482,8 +485,15 @@ def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
             validate_disk_batch(3, 4, stack)
     with pytest.raises(TypeError):  # a list exports no buffer
         validate_disk_batch(3, 4, wheel[None].tolist())
+    # With no boundary cycle, the 6-vertex projective plane, a closed
+    # surface with V - E + F = 1 and every link a cycle, would pass.
+    rp2 = np.asarray([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                      (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)], dtype=np.int32)
+    for n, nv, stack in ((0, 6, rp2[None]), (2, 6, rp2[None]), (-1, 4, frozen), (-(10**30), 4, frozen)):
+        with pytest.raises(ValueError, match=rf"boundary length must be >= 3, got {n}"):
+            validate_disk_batch(n, nv, stack)
     # a vertex count outside 1..3F, or below n, fails every complex without a call
-    for n, nv in ((3, 0), (3, 10), (3, 10**30), (4, 3), (-1, 4)):
+    for n, nv in ((3, 0), (3, 10), (3, 10**30), (4, 3)):
         assert validate_disk_batch(n, nv, frozen).tolist() == [False, False], (n, nv)
 
 
@@ -493,6 +503,35 @@ def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):
         verify._worst_pair(np.zeros((4, 4), dtype=np.int32), 4)
     with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 buffer"):
         verify._worst_pair(np.zeros((4, 5), dtype=np.int64), 4)
+
+
+def test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel(monkeypatch):
+    _refuse_kernels(monkeypatch, "bound_violation")
+    table = [0, 1, 2]
+    with pytest.raises(ValueError, match=r"the separation table of C_4 needs 3 bounds, got 2"):
+        verify._bound_violation(table[:2], np.zeros((4, 4), dtype=np.int64), 4)
+    with pytest.raises(ValueError, match=r"the separation table of C_5 needs 3 bounds, got 4"):
+        verify._bound_violation(table + [3], np.zeros((5, 5), dtype=np.int64), 5)
+    wide = np.zeros((4, 8), dtype=np.int64)
+    for dist in (np.zeros((4, 4), dtype=np.int32), wide[:, :5], wide[:, ::2]):
+        with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 buffer"):
+            verify._bound_violation(table, dist, 4)
+
+
+@pytest.mark.parametrize("raise_at", [None, 0, 1, 5, 12])
+def test_bound_violation_is_the_first_pair_in_row_major_order(medium_build, raise_at):
+    # The compiled pass over every pair gives the per-pair loop's first
+    # violation, here of the table raised at one separation.
+    n = medium_build.params.n
+    dist = verify_filling(medium_build.triangulation).boundary_distances
+    table = separation_lower_bounds(medium_build)
+    if raise_at is not None:
+        table[raise_at] = raise_at + 1
+    want = next(
+        ((x, y) for x in range(n) for y in range(n) if table[verify.cycle_dist(x, y, n)] > dist[x, y]), None
+    )
+    assert (want is None) == (raise_at is None)
+    assert verify._bound_violation(table, dist, n) == want
 
 
 def test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel(monkeypatch, small_build):

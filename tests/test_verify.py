@@ -248,6 +248,25 @@ def test_verify_builds_the_graph_once(monkeypatch):
     assert report.witness_path == [0, 7, 3]
 
 
+def test_verify_releases_the_edge_table_and_derives_it_again(small_build):
+    # verify_filling drops t's edge table once the CSR is built; t then
+    # derives the same bytes again, and a second verification gives the
+    # same report.  The cone over C_9 has a shortcut, so a witness.
+    built = small_build.triangulation
+    for t in (Triangulation(built.n, built.num_vertices, built.triangles), cone_over_cycle(9)):
+        assert validate_disk(t).ok  # caches the table, as the command line does before verify
+        before = bytes(t.edges), bytes(t.incidence), t.num_edges
+        first = verify_filling(t)
+        assert "_edge_table" not in vars(t)
+        assert (bytes(t.edges), bytes(t.incidence), t.num_edges) == before
+        second = verify_filling(t)
+        assert bytes(second.boundary_distances) == bytes(first.boundary_distances)
+        assert (second.delta, second.worst_pair, second.witness_path) == (
+            first.delta, first.worst_pair, first.witness_path
+        )
+        assert (first.witness_path is None) == (t.n == built.n)
+
+
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs):
     import ringfill.verify as verify
