@@ -168,7 +168,7 @@ def compute_schedule(p: Params) -> Schedule:
 
 @dataclass(eq=False)
 class BuildResult:
-    """A built filling along with its plan, ledger, and exact count checks."""
+    """A built filling along with its params, plan and ledger."""
 
     triangulation: Triangulation
     ledger: list[LayerRecord]
@@ -179,14 +179,6 @@ class BuildResult:
     def apex(self) -> int:
         """Id of the cone apex: the one after the innermost cycle's."""
         return self.ledger[-1].first_vertex + self.ledger[-1].length
-
-    @property
-    def predicted_vertex_count(self) -> int:
-        return self.schedule.predicted_vertex_count
-
-    @property
-    def predicted_triangle_count(self) -> int:
-        return self.schedule.predicted_triangle_count
 
     @property
     def density(self) -> Fraction:

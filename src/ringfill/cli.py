@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from . import ScheduleError, as_fraction
 
 if TYPE_CHECKING:
-    from .builder import BuildResult
     from .simplicial import Triangulation
 
 
@@ -27,7 +26,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a filling and optionally write it as JSON")
     _add_params(p_build, required=True)
-    p_build.add_argument("--out", help="write the build (complex + schedule + ledger) as JSON")
+    p_build.add_argument("--out", help="write the build (params and triangles) as JSON")
 
     p_verify = sub.add_parser("verify", help="exact isometry verification by boundary BFS")
     _add_source(p_verify)
@@ -182,7 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         dist = report.boundary_distances
         table = separation_lower_bounds(build)
         first = _bound_violation(table, dist, report.n)
-        violations = 0 if first is None else _check_bound(build, dist, args.check_bound, args.seed)
+        violations = 0 if first is None else _check_bound(table, dist, args.check_bound, args.seed)
         print(f"bound check: {args.check_bound} pairs sampled, {violations} violations")
         if first is not None and not violations:
             x, y = first
@@ -199,8 +198,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _check_bound(build: BuildResult, dist, count: int, seed: int) -> int:
-    """Check the lower-bound table against ``dist`` on ``count`` sampled pairs; return the violations.
+def _check_bound(table: list[int], dist, count: int, seed: int) -> int:
+    """Check the lower-bound ``table`` against ``dist`` on ``count`` sampled pairs; return the violations.
 
     Each pair (a, b) is two ``random.Random(seed).randrange`` draws, a first,
     and each violation prints in draw order.  ``dist`` is the ``(n, n)``
@@ -209,10 +208,7 @@ def _check_bound(build: BuildResult, dist, count: int, seed: int) -> int:
     """
     import random
 
-    from .verify import separation_lower_bounds
-
     n = len(dist)
-    table = separation_lower_bounds(build)
     draw = random.Random(seed).randrange
     violations = 0
     for _ in range(count):

@@ -5,12 +5,12 @@ A bare complex file is ``{"n": int, "vertices": [{"id", "layer",
 ...]}`` with phases as exact rational pairs (null for the apex); its vertex
 records are derived on output by :func:`vertex_records`.
 
-A build file is ``{"version": 2}`` followed by n, params, schedule, apex,
-predicted counts, ledger and triangles.  It stores no vertex records: every
-vertex position is fixed by its cycle's phase and length in the ledger.
-Loading one recomputes the schedule and ledger from its params, checks
-every other field against them and keeps only its triangles; it assembles
-no complex.  A build file without ``"version": 2`` is refused.  A malformed
+A build file is ``{"version": 3, "params": {"n", "rho", "eta"}, "triangles"}``
+with rho and eta as ``[numerator, denominator]`` pairs.  The params fix
+the schedule, the ledger and so every vertex position, so the file states
+nothing else: loading one recomputes the schedule and ledger and keeps
+only its triangles; it assembles no complex.  A build file without
+``"version": 3``, an older version included, is refused.  A malformed
 field, a zero denominator or a boolean triangle id included, is a
 ValueError naming it.
 
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from .annuli import LayerRecord, layer_ledger
-from .builder import BuildResult, Params, Schedule, compute_schedule
+from .builder import BuildResult, Params, compute_schedule
 from .simplicial import _INT32, Triangulation, _library
 
 if TYPE_CHECKING:  # an annotation only: writing a build file loads no BFS layer
@@ -60,17 +60,11 @@ __all__ = [
     "write_obj",
 ]
 
-_VERSION = 2
+_VERSION = 3
 
 _MISSING = object()
 _INDENT = "  "
 _ROWS_PER_CHUNK = 1024  # rows formatted per write
-
-
-def _frac_pair(x: Fraction | None) -> tuple[int | None, int | None]:
-    if x is None:
-        return None, None
-    return x.numerator, x.denominator
 
 
 def _is_int(x: Any) -> bool:
@@ -197,59 +191,11 @@ def triangulation_from_dict(data: dict[str, Any]) -> Triangulation:
     return Triangulation(n, len(records), _triangles(data, "complex file"), own=True)
 
 
-def _schedule_to_dict(s: Schedule) -> dict[str, Any]:
-    return {
-        "collar_layers": s.collar_layers,
-        "num_blocks": s.num_blocks,
-        "layers_per_block": s.layers_per_block,
-        "stop_time": list(_frac_pair(s.stop_time)),
-        "block_width": list(_frac_pair(s.block_width)),
-        "block_times": [list(_frac_pair(t)) for t in s.block_times],
-        "block_lengths": list(s.block_lengths),
-    }
-
-
-def _ledger_to_list(ledger: list[LayerRecord]) -> list[dict[str, Any]]:
-    out = []
-    for rec in ledger:
-        pn, pd = _frac_pair(rec.phase)
-        bn, bd = _frac_pair(rec.drift_bound)
-        out.append(
-            {
-                "index": rec.index,
-                "length": rec.length,
-                "phase_num": pn,
-                "phase_den": pd,
-                "first_vertex": rec.first_vertex,
-                "annulus_kind": rec.annulus_kind,
-                "drift_num": bn,
-                "drift_den": bd,
-            }
-        )
-    return out
-
-
-def _header(build: BuildResult) -> dict[str, Any]:
-    """The fields of a build file that its params determine, vertex records and triangles aside."""
-    p = build.params
-    return {
-        "n": p.n,
-        "params": {
-            "n": p.n,
-            "rho": list(_frac_pair(p.rho)),
-            "eta": list(_frac_pair(p.eta)),
-        },
-        "schedule": _schedule_to_dict(build.schedule),
-        "apex": build.apex,
-        "predicted_vertex_count": build.predicted_vertex_count,
-        "predicted_triangle_count": build.predicted_triangle_count,
-        "ledger": _ledger_to_list(build.ledger),
-    }
-
-
 def build_to_dict(build: BuildResult) -> dict[str, Any]:
-    """A version 2 build file: the header the params determine, then the triangles, with no vertex records."""
-    return {"version": _VERSION, **_header(build), "triangles": build.triangulation.triangles}
+    """A version 3 build file: the params, which fix the schedule and ledger, and the triangles."""
+    p = build.params
+    params = {"n": p.n, "rho": [p.rho.numerator, p.rho.denominator], "eta": [p.eta.numerator, p.eta.denominator]}
+    return {"version": _VERSION, "params": params, "triangles": build.triangulation.triangles}
 
 
 def _show(x: Any, limit: int = 200) -> str:
@@ -257,27 +203,12 @@ def _show(x: Any, limit: int = 200) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _first_difference(got: Any, want: Any, path: str) -> tuple[str, Any, Any]:
-    """The JSON path of the first value below ``path`` where ``got`` differs from ``want``, with both values."""
-    if isinstance(got, dict) and isinstance(want, dict):
-        for key in [*want, *(k for k in got if k not in want)]:
-            g, w = got.get(key, _MISSING), want.get(key, _MISSING)
-            if g != w:
-                return _first_difference(g, w, f"{path}.{key}")
-    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
-        for i, (g, w) in enumerate(zip(got, want)):
-            if g != w:
-                return _first_difference(g, w, f"{path}[{i}]")
-    return path, got, want
-
-
 def build_from_dict(data: dict[str, Any]) -> BuildResult:
-    """Check a build file against the schedule and ledger of its params, keeping only the file's triangles.
+    """Rebuild the schedule and ledger of a build file's params, keeping only the file's triangles.
 
-    The file must carry ``"version": 2`` and no vertex records.  Every other
-    field must equal its recomputed value; the first that differs is named
-    in a ValueError.  No complex is assembled.  Before its params are
-    checked the file must hold more than n triangles, which bounds the
+    The file must carry ``"version": 3`` and no vertex records; a field it
+    does not need is not read.  No complex is assembled.  Before its params
+    are checked the file must hold more than n triangles, which bounds the
     schedule's O(sqrt n) work.  Then the schedule's vertex count must be at
     most the number of triangles (a filling of C_n has F = 2V - n - 2 > V),
     so a file cannot make the loader compute a ledger larger than the file
@@ -293,7 +224,7 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
     rho, eta = (_rational(_get(pdata, key, "params"), f"params.{key}") for key in ("rho", "eta"))
     tri = _triangles(data, "build file")
     if "vertices" in data:
-        raise ValueError("a version 2 build file has no vertices field: the ledger fixes every vertex")
+        raise ValueError(f"a version {_VERSION} build file has no vertices field: the ledger fixes every vertex")
     if len(tri) <= n:
         raise ValueError(f"triangles must be a list of more than n = {n} rows")
     params = Params(n, rho, eta)
@@ -301,21 +232,9 @@ def build_from_dict(data: dict[str, Any]) -> BuildResult:
     num_vertices = schedule.predicted_vertex_count
     if num_vertices > len(tri):
         raise ValueError(f"params give {num_vertices} vertices, more than the file's {len(tri)} triangles")
-    build = BuildResult(
+    return BuildResult(
         Triangulation(n, num_vertices, tri, own=True), layer_ledger(n, schedule.annuli), schedule, params
     )
-    for key, want in _header(build).items():
-        got = data.get(key, _MISSING)
-        if key == "params" or got == want:
-            continue
-        if got is _MISSING:
-            raise ValueError(f"build file has no {key!r} field")
-        path, got, want = _first_difference(got, want, key)
-        if path.endswith("_den") and got == 0:
-            raise ValueError(f"{path[:-4]} has a zero denominator")
-        section = "ledger" if key == "ledger" else "schedule"
-        raise ValueError(f"{path} = {_show(got)} disagrees with the {section} rebuilt from params ({_show(want)})")
-    return build
 
 
 def complex_from_dict(data: dict[str, Any]) -> tuple[Triangulation, BuildResult | None]:

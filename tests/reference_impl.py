@@ -30,7 +30,9 @@ the link and connectivity counts of ``check_disk``; the validator itself
 ``worst_pair``, the vectorized ``separation_table`` and the chunked
 ``check_bound`` that ``verify --check-bound`` ran; the build-file writer's
 ``%``-template ``write_rows``, the block reader's ``json.loads`` slice
-reader ``int32_rows`` and the numpy ``drift_audit``.
+reader ``int32_rows`` and the numpy ``drift_audit``.  Last,
+``build_file_v2`` writes a build file as version 2 did, so that the tests
+can show such files refused.
 """
 from __future__ import annotations
 
@@ -779,3 +781,48 @@ def drift_audit(build):
             worst = int(np.minimum(d, period - d).max())
             max_obs[r] = max(max_obs[r], Fraction(worst, scale))
     return max_obs, lines
+
+
+def _pair(x):
+    return [x.numerator, x.denominator]
+
+
+def build_file_v2(build):
+    """The version 2 build file ``build --out`` wrote: the params restated as schedule, apex, counts and ledger.
+
+    Without its ``version`` field and with vertex records added it is a
+    version 1 file.
+    """
+    s = build.schedule
+    ledger = [
+        {
+            "index": rec.index,
+            "length": rec.length,
+            "phase_num": rec.phase.numerator,
+            "phase_den": rec.phase.denominator,
+            "first_vertex": rec.first_vertex,
+            "annulus_kind": rec.annulus_kind,
+            "drift_num": None if rec.drift_bound is None else rec.drift_bound.numerator,
+            "drift_den": None if rec.drift_bound is None else rec.drift_bound.denominator,
+        }
+        for rec in build.ledger
+    ]
+    return {
+        "version": 2,
+        "n": build.params.n,
+        "params": {"n": build.params.n, "rho": _pair(build.params.rho), "eta": _pair(build.params.eta)},
+        "schedule": {
+            "collar_layers": s.collar_layers,
+            "num_blocks": s.num_blocks,
+            "layers_per_block": s.layers_per_block,
+            "stop_time": _pair(s.stop_time),
+            "block_width": _pair(s.block_width),
+            "block_times": [_pair(t) for t in s.block_times],
+            "block_lengths": list(s.block_lengths),
+        },
+        "apex": build.apex,
+        "predicted_vertex_count": s.predicted_vertex_count,
+        "predicted_triangle_count": s.predicted_triangle_count,
+        "ledger": ledger,
+        "triangles": build.triangulation.triangles,
+    }

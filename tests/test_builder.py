@@ -108,7 +108,7 @@ def test_build_counts_match_ledger_summation(small_build):
     # Independent count: sum the per-layer lengths recorded in the ledger.
     build = small_build
     from_ledger = sum(rec.length for rec in build.ledger) + 1  # + apex
-    assert build.predicted_vertex_count == from_ledger
+    assert build.schedule.predicted_vertex_count == from_ledger
     assert build.triangulation.num_vertices == from_ledger
 
     # Triangles: 2m per equal annulus, m + M per shrink, innermost for the cone.
@@ -119,7 +119,7 @@ def test_build_counts_match_ledger_summation(small_build):
         else:
             total += 2 * outer.length
     total += build.ledger[-1].length
-    assert build.predicted_triangle_count == total
+    assert build.schedule.predicted_triangle_count == total
     assert build.triangulation.num_triangles == total
 
 
@@ -160,8 +160,8 @@ def test_phase_recursion(medium_build):
 def test_predicted_counts_are_exact_for_varied_parameters():
     for n, rho, eta in [(25, "0.1", "0.25"), (40, "0.15", "0.3"), (81, "0.05", "0.2")]:
         build = build_filling(Params(n, Fraction(rho), Fraction(eta)))
-        assert build.predicted_vertex_count == build.triangulation.num_vertices
-        assert build.predicted_triangle_count == build.triangulation.num_triangles
+        assert build.schedule.predicted_vertex_count == build.triangulation.num_vertices
+        assert build.schedule.predicted_triangle_count == build.triangulation.num_triangles
 
 
 def test_predict_density_values():

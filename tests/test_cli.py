@@ -23,8 +23,8 @@ def test_build_writes_json(tmp_path, capsys):
     out = tmp_path / "k.json"
     assert main(["build", "--n", "32", "--rho", "0.1", "--eta", "0.25", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert list(data)[:2] == ["version", "n"] and data["version"] == 2 and data["n"] == 32
-    assert "ledger" in data and "schedule" in data and "vertices" not in data
+    assert list(data) == ["version", "params", "triangles"] and data["version"] == 3
+    assert data["params"] == {"n": 32, "rho": [1, 10], "eta": [1, 4]}
     printed = capsys.readouterr().out
     assert "vertices=" in printed and "density=" in printed
 
@@ -80,7 +80,8 @@ def test_verify_audit_export_chain(tmp_path, capsys):
     off_path = tmp_path / "k.off"
     assert main(["export", "--in", str(build_path), "--format", "off", "--out", str(off_path)]) == 0
     header = off_path.read_text().split("\n")[1]
-    assert header.split()[0] == str(json.loads(build_path.read_text())["predicted_vertex_count"])
+    t = build_filling(Params(32, Fraction(1, 10), Fraction(1, 4))).triangulation
+    assert header.split()[:2] == [str(t.num_vertices), str(t.num_triangles)]
 
 
 def test_verify_plain_triangulation_with_shortcut(tmp_path, capsys):
@@ -98,34 +99,19 @@ def test_verify_builds_from_params(capsys):
     assert "isometric=True" in capsys.readouterr().out
 
 
-def test_audit_catches_tampered_phase(tmp_path, capsys):
-    build_path = tmp_path / "k.json"
-    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
-    data = json.loads(build_path.read_text())
-    # turn cycle 3 a quarter turn: every vertex of it would move off its
-    # position, so the ledger no longer restates the one its params give
-    cycle = data["ledger"][3]
-    cycle["phase_num"] = cycle["phase_num"] * 4 + 25 * cycle["phase_den"]
-    cycle["phase_den"] *= 4
-    build_path.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["audit", "--in", str(build_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ledger[3].phase_num = ") and "disagrees with the ledger rebuilt from params" in err
-
-
 def test_audit_catches_tampered_triangle(tmp_path, capsys):
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
-    layer_of = {cycle["first_vertex"] + i: cycle["index"] for cycle in data["ledger"] for i in range(cycle["length"])}
-    layer_of[data["apex"]] = len(data["ledger"])
+    ledger = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4))).ledger
+    layer_of = {rec.first_vertex + i: rec.index for rec in ledger for i in range(rec.length)}
+    layer_of[ledger[-1].first_vertex + ledger[-1].length] = len(ledger)
     # a triangle of annulus 2 with one vertex on cycle 3: move that inner
     # endpoint of its slanted edges three steps along cycle 3
     tri = next(t for t in data["triangles"] if sorted(layer_of[v] for v in t) == [2, 2, 3])
     k = next(j for j, v in enumerate(tri) if layer_of[v] == 3)
-    cycle = data["ledger"][3]
-    tri[k] = cycle["first_vertex"] + (tri[k] - cycle["first_vertex"] + 3) % cycle["length"]
+    cycle = ledger[3]
+    tri[k] = cycle.first_vertex + (tri[k] - cycle.first_vertex + 3) % cycle.length
     build_path.write_text(json.dumps(data))
     assert main(["audit", "--in", str(build_path)]) == 1
     assert "violation: annulus 2 (collar)" in capsys.readouterr().err
@@ -155,15 +141,12 @@ def test_audit_refuses_an_edge_of_no_annulus(tmp_path, capsys, flipped_builds, f
     assert f"violation: {line}\n" in captured.err and "invalid" not in captured.err
 
 
-@pytest.mark.parametrize("field", ["phase_den", "rho"])
+@pytest.mark.parametrize("field", ["rho"])
 def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
-    if field == "phase_den":
-        data["ledger"][2]["phase_den"] = 0
-    else:
-        data["params"]["rho"][1] = 0
+    data["params"][field][1] = 0
     build_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["audit", "--in", str(build_path)]) == 1
@@ -184,7 +167,7 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
     dump_json(triangulation_to_dict(cone_over_cycle(6)), str(cone_path))
     digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (build_path, cone_path)}
     assert digest == {
-        "k.json": "836147ec7ebc34e21279e1557f6d0b4e777e0acd2758247e42818d3f50a3322e",
+        "k.json": "8600d2c1516947f019030e07d7f8e2232d32421a6669a769ec15c535f76c0ab7",
         "cone6.json": "386a419e72d8d7b95624bf597759745c85d5abd875d636553f39e43b5d8fcfbb",
     }
 
@@ -344,13 +327,14 @@ def test_commands_read_files_as_json_load_did(tmp_path, capsys, monkeypatch, kin
     "tamper,message",
     [
         *(
-            (lambda d, v=v: d.update(version=v), f"version must be 2, got {v!r}")
-            for v in (3, 1, True, "2", None, 2.0)
+            (lambda d, v=v: d.update(version=v), f"version must be 3, got {v!r}")
+            for v in (4, 1, True, "3", None, 3.0)
         ),
-        (lambda d: d.update(vertices=[]), "a version 2 build file has no vertices field: the ledger fixes every vertex"),
-        (lambda d: d.pop("version"), "version must be 2, got missing"),
+        (lambda d: d.update(version=2, vertices=[]), "version must be 3, got 2"),
+        (lambda d: d.update(vertices=[]), "a version 3 build file has no vertices field: the ledger fixes every vertex"),
+        (lambda d: (d.pop("version"), d.update(ledger=[])), "version must be 3, got missing"),
     ],
-    ids=["3", "1", "true", "str", "null", "float", "v2-with-vertices", "v1-without-vertices"],
+    ids=["4", "1", "true", "str", "null", "float", "v2-with-vertices", "v3-with-vertices", "v1-without-vertices"],
 )
 def test_build_file_version_is_checked(tmp_path, capsys, tamper, message):
     build_path = tmp_path / "k.json"
@@ -365,22 +349,38 @@ def test_build_file_version_is_checked(tmp_path, capsys, tamper, message):
     assert "within_bounds" not in captured.out
 
 
-@pytest.mark.parametrize("command", ["verify", "audit", "export"])
-def test_version_1_build_file_is_refused(tmp_path, capsys, command):
-    # a build file as written before files were versioned: no version, and
-    # vertex records that would pass as a bare complex's
-    build = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4)))
-    data = serialize.build_to_dict(build)
-    data.pop("version")
-    data["vertices"] = list(vertex_records(build.triangulation, build.ledger))
-    path = tmp_path / "k_v1.json"
+def _old_build_file_is_refused(tmp_path, capsys, command, data, message):
+    path = tmp_path / "k_old.json"
     dump_json(data, str(path))
     out = tmp_path / "k.off"
     argv = [command, "--in", str(path)] + (["--format", "off", "--out", str(out)] if command == "export" else [])
     capsys.readouterr()
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: version must be 2, got missing\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "audit", "export"])
+def test_version_1_build_file_is_refused(tmp_path, capsys, command):
+    # a build file as written before files were versioned: no version, and
+    # vertex records that would pass as a bare complex's
+    build = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4)))
+    data = ref.build_file_v2(build)
+    data.pop("version")
+    data["vertices"] = list(vertex_records(build.triangulation, build.ledger))
+    _old_build_file_is_refused(tmp_path, capsys, command, data, "version must be 3, got missing")
+
+
+@pytest.mark.parametrize("command", ["verify", "audit", "export"])
+def test_version_2_build_file_is_refused(tmp_path, capsys, command):
+    # a build file that restates its params as schedule, apex, counts and
+    # ledger, in the bytes version 2 wrote
+    data = ref.build_file_v2(build_filling(Params(25, Fraction(1, 10), Fraction(1, 4))))
+    path = _old_build_file_is_refused(tmp_path, capsys, command, data, "version must be 3, got 2")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "836147ec7ebc34e21279e1557f6d0b4e777e0acd2758247e42818d3f50a3322e"
+    )
 
 
 def _refuse(*args, **kwargs):
@@ -399,7 +399,7 @@ def test_hostile_build_file_is_refused_before_the_rebuild(tmp_path, capsys, monk
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
-    data["n"] = data["params"]["n"] = n
+    data["params"]["n"] = n
     del data["triangles"][rows:]
     build_path.write_text(json.dumps(data))
     monkeypatch.setattr(serialize, "layer_ledger", _refuse)
@@ -463,10 +463,7 @@ def _tampered_build(tmp_path, tamper):
     "field,tamper",
     [
         ("params.rho", lambda d: d["params"].update(rho=[None, None])),
-        ("apex", lambda d: d.update(apex="x")),
-        ("schedule", lambda d: d.pop("schedule")),
         ("triangles", lambda d: d.pop("triangles")),
-        ("ledger", lambda d: d.pop("ledger")),  # still a build file: it has a version
     ],
 )
 def test_malformed_build_file_is_a_named_error(tmp_path, capsys, field, tamper):
@@ -475,27 +472,6 @@ def test_malformed_build_file_is_a_named_error(tmp_path, capsys, field, tamper):
     assert main(["audit", "--in", str(build_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "field,tamper",
-    [
-        ("ledger[2].drift_num", lambda d: d["ledger"][2].update(drift_num=3 * d["ledger"][2]["drift_num"])),
-        (
-            "schedule.layers_per_block",
-            lambda d: d["schedule"].update(layers_per_block=d["schedule"]["layers_per_block"] + 1),
-        ),
-        ("predicted_vertex_count", lambda d: d.update(predicted_vertex_count=d["predicted_vertex_count"] + 7)),
-    ],
-)
-def test_build_file_must_match_its_params(tmp_path, capsys, field, tamper):
-    # each field is determined by params; a file that restates it wrongly is rejected, not audited
-    build_path = _tampered_build(tmp_path, tamper)
-    capsys.readouterr()
-    assert main(["audit", "--in", str(build_path)]) == 1
-    captured = capsys.readouterr()
-    assert f"error: {field} = " in captured.err and "rebuilt from params" in captured.err
-    assert "within_bounds" not in captured.out
 
 
 def _subprocess_env() -> dict[str, str]:
@@ -678,7 +654,7 @@ def test_bound_check_matches_the_per_pair_loop(small_build, capsys, monkeypatch,
     dist = verify.verify_filling(small_build.triangulation).boundary_distances
     for seed in range(5):
         want = _sampled_bound_check(small_build, dist, 100, seed), capsys.readouterr().out
-        got = cli._check_bound(small_build, dist, 100, seed), capsys.readouterr().out
+        got = cli._check_bound(verify.separation_lower_bounds(small_build), dist, 100, seed), capsys.readouterr().out
         assert got == want
         assert (want[0] > 0) == (raise_by > 0) and want[1].count("\n") == want[0]
         # the numpy check it replaced, in chunks of 7 pairs with a short last one

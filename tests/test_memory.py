@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import pytest
 
-from ringfill import Params, Triangulation, build_filling, drift_audit, validate_disk, verify_filling
+from ringfill import Params, Triangulation, _kernels, build_filling, drift_audit, validate_disk, verify_filling
 from ringfill.serialize import build_to_dict, complex_from_dict, dump_json, load_json
 
 PARAMS = Params(384, Fraction(1, 10), Fraction(1, 4))
@@ -56,7 +56,12 @@ def _peak(call):
 
 @pytest.fixture(scope="module")
 def peaks(tmp_path_factory):
-    """Peak of each stage over the triangle array's bytes: build, validate, audit, verify, and loading the build file."""
+    """Peak of each stage over the triangle array's bytes: build, validate, audit, verify, and loading the build file.
+
+    The kernel library is loaded first, so that its one-time import of
+    ctypes and sysconfig falls in no stage, whichever test ran before.
+    """
+    _kernels.library()
     build, built = _peak(lambda: build_filling(PARAMS))
     size = build.triangulation.triangles.nbytes
     _, validated = _peak(lambda: validate_disk(build.triangulation))

@@ -122,8 +122,8 @@ def test_built_complexes_are_valid_disks(n, rho, eta):
     except ScheduleError:
         assume(False)
     assert validate_disk(build.triangulation).ok
-    assert build.predicted_vertex_count == build.triangulation.num_vertices
-    assert build.predicted_triangle_count == build.triangulation.num_triangles
+    assert build.schedule.predicted_vertex_count == build.triangulation.num_vertices
+    assert build.schedule.predicted_triangle_count == build.triangulation.num_triangles
 
 
 @given(st.integers(12, 64), small_rhos, small_etas)
