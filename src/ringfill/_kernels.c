@@ -13,7 +13,9 @@
  *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
- *   disk_verdicts            validate_disk's verdict on each complex of a stack
+ *   disk_edges,
+ *   disk_verdicts            validate_disk's verdict on one complex, with its edges, or each of a stack
+ *   chunk_rows               one chunk of a ledger's rows, shifted and capped for disk_verdicts
  *   isometric_rows           the oracle's isometry test on a stack of complexes
  *   drift_rows               the drift audit's pass over the edges of one cycle
  *   rows_text, parse_rows    build-file rows written as JSON text and read back
@@ -24,9 +26,9 @@
  * array and every scratch array is passed in by the caller, as a bytearray
  * cast by memoryview or a numpy array.  The caller checks every array:
  * C-contiguous, int32 unless stated, and every index within the sizes
- * given; disk_verdicts alone takes vertex ids of any value, disk_marks any
- * non-negative ones, and parse_rows text of any content, since rejecting
- * them is their job.
+ * given; disk_edges and disk_verdicts alone take vertex ids of any value,
+ * disk_marks any non-negative ones, and parse_rows text of any content,
+ * since rejecting them is their job.
  *
  * Triangles are rows of three int32 ids, each row rotated so its smallest id
  * comes first.  Slot s = 3f + j of a triangle array is the edge from corner
@@ -485,8 +487,10 @@ void graph_csr(const int32_t *edges, int32_t ne, int32_t nv, int32_t *indptr, in
  * the search returns after the first level whose expansion leaves every
  * target, the vertices lo..hi-1, reached: a cursor over the targets is
  * moved once a level, so no vertex pays for the check.  Returns the number
- * of vertices enqueued, in order in queue. */
-static int32_t search(const int32_t *indptr, const int32_t *indices, int32_t tail, int32_t bound, int32_t lo,
+ * of vertices enqueued, in order in queue.  It starts on a cache line, so
+ * that code added before it does not move its loop: a shift of 16 bytes
+ * made the searches of verify-n320 a fifth slower. */
+static __attribute__((aligned(64))) int32_t search(const int32_t *indptr, const int32_t *indices, int32_t tail, int32_t bound, int32_t lo,
                       int32_t hi, int32_t *dist, int32_t *queue, int32_t *pred)
 {
     int targets = lo < hi;
@@ -953,7 +957,7 @@ int32_t grow_fillings(int32_t n, int32_t interior, int32_t *state, int32_t *tri,
  * canonical_rows, an id outside 0..nv-1 failing them before any use as an
  * index, then edge_slots, edge_ends and disk_marks, with no triangle,
  * vertex or off-cycle edge marked, every cycle edge present, V - E + F = 1
- * and one component.  scratch is laid out as in disk_verdicts. */
+ * and one component.  scratch is laid out as in disk_edges. */
 static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_t *scratch)
 {
     int32_t size = 3 * nf, *rows = scratch, *slot = rows + size, *perm = slot + size;
@@ -982,23 +986,72 @@ static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_
     return !bad;
 }
 
+/* disk_edges: the number of edges E = nv + nf - 1 of the nf triangles tri
+ * if they form a triangulated disk on the vertices 0..nv-1 whose boundary
+ * is exactly the cycle 0..n-1, iff validate_disk reports no failure for
+ * them (see is_disk), else -1.  The ids of tri may take any value.  scratch
+ * holds 21 * nf int32 entries, in regions of 3F: the rotated rows, the slot
+ * edge ids, the sort order (then the marks, F + E + nv + n <= 10F bytes);
+ * then 6F for the edges and 6F for the radix counts (then disk_marks's
+ * scratch, max(2E, E + 1 + F, nv) <= 6F entries).  For a disk the E edges
+ * (lo, hi), ascending, are left at scratch + 9 nf.  No complex of F
+ * triangles covers more than 3F vertices, so nv outside n..3F gives -1 and
+ * the scratch stays linear in F; with n < 3 there is no boundary cycle,
+ * and the result is -1 too. */
+int32_t disk_edges(int32_t n, int32_t nv, const int32_t *tri, int32_t nf, int32_t *scratch)
+{
+    if (3 <= n && n <= nv && nv <= 3 * (int64_t)nf && is_disk(n, nv, tri, nf, scratch))
+        return nv + nf - 1;
+    return -1;
+}
+
 /* disk_verdicts: ok[b] is 1 iff complex b of count, rows of nf triangles in
- * tri, is a triangulated disk on the vertices 0..nv-1 whose boundary is
- * exactly the cycle 0..n-1: iff validate_disk reports no failure for it
- * (see is_disk).  Each complex is checked on its own, and the ids of tri
- * may take any value.  scratch holds 21 * nf int32 entries, in regions of
- * 3F: the rotated rows, the slot edge ids, the sort order (then the marks,
- * F + E + nv + n <= 10F bytes); then 6F for the edges and 6F for the radix
- * counts (then disk_marks's scratch, max(2E, E + 1 + F, nv) <= 6F
- * entries).  No complex of F triangles covers more than 3F vertices, so
- * for nv outside n..3F every verdict is 0 and the scratch stays linear in
- * F; with n < 3 there is no boundary cycle, and every verdict is 0 too. */
+ * tri, is a disk for disk_edges, each checked on its own in the same
+ * scratch of 21 * nf int32 entries. */
 void disk_verdicts(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int32_t nf, int32_t *scratch,
                    uint8_t *ok)
 {
-    int sized = 3 <= n && n <= nv && nv <= 3 * (int64_t)nf;
     for (size_t b = 0; b < (size_t)count; b++)
-        ok[b] = (uint8_t)(sized && is_disk(n, nv, tri + b * 3 * (size_t)nf, nf, scratch));
+        ok[b] = (uint8_t)(disk_edges(n, nv, tri + b * 3 * (size_t)nf, nf, scratch) >= 0);
+}
+
+/* One chunk of a ledger's canonical rows, relabelled for disk_verdicts: the
+ * count rows tri, each id less first, into out, then the m rows of a cone
+ * capping the cycle of m vertices from id inner with the vertex top - first,
+ * each row rotated so its smallest id comes first; with m = 0 nothing is
+ * capped.  Returns 0, or -1 at the first row whose smallest id lies outside
+ * first..inner - 1 or another id outside first..top - 1, or which holds a
+ * chord of the capped cycle: two ids on it that are not adjacent on it.  The
+ * caller checks 0 <= first <= inner, inner + m <= top <= 2^31 - 1 and that
+ * out holds count + m rows. */
+int32_t chunk_rows(const int32_t *tri, int32_t count, int32_t first, int32_t inner, int32_t m, int32_t top,
+                   int32_t *out)
+{
+    for (size_t f = 0; f < (size_t)count; f++) {
+        const int32_t *t = tri + 3 * f;
+        int32_t at[3], on = 0;
+        if (t[0] < first || t[0] >= inner)
+            return -1;
+        for (int j = 0; j < 3; j++) {
+            if (t[j] < first || t[j] >= top)
+                return -1;
+            out[3 * f + j] = t[j] - first;
+            if (t[j] >= inner && t[j] - inner < m)
+                at[on++] = t[j] - inner;
+        }
+        for (int x = 0; x < on; x++)
+            for (int y = x + 1; y < on; y++) {
+                int32_t gap = at[x] > at[y] ? at[x] - at[y] : at[y] - at[x];
+                if (gap > 1 && gap < m - 1)
+                    return -1;
+            }
+    }
+    int32_t *cap = out + 3 * (size_t)count, base = inner - first, apex = top - first;
+    for (int32_t i = 0; i + 1 < m; i++, cap += 3)
+        cap[0] = base + i, cap[1] = base + i + 1, cap[2] = apex;
+    if (m > 0)
+        cap[0] = base, cap[1] = apex, cap[2] = base + m - 1;
+    return 0;
 }
 
 /* Which of count complexes, rows of nf triangles on ids 0..nv-1 in tri, are

@@ -20,11 +20,13 @@ from struct import calcsize
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")  # beside the .pyc files, with their trust
 _CC = ("cc", "-O2", "-shared", "-fPIC")
-# int32 scratch entries per triangle that disk_verdicts takes: 3 each for the
-# rotated rows, slot edge ids and sort order (then the marks), 6 each for the
-# edges and the radix counts (then disk_marks's scratch, which also counts
-# the incidences)
+# int32 scratch entries per triangle that disk_edges and disk_verdicts take:
+# 3 each for the rotated rows, slot edge ids and sort order (then the marks),
+# 6 each for the edges and the radix counts (then disk_marks's scratch, which
+# also counts the incidences); a disk's edges are left DISK_EDGES entries a
+# triangle in
 DISK_SCRATCH = 21
+DISK_EDGES = 9
 MAX_ID = 2**31 - 1  # the largest vertex id of the kernels' int32 arrays
 MAX_TRIANGLES = MAX_ID // 6  # the most triangles a complex may have, so that int32 edge and corner ids cannot wrap
 INT32 = frozenset(c for c in "il" if calcsize(c) == 4)  # the struct formats of int32
@@ -177,7 +179,9 @@ def signatures() -> dict:
         "lower_bounds": (None, [i64, i32, wide, wide, wide, i64, wide, i32]),
         "grow_state_size": (i32, [i32, i32]),
         "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),
+        "disk_edges": (i32, [i32, i32, ids, i32, ids]),
         "disk_verdicts": (None, [i32, i32, ids, i32, i32, ids, flags]),
+        "chunk_rows": (i32, [ids, i32, i32, i32, i32, i32, ids]),
         "isometric_rows": (None, [i32, i32, ids, i32, i32, words, flags]),
         "drift_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, marks]),
         "rows_text": (i64, [ids, i64, i32, i32, marks]),

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from . import ScheduleError, as_fraction
 
 if TYPE_CHECKING:
-    from .simplicial import Triangulation
+    from .simplicial import Triangulation, ValidationReport
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -122,14 +122,14 @@ def _load_source(args: argparse.Namespace):
     return build.triangulation, build
 
 
-def _invalid(t: Triangulation) -> bool:
-    """Print every failed disk invariant of ``t`` as ``invalid: ...``; True if any failed."""
+def _validated(t: Triangulation, ledger: list | None = None) -> ValidationReport:
+    """``validate_disk(t, ledger)``, each failed invariant printed as ``invalid: ...``."""
     from .simplicial import validate_disk
 
-    report = validate_disk(t)
+    report = validate_disk(t, ledger)
     for failure in report.failures:
         print(f"invalid: {failure}", file=sys.stderr)
-    return not report.ok
+    return report
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -138,10 +138,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     params = Params(args.n, as_fraction(args.rho), as_fraction(args.eta))
     build = build_filling(params)
     t = build.triangulation
-    if _invalid(t):
+    report = _validated(t, build.ledger)
+    if not report.ok:
         return 1
     s = build.schedule
-    print(f"n={t.n} vertices={t.num_vertices} triangles={t.num_triangles} edges={t.num_edges}")
+    print(f"n={t.n} vertices={t.num_vertices} triangles={t.num_triangles} edges={report.counts['edges']}")
     print(
         f"collar_layers={s.collar_layers} blocks={s.num_blocks} layers_per_block={s.layers_per_block} "
         f"innermost={s.block_lengths[-1]}"
@@ -162,7 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.check_bound and build is None:
         print("bound check needs a build file with a ledger", file=sys.stderr)
         return 1
-    if _invalid(t):
+    if not _validated(t).ok:  # the whole complex: the CSR needs its edge table
         return 1
     report = verify_filling(t, jobs=args.jobs)
     if build is not None:
@@ -222,16 +223,20 @@ def _check_bound(table: list[int], dist, count: int, seed: int) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .chunks import validated_drift_audit
     from .verify import drift_audit
 
     t, build = _load_source(args)
     if build is None:
         print("audit needs a build file with a ledger (or --n/--rho/--eta)", file=sys.stderr)
         return 1
-    # The drift audit still runs on a complex that is not a disk, so that one
-    # pass reports every fault; either kind fails the command.
-    invalid = _invalid(t)
-    audit = drift_audit(build)
+    # One pass over the chunks validates and audits; else the whole complex is.
+    # The audit still runs on a complex that is not a disk, so that one pass
+    # reports every fault; either kind fails the command.
+    audit, invalid = validated_drift_audit(build), False
+    if audit is None:
+        invalid = not _validated(t).ok
+        audit = drift_audit(build)
     tight = sum(1 for row in audit.rows if row.kind != "shrink" and row.tight)
     equalish = sum(1 for row in audit.rows if row.kind != "shrink")
     print(f"n={t.n} annuli={len(audit.rows)} within_bounds={audit.ok}")

@@ -301,7 +301,7 @@ def _first(marks: bytearray, *codes: int) -> list[int]:
     return sorted(found)[:_LISTED]
 
 
-def validate_disk(t: Triangulation) -> ValidationReport:
+def validate_disk(t: Triangulation, ledger: list | None = None) -> ValidationReport:
     """Check that ``t`` is a triangulated disk with boundary exactly C_n.
 
     Runs every structural invariant in compiled kernels and reports all
@@ -336,11 +336,24 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     torus passes every other one.
     Degenerate and out-of-range triangles are reported and left out of the
     link, repeat and connectivity checks; edge counts include them.
+
+    With the ``ledger`` of a built or loaded filling, ``t`` is checked one
+    chunk of annuli at a time first (the gluing lemma, see
+    :mod:`ringfill.chunks`); a failed or irregular chunk falls back to the
+    checks above, so the report is the same either way.
     """
     rep = ValidationReport()
     if not t.num_triangles:
         rep.failures.append("complex has no triangles")
         return rep
+    if ledger is not None:
+        from .chunks import chunks_are_disks  # only here: whole-complex callers load none of it
+
+        if chunks_are_disks(t, ledger):  # a disk, so E = V + F - 1
+            nv, nf, n = t.num_vertices, t.num_triangles, t.n
+            ne = nv + nf - 1
+            rep.counts = {"vertices": nv, "edges": ne, "triangles": nf, "boundary_edges": n, "interior_edges": ne - n}
+            return rep
     _disk_failures(t.n, t.num_vertices, t.triangles, t._edge_table, rep)
     return rep
 

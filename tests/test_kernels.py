@@ -34,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 import ringfill._reader as reader
 import ringfill.annuli as annuli
+import ringfill.chunks as chunks
 import ringfill.serialize as serialize
 import ringfill.simplicial as simplicial
 import ringfill.verify as verify
@@ -497,6 +498,55 @@ def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
         assert validate_disk_batch(n, nv, frozen).tolist() == [False, False], (n, nv)
 
 
+def test_chunk_rows_refuse_other_buffers_and_ids_before_the_kernel(monkeypatch, small_build):
+    rows = small_build.triangulation.triangles[:10]
+    assert chunks._chunk_rows(rows, 0, 25, 25, 50, np.zeros((35, 3), dtype=np.int32))
+    _refuse_kernels(monkeypatch, "chunk_rows")
+    out = np.zeros((35, 3), dtype=np.int32)
+    frozen = out.copy()
+    frozen.flags.writeable = False
+    for dest in (np.zeros((34, 3), dtype=np.int32), np.zeros((35, 3), dtype=np.int64), frozen,
+                 np.zeros((35, 6), dtype=np.int32)[:, ::2]):
+        with pytest.raises(ValueError, match=r"a chunk of 10 rows capped by 25 needs a writable C-contiguous \(35, 3\)"):
+            chunks._chunk_rows(rows, 0, 25, 25, 50, dest)
+    with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer, got format 'l'"):
+        chunks._chunk_rows(np.asarray(rows, dtype=np.int64), 0, 25, 25, 50, out)
+    for first, inner, m, top in ((-1, 25, 25, 50), (26, 25, 25, 50), (0, 25, 25, 49), (0, 25, -1, 50),
+                                 (0, 2**31 - 26, 25, 2**31)):
+        with pytest.raises(ValueError, match=r"a chunk of ids .* needs 0 <= "):
+            chunks._chunk_rows(rows, first, inner, m, top, np.zeros((10 + m, 3), dtype=np.int32))
+
+
+def test_disk_edges_are_the_sorted_edges_of_a_disk_and_its_verdict():
+    lib = _kernels.library()
+    for t, n, nv in ((cone_over_cycle(7), 7, 8), (Triangulation(3, 3, [(0, 1, 2)]), 3, 3)):
+        rows, nf = t.triangles, t.num_triangles
+        scratch = np.zeros(_kernels.DISK_SCRATCH * nf, dtype=np.int32)
+        ne = lib.disk_edges(n, nv, rows, nf, scratch)
+        assert ne == len(t.edges) == nv + nf - 1
+        at = _kernels.DISK_EDGES * nf
+        assert scratch[at : at + 2 * ne].tolist() == np.asarray(t.edges).ravel().tolist()
+        # no disk bounded by C_n: one vertex too few or too many, or a boundary cycle too short
+        for args in ((n, nv + 1), (n, nv - 1), (2, nv), (n, 3 * nf + 1)):
+            assert lib.disk_edges(*args, rows, nf, scratch) == -1, args
+
+
+def test_chunk_checks_stop_at_an_irregular_chunk_before_the_kernel(monkeypatch, medium_build):
+    t, ledger = medium_build.triangulation, medium_build.ledger
+    _refuse_kernels(monkeypatch, "disk_edges")
+    monkeypatch.setattr(chunks, "_CHUNK", 1)  # one annulus a chunk
+    monkeypatch.setattr(chunks, "_CAP_SHARE", 0)
+    swapped = np.array(t.triangles)
+    swapped[[0, -1]] = swapped[[-1, 0]]  # a row of the cone first, one of the collar last
+    chord = np.array(t.triangles)
+    chord[1, 2] = ledger[1].vertex(2)  # (1, 64, 65) is now (1, 64, 66): a chord of cycle 1 in chunk 0
+    other = Triangulation(t.n, t.num_vertices + 1, t.triangles)
+    for complex_, records in ((Triangulation(t.n, t.num_vertices, swapped), ledger),
+                              (Triangulation(t.n, t.num_vertices, chord), ledger), (other, ledger),
+                              (t, ledger[:-1]), (t, ledger[1:])):
+        assert not chunks.chunks_are_disks(complex_, records)
+
+
 def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):
     _refuse_kernels(monkeypatch, "worst_ratio")
     with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 buffer, got format 'i'"):
@@ -767,7 +817,7 @@ def test_kernels_pass_their_tests_under_sanitizers(tmp_path):
     argv = [
         str(tmp_path), "-q", "-p", "no:cacheprovider", "--capture=sys",  # a sanitizer's report goes to fd 2
         *(str(tests / f"test_{name}.py")
-          for name in ("kernels", "oracle", "simplicial", "verify", "acceptance", "load_json", "serialize")),
+          for name in ("kernels", "oracle", "simplicial", "chunks", "verify", "acceptance", "load_json", "serialize")),
         # the loader's tests compile libraries of their own, which the patched loader refuses
         "-k", "not under_sanitizers and not first_builds_share and not unwritable_cache and not edited_source",
     ]
