@@ -13,9 +13,8 @@
  *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
- *   disk_edges,
- *   disk_verdicts            validate_disk's verdict on one complex, with its edges, or each of a stack
- *   chunk_rows               one chunk of a ledger's rows, shifted and capped for disk_verdicts
+ *   disk_verdicts            validate_disk's verdict on each complex of a stack
+ *   strip_rows               one annulus of a ledger checked as a cyclic strip, or its cone as a fan
  *   isometric_rows           the oracle's isometry test on a stack of complexes
  *   drift_rows               the drift audit's pass over the edges of one cycle
  *   rows_text, parse_rows    build-file rows written as JSON text and read back
@@ -26,7 +25,7 @@
  * array and every scratch array is passed in by the caller, as a bytearray
  * cast by memoryview or a numpy array.  The caller checks every array:
  * C-contiguous, int32 unless stated, and every index within the sizes
- * given; disk_edges and disk_verdicts alone take vertex ids of any value,
+ * given; disk_verdicts and strip_rows alone take vertex ids of any value,
  * disk_marks any non-negative ones, and parse_rows text of any content,
  * since rejecting them is their job.
  *
@@ -487,10 +486,8 @@ void graph_csr(const int32_t *edges, int32_t ne, int32_t nv, int32_t *indptr, in
  * the search returns after the first level whose expansion leaves every
  * target, the vertices lo..hi-1, reached: a cursor over the targets is
  * moved once a level, so no vertex pays for the check.  Returns the number
- * of vertices enqueued, in order in queue.  It starts on a cache line, so
- * that code added before it does not move its loop: a shift of 16 bytes
- * made the searches of verify-n320 a fifth slower. */
-static __attribute__((aligned(64))) int32_t search(const int32_t *indptr, const int32_t *indices, int32_t tail, int32_t bound, int32_t lo,
+ * of vertices enqueued, in order in queue. */
+static int32_t search(const int32_t *indptr, const int32_t *indices, int32_t tail, int32_t bound, int32_t lo,
                       int32_t hi, int32_t *dist, int32_t *queue, int32_t *pred)
 {
     int targets = lo < hi;
@@ -957,7 +954,7 @@ int32_t grow_fillings(int32_t n, int32_t interior, int32_t *state, int32_t *tri,
  * canonical_rows, an id outside 0..nv-1 failing them before any use as an
  * index, then edge_slots, edge_ends and disk_marks, with no triangle,
  * vertex or off-cycle edge marked, every cycle edge present, V - E + F = 1
- * and one component.  scratch is laid out as in disk_edges. */
+ * and one component.  scratch is laid out as in disk_verdicts. */
 static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_t *scratch)
 {
     int32_t size = 3 * nf, *rows = scratch, *slot = rows + size, *perm = slot + size;
@@ -986,72 +983,101 @@ static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_
     return !bad;
 }
 
-/* disk_edges: the number of edges E = nv + nf - 1 of the nf triangles tri
- * if they form a triangulated disk on the vertices 0..nv-1 whose boundary
- * is exactly the cycle 0..n-1, iff validate_disk reports no failure for
- * them (see is_disk), else -1.  The ids of tri may take any value.  scratch
- * holds 21 * nf int32 entries, in regions of 3F: the rotated rows, the slot
- * edge ids, the sort order (then the marks, F + E + nv + n <= 10F bytes);
- * then 6F for the edges and 6F for the radix counts (then disk_marks's
- * scratch, max(2E, E + 1 + F, nv) <= 6F entries).  For a disk the E edges
- * (lo, hi), ascending, are left at scratch + 9 nf.  No complex of F
- * triangles covers more than 3F vertices, so nv outside n..3F gives -1 and
- * the scratch stays linear in F; with n < 3 there is no boundary cycle,
- * and the result is -1 too. */
-int32_t disk_edges(int32_t n, int32_t nv, const int32_t *tri, int32_t nf, int32_t *scratch)
-{
-    if (3 <= n && n <= nv && nv <= 3 * (int64_t)nf && is_disk(n, nv, tri, nf, scratch))
-        return nv + nf - 1;
-    return -1;
-}
-
 /* disk_verdicts: ok[b] is 1 iff complex b of count, rows of nf triangles in
- * tri, is a disk for disk_edges, each checked on its own in the same
- * scratch of 21 * nf int32 entries. */
+ * tri, is a triangulated disk on the vertices 0..nv-1 whose boundary is
+ * exactly the cycle 0..n-1, iff validate_disk reports no failure for it
+ * (see is_disk), each checked on its own in the same scratch.  The ids of
+ * tri may take any value.  scratch holds 21 * nf int32 entries, in regions
+ * of 3F: the rotated rows, the slot edge ids, the sort order (then the
+ * marks, F + E + nv + n <= 10F bytes); then 6F for the edges and 6F for the
+ * radix counts (then disk_marks's scratch, max(2E, E + 1 + F, nv) <= 6F
+ * entries).  No complex of F triangles covers more than 3F vertices, so nv
+ * outside n..3F fails every complex and the scratch stays linear in F;
+ * with n < 3 there is no boundary cycle, and every complex fails too. */
 void disk_verdicts(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int32_t nf, int32_t *scratch,
                    uint8_t *ok)
 {
+    int sized = 3 <= n && n <= nv && nv <= 3 * (int64_t)nf;
     for (size_t b = 0; b < (size_t)count; b++)
-        ok[b] = (uint8_t)(disk_edges(n, nv, tri + b * 3 * (size_t)nf, nf, scratch) >= 0);
+        ok[b] = (uint8_t)(sized && is_disk(n, nv, tri + b * 3 * (size_t)nf, nf, scratch));
 }
 
-/* One chunk of a ledger's canonical rows, relabelled for disk_verdicts: the
- * count rows tri, each id less first, into out, then the m rows of a cone
- * capping the cycle of m vertices from id inner with the vertex top - first,
- * each row rotated so its smallest id comes first; with m = 0 nothing is
- * capped.  Returns 0, or -1 at the first row whose smallest id lies outside
- * first..inner - 1 or another id outside first..top - 1, or which holds a
- * chord of the capped cycle: two ids on it that are not adjacent on it.  The
- * caller checks 0 <= first <= inner, inner + m <= top <= 2^31 - 1 and that
- * out holds count + m rows. */
-int32_t chunk_rows(const int32_t *tri, int32_t count, int32_t first, int32_t inner, int32_t m, int32_t top,
-                   int32_t *out)
+/* The edge of a cycle of len vertices between its vertices p and q, the
+ * edge from vertex e to e + 1 mod len being e, or -1 if they are not
+ * adjacent on it; 0 <= p, q < len. */
+static int32_t cycle_edge(int32_t p, int32_t q, int32_t len)
 {
-    for (size_t f = 0; f < (size_t)count; f++) {
+    int32_t lo = p < q ? p : q, hi = p < q ? q : p;
+    return hi - lo == 1 ? lo : lo == 0 && hi == len - 1 && len > 2 ? hi : -1;
+}
+
+/* strip_rows: whether the k rows tri are the annulus between a cycle U of
+ * m >= 3 vertices from id first and the next cycle inward, W, of M >= 3
+ * vertices from id first + m, as a cyclic strip; or, with M = 1, the fan
+ * closing U with the apex first + m.  Every row must hold one edge of one
+ * cycle and one vertex of the other, its first id on U, and each of the m
+ * edges of U and the M edges of W (none for the apex) must lie in exactly
+ * one row, so k = m + M (k = m for the fan).  Outer edge i, from U_i to
+ * U_i+1, then has one far vertex W_up[i], and inner edge j one far vertex
+ * U_down[j].  Around U, the far vertices of consecutive outer edges i and
+ * i + 1 must advance by 0..M - 1 steps along W, M steps in all, and each
+ * inner edge passed on the way must have U_i+1 as its far vertex: the
+ * monotone cyclic path of the strip's rungs, the edges (U_i+1, W_j) for j
+ * from up[i] to up[i + 1].  Returns the largest min(x, period - x), x =
+ * (a + b i - c j) mod period, over those m + M rungs (0 if period is 0,
+ * and for the fan), or -1 for rows that are no such strip.  scratch holds
+ * m + M int32 entries.  The caller checks first + m + M <= 2^31 and, unless
+ * period is 0, 0 <= a, b (m - 1), c (M - 1) < period and 2 period < 2^63,
+ * as for drift_rows. */
+int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int32_t M, int64_t a, int64_t b,
+                   int64_t c, int64_t period, int32_t *scratch)
+{
+    int32_t *up = scratch, *down = scratch + m, ring = m + M;
+    if (k != (M > 1 ? ring : m))
+        return -1;
+    for (int32_t i = 0; i < ring; i++)
+        scratch[i] = -1;
+    for (size_t f = 0; f < (size_t)k; f++) {
         const int32_t *t = tri + 3 * f;
-        int32_t at[3], on = 0;
-        if (t[0] < first || t[0] >= inner)
+        int64_t x = (int64_t)t[0] - first, y = (int64_t)t[1] - first, z = (int64_t)t[2] - first;
+        if (x < 0 || x >= m || y < 0 || y >= ring || z < 0 || z >= ring)
             return -1;
-        for (int j = 0; j < 3; j++) {
-            if (t[j] < first || t[j] >= top)
-                return -1;
-            out[3 * f + j] = t[j] - first;
-            if (t[j] >= inner && t[j] - inner < m)
-                at[on++] = t[j] - inner;
-        }
-        for (int x = 0; x < on; x++)
-            for (int y = x + 1; y < on; y++) {
-                int32_t gap = at[x] > at[y] ? at[x] - at[y] : at[y] - at[x];
-                if (gap > 1 && gap < m - 1)
-                    return -1;
-            }
+        int32_t edge, far, *slot;
+        if (y >= m && z >= m)
+            edge = cycle_edge((int32_t)y - m, (int32_t)z - m, M), far = (int32_t)x, slot = down;
+        else if (y < m && z >= m)
+            edge = cycle_edge((int32_t)x, (int32_t)y, m), far = (int32_t)z - m, slot = up;
+        else if (z < m && y >= m)
+            edge = cycle_edge((int32_t)x, (int32_t)z, m), far = (int32_t)y - m, slot = up;
+        else
+            return -1;
+        if (edge < 0 || slot[edge] >= 0)
+            return -1;
+        slot[edge] = far;
     }
-    int32_t *cap = out + 3 * (size_t)count, base = inner - first, apex = top - first;
-    for (int32_t i = 0; i + 1 < m; i++, cap += 3)
-        cap[0] = base + i, cap[1] = base + i + 1, cap[2] = apex;
-    if (m > 0)
-        cap[0] = base, cap[1] = apex, cap[2] = base + m - 1;
-    return 0;
+    if (M == 1)
+        return 0;
+    int64_t worst = 0, steps = 0;
+    for (int32_t i = 0; i < m; i++) {
+        int32_t next = i + 1 < m ? i + 1 : 0, j = up[i], stop = up[next];
+        steps += stop >= j ? stop - j : stop - j + M;
+        if (steps > M)
+            return -1;
+        for (;;) {
+            if (period) {
+                int64_t d = a + b * next - c * j;
+                d = d < 0 ? d + period : d >= period ? d - period : d;
+                d = d < period - d ? d : period - d;
+                worst = d > worst ? d : worst;
+            }
+            if (j == stop)
+                break;
+            if (down[j] != next)
+                return -1;
+            j = j + 1 < M ? j + 1 : 0;
+        }
+    }
+    return steps == M ? worst : -1;
 }
 
 /* Which of count complexes, rows of nf triangles on ids 0..nv-1 in tri, are

@@ -251,7 +251,6 @@ def run_sweep(
     """
     from .builder import Params, build_filling
     from .simplicial import validate_disk
-    from .chunks import validated_drift_audit
     from .verify import drift_audit, step_profile_eps, verify_filling
 
     if jobs < 1:
@@ -265,12 +264,10 @@ def run_sweep(
             t0 = time.perf_counter()
             build = build_filling(Params(n, rho_f, eta_f))
             row.build_ms = (time.perf_counter() - t0) * 1000.0
-            audit = validated_drift_audit(build)  # validation and audit in one pass over the chunks
-            if audit is None:
-                report = validate_disk(build.triangulation)
-                if not report.ok:
-                    raise RuntimeError("disk validation failed: " + "; ".join(report.failures))
-                audit = drift_audit(build)
+            report = validate_disk(build.triangulation, build.ledger)
+            if not report.ok:
+                raise RuntimeError("disk validation failed: " + "; ".join(report.failures))
+            audit = drift_audit(build)
             if audit.stray_edges:
                 raise RuntimeError(f"drift audit failed: {audit.stray_edges[0]}")
             if not audit.ok:

@@ -10,7 +10,8 @@ The layer ledger is computed first, from the sequence of annuli alone; each
 annulus's triangles then follow from its two ledger records, and the cone's
 from the innermost one.  The compiled ``annulus_rows`` and ``cone_rows``
 write them as int32 rows into a buffer the caller sizes, so a whole filling
-is assembled in one array.
+is assembled in one array, and the compiled ``strip_rows`` checks them
+there, one annulus at a time (:func:`strip_drifts`).
 """
 from __future__ import annotations
 
@@ -177,3 +178,108 @@ def cone_triangles(innermost: LayerRecord) -> memoryview:
     out = _kernels.buffer("i", innermost.length, 3)
     _write_cone(innermost, out)
     return out
+
+
+def _strip_rows(rows, first: int, m: int, M: int, scratch, terms: tuple[int, int, int, int] = (0, 0, 0, 0)) -> int:
+    """The compiled ``strip_rows``: whether ``rows`` are the strip between two cycles, and its largest rung drift.
+
+    The outer cycle has m vertices from id ``first``, the inner one M from
+    ``first + m``; M = 1 checks the cone's fan over the outer cycle.
+    ``terms`` are ``a, b, c`` and the period ``n S`` of the drift audit's
+    ``_pair_terms``, all 0 where no drift is measured.  Returns the largest
+    scaled displacement of a rung (0 without terms), or -1 if the rows are
+    no such strip.  Raises ValueError, before the kernel runs, unless
+    ``rows`` is a C-contiguous ``(k, 3)`` int32 buffer and ``scratch`` a
+    writable C-contiguous one of at least m + M int32, m >= 3, M >= 3 or
+    M = 1, the ids of both cycles fit int32, and the terms are 0 or keep
+    the kernel's arithmetic within int64.
+    """
+    from .simplicial import _table_rows
+
+    view, work = _table_rows(rows), memoryview(scratch)
+    size = work.shape[0] if work.ndim == 1 else -1
+    if work.format not in _kernels.INT32 or size < m + M or not work.c_contiguous or work.readonly:
+        raise ValueError(
+            f"a strip of cycles of {m} and {M} vertices needs a writable C-contiguous int32 scratch of {m + M}, "
+            f"got format {work.format!r} and shape {work.shape}"
+        )
+    if not (0 <= first and m >= 3 and (M >= 3 or M == 1) and first + m + M <= _kernels.MAX_ID + 1):
+        raise ValueError(f"a strip of cycles of {m} and {M} vertices from id {first} needs ids in 0..{_kernels.MAX_ID}")
+    a, b, c, period = terms
+    if not (
+        terms == (0, 0, 0, 0)
+        or 2 * period < 2**63 and 0 <= a < period and 0 <= b * (m - 1) < period and 0 <= c * (M - 1) < period
+    ):
+        raise ValueError(f"drift terms {terms[:3]} exceed the int64 period {period}")
+    return _kernels.library().strip_rows(view, len(view), first, m, M, a, b, c, period, work)
+
+
+def strip_drifts(t, ledger: list[LayerRecord], terms=None) -> list[int] | None:
+    """Each annulus's largest scaled rung displacement if ``t`` is ``ledger``'s strips closed by its cone, else None.
+
+    The builder writes annulus r's m + M rows, their smallest ids on its
+    outer cycle, after annulus r - 1's, and the cone's fan last, and build
+    files keep that order; so each annulus is one slice of the triangle
+    array, which :func:`_strip_rows` checks in place, one linear pass with
+    no sort and m + M int32 of scratch.  It passes a *cyclic strip*: each
+    row holds one edge of one cycle and one vertex of the other, each cycle
+    edge lies in exactly one row, and the far vertices over consecutive
+    outer edges advance around the inner cycle once, each inner edge on the
+    way having the outer vertex between those edges as its far vertex.
+    The rungs, the edges between the cycles, then follow a monotone cyclic
+    lattice path in the m x M torus, the structure of a contour band
+    (Fuchs, Kedem and Uselton, "Optimal surface reconstruction from planar
+    contours", CACM 1977).
+
+    *Soundness.*  If every annulus passes, and the cone is the fan over the
+    innermost cycle, ``t`` is a disk bounded by C_n, so
+    :func:`ringfill.validate_disk` reports no failure.  A cyclic strip's
+    m + M triangles, each one cycle edge, are distinct, and consecutive
+    ones share a rung.  No step along the path is a whole turn, so its m +
+    M points, the rungs, are distinct, and the triangles on each vertex are
+    one run of consecutive ones that spans less than a turn of the other
+    cycle: the vertex's link in the strip is a simple path between its two
+    neighbours on its own cycle (distinct, as m, M >= 3), so every rung
+    lies in 2 triangles and every cycle edge in 1.  The strip is thus a connected surface with
+    V - E + F = (m + M) - 2(m + M) + (m + M) = 0 and two boundary cycles:
+    an annulus bounded by its two ledger cycles, with no chord.  Strips of
+    consecutive annuli share exactly the cycle between them, since every
+    row's ids lie on its own two cycles, and the fan is a disk bounded by
+    the innermost cycle; gluing an annulus to a disk along a whole boundary
+    cycle gives a disk.  Every edge is then a cycle edge, a rung or an apex
+    edge, in 2 triangles except those of the outer cycle 0..n-1; each link
+    is the union of the two paths from either side, a cycle, or one path on
+    the boundary; the rows cover every vertex, and V - E + F = 1.
+
+    With ``terms``, the drift terms of each annulus's two cycles (see
+    :func:`_strip_rows`), the result lists each annulus's largest scaled
+    displacement over its rungs, which are exactly its slanted edges;
+    without, it lists zeros.  A ledger that does not tile ``0..apex`` in
+    cycles of at least 3 vertices, a complex of another boundary or vertex
+    count or row count, an apex id beyond ``MAX_ID`` and any annulus that
+    is no strip give None, for the caller to take the whole complex; every
+    id argument of :func:`_strip_rows` is then in range.
+    """
+    lengths = [rec.length for rec in ledger]
+    apex = ledger[-1].first_vertex + lengths[-1]
+    sizes = [m + M for m, M in zip(lengths, lengths[1:])] + [lengths[-1]]
+    if not (
+        ledger[0].first_vertex == 0
+        and all(rec.first_vertex + rec.length == nxt.first_vertex for rec, nxt in zip(ledger, ledger[1:]))
+        and min(lengths) >= 3
+        and lengths[0] == t.n
+        and t.num_vertices == apex + 1 <= _kernels.MAX_ID
+        and t.num_triangles == sum(sizes)
+    ):
+        return None
+    zero = (0, 0, 0, 0)
+    steps = [*(terms or [zero] * (len(ledger) - 1)), zero]  # the cone's fan, inward of the last cycle, has none
+    tri, scratch = t.triangles, _kernels.buffer("i", max(sizes) + 1)
+    drifts, top = [], 0
+    for rec, inner, size, step in zip(ledger, [*lengths[1:], 1], sizes, steps):
+        drift = _strip_rows(tri[top : top + size], rec.first_vertex, rec.length, inner, scratch, step)
+        if drift < 0:
+            return None
+        drifts.append(drift)
+        top += size
+    return drifts[:-1]

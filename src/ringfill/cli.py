@@ -223,20 +223,16 @@ def _check_bound(table: list[int], dist, count: int, seed: int) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from .chunks import validated_drift_audit
     from .verify import drift_audit
 
     t, build = _load_source(args)
     if build is None:
         print("audit needs a build file with a ledger (or --n/--rho/--eta)", file=sys.stderr)
         return 1
-    # One pass over the chunks validates and audits; else the whole complex is.
     # The audit still runs on a complex that is not a disk, so that one pass
     # reports every fault; either kind fails the command.
-    audit, invalid = validated_drift_audit(build), False
-    if audit is None:
-        invalid = not _validated(t).ok
-        audit = drift_audit(build)
+    invalid = not _validated(t, build.ledger).ok
+    audit = drift_audit(build)
     tight = sum(1 for row in audit.rows if row.kind != "shrink" and row.tight)
     equalish = sum(1 for row in audit.rows if row.kind != "shrink")
     print(f"n={t.n} annuli={len(audit.rows)} within_bounds={audit.ok}")

@@ -337,19 +337,21 @@ def validate_disk(t: Triangulation, ledger: list | None = None) -> ValidationRep
     Degenerate and out-of-range triangles are reported and left out of the
     link, repeat and connectivity checks; edge counts include them.
 
-    With the ``ledger`` of a built or loaded filling, ``t`` is checked one
-    chunk of annuli at a time first (the gluing lemma, see
-    :mod:`ringfill.chunks`); a failed or irregular chunk falls back to the
-    checks above, so the report is the same either way.
+    With the ``ledger`` of a built or loaded filling, ``t`` is first checked
+    one annulus at a time as a cyclic strip between two ledger cycles,
+    closed by the cone's fan, in one linear pass that builds no edge table
+    (:func:`ringfill.annuli.strip_drifts`, whose docstring shows that such
+    a complex is a disk bounded by C_n); any irregular annulus falls back
+    to the checks above, so the report is the same either way.
     """
     rep = ValidationReport()
     if not t.num_triangles:
         rep.failures.append("complex has no triangles")
         return rep
     if ledger is not None:
-        from .chunks import chunks_are_disks  # only here: whole-complex callers load none of it
+        from .annuli import strip_drifts  # only here: the annuli import this module
 
-        if chunks_are_disks(t, ledger):  # a disk, so E = V + F - 1
+        if strip_drifts(t, ledger) is not None:  # a disk, so E = V + F - 1
             nv, nf, n = t.num_vertices, t.num_triangles, t.n
             ne = nv + nf - 1
             rep.counts = {"vertices": nv, "edges": ne, "triangles": nf, "boundary_edges": n, "interior_edges": ne - n}

@@ -25,15 +25,16 @@ Three independent instruments:
   runs without E, and if a cycle edge is missing every source runs a
   plain search;
 * a per-edge drift audit checking every slanted edge against its annulus
-  bound in exact scaled int64 arithmetic, one compiled pass per cycle,
-  positions read from the ledger;
+  bound in exact scaled int64 arithmetic, one compiled pass per annulus's
+  rows (the strip pass) or per cycle's edges, positions read from the
+  ledger;
 * an analytic lower-bound predictor for boundary distances derived from the
   accumulated drift of the layer ledger, sound by construction and checked
   against BFS exhaustively in the tests, its table written by a kernel.
 
 The CSR, the distance matrix and the table are stdlib buffers (``bytearray``
-cast by ``memoryview``), and the audit reads the complex's int32 edge table
-in place, so this module imports no numpy; numpy callers view the matrix
+cast by ``memoryview``), and the audit reads the complex's int32 rows or
+edge table in place, so this module imports no numpy; numpy callers view the matrix
 with ``numpy.asarray`` without a copy.
 """
 from __future__ import annotations
@@ -412,24 +413,29 @@ def drift_audit(build: BuildResult) -> DriftAudit:
 
     Equal-length annuli must achieve their bound n/(2m) with equality on
     every slanted edge; shrink annuli stay at or below n/M.  A violation
-    marks a construction bug, never a tolerance issue.  With no edge table
-    cached, the edges are read chunk by chunk (see :mod:`ringfill.chunks`).
-    """
-    if "_edge_table" not in build.triangulation.__dict__:
-        from .chunks import chunk_drift_audit  # only here: whole-complex callers load none of it
+    marks a construction bug, never a tolerance issue.
 
-        audit = chunk_drift_audit(build)
-        if audit is not None:
-            return audit
+    A built or loaded filling is audited first one annulus at a time, by the
+    strip pass of :func:`ringfill.validate_disk` with the ledger (see
+    :func:`ringfill.annuli.strip_drifts`): an annulus that is a cyclic strip
+    has no edge but cycle edges and rungs, its slanted edges, which the pass
+    measures as ``drift_rows`` does.  Any irregular annulus, or terms past
+    int64, fall back to the whole edge table, so the audit or error is the
+    same either way.
+    """
+    from .annuli import strip_drifts
+
+    n, ledger = build.triangulation.n, build.ledger
+    pairs = [_pair_terms(n, ledger, r, r + 1) for r in range(len(ledger) - 1)]
+    if all(2 * n * scale < 2**63 for scale, *_ in pairs):
+        drifts = strip_drifts(build.triangulation, ledger, [(a, b, c, n * scale) for scale, a, b, c in pairs])
+        if drifts is not None:
+            return _audit(ledger, [Fraction(d, scale) for d, (scale, *_) in zip(drifts, pairs)], [])
     return _drift_audit(build)
 
 
-def _drift_audit(build: BuildResult, pieces=None) -> DriftAudit | None:
-    """:func:`drift_audit` of ``pieces``, else of the whole complex; None at a piece that is None.
-
-    A piece ``(layers, edges)`` holds sorted edges, ids less the first of
-    cycle ``layers.start``; those on the cycles of ``layers`` are read.
-    """
+def _drift_audit(build: BuildResult) -> DriftAudit:
+    """:func:`drift_audit` of the whole complex, from its edge table."""
     t = build.triangulation
     n = t.n
     ledger = build.ledger
@@ -439,11 +445,9 @@ def _drift_audit(build: BuildResult, pieces=None) -> DriftAudit | None:
     lengths = [rec.length for rec in ledger] + [1]
     if first[0] != 0 or any(m < 1 or f != p + m for p, f, m in zip(first, first[1:], lengths)):
         raise ValueError("ledger cycles do not tile the vertex ids 0..apex-1 in order")
-    if pieces is None:
-        edges = t.edges
-        if len(edges) and _library().top_id(edges, 2 * len(edges)) > build.apex:
-            raise ValueError(f"triangles reference vertex ids beyond the apex {build.apex}")
-        pieces = [(range(depth + 1), edges)]
+    edges = t.edges
+    if len(edges) and _library().top_id(edges, 2 * len(edges)) > build.apex:
+        raise ValueError(f"triangles reference vertex ids beyond the apex {build.apex}")
 
     def misplaced(r: int, s: int) -> str:
         if r == s:
@@ -454,41 +458,41 @@ def _drift_audit(build: BuildResult, pieces=None) -> DriftAudit | None:
 
     lines: list[str] = []
     max_obs = [Fraction(0)] * (depth - 1)
-    bounds = [*first, build.apex + 1]
-    for piece in pieces:
-        if piece is None:
-            return None
-        layers, edges = piece
-        shift, rows = first[layers.start], range(len(edges))
-        cuts = [bisect_left(rows, bounds[r] - shift, key=lambda e: edges[e, 0]) for r in (*layers, layers.stop)]
-        for r, start, stop in zip(layers, cuts, cuts[1:]):
-            span = edges[start:stop]
-            scale, terms = 1, (0, 0, 0, 0)
-            if r + 1 < depth:
-                scale, a, b, c = _pair_terms(n, ledger, r, r + 1)
-                if 2 * n * scale < 2**63:
-                    terms = (a, b, c, n * scale)
-            worst, stray = _cycle_edges(span, first[r] - shift, lengths[r], lengths[r + 1] if r < depth else 0, terms)
-            if worst >= 0 and r + 1 < depth:
-                if not terms[3]:
-                    raise _int64_error(r, r + 1, scale)
-                max_obs[r] = Fraction(worst, scale)
-            reach: dict[int, list[tuple[int, int]]] = {}  # the stray edges to each deeper cycle, as (i, j)
-            at = stray.find(1)
-            while at >= 0:
-                u, v = span[at, 0] + shift, span[at, 1] + shift
-                s = bisect_right(first, v) - 1
-                lines.append(f"edge ({u}, {v}) {misplaced(r, s)}")
-                if r < s < depth:
-                    reach.setdefault(s, []).append((u - first[r], v - first[s]))
-                at = stray.find(1, at + 1)
-            for s in sorted(reach):
-                scale, a, b, c = _pair_terms(n, ledger, r, s)
-                if 2 * n * scale >= 2**63:
-                    raise _int64_error(r, s, scale)
-                period = n * scale
-                worst = max(min(d, period - d) for d in ((a + b * i - c * j) % period for i, j in reach[s]))
-                max_obs[r] = max(max_obs[r], Fraction(worst, scale))
+    rows = range(len(edges))
+    cuts = [bisect_left(rows, v, key=lambda e: edges[e, 0]) for v in first] + [len(edges)]
+    for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        span = edges[start:stop]
+        scale, terms = 1, (0, 0, 0, 0)
+        if r + 1 < depth:
+            scale, a, b, c = _pair_terms(n, ledger, r, r + 1)
+            if 2 * n * scale < 2**63:
+                terms = (a, b, c, n * scale)
+        worst, stray = _cycle_edges(span, first[r], lengths[r], lengths[r + 1] if r < depth else 0, terms)
+        if worst >= 0 and r + 1 < depth:
+            if not terms[3]:
+                raise _int64_error(r, r + 1, scale)
+            max_obs[r] = Fraction(worst, scale)
+        reach: dict[int, list[tuple[int, int]]] = {}  # the stray edges to each deeper cycle, as (i, j)
+        at = stray.find(1)
+        while at >= 0:
+            u, v = span[at, 0], span[at, 1]
+            s = bisect_right(first, v) - 1
+            lines.append(f"edge ({u}, {v}) {misplaced(r, s)}")
+            if r < s < depth:
+                reach.setdefault(s, []).append((u - first[r], v - first[s]))
+            at = stray.find(1, at + 1)
+        for s in sorted(reach):
+            scale, a, b, c = _pair_terms(n, ledger, r, s)
+            if 2 * n * scale >= 2**63:
+                raise _int64_error(r, s, scale)
+            period = n * scale
+            worst = max(min(d, period - d) for d in ((a + b * i - c * j) % period for i, j in reach[s]))
+            max_obs[r] = max(max_obs[r], Fraction(worst, scale))
+    return _audit(ledger, max_obs, lines)
+
+
+def _audit(ledger: list, max_obs: list[Fraction], lines: list[str]) -> DriftAudit:
+    """The audit of ``ledger``'s annuli, each of largest displacement ``max_obs[r]``, with stray-edge ``lines``."""
     audit = DriftAudit()
     _report(audit.stray_edges, lines, "edges of no cycle, annulus or cone")
     for r, rec in enumerate(ledger[:-1]):

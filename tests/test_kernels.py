@@ -18,12 +18,10 @@ import re
 import shutil
 import subprocess
 import sys
-import sysconfig
 import threading
 import time
 import tracemalloc
 from array import array
-from importlib.util import source_hash
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 
 import ringfill._reader as reader
 import ringfill.annuli as annuli
-import ringfill.chunks as chunks
 import ringfill.serialize as serialize
 import ringfill.simplicial as simplicial
 import ringfill.verify as verify
@@ -498,53 +495,40 @@ def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
         assert validate_disk_batch(n, nv, frozen).tolist() == [False, False], (n, nv)
 
 
-def test_chunk_rows_refuse_other_buffers_and_ids_before_the_kernel(monkeypatch, small_build):
-    rows = small_build.triangulation.triangles[:10]
-    assert chunks._chunk_rows(rows, 0, 25, 25, 50, np.zeros((35, 3), dtype=np.int32))
-    _refuse_kernels(monkeypatch, "chunk_rows")
-    out = np.zeros((35, 3), dtype=np.int32)
-    frozen = out.copy()
+def test_strip_rows_refuse_other_buffers_ids_and_terms_before_the_kernel(monkeypatch, small_build):
+    rows = small_build.triangulation.triangles[:50]  # the first collar annulus: cycles of 25 from ids 0 and 25
+    scratch = np.zeros(50, dtype=np.int32)
+    scale, a, b, c = verify._pair_terms(25, small_build.ledger, 0, 1)
+    assert annuli._strip_rows(rows, 0, 25, 25, scratch, (a, b, c, 25 * scale)) == b // 2  # n/(2m) units of 1/S
+    _refuse_kernels(monkeypatch, "strip_rows")
+    frozen = scratch.copy()
     frozen.flags.writeable = False
-    for dest in (np.zeros((34, 3), dtype=np.int32), np.zeros((35, 3), dtype=np.int64), frozen,
-                 np.zeros((35, 6), dtype=np.int32)[:, ::2]):
-        with pytest.raises(ValueError, match=r"a chunk of 10 rows capped by 25 needs a writable C-contiguous \(35, 3\)"):
-            chunks._chunk_rows(rows, 0, 25, 25, 50, dest)
-    with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer, got format 'l'"):
-        chunks._chunk_rows(np.asarray(rows, dtype=np.int64), 0, 25, 25, 50, out)
-    for first, inner, m, top in ((-1, 25, 25, 50), (26, 25, 25, 50), (0, 25, 25, 49), (0, 25, -1, 50),
-                                 (0, 2**31 - 26, 25, 2**31)):
-        with pytest.raises(ValueError, match=r"a chunk of ids .* needs 0 <= "):
-            chunks._chunk_rows(rows, first, inner, m, top, np.zeros((10 + m, 3), dtype=np.int32))
+    for work in (np.zeros(49, dtype=np.int32), np.zeros(50, dtype=np.int64), frozen,
+                 np.zeros(100, dtype=np.int32)[::2], np.zeros((50, 1), dtype=np.int32)):
+        with pytest.raises(ValueError, match=r"25 and 25 vertices needs a writable C-contiguous int32 scratch"):
+            annuli._strip_rows(rows, 0, 25, 25, work)
+    for wrong in (np.asarray(rows, dtype=np.int64), np.zeros((50, 6), dtype=np.int32)[:, ::2]):
+        with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer"):
+            annuli._strip_rows(wrong, 0, 25, 25, scratch)
+    for first, m, M in ((-1, 25, 25), (0, 2, 25), (0, 25, 2), (0, 25, 0), (2**31 - 49, 25, 25)):
+        with pytest.raises(ValueError, match=rf"a strip of cycles of {m} and {M} vertices from id {first} needs ids"):
+            annuli._strip_rows(rows, first, m, M, np.zeros(max(m + M, 0), dtype=np.int32))
+    for terms in ((a, b, c, b), (0, 1, 1, 2**62), (-1, 0, 0, 5), (0, 0, 0, -1), (2**64, 0, 0, 0)):
+        with pytest.raises(ValueError, match=r"exceed the int64 period"):
+            annuli._strip_rows(rows, 0, 25, 25, scratch, terms)
 
 
-def test_disk_edges_are_the_sorted_edges_of_a_disk_and_its_verdict():
+def test_disk_verdicts_fail_every_vertex_count_but_the_disks():
     lib = _kernels.library()
     for t, n, nv in ((cone_over_cycle(7), 7, 8), (Triangulation(3, 3, [(0, 1, 2)]), 3, 3)):
         rows, nf = t.triangles, t.num_triangles
-        scratch = np.zeros(_kernels.DISK_SCRATCH * nf, dtype=np.int32)
-        ne = lib.disk_edges(n, nv, rows, nf, scratch)
-        assert ne == len(t.edges) == nv + nf - 1
-        at = _kernels.DISK_EDGES * nf
-        assert scratch[at : at + 2 * ne].tolist() == np.asarray(t.edges).ravel().tolist()
+        scratch, ok = np.zeros(_kernels.DISK_SCRATCH * nf, dtype=np.int32), np.zeros(1, dtype=bool)
+        lib.disk_verdicts(n, nv, rows, 1, nf, scratch, ok)
+        assert ok[0]
         # no disk bounded by C_n: one vertex too few or too many, or a boundary cycle too short
         for args in ((n, nv + 1), (n, nv - 1), (2, nv), (n, 3 * nf + 1)):
-            assert lib.disk_edges(*args, rows, nf, scratch) == -1, args
-
-
-def test_chunk_checks_stop_at_an_irregular_chunk_before_the_kernel(monkeypatch, medium_build):
-    t, ledger = medium_build.triangulation, medium_build.ledger
-    _refuse_kernels(monkeypatch, "disk_edges")
-    monkeypatch.setattr(chunks, "_CHUNK", 1)  # one annulus a chunk
-    monkeypatch.setattr(chunks, "_CAP_SHARE", 0)
-    swapped = np.array(t.triangles)
-    swapped[[0, -1]] = swapped[[-1, 0]]  # a row of the cone first, one of the collar last
-    chord = np.array(t.triangles)
-    chord[1, 2] = ledger[1].vertex(2)  # (1, 64, 65) is now (1, 64, 66): a chord of cycle 1 in chunk 0
-    other = Triangulation(t.n, t.num_vertices + 1, t.triangles)
-    for complex_, records in ((Triangulation(t.n, t.num_vertices, swapped), ledger),
-                              (Triangulation(t.n, t.num_vertices, chord), ledger), (other, ledger),
-                              (t, ledger[:-1]), (t, ledger[1:])):
-        assert not chunks.chunks_are_disks(complex_, records)
+            lib.disk_verdicts(*args, rows, 1, nf, scratch, ok)
+            assert not ok[0], args
 
 
 def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):
@@ -796,7 +780,7 @@ def test_kernels_pass_their_tests_under_sanitizers(tmp_path):
     if "libasan" in os.environ.get("LD_PRELOAD", ""):
         pytest.skip("already running under the sanitizers")
     source = _kernels._SOURCE.read_bytes()
-    library = tmp_path / f"_kernels.{source_hash(source).hex()}.{sysconfig.get_platform()}.so"
+    library = tmp_path / _kernels._library_name(source)
     built = None
     if shutil.which("cc"):
         built = subprocess.run([*_kernels._CC, *_SANITIZE, "-x", "c", "-o", str(library), "-"], input=source,
@@ -819,7 +803,8 @@ def test_kernels_pass_their_tests_under_sanitizers(tmp_path):
         *(str(tests / f"test_{name}.py")
           for name in ("kernels", "oracle", "simplicial", "chunks", "verify", "acceptance", "load_json", "serialize")),
         # the loader's tests compile libraries of their own, which the patched loader refuses
-        "-k", "not under_sanitizers and not first_builds_share and not unwritable_cache and not edited_source",
+        "-k", "not under_sanitizers and not first_builds_share and not unwritable_cache and not edited_source"
+              " and not compiler_flags",
     ]
     done = subprocess.run([sys.executable, "-c", _UNDER_SANITIZERS, *argv], env=env, capture_output=True, text=True,
                           cwd=tmp_path, timeout=600)

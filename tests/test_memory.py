@@ -32,13 +32,14 @@ validation's own 3.26 times: ``verify_filling`` releases the edge table
 once its CSR is built, so the searches take its memory, where keeping it
 through the searches took 5.51 times.  Both share validation's bound.
 
-With the ledger, validation and the audit run chunk by chunk (runs of
-annuli of at least 3,072 triangles, a twentieth to a thirtieth of K_384)
-on a fresh complex, as ``ringfill build`` and ``ringfill audit`` run them,
-and build no edge table of the whole complex: 0.40 times for validation
-(one chunk's relabelled rows and its 21 int32 a triangle of kernel
-scratch), 0.22 for the audit alone (one chunk's rows and edge table) and
-0.42 for both in one pass, each bounded by 0.5.
+With the ledger, validation and the audit check each annulus as a strip
+in place, on a fresh complex, as ``ringfill build`` and ``ringfill
+audit`` run them: they copy no rows and build no edge table, and take
+scratch of two int32 a vertex of the longest cycle, so each peaks near
+nothing: 0.014 times for validation (the ledger's lengths and the
+scratch), 0.041 for the audit alone and for both in turn (its exact rows),
+bounded by 0.03 and 0.08, where a chunk's relabelled rows and kernel
+scratch took 0.40 times.
 """
 import tracemalloc
 from fractions import Fraction
@@ -56,7 +57,6 @@ from ringfill import (
     verify_filling,
 )
 from ringfill.serialize import build_to_dict, complex_from_dict, dump_json, load_json
-from ringfill.chunks import validated_drift_audit
 
 PARAMS = Params(384, Fraction(1, 10), Fraction(1, 4))
 
@@ -95,16 +95,16 @@ def peaks(tmp_path_factory):
 
     _, certified = _peak(certify)
     fresh = Triangulation(t.n, t.num_vertices, t.triangles)
-    _, chunked = _peak(lambda: validate_disk(fresh, build.ledger))
+    _, stripped = _peak(lambda: validate_disk(fresh, build.ledger))
     audited_fresh = BuildResult(Triangulation(t.n, t.num_vertices, t.triangles), build.ledger, build.schedule, PARAMS)
     _, fresh_audit = _peak(lambda: drift_audit(audited_fresh))
-    _, joint = _peak(lambda: validated_drift_audit(audited_fresh))
+    _, joint = _peak(lambda: (validate_disk(audited_fresh.triangulation, build.ledger), drift_audit(audited_fresh)))
     path = tmp_path_factory.mktemp("memory") / "k384.json"
     dump_json(build_to_dict(build), str(path))
     _, loaded = _peak(lambda: complex_from_dict(load_json(str(path))))
     return {"build": built / size, "validate": validated / size, "audit": audited / size, "verify": verified / size,
-            "validate+verify": certified / size, "load": loaded / size, "validate by chunks": chunked / size,
-            "audit by chunks": fresh_audit / size, "validate+audit by chunks": joint / size}
+            "validate+verify": certified / size, "load": loaded / size, "validate by strips": stripped / size,
+            "audit by strips": fresh_audit / size, "validate+audit by strips": joint / size}
 
 
 _VALIDATE = 3.3
@@ -113,8 +113,8 @@ _VALIDATE = 3.3
 @pytest.mark.parametrize(
     "stage, bound",
     [("build", 1.3), ("validate", _VALIDATE), ("load", 1.5), ("audit", 0.5), ("verify", 3.2),
-     ("validate+verify", _VALIDATE), ("validate by chunks", 0.5), ("audit by chunks", 0.5),
-     ("validate+audit by chunks", 0.5)],
+     ("validate+verify", _VALIDATE), ("validate by strips", 0.03), ("audit by strips", 0.08),
+     ("validate+audit by strips", 0.08)],
 )
 def test_stage_peaks_a_small_multiple_of_the_triangles(peaks, stage, bound):
     assert peaks[stage] <= bound, peaks

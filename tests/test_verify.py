@@ -490,6 +490,24 @@ def test_edited_source_gets_a_new_library(tmp_path, monkeypatch):
     assert verify_filling(cone_over_cycle(7)).delta == Fraction(2, 3)
 
 
+def test_changed_compiler_flags_get_a_new_library(tmp_path, monkeypatch):
+    from ringfill import _kernels
+
+    cache = tmp_path / "cache"
+    first = _kernels.load(cache)
+    flags = (*_kernels._CC, "-DRINGFILL_FLAGS_CHANGED")
+    monkeypatch.setattr(_kernels, "_CC", flags)
+    built = []
+    compile_ = _kernels._compile
+    monkeypatch.setattr(_kernels, "_compile", lambda source, path: built.append(path) or compile_(source, path))
+    _use_kernel(monkeypatch, _kernels.load(cache))
+    names = sorted(p.name for p in cache.iterdir())
+    assert len(names) == 2 and names[0] != names[1]
+    assert [path.name for path in built] == [_kernels._library_name(_kernels._SOURCE.read_bytes())]
+    assert built[0].name in names and first._name != str(built[0])
+    assert verify_filling(cone_over_cycle(7)).delta == Fraction(2, 3)
+
+
 def test_drift_audit_passes_and_equal_annuli_are_tight(medium_build):
     audit = drift_audit(medium_build)
     assert audit.ok and audit.stray_edges == []
