@@ -54,9 +54,11 @@ _EXPORTS = {
     ),
     "simplicial": ("Triangulation", "ValidationReport", "canonical_triangle", "cone_over_cycle", "validate_disk"),
     "verify": (
+        "Certificate",
         "DriftAudit",
         "VerificationReport",
         "boundary_distance_matrix",
+        "certify",
         "cycle_dist",
         "drift_audit",
         "separation_lower_bounds",

@@ -10,6 +10,7 @@ standard library's buffers alike (see :class:`_Buffer`), and
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import tempfile
@@ -126,9 +127,11 @@ def _library_name(source: bytes) -> str:
 def load(cache: Path):
     """The library of ``_kernels.c``, compiled into ``cache`` unless already there (see :func:`_library_name`).
 
-    If ``cache`` cannot be written, the library is compiled into a private
-    temporary directory, loaded, and the directory removed.  Raises
-    RuntimeError if the library cannot be built.
+    A library compiled into ``cache`` removes the others of its platform
+    there, if it can; a loaded one stays mapped.  If ``cache`` cannot be
+    written, the library is compiled into a private temporary directory,
+    loaded, and the directory removed.  Raises RuntimeError if the library
+    cannot be built.
     """
     import ctypes
 
@@ -143,6 +146,10 @@ def load(cache: Path):
             private = Path(tempfile.mkdtemp(prefix="ringfill-"))
             path = private / path.name
             _compile(source, path)
+        else:
+            for stale in set(cache.glob("_kernels.*." + path.name.split(".", 2)[2])) - {path}:  # no .tmp file
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     try:
         lib = ctypes.CDLL(str(path))
     finally:

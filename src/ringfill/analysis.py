@@ -250,8 +250,7 @@ def run_sweep(
     checks above load none of them.
     """
     from .builder import Params, build_filling
-    from .simplicial import validate_disk
-    from .verify import drift_audit, step_profile_eps, verify_filling
+    from .verify import certify, step_profile_eps, verify_filling
 
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
@@ -264,18 +263,15 @@ def run_sweep(
             t0 = time.perf_counter()
             build = build_filling(Params(n, rho_f, eta_f))
             row.build_ms = (time.perf_counter() - t0) * 1000.0
-            report = validate_disk(build.triangulation, build.ledger)
-            if not report.ok:
-                raise RuntimeError("disk validation failed: " + "; ".join(report.failures))
-            audit = drift_audit(build)
+            cert = certify(build)
+            if not cert.report.ok:
+                raise RuntimeError("disk validation failed: " + "; ".join(cert.report.failures))
+            audit = cert.audit
             if audit.stray_edges:
                 raise RuntimeError(f"drift audit failed: {audit.stray_edges[0]}")
             if not audit.ok:
                 bad = audit.failures()[0]
-                raise RuntimeError(
-                    f"drift bound violated on annulus {bad.layer}: "
-                    f"{bad.max_observed} > {bad.bound}"
-                )
+                raise RuntimeError(f"drift bound violated on annulus {bad.layer}: {bad.max_observed} > {bad.bound}")
             t1 = time.perf_counter()
             verification = verify_filling(build.triangulation, jobs=jobs, want_witness=False)
             row.verify_ms = (time.perf_counter() - t1) * 1000.0

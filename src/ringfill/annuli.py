@@ -214,7 +214,7 @@ def _strip_rows(rows, first: int, m: int, M: int, scratch, terms: tuple[int, int
     return _kernels.library().strip_rows(view, len(view), first, m, M, a, b, c, period, work)
 
 
-def strip_drifts(t, ledger: list[LayerRecord], terms=None) -> list[int] | None:
+def strip_drifts(t, ledger: list[LayerRecord], terms: list[tuple[int, int, int, int]]) -> list[int] | None:
     """Each annulus's largest scaled rung displacement if ``t`` is ``ledger``'s strips closed by its cone, else None.
 
     The builder writes annulus r's m + M rows, their smallest ids on its
@@ -251,10 +251,10 @@ def strip_drifts(t, ledger: list[LayerRecord], terms=None) -> list[int] | None:
     is the union of the two paths from either side, a cycle, or one path on
     the boundary; the rows cover every vertex, and V - E + F = 1.
 
-    With ``terms``, the drift terms of each annulus's two cycles (see
-    :func:`_strip_rows`), the result lists each annulus's largest scaled
-    displacement over its rungs, which are exactly its slanted edges;
-    without, it lists zeros.  A ledger that does not tile ``0..apex`` in
+    ``terms`` are the drift terms of each annulus's two cycles (see
+    :func:`_strip_rows`), and the result lists each annulus's largest scaled
+    displacement over its rungs, which are exactly its slanted edges (0
+    where its terms are 0).  A ledger that does not tile ``0..apex`` in
     cycles of at least 3 vertices, a complex of another boundary or vertex
     count or row count, an apex id beyond ``MAX_ID`` and any annulus that
     is no strip give None, for the caller to take the whole complex; every
@@ -272,8 +272,7 @@ def strip_drifts(t, ledger: list[LayerRecord], terms=None) -> list[int] | None:
         and t.num_triangles == sum(sizes)
     ):
         return None
-    zero = (0, 0, 0, 0)
-    steps = [*(terms or [zero] * (len(ledger) - 1)), zero]  # the cone's fan, inward of the last cycle, has none
+    steps = [*terms, (0, 0, 0, 0)]  # the cone's fan, inward of the last cycle, has none
     tri, scratch = t.triangles, _kernels.buffer("i", max(sizes) + 1)
     drifts, top = [], 0
     for rec, inner, size, step in zip(ledger, [*lengths[1:], 1], sizes, steps):

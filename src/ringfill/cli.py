@@ -17,7 +17,9 @@ from typing import TYPE_CHECKING
 from . import ScheduleError, as_fraction
 
 if TYPE_CHECKING:
-    from .simplicial import Triangulation, ValidationReport
+    from .builder import BuildResult
+    from .simplicial import ValidationReport
+    from .verify import Certificate
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -122,27 +124,42 @@ def _load_source(args: argparse.Namespace):
     return build.triangulation, build
 
 
-def _validated(t: Triangulation, ledger: list | None = None) -> ValidationReport:
-    """``validate_disk(t, ledger)``, each failed invariant printed as ``invalid: ...``."""
-    from .simplicial import validate_disk
-
-    report = validate_disk(t, ledger)
+def _invalid(report: ValidationReport) -> ValidationReport:
+    """``report``, each failed invariant printed as ``invalid: ...``."""
     for failure in report.failures:
         print(f"invalid: {failure}", file=sys.stderr)
     return report
 
 
+def _certified(build: BuildResult) -> Certificate:
+    """``certify(build)``, each failed invariant printed as ``invalid: ...``, each audit fault as ``violation: ...``."""
+    from .simplicial import validate_disk
+    from .verify import certify
+
+    try:
+        cert = certify(build)
+    except ValueError:  # from the audit of a complex that is no disk, whose faults come first
+        _invalid(validate_disk(build.triangulation))
+        raise
+    _invalid(cert.report)
+    over = [f"annulus {r.layer} ({r.kind}) observed {r.max_observed} > bound {r.bound}" for r in cert.audit.failures()]
+    for line in cert.audit.stray_edges + over:
+        print(f"violation: {line}", file=sys.stderr)
+    return cert
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
+    from . import verify  # _certified's layer, imported before the rows exist so that they reuse its memory
     from .builder import Params, build_filling, predict_density
 
     params = Params(args.n, as_fraction(args.rho), as_fraction(args.eta))
     build = build_filling(params)
     t = build.triangulation
-    report = _validated(t, build.ledger)
-    if not report.ok:
+    cert = _certified(build)
+    if not cert.ok:
         return 1
     s = build.schedule
-    print(f"n={t.n} vertices={t.num_vertices} triangles={t.num_triangles} edges={report.counts['edges']}")
+    print(f"n={t.n} vertices={t.num_vertices} triangles={t.num_triangles} edges={cert.report.counts['edges']}")
     print(
         f"collar_layers={s.collar_layers} blocks={s.num_blocks} layers_per_block={s.layers_per_block} "
         f"innermost={s.block_lengths[-1]}"
@@ -157,13 +174,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import step_profile_eps, verify_filling
+    # validate_disk by way of verify: importing simplicial first raised this command's peak RSS by 0.2 MB
+    from .verify import step_profile_eps, validate_disk, verify_filling
 
     t, build = _load_source(args)
     if args.check_bound and build is None:
         print("bound check needs a build file with a ledger", file=sys.stderr)
         return 1
-    if not _validated(t).ok:  # the whole complex: the CSR needs its edge table
+    if not _invalid(validate_disk(t)).ok:  # the whole complex: the CSR needs its edge table
         return 1
     report = verify_filling(t, jobs=args.jobs)
     if build is not None:
@@ -223,28 +241,19 @@ def _check_bound(table: list[int], dist, count: int, seed: int) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from .verify import drift_audit
+    from . import verify  # _certified's layer, imported before the rows exist so that they reuse its memory
 
     t, build = _load_source(args)
     if build is None:
         print("audit needs a build file with a ledger (or --n/--rho/--eta)", file=sys.stderr)
         return 1
-    # The audit still runs on a complex that is not a disk, so that one pass
-    # reports every fault; either kind fails the command.
-    invalid = not _validated(t, build.ledger).ok
-    audit = drift_audit(build)
+    cert = _certified(build)
+    audit = cert.audit
     tight = sum(1 for row in audit.rows if row.kind != "shrink" and row.tight)
     equalish = sum(1 for row in audit.rows if row.kind != "shrink")
     print(f"n={t.n} annuli={len(audit.rows)} within_bounds={audit.ok}")
     print(f"equal-length annuli achieving their bound exactly: {tight}/{equalish}")
-    for line in audit.stray_edges:
-        print(f"violation: {line}", file=sys.stderr)
-    for row in audit.failures():
-        print(
-            f"violation: annulus {row.layer} ({row.kind}) observed {row.max_observed} > bound {row.bound}",
-            file=sys.stderr,
-        )
-    return 0 if audit.ok and not invalid else 1
+    return 0 if cert.ok else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

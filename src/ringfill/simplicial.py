@@ -301,7 +301,7 @@ def _first(marks: bytearray, *codes: int) -> list[int]:
     return sorted(found)[:_LISTED]
 
 
-def validate_disk(t: Triangulation, ledger: list | None = None) -> ValidationReport:
+def validate_disk(t: Triangulation) -> ValidationReport:
     """Check that ``t`` is a triangulated disk with boundary exactly C_n.
 
     Runs every structural invariant in compiled kernels and reports all
@@ -336,26 +336,12 @@ def validate_disk(t: Triangulation, ledger: list | None = None) -> ValidationRep
     torus passes every other one.
     Degenerate and out-of-range triangles are reported and left out of the
     link, repeat and connectivity checks; edge counts include them.
-
-    With the ``ledger`` of a built or loaded filling, ``t`` is first checked
-    one annulus at a time as a cyclic strip between two ledger cycles,
-    closed by the cone's fan, in one linear pass that builds no edge table
-    (:func:`ringfill.annuli.strip_drifts`, whose docstring shows that such
-    a complex is a disk bounded by C_n); any irregular annulus falls back
-    to the checks above, so the report is the same either way.
+    :func:`ringfill.verify.certify` gives a built filling the same report from one pass per annulus.
     """
     rep = ValidationReport()
     if not t.num_triangles:
         rep.failures.append("complex has no triangles")
         return rep
-    if ledger is not None:
-        from .annuli import strip_drifts  # only here: the annuli import this module
-
-        if strip_drifts(t, ledger) is not None:  # a disk, so E = V + F - 1
-            nv, nf, n = t.num_vertices, t.num_triangles, t.n
-            ne = nv + nf - 1
-            rep.counts = {"vertices": nv, "edges": ne, "triangles": nf, "boundary_edges": n, "interior_edges": ne - n}
-            return rep
     _disk_failures(t.n, t.num_vertices, t.triangles, t._edge_table, rep)
     return rep
 

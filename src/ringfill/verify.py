@@ -25,9 +25,9 @@ Three independent instruments:
   runs without E, and if a cycle edge is missing every source runs a
   plain search;
 * a per-edge drift audit checking every slanted edge against its annulus
-  bound in exact scaled int64 arithmetic, one compiled pass per annulus's
-  rows (the strip pass) or per cycle's edges, positions read from the
-  ledger;
+  bound in exact scaled int64 arithmetic, positions read from the ledger:
+  :func:`certify` validates a built filling and audits it in one compiled
+  pass per annulus's rows (the strip pass), or per cycle's edges;
 * an analytic lower-bound predictor for boundary distances derived from the
   accumulated drift of the layer ledger, sound by construction and checked
   against BFS exhaustively in the tests, its table written by a kernel.
@@ -49,7 +49,7 @@ from itertools import accumulate
 
 from ._kernels import buffer
 from .builder import BuildResult
-from .simplicial import _INT32, _MAX_ID, Triangulation, _library, _report
+from .simplicial import _INT32, _MAX_ID, Triangulation, ValidationReport, _library, _report, validate_disk
 
 __all__ = [
     "cycle_dist",
@@ -59,6 +59,8 @@ __all__ = [
     "AnnulusAudit",
     "DriftAudit",
     "drift_audit",
+    "Certificate",
+    "certify",
     "separation_lower_bounds",
     "step_profile_eps",
 ]
@@ -386,60 +388,65 @@ def _cycle_edges(span, first: int, m: int, M: int, terms: tuple[int, int, int, i
     return _library().drift_rows(view, count, first, m, M, a, b, c, period, stray), stray
 
 
-def drift_audit(build: BuildResult) -> DriftAudit:
-    """Check that every edge is a cycle, annulus or cone edge, and every slanted edge its annulus's drift bound.
+@dataclass
+class Certificate:
+    """A built or loaded filling's disk validation and drift audit, from :func:`certify`."""
 
-    Each vertex's cycle and index on it come from the ledger
-    (``first_vertex`` and ``length``), so positions never pass through the
-    per-vertex records.  Every edge must join consecutive vertices of one
-    cycle, cycles r and r+1, or the apex and the innermost cycle; any other
-    edge is listed in ``stray_edges`` and fails the audit.  Each edge between
-    cycles r < s of lengths m and M is charged to annulus r.  With the
-    phase offset ``(p_r - p_s) mod n = a/den`` and ``S = den*m*M``, every
-    position on both cycles is an integer multiple of ``1/S``, so circular
-    distances are exact integer arithmetic mod ``n*S`` (see
-    :func:`_pair_terms`).  Absolute phases are never combined: their
-    denominators grow far past int64 down the ledger.  If ``n*S`` is too
-    large for int64 the audit raises ValueError instead of wrapping.
+    report: ValidationReport
+    audit: DriftAudit
 
-    The audit works one cycle at a time.  The int32 edges are sorted by
-    ``(lo, hi)`` and cycles are contiguous id blocks, so the edges whose
-    lower end lies on cycle r are one slice of them, which the compiled
-    ``drift_rows`` reads in place (see :func:`_cycle_edges`): it sorts
-    each edge into cycle, slanted and stray, and measures the slanted ones
-    in int64.  Stray edges, found only in corrupted complexes, are measured
-    here in exact integers, an edge from cycle r to a deeper cycle charged
-    to annulus r as well.
+    @property
+    def ok(self) -> bool:
+        return self.report.ok and self.audit.ok
 
-    Equal-length annuli must achieve their bound n/(2m) with equality on
-    every slanted edge; shrink annuli stay at or below n/M.  A violation
-    marks a construction bug, never a tolerance issue.
 
-    A built or loaded filling is audited first one annulus at a time, by the
-    strip pass of :func:`ringfill.validate_disk` with the ledger (see
-    :func:`ringfill.annuli.strip_drifts`): an annulus that is a cyclic strip
-    has no edge but cycle edges and rungs, its slanted edges, which the pass
-    measures as ``drift_rows`` does.  Any irregular annulus, or terms past
-    int64, fall back to the whole edge table, so the audit or error is the
-    same either way.
+def certify(build: BuildResult) -> Certificate:
+    """Validate ``build``'s complex as a disk bounded by C_n, and audit its drift, in one strip pass per annulus.
+
+    :func:`ringfill.annuli.strip_drifts` shows why a complex that passes
+    is a disk, so E = V + F - 1, and measures every slanted edge.  Any
+    irregular annulus, or drift terms past int64, send the whole complex
+    through :func:`ringfill.validate_disk` and the audit of its edge table,
+    so the report, the audit and any error are the same either way.
     """
     from .annuli import strip_drifts
 
-    n, ledger = build.triangulation.n, build.ledger
+    t, ledger = build.triangulation, build.ledger
+    n = t.n
     pairs = [_pair_terms(n, ledger, r, r + 1) for r in range(len(ledger) - 1)]
     if all(2 * n * scale < 2**63 for scale, *_ in pairs):
-        drifts = strip_drifts(build.triangulation, ledger, [(a, b, c, n * scale) for scale, a, b, c in pairs])
+        drifts = strip_drifts(t, ledger, [(a, b, c, n * scale) for scale, a, b, c in pairs])
         if drifts is not None:
-            return _audit(ledger, [Fraction(d, scale) for d, (scale, *_) in zip(drifts, pairs)], [])
-    return _drift_audit(build)
+            nv, nf = t.num_vertices, t.num_triangles
+            ne = nv + nf - 1
+            counts = {"vertices": nv, "edges": ne, "triangles": nf, "boundary_edges": n, "interior_edges": ne - n}
+            max_obs = [Fraction(d, scale) for d, (scale, *_) in zip(drifts, pairs)]
+            return Certificate(ValidationReport(counts=counts), _audit(ledger, max_obs, []))
+    return Certificate(validate_disk(t), _drift_audit(build))
+
+
+def drift_audit(build: BuildResult) -> DriftAudit:
+    """Check that every edge is a cycle, annulus or cone edge, and every slanted edge within its annulus's drift bound.
+
+    The audit of :func:`certify`, which validates ``build``'s complex as well.
+    """
+    return certify(build).audit
 
 
 def _drift_audit(build: BuildResult) -> DriftAudit:
-    """:func:`drift_audit` of the whole complex, from its edge table."""
-    t = build.triangulation
-    n = t.n
-    ledger = build.ledger
-    depth = len(ledger)
+    """The drift audit of the whole complex, from its edge table.
+
+    An edge must join consecutive vertices of one cycle, cycles r and r+1,
+    or the apex and the innermost cycle, or it is listed in ``stray_edges``.
+    An edge between cycles r < s is charged to annulus r and measured
+    exactly mod ``n*S`` (see :func:`_pair_terms`), never through absolute
+    phases; an ``n*S`` past int64 raises ValueError.  The compiled
+    ``drift_rows`` reads the sorted edges from each cycle in place (see
+    :func:`_cycle_edges`).  Equal-length annuli must meet their bound
+    n/(2m) on every slanted edge, and shrink annuli stay within n/M.
+    """
+    t, ledger = build.triangulation, build.ledger
+    n, depth = t.n, len(ledger)
     # the apex counts as one more layer, of one vertex
     first = [rec.first_vertex for rec in ledger] + [build.apex]
     lengths = [rec.length for rec in ledger] + [1]
@@ -495,18 +502,9 @@ def _audit(ledger: list, max_obs: list[Fraction], lines: list[str]) -> DriftAudi
     """The audit of ``ledger``'s annuli, each of largest displacement ``max_obs[r]``, with stray-edge ``lines``."""
     audit = DriftAudit()
     _report(audit.stray_edges, lines, "edges of no cycle, annulus or cone")
-    for r, rec in enumerate(ledger[:-1]):
+    for r, (rec, obs) in enumerate(zip(ledger, max_obs)):
         bound = rec.drift_bound
-        audit.rows.append(
-            AnnulusAudit(
-                layer=r,
-                kind=rec.annulus_kind,
-                bound=bound,
-                max_observed=max_obs[r],
-                ok=max_obs[r] <= bound,
-                tight=max_obs[r] == bound,
-            )
-        )
+        audit.rows.append(AnnulusAudit(r, rec.annulus_kind, bound, obs, ok=obs <= bound, tight=obs == bound))
     return audit
 
 

@@ -1,9 +1,9 @@
 """Validation and drift audit chunk by chunk along the ledger, against the whole-complex path.
 
 A chunk is one annulus's slice of the triangle array, or the cone's fan
-closing it.  ``validate_disk(t, ledger)`` and ``drift_audit(build)`` check
-a built or loaded filling one chunk at a time, each annulus as a cyclic
-strip between two ledger cycles and the cone as a fan.  Both must give
+closing it.  ``certify(build)`` checks a built or loaded filling one chunk
+at a time, each annulus as a cyclic strip between two ledger cycles and the
+cone as a fan, and ``drift_audit(build)`` is its audit.  Both must give
 exactly what the whole complex gives: the same ``ValidationReport``
 (failures, witnesses, counts) and ``DriftAudit`` (rows and stray-edge
 lines), or the same error, on built fillings, whatever the order of rows
@@ -24,6 +24,7 @@ from ringfill import (
     ScheduleError,
     Triangulation,
     build_filling,
+    certify,
     drift_audit,
     layer_ledger,
     validate_disk,
@@ -62,30 +63,43 @@ def _fresh(build: BuildResult, rows=None, num_vertices=None) -> BuildResult:
     return fresh
 
 
-def _audit(build: BuildResult, audit=drift_audit):
-    """``audit(build)``, or its error as text."""
+def _whole_audit(build: BuildResult):
+    """The audit of ``build``'s whole complex, or its error as text."""
     try:
-        return audit(build)
+        return _drift_audit(build)
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+def _zeros(ledger) -> list[tuple]:
+    """Zero drift terms for each annulus of ``ledger``: :func:`strip_drifts` then checks the strips alone."""
+    return [(0, 0, 0, 0)] * (len(ledger) - 1)
+
+
+def _certified(build: BuildResult):
+    """``certify(build)``'s report and audit; if it raises, the whole complex's report, which it ran, and the error."""
+    try:
+        cert = certify(build)
+    except ValueError as exc:
+        return validate_disk(build.triangulation), f"ValueError: {exc}"
+    return cert.report, cert.audit
 
 
 def _both_ways(build: BuildResult):
     """Validation and audit of ``build`` along its ledger, and of the whole complex.
 
-    Returns ``(stripped, whole, passed)``: the report and audit along the
-    ledger, the whole-complex ones, and whether every strip passed, in
-    which case neither built an edge table.
+    Returns ``(stripped, whole, passed)``: the report and audit of
+    :func:`certify`, the whole-complex ones, and whether every strip passed,
+    in which case it built no edge table.
     """
     stripped = _fresh(build)
     t = stripped.triangulation
-    passed = strip_drifts(t, stripped.ledger) is not None
-    report = validate_disk(t, stripped.ledger)
-    audit = _audit(stripped)
+    passed = strip_drifts(t, stripped.ledger, _zeros(stripped.ledger)) is not None
+    report, audit = _certified(stripped)
     assert passed == ("_edge_table" not in t.__dict__)
     whole = _fresh(build)
     want = validate_disk(whole.triangulation)
-    return (report, audit), (want, _audit(whole, _drift_audit)), passed
+    return (report, audit), (want, _whole_audit(whole)), passed
 
 
 @pytest.mark.parametrize("n, rho, eta", [(25, "1/10", "1/4"), (64, "1/5", "1/3"), (384, "1/10", "1/4"),
@@ -119,13 +133,13 @@ def test_chunks_are_runs_of_whole_annuli_and_slices_of_the_rows(seed, medium_bui
         assert _canonical(tri[top : top + size]) == _canonical(want)
         top += size
     assert top == len(tri)
-    assert strip_drifts(build.triangulation, ledger) == [0] * (len(ledger) - 1)
+    assert strip_drifts(build.triangulation, ledger, _zeros(ledger)) == [0] * (len(ledger) - 1)
     assert "_edge_table" not in build.triangulation.__dict__
     assert drift_audit(build) == _drift_audit(_fresh(medium_build))
     first = _chunk_sizes(ledger)[0]
     crossed = tri.copy()
     crossed[[first - 1, first]] = crossed[[first, first - 1]]  # a row of each of the first two annuli swapped
-    assert strip_drifts(_fresh(build, crossed).triangulation, ledger) is None
+    assert strip_drifts(_fresh(build, crossed).triangulation, ledger, _zeros(ledger)) is None
 
 
 # Corruptions that keep every row where it is, or add one beside or at the end:
@@ -283,7 +297,7 @@ _STRIPS = {
 def test_a_strip_breaking_one_rule_fails_as_the_whole_complex(case):
     ledger = layer_ledger(4, [("collar", 4)])
     cone = [(4, 5, 8), (5, 6, 8), (6, 7, 8), (7, 4, 8)]
-    assert strip_drifts(Triangulation(4, 9, _OUTER + _INNER + cone), ledger) == [0]
+    assert strip_drifts(Triangulation(4, 9, _OUTER + _INNER + cone), ledger, _zeros(ledger)) == [0]
     report, _ = _fails_as_the_whole_complex(BuildResult(Triangulation(4, 9, _STRIPS[case] + cone), ledger, None, None))
     assert not report.ok
 
@@ -308,10 +322,9 @@ def test_an_irregular_ledger_or_complex_falls_back_before_the_kernel(monkeypatch
     t, ledger = medium_build.triangulation, medium_build.ledger
     other = Triangulation(t.n, t.num_vertices + 1, t.triangles)
     for complex_, records in ((t, ledger[:-1]), (t, ledger[1:]), (other, ledger)):
-        assert strip_drifts(complex_, records) is None
-        assert validate_disk(Triangulation(t.n, complex_.num_vertices, t.triangles), records) == validate_disk(
-            Triangulation(t.n, complex_.num_vertices, t.triangles)
-        )
+        assert strip_drifts(complex_, records, _zeros(records)) is None
+        build = BuildResult(Triangulation(t.n, complex_.num_vertices, t.triangles), records, None, None)
+        assert _certified(build)[0] == validate_disk(Triangulation(t.n, complex_.num_vertices, t.triangles))
     audit = drift_audit(_fresh(medium_build, num_vertices=t.num_vertices + 1))
     assert audit == _drift_audit(_fresh(medium_build)) and audit.ok  # the audit reads no vertex count
 

@@ -141,6 +141,43 @@ def test_audit_refuses_an_edge_of_no_annulus(tmp_path, capsys, flipped_builds, f
     assert f"violation: {line}\n" in captured.err and "invalid" not in captured.err
 
 
+def test_audit_prints_the_report_before_an_error_of_the_whole_complex_audit(tmp_path, capsys):
+    # an id far past the apex: no strip passes, validation reports it, and
+    # the audit of the whole edge table then refuses it
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
+    data = json.loads(build_path.read_text())
+    data["triangles"][40][2] = 10**6
+    build_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["audit", "--in", str(build_path)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "invalid: triangle (20, 21, 1000000) references a vertex id outside 0..278\n"
+        "invalid: unexpected boundary edges: [(20, 45), (20, 1000000), (21, 45), (21, 1000000)]\n"
+        "invalid: Euler formula violated: V - E + F = 279 - 811 + 531 = -1, expected 1\n"
+        "error: triangles reference vertex ids beyond the apex 278\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["build", "audit", "sweep"])
+def test_a_built_filling_is_stripped_once(monkeypatch, capsys, command):
+    # one strip pass per annulus and one for the cone's fan validates and audits it
+    from ringfill import annuli
+    from ringfill.analysis import run_sweep
+
+    calls = []
+    strip = annuli._strip_rows
+    monkeypatch.setattr(annuli, "_strip_rows", lambda *args: calls.append(args[1:4]) or strip(*args))
+    if command == "sweep":
+        assert run_sweep([25], "1/10", "1/4")[0].error is None
+    else:
+        assert main([command, *_PARAMS_25]) == 0
+    ledger = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4))).ledger
+    inner = [rec.length for rec in ledger[1:]] + [1]
+    assert calls == [(rec.first_vertex, rec.length, M) for rec, M in zip(ledger, inner)]
+
+
 @pytest.mark.parametrize("field", ["rho"])
 def test_zero_denominator_is_a_named_error(tmp_path, capsys, field):
     build_path = tmp_path / "k.json"

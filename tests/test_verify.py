@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,13 +481,19 @@ def test_edited_source_gets_a_new_library(tmp_path, monkeypatch):
     from ringfill import _kernels
 
     cache = tmp_path / "cache"
-    _kernels.load(cache)
+    first = _kernels.load(cache)
     edited = tmp_path / "_kernels.c"
     edited.write_text(_kernels._SOURCE.read_text() + "/* edited */\n")
     monkeypatch.setattr(_kernels, "_SOURCE", edited)
+    # a compile under way in another process, and a library of another platform
+    kept = {Path(first._name).name + ".x1y2.tmp", "_kernels.0123456789abcdef.other-platform.so"}
+    for name in kept:
+        (cache / name).write_bytes(b"")
     _use_kernel(monkeypatch, _kernels.load(cache))
-    names = sorted(p.name for p in cache.iterdir())
-    assert len(names) == 2 and names[0] != names[1]
+    names = {p.name for p in cache.iterdir()}  # the new library replaced the first, and nothing else
+    assert names == {_kernels._library_name(edited.read_bytes()), *kept}
+    assert verify_filling(cone_over_cycle(7)).delta == Fraction(2, 3)
+    _use_kernel(monkeypatch, first)  # still mapped, so it still runs
     assert verify_filling(cone_over_cycle(7)).delta == Fraction(2, 3)
 
 
@@ -501,10 +508,11 @@ def test_changed_compiler_flags_get_a_new_library(tmp_path, monkeypatch):
     compile_ = _kernels._compile
     monkeypatch.setattr(_kernels, "_compile", lambda source, path: built.append(path) or compile_(source, path))
     _use_kernel(monkeypatch, _kernels.load(cache))
-    names = sorted(p.name for p in cache.iterdir())
-    assert len(names) == 2 and names[0] != names[1]
+    names = [p.name for p in cache.iterdir()]
     assert [path.name for path in built] == [_kernels._library_name(_kernels._SOURCE.read_bytes())]
-    assert built[0].name in names and first._name != str(built[0])
+    assert names == [built[0].name] and first._name != str(built[0])
+    assert verify_filling(cone_over_cycle(7)).delta == Fraction(2, 3)
+    _use_kernel(monkeypatch, first)  # removed from the cache but still mapped
     assert verify_filling(cone_over_cycle(7)).delta == Fraction(2, 3)
 
 
