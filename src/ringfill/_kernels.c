@@ -5,7 +5,7 @@
  *   edge_slots, edge_ends    the edge table of a triangle array
  *   disk_marks               validate_disk's witness marks, from the edge table
  *   graph_csr                the 1-skeleton's CSR
- *   bfs_rows                 plain BFS rows, and the witness's BFS tree
+ *   bfs_tree                 a plain BFS and its tree: the witness path, vertex 0's tree
  *   boundary_tree,
  *   boundary_rows            the boundary distance matrix, each search confined
  *   worst_ratio              the first least ratio of BFS to cycle distance
@@ -512,50 +512,42 @@ static int32_t search(const int32_t *indptr, const int32_t *indices, int32_t tai
     return tail;
 }
 
-/* A plain search from s over the nv vertices: all of dist reset first. */
-static int32_t search_from(int32_t nv, const int32_t *indptr, const int32_t *indices, int32_t s,
-                           int32_t *dist, int32_t *queue, int32_t *pred)
+/* A plain search from s over the nv vertices, all of dist reset first:
+ * pred gets each reached vertex's parent in the BFS tree of s (-1 at s).
+ * Returns the number of vertices reached. */
+int32_t bfs_tree(int32_t nv, const int32_t *indptr, const int32_t *indices, int32_t s, int32_t *dist,
+                 int32_t *queue, int32_t *pred)
 {
     for (int32_t v = 0; v < nv; v++)
         dist[v] = -1;
     dist[s] = 0;
     queue[0] = s;
-    if (pred)
-        pred[s] = -1;
+    pred[s] = -1;
     return search(indptr, indices, 1, UNBOUNDED, 0, 0, dist, queue, pred);
 }
 
-/* For each sources[k], k < count, a plain search writes the distances to
- * vertices 0..cols-1 into row k of out (int64, count rows of cols).  dist
- * and queue are scratch arrays of nv entries.  If pred is not NULL, it
- * receives every vertex's BFS parent from the last source (-1 at the
- * source).  Returns 1 as soon as some vertex is unreachable from a source,
- * else 0. */
-int bfs_rows(int32_t nv, const int32_t *indptr, const int32_t *indices,
-             const int32_t *sources, int32_t count, int32_t cols,
-             int64_t *out, int32_t *dist, int32_t *queue, int32_t *pred)
-{
-    for (int32_t k = 0; k < count; k++) {
-        if (search_from(nv, indptr, indices, sources[k], dist, queue, pred) < nv)
-            return 1;
-        for (int32_t v = 0; v < cols; v++)
-            out[(size_t)k * cols + v] = dist[v];
-    }
-    return 0;
-}
-
 /* What boundary_rows needs, over a graph of nv vertices whose first n are
- * the boundary cycle.  Returns 2, writing nothing, if some cycle edge
- * (i, i + 1 mod n) is missing.  Else one search from all n boundary
- * vertices writes each vertex's layer, its distance to the boundary, and
- * the result is 1 if it leaves a vertex unreached: with the cycle edges
- * the boundary is connected, so the graph is not.  Else a plain search
- * from vertex 0 writes row 0 and column 0 of out (n x n) and each vertex's
- * parent in its BFS tree (-1 at 0), and the result is 0.  dist and queue
- * are scratch arrays of nv entries. */
+ * the boundary cycle.  One search from all n boundary vertices writes each
+ * vertex's layer, its distance to the boundary, and a plain search from
+ * vertex 0 writes row 0 and column 0 of out (n x n) and each vertex's
+ * parent in its BFS tree (-1 at 0).  Returns 1 if the search from 0 leaves
+ * a vertex unreached, the graph then disconnected (the search from the
+ * boundary reaches no more); else 2 if some cycle edge (i, i + 1 mod n) is
+ * missing, 0 if none is.  dist and queue are scratch arrays of nv entries. */
 int boundary_tree(int32_t nv, const int32_t *indptr, const int32_t *indices, int32_t n,
                   int32_t *layer, int32_t *parent, int64_t *out, int32_t *dist, int32_t *queue)
 {
+    for (int32_t v = 0; v < nv; v++)
+        layer[v] = -1;
+    for (int32_t i = 0; i < n; i++) {
+        layer[i] = 0;
+        queue[i] = i;
+    }
+    search(indptr, indices, n, UNBOUNDED, 0, 0, layer, queue, NULL);
+    if (bfs_tree(nv, indptr, indices, 0, dist, queue, parent) < nv)
+        return 1;
+    for (int32_t y = 0; y < n; y++)
+        out[y] = out[(size_t)y * n] = dist[y];
     for (int32_t i = 0; i < n; i++) {
         int32_t j = (i + 1) % n, e = indptr[i];
         while (e < indptr[i + 1] && indices[e] != j)
@@ -563,17 +555,6 @@ int boundary_tree(int32_t nv, const int32_t *indptr, const int32_t *indices, int
         if (e == indptr[i + 1])
             return 2;
     }
-    for (int32_t v = 0; v < nv; v++)
-        layer[v] = -1;
-    for (int32_t i = 0; i < n; i++) {
-        layer[i] = 0;
-        queue[i] = i;
-    }
-    if (search(indptr, indices, n, UNBOUNDED, 0, 0, layer, queue, NULL) < nv)
-        return 1;
-    search_from(nv, indptr, indices, 0, dist, queue, parent);
-    for (int32_t y = 0; y < n; y++)
-        out[y] = out[(size_t)y * n] = dist[y];
     return 0;
 }
 
@@ -650,9 +631,9 @@ static int grow(const int32_t *indptr, const int32_t *indices, int32_t n, const 
 }
 
 /* Rows lo..hi-1 of the boundary distances out (n x n), after boundary_tree
- * returned 0 with layer and parent: the search from each x >= 1 writes
- * out[x][y] and out[y][x] for the targets y > x only, and skips two kinds
- * of vertices, each exactly.
+ * returned found, 0 or 2, with layer and parent: the search from each
+ * x >= 1 writes out[x][y] and out[y][x] for the targets y > x only, and
+ * skips two kinds of vertices, each exactly.
  *
  * Side.  With pi_x the tree path from 0 to x, a geodesic, the excluded set
  * E grows by flooding (see flood) from pi_{x-1} \ pi_x, and at the span's
@@ -661,26 +642,28 @@ static int grow(const int32_t *indptr, const int32_t *indices, int32_t n, const 
  * target, a shortest path from x to a target that enters E leaves it onto
  * pi_x again, and the part between can follow pi_x at no cost.
  *
- * Depth.  With every cycle edge, d(x, y) <= cyc(x, y) <= min(n/2, n-1-x),
- * and d(w, y) >= layer(w), so no vertex w with d(x, w) + layer(w) beyond
- * that bound is on a shortest path to a target.
+ * Depth.  With every cycle edge (found 0), d(x, y) <= cyc(x, y) <=
+ * min(n/2, n-1-x), and d(w, y) >= layer(w), so no vertex w with
+ * d(x, w) + layer(w) beyond that bound is on a shortest path to a target.
+ * With a cycle edge missing (found 2) there is no such bound, and no
+ * vertex is skipped for its depth.
  *
  * Each search returns once it has reached its last target (see search).
  *
  * Both are graph facts, checked, not planarity: if pi_x meets E, E would
  * take a target, or a target is left unreached, the rest of the span runs
  * without E.  dist and queue are scratch arrays of nv entries.  Returns 1
- * if a search without E leaves a target unreached, which the cycle edges
- * rule out, else 0. */
+ * if a search without E leaves a target unreached, which the checks of
+ * boundary_tree rule out, else 0. */
 int boundary_rows(int32_t nv, const int32_t *indptr, const int32_t *indices, int32_t n,
                   const int32_t *layer, const int32_t *parent, int32_t lo, int32_t hi,
-                  int64_t *out, int32_t *dist, int32_t *queue)
+                  int64_t *out, int32_t *dist, int32_t *queue, int found)
 {
     int side = 1;
     int32_t first = lo > 1 ? lo : 1;
     unreached(nv, layer, dist);
     for (int32_t x = first; x < hi && x < n - 1; x++) {
-        int32_t bound = n / 2 < n - 1 - x ? n / 2 : n - 1 - x, tail;
+        int32_t bound = found ? UNBOUNDED : n / 2 < n - 1 - x ? n / 2 : n - 1 - x, tail;
         if (side && !(side = grow(indptr, indices, n, layer, parent, x, first, dist, queue)))
             unreached(nv, layer, dist);
         for (;;) {

@@ -188,9 +188,9 @@ def signatures() -> dict:
         "edge_ends": (None, [ids, i32, ids, optional, optional]),
         "disk_marks": (i32, [i32, i32, ids, i32, ids, ids, i32, ids, marks, marks, marks, marks]),
         "graph_csr": (None, [ids, i32, i32, ids, ids]),
-        "bfs_rows": (ctypes.c_int, [i32, ids, ids, ids, i32, i32, rows, ids, ids, optional]),
+        "bfs_tree": (i32, [i32, ids, ids, i32, ids, ids, ids]),
         "boundary_tree": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, rows, ids, ids]),
-        "boundary_rows": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, i32, i32, rows, ids, ids]),
+        "boundary_rows": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, i32, i32, rows, ids, ids, ctypes.c_int]),
         "worst_ratio": (ctypes.c_int, [rows, i32, ids]),
         "bound_violation": (ctypes.c_int, [rows, i32, wide, ids]),
         "lower_bounds": (None, [i64, i32, wide, wide, wide, i64, wide, i32]),

@@ -273,7 +273,7 @@ def run_sweep(
                 bad = audit.failures()[0]
                 raise RuntimeError(f"drift bound violated on annulus {bad.layer}: {bad.max_observed} > {bad.bound}")
             t1 = time.perf_counter()
-            verification = verify_filling(build.triangulation, jobs=jobs, want_witness=False)
+            verification = verify_filling(build.triangulation, jobs=jobs)
             row.verify_ms = (time.perf_counter() - t1) * 1000.0
             row.vertices = build.triangulation.num_vertices
             row.density = float(build.density)

@@ -22,8 +22,9 @@ Three independent instruments:
   target.  Neither cut rests on planarity, and the kernel checks
   both rather than trusting the input: if pi_x meets E, E would take a
   target, or a target is left unreached, the rest of that span of sources
-  runs without E, and if a cycle edge is missing every source runs a
-  plain search;
+  runs without E, and if a cycle edge is missing no search has a depth
+  cut.  A shortest witness path of the worst pair comes from one more
+  plain search, whose BFS tree it follows;
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact scaled int64 arithmetic, positions read from the ledger:
   :func:`certify` validates a built filling and audits it in one compiled
@@ -96,23 +97,24 @@ def _graph_csr(t: Triangulation) -> tuple[memoryview, memoryview]:
     return indptr, indices
 
 
-def _bfs_rows(graph: tuple, sources: range, out, want_pred: bool = False) -> memoryview | None:
-    """Row k of ``out`` gets the BFS distances from ``sources[k]`` to the vertices ``0..out.shape[1]-1``.
+def _witness(graph: tuple, x: int, y: int) -> list[int]:
+    """A shortest path from vertex x to vertex y of the CSR ``graph``, read off the BFS tree of x.
 
-    ``out`` is a C-contiguous int64 buffer of one row per source.  Returns
-    the BFS parent of every vertex from the last source (-1 at the source)
-    as an int32 buffer if ``want_pred``, else None.
+    Raises ValueError, before the search, unless x and y are vertices of
+    the CSR, and after it if y is unreachable from x.
     """
     indptr, indices = graph
     size = len(indptr) - 1
-    src = array("i", sources)
-    dist, queue = buffer("i", size), buffer("i", size)
-    pred = buffer("i", size) if want_pred else None
-    if len(out) != len(src) or max(sources.stop, out.shape[1]) > size:
-        raise ValueError(f"{len(src)} BFS sources and {out.shape} outputs do not fit {size} vertices")
-    if _library().bfs_rows(size, indptr, indices, src, len(src), out.shape[1], out, dist, queue, pred):
-        raise ValueError("graph is disconnected: some vertex is unreachable from the boundary")
-    return pred
+    if not (0 <= x < size and 0 <= y < size):
+        raise ValueError(f"a witness from {x} to {y} needs two of the CSR's {size} vertices")
+    dist, queue, pred = buffer("i", size), buffer("i", size), buffer("i", size)
+    _library().bfs_tree(size, indptr, indices, x, dist, queue, pred)
+    if dist[y] < 0:
+        raise ValueError(f"graph is disconnected: vertex {y} is unreachable from {x}")
+    path = [y]
+    while path[-1] != x:
+        path.append(pred[path[-1]])
+    return path[::-1]
 
 
 def _bfs_plan(n: int, jobs: int) -> tuple[list[range], int]:
@@ -152,8 +154,8 @@ def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
     then fills the pairs (x, y), y > x, only, confined to one side of the
     tree path from 0 to x and pruned by layer (``boundary_rows``; the module
     docstring says why both cuts are exact).  If a boundary cycle edge is
-    missing, the depth cut does not hold, so every source runs a plain
-    search (see :func:`_bfs_rows`) and :func:`_worst_pair` names the edge.
+    missing, the depth cut does not hold, so the searches keep the side cut
+    alone, and :func:`_worst_pair` names the edge.
 
     The sources are split into spans (see :func:`_bfs_plan`), which are
     independent and read-only over the shared graph, so they run on a pool
@@ -183,12 +185,10 @@ def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
         raise ValueError("graph is disconnected: some vertex is unreachable from the boundary")
 
     def run(sources: range) -> None:
-        if found == 2:  # a cycle edge is missing
-            _bfs_rows(graph, sources, dist[sources.start : sources.stop])
-            return
         pair = scratch.pop()  # atomic, as is the append: no two spans share a pair
         try:
-            if lib.boundary_rows(size, indptr, indices, n, layer, parent, sources.start, sources.stop, dist, *pair):
+            if lib.boundary_rows(size, indptr, indices, n, layer, parent, sources.start, sources.stop, dist, *pair,
+                                 found):
                 raise RuntimeError(f"the search from boundary sources {sources} left a target unreached")
         finally:
             scratch.append(pair)
@@ -270,7 +270,7 @@ class VerificationReport:
     eps: float | None = None
 
 
-def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -> VerificationReport:
+def verify_filling(t: Triangulation, jobs: int = 1) -> VerificationReport:
     """Compute the exact Lipschitz constant of ``t`` over all boundary pairs.
 
     Requires a complex that already passed :func:`validate_disk`.  When a
@@ -289,19 +289,12 @@ def verify_filling(t: Triangulation, jobs: int = 1, want_witness: bool = True) -
     x, y = _worst_pair(dist, n)
     d_k, d_c = dist[x, y], cycle_dist(x, y, n)
     delta = Fraction(d_k, d_c)
-    witness = None
-    if want_witness and delta < 1:
-        pred = _bfs_rows(graph, range(x, x + 1), buffer("q", 1, n), want_pred=True)
-        witness = [y]
-        while witness[-1] != x:
-            witness.append(pred[witness[-1]])
-        witness.reverse()
     return VerificationReport(
         n=n,
         delta=delta,
         is_isometric=delta == 1,
         worst_pair=(x, y, d_k, d_c),
-        witness_path=witness,
+        witness_path=_witness(graph, x, y) if delta < 1 else None,
         boundary_distances=dist,
     )
 
@@ -529,8 +522,7 @@ def separation_lower_bounds(build: BuildResult) -> list[int]:
     annulus, leaving out block transitions and apex edges: sound but loose.
     """
     n = build.params.n
-    sched = build.schedule
-    cone_bound = 2 * sched.collar_layers + 2 * sched.num_blocks * sched.layers_per_block
+    cone_bound = 2 * sum(rec.annulus_kind in ("collar", "equal") for rec in build.ledger)
     size = n // 2 + 1
     w, q, m = array("q"), array("q"), array("q")
     drifts = accumulate((2 * rec.drift_bound for rec in build.ledger[:-1]), initial=Fraction(0))

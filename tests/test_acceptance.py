@@ -47,7 +47,7 @@ def builds_a_extended(builds_a):
 
 @pytest.fixture(scope="module")
 def reports_a(builds_a):
-    return {n: verify_filling(b.triangulation, want_witness=False) for n, b in builds_a.items()}
+    return {n: verify_filling(b.triangulation) for n, b in builds_a.items()}
 
 
 @pytest.fixture(scope="module")

@@ -202,16 +202,21 @@ def test_separation_bounds_match_the_reference(n, eta, extra, scaled, data):
     assert separation_lower_bounds(build) == reference_separation_lower_bounds(build)
 
 
-@given(st.integers(3, 600), st.integers(0, 120), st.data())
+@given(st.integers(3, 600), st.data())
 @settings(max_examples=60, deadline=None)
-def test_separation_bounds_match_the_reference_on_any_ledger(n, cone_half, data):
-    # Cycle lengths and drift bounds need not follow any schedule here, so
-    # layers other than the shallowest decide the table far more often.
+def test_separation_bounds_match_the_reference_on_any_ledger(n, data):
+    # Cycle lengths, drift bounds and annulus kinds need not follow any
+    # schedule here, so layers other than the shallowest decide the table
+    # far more often.  The code counts the cone term from the ledger's
+    # kinds, the reference from the schedule, which holds the same count.
     lengths = data.draw(st.lists(st.integers(3, n), min_size=1, max_size=60), label="lengths")
-    ledger = [SimpleNamespace(length=m, drift_bound=None) for m in (n, *lengths)]
+    ledger = [SimpleNamespace(length=m, drift_bound=None, annulus_kind=None) for m in (n, *lengths)]
+    kinds = st.sampled_from(["collar", "equal", "shrink", "transition-equal"])
     for rec in ledger[:-1]:
         bounds = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(n, rec.length), max_denominator=10**6)
         rec.drift_bound = data.draw(bounds, label="drift bound")
+        rec.annulus_kind = data.draw(kinds, label="kind")
+    cone_half = sum(rec.annulus_kind in ("collar", "equal") for rec in ledger)
     sched = SimpleNamespace(collar_layers=cone_half, num_blocks=0, layers_per_block=0)
     build = SimpleNamespace(params=SimpleNamespace(n=n), schedule=sched, ledger=ledger)
     assert separation_lower_bounds(build) == reference_separation_lower_bounds(build)

@@ -274,7 +274,7 @@ def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs)
 
     # the flipped n = 64 builds are valid disks with delta = 1; the cones over
     # C_6..C_11 have delta < 1, so their reports carry a witness from the
-    # kernel's predecessor array
+    # kernel's BFS tree
     for build, _ in flipped_builds.values():
         t = build.triangulation
         adj = skeleton_graph(t)
@@ -282,13 +282,10 @@ def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs)
         ref = [bfs_distances(adj, src) for src in range(t.n)]
         assert boundary_distance_matrix(t, jobs=jobs).tolist() == [row[: t.n] for row in ref]
         for src in range(0, t.n, 7):
-            d = np.array(ref[src])
-            out = np.empty((1, t.n), np.int64)
-            pred = np.asarray(verify._bfs_rows(graph, range(src, src + 1), out, want_pred=True))
-            assert pred[src] == -1
-            others = np.flatnonzero(np.arange(t.num_vertices) != src)
-            assert (d[pred[others]] == d[others] - 1).all()  # each parent is one level up ...
-            assert all(pred[v] in adj[v] for v in others.tolist())  # ... and a neighbour
+            for dst in (src, (src + t.n // 2) % t.n, t.num_vertices - 1):
+                path = verify._witness(graph, src, dst)
+                assert path[0] == src and path[-1] == dst and len(path) - 1 == ref[src][dst]
+                assert all(b in adj[a] for a, b in zip(path, path[1:]))
     for k in range(6, 12):
         t = cone_over_cycle(k)
         fw = floyd_warshall(t)
@@ -364,8 +361,8 @@ def test_hostile_inputs_give_the_reference_or_the_named_error(small_build, monke
     jobs = _plans(monkeypatch, jobs)
     t = small_build.triangulation
     v = t.num_vertices
-    # without boundary edge (3, 4) the depth cut does not hold: every source
-    # runs a plain search, and the worst pair scan names the edge
+    # without boundary edge (3, 4) the depth cut does not hold: the searches
+    # keep the side cut alone, and the worst pair scan names the edge
     gap = Triangulation(25, v, [row for row in t.triangles.tolist() if not {3, 4} <= set(row)])
     assert boundary_distance_matrix(gap, jobs=jobs).tolist() == _reference_rows(gap)
     with pytest.raises(ValueError, match=r"for pair \(0, 4\): boundary cycle edges are missing"):
@@ -385,6 +382,27 @@ def test_hostile_inputs_give_the_reference_or_the_named_error(small_build, monke
     assert boundary_distance_matrix(both, jobs=jobs).tolist() == _reference_rows(both)
 
 
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_two_components_without_a_cycle_edge_between_are_disconnected(jobs):
+    # the search from the whole boundary reaches every vertex, but the one
+    # from vertex 0 does not: the cycle edges that would join the two
+    # triangles are missing, and the graph is disconnected
+    t = Triangulation(6, 6, [(0, 1, 2), (3, 4, 5)])
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        boundary_distance_matrix(t, jobs=jobs)
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        verify_filling(t, jobs=jobs)
+
+
+def test_witness_of_a_disconnected_graph_is_refused():
+    import ringfill.verify as verify
+
+    graph = verify._graph_csr(Triangulation(6, 6, [(0, 1, 2), (3, 4, 5)]))
+    assert verify._witness(graph, 0, 2) == [0, 2]
+    with pytest.raises(ValueError, match="graph is disconnected: vertex 4 is unreachable from 1"):
+        verify._witness(graph, 1, 4)
+
+
 def test_out_of_range_ids_are_refused_before_the_kernel(monkeypatch):
     from array import array
 
@@ -395,8 +413,11 @@ def test_out_of_range_ids_are_refused_before_the_kernel(monkeypatch):
         raise AssertionError("the kernel was reached")
 
     indptr, indices = verify._graph_csr(cone_over_cycle(4))
-    for entry in ("graph_csr", "bfs_rows", "boundary_tree", "boundary_rows"):
+    for entry in ("graph_csr", "bfs_tree", "boundary_tree", "boundary_rows"):
         monkeypatch.setattr(_kernels.library(), entry, _refuse)
+    for x, y in [(5, 0), (0, 5), (-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match=f"a witness from {x} to {y} needs two of the CSR's 5 vertices"):
+            verify._witness((indptr, indices), x, y)
     # Triangulation takes ids up to the int32 maximum whatever its vertex count
     with pytest.raises(ValueError, match="vertex id 5, beyond the 3 vertices"):
         boundary_distance_matrix(Triangulation(3, 3, [(0, 1, 2), (0, 1, 5)]))
@@ -587,6 +608,25 @@ def test_separation_bounds_follow_the_ledger():
     assert after == reference_separation_lower_bounds(build)
     assert after != before
     assert all(a <= b for a, b in zip(after, before))
+
+
+def test_cone_term_from_the_ledger_is_the_schedules():
+    # the table's cone term counts the ledger's collar and equal annuli;
+    # the reference takes it from the schedule's formula
+    checked = 0
+    for rho in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 5), Fraction(1, 300)):
+        for eta in (Fraction(1, 4), Fraction(1, 20), Fraction(2, 5)):
+            for n in (8, 25, 49, 64, 100, 121, 160, 256, 400):
+                try:
+                    build = build_filling(Params(n, rho, eta))
+                except ScheduleError:
+                    continue
+                sched = build.schedule
+                cone = sched.collar_layers + sched.num_blocks * sched.layers_per_block
+                assert sum(rec.annulus_kind in ("collar", "equal") for rec in build.ledger) == cone
+                assert separation_lower_bounds(build) == reference_separation_lower_bounds(build)
+                checked += 1
+    assert checked == 52
 
 
 def test_drift_lower_bound_trivia(medium_build):
