@@ -17,7 +17,8 @@
  *   strip_rows               one annulus of a ledger checked as a cyclic strip, or its cone as a fan
  *   isometric_rows           the oracle's isometry test on a stack of complexes
  *   drift_rows               the drift audit's pass over the edges of one cycle
- *   rows_text, parse_rows    build-file rows written as JSON text and read back
+ *   rows_text                build-file rows written as JSON text
+ *   parse_rows               build-file rows read back from JSON bytes, whole rows at a time
  *
  * ringfill._kernels compiles this file on first use and calls its functions
  * through ctypes, which releases the GIL for each call, so threads run in
@@ -26,8 +27,8 @@
  * cast by memoryview or a numpy array.  The caller checks every array:
  * C-contiguous, int32 unless stated, and every index within the sizes
  * given; disk_verdicts and strip_rows alone take vertex ids of any value,
- * disk_marks any non-negative ones, and parse_rows text of any content,
- * since rejecting them is their job.
+ * disk_marks any non-negative ones, and parse_rows bytes of any content,
+ * cut off anywhere, since rejecting them is their job.
  *
  * Triangles are rows of three int32 ids, each row rotated so its smallest id
  * comes first.  Slot s = 3f + j of a triangle array is the edge from corner
@@ -1208,14 +1209,17 @@ static inline int json_space(char c)
 
 /* Reads the JSON integer at *at, before end, into *id: an optional '-',
  * then 0 or a digit 1-9 and more digits, within int32.  Returns 0, *at
- * past it, or -1 for any other text; the character after it is left to
- * the caller, which refuses a '.', 'e' or another digit there. */
+ * past it, or -1 for any other text.  The end of the bytes is no error,
+ * as more bytes may follow: the digits before it are read, and the
+ * caller, finding no byte after them, counts no row there.  The byte
+ * after the integer is left to the caller, which refuses a '.', 'e' or
+ * another digit there. */
 static int parse_id(const char **at, const char *end, int32_t *id)
 {
     const char *p = *at;
     int negative = p < end && *p == '-';
     p += negative;
-    if (p == end || *p < '0' || *p > '9' || (*p == '0' && p + 1 < end && p[1] >= '0' && p[1] <= '9'))
+    if (p < end && (*p < '0' || *p > '9' || (*p == '0' && p + 1 < end && p[1] >= '0' && p[1] <= '9')))
         return -1;
     int64_t x = 0, limit = negative ? (int64_t)INT32_MAX + 1 : INT32_MAX;
     for (; p < end && *p >= '0' && *p <= '9'; p++) {
@@ -1236,38 +1240,51 @@ static const char *skip_space(const char *p, const char *end)
     return p;
 }
 
-/* The rows of the ASCII text "[a, b, c], [d, e, f], ..." of len characters,
- * one or more of three JSON integers each within int32, read into out as
- * int32, at most room rows: the list json.loads("[" + text + "]") reads
- * when it is such rows.  Between tokens only JSON's four whitespace
- * characters may stand.  Returns the number of rows, or -1 for any other
- * text: no row, a row not of three ids, an id that is no JSON integer or
- * beyond int32, a trailing comma, any other character, or more than room
- * rows. */
-int64_t parse_rows(const char *text, int64_t len, int32_t *out, int64_t room)
+/* The first byte from *at that is not JSON whitespace, *at past it, or -1
+ * and *at at end if the bytes end first. */
+static int next_byte(const char **at, const char *end)
+{
+    const char *p = skip_space(*at, end);
+    *at = p + (p < end);
+    return p < end ? (unsigned char)*p : -1;
+}
+
+/* The rows of a JSON list of triangle rows "[a, b, c], [d, e, f], ...]",
+ * read from the len bytes of text, which start just after the list's '['
+ * or after a row's ','.  Each row is three JSON integers within int32,
+ * and only JSON's four whitespace bytes may stand between tokens.  A row
+ * counts, and is written to out as int32, only once the ',' or ']' after
+ * it is read, so a row that the end of the bytes cuts is never counted;
+ * reading stops after room rows, at the list's ']' or at the end of the
+ * bytes, leaving the rest to the next call.  used, two int64, gets the
+ * bytes read up to the separator of the last row counted, included, and
+ * 1 if that separator was the list's ']', else 0.  Returns the rows
+ * counted, or -1 for any other text: a row not of three ids, an id that
+ * is no JSON integer or beyond int32, an empty list, a trailing comma or
+ * any other byte, non-ASCII ones included. */
+int64_t parse_rows(const char *text, int64_t len, int32_t *out, int64_t room, int64_t *used)
 {
     const char *p = text, *end = text + len;
     int64_t rows = 0;
-    while (1) {
-        p = skip_space(p, end);
-        if (p == end || *p != '[' || rows == room)
-            return -1;
-        p++;
-        for (int j = 0; j < 3; j++) {
-            p = skip_space(p, end);
-            if (parse_id(&p, end, out + 3 * rows + j))
-                return -1;
-            p = skip_space(p, end);
-            if (p == end || *p != (j < 2 ? ',' : ']'))
-                return -1;
-            p++;
+    used[0] = used[1] = 0;
+    while (rows < room && !used[1]) {
+        int c;
+        for (int j = 0; j < 4; j++) {
+            if (j) {
+                p = skip_space(p, end);
+                if (parse_id(&p, end, out + 3 * rows + j - 1))
+                    return -1;
+            }
+            c = next_byte(&p, end);
+            if (c != "[,,]"[j])
+                return c < 0 ? rows : -1;
         }
+        c = next_byte(&p, end);
+        if (c != ',' && c != ']')
+            return c < 0 ? rows : -1;
         rows++;
-        p = skip_space(p, end);
-        if (p == end)
-            return rows;
-        if (*p != ',')
-            return -1;
-        p++;
+        used[0] = p - text;
+        used[1] = c == ']';
     }
+    return rows;
 }

@@ -31,6 +31,7 @@ DISK_SCRATCH = 21
 MAX_ID = 2**31 - 1  # the largest vertex id of the kernels' int32 arrays
 MAX_TRIANGLES = MAX_ID // 6  # the most triangles a complex may have, so that int32 edge and corner ids cannot wrap
 INT32 = frozenset(c for c in "il" if calcsize(c) == 4)  # the struct formats of int32
+INT64 = frozenset(c for c in "lq" if calcsize(c) == 8)  # and of int64
 
 
 def buffer(code: str, *shape: int) -> memoryview:
@@ -172,8 +173,8 @@ def signatures() -> dict:
         return {c for c in chars if calcsize(c) == size}
 
     ids = _Buffer("int32", INT32)
-    rows = _Buffer("int64", codes("bhilq", 8), ndim=2)
-    wide = _Buffer("int64", codes("bhilq", 8))
+    rows = _Buffer("int64", INT64, ndim=2)
+    wide = _Buffer("int64", INT64)
     words = _Buffer("uint64", codes("BHILQ", 8))
     flags = _Buffer("bool", {"?"})
     marks = _Buffer("uint8", {"B"})
@@ -201,7 +202,7 @@ def signatures() -> dict:
         "isometric_rows": (None, [i32, i32, ids, i32, i32, words, flags]),
         "drift_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, marks]),
         "rows_text": (i64, [ids, i64, i32, i32, marks]),
-        "parse_rows": (i64, [ctypes.c_char_p, i64, ids, i64]),
+        "parse_rows": (i64, [ctypes.c_char_p, i64, ids, i64, wide]),
     }
 
 

@@ -14,12 +14,13 @@ only its triangles; it assembles no complex.  A build file without
 field, a zero denominator or a boolean triangle id included, is a
 ValueError naming it.
 
-:func:`load_json` reads a file in blocks and its top-level triangles list a
-slice of rows at a time, straight into one growing int32 buffer
-(:mod:`ringfill._reader`), so the rows never exist as Python lists all at
-once.  Any file that reader does not take is read again by ``json.load``,
-whose lists :func:`_triangles` checks row by row, so every file loads to
-the same triangles, or fails with the same error, either way.
+:func:`load_json` reads the bytes of a file in blocks and its top-level
+triangles list whole rows at a time, straight into one growing int32
+buffer (:mod:`ringfill._reader`), so the rows never exist as Python lists
+all at once.  Any file that reader does not take is read again by
+``json.load``, whose lists :func:`_triangles` checks row by row, so every
+file loads to the same triangles, or fails with the same error, either
+way.
 
 :func:`dump_json` is the one writer.  It takes a dict with str keys, and its
 bytes are those of ``json.dump(data, fh, indent=2)`` plus a newline, with an
@@ -342,16 +343,17 @@ def dump_json(data: dict[str, Any], path: str) -> None:
 def load_json(path: str) -> Any:
     """``json.load`` of the UTF-8 file at ``path``, with a top-level triangles list read as int32 rows.
 
-    The file is read in blocks and the triangles a slice of rows at a time
-    (see :mod:`ringfill._reader`), so neither the whole text nor the rows as
-    Python lists are ever held.  Any file that reader does not take, from a
-    top level that is not an object to a ragged row, a boolean or float id
-    or an id beyond int32, is read again by ``json.load``, so a file gives
-    the same values, or the same error, either way.
+    The file is opened in binary and read in blocks, the triangles whole
+    rows at a time (see :mod:`ringfill._reader`), so neither the whole text
+    nor the rows as Python lists are ever held.  Any file that reader does
+    not take, from a top level that is not an object to a ragged row, a
+    boolean or float id, an id beyond int32 or a non-ASCII byte, is read
+    again, as UTF-8 text, by ``json.load``, so a file gives the same values,
+    or the same error, either way.
     """
     from ._reader import read_object  # here, not at module load: only the commands that read a file need it
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
             return read_object(fh)
         except (ValueError, RecursionError):

@@ -596,11 +596,31 @@ def test_row_writer_refuses_other_buffers_before_the_kernel(monkeypatch):
     assert out == []
 
 
-def test_row_reader_refuses_non_ascii_text_before_the_kernel(monkeypatch):
+def test_row_kernel_refuses_non_ascii_bytes():
+    out, used = _kernels.buffer("i", 4, 3), _kernels.buffer("q", 2)
+    # a no-break space and an Arabic-Indic digit, each refused where its ASCII twin is read
+    for text, ascii in (("[0, 1, 2],\u00a0[1, 2, 3]]", " "), ("[0, 1, \u0662]]", "2")):
+        assert reader._parse_rows(text.encode("utf-8"), out, used) == -1
+        assert reader._parse_rows(re.sub("[^\x00-\x7f]", ascii, text).encode(), out, used) == text.count("[")
+
+
+def test_row_reader_refuses_other_buffers_before_the_kernel(monkeypatch):
     _refuse_kernels(monkeypatch, "parse_rows")
-    for text in ("[0, 1, 2],\u00a0[1, 2, 3]", "[0, 1, \u0662]"):  # a no-break space, an Arabic-Indic digit
-        with pytest.raises(reader._Irregular):
-            reader._int32_rows(text)
+    out, used = _kernels.buffer("i", 4, 3), _kernels.buffer("q", 2)
+    for text in ("[0, 1, 2]]", bytearray(b"[0, 1, 2]]"), memoryview(b"[0, 1, 2]]"), None):
+        with pytest.raises(ValueError, match=r"parse_rows reads bytes, got"):
+            reader._parse_rows(text, out, used)
+    for rows in (
+        np.zeros((4, 3), dtype=np.int64),
+        np.zeros(12, dtype=np.int32),
+        np.zeros((4, 6), dtype=np.int32)[:, ::2],
+        memoryview(bytes(48)).cast("i", (4, 3)),  # read-only
+    ):
+        with pytest.raises(ValueError, match=r"rows need a writable C-contiguous \(room, 3\) int32 buffer"):
+            reader._parse_rows(b"[0, 1, 2]]", rows, used)
+    for ends in (_kernels.buffer("q", 1), _kernels.buffer("i", 2), _kernels.buffer("Q", 2), bytes(16)):
+        with pytest.raises(ValueError, match=r"used needs a writable buffer of two int64"):
+            reader._parse_rows(b"[0, 1, 2]]", out, ends)
 
 
 def test_drift_pass_refuses_what_the_kernel_would_misread(monkeypatch, small_build):

@@ -4,9 +4,11 @@ Every file, well formed or not, must load to the same values, or fail
 with the same error, as it does through ``json.load``, and then give the
 same complex, or the same error, through ``complex_from_dict``.  The texts
 are a small build file and a bare complex, mutated where a reader that
-slices the triangle rows out of the text could go wrong.  The slice length
-is shrunk as well, so that small files are read in many slices and blocks.
+reads the triangle rows block by block could go wrong.  The block size is
+shrunk as well, and the reads cut short, so that small files are read in
+many blocks and kernel calls.
 """
+import io
 import json
 import re
 from unittest import mock
@@ -17,7 +19,7 @@ import reference_impl as ref
 from hypothesis import given, settings, strategies as st
 
 import ringfill._reader as reader
-from ringfill import cone_over_cycle
+from ringfill import _kernels, cone_over_cycle
 from ringfill.serialize import build_to_dict, complex_from_dict, dump_json, load_json, triangulation_to_dict
 
 
@@ -43,7 +45,7 @@ def _outcome(load, path):
 
 def _fast(path):
     """Whether the block reader takes the file, without falling back to ``json.load``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
             reader.read_object(fh)
         except ValueError:
@@ -269,16 +271,49 @@ def test_written_files_load_as_int32_rows(texts, tmp_path, monkeypatch, name, ro
     assert t.triangles is data["triangles"]  # taken over, not copied
 
 
-def _slice_outcome(read, text):
-    """The int32 bytes a slice reader makes of ``text``, or None where it refuses it."""
-    try:
-        return bytes(read(text))
-    except ValueError:
+class _ShortReads(io.BytesIO):
+    """A binary file whose ``read`` returns at most ``k`` bytes."""
+
+    def __init__(self, data, k):
+        super().__init__(data)
+        self.k = k
+
+    def read(self, size=-1):
+        return super().read(self.k if size < 0 else min(size, self.k))
+
+
+@pytest.mark.parametrize("name", ["build", "bare"])
+@pytest.mark.parametrize("row_text", [1, 5, 64])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_short_reads_take_the_fast_path(texts, monkeypatch, k, row_text, name):
+    # A read that returns fewer bytes than asked cuts rows, ids and keys
+    # anywhere; the reader itself, with no json.load behind it, still takes
+    # the file and reads what json.load reads.
+    monkeypatch.setattr(reader, "_ROW_TEXT", row_text)
+    text = texts[name]
+    data = reader.read_object(_ShortReads(text.encode(), k))
+    assert json.dumps(data, default=lambda rows: rows.tolist()) == json.dumps(json.loads(text))
+
+
+def _kernel_rows(text):
+    """The int32 bytes ``parse_rows`` reads from ``text + "]"``, the rest of a list, or None where it refuses it.
+
+    The kernel gets one block's rows of room, as the reader gives it, and
+    must read every byte and close the list.
+    """
+    raw = (text + "]").encode("utf-8")
+    out, used = _kernels.buffer("i", reader._ROW_TEXT // 7 + 1, 3), _kernels.buffer("q", 2)
+    count = reader._parse_rows(raw, out, used)
+    if count < 0 or used.tolist() != [len(raw), 1]:
         return None
+    return out[:count].tobytes()
 
 
 def _reference_rows(text):
-    return ref.int32_rows(text).tobytes()
+    try:
+        return ref.int32_rows(text).tobytes()
+    except ValueError:
+        return None
 
 
 _ACCEPTED = [
@@ -308,14 +343,14 @@ _REFUSED = {
 
 @pytest.mark.parametrize("text", _ACCEPTED)
 def test_row_kernel_reads_what_json_loads_reads(text):
-    assert _slice_outcome(reader._int32_rows, text) == _reference_rows(text)
+    assert _kernel_rows(text) == _reference_rows(text) is not None
 
 
 @pytest.mark.parametrize("name", list(_REFUSED))
 def test_row_kernel_refuses_what_the_numpy_reader_refused(texts, tmp_path, name):
     text = _REFUSED[name]
-    assert _slice_outcome(reader._int32_rows, text) is None
-    assert _slice_outcome(_reference_rows, text) is None
+    assert _kernel_rows(text) is None
+    assert _reference_rows(text) is None
     # in a file, the refused rows fall back to json.load, which decides
     for kind in ("build", "bare"):
         path = tmp_path / f"{kind}.json"
@@ -347,20 +382,31 @@ def _row_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(_row_texts())
 def test_row_kernel_matches_json_loads(text):
-    assert _slice_outcome(reader._int32_rows, text) == _slice_outcome(_reference_rows, text)
+    assert _kernel_rows(text) == _reference_rows(text)
 
 
-def test_row_kernel_room_follows_the_closing_brackets():
-    # a slice of a million opening brackets gets room for its one row, not a
-    # million: the rows buffer never outgrows the text that would fill it
+def test_row_buffer_stays_one_block_of_rows(monkeypatch):
+    # A list of a hundred thousand rows is read a block's rows at a time:
+    # the kernel's row buffer is the same however long the text, and the
+    # reader holds little beyond the int32 rows it returns.
     import tracemalloc
 
-    text = "[" * 10**6 + "0, 1, 2]"
+    text = b'{"triangles": [' + b"[0, 1, 2], " * 10**5 + b"[0, 1, 2]]}"
+    rooms = []
+    parse = reader._parse_rows
+
+    def spy(text, out, used):
+        rooms.append(len(out))
+        return parse(text, out, used)
+
+    monkeypatch.setattr(reader, "_parse_rows", spy)
+    fh = io.BytesIO(text)
     tracemalloc.start()
     try:
-        with pytest.raises(reader._Irregular):
-            reader._int32_rows(text)
+        rows = reader.read_object(fh)["triangles"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert rows.tolist() == [[0, 1, 2]] * (10**5 + 1)
+    assert set(rooms) == {reader._ROW_TEXT // 7 + 1} and len(rooms) > len(text) // reader._ROW_TEXT
     assert peak < 2 * len(text)
