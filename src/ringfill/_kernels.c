@@ -13,7 +13,7 @@
  *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
- *   disk_verdicts            validate_disk's verdict on each complex of a stack
+ *   disk_verdicts            validate_disk's verdict on each complex of a stack, from adjacency bitsets
  *   strip_rows               one annulus of a ledger checked as a cyclic strip, or its cone as a fan
  *   isometric_rows           the oracle's isometry test on a stack of complexes
  *   drift_rows               the drift audit's pass over the edges of one cycle
@@ -933,57 +933,117 @@ int32_t grow_fillings(int32_t n, int32_t interior, int32_t *state, int32_t *tri,
     return written;
 }
 
-/* Whether the nf triangles src, on 1 <= nv <= 3 nf vertices with 3 <= n <=
- * nv, pass validate_disk's checks: their rows copied and rotated by
- * canonical_rows, an id outside 0..nv-1 failing them before any use as an
- * index, then edge_slots, edge_ends and disk_marks, with no triangle,
- * vertex or off-cycle edge marked, every cycle edge present, V - E + F = 1
- * and one component.  scratch is laid out as in disk_verdicts. */
-static int is_disk(int32_t n, int32_t nv, const int32_t *src, int32_t nf, int32_t *scratch)
+/* Records edge (u, w) of a triangle with third vertex x in the adjacency
+ * bitsets once and twice and in the apex table, whose entries 2 (u nv + w)
+ * and the next hold the apexes of the first and the second triangle on
+ * (u, w), mirrored at (w, u).  Returns 1 for an edge seen first, 0 for one
+ * seen before, and sets *bad for a third triangle on the edge or a second
+ * one with the same apex (one vertex set twice), without a branch. */
+static inline int32_t add_edge(int32_t nv, uint32_t u, uint32_t w, uint8_t x, uint64_t *once, uint64_t *twice,
+                               uint8_t *apex, int *bad)
 {
-    int32_t size = 3 * nf, *rows = scratch, *slot = rows + size, *perm = slot + size;
-    int32_t *edges = perm + size, *work = edges + 2 * (size_t)size;
-    memcpy(rows, src, sizeof(int32_t) * (size_t)size);
-    int32_t top = canonical_rows(rows, nf);
-    if (top < 0 || top >= nv)
-        return 0;
-    int width = 1; /* one radix digit holds every id, so work needs 1 << width <= 2 * nv counts */
-    while (width < 31 && ((nv - 1) >> width))
-        width++;
-    int32_t ne = edge_slots(rows, size, width, work, perm, slot);
-    edge_ends(rows, size, slot, edges, NULL);
-    uint8_t *tri_mark = (uint8_t *)perm, *edge_mark = tri_mark + nf, *vertex_mark = edge_mark + ne;
-    uint8_t *cycle_mark = vertex_mark + nv;
-    int bad = disk_marks(n, nv, rows, nf, slot, edges, ne, work, tri_mark, edge_mark, vertex_mark, cycle_mark) != 1
-              || nv - ne + nf != 1;
-    for (int32_t f = 0; f < nf; f++)
-        bad |= tri_mark[f] != TRI_OK;
-    for (int32_t e = 0; e < ne; e++)
-        bad |= edge_mark[e] > EDGE_CYCLE;
-    for (int32_t v = 0; v < nv; v++)
-        bad |= vertex_mark[v] != VERTEX_OK;
-    for (int32_t i = 0; i < n; i++)
-        bad |= !cycle_mark[i];
-    return !bad;
+    uint64_t seen = once[u] >> w & 1;
+    uint8_t *at = apex + 2 * ((size_t)u * nv + w), *mirror = apex + 2 * ((size_t)w * nv + u);
+    *bad |= (int)(twice[u] >> w & 1) | (int)(seen & (at[0] == x));
+    twice[u] |= seen << w;
+    twice[w] |= seen << u;
+    once[u] |= (uint64_t)1 << w;
+    once[w] |= (uint64_t)1 << u;
+    at[seen] = mirror[seen] = x;
+    return 1 - (int32_t)seen;
 }
 
 /* disk_verdicts: ok[b] is 1 iff complex b of count, rows of nf triangles in
  * tri, is a triangulated disk on the vertices 0..nv-1 whose boundary is
- * exactly the cycle 0..n-1, iff validate_disk reports no failure for it
- * (see is_disk), each checked on its own in the same scratch.  The ids of
- * tri may take any value.  scratch holds 21 * nf int32 entries, in regions
- * of 3F: the rotated rows, the slot edge ids, the sort order (then the
- * marks, F + E + nv + n <= 10F bytes); then 6F for the edges and 6F for the
- * radix counts (then disk_marks's scratch, max(2E, E + 1 + F, nv) <= 6F
- * entries).  No complex of F triangles covers more than 3F vertices, so nv
- * outside n..3F fails every complex and the scratch stays linear in F;
- * with n < 3 there is no boundary cycle, and every complex fails too. */
-void disk_verdicts(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int32_t nf, int32_t *scratch,
+ * exactly the cycle 0..n-1, iff validate_disk reports no failure for it.
+ * The ids of tri may take any value.  Each complex takes one pass over its
+ * 3F slots into adjacency bitsets, so nv <= 64: scratch (uint64) holds
+ * once[nv] (v's neighbours), twice[nv] (the neighbours w whose edge vw lies
+ * in two triangles) and an apex table of 2 nv^2 bytes (see add_edge), whose
+ * entries count only where once and twice say they were written, so it is
+ * never cleared.  An id outside 0..nv-1 or a degenerate row fails the
+ * complex before any use as an index, and add_edge fails a third triangle
+ * on an edge and a vertex set that comes twice, in either orientation.
+ * Then these must all hold:
+ *
+ *   every vertex has a neighbour (validate_disk: no uncovered vertex);
+ *   once & ~twice, the edges in one triangle, is at each vertex exactly its
+ *   cycle edges, i +- 1 mod n for i < n and none for i >= n (the boundary
+ *   is C_n);
+ *   V - E + F = 1, E counted as the edges first seen;
+ *   a walk along each vertex v's link of 5 or more vertices, from an open
+ *   end (a neighbour w with vw in one triangle) or from any neighbour if
+ *   there is none, each step to the apex of edge v-cur that it did not come
+ *   from, visits all of once[v] (no split or multigraph link);
+ *   a flood over once from vertex 0 reaches all nv vertices (one component).
+ *
+ * Why the walk decides the link: with every edge in at most two triangles
+ * and no vertex set twice, the link of v is a simple graph on once[v] in
+ * which w has degree 1 or 2 as vw lies in one triangle or two, so it is a
+ * disjoint union of paths and cycles.  A walk from an end covers its path
+ * and one from a vertex of a cycle goes round it, so the walk covers the
+ * link iff the link is connected: disk_marks' split and multi marks.  A
+ * path has at least 2 vertices and a cycle at least 3, and the cycle check
+ * leaves each link 2 open ends or none, so at most one path: a split link
+ * has at least 5 vertices, and a smaller one needs no walk.  The other
+ * checks are its triangle, edge, cycle-edge and component marks.  No
+ * complex of F triangles covers more than 3F vertices, so an nv outside
+ * n..min(64, 3F), or n < 3 (no boundary cycle), fails every complex
+ * without indexing anything. */
+void disk_verdicts(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int32_t nf, uint64_t *scratch,
                    uint8_t *ok)
 {
-    int sized = 3 <= n && n <= nv && nv <= 3 * (int64_t)nf;
-    for (size_t b = 0; b < (size_t)count; b++)
-        ok[b] = (uint8_t)(sized && is_disk(n, nv, tri + b * 3 * (size_t)nf, nf, scratch));
+    memset(ok, 0, (size_t)count);
+    if (n < 3 || nv < n || nv > 64 || nv > 3 * (int64_t)nf)
+        return;
+    uint64_t *once = scratch, *twice = scratch + nv, all = ~(uint64_t)0 >> (64 - nv);
+    uint8_t *apex = (uint8_t *)(twice + nv);
+    for (size_t b = 0; b < (size_t)count; b++) {
+        const int32_t *t = tri + b * 3 * (size_t)nf;
+        memset(once, 0, sizeof(uint64_t) * 2 * (size_t)nv);
+        int32_t ne = 0, f;
+        int bad = 0;
+        for (f = 0; f < nf; f++, t += 3) {
+            uint32_t x = (uint32_t)t[0], y = (uint32_t)t[1], z = (uint32_t)t[2];
+            if (x >= (uint32_t)nv || y >= (uint32_t)nv || z >= (uint32_t)nv || x == y || y == z || x == z)
+                break;
+            ne += add_edge(nv, x, y, (uint8_t)z, once, twice, apex, &bad);
+            ne += add_edge(nv, y, z, (uint8_t)x, once, twice, apex, &bad);
+            ne += add_edge(nv, z, x, (uint8_t)y, once, twice, apex, &bad);
+        }
+        if (f < nf || bad || nv - ne + nf != 1)
+            continue;
+        int32_t v;
+        for (v = 0; v < nv; v++) {
+            uint64_t cycle = v < n ? (uint64_t)1 << (v + 1 < n ? v + 1 : 0) | (uint64_t)1 << (v ? v - 1 : n - 1) : 0;
+            if (!once[v] || (once[v] & ~twice[v]) != cycle)
+                break;
+            uint64_t seen = 0, rest = once[v];
+            for (int k = 0; k < 4; k++)
+                rest &= rest - 1; /* 0 for a link of at most 4 vertices */
+            if (!rest)
+                continue;
+            int32_t from = -1, at = __builtin_ctzll(cycle ? cycle : once[v]);
+            while (!(seen >> at & 1)) {
+                seen |= (uint64_t)1 << at;
+                const uint8_t *next = apex + 2 * ((size_t)v * nv + at);
+                int32_t step = next[0] != from ? next[0] : twice[v] >> at & 1 ? next[1] : at;
+                from = at;
+                at = step;
+            }
+            if (seen != once[v])
+                break;
+        }
+        if (v < nv)
+            continue;
+        uint64_t reach = 1, todo = 1;
+        while (todo) {
+            uint64_t fresh = once[__builtin_ctzll(todo)] & ~reach;
+            todo = (todo & (todo - 1)) | fresh;
+            reach |= fresh;
+        }
+        ok[b] = reach == all;
+    }
 }
 
 /* The edge of a cycle of len vertices between its vertices p and q, the

@@ -23,11 +23,6 @@ _CACHE = Path(__file__).with_name("__pycache__")  # beside the .pyc files, with 
 # Every kernel starts on a cache line, so that code added before one does not
 # move its loops: a shift of 16 bytes once made the searches a fifth slower.
 _CC = ("cc", "-O2", "-falign-functions=64", "-shared", "-fPIC")
-# int32 scratch entries per triangle that disk_verdicts takes: 3 each for the
-# rotated rows, slot edge ids and sort order (then the marks), 6 each for the
-# edges and the radix counts (then disk_marks's scratch, which also counts
-# the incidences)
-DISK_SCRATCH = 21
 MAX_ID = 2**31 - 1  # the largest vertex id of the kernels' int32 arrays
 MAX_TRIANGLES = MAX_ID // 6  # the most triangles a complex may have, so that int32 edge and corner ids cannot wrap
 INT32 = frozenset(c for c in "il" if calcsize(c) == 4)  # the struct formats of int32
@@ -197,7 +192,7 @@ def signatures() -> dict:
         "lower_bounds": (None, [i64, i32, wide, wide, wide, i64, wide, i32]),
         "grow_state_size": (i32, [i32, i32]),
         "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),
-        "disk_verdicts": (None, [i32, i32, ids, i32, i32, ids, flags]),
+        "disk_verdicts": (None, [i32, i32, ids, i32, i32, words, flags]),
         "strip_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, ids]),
         "isometric_rows": (None, [i32, i32, ids, i32, i32, words, flags]),
         "drift_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, marks]),

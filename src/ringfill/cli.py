@@ -59,8 +59,9 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="CSV output path")
 
     p_oracle = sub.add_parser("oracle", help="exhaustive minimum search for tiny boundaries")
-    p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--max-interior", type=int, default=4)
+    # the search's bounds, oracle.MAX_BOUNDARY and MAX_INTERIOR, which the parser does not import
+    p_oracle.add_argument("--n", type=_int_in(3, 7), required=True, help="boundary length, 3..7")
+    p_oracle.add_argument("--max-interior", type=_int_in(0, 4), default=4, help="interior vertices, 0..4 (default: 4)")
     p_oracle.add_argument("--out", help="write the minimal witness as JSON")
 
     p_analyze = sub.add_parser("analyze", help="exact core inequality, profile integral and constants")
@@ -85,6 +86,21 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _int_in(low: int, high: int):
+    """An argparse type for an integer in ``low..high``; anything else is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer in {low}..{high}, got {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in {low}..{high}, got {value}")
+        return value
+
+    return parse
 
 
 def _n_list(text: str) -> list[int]:

@@ -8,16 +8,17 @@ complex once by construction, with its interior ids fixed by the search
 order.  The counts equal W. G. Brown's closed formula for triangulated disks
 ("Enumeration of triangulations of the disk", 1964), which the tests check.
 
-Both hot loops are compiled kernels of ``_kernels.c``: a resumable
+The hot loops are compiled kernels of ``_kernels.c``: a resumable
 backtracking enumeration that writes the fillings into ``(B, F, 3)`` int32
-stacks, and an isometry test on per-complex adjacency bitsets.  Every stack
-passes :func:`validate_disk_batch`, which runs the kernels of
-:func:`ringfill.validate_disk` on each complex and shares no code with the
+stacks, then two passes over per-complex adjacency bitsets.  Every stack
+passes :func:`validate_disk_batch`, whose bitset pass gives each complex
+:func:`ringfill.validate_disk`'s verdict and shares no code with the
 search, before its isometry test.  The search state, the stacks and
 the kernels' scratch are ``bytearray`` buffers cast by ``memoryview``, and
 a filling taken out of a stack is a view of its rows, so this module
 imports no numpy: :mod:`ringfill.simplicial` is imported only to hand a
-filling on, to build a witness and to report an invalid leaf.  Budgets
+filling on, to build a witness, to report an invalid leaf and to validate
+a stack of complexes past 64 vertices.  Budgets
 are tiny by design: this module exists to ground-truth the verifier and
 the small end of the construction, not to chase the asymptotics.
 """
@@ -27,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._kernels import DISK_SCRATCH, INT32, MAX_ID, MAX_TRIANGLES, buffer, library as _library
+from ._kernels import INT32, MAX_ID, MAX_TRIANGLES, buffer, library as _library
 
 if TYPE_CHECKING:
     from .simplicial import Triangulation
@@ -51,6 +52,7 @@ MAX_INTERIOR = 4
 # of n = 6 with two interior vertices.
 _CHUNK = 504
 _MAX_TINY = 255  # the most vertices is_isometric_filling takes
+_MAX_BITSET = 64  # the most vertices disk_verdicts takes: one uint64 bitset a vertex
 
 
 @dataclass(frozen=True)
@@ -112,18 +114,21 @@ def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[memoryvi
 
 
 def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
-    """:func:`ringfill.validate_disk`'s verdicts on the B complexes of one size in a stack, in one call.
+    """:func:`ringfill.validate_disk`'s verdicts on the B complexes of one size in a stack.
 
     ``stack`` is a C-contiguous ``(B, F, 3)`` int32 buffer, such as the
     search's stacks or a numpy int32 array; complex b is
-    ``Triangulation(n, num_vertices, stack[b])``.  The compiled
-    ``disk_verdicts`` checks each complex on its own, with scratch linear in
-    F, through validate_disk's own kernels: the canonical rotation, the
-    edge table and ``disk_marks``, whose marks it reduces to one verdict.
-    It shares no code with the search, so it is an independent check on it.
-    A complex of F triangles covers at most 3F vertices, so any other
-    ``num_vertices`` fails every complex.  Returns a ``(B,)`` bool buffer,
-    True where :func:`ringfill.validate_disk` reports ``ok``; ask it for the
+    ``Triangulation(n, num_vertices, stack[b])``.  On at most 64 vertices
+    (the oracle's have at most 11) the compiled ``disk_verdicts`` checks the
+    whole stack in one call, one pass over each complex's rows into
+    adjacency bitsets and an apex table, then a walk of every vertex's link
+    and a flood; its docstring argues that it fails exactly the complexes
+    that validate_disk fails.  Larger complexes go through
+    :func:`ringfill.validate_disk` one at a time.  Neither shares code with
+    the search, so each is an independent check on it.  A complex of F
+    triangles covers at most 3F vertices, so a ``num_vertices`` outside
+    ``n..3F`` fails every complex.  Returns a ``(B,)`` bool buffer, True
+    where :func:`ringfill.validate_disk` reports ``ok``; ask it for the
     failures of a complex this flags.  Raises ValueError, before any kernel
     runs, for a boundary length below 3 (which :class:`Triangulation`
     refuses too: with no boundary cycle, a closed surface such as the
@@ -150,8 +155,16 @@ def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
     if lib.top_id(stack, 3 * num * nf) < 0:
         raise ValueError(f"triangle vertex ids must lie in 0..{MAX_ID}")
     ok = buffer("?", num)
-    if 0 <= n <= num_vertices <= 3 * nf:
-        lib.disk_verdicts(n, num_vertices, stack, num, nf, buffer("i", DISK_SCRATCH * nf), ok)
+    nv = num_vertices
+    if not n <= nv <= 3 * nf:
+        return ok
+    if nv <= _MAX_BITSET:  # once and twice bitsets, then the apex table's 2 nv^2 bytes
+        lib.disk_verdicts(n, nv, stack, num, nf, buffer("Q", 2 * nv + -(-nv * nv // 4)), ok)
+        return ok
+    from .simplicial import validate_disk
+
+    for b, t in enumerate(_triangulations(n, nv, stack)):
+        ok[b] = validate_disk(t).ok
     return ok
 
 

@@ -11,8 +11,9 @@ Edges, incidence and every validation check are derived from it by the
 compiled kernels of ``_kernels.c`` (the canonical rotation, an edge-table
 radix sort, a union-find and the witness marks of :func:`validate_disk`)
 on such buffers, so this module imports no numpy; numpy callers view any
-of them with ``numpy.asarray`` without a copy.  The same checks on a stack
-of complexes of one size are :func:`ringfill.oracle.validate_disk_batch`.
+of them with ``numpy.asarray`` without a copy.  The same verdicts on a
+stack of complexes of one size, from one pass over adjacency bitsets per
+complex on up to 64 vertices, are :func:`ringfill.oracle.validate_disk_batch`.
 """
 from __future__ import annotations
 

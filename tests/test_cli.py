@@ -14,6 +14,7 @@ import reference_impl as ref
 
 import ringfill
 import ringfill.serialize as serialize
+from ringfill import oracle
 from ringfill.cli import _parser, main
 from ringfill.serialize import dump_json, triangulation_to_dict, vertex_records
 from ringfill import Params, build_filling, cone_over_cycle
@@ -928,3 +929,25 @@ def test_nonpositive_counts_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, bounds",
+    [
+        ("--n", str(oracle.MAX_BOUNDARY + 1), "3..7"),
+        ("--n", "2", "3..7"),
+        ("--n", "12345678901234567890", "3..7"),
+        ("--max-interior", "-1", "0..4"),
+        ("--max-interior", str(oracle.MAX_INTERIOR + 1), "0..4"),
+        ("--max-interior", "12345678901234567890", "0..4"),
+    ],
+)
+def test_oracle_bounds_are_usage_errors(option, value, bounds, capsys):
+    # The parser's bounds are the search's: one past either end of each is refused before any search.
+    argv = ["oracle", "--n", "5", option, value] if option != "--n" else ["oracle", "--n", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: must lie in {bounds}, got {value}" in capsys.readouterr().err
+    assert main(["oracle", "--n", "3", "--max-interior", "0"]) == 0
+    assert capsys.readouterr().out.startswith("n=3: minimum isometric filling has 3 vertices")

@@ -172,7 +172,10 @@ def test_corrupted_complexes_match_the_references(small_build, corruptions, base
         t = small_build.triangulation if base == "n25" else cone_over_cycle(7)
     broken = _corrupted(t, corruptions)
     _assert_table_and_report_match(broken)
-    # the stack kernel, on a stack of one, gives validate_disk's verdict
+    # validate_disk_batch, on a stack of one, gives validate_disk's verdict:
+    # from the bitset kernel on the oracle73 and cone7 bases, whose
+    # corruptions stay within its 64 vertices, and from validate_disk past them
+    assert base == "n25" or broken.num_vertices <= oracle._MAX_BITSET
     verdicts = validate_disk_batch(broken.n, broken.num_vertices, np.asarray(broken.triangles)[None])
     assert verdicts.tolist() == [validate_disk(_copy(broken)).ok]
 
@@ -187,9 +190,13 @@ def test_verdict_kernel_never_takes_a_stray_id_for_a_vertex(stray):
     stack = np.stack([wheel, wheel, wheel])
     stack[1][stack[1] == 3] = stray
     ok = np.zeros(3, dtype=bool)
-    scratch = np.zeros(_kernels.DISK_SCRATCH * 3, dtype=np.int32)
-    _kernels.library().disk_verdicts(3, 4, stack, 3, 3, scratch, ok)
+    _kernels.library().disk_verdicts(3, 4, stack, 3, 3, _verdict_scratch(4), ok)
     assert ok.tolist() == [True, False, True]
+
+
+def _verdict_scratch(nv: int) -> np.ndarray:
+    """The uint64 scratch of disk_verdicts on nv vertices: the once and twice bitsets, then 2 nv^2 apex bytes."""
+    return np.zeros(2 * nv + -(-nv * nv // 4), dtype=np.uint64)
 
 
 def _fan(size: int) -> Triangulation:
@@ -519,16 +526,26 @@ def test_strip_rows_refuse_other_buffers_ids_and_terms_before_the_kernel(monkeyp
 
 
 def test_disk_verdicts_fail_every_vertex_count_but_the_disks():
+    # A vertex count outside n..min(64, 3F), or a boundary cycle too short,
+    # fails every complex without an index: those calls get an empty
+    # scratch, which the sanitizers' rerun of this test would see touched.
     lib = _kernels.library()
-    for t, n, nv in ((cone_over_cycle(7), 7, 8), (Triangulation(3, 3, [(0, 1, 2)]), 3, 3)):
-        rows, nf = t.triangles, t.num_triangles
-        scratch, ok = np.zeros(_kernels.DISK_SCRATCH * nf, dtype=np.int32), np.zeros(1, dtype=bool)
-        lib.disk_verdicts(n, nv, rows, 1, nf, scratch, ok)
+    for t in (cone_over_cycle(7), Triangulation(3, 3, [(0, 1, 2)]), cone_over_cycle(63)):
+        n, nv, rows, nf = t.n, t.num_vertices, t.triangles, t.num_triangles
+        ok = np.zeros(1, dtype=bool)
+        lib.disk_verdicts(n, nv, rows, 1, nf, _verdict_scratch(nv), ok)
         assert ok[0]
         # no disk bounded by C_n: one vertex too few or too many, or a boundary cycle too short
-        for args in ((n, nv + 1), (n, nv - 1), (2, nv), (n, 3 * nf + 1)):
-            lib.disk_verdicts(*args, rows, 1, nf, scratch, ok)
-            assert not ok[0], args
+        for m, count in ((n, nv + 1), (n, nv - 1), (2, nv), (n, 3 * nf + 1), (n, 65)):
+            checked = 3 <= m <= count <= min(64, 3 * nf)
+            ok[0] = True
+            lib.disk_verdicts(m, count, rows, 1, nf, _verdict_scratch(count if checked else 0), ok)
+            assert not ok[0], (m, count)
+    # the wheel over C_64 is a disk on 65 vertices, past the bitsets
+    wheel = cone_over_cycle(64)
+    ok[0] = True
+    lib.disk_verdicts(64, 65, wheel.triangles, 1, 64, _verdict_scratch(0), ok)
+    assert not ok[0]
 
 
 def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):

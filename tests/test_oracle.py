@@ -139,6 +139,133 @@ def test_batched_verdicts_match_per_complex_checks():
             assert oracle._isometric_rows(n, n + k, chunk).tolist() == isometric, (n, k)
 
 
+def _one_corruption_each(stack, nv, rng):
+    """A copy of a ``(B, F, 3)`` stack with one row of each complex broken.
+
+    Each complex gets one of: a corner renamed to an id in ``0..nv`` (``nv``
+    is out of range), its row reversed, or its row replaced by another of
+    its rows.  Some of these leave a disk (a corner renamed to itself, a row
+    copied onto itself).
+    """
+    broken = stack.copy()
+    num, nf = stack.shape[:2]
+    b = np.arange(num)
+    f, g, j, kind = rng.integers(nf, size=num), rng.integers(nf, size=num), rng.integers(3, size=num), b % 3
+    rename, flip, copy = (kind == 0), (kind == 1), (kind == 2)
+    broken[b[rename], f[rename], j[rename]] = rng.integers(nv + 1, size=rename.sum())
+    broken[b[flip], f[flip]] = stack[b[flip], f[flip]][:, ::-1]
+    broken[b[copy], f[copy]] = stack[b[copy], g[copy]]
+    return broken
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_every_filling_and_a_corruption_of_each_get_validate_disks_verdict(n):
+    # All 49,082 fillings of n = 3..7 within the search's budgets (n = 7 to
+    # three interior vertices), straight from the search and each once more
+    # with one row broken, against validate_disk complex by complex.
+    rng = np.random.default_rng(n)
+    invalid = 0
+    for k in range(oracle.MAX_INTERIOR + (n < 7)):
+        nv = n + k
+        for chunk in oracle._fillings(EnumerationBudget(n, k)):
+            for stack in (np.asarray(chunk), _one_corruption_each(np.asarray(chunk), nv, rng)):
+                want = [validate_disk(Triangulation(n, nv, rows)).ok for rows in stack]
+                assert validate_disk_batch(n, nv, stack).tolist() == want, (n, k)
+                invalid += want.count(False)
+    assert invalid > 0
+
+
+def _refuse(*args):
+    raise AssertionError("this route was not to be taken")
+
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_cones_either_side_of_the_bitsets_get_validate_disks_verdict(monkeypatch, m):
+    # The wheel over C_63 has 64 vertices, the most the bitset kernel takes;
+    # the wheel over C_64 has 65 and goes through validate_disk.  Each is
+    # checked plain and with one row broken in each of three ways.
+    from ringfill import _kernels, simplicial
+
+    wheel = np.asarray(cone_over_cycle(m).triangles)
+    stack = np.stack([wheel] * 4)
+    stack[1, 5, 2] = stack[1, 5, 1]  # a degenerate row
+    stack[2, 7] = stack[2, 9]  # a repeated row
+    stack[3, 11, 0] = m + 1  # an id past the last vertex
+    want = [validate_disk(Triangulation(m, m + 1, rows)).ok for rows in stack]
+    assert want == [True, False, False, False]
+    if m == 63:
+        monkeypatch.setattr(simplicial, "validate_disk", _refuse)
+    else:
+        monkeypatch.setattr(_kernels.library(), "disk_verdicts", _refuse)
+    assert validate_disk_batch(m, m + 1, stack).tolist() == want
+
+
+_TORUS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+_TETRAHEDRON = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+# the 6-vertex projective plane with its triangle (0, 1, 2) split at a new vertex 6, whose link is a triangle
+_RP2_SPLIT = [(0, 1, 6), (1, 2, 6), (2, 0, 6), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4), (2, 3, 5),
+              (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+def _placed(faces, ids):
+    """``faces`` with vertex i renamed ``ids[i]``."""
+    return [tuple(ids[v] for v in face) for face in faces]
+
+
+# Complexes that fail validate_disk on one count alone, so that a single
+# check of the bitset kernel stands between each of them and a True verdict.
+_ONE_FAILURE = {
+    # the triangle (0, 1, 2), a tetrahedron surface and the 7-vertex torus, wedged at vertex 2
+    "wedge": (3, 12, [(0, 1, 2), *_placed(_TETRAHEDRON, [2, 3, 4, 5]), *_placed(_TORUS, [2, 6, 7, 8, 9, 10, 11])],
+              ["link of vertex 2 is disconnected, expected a path"]),
+    # The smallest split links, each a triangle beside a path or a triangle:
+    # the projective plane wedged at vertex 6 to the triangle (0, 1, 2), and
+    # to the apex of the wheel over C_3.
+    "split link of five": (3, 9, [(0, 1, 2), *_placed(_RP2_SPLIT, [3, 4, 5, 6, 7, 8, 2])],
+                           ["link of vertex 2 is disconnected, expected a path"]),
+    "split link of six": (3, 10, [*cone_over_cycle(3).triangles.tolist(), *_placed(_RP2_SPLIT, [4, 5, 6, 7, 8, 9, 3])],
+                          ["link of vertex 3 is disconnected, expected a cycle"]),
+    # A sphere of two triangles on one vertex set, hung at the vertex 2 of
+    # the projective plane less a triangle (a Moebius band) with an ear
+    # (1, 2, 3) on its boundary: the link of vertex 2 is a path of two
+    # vertices beside a cycle of two, too small for a walk, so only the
+    # vertex set seen twice tells it from a disk.
+    "hung pillow": (4, 9, [(0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 6, 1), (1, 3, 5), (3, 4, 6), (4, 5, 1), (5, 6, 3),
+                           (6, 1, 4), (1, 2, 3), (2, 7, 8), (2, 8, 7)],
+                    ["link of vertex 2 is a multigraph (repeated link edge), expected a path",
+                     "link of vertex 7 is a multigraph (repeated link edge), expected a cycle",
+                     "link of vertex 8 is a multigraph (repeated link edge), expected a cycle"]),
+    # the wheel over C_5 beside a disjoint 7-vertex torus
+    "disjoint torus": (5, 13, [*cone_over_cycle(5).triangles.tolist(), *_placed(_TORUS, range(6, 13))],
+                       ["complex is disconnected: 2 components"]),
+    # the 6-vertex projective plane less the triangle (0, 1, 2): a Moebius band bounded by C_3
+    "moebius band": (3, 6, [(0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2),
+                            (5, 1, 3)], ["Euler formula violated: V - E + F = 6 - 15 + 9 = 0, expected 1"]),
+    # A disk bounded by C_6 with interior vertices 6..9 on vertex 0's link,
+    # the torus glued on its edge (6, 7) and the tetrahedron on (8, 9).  In
+    # this row order each of 6..9 has its link, two cycles through the
+    # other end of its glued edge, walked whole from vertex 0 if the third
+    # and fourth triangles on an edge were let through.
+    "glued on edges": (6, 17, [*_placed(_TORUS, [6, 7, 10, 11, 12, 13, 14]), *_placed(_TETRAHEDRON, [8, 9, 15, 16]),
+                               (0, 1, 6), (0, 7, 8), (0, 9, 5), (1, 6, 2), (6, 7, 2), (7, 3, 2), (7, 8, 3), (8, 4, 3),
+                               (8, 9, 4), (9, 5, 4), (0, 6, 7), (0, 8, 9)],
+                       ["edge (6, 7) lies in 4 triangles (expected 1 or 2)",
+                        "edge (8, 9) lies in 4 triangles (expected 1 or 2)"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_FAILURE))
+def test_complexes_failing_one_check_get_validate_disks_verdict(name):
+    # Each complex comes in its own row order and seven others, since the
+    # link walk follows whichever apexes the rows record first.
+    n, nv, rows, failures = _ONE_FAILURE[name]
+    assert validate_disk(Triangulation(n, nv, rows)).failures == failures
+    rows = np.asarray(Triangulation(n, nv, rows).triangles)
+    rng = np.random.default_rng(0)
+    stack = np.stack([rows] + [rows[rng.permutation(len(rows))] for _ in range(7)])
+    assert validate_disk_batch(n, nv, stack).tolist() == [False] * 8
+
+
 def _corrupt(tri, kind):
     """One triangle of a valid filling broken in the named way."""
     tri = tri.copy()
