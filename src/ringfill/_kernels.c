@@ -14,9 +14,10 @@
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
  *   disk_verdicts            validate_disk's verdict on each complex of a stack, from adjacency bitsets
- *   strip_rows               one annulus of a ledger checked as a cyclic strip, or its cone as a fan
+ *   row_cycles               the rows of each cycle of a ledger, counted and, unless grouped, sorted
+ *   strip_rows               one annulus of a ledger checked as a cyclic strip, or its cone as a fan,
+ *                            or the defect that stops it
  *   isometric_rows           the oracle's isometry test on a stack of complexes
- *   drift_rows               the drift audit's pass over the edges of one cycle
  *   rows_text                build-file rows written as JSON text
  *   parse_rows               build-file rows read back from JSON bytes, whole rows at a time
  *
@@ -26,9 +27,9 @@
  * array and every scratch array is passed in by the caller, as a bytearray
  * cast by memoryview or a numpy array.  The caller checks every array:
  * C-contiguous, int32 unless stated, and every index within the sizes
- * given; disk_verdicts and strip_rows alone take vertex ids of any value,
- * disk_marks any non-negative ones, and parse_rows bytes of any content,
- * cut off anywhere, since rejecting them is their job.
+ * given; disk_verdicts, row_cycles and strip_rows alone take vertex ids of
+ * any value, disk_marks any non-negative ones, and parse_rows bytes of any
+ * content, cut off anywhere, since rejecting them is their job.
  *
  * Triangles are rows of three int32 ids, each row rotated so its smallest id
  * comes first.  Slot s = 3f + j of a triangle array is the edge from corner
@@ -1046,6 +1047,56 @@ void disk_verdicts(int32_t n, int32_t nv, const int32_t *tri, int32_t count, int
     }
 }
 
+/* The cycle of id v, of the cycles of ids start[r] .. start[r + 1] - 1,
+ * r < cycles, start ascending, or cycles if v lies on none.  The cycle of
+ * the row before is tried first, so rows in ledger order take no search. */
+static int32_t cycle_of(int32_t v, const int32_t *start, int32_t cycles, int32_t last)
+{
+    if (last < cycles && start[last] <= v && v < start[last + 1])
+        return last;
+    if (v < start[0] || v >= start[cycles])
+        return cycles;
+    int32_t lo = 0, hi = cycles;
+    while (hi - lo > 1) {
+        int32_t mid = lo + (hi - lo) / 2;
+        if (start[mid] <= v)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* row_cycles: strip_drifts' counting pass over the k rows of tri, for the
+ * cycles of cycle_of.  count, of cycles + 1 entries, gets the number of
+ * rows whose first id lies on each cycle, and in count[cycles] on none.
+ * Returns 1 if the rows come grouped, those of each cycle after those of
+ * every cycle before it and the rows on none last, else 0.  Given an
+ * index of k entries, a stable counting sort also writes there the rows
+ * of cycle 0, then those of cycle 1, and so on, the rows on none last. */
+int32_t row_cycles(const int32_t *tri, int32_t k, const int32_t *start, int32_t cycles, int32_t *count,
+                   int32_t *index)
+{
+    int32_t grouped = 1, last = 0;
+    memset(count, 0, sizeof(int32_t) * ((size_t)cycles + 1));
+    for (int32_t f = 0; f < k; f++) {
+        int32_t r = cycle_of(tri[3 * (size_t)f], start, cycles, last);
+        grouped &= r >= last;
+        count[r]++, last = r;
+    }
+    if (!index)
+        return grouped;
+    for (int32_t r = 0, top = 0; r <= cycles; r++) {  /* count[r] becomes the place of cycle r's first row */
+        int32_t rows = count[r];
+        count[r] = top, top += rows;
+    }
+    for (int32_t f = 0; f < k; f++)
+        index[count[last = cycle_of(tri[3 * (size_t)f], start, cycles, last)]++] = f;
+    for (int32_t r = cycles; r > 0; r--)  /* now the place after cycle r's last row: back to counts */
+        count[r] -= count[r - 1];
+    return grouped;
+}
+
 /* The edge of a cycle of len vertices between its vertices p and q, the
  * edge from vertex e to e + 1 mod len being e, or -1 if they are not
  * adjacent on it; 0 <= p, q < len. */
@@ -1055,37 +1106,54 @@ static int32_t cycle_edge(int32_t p, int32_t q, int32_t len)
     return hi - lo == 1 ? lo : lo == 0 && hi == len - 1 && len > 2 ? hi : -1;
 }
 
-/* strip_rows: whether the k rows tri are the annulus between a cycle U of
- * m >= 3 vertices from id first and the next cycle inward, W, of M >= 3
- * vertices from id first + m, as a cyclic strip; or, with M = 1, the fan
- * closing U with the apex first + m.  Every row must hold one edge of one
- * cycle and one vertex of the other, its first id on U, and each of the m
- * edges of U and the M edges of W (none for the apex) must lie in exactly
- * one row, so k = m + M (k = m for the fan).  Outer edge i, from U_i to
- * U_i+1, then has one far vertex W_up[i], and inner edge j one far vertex
- * U_down[j].  Around U, the far vertices of consecutive outer edges i and
- * i + 1 must advance by 0..M - 1 steps along W, M steps in all, and each
- * inner edge passed on the way must have U_i+1 as its far vertex: the
- * monotone cyclic path of the strip's rungs, the edges (U_i+1, W_j) for j
- * from up[i] to up[i + 1].  Returns the largest min(x, period - x), x =
- * (a + b i - c j) mod period, over those m + M rungs (0 if period is 0,
- * and for the fan), or -1 for rows that are no such strip.  scratch holds
- * m + M int32 entries.  The caller checks first + m + M <= 2^31 and, unless
- * period is 0, 0 <= a, b (m - 1), c (M - 1) < period and 2 period < 2^63,
- * as for drift_rows. */
-int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int32_t M, int64_t a, int64_t b,
-                   int64_t c, int64_t period, int32_t *scratch)
+/* strip_rows' defects, which it returns negated (0 is a strip). */
+enum { STRIP, STRIP_ROWS, STRIP_OFF, STRIP_SHAPE, STRIP_PAIR, STRIP_TWICE, STRIP_WIND, STRIP_FAR };
+
+/* Row f of strip_rows' rows: row index[f] of tri, or row f without an index. */
+static inline const int32_t *strip_row(const int32_t *tri, const int32_t *index, int32_t f)
 {
-    int32_t *up = scratch, *down = scratch + m, ring = m + M;
-    if (k != (M > 1 ? ring : m))
-        return -1;
+    return tri + 3 * (size_t)(index ? index[f] : f);
+}
+
+static inline int64_t defect(int32_t *scratch, int32_t code, int32_t f)  /* -code, its row f in scratch[0] */
+{
+    scratch[0] = f;
+    return -code;
+}
+
+/* strip_rows: whether the k rows of tri, or with an index the rows index[0
+ * .. k - 1] of tri, are the annulus between a cycle U of m >= 3 vertices
+ * from id first and the next cycle inward, W, of M >= 3 vertices from id
+ * first + m, as a cyclic strip; or, with M = 1, the fan closing U with the
+ * apex first + m.  Every row must hold one edge of one cycle and one
+ * vertex of the other, its first id on U, and each of the m edges of U and
+ * the M edges of W (none for the apex) must lie in exactly one row, so
+ * k = m + M (k = m for the fan).  Outer edge i, from U_i to U_i+1, then has
+ * one far vertex W_up[i], and inner edge j one far vertex U_down[j].
+ * Around U, the far vertices of consecutive outer edges i and i + 1 must
+ * advance by 0..M - 1 steps along W, M steps in all, and each inner edge
+ * passed on the way must have U_i+1 as its far vertex: the monotone cyclic
+ * path of the strip's rungs, the edges (U_i+1, W_j) for j from up[i] to
+ * up[i + 1].  Returns the largest min(x, period - x), x = (a + b i - c j)
+ * mod period, over those m + M rungs (0 if period is 0, and for the fan);
+ * or, negated, the first defect found, with scratch[0] the f of the row
+ * where it stopped: rows in order, then their count (f = -1), then the
+ * path.  scratch holds 2 (m + M) int32 entries: up and down, then the f of
+ * each edge's row.  The caller checks first + m + M <= 2^31, that every
+ * index entry is a row of tri and, unless period is 0, 0 <= a, b (m - 1),
+ * c (M - 1) < period and 2 period < 2^63, so that a + b i - c j lies in
+ * (-period, 2 period). */
+int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int32_t M, int64_t a, int64_t b,
+                   int64_t c, int64_t period, int32_t *scratch, const int32_t *index)
+{
+    int32_t ring = m + M, *up = scratch, *down = scratch + m, *row = scratch + ring;
     for (int32_t i = 0; i < ring; i++)
         scratch[i] = -1;
-    for (size_t f = 0; f < (size_t)k; f++) {
-        const int32_t *t = tri + 3 * f;
+    for (int32_t f = 0; f < k; f++) {
+        const int32_t *t = strip_row(tri, index, f);
         int64_t x = (int64_t)t[0] - first, y = (int64_t)t[1] - first, z = (int64_t)t[2] - first;
         if (x < 0 || x >= m || y < 0 || y >= ring || z < 0 || z >= ring)
-            return -1;
+            return defect(scratch, STRIP_OFF, f);
         int32_t edge, far, *slot;
         if (y >= m && z >= m)
             edge = cycle_edge((int32_t)y - m, (int32_t)z - m, M), far = (int32_t)x, slot = down;
@@ -1094,11 +1162,15 @@ int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int3
         else if (z < m && y >= m)
             edge = cycle_edge((int32_t)x, (int32_t)z, m), far = (int32_t)y - m, slot = up;
         else
-            return -1;
-        if (edge < 0 || slot[edge] >= 0)
-            return -1;
-        slot[edge] = far;
+            return defect(scratch, STRIP_SHAPE, f);
+        if (edge < 0)
+            return defect(scratch, STRIP_PAIR, f);
+        if (slot[edge] >= 0)
+            return defect(scratch, STRIP_TWICE, f);
+        slot[edge] = far, row[slot - scratch + edge] = f;
     }
+    if (k != (M > 1 ? ring : m))  /* too few rows: too many put an edge in two */
+        return defect(scratch, STRIP_ROWS, -1);
     if (M == 1)
         return 0;
     int64_t worst = 0, steps = 0;
@@ -1106,7 +1178,7 @@ int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int3
         int32_t next = i + 1 < m ? i + 1 : 0, j = up[i], stop = up[next];
         steps += stop >= j ? stop - j : stop - j + M;
         if (steps > M)
-            return -1;
+            return defect(scratch, STRIP_WIND, row[i]);
         for (;;) {
             if (period) {
                 int64_t d = a + b * next - c * j;
@@ -1117,11 +1189,11 @@ int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int3
             if (j == stop)
                 break;
             if (down[j] != next)
-                return -1;
+                return defect(scratch, STRIP_FAR, row[m + j]);
             j = j + 1 < M ? j + 1 : 0;
         }
     }
-    return steps == M ? worst : -1;
+    return steps == M ? worst : defect(scratch, STRIP_WIND, row[m - 1]);
 }
 
 /* Which of count complexes, rows of nf triangles on ids 0..nv-1 in tri, are
@@ -1175,44 +1247,6 @@ void isometric_rows(int32_t n, int32_t nv, const int32_t *tri, int32_t count, in
         }
         ok[b] = (uint8_t)good;
     }
-}
-
-/* drift_audit's pass over the count edges (lo, hi), lo <= hi, of one cycle:
- * each lo lies on the cycle of m vertices from id first, and the next cycle
- * inward has M vertices from id first + m (M = 1 for the apex, 0 past it).
- * An edge within the cycle whose ends are adjacent on it, or equal on a
- * cycle of one vertex, is a cycle edge; an edge to the next cycle is
- * slanted; every other edge is stray, and stray[k] gets 1 for it, 0 for
- * the rest.  Returns the largest min(x, period - x), x = (a + b i - c j) mod
- * period, over the slanted edges from vertex i of the cycle to vertex j of
- * the next one (0 if period is 0), or -1 if there are none.  The caller
- * checks first <= lo < first + m, first + m + M <= 2^31 and, unless period
- * is 0, 0 <= a, b (m - 1), c (M - 1) < period and 2 period < 2^63, so that
- * a + b i - c j lies in (-period, 2 period) without overflow. */
-int64_t drift_rows(const int32_t *edges, int32_t count, int32_t first, int32_t m, int32_t M, int64_t a,
-                   int64_t b, int64_t c, int64_t period, uint8_t *stray)
-{
-    int64_t worst = -1;
-    for (size_t k = 0; k < (size_t)count; k++) {
-        int64_t i = (int64_t)edges[2 * k] - first, j = (int64_t)edges[2 * k + 1] - first;
-        if (j < m) {
-            stray[k] = j - i != 1 && j - i != m - 1;
-            continue;
-        }
-        j -= m;
-        stray[k] = j >= M;
-        if (stray[k])
-            continue;
-        int64_t x = 0;
-        if (period) {
-            x = a + b * i - c * j;
-            x = x < 0 ? x + period : x >= period ? x - period : x;
-            x = x < period - x ? x : period - x;
-        }
-        if (x > worst)
-            worst = x;
-    }
-    return worst;
 }
 
 /* Writes v in decimal at out; returns the characters written (at most 11). */

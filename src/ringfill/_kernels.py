@@ -193,9 +193,9 @@ def signatures() -> dict:
         "grow_state_size": (i32, [i32, i32]),
         "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),
         "disk_verdicts": (None, [i32, i32, ids, i32, i32, words, flags]),
-        "strip_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, ids]),
+        "row_cycles": (i32, [ids, i32, ids, i32, ids, optional]),
+        "strip_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, ids, optional]),
         "isometric_rows": (None, [i32, i32, ids, i32, i32, words, flags]),
-        "drift_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, marks]),
         "rows_text": (i64, [ids, i64, i32, i32, marks]),
         "parse_rows": (i64, [ctypes.c_char_p, i64, ids, i64, wide]),
     }

@@ -267,8 +267,8 @@ def run_sweep(
             if not cert.report.ok:
                 raise RuntimeError("disk validation failed: " + "; ".join(cert.report.failures))
             audit = cert.audit
-            if audit.stray_edges:
-                raise RuntimeError(f"drift audit failed: {audit.stray_edges[0]}")
+            if audit.defects:
+                raise RuntimeError(f"drift audit failed: {audit.defects[0]}")
             if not audit.ok:
                 bad = audit.failures()[0]
                 raise RuntimeError(f"drift bound violated on annulus {bad.layer}: {bad.max_observed} > {bad.bound}")

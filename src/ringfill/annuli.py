@@ -180,27 +180,38 @@ def cone_triangles(innermost: LayerRecord) -> memoryview:
     return out
 
 
-def _strip_rows(rows, first: int, m: int, M: int, scratch, terms: tuple[int, int, int, int] = (0, 0, 0, 0)) -> int:
+# The defects of the compiled strip_rows, by its codes 2 to 7 (1 is a wrong row count).
+_DEFECTS = ("an id off its two cycles", "three ids on one cycle", "a pair not adjacent on its cycle",
+            "a cycle edge in two rows", "rungs that wind other than once", "a wrong far vertex")
+
+
+def _strip_rows(rows, first: int, m: int, M: int, scratch, terms: tuple[int, int, int, int] = (0, 0, 0, 0),
+                index=None) -> tuple[int, int]:
     """The compiled ``strip_rows``: whether ``rows`` are the strip between two cycles, and its largest rung drift.
 
     The outer cycle has m vertices from id ``first``, the inner one M from
-    ``first + m``; M = 1 checks the cone's fan over the outer cycle.
-    ``terms`` are ``a, b, c`` and the period ``n S`` of the drift audit's
-    ``_pair_terms``, all 0 where no drift is measured.  Returns the largest
-    scaled displacement of a rung (0 without terms), or -1 if the rows are
-    no such strip.  Raises ValueError, before the kernel runs, unless
-    ``rows`` is a C-contiguous ``(k, 3)`` int32 buffer and ``scratch`` a
-    writable C-contiguous one of at least m + M int32, m >= 3, M >= 3 or
-    M = 1, the ids of both cycles fit int32, and the terms are 0 or keep
-    the kernel's arithmetic within int64.
+    ``first + m``; M = 1 checks the cone's fan over the outer cycle.  With
+    an ``index``, the rows checked are ``rows[index[f]]`` for each f, else
+    every row of ``rows``.  ``terms`` are ``a, b, c`` and the period ``n S``
+    of the drift audit's ``_pair_terms``, all 0 where no drift is measured.
+    Returns ``(0, drift)``, the largest scaled displacement of a rung (0
+    without terms), or, for rows that are no such strip, the kernel's
+    defect code and the f of the row where it stopped (-1 for a wrong row
+    count, code 1; :data:`_DEFECTS` names the others).  Raises ValueError,
+    before the kernel runs, unless ``rows`` is a C-contiguous ``(k, 3)``
+    int32 buffer, ``index`` None or a C-contiguous int32 one of at most as
+    many entries, each a row of ``rows``, ``scratch`` a writable
+    C-contiguous one of at least 2 (m + M) int32, m >= 3, M >= 3 or M = 1, the
+    ids of both cycles fit int32, and the terms are 0 or keep the kernel's
+    arithmetic within int64.
     """
     from .simplicial import _table_rows
 
     view, work = _table_rows(rows), memoryview(scratch)
     size = work.shape[0] if work.ndim == 1 else -1
-    if work.format not in _kernels.INT32 or size < m + M or not work.c_contiguous or work.readonly:
+    if work.format not in _kernels.INT32 or size < 2 * (m + M) or not work.c_contiguous or work.readonly:
         raise ValueError(
-            f"a strip of cycles of {m} and {M} vertices needs a writable C-contiguous int32 scratch of {m + M}, "
+            f"a strip of cycles of {m} and {M} vertices needs a writable C-contiguous int32 scratch of {2 * (m + M)}, "
             f"got format {work.format!r} and shape {work.shape}"
         )
     if not (0 <= first and m >= 3 and (M >= 3 or M == 1) and first + m + M <= _kernels.MAX_ID + 1):
@@ -211,25 +222,40 @@ def _strip_rows(rows, first: int, m: int, M: int, scratch, terms: tuple[int, int
         or 2 * period < 2**63 and 0 <= a < period and 0 <= b * (m - 1) < period and 0 <= c * (M - 1) < period
     ):
         raise ValueError(f"drift terms {terms[:3]} exceed the int64 period {period}")
-    return _kernels.library().strip_rows(view, len(view), first, m, M, a, b, c, period, work)
+    lib, k = _kernels.library(), len(view)
+    if index is not None:
+        index = memoryview(index)
+        k = len(index) if index.ndim == 1 else -1
+        if index.format not in _kernels.INT32 or not 0 <= k <= len(view) or not index.c_contiguous:
+            raise ValueError(
+                f"a row index into {len(view)} rows must be a C-contiguous int32 buffer of at most as many entries, "
+                f"got format {index.format!r} and shape {index.shape}"
+            )
+        if k and not 0 <= lib.top_id(index, k) < len(view):
+            raise ValueError(f"a row index into {len(view)} rows has an entry outside 0..{len(view) - 1}")
+    drift = lib.strip_rows(view, k, first, m, M, a, b, c, period, work, index)
+    return (0, drift) if drift >= 0 else (-drift, work[0])
 
 
-def strip_drifts(t, ledger: list[LayerRecord], terms: list[tuple[int, int, int, int]]) -> list[int] | None:
-    """Each annulus's largest scaled rung displacement if ``t`` is ``ledger``'s strips closed by its cone, else None.
+def strip_drifts(t, ledger: list[LayerRecord], terms: list[tuple[int, int, int, int]]) -> tuple[list, list[str]]:
+    """Each annulus's largest scaled rung displacement, None if it is no strip of ``ledger``, and a line per defect.
 
-    The builder writes annulus r's m + M rows, their smallest ids on its
-    outer cycle, after annulus r - 1's, and the cone's fan last, and build
-    files keep that order; so each annulus is one slice of the triangle
-    array, which :func:`_strip_rows` checks in place, one linear pass with
-    no sort and m + M int32 of scratch.  It passes a *cyclic strip*: each
-    row holds one edge of one cycle and one vertex of the other, each cycle
-    edge lies in exactly one row, and the far vertices over consecutive
-    outer edges advance around the inner cycle once, each inner edge on the
-    way having the outer vertex between those edges as its far vertex.
-    The rungs, the edges between the cycles, then follow a monotone cyclic
-    lattice path in the m x M torus, the structure of a contour band
-    (Fuchs, Kedem and Uselton, "Optimal surface reconstruction from planar
-    contours", CACM 1977).
+    A counting pass (the compiled ``row_cycles``) gives each row of ``t``
+    to the cycle of its first, smallest, id.  The builder writes annulus
+    r's m + M rows after annulus r - 1's, and the cone's fan last, and
+    build files keep that order: rows so grouped are checked in place, each
+    annulus one slice of the triangle array.  Rows in any other order are
+    sorted by counting into an index of one int32 a row, and read through
+    it.  :func:`_strip_rows` checks each annulus in one linear pass with
+    2 (m + M) int32 of scratch.  It passes a *cyclic strip*: each row holds one
+    edge of one cycle and one vertex of the other, each cycle edge lies in
+    exactly one row, and the far vertices over consecutive outer edges
+    advance around the inner cycle once, each inner edge on the way having
+    the outer vertex between those edges as its far vertex.  The rungs,
+    the edges between the cycles, then follow a monotone cyclic lattice
+    path in the m x M torus, the structure of a contour band (Fuchs, Kedem
+    and Uselton, "Optimal surface reconstruction from planar contours",
+    CACM 1977).
 
     *Soundness.*  If every annulus passes, and the cone is the fan over the
     innermost cycle, ``t`` is a disk bounded by C_n, so
@@ -252,33 +278,63 @@ def strip_drifts(t, ledger: list[LayerRecord], terms: list[tuple[int, int, int, 
     the boundary; the rows cover every vertex, and V - E + F = 1.
 
     ``terms`` are the drift terms of each annulus's two cycles (see
-    :func:`_strip_rows`), and the result lists each annulus's largest scaled
-    displacement over its rungs, which are exactly its slanted edges (0
-    where its terms are 0).  A ledger that does not tile ``0..apex`` in
-    cycles of at least 3 vertices, a complex of another boundary or vertex
-    count or row count, an apex id beyond ``MAX_ID`` and any annulus that
-    is no strip give None, for the caller to take the whole complex; every
-    id argument of :func:`_strip_rows` is then in range.
+    :func:`_strip_rows`); an annulus's rungs are exactly its slanted
+    edges.  A defect is ``annulus r (kind) is not a strip: <defect> at row
+    f (a, b, c)``, the cone's ``the cone over cycle r is not a fan: ...``,
+    or a row whose first id lies on no cycle; or, before any strip, a
+    ledger that does not tile ``0..apex`` from C_n in cycles of at least 3
+    vertices, an apex id beyond ``MAX_ID``, or a vertex count other than
+    the ledger's, so that every id argument of :func:`_strip_rows` is in
+    range.  A row too many or too few is a defect of the annulus it is
+    missing from or added to.  No defect means a disk.
     """
     lengths = [rec.length for rec in ledger]
-    apex = ledger[-1].first_vertex + lengths[-1]
+    apex, depth = ledger[-1].first_vertex + lengths[-1], len(ledger)
     sizes = [m + M for m, M in zip(lengths, lengths[1:])] + [lengths[-1]]
-    if not (
+    tiled = (
         ledger[0].first_vertex == 0
         and all(rec.first_vertex + rec.length == nxt.first_vertex for rec, nxt in zip(ledger, ledger[1:]))
         and min(lengths) >= 3
         and lengths[0] == t.n
-        and t.num_vertices == apex + 1 <= _kernels.MAX_ID
-        and t.num_triangles == sum(sizes)
-    ):
-        return None
+    )
+    lines = [
+        line
+        for bad, line in (
+            (not tiled, f"ledger cycles do not tile the ids 0..{apex - 1} in order from C_{t.n}, each of 3 or more "
+                        "vertices"),
+            (apex > _kernels.MAX_ID, f"the apex id {apex} is past {_kernels.MAX_ID}"),
+            (t.num_vertices != apex + 1, f"{t.num_vertices} vertices, not the ledger's {apex + 1}"),
+        )
+        if bad
+    ]
+    if lines:
+        return [None] * (depth - 1), lines
+    tri, lib, index = t.triangles, _kernels.library(), None
+    start, count = _kernels.buffer("i", depth + 1), _kernels.buffer("i", depth + 1)
+    for r, rec in enumerate(ledger):
+        start[r] = rec.first_vertex
+    start[depth] = apex
+    if not lib.row_cycles(tri, len(tri), start, depth, count, None):
+        index = _kernels.buffer("i", len(tri))
+        lib.row_cycles(tri, len(tri), start, depth, count, index)
+
+    def row(f: int) -> str:
+        f = f if index is None else index[f]
+        return f"row {f} ({tri[f, 0]}, {tri[f, 1]}, {tri[f, 2]})"
+
     steps = [*terms, (0, 0, 0, 0)]  # the cone's fan, inward of the last cycle, has none
-    tri, scratch = t.triangles, _kernels.buffer("i", max(sizes) + 1)
-    drifts, top = [], 0
-    for rec, inner, size, step in zip(ledger, [*lengths[1:], 1], sizes, steps):
-        drift = _strip_rows(tri[top : top + size], rec.first_vertex, rec.length, inner, scratch, step)
-        if drift < 0:
-            return None
-        drifts.append(drift)
-        top += size
-    return drifts[:-1]
+    scratch, drifts, top = _kernels.buffer("i", 2 * max(sizes) + 2), [], 0
+    for r, (rec, inner, size, step) in enumerate(zip(ledger, [*lengths[1:], 1], sizes, steps)):
+        k = count[r]
+        rows, part = (tri[top : top + k], None) if index is None else (tri, index[top : top + k])
+        code, value = _strip_rows(rows, rec.first_vertex, rec.length, inner, scratch, step, part)
+        drifts.append(None if code else value)
+        if code:
+            cause = f"{_DEFECTS[code - 2]} at {row(top + value)}" if code > 1 else f"{k} rows, not {size}"
+            what = (f"annulus {r} ({rec.annulus_kind}) is not a strip" if inner > 1
+                    else f"the cone over cycle {r} is not a fan")
+            lines.append(f"{what}: {cause}")
+        top += k
+    if count[depth]:
+        lines.append(f"{row(top)} starts on no cycle")
+    return drifts[:-1], lines

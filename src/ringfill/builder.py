@@ -32,7 +32,8 @@ __all__ = [
 # An isometric filling of C_n has V >= (n-1)^2/8 + (n-1)/2 vertices and
 # F = 2V - n - 2 triangles, more than MAX_TRIANGLES past this n.  Params
 # refuses such n before the schedule's O(sqrt n) work; compute_schedule
-# checks its exact triangle count.
+# checks its exact triangle count.  Up to it, certify's drift arithmetic,
+# 2nS <= 4n^4, stays within int64 too.
 MAX_N = 37_838
 
 

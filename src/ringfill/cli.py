@@ -149,17 +149,12 @@ def _invalid(report: ValidationReport) -> ValidationReport:
 
 def _certified(build: BuildResult) -> Certificate:
     """``certify(build)``, each failed invariant printed as ``invalid: ...``, each audit fault as ``violation: ...``."""
-    from .simplicial import validate_disk
     from .verify import certify
 
-    try:
-        cert = certify(build)
-    except ValueError:  # from the audit of a complex that is no disk, whose faults come first
-        _invalid(validate_disk(build.triangulation))
-        raise
+    cert = certify(build)
     _invalid(cert.report)
     over = [f"annulus {r.layer} ({r.kind}) observed {r.max_observed} > bound {r.bound}" for r in cert.audit.failures()]
-    for line in cert.audit.stray_edges + over:
+    for line in cert.audit.defects + over:
         print(f"violation: {line}", file=sys.stderr)
     return cert
 
@@ -264,10 +259,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print("audit needs a build file with a ledger (or --n/--rho/--eta)", file=sys.stderr)
         return 1
     cert = _certified(build)
-    audit = cert.audit
+    audit, annuli = cert.audit, build.ledger[:-1]  # an annulus that is no strip has no audit row
     tight = sum(1 for row in audit.rows if row.kind != "shrink" and row.tight)
-    equalish = sum(1 for row in audit.rows if row.kind != "shrink")
-    print(f"n={t.n} annuli={len(audit.rows)} within_bounds={audit.ok}")
+    equalish = sum(1 for rec in annuli if rec.annulus_kind != "shrink")
+    print(f"n={t.n} annuli={len(annuli)} within_bounds={audit.ok}")
     print(f"equal-length annuli achieving their bound exactly: {tight}/{equalish}")
     return 0 if cert.ok else 1
 

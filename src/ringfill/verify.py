@@ -28,14 +28,14 @@ Three independent instruments:
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact scaled int64 arithmetic, positions read from the ledger:
   :func:`certify` validates a built filling and audits it in one compiled
-  pass per annulus's rows (the strip pass), or per cycle's edges;
+  pass per annulus's rows (the strip pass), or names the defect;
 * an analytic lower-bound predictor for boundary distances derived from the
   accumulated drift of the layer ledger, sound by construction and checked
   against BFS exhaustively in the tests, its table written by a kernel.
 
 The CSR, the distance matrix and the table are stdlib buffers (``bytearray``
-cast by ``memoryview``), and the audit reads the complex's int32 rows or
-edge table in place, so this module imports no numpy; numpy callers view the matrix
+cast by ``memoryview``), and the audit reads the complex's int32 rows in
+place, so this module imports no numpy; numpy callers view the matrix
 with ``numpy.asarray`` without a copy.
 """
 from __future__ import annotations
@@ -43,14 +43,13 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
 from ._kernels import buffer
 from .builder import BuildResult
-from .simplicial import _INT32, _MAX_ID, Triangulation, ValidationReport, _library, _report, validate_disk
+from .simplicial import _MAX_ID, Triangulation, ValidationReport, _library, _report, validate_disk
 
 __all__ = [
     "cycle_dist",
@@ -313,17 +312,18 @@ class AnnulusAudit:
 
 @dataclass
 class DriftAudit:
-    """Per-annulus drift rows, and a failure line for each edge no cycle, annulus or cone holds.
+    """Per-annulus drift rows, and a line for each defect that keeps the complex from being the ledger's strips.
 
-    ``stray_edges`` lists up to ten such edges, then how many more there are.
+    ``defects`` lists up to ten defects, then how many more there are; an
+    annulus that is no strip has no row.
     """
 
     rows: list[AnnulusAudit] = field(default_factory=list)
-    stray_edges: list[str] = field(default_factory=list)
+    defects: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.stray_edges and all(row.ok for row in self.rows)
+        return not self.defects and all(row.ok for row in self.rows)
 
     def failures(self) -> list[AnnulusAudit]:
         return [row for row in self.rows if not row.ok]
@@ -343,44 +343,6 @@ def _pair_terms(n: int, ledger: list, r: int, s: int) -> tuple[int, int, int, in
     return den * m * M, offset.numerator * m * M, n * den * M, n * den * m
 
 
-def _int64_error(r: int, s: int, scale: int) -> ValueError:
-    return ValueError(
-        f"drift audit of cycles {r} and {s} needs positions in units of 1/{scale}: exceeds int64 arithmetic"
-    )
-
-
-def _cycle_edges(span, first: int, m: int, M: int, terms: tuple[int, int, int, int]) -> tuple[int, bytearray]:
-    """The compiled ``drift_rows`` over ``span``, the sorted edges whose lower end lies on one cycle.
-
-    That cycle has m vertices from id ``first``, the next one inward M.
-    ``terms`` are ``a, b, c`` and the period ``n S`` of :func:`_pair_terms`,
-    all 0 where no drift is measured.  Returns the largest scaled
-    displacement of an edge to the next cycle (0 without terms), or -1 if
-    there is none, and a mark per edge, 1 for an edge of neither cycle nor
-    annulus.  Raises ValueError, before the kernel runs, unless ``span`` is
-    a C-contiguous ``(k, 2)`` int32 buffer whose lower ends lie on the cycle,
-    the ids of both cycles fit int32, and the terms keep the kernel's
-    arithmetic within int64.
-    """
-    view = memoryview(span)
-    if view.format not in _INT32 or view.ndim != 2 or view.shape[1] != 2 or not view.c_contiguous:
-        raise ValueError(
-            f"edges must be a C-contiguous (k, 2) int32 buffer, got format {view.format!r} and shape {view.shape}"
-        )
-    count = len(view)
-    if not (0 <= first and m >= 1 and M >= 0 and first + m + M <= _MAX_ID + 1):
-        raise ValueError(f"cycles of {m} and {M} vertices from id {first} need ids in 0..{_MAX_ID}")
-    if count and not first <= view[0, 0] <= view[count - 1, 0] < first + m:
-        raise ValueError(f"edges of the cycle of {m} vertices from id {first} must start on it")
-    a, b, c, period = terms
-    if period and not (
-        2 * period < 2**63 and 0 <= a < period and 0 <= b * (m - 1) < period and 0 <= c * (M - 1) < period
-    ):
-        raise ValueError(f"drift terms {terms[:3]} exceed the int64 period {period}")
-    stray = bytearray(count)
-    return _library().drift_rows(view, count, first, m, M, a, b, c, period, stray), stray
-
-
 @dataclass
 class Certificate:
     """A built or loaded filling's disk validation and drift audit, from :func:`certify`."""
@@ -396,109 +358,51 @@ class Certificate:
 def certify(build: BuildResult) -> Certificate:
     """Validate ``build``'s complex as a disk bounded by C_n, and audit its drift, in one strip pass per annulus.
 
-    :func:`ringfill.annuli.strip_drifts` shows why a complex that passes
-    is a disk, so E = V + F - 1, and measures every slanted edge.  Any
-    irregular annulus, or drift terms past int64, send the whole complex
-    through :func:`ringfill.validate_disk` and the audit of its edge table,
-    so the report, the audit and any error are the same either way.
+    :func:`ringfill.annuli.strip_drifts` shows why a complex with no
+    defect is a disk, so E = V + F - 1, and measures every slanted edge.
+    A complex with a defect is not the ledger's strips and cone: the audit
+    lists its defects and fails, and the report is
+    :func:`ringfill.validate_disk`'s, naming what is wrong with it as a
+    disk, if anything.  An equal annulus's bound n/(2m) and a shrink's n/M
+    are measured exactly, in units of 1/S for S = den m M (see
+    :func:`_pair_terms`), and the kernel's arithmetic stays within int64
+    when 2 n S < 2^63.  Every ledger of :func:`ringfill.layer_ledger`
+    keeps it there: consecutive phases differ by 0 or n/(2m), so den <= 2m,
+    S <= 2 n^3 and 2 n S <= 4 n^4, below 2^63 for every n up to
+    ``builder.MAX_N``.  A ledger past it, which only tampering makes,
+    raises ValueError.
     """
     from .annuli import strip_drifts
 
     t, ledger = build.triangulation, build.ledger
     n = t.n
     pairs = [_pair_terms(n, ledger, r, r + 1) for r in range(len(ledger) - 1)]
-    if all(2 * n * scale < 2**63 for scale, *_ in pairs):
-        drifts = strip_drifts(t, ledger, [(a, b, c, n * scale) for scale, a, b, c in pairs])
-        if drifts is not None:
-            nv, nf = t.num_vertices, t.num_triangles
-            ne = nv + nf - 1
-            counts = {"vertices": nv, "edges": ne, "triangles": nf, "boundary_edges": n, "interior_edges": ne - n}
-            max_obs = [Fraction(d, scale) for d, (scale, *_) in zip(drifts, pairs)]
-            return Certificate(ValidationReport(counts=counts), _audit(ledger, max_obs, []))
-    return Certificate(validate_disk(t), _drift_audit(build))
+    for r, (scale, *_) in enumerate(pairs):
+        if 2 * n * scale >= 2**63:
+            raise ValueError(
+                f"drift audit of cycles {r} and {r + 1} needs positions in units of 1/{scale}: exceeds int64 arithmetic"
+            )
+    drifts, lines = strip_drifts(t, ledger, [(a, b, c, n * scale) for scale, a, b, c in pairs])
+    audit = DriftAudit()
+    _report(audit.defects, lines, "defects")
+    for r, (rec, drift, (scale, *_)) in enumerate(zip(ledger, drifts, pairs)):
+        if drift is not None:
+            obs, bound = Fraction(drift, scale), rec.drift_bound
+            audit.rows.append(AnnulusAudit(r, rec.annulus_kind, bound, obs, ok=obs <= bound, tight=obs == bound))
+    if lines:
+        return Certificate(validate_disk(t), audit)
+    nv, nf = t.num_vertices, t.num_triangles
+    ne = nv + nf - 1
+    counts = {"vertices": nv, "edges": ne, "triangles": nf, "boundary_edges": n, "interior_edges": ne - n}
+    return Certificate(ValidationReport(counts=counts), audit)
 
 
 def drift_audit(build: BuildResult) -> DriftAudit:
-    """Check that every edge is a cycle, annulus or cone edge, and every slanted edge within its annulus's drift bound.
+    """Check that ``build``'s complex is its ledger's strips, and every slanted edge within its annulus's drift bound.
 
     The audit of :func:`certify`, which validates ``build``'s complex as well.
     """
     return certify(build).audit
-
-
-def _drift_audit(build: BuildResult) -> DriftAudit:
-    """The drift audit of the whole complex, from its edge table.
-
-    An edge must join consecutive vertices of one cycle, cycles r and r+1,
-    or the apex and the innermost cycle, or it is listed in ``stray_edges``.
-    An edge between cycles r < s is charged to annulus r and measured
-    exactly mod ``n*S`` (see :func:`_pair_terms`), never through absolute
-    phases; an ``n*S`` past int64 raises ValueError.  The compiled
-    ``drift_rows`` reads the sorted edges from each cycle in place (see
-    :func:`_cycle_edges`).  Equal-length annuli must meet their bound
-    n/(2m) on every slanted edge, and shrink annuli stay within n/M.
-    """
-    t, ledger = build.triangulation, build.ledger
-    n, depth = t.n, len(ledger)
-    # the apex counts as one more layer, of one vertex
-    first = [rec.first_vertex for rec in ledger] + [build.apex]
-    lengths = [rec.length for rec in ledger] + [1]
-    if first[0] != 0 or any(m < 1 or f != p + m for p, f, m in zip(first, first[1:], lengths)):
-        raise ValueError("ledger cycles do not tile the vertex ids 0..apex-1 in order")
-    edges = t.edges
-    if len(edges) and _library().top_id(edges, 2 * len(edges)) > build.apex:
-        raise ValueError(f"triangles reference vertex ids beyond the apex {build.apex}")
-
-    def misplaced(r: int, s: int) -> str:
-        if r == s:
-            return f"is a chord of cycle {r}"
-        if s == depth:
-            return f"joins the apex to cycle {r}, not to the innermost cycle {s - 1}"
-        return f"joins cycle {r} to cycle {s}, which are not adjacent"
-
-    lines: list[str] = []
-    max_obs = [Fraction(0)] * (depth - 1)
-    rows = range(len(edges))
-    cuts = [bisect_left(rows, v, key=lambda e: edges[e, 0]) for v in first] + [len(edges)]
-    for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-        span = edges[start:stop]
-        scale, terms = 1, (0, 0, 0, 0)
-        if r + 1 < depth:
-            scale, a, b, c = _pair_terms(n, ledger, r, r + 1)
-            if 2 * n * scale < 2**63:
-                terms = (a, b, c, n * scale)
-        worst, stray = _cycle_edges(span, first[r], lengths[r], lengths[r + 1] if r < depth else 0, terms)
-        if worst >= 0 and r + 1 < depth:
-            if not terms[3]:
-                raise _int64_error(r, r + 1, scale)
-            max_obs[r] = Fraction(worst, scale)
-        reach: dict[int, list[tuple[int, int]]] = {}  # the stray edges to each deeper cycle, as (i, j)
-        at = stray.find(1)
-        while at >= 0:
-            u, v = span[at, 0], span[at, 1]
-            s = bisect_right(first, v) - 1
-            lines.append(f"edge ({u}, {v}) {misplaced(r, s)}")
-            if r < s < depth:
-                reach.setdefault(s, []).append((u - first[r], v - first[s]))
-            at = stray.find(1, at + 1)
-        for s in sorted(reach):
-            scale, a, b, c = _pair_terms(n, ledger, r, s)
-            if 2 * n * scale >= 2**63:
-                raise _int64_error(r, s, scale)
-            period = n * scale
-            worst = max(min(d, period - d) for d in ((a + b * i - c * j) % period for i, j in reach[s]))
-            max_obs[r] = max(max_obs[r], Fraction(worst, scale))
-    return _audit(ledger, max_obs, lines)
-
-
-def _audit(ledger: list, max_obs: list[Fraction], lines: list[str]) -> DriftAudit:
-    """The audit of ``ledger``'s annuli, each of largest displacement ``max_obs[r]``, with stray-edge ``lines``."""
-    audit = DriftAudit()
-    _report(audit.stray_edges, lines, "edges of no cycle, annulus or cone")
-    for r, (rec, obs) in enumerate(zip(ledger, max_obs)):
-        bound = rec.drift_bound
-        audit.rows.append(AnnulusAudit(r, rec.annulus_kind, bound, obs, ok=obs <= bound, tight=obs == bound))
-    return audit
 
 
 def separation_lower_bounds(build: BuildResult) -> list[int]:

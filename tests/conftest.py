@@ -37,8 +37,10 @@ def _flipped(build, a, b):
 def flipped_builds(medium_build):
     """Valid disks with one edge of no cycle, annulus or cone: one edge flip each in the n = 64 build.
 
-    Maps a name to the flipped build and the drift audit's line for its new
-    edge.  Cycle 8 holds a shrink annulus, and cycle 23 is the innermost.
+    Maps a name to the flipped build, the reference drift audit's line for
+    its new edge and ``certify``'s defect lines.  Cycle 8 holds a shrink
+    annulus, and cycle 23 is the innermost.  The two flipped rows go last,
+    after the cone's fan, so the strips read the rows through an index.
     """
     cycle = medium_build.ledger
     flips = {
@@ -46,12 +48,25 @@ def flipped_builds(medium_build):
             cycle[3].vertex(5),
             cycle[3].vertex(6),
             "edge (134, 261) joins cycle 2 to cycle 4, which are not adjacent",
+            [
+                "annulus 2 (collar) is not a strip: an id off its two cycles at row 2402 (134, 197, 261)",
+                "annulus 3 (collar) is not a strip: 127 rows, not 128",
+            ],
         ),
-        "chord": (cycle[8].vertex(0), cycle[9].vertex(0), "edge (513, 575) is a chord of cycle 8"),
+        "chord": (
+            cycle[8].vertex(0),
+            cycle[9].vertex(0),
+            "edge (513, 575) is a chord of cycle 8",
+            ["annulus 8 (shrink) is not a strip: three ids on one cycle at row 2402 (512, 513, 575)"],
+        ),
         "apex": (
             cycle[23].vertex(0),
             cycle[23].vertex(1),
             "edge (1191, 1234) joins the apex to cycle 22, not to the innermost cycle 23",
+            [
+                "annulus 22 (shrink) is not a strip: an id off its two cycles at row 2402 (1191, 1218, 1234)",
+                "the cone over cycle 23 is not a fan: 15 rows, not 16",
+            ],
         ),
     }
-    return {name: (_flipped(medium_build, a, b), line) for name, (a, b, line) in flips.items()}
+    return {name: (_flipped(medium_build, a, b), line, defects) for name, (a, b, line, defects) in flips.items()}

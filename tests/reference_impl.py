@@ -30,8 +30,9 @@ the link and connectivity counts of ``check_disk``; the validator itself
 ``worst_pair``, the vectorized ``separation_table`` and the chunked
 ``check_bound`` that ``verify --check-bound`` ran; the build-file writer's
 ``%``-template ``write_rows``, the block reader's ``json.loads`` slice
-reader ``int32_rows`` and the numpy ``drift_audit``.  Last,
-``build_file_v2`` writes a build file as version 2 did, so that the tests
+reader ``int32_rows`` and the numpy ``drift_audit`` of the whole edge
+table, against which ``assert_certificate`` checks ``certify``'s verdict,
+report and drift rows.  Last, ``build_file_v2`` writes a build file as version 2 did, so that the tests
 can show such files refused.
 """
 from __future__ import annotations
@@ -781,6 +782,24 @@ def drift_audit(build):
             worst = int(np.minimum(d, period - d).max())
             max_obs[r] = max(max_obs[r], Fraction(worst, scale))
     return max_obs, lines
+
+
+def assert_certificate(cert, build) -> None:
+    """Assert that ``cert``, ``ringfill.certify(build)``, says what the whole complex says.
+
+    Its verdict is ``ok`` exactly when :func:`ringfill.validate_disk` passes
+    and :func:`drift_audit` finds no stray edge and no annulus over its
+    drift bound; its report is ``validate_disk``'s, failures, witnesses and
+    counts; and, when ``ok``, its rows are :func:`drift_audit`'s drifts.
+    """
+    from ringfill import validate_disk
+
+    rows, lines = drift_audit(build)
+    report = validate_disk(build.triangulation)
+    ok = report.ok and not lines and all(obs <= rec.drift_bound for obs, rec in zip(rows, build.ledger))
+    assert (cert.ok, cert.report) == (ok, report)
+    if ok:
+        assert [row.max_observed for row in cert.audit.rows] == rows
 
 
 def _pair(x):

@@ -87,6 +87,15 @@ def test_max_n_is_the_largest_whose_isometric_filling_fits():
     assert fewest_triangles(MAX_N) <= MAX_TRIANGLES < fewest_triangles(MAX_N + 1)
 
 
+def test_drift_terms_of_every_accepted_n_fit_int64():
+    # certify measures rungs in units of 1/S, S = den m M <= 2 n^3, with
+    # 2 n S <= 4 n^4 kept below 2^63 and no fallback past it: raising MAX_N
+    # past this bound needs wider drift arithmetic first
+    from ringfill.builder import MAX_N
+
+    assert 4 * MAX_N**4 < 2**63
+
+
 @pytest.mark.parametrize("n", [37_839, 10**30])
 def test_params_refuse_n_past_int32_edge_ids(n):
     with pytest.raises(ScheduleError, match=f"boundary length {n} > 37838"):

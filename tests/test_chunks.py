@@ -1,21 +1,25 @@
-"""Validation and drift audit chunk by chunk along the ledger, against the whole-complex path.
+"""Validation and drift audit annulus by annulus along the ledger, against the whole complex.
 
-A chunk is one annulus's slice of the triangle array, or the cone's fan
-closing it.  ``certify(build)`` checks a built or loaded filling one chunk
-at a time, each annulus as a cyclic strip between two ledger cycles and the
-cone as a fan, and ``drift_audit(build)`` is its audit.  Both must give
-exactly what the whole complex gives: the same ``ValidationReport``
-(failures, witnesses, counts) and ``DriftAudit`` (rows and stray-edge
-lines), or the same error, on built fillings, whatever the order of rows
-within each chunk, and on corrupted ones.  A strip that passes builds no
-edge table; anything irregular falls back to the whole complex, valid disks
-whose rows do not follow the ledger among them.
+A chunk is one annulus's rows, or the cone's fan closing it.
+``certify(build)`` checks a built or loaded filling one chunk at a time,
+each annulus as a cyclic strip between two ledger cycles and the cone as a
+fan, and ``drift_audit(build)`` is its audit.  Rows go to the chunk of the
+cycle of their first id, in place where they come grouped, as built, and
+through a row index otherwise, so valid disks in any row order pass.  A
+chunk that is no strip is a named defect: the audit fails, listing it,
+and the report is the whole complex's ``validate_disk``.  Either way the
+verdict, the report and, when it passes, the drift rows must be what the
+whole complex gives: ``validate_disk`` and ``reference_impl.drift_audit``
+over the sorted edge table (``reference_impl.assert_certificate``), on
+built fillings, whatever the order of their rows, and on corrupted ones.
+A complex with no defect builds no edge table.
 """
 import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_impl as ref
 from hypothesis import assume, given, settings, strategies as st
 
 from ringfill import (
@@ -31,7 +35,6 @@ from ringfill import (
 )
 from ringfill import _kernels
 from ringfill.annuli import annulus_triangles, cone_triangles, strip_drifts
-from ringfill.verify import _drift_audit
 
 _PARAMS = [("1/10", "1/4"), ("1/5", "1/3"), ("1/100", "1/20"), ("1/3", "1/2")]
 _SEEDS = [1, 40, 300, None]  # rows shuffled within each chunk by this seed, or as built (None)
@@ -54,21 +57,12 @@ def _shuffled(build: BuildResult, seed: int | None) -> BuildResult:
     return _fresh(build, tri)
 
 
-def _fresh(build: BuildResult, rows=None, num_vertices=None) -> BuildResult:
+def _fresh(build: BuildResult, rows=None) -> BuildResult:
     """``build`` with a new complex of ``rows`` (its own by default), no edge table cached."""
     t = build.triangulation
     fresh = copy.copy(build)
-    nv = t.num_vertices if num_vertices is None else num_vertices
-    fresh.triangulation = Triangulation(t.n, nv, t.triangles if rows is None else rows)
+    fresh.triangulation = Triangulation(t.n, t.num_vertices, t.triangles if rows is None else rows)
     return fresh
-
-
-def _whole_audit(build: BuildResult):
-    """The audit of ``build``'s whole complex, or its error as text."""
-    try:
-        return _drift_audit(build)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
 
 
 def _zeros(ledger) -> list[tuple]:
@@ -76,30 +70,18 @@ def _zeros(ledger) -> list[tuple]:
     return [(0, 0, 0, 0)] * (len(ledger) - 1)
 
 
-def _certified(build: BuildResult):
-    """``certify(build)``'s report and audit; if it raises, the whole complex's report, which it ran, and the error."""
-    try:
-        cert = certify(build)
-    except ValueError as exc:
-        return validate_disk(build.triangulation), f"ValueError: {exc}"
-    return cert.report, cert.audit
+def _checked(build: BuildResult):
+    """``certify`` of a fresh copy of ``build``, checked against the whole complex.
 
-
-def _both_ways(build: BuildResult):
-    """Validation and audit of ``build`` along its ledger, and of the whole complex.
-
-    Returns ``(stripped, whole, passed)``: the report and audit of
-    :func:`certify`, the whole-complex ones, and whether every strip passed,
-    in which case it built no edge table.
+    It builds an edge table exactly when it finds a defect, for the report
+    of ``validate_disk``, and unless it passes it names a failure.
     """
-    stripped = _fresh(build)
-    t = stripped.triangulation
-    passed = strip_drifts(t, stripped.ledger, _zeros(stripped.ledger)) is not None
-    report, audit = _certified(stripped)
-    assert passed == ("_edge_table" not in t.__dict__)
-    whole = _fresh(build)
-    want = validate_disk(whole.triangulation)
-    return (report, audit), (want, _whole_audit(whole)), passed
+    build = _fresh(build)
+    cert = certify(build)
+    ref.assert_certificate(cert, _fresh(build))
+    assert ("_edge_table" in build.triangulation.__dict__) == bool(cert.audit.defects)
+    assert cert.ok or cert.report.failures or cert.audit.defects or cert.audit.failures()
+    return cert
 
 
 @pytest.mark.parametrize("n, rho, eta", [(25, "1/10", "1/4"), (64, "1/5", "1/3"), (384, "1/10", "1/4"),
@@ -107,10 +89,10 @@ def _both_ways(build: BuildResult):
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_built_fillings_pass_chunk_by_chunk(n, rho, eta, seed):
     build = _shuffled(build_filling(Params(n, Fraction(rho), Fraction(eta))), seed)
-    stripped, whole, passed = _both_ways(build)
-    assert passed and stripped == whole and stripped[0].ok and stripped[1].ok
+    cert = _checked(build)
+    assert cert.ok and cert.audit.defects == []
     t = build.triangulation
-    assert stripped[0].counts["edges"] == len(t.edges) == t.num_vertices + t.num_triangles - 1
+    assert cert.report.counts["edges"] == len(t.edges) == t.num_vertices + t.num_triangles - 1
 
 
 def _canonical(rows) -> list[tuple]:
@@ -124,8 +106,8 @@ def _canonical(rows) -> list[tuple]:
 def test_chunks_are_runs_of_whole_annuli_and_slices_of_the_rows(seed, medium_build):
     # Each annulus's rows, as the builder writes them, are one slice of the
     # triangle array after the previous annulus's, and the fan closes it;
-    # the strips pass whatever the order within a slice, and not once a row
-    # crosses to the next slice.
+    # the strips pass whatever the order within a slice, and through the
+    # row index once a row crosses to the next slice.
     build = _shuffled(medium_build, seed)
     ledger, tri, top = build.ledger, np.asarray(build.triangulation.triangles), 0
     for r, size in enumerate(_chunk_sizes(ledger)):
@@ -133,13 +115,16 @@ def test_chunks_are_runs_of_whole_annuli_and_slices_of_the_rows(seed, medium_bui
         assert _canonical(tri[top : top + size]) == _canonical(want)
         top += size
     assert top == len(tri)
-    assert strip_drifts(build.triangulation, ledger, _zeros(ledger)) == [0] * (len(ledger) - 1)
+    assert strip_drifts(build.triangulation, ledger, _zeros(ledger)) == ([0] * (len(ledger) - 1), [])
     assert "_edge_table" not in build.triangulation.__dict__
-    assert drift_audit(build) == _drift_audit(_fresh(medium_build))
+    rows, _ = ref.drift_audit(_fresh(medium_build))
+    assert [row.max_observed for row in drift_audit(build).rows] == rows
     first = _chunk_sizes(ledger)[0]
     crossed = tri.copy()
     crossed[[first - 1, first]] = crossed[[first, first - 1]]  # a row of each of the first two annuli swapped
-    assert strip_drifts(_fresh(build, crossed).triangulation, ledger, _zeros(ledger)) is None
+    crossed = _fresh(build, crossed)
+    assert strip_drifts(crossed.triangulation, ledger, _zeros(ledger)) == ([0] * (len(ledger) - 1), [])
+    assert drift_audit(crossed) == drift_audit(build) and "_edge_table" not in crossed.triangulation.__dict__
 
 
 # Corruptions that keep every row where it is, or add one beside or at the end:
@@ -203,16 +188,14 @@ def test_corrupted_fillings_give_the_whole_complex_report_and_audit(n, params, c
         build = build_filling(Params(n, Fraction(params[0]), Fraction(params[1])))
     except ScheduleError:
         assume(False)
-    stripped, whole, _ = _both_ways(_fresh(build, _corrupt(build, changes)))
-    assert stripped[0] == whole[0]  # failures, witnesses and counts
-    assert stripped[1] == whole[1]  # rows and stray-edge lines, or the same error
+    _checked(_fresh(build, _corrupt(build, changes)))
 
 
 def _fails_as_the_whole_complex(build: BuildResult) -> tuple:
-    """``build``'s report and audit, checked to be the whole complex's after every strip did not pass."""
-    stripped, whole, passed = _both_ways(build)
-    assert not passed and stripped == whole
-    return stripped
+    """``build``'s report and audit, checked against the whole complex after a defect."""
+    cert = _checked(build)
+    assert cert.audit.defects and not cert.ok
+    return cert.report, cert.audit
 
 
 def _shared_chord():
@@ -236,26 +219,35 @@ def test_two_chunks_sharing_a_chord_fail_as_the_whole_complex():
     build = BuildResult(Triangulation(4, 13, outer + inner), ledger, None, None)
     report, audit = _fails_as_the_whole_complex(build)
     assert "edge (8, 10) lies in 4 triangles (expected 1 or 2)" in report.failures
-    assert "edge (8, 10) is a chord of cycle 2" in audit.stray_edges
+    assert audit.defects == [
+        "annulus 0 (collar) is not a strip: a pair not adjacent on its cycle at row 5 (3, 4, 6)",
+        "annulus 1 (shrink) is not a strip: a pair not adjacent on its cycle at row 8 (5, 10, 8)",
+        "the cone over cycle 2 is not a fan: three ids on one cycle at row 16 (8, 9, 10)",
+    ]
 
 
 @pytest.mark.parametrize("seed", [1, 300])
-def test_a_valid_disk_off_the_ledger_falls_back_and_passes(seed, medium_build, flipped_builds):
-    # Rows in reverse order, the two collar annuli's rows swapped, and an
-    # edge flipped in place between cycles 2 and 4, each from the rows
-    # shuffled within their chunks: each a valid disk whose triangles do
-    # not follow the ledger's annuli, so the strips fail and the whole
-    # complex is checked.
+def test_a_valid_disk_off_the_ledger_falls_back_and_passes(seed, medium_build):
+    # Rows in reverse order and the two collar annuli's rows swapped, each
+    # from the rows shuffled within their chunks: valid disks whose rows do
+    # not come grouped, which the strips read through the row index and
+    # pass.  An edge flipped in place between cycles 2 and 4 leaves a valid
+    # disk with an edge of no annulus: annulus 2 holds a row off its cycles.
     build = _shuffled(medium_build, seed)
     tri = np.array(build.triangulation.triangles)
     size = 2 * build.params.n  # rows of a collar annulus
     swapped = np.concatenate([tri[size : 2 * size], tri[:size], tri[2 * size :]])
+    for rows in (tri[::-1], swapped):
+        cert = _checked(_fresh(build, rows))
+        assert cert.ok and cert.audit == drift_audit(medium_build)
     a, b = build.ledger[3].vertex(5), build.ledger[3].vertex(6)
-    skipped = _corrupt(build, [("flip", _row_with(build, a, b), _corner(build, a, b), 0)])
-    for rows in (tri[::-1], swapped, skipped):
-        report, audit = _fails_as_the_whole_complex(_fresh(build, rows))
-        assert report.ok
-    assert audit.stray_edges == [flipped_builds["layer-skipping"][1]]
+    skipped = _fresh(build, _corrupt(build, [("flip", _row_with(build, a, b), _corner(build, a, b), 0)]))
+    report, audit = _fails_as_the_whole_complex(skipped)
+    row = {1: 259, 300: 367}[seed]
+    assert report.ok and audit.defects == [
+        f"annulus 2 (collar) is not a strip: an id off its two cycles at row {row} (134, 197, 261)",
+        "annulus 3 (collar) is not a strip: 127 rows, not 128",
+    ]
 
 
 def test_an_id_moved_inside_an_annulus_fails_as_the_whole_complex(medium_build):
@@ -266,7 +258,8 @@ def test_an_id_moved_inside_an_annulus_fails_as_the_whole_complex(medium_build):
     f = _row_with(medium_build, ledger[2].vertex(5), ledger[3].vertex(5), ledger[2].vertex(6))
     tri[f][tri[f] == ledger[3].vertex(5)] = ledger[3].vertex(7)
     report, audit = _fails_as_the_whole_complex(_fresh(medium_build, tri))
-    assert not report.ok and not audit.ok
+    assert not report.ok
+    assert audit.defects == ["annulus 2 (collar) is not a strip: a wrong far vertex at row 267 (134, 197, 198)"]
 
 
 def test_a_strip_whose_far_vertices_wind_twice_fails_as_the_whole_complex():
@@ -276,20 +269,28 @@ def test_a_strip_whose_far_vertices_wind_twice_fails_as_the_whole_complex():
     ledger = layer_ledger(6, [("shrink", 3)])
     strip = [(i, (i + 1) % 6, 6 + i % 3) for i in range(6)] + [(6 + j, 6 + (j + 1) % 3, j + 1) for j in range(3)]
     cone = [(6, 7, 9), (7, 8, 9), (8, 6, 9)]
-    report, _ = _fails_as_the_whole_complex(BuildResult(Triangulation(6, 10, strip + cone), ledger, None, None))
+    report, audit = _fails_as_the_whole_complex(BuildResult(Triangulation(6, 10, strip + cone), ledger, None, None))
     assert not report.ok
+    assert audit.defects == ["annulus 0 (shrink) is not a strip: rungs that wind other than once at row 3 (3, 4, 6)"]
 
 
 # The equal annulus between cycles 0..3 and 4..7, as the builder writes it,
 # and the fan closing 4..7 with the apex 8; each case breaks one rule of a
-# strip that the others leave standing.
+# strip that the others leave standing, and names it: one case for each of
+# strip_rows' defects.
 _OUTER = [(i, (i + 1) % 4, 4 + i) for i in range(4)]
 _INNER = [(4 + j, 4 + (j + 1) % 4, (j + 1) % 4) for j in range(4)]
 _STRIPS = {
-    "a wrong far vertex": _OUTER + [(4, 5, 3)] + _INNER[1:],  # inner edge 0 should have U_1
-    "far vertices that never advance": [(i, (i + 1) % 4, 4) for i in range(4)]
-    + [(4 + j, 4 + (j + 1) % 4, 0) for j in range(4)],
-    "an outer edge in two rows": [_OUTER[0], (0, 1, 5)] + _OUTER[2:] + _INNER,
+    "a wrong far vertex": (_OUTER + [(4, 5, 3)] + _INNER[1:], "a wrong far vertex at row 4 (3, 4, 5)"),  # not U_1
+    "far vertices that never advance": (
+        [(i, (i + 1) % 4, 4) for i in range(4)] + [(4 + j, 4 + (j + 1) % 4, 0) for j in range(4)],
+        "rungs that wind other than once at row 3 (0, 4, 3)",
+    ),
+    "an outer edge in two rows": ([_OUTER[0], (0, 1, 5)] + _OUTER[2:] + _INNER, "a cycle edge in two rows at row 1 (0, 1, 5)"),
+    "an inner edge missing": (_OUTER + _INNER[1:], "7 rows, not 8"),
+    "an apex in the annulus": (_OUTER[:3] + [(3, 0, 8)] + _INNER, "an id off its two cycles at row 3 (0, 8, 3)"),
+    "a triangle of the outer cycle": ([(0, 1, 2)] + _OUTER[1:] + _INNER, "three ids on one cycle at row 0 (0, 1, 2)"),
+    "a chord of the outer cycle": ([(0, 2, 4)] + _OUTER[1:] + _INNER, "a pair not adjacent on its cycle at row 0 (0, 2, 4)"),
 }
 
 
@@ -297,36 +298,55 @@ _STRIPS = {
 def test_a_strip_breaking_one_rule_fails_as_the_whole_complex(case):
     ledger = layer_ledger(4, [("collar", 4)])
     cone = [(4, 5, 8), (5, 6, 8), (6, 7, 8), (7, 4, 8)]
-    assert strip_drifts(Triangulation(4, 9, _OUTER + _INNER + cone), ledger, _zeros(ledger)) == [0]
-    report, _ = _fails_as_the_whole_complex(BuildResult(Triangulation(4, 9, _STRIPS[case] + cone), ledger, None, None))
-    assert not report.ok
+    assert strip_drifts(Triangulation(4, 9, _OUTER + _INNER + cone), ledger, _zeros(ledger)) == ([0], [])
+    rows, defect = _STRIPS[case]
+    lines = [f"annulus 0 (collar) is not a strip: {defect}"]
+    if len(rows) < 8:  # a row off every cycle keeps the row count, and names itself
+        rows, lines = rows + [(8, 8, 8)], lines + ["row 7 (8, 8, 8) starts on no cycle"]
+    report, audit = _fails_as_the_whole_complex(BuildResult(Triangulation(4, 9, rows + cone), ledger, None, None))
+    assert not report.ok and audit.defects == lines
 
 
 def test_a_cone_missing_a_fan_row_fails_as_the_whole_complex(medium_build):
     rows = np.array(medium_build.triangulation.triangles)[:-1]
     report, audit = _fails_as_the_whole_complex(_fresh(medium_build, rows))
-    assert not report.ok and audit.ok
+    assert not report.ok and audit.defects == ["the cone over cycle 23 is not a fan: 15 rows, not 16"]
+    assert [row.max_observed for row in audit.rows] == ref.drift_audit(_fresh(medium_build))[0]
 
 
 def _refuse_strips(monkeypatch):
     def refuse(*args):
         raise AssertionError("the kernel was reached")
 
-    monkeypatch.setattr(_kernels.library(), "strip_rows", refuse)
+    for name in ("row_cycles", "strip_rows"):
+        monkeypatch.setattr(_kernels.library(), name, refuse)
 
 
 def test_an_irregular_ledger_or_complex_falls_back_before_the_kernel(monkeypatch, medium_build):
-    # a ledger that stops one cycle short or starts one cycle in, and a
-    # complex of one vertex too many, are refused without a strip checked
+    # a ledger that stops one cycle short or starts one cycle in, a complex
+    # of one vertex too many, and a ledger whose ids pass int32 are refused,
+    # each with its defects, without a strip checked
     _refuse_strips(monkeypatch)
     t, ledger = medium_build.triangulation, medium_build.ledger
-    other = Triangulation(t.n, t.num_vertices + 1, t.triangles)
-    for complex_, records in ((t, ledger[:-1]), (t, ledger[1:]), (other, ledger)):
-        assert strip_drifts(complex_, records, _zeros(records)) is None
-        build = BuildResult(Triangulation(t.n, complex_.num_vertices, t.triangles), records, None, None)
-        assert _certified(build)[0] == validate_disk(Triangulation(t.n, complex_.num_vertices, t.triangles))
-    audit = drift_audit(_fresh(medium_build, num_vertices=t.num_vertices + 1))
-    assert audit == _drift_audit(_fresh(medium_build)) and audit.ok  # the audit reads no vertex count
+    past = [copy.copy(rec) for rec in ledger]
+    for rec in past[1:]:
+        rec.first_vertex += 2**31
+    past[0].length += 2**31
+    cases = (
+        (ledger[:-1], t.num_vertices, ["1235 vertices, not the ledger's 1219"]),
+        (ledger[1:], t.num_vertices, ["ledger cycles do not tile the ids 0..1233 in order from C_64, each of 3 or more "
+                                      "vertices"]),
+        (ledger, t.num_vertices + 1, ["1236 vertices, not the ledger's 1235"]),
+        (past, t.num_vertices, ["ledger cycles do not tile the ids 0..2147484881 in order from C_64, each of 3 or "
+                                "more vertices", "the apex id 2147484882 is past 2147483647",
+                                "1235 vertices, not the ledger's 2147484883"]),
+    )
+    for records, nv, lines in cases:
+        complex_ = Triangulation(t.n, nv, t.triangles)
+        assert strip_drifts(complex_, records, _zeros(records)) == ([None] * (len(records) - 1), lines)
+        cert = certify(BuildResult(complex_, records, None, None))
+        assert cert.report == validate_disk(Triangulation(t.n, nv, t.triangles))
+        assert cert.audit.defects == lines and cert.audit.rows == [] and not cert.ok
 
 
 def _row_with(build: BuildResult, *ids: int) -> int:

@@ -122,29 +122,29 @@ def test_audit_validates_the_loaded_triangles(tmp_path, capsys):
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "0.1", "--eta", "0.25", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
-    del data["triangles"][100]  # leaves a hole: the drift audit alone sees nothing wrong
+    del data["triangles"][100]  # leaves a hole: the audit sees a row missing, validation where
     build_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["audit", "--in", str(build_path)]) == 1
     err = capsys.readouterr().err
     assert "invalid: unexpected boundary edges" in err
-    assert "violation" not in err
+    assert err.endswith("\nviolation: annulus 2 (collar) is not a strip: 49 rows, not 50\n")
 
 
 @pytest.mark.parametrize("flip", ["layer-skipping", "chord", "apex"])
 def test_audit_refuses_an_edge_of_no_annulus(tmp_path, capsys, flipped_builds, flip):
-    build, line = flipped_builds[flip]
+    build, _, defects = flipped_builds[flip]
     build_path = tmp_path / "k.json"
     dump_json(serialize.build_to_dict(build), str(build_path))
     assert main(["audit", "--in", str(build_path)]) == 1
     captured = capsys.readouterr()
     assert "within_bounds=False" in captured.out
-    assert f"violation: {line}\n" in captured.err and "invalid" not in captured.err
+    assert "".join(f"violation: {line}\n" for line in defects) in captured.err and "invalid" not in captured.err
 
 
 def test_audit_prints_the_report_before_an_error_of_the_whole_complex_audit(tmp_path, capsys):
-    # an id far past the apex: no strip passes, validation reports it, and
-    # the audit of the whole edge table then refuses it
+    # an id far past the apex: annulus 0 is no strip, which the audit
+    # names after validation's report of the whole complex
     build_path = tmp_path / "k.json"
     assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
     data = json.loads(build_path.read_text())
@@ -153,12 +153,37 @@ def test_audit_prints_the_report_before_an_error_of_the_whole_complex_audit(tmp_
     capsys.readouterr()
     assert main(["audit", "--in", str(build_path)]) == 1
     assert capsys.readouterr() == (
-        "",
+        "n=25 annuli=13 within_bounds=False\n"
+        "equal-length annuli achieving their bound exactly: 7/8\n",
         "invalid: triangle (20, 21, 1000000) references a vertex id outside 0..278\n"
         "invalid: unexpected boundary edges: [(20, 45), (20, 1000000), (21, 45), (21, 1000000)]\n"
         "invalid: Euler formula violated: V - E + F = 279 - 811 + 531 = -1, expected 1\n"
-        "error: triangles reference vertex ids beyond the apex 278\n",
+        "violation: annulus 0 (collar) is not a strip: an id off its two cycles at row 40 (20, 21, 1000000)\n",
     )
+
+
+def test_audit_passes_a_valid_build_file_in_another_row_order(tmp_path, capsys, monkeypatch):
+    # rows reversed, and the two collar annuli's rows swapped: the strips
+    # read them through a row index, print what the file as built prints,
+    # and build no edge table
+    path = tmp_path / "k.json"
+    assert main(["build", "--n", "384", "--rho", "1/10", "--eta", "1/4", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--in", str(path)]) == 0
+    want = capsys.readouterr()
+    assert want.out.startswith("n=384 annuli=") and want.err == ""
+
+    def refuse(tri):
+        raise AssertionError("an edge table was built")
+
+    monkeypatch.setattr(ringfill.simplicial, "_edge_table", refuse)
+    data = json.loads(path.read_text())
+    rows, size = data["triangles"], 2 * 384  # the rows of a collar annulus
+    for reordered in (rows[::-1], rows[size : 2 * size] + rows[:size] + rows[2 * size :]):
+        data["triangles"] = reordered
+        path.write_text(json.dumps(data))
+        assert main(["audit", "--in", str(path)]) == 0
+        assert capsys.readouterr() == want
 
 
 @pytest.mark.parametrize("command", ["build", "audit", "sweep"])

@@ -75,7 +75,7 @@ def _assert_table_and_report_match(t: Triangulation) -> None:
 
 
 def test_built_complexes_match_the_references(small_build, medium_build, flipped_builds):
-    builds = [small_build, medium_build, *(build for build, _ in flipped_builds.values())]
+    builds = [small_build, medium_build, *(build for build, *_ in flipped_builds.values())]
     for t in [build.triangulation for build in builds] + [cone_over_cycle(k) for k in (3, 4, 9)]:
         _assert_table_and_report_match(t)
         for a, b in zip(verify._graph_csr(t), ref.graph_csr(t)):
@@ -246,7 +246,7 @@ def test_two_threads_validate_at_once(medium_build, flipped_builds):
     # at once; each round's complexes are shared, so both threads may also
     # build the same edge table at once.
     complexes = [medium_build.triangulation, _corrupted(medium_build.triangulation, [("stray", 5, [0, 0, 0])])]
-    complexes += [build.triangulation for build, _ in flipped_builds.values()]
+    complexes += [build.triangulation for build, *_ in flipped_builds.values()]
     want = [(r.failures, r.counts) for r in map(validate_disk, map(_copy, complexes))]
     rounds = [[_copy(t) for t in complexes] for _ in range(5)]
     start = threading.Barrier(2, timeout=60)
@@ -504,14 +504,18 @@ def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
 
 def test_strip_rows_refuse_other_buffers_ids_and_terms_before_the_kernel(monkeypatch, small_build):
     rows = small_build.triangulation.triangles[:50]  # the first collar annulus: cycles of 25 from ids 0 and 25
-    scratch = np.zeros(50, dtype=np.int32)
+    scratch = np.zeros(100, dtype=np.int32)
     scale, a, b, c = verify._pair_terms(25, small_build.ledger, 0, 1)
-    assert annuli._strip_rows(rows, 0, 25, 25, scratch, (a, b, c, 25 * scale)) == b // 2  # n/(2m) units of 1/S
+    terms = (a, b, c, 25 * scale)
+    assert annuli._strip_rows(rows, 0, 25, 25, scratch, terms) == (0, b // 2)  # n/(2m) units of 1/S
+    backwards = np.arange(99, -1, -1, dtype=np.int32)[50:]  # rows 49 down to 0, read through an index
+    assert annuli._strip_rows(small_build.triangulation.triangles, 0, 25, 25, scratch, terms, backwards) == (0, b // 2)
+    assert annuli._strip_rows(rows, 0, 25, 25, scratch, terms, backwards[1:]) == (1, -1)  # 49 rows: a row count
     _refuse_kernels(monkeypatch, "strip_rows")
     frozen = scratch.copy()
     frozen.flags.writeable = False
-    for work in (np.zeros(49, dtype=np.int32), np.zeros(50, dtype=np.int64), frozen,
-                 np.zeros(100, dtype=np.int32)[::2], np.zeros((50, 1), dtype=np.int32)):
+    for work in (np.zeros(99, dtype=np.int32), np.zeros(100, dtype=np.int64), frozen,
+                 np.zeros(200, dtype=np.int32)[::2], np.zeros((100, 1), dtype=np.int32)):
         with pytest.raises(ValueError, match=r"25 and 25 vertices needs a writable C-contiguous int32 scratch"):
             annuli._strip_rows(rows, 0, 25, 25, work)
     for wrong in (np.asarray(rows, dtype=np.int64), np.zeros((50, 6), dtype=np.int32)[:, ::2]):
@@ -519,10 +523,21 @@ def test_strip_rows_refuse_other_buffers_ids_and_terms_before_the_kernel(monkeyp
             annuli._strip_rows(wrong, 0, 25, 25, scratch)
     for first, m, M in ((-1, 25, 25), (0, 2, 25), (0, 25, 2), (0, 25, 0), (2**31 - 49, 25, 25)):
         with pytest.raises(ValueError, match=rf"a strip of cycles of {m} and {M} vertices from id {first} needs ids"):
-            annuli._strip_rows(rows, first, m, M, np.zeros(max(m + M, 0), dtype=np.int32))
+            annuli._strip_rows(rows, first, m, M, np.zeros(max(2 * (m + M), 0), dtype=np.int32))
     for terms in ((a, b, c, b), (0, 1, 1, 2**62), (-1, 0, 0, 5), (0, 0, 0, -1), (2**64, 0, 0, 0)):
         with pytest.raises(ValueError, match=r"exceed the int64 period"):
             annuli._strip_rows(rows, 0, 25, 25, scratch, terms)
+    # a row index of another format or shape, or of more entries than rows
+    for index in (backwards.astype(np.int64), backwards.astype(np.uint32), np.zeros(100, dtype=np.int32)[::2],
+                  backwards.reshape(2, 25), np.zeros(51, dtype=np.int32)):
+        with pytest.raises(ValueError, match=r"a row index into 50 rows must be a C-contiguous int32 buffer of at most"):
+            annuli._strip_rows(rows, 0, 25, 25, scratch, (0, 0, 0, 0), index)
+    # or an entry that is no row
+    for entry in (-1, 50, 2**31 - 1):
+        index = backwards.copy()
+        index[7] = entry
+        with pytest.raises(ValueError, match=r"a row index into 50 rows has an entry outside 0..49"):
+            annuli._strip_rows(rows, 0, 25, 25, scratch, (0, 0, 0, 0), index)
 
 
 def test_disk_verdicts_fail_every_vertex_count_but_the_disks():
@@ -640,49 +655,6 @@ def test_row_reader_refuses_other_buffers_before_the_kernel(monkeypatch):
             reader._parse_rows(b"[0, 1, 2]]", out, ends)
 
 
-def test_drift_pass_refuses_what_the_kernel_would_misread(monkeypatch, small_build):
-    _refuse_kernels(monkeypatch, "drift_rows")
-    edges = small_build.triangulation.edges
-    rec = small_build.ledger[0]
-    with pytest.raises(ValueError, match=r"edges must be a C-contiguous \(k, 2\) int32 buffer, got format 'l'"):
-        verify._cycle_edges(np.zeros((2, 2), dtype=np.int64), 0, 25, 24, (0, 0, 0, 0))
-    with pytest.raises(ValueError, match=r"edges of the cycle of 25 vertices from id 1 must start on it"):
-        verify._cycle_edges(edges[:3], 1, 25, 24, (0, 0, 0, 0))  # (0, 1) starts before the cycle
-    with pytest.raises(ValueError, match=r"cycles of 25 and 2147483647 vertices from id 0 need ids in"):
-        verify._cycle_edges(edges[:3], 0, 25, 2**31 - 1, (0, 0, 0, 0))
-    scale, a, b, c = verify._pair_terms(25, small_build.ledger, 0, 1)
-    with pytest.raises(ValueError, match=r"exceed the int64 period"):
-        verify._cycle_edges(edges[:3], 0, rec.length, 24, (a, b, c, b))  # b (m - 1) >= period
-    with pytest.raises(ValueError, match=r"exceed the int64 period"):
-        verify._cycle_edges(edges[:3], 0, rec.length, 24, (0, 1, 1, 2**62))  # 2 period >= 2**63
-    build = copy.copy(small_build)
-    build.ledger = [copy.copy(r) for r in small_build.ledger]
-    for r in build.ledger[1:]:
-        r.first_vertex += 2**31
-    build.ledger[0].length += 2**31
-    with pytest.raises(ValueError, match=r"cycles of 2147483673 and \d+ vertices from id 0 need ids in 0..2147483647"):
-        verify.drift_audit(build)
-
-
-def _audit_outcome(build):
-    """``drift_audit``'s observed drifts and stray-edge lines, or its error."""
-    try:
-        audit = verify.drift_audit(build)
-    except ValueError as exc:
-        return str(exc)
-    return [row.max_observed for row in audit.rows], audit.stray_edges
-
-
-def _reference_audit_outcome(build):
-    try:
-        rows, lines = ref.drift_audit(build)
-    except ValueError as exc:
-        return str(exc)
-    listed = []
-    simplicial._report(listed, lines, "edges of no cycle, annulus or cone")
-    return rows, listed
-
-
 def _latitude_build(n: int):
     ledger = _latitude(n)
     t = Triangulation(n, ledger[-1].first_vertex + ledger[-1].length + 1,
@@ -694,9 +666,9 @@ def _latitude_build(n: int):
 def test_drift_pass_matches_the_numpy_audit(n, rho, eta):
     build = build_filling(Params(n, Fraction(rho), Fraction(eta)))
     for audited in (build, _latitude_build(n)):
-        got = _audit_outcome(audited)
-        assert got == _reference_audit_outcome(audited)
-        assert got[1] == []
+        cert = verify.certify(audited)
+        ref.assert_certificate(cert, audited)
+        assert cert.audit.defects == [] and len(cert.audit.rows) == len(audited.ledger) - 1
 
 
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 10**6)), min_size=1, max_size=6))
@@ -710,22 +682,28 @@ def test_drift_pass_matches_the_numpy_audit_on_corrupted_complexes(medium_build,
         tri[f % len(tri), j] = v % nv
     broken = copy.copy(medium_build)
     broken.triangulation = Triangulation(medium_build.params.n, nv, tri)
-    assert _audit_outcome(broken) == _reference_audit_outcome(broken)
+    cert = verify.certify(broken)
+    ref.assert_certificate(cert, broken)
+    assert cert.ok or cert.audit.defects or cert.audit.failures()
 
 
 def test_drift_pass_raises_the_int64_error_where_the_numpy_audit_did(flipped_builds):
-    # a phase offset too fine for int64 between cycles 2 and 4, which only the stray edge joins
-    build, _ = flipped_builds["layer-skipping"]
+    # A phase offset too fine for int64 on cycle 4: the numpy audit refuses
+    # it where the stray edge first joins cycle 4, from cycle 2; certify
+    # measures annuli alone, and refuses it for annulus 3, before any row.
+    build, *_ = flipped_builds["layer-skipping"]
     build = copy.copy(build)
     build.ledger = [copy.copy(rec) for rec in build.ledger]
     build.ledger[4].phase += Fraction(1, 2**61 + 1)
-    want = _reference_audit_outcome(build)
-    assert want == "drift audit of cycles 2 and 4 needs positions in units of 1/" + want.split("1/")[1]
-    assert _audit_outcome(build) == want
-    build.ledger[3].phase += Fraction(1, 2**61 + 1)  # now cycles 2 and 3 too, which come first
-    want = _reference_audit_outcome(build)
-    assert want.startswith("drift audit of cycles 2 and 3 ")
-    assert _audit_outcome(build) == want
+    with pytest.raises(ValueError, match=r"drift audit of cycles 2 and 4 needs positions in units of 1/\d+: exceeds"):
+        ref.drift_audit(build)
+    with pytest.raises(ValueError, match=r"drift audit of cycles 3 and 4 needs positions in units of 1/\d+: exceeds"):
+        verify.certify(build)
+    build.ledger[3].phase += Fraction(1, 2**61 + 1)  # now cycles 2 and 3 too, which come first for both
+    for audit in (ref.drift_audit, verify.certify):
+        with pytest.raises(ValueError, match=r"drift audit of cycles 2 and 3 needs positions in units of 1/\d+: "
+                                             r"exceeds int64 arithmetic"):
+            audit(build)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs the C compiler")

@@ -35,7 +35,7 @@ through the searches took 5.51 times.  Both share validation's bound.
 ``certify`` validates and audits a fresh complex in one strip pass per
 annulus, in place, as ``ringfill build``, ``ringfill audit`` and the sweep
 run it: it copies no rows and builds no edge table, and takes scratch of
-two int32 a vertex of the longest cycle, so it peaks near nothing: 0.052
+four int32 a vertex of the longest cycle, so it peaks near nothing: 0.052
 times for the audit alone and for the certificate (its exact rows),
 bounded by 0.08, where a chunk's relabelled rows and kernel scratch took
 0.40 times.

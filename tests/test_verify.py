@@ -15,6 +15,7 @@ from ringfill import (
     Triangulation,
     boundary_distance_matrix,
     build_filling,
+    certify,
     cone_over_cycle,
     cycle_dist,
     drift_audit,
@@ -275,7 +276,7 @@ def test_kernel_distances_and_witness_match_the_references(flipped_builds, jobs)
     # the flipped n = 64 builds are valid disks with delta = 1; the cones over
     # C_6..C_11 have delta < 1, so their reports carry a witness from the
     # kernel's BFS tree
-    for build, _ in flipped_builds.values():
+    for build, *_ in flipped_builds.values():
         t = build.triangulation
         adj = skeleton_graph(t)
         graph = verify._graph_csr(t)
@@ -325,7 +326,7 @@ def test_confined_searches_give_the_per_source_matrix(flipped_builds, monkeypatc
     from test_kernels import _latitude_build
 
     jobs = _plans(monkeypatch, jobs)
-    for t in [cone_over_cycle(k) for k in range(3, 13)] + [b.triangulation for b, _ in flipped_builds.values()]:
+    for t in [cone_over_cycle(k) for k in range(3, 13)] + [b.triangulation for b, *_ in flipped_builds.values()]:
         assert boundary_distance_matrix(t, jobs=jobs).tolist() == _reference_rows(t)
     t = _latitude_build(64).triangulation
     want = _reference_rows(t)
@@ -539,7 +540,7 @@ def test_changed_compiler_flags_get_a_new_library(tmp_path, monkeypatch):
 
 def test_drift_audit_passes_and_equal_annuli_are_tight(medium_build):
     audit = drift_audit(medium_build)
-    assert audit.ok and audit.stray_edges == []
+    assert audit.ok and audit.defects == []
     assert len(audit.rows) == len(medium_build.ledger) - 1
     for row in audit.rows:
         if row.kind != "shrink":
@@ -570,21 +571,27 @@ def test_drift_audit_matches_fraction_reference(small_build, medium_build):
     f, j = next((f, j) for f, j in hits if tris[f].min() < cycle.first_vertex)
     tris[f, j] = cycle.first_vertex + (tris[f, j] - cycle.first_vertex + 3) % cycle.length
     tampered.triangulation = Triangulation(t.n, t.num_vertices, tris)
-    for build in (small_build, medium_build, tampered):
+    for build in (small_build, medium_build):
         rows = drift_audit(build).rows
         assert [row.max_observed for row in rows] == reference_drift_audit(build)
-    assert not drift_audit(tampered).rows[4].ok
+    # annulus 4 is no strip, and has no row; every other annulus has the reference's
+    audit = drift_audit(tampered)
+    assert audit.defects == ["annulus 4 (collar) is not a strip: a wrong far vertex at row 519 (260, 323, 324)"]
+    want = reference_drift_audit(tampered)
+    assert {row.layer: row.max_observed for row in audit.rows} == {r: d for r, d in enumerate(want) if r != 4}
 
 
 @pytest.mark.parametrize("flip", ["layer-skipping", "chord", "apex"])
 def test_drift_audit_refuses_an_edge_of_no_annulus(flipped_builds, flip):
-    build, line = flipped_builds[flip]
+    build, line, defects = flipped_builds[flip]
     assert validate_disk(build.triangulation).ok
+    ref.assert_certificate(certify(build), build)
     audit = drift_audit(build)
     assert not audit.ok
-    assert audit.stray_edges == [line]
-    assert [row.max_observed for row in audit.rows] == reference_drift_audit(build)
-    assert ([row.max_observed for row in audit.rows], [line]) == numpy_drift_audit(build)
+    assert audit.defects == defects
+    rows, lines = numpy_drift_audit(build)
+    assert lines == [line] and rows == reference_drift_audit(build)
+    assert {row.layer: row.max_observed for row in audit.rows} == {row.layer: rows[row.layer] for row in audit.rows}
 
 
 def test_drift_audit_refuses_int64_overflow(small_build):
@@ -593,7 +600,10 @@ def test_drift_audit_refuses_int64_overflow(small_build):
     huge = copy.copy(small_build)
     huge.ledger = [copy.copy(rec) for rec in small_build.ledger]
     huge.ledger[3].phase = Fraction(1, 2**61 + 1)
-    with pytest.raises(ValueError, match="exceeds int64"):
+    message = r"drift audit of cycles 2 and 3 needs positions in units of 1/\d+: exceeds int64 arithmetic"
+    with pytest.raises(ValueError, match=message):
+        certify(huge)
+    with pytest.raises(ValueError, match=message):
         drift_audit(huge)
 
 
