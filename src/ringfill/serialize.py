@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 from .annuli import LayerRecord, layer_ledger
 from .builder import BuildResult, Params, compute_schedule
-from .simplicial import _INT32, Triangulation, _library
+from .simplicial import _INT32, Triangulation, _ids_within, _library
 
 if TYPE_CHECKING:  # an annotation only: writing a build file loads no BFS layer
     from .verify import VerificationReport
@@ -387,6 +387,7 @@ def embedded_coordinates(t: Triangulation, records: list[dict]) -> list[tuple[fl
 
 
 def write_off(t: Triangulation, path: str, records: list[dict]) -> None:
+    _ids_within(t)  # before the file is opened
     coords = embedded_coordinates(t, records)
     lines = ["OFF", f"{t.num_vertices} {t.num_triangles} 0"]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in coords)
@@ -396,6 +397,7 @@ def write_off(t: Triangulation, path: str, records: list[dict]) -> None:
 
 
 def write_obj(t: Triangulation, path: str, records: list[dict]) -> None:
+    _ids_within(t)
     coords = embedded_coordinates(t, records)
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in coords]
     lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in t.triangles.tolist())

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from itertools import chain
 
 from ._kernels import INT32 as _INT32, MAX_ID as _MAX_ID, MAX_TRIANGLES, buffer
@@ -181,6 +180,13 @@ def _edge_table(tri) -> tuple[memoryview, memoryview]:
     return edges, slot_edge
 
 
+def _ids_within(t: Triangulation) -> None:
+    """ValueError for an id of ``t``'s rows beyond its vertices, which the CSR and the exports would index by."""
+    top = _library().top_id(t.triangles, 3 * t.num_triangles)
+    if top >= t.num_vertices:
+        raise ValueError(f"triangles reference vertex id {top}, beyond the {t.num_vertices} vertices")
+
+
 def _incidence(tri, slot_edge, ne: int) -> memoryview:
     """The number of slots of ``tri`` on each of its ``ne`` edges, as int32: ``slot_edge``'s ids counted.
 
@@ -201,14 +207,13 @@ class Triangulation:
     int32 buffer in canonical rotation (each row rotated so its smallest id
     comes first, as :func:`canonical_triangle` does).  With ``own=True`` the
     caller hands over its buffer: a writable C-contiguous int32 one, such as
-    a numpy array, is kept and rotated in place, not copied.  The edge
-    table (the edges and each slot's edge id, 2 triangle arrays of int32)
-    is derived lazily from one sort and cached for validation, the audit
-    and the CSR of :func:`ringfill.verify_filling`, which releases it once
-    its CSR is built; the next use derives it again, byte for byte the
-    same.  Incidence is counted afresh from the slot ids on each use, so
-    no incidence array is kept.  Instances are cheap to pass around and
-    safe to share read-only between workers.
+    a numpy array, is kept and rotated in place, not copied.  Nothing is
+    kept beside the rows: :attr:`edges`, :attr:`incidence` and the rest
+    derive the edge table (the edges and each slot's edge id, 2 triangle
+    arrays of int32) from one sort on each call, as :func:`validate_disk`
+    and the CSR of :func:`ringfill.verify_filling` each do, byte for byte
+    the same, and drop it on return.  Instances are cheap to pass around
+    and safe to share between threads.
     """
 
     n: int
@@ -230,23 +235,15 @@ class Triangulation:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    @cached_property
-    def _edge_table(self) -> tuple[memoryview, memoryview]:
-        return _edge_table(self.triangles)
-
-    def _release_edge_table(self) -> None:
-        """Drop the cached edge table, if any: buffers handed out stay valid, and the next use derives it again."""
-        self.__dict__.pop("_edge_table", None)
-
     @property
     def edges(self) -> memoryview:
-        """Undirected edges ``(u, v)`` with ``u <= v`` as an ``(E, 2)`` int32 buffer, ascending."""
-        return self._edge_table[0]
+        """Undirected edges ``(u, v)`` with ``u <= v`` as an ``(E, 2)`` int32 buffer, ascending, derived afresh."""
+        return _edge_table(self.triangles)[0]
 
     @property
     def incidence(self) -> memoryview:
-        """Number of triangle slots on each edge of :attr:`edges`, counted afresh as a new int32 buffer."""
-        edges, slot_edge = self._edge_table
+        """Number of triangle slots on each edge of :attr:`edges`, derived afresh as a new int32 buffer."""
+        edges, slot_edge = _edge_table(self.triangles)
         return _incidence(self.triangles, slot_edge, len(edges))
 
     @property
@@ -324,9 +321,10 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     with every incidence 1 or 2, each link is a disjoint union of paths and
     cycles, and it is a path or a cycle exactly when it is connected, a path
     exactly when v lies on an incidence-1 edge.  The compiled
-    ``disk_marks`` reads the cached edge table (from the kernels' radix
-    sort) and marks every triangle, edge, vertex and cycle edge with the
-    failure it witnesses: incidences by counting the slot edge ids, repeated
+    ``disk_marks`` reads an edge table of ``t``'s rows, sorted for this
+    call by the kernels' radix sort and dropped on return, and marks every
+    triangle, edge, vertex and cycle edge with the failure it witnesses:
+    incidences by counting the slot edge ids, repeated
     triangles by a counting sort on their smallest edge id, links and
     connectivity by a union-find that hooks the larger root under the
     smaller.  It takes one int32 scratch array linear in the triangles and
@@ -337,13 +335,14 @@ def validate_disk(t: Triangulation) -> ValidationReport:
     torus passes every other one.
     Degenerate and out-of-range triangles are reported and left out of the
     link, repeat and connectivity checks; edge counts include them.
-    :func:`ringfill.verify.certify` gives a built filling the same report from one pass per annulus.
+    :func:`ringfill.verify.certify` gives a built filling, as every command
+    checks one, the same report from one pass per annulus, with no edge table.
     """
     rep = ValidationReport()
     if not t.num_triangles:
         rep.failures.append("complex has no triangles")
         return rep
-    _disk_failures(t.n, t.num_vertices, t.triangles, t._edge_table, rep)
+    _disk_failures(t.n, t.num_vertices, t.triangles, _edge_table(t.triangles), rep)
     return rep
 
 

@@ -49,7 +49,9 @@ from itertools import accumulate
 
 from ._kernels import buffer
 from .builder import BuildResult
-from .simplicial import _MAX_ID, Triangulation, ValidationReport, _library, _report, validate_disk
+from .simplicial import (
+    _MAX_ID, Triangulation, ValidationReport, _edge_table, _ids_within, _library, _report, validate_disk
+)
 
 __all__ = [
     "cycle_dist",
@@ -78,19 +80,17 @@ def cycle_dist(i: int, j: int, n: int) -> int:
 def _graph_csr(t: Triangulation) -> tuple[memoryview, memoryview]:
     """The symmetric 1-skeleton as int32 CSR ``(indptr, indices)``, each neighbour list ascending.
 
-    Built by the kernel from the sorted edge table in linear time: each
-    vertex's lower neighbours come from a stable pass by ``hi``, its upper
-    ones from its run of ``lo``, so no key or sort is needed.  Refuses what
-    the kernels would index out of bounds: an edge end beyond the vertex
-    count, or more vertices than int32 ids hold.
+    Built by the kernel in linear time from the edges of a table sorted
+    for this call alone: each vertex's lower neighbours come from a stable
+    pass by ``hi``, its upper ones from its run of ``lo``.  Refuses what the
+    kernels would index out of bounds: an id beyond the vertex count, or
+    more vertices than int32 ids hold.
     """
     v = t.num_vertices
     if v > _MAX_ID:
         raise ValueError(f"{v} vertices are more than the BFS kernel's int32 ids hold")
-    edges = t.edges
-    top = _library().top_id(edges, 2 * len(edges))
-    if top >= v:
-        raise ValueError(f"triangles reference vertex id {top}, beyond the {v} vertices")
+    _ids_within(t)
+    edges = _edge_table(t.triangles)[0]
     indptr, indices = buffer("i", v + 1), buffer("i", 2 * len(edges))
     _library().graph_csr(edges, len(edges), v, indptr, indices)
     return indptr, indices
@@ -272,18 +272,15 @@ class VerificationReport:
 def verify_filling(t: Triangulation, jobs: int = 1) -> VerificationReport:
     """Compute the exact Lipschitz constant of ``t`` over all boundary pairs.
 
-    Requires a complex that already passed :func:`validate_disk`.  When a
-    shortcut exists (delta < 1) the report carries one shortest path
-    realizing the worst pair, read off the BFS tree of its first vertex.
-    The CSR is the only reader of ``t``'s edge table, so ``t`` releases the
-    table once the CSR is built, before any BFS buffer is allocated: the
-    searches then take the table's memory, and verification after
-    validation peaks no higher than validation.  A later use of ``t``'s
-    edges derives the table again, byte for byte the same.
+    Requires a complex that already passed :func:`validate_disk` or
+    :func:`certify`.  When a shortcut exists (delta < 1) the report carries
+    one shortest path realizing the worst pair, read off the BFS tree of
+    its first vertex.  The CSR sorts its own edge table and drops it once
+    built, before any BFS buffer is allocated, so the searches take the
+    table's memory; ``t`` is left as it was.
     """
     n = t.n
     graph = _graph_csr(t)  # kept for the witness BFS
-    t._release_edge_table()
     dist = _boundary_distances(graph, n, jobs)
     x, y = _worst_pair(dist, n)
     d_k, d_c = dist[x, y], cycle_dist(x, y, n)
@@ -353,6 +350,13 @@ class Certificate:
     @property
     def ok(self) -> bool:
         return self.report.ok and self.audit.ok
+
+    def lines(self) -> list[str]:
+        """Each failed invariant as ``invalid: ...``, then each defect and exceeded bound as ``violation: ...``."""
+        rows = self.audit.failures()
+        over = [f"annulus {r.layer} ({r.kind}) observed {r.max_observed} > bound {r.bound}" for r in rows]
+        invalid = [f"invalid: {line}" for line in self.report.failures]
+        return invalid + [f"violation: {line}" for line in self.audit.defects + over]
 
 
 def certify(build: BuildResult) -> Certificate:

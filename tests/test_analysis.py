@@ -171,3 +171,19 @@ def test_sweep_records_failures_and_continues(tmp_path):
     assert rows[1].error is None
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 2  # header + the surviving row
+
+
+def test_sweep_records_a_failed_certificate_and_continues(tmp_path, monkeypatch, flipped_builds):
+    # the build at n = 64 has an edge of no annulus: its row carries the
+    # certificate's first line, the CSV leaves it out, and n = 25 still runs
+    import ringfill.builder as builder
+    from ringfill.verify import certify
+
+    flipped, _, defects = flipped_builds["layer-skipping"]
+    build = builder.build_filling
+    monkeypatch.setattr(builder, "build_filling", lambda params: flipped if params.n == 64 else build(params))
+    out = tmp_path / "sweep.csv"
+    rows = run_sweep([64, 25], "1/10", "1/4", csv_path=str(out))
+    assert rows[0].error == certify(flipped).lines()[0] == f"violation: {defects[0]}"
+    assert rows[1].error is None and rows[1].delta == 1
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["n", "25"]

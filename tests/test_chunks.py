@@ -33,7 +33,7 @@ from ringfill import (
     layer_ledger,
     validate_disk,
 )
-from ringfill import _kernels
+from ringfill import _kernels, simplicial
 from ringfill.annuli import annulus_triangles, cone_triangles, strip_drifts
 
 _PARAMS = [("1/10", "1/4"), ("1/5", "1/3"), ("1/100", "1/20"), ("1/3", "1/2")]
@@ -47,7 +47,7 @@ def _chunk_sizes(ledger) -> list[int]:
 
 
 def _shuffled(build: BuildResult, seed: int | None) -> BuildResult:
-    """``build`` with its rows shuffled within each chunk by ``seed``, or as built for None; no edge table cached."""
+    """``build`` with its rows shuffled within each chunk by ``seed``, or as built for None, in a new complex."""
     tri = np.array(build.triangulation.triangles)
     if seed is not None:
         rng, top = np.random.default_rng(seed), 0
@@ -57,11 +57,11 @@ def _shuffled(build: BuildResult, seed: int | None) -> BuildResult:
     return _fresh(build, tri)
 
 
-def _fresh(build: BuildResult, rows=None) -> BuildResult:
-    """``build`` with a new complex of ``rows`` (its own by default), no edge table cached."""
+def _fresh(build: BuildResult, rows) -> BuildResult:
+    """``build`` with a new complex of ``rows``."""
     t = build.triangulation
     fresh = copy.copy(build)
-    fresh.triangulation = Triangulation(t.n, t.num_vertices, t.triangles if rows is None else rows)
+    fresh.triangulation = Triangulation(t.n, t.num_vertices, rows)
     return fresh
 
 
@@ -70,16 +70,25 @@ def _zeros(ledger) -> list[tuple]:
     return [(0, 0, 0, 0)] * (len(ledger) - 1)
 
 
-def _checked(build: BuildResult):
-    """``certify`` of a fresh copy of ``build``, checked against the whole complex.
+def _edge_tables(call):
+    """``call()`` and the number of edge tables it sorted, counted by a wrapped ``simplicial._edge_table``."""
+    calls = []
+    sort = simplicial._edge_table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplicial, "_edge_table", lambda tri: calls.append(len(tri)) or sort(tri))
+        return call(), len(calls)
 
-    It builds an edge table exactly when it finds a defect, for the report
-    of ``validate_disk``, and unless it passes it names a failure.
+
+def _checked(build: BuildResult):
+    """``certify`` of ``build``, checked against the whole complex.
+
+    It sorts one edge table exactly when it finds a defect, for the report
+    of ``validate_disk``, and none otherwise; unless it passes it names a
+    failure.
     """
-    build = _fresh(build)
-    cert = certify(build)
-    ref.assert_certificate(cert, _fresh(build))
-    assert ("_edge_table" in build.triangulation.__dict__) == bool(cert.audit.defects)
+    cert, tables = _edge_tables(lambda: certify(build))
+    ref.assert_certificate(cert, build)
+    assert tables == (1 if cert.audit.defects else 0)
     assert cert.ok or cert.report.failures or cert.audit.defects or cert.audit.failures()
     return cert
 
@@ -115,16 +124,17 @@ def test_chunks_are_runs_of_whole_annuli_and_slices_of_the_rows(seed, medium_bui
         assert _canonical(tri[top : top + size]) == _canonical(want)
         top += size
     assert top == len(tri)
-    assert strip_drifts(build.triangulation, ledger, _zeros(ledger)) == ([0] * (len(ledger) - 1), [])
-    assert "_edge_table" not in build.triangulation.__dict__
-    rows, _ = ref.drift_audit(_fresh(medium_build))
+    assert _edge_tables(lambda: strip_drifts(build.triangulation, ledger, _zeros(ledger))) == (
+        ([0] * (len(ledger) - 1), []), 0
+    )
+    rows, _ = ref.drift_audit(medium_build)
     assert [row.max_observed for row in drift_audit(build).rows] == rows
     first = _chunk_sizes(ledger)[0]
     crossed = tri.copy()
     crossed[[first - 1, first]] = crossed[[first, first - 1]]  # a row of each of the first two annuli swapped
     crossed = _fresh(build, crossed)
     assert strip_drifts(crossed.triangulation, ledger, _zeros(ledger)) == ([0] * (len(ledger) - 1), [])
-    assert drift_audit(crossed) == drift_audit(build) and "_edge_table" not in crossed.triangulation.__dict__
+    assert _edge_tables(lambda: drift_audit(crossed)) == (drift_audit(build), 0)
 
 
 # Corruptions that keep every row where it is, or add one beside or at the end:
@@ -311,7 +321,7 @@ def test_a_cone_missing_a_fan_row_fails_as_the_whole_complex(medium_build):
     rows = np.array(medium_build.triangulation.triangles)[:-1]
     report, audit = _fails_as_the_whole_complex(_fresh(medium_build, rows))
     assert not report.ok and audit.defects == ["the cone over cycle 23 is not a fan: 15 rows, not 16"]
-    assert [row.max_observed for row in audit.rows] == ref.drift_audit(_fresh(medium_build))[0]
+    assert [row.max_observed for row in audit.rows] == ref.drift_audit(medium_build)[0]
 
 
 def _refuse_strips(monkeypatch):

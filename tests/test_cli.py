@@ -127,8 +127,33 @@ def test_audit_validates_the_loaded_triangles(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", "--in", str(build_path)]) == 1
     err = capsys.readouterr().err
-    assert "invalid: unexpected boundary edges" in err
-    assert err.endswith("\nviolation: annulus 2 (collar) is not a strip: 49 rows, not 50\n")
+    assert err == (
+        "invalid: unexpected boundary edges: [(50, 51), (50, 75), (51, 75)]\n"
+        "invalid: Euler formula violated: V - E + F = 279 - 809 + 530 = 0, expected 1\n"
+        "violation: annulus 2 (collar) is not a strip: 49 rows, not 50\n"
+    )
+    assert main(["verify", "--in", str(build_path)]) == 1  # the same certificate, and no search
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("bound", [[], ["--check-bound", "1000"]], ids=["plain", "check-bound"])
+@pytest.mark.parametrize("flip", ["layer-skipping", "chord", "apex"])
+def test_verify_refuses_an_edge_of_no_annulus_before_any_search(
+    tmp_path, capsys, monkeypatch, flipped_builds, flip, bound
+):
+    # each flip leaves a valid disk, which whole-complex validation passed
+    # and the searches found isometric: the strips name the defect instead
+    import ringfill.verify
+
+    def refuse(t):
+        raise AssertionError("a boundary search ran")
+
+    build, _, defects = flipped_builds[flip]
+    build_path = tmp_path / "k.json"
+    dump_json(serialize.build_to_dict(build), str(build_path))
+    monkeypatch.setattr(ringfill.verify, "_graph_csr", refuse)
+    assert main(["verify", "--in", str(build_path), *bound]) == 1
+    assert capsys.readouterr() == ("", "".join(f"violation: {line}\n" for line in defects))
 
 
 @pytest.mark.parametrize("flip", ["layer-skipping", "chord", "apex"])
@@ -186,7 +211,7 @@ def test_audit_passes_a_valid_build_file_in_another_row_order(tmp_path, capsys, 
         assert capsys.readouterr() == want
 
 
-@pytest.mark.parametrize("command", ["build", "audit", "sweep"])
+@pytest.mark.parametrize("command", ["build", "audit", "verify", "sweep"])
 def test_a_built_filling_is_stripped_once(monkeypatch, capsys, command):
     # one strip pass per annulus and one for the cone's fan validates and audits it
     from ringfill import annuli
@@ -319,6 +344,27 @@ def test_export_bytes_are_pinned(tmp_path, capsys):
         "cone6.off": "120e7c3109ed09f697396d0a6b3a5eab0572c36c84aa7ea1e2232acad5c520d3",
         "cone6.obj": "8bed096addb83bac180dd979e159d289e6041a3e79817725d8391b24d92c8c0f",
     }
+
+
+@pytest.mark.parametrize("fmt", ["off", "obj"])
+@pytest.mark.parametrize("kind", ["bare", "build"])
+def test_export_refuses_an_id_beyond_the_vertices_before_writing(tmp_path, capsys, kind, fmt):
+    from ringfill import Triangulation
+
+    path, out = tmp_path / "k.json", tmp_path / f"k.{fmt}"
+    if kind == "bare":
+        dump_json(triangulation_to_dict(Triangulation(3, 3, [(0, 1, 5)])), str(path))
+        top, vertices = 5, 3
+    else:
+        assert main(["build", "--n", "64", "--rho", "1/10", "--eta", "1/4", "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        data["triangles"][5][1] = 99999
+        path.write_text(json.dumps(data))
+        top, vertices = 99999, 1235
+    capsys.readouterr()
+    assert main(["export", "--in", str(path), "--format", fmt, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: triangles reference vertex id {top}, beyond the {vertices} vertices\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "audit"])

@@ -54,13 +54,8 @@ from ringfill import _kernels, oracle
 from ringfill.oracle import is_isometric_filling, validate_disk_batch
 from ringfill.simplicial import _edge_table
 
-def _copy(t: Triangulation) -> Triangulation:
-    """``t`` afresh, with no edge table cached."""
-    return Triangulation(t.n, t.num_vertices, t.triangles)
-
-
 def _reference_report(t: Triangulation):
-    return ref.check_disk(_copy(t))
+    return ref.check_disk(t)
 
 
 def _assert_table_and_report_match(t: Triangulation) -> None:
@@ -69,7 +64,7 @@ def _assert_table_and_report_match(t: Triangulation) -> None:
     for a, b in zip(got, ref.edge_table(t.triangles), strict=True):
         a = np.asarray(a)
         assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
-    report, reference = validate_disk(_copy(t)), _reference_report(t)
+    report, reference = validate_disk(t), _reference_report(t)
     assert report.failures == reference.failures
     assert report.counts == reference.counts
 
@@ -177,7 +172,7 @@ def test_corrupted_complexes_match_the_references(small_build, corruptions, base
     # corruptions stay within its 64 vertices, and from validate_disk past them
     assert base == "n25" or broken.num_vertices <= oracle._MAX_BITSET
     verdicts = validate_disk_batch(broken.n, broken.num_vertices, np.asarray(broken.triangles)[None])
-    assert verdicts.tolist() == [validate_disk(_copy(broken)).ok]
+    assert verdicts.tolist() == [validate_disk(broken).ok]
 
 
 @pytest.mark.parametrize("stray", [-1, -(2**31), 4, 2**31 - 1])
@@ -235,20 +230,20 @@ def test_a_stray_id_at_the_int32_maximum_costs_no_memory(medium_build):
     nv = t.num_vertices
     near, far = (np.vstack([t.triangles, [(0, 1, stray)]]) for stray in (nv, np.iinfo(np.int32).max))
     near, far = Triangulation(t.n, nv, near), Triangulation(t.n, nv, far)
-    report = validate_disk(_copy(far))
+    report = validate_disk(far)
     assert f"triangle (0, 1, {np.iinfo(np.int32).max}) references a vertex id outside 0..{nv - 1}" in report.failures
     assert report.failures == _reference_report(far).failures
-    assert _validation_peak(_copy(far)) <= _validation_peak(_copy(near)) + 4096
+    assert _validation_peak(far) <= _validation_peak(near) + 4096
 
 
 def test_two_threads_validate_at_once(medium_build, flipped_builds):
     # The kernels keep no state and release the GIL, so two threads run them
-    # at once; each round's complexes are shared, so both threads may also
-    # build the same edge table at once.
+    # at once; each round's complexes are shared, so both threads read the
+    # same rows at once, each sorting an edge table of its own.
     complexes = [medium_build.triangulation, _corrupted(medium_build.triangulation, [("stray", 5, [0, 0, 0])])]
     complexes += [build.triangulation for build, *_ in flipped_builds.values()]
-    want = [(r.failures, r.counts) for r in map(validate_disk, map(_copy, complexes))]
-    rounds = [[_copy(t) for t in complexes] for _ in range(5)]
+    want = [(r.failures, r.counts) for r in map(validate_disk, complexes)]
+    rounds = [complexes] * 5
     start = threading.Barrier(2, timeout=60)
     results, errors = [[], []], []
 
@@ -450,7 +445,7 @@ def test_edge_table_refuses_other_formats_before_the_kernel(monkeypatch):
 
 def test_disk_marks_refuse_a_table_that_does_not_fit_before_the_kernel(monkeypatch):
     t = cone_over_cycle(5)
-    edges, slot = t._edge_table
+    edges, slot = _edge_table(t.triangles)
     _refuse_kernels(monkeypatch, "disk_marks", "edge_ends")
     report = simplicial.ValidationReport()
     stray = np.array(slot)

@@ -21,16 +21,19 @@ rows now grow one ``bytearray``, whose growth headroom (up to an eighth)
 and the reader's 64 KiB text blocks (about 0.3 of the array at this size,
 a constant) make up the rest.
 
-Verification is traced over ``verify_filling`` with the edge table cached
-before tracing: 3.0 times (1.19 MB of CSR, the 1.18 MB boundary matrix,
-the layer and BFS-tree arrays of the confined searches and two arrays of
-scratch, each of one int32 per vertex).  A matrix of the distances from
-each source to every vertex would take 128 times, and scratch kept for
-each source 64.  Validation and then verification, traced together from
-a complex with no edge table, as ``ringfill verify`` runs them, peak at
-validation's own 3.26 times: ``verify_filling`` releases the edge table
-once its CSR is built, so the searches take its memory, where keeping it
-through the searches took 5.51 times.  Both share validation's bound.
+Verification is traced over ``verify_filling``, whose CSR sorts an edge
+table of its own and drops it before any search: 3.0 times (1.19 MB of
+CSR, the 1.18 MB boundary matrix, the layer and BFS-tree arrays of the
+confined searches and two arrays of scratch, each of one int32 per
+vertex).  A matrix of the distances from each source to every vertex
+would take 128 times, and scratch kept for each source 64.  ``ringfill
+verify`` certifies a build by strips and then verifies it, traced
+together on a fresh build as ``certify+verify``: 3.0 times, verification's
+own peak, under its bound.  A bare complex it validates whole and then
+verifies, traced together as ``validate+verify``: 3.26 times,
+validation's own peak, since the searches reuse the memory of
+validation's table, where a table kept through the searches took 5.51
+times; that stage shares validation's bound.
 
 ``certify`` validates and audits a fresh complex in one strip pass per
 annulus, in place, as ``ringfill build``, ``ringfill audit`` and the sweep
@@ -83,42 +86,49 @@ def peaks(tmp_path_factory):
     build, built = _peak(lambda: build_filling(PARAMS))
     size = build.triangulation.triangles.nbytes
     _, validated = _peak(lambda: validate_disk(build.triangulation))
-    # the edge table is cached now, as it is when the command line audits
     _, audited = _peak(lambda: drift_audit(build))
     _, verified = _peak(lambda: verify_filling(build.triangulation))
     t = build.triangulation
-    fresh = Triangulation(t.n, t.num_vertices, t.triangles)  # no edge table yet, as a built or loaded complex
+    fresh = Triangulation(t.n, t.num_vertices, t.triangles)  # a new complex of the rows, as a bare file loads
 
     def validate_and_verify():
         assert validate_disk(fresh).ok
         return verify_filling(fresh)
 
-    _, certified = _peak(validate_and_verify)
+    _, validated_verified = _peak(validate_and_verify)
 
     def fresh_build():
-        """``build`` with a new complex of its rows, no edge table yet, as a built or loaded filling."""
+        """``build`` with a new complex of its rows, as a built or loaded filling."""
         return BuildResult(Triangulation(t.n, t.num_vertices, t.triangles), build.ledger, build.schedule, PARAMS)
 
     audited_fresh = fresh_build()
     _, fresh_audit = _peak(lambda: drift_audit(audited_fresh))
     certified_fresh = fresh_build()
     _, joint = _peak(lambda: certify(certified_fresh))
+    verified_fresh = fresh_build()
+
+    def certify_and_verify():
+        assert certify(verified_fresh).ok
+        return verify_filling(verified_fresh.triangulation)
+
+    _, certified_verified = _peak(certify_and_verify)
     path = tmp_path_factory.mktemp("memory") / "k384.json"
     dump_json(build_to_dict(build), str(path))
     _, loaded = _peak(lambda: complex_from_dict(load_json(str(path))))
     return {"build": built / size, "validate": validated / size, "audit": audited / size, "verify": verified / size,
-            "validate+verify": certified / size, "load": loaded / size, "audit by strips": fresh_audit / size,
-            "validate+audit by strips": joint / size}
+            "validate+verify": validated_verified / size, "load": loaded / size, "audit by strips": fresh_audit / size,
+            "validate+audit by strips": joint / size, "certify+verify": certified_verified / size}
 
 
 _VALIDATE = 3.3
+_VERIFY = 3.2
 
 
 @pytest.mark.parametrize(
     "stage, bound",
-    [("build", 1.3), ("validate", _VALIDATE), ("load", 1.5), ("audit", 0.5), ("verify", 3.2),
+    [("build", 1.3), ("validate", _VALIDATE), ("load", 1.5), ("audit", 0.5), ("verify", _VERIFY),
      ("validate+verify", _VALIDATE), ("audit by strips", 0.08),
-     ("validate+audit by strips", 0.08)],
+     ("validate+audit by strips", 0.08), ("certify+verify", _VERIFY)],
 )
 def test_stage_peaks_a_small_multiple_of_the_triangles(peaks, stage, bound):
     assert peaks[stage] <= bound, peaks

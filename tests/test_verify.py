@@ -250,17 +250,19 @@ def test_verify_builds_the_graph_once(monkeypatch):
     assert report.witness_path == [0, 7, 3]
 
 
-def test_verify_releases_the_edge_table_and_derives_it_again(small_build):
-    # verify_filling drops t's edge table once the CSR is built; t then
-    # derives the same bytes again, and a second verification gives the
+def test_checks_leave_the_complex_as_it_was(small_build):
+    # The complex keeps nothing beside its rows: validation, the certificate
+    # and verification each sort their own edge table and drop it, so none
+    # changes vars(t) or t's edges, and a second verification gives the
     # same report.  The cone over C_9 has a shortcut, so a witness.
     built = small_build.triangulation
-    for t in (Triangulation(built.n, built.num_vertices, built.triangles), cone_over_cycle(9)):
-        assert validate_disk(t).ok  # caches the table, as the command line does before verify
-        before = bytes(t.edges), bytes(t.incidence), t.num_edges
-        first = verify_filling(t)
-        assert "_edge_table" not in vars(t)
-        assert (bytes(t.edges), bytes(t.incidence), t.num_edges) == before
+    for t, checks in (
+        (built, (validate_disk, lambda t: certify(small_build), verify_filling)),
+        (cone_over_cycle(9), (validate_disk, verify_filling)),
+    ):
+        state, edges = dict(vars(t)), bytes(t.edges)
+        first = [check(t) for check in checks][-1]
+        assert vars(t) == state and bytes(t.edges) == edges
         second = verify_filling(t)
         assert bytes(second.boundary_distances) == bytes(first.boundary_distances)
         assert (second.delta, second.worst_pair, second.witness_path) == (
