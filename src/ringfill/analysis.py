@@ -153,13 +153,17 @@ def profile_integral(eta: Fraction | float | str) -> ProfileIntegralCheck:
     return ProfileIntegralCheck(eta=e, closed_form=closed, quadrature=quadrature, error=quadrature - closed)
 
 
-def vertex_count_lower_bound(n: int, delta: float = 1.0) -> float:
-    """Minimum vertex count any delta-Lipschitz filling of C_n must have."""
+def vertex_count_lower_bound(n: int, delta: Fraction | int | float | str = 1) -> Fraction:
+    """Minimum vertex count any delta-Lipschitz filling of C_n must have, exactly.
+
+    ``delta`` is read through :func:`ringfill.as_fraction`, so 0.9 is 9/10.
+    """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
+    delta = as_fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return (delta**3 / 8.0) * (n - 1) ** 2 + (n - 1) / 2.0
+    return delta**3 / 8 * (n - 1) ** 2 + Fraction(n - 1, 2)
 
 
 @dataclass
@@ -274,7 +278,7 @@ def run_sweep(
             row.delta = float(verification.delta)
             row.is_isometric = verification.is_isometric
             row.eps = step_profile_eps(build)
-            if row.vertices < vertex_count_lower_bound(n, 1.0):
+            if row.vertices < vertex_count_lower_bound(n):
                 raise RuntimeError(f"vertex count {row.vertices} below the universal lower bound")
         except (ValueError, RuntimeError) as exc:
             row.error = str(exc)

@@ -1,10 +1,13 @@
-"""Concentric annulus triangulations with exact circular phase bookkeeping.
+"""Concentric annulus triangulations and the layer ledger that places them.
 
-Every cycle of the complex carries a phase: an exact rational offset placing
-its vertices equally spaced on an auxiliary circle of circumference ``n``
-(one boundary edge = one unit).  Phases are never floats; the drift audit in
-:mod:`ringfill.verify` asserts equalities on them, and rounding would create
-spurious failures right at the bound.
+The vertices of each cycle sit equally spaced on an auxiliary circle of
+circumference ``n`` (one boundary edge = one unit), and the annulus between
+two consecutive cycles fixes their offset: an equal-length annulus turns its
+inner cycle by half an outer step, n/(2m), and a shrink keeps it.  So the
+ledger keeps each annulus's kind and lengths and no position: the drift
+audit in :mod:`ringfill.verify` reads the offset of each annulus's two
+cycles from its kind, in exact integers, and only the exports form a
+cycle's absolute phase (:func:`ringfill.serialize.vertex_records`).
 
 The layer ledger is computed first, from the sequence of annuli alone; each
 annulus's triangles then follow from its two ledger records, and the cone's
@@ -56,12 +59,13 @@ class LayerRecord:
     the apex).  ``drift_bound`` is the exact maximum circular displacement a
     single slanted edge of that annulus may have: ``n/(2m)`` for equal-length
     annuli and ``n/M`` for a shrink to length ``M``.  Vertex i of the cycle
-    sits at ``(phase + n*i/length) mod n``.
+    sits at ``(phase + n*i/length) mod n``, where the phase is the sum of the
+    half steps n/(2m) of the equal-length annuli outward of the cycle; no
+    record keeps it.
     """
 
     index: int
     length: int
-    phase: Fraction
     first_vertex: int
     annulus_kind: str | None = None
     drift_bound: Fraction | None = None
@@ -76,28 +80,28 @@ def layer_ledger(n: int, annuli: Iterable[tuple[str, int]]) -> list[LayerRecord]
 
     Each annulus is ``(kind, inner length)``.  An equal-length kind keeps the
     cycle length and offsets the inner cycle by half an outer step, n/(2m),
-    which is also its drift bound; a ``"shrink"`` keeps the phase and drops
+    which is also its drift bound; a ``"shrink"`` keeps the offset and drops
     to length M with drift bound n/M.  Cycles take consecutive id ranges from
     0, and the apex of the cone takes the id after the innermost cycle's.
     """
     if n < 3:
         raise ValueError(f"boundary cycle needs length >= 3, got {n}")
     ledger = []
-    length, phase, first = n, Fraction(0), 0
+    length, first = n, 0
     for kind, inner in annuli:
         if kind == "shrink":
             if inner < 3 or inner > length:
                 raise ValueError(f"shrinking annulus needs 3 <= target <= {length}, got {inner}")
-            bound, step = Fraction(n, inner), 0
+            bound = Fraction(n, inner)
         elif kind in _EQUAL_KINDS:
             if inner != length:
                 raise ValueError(f"{kind} annulus keeps the cycle length {length}, got {inner}")
-            bound = step = Fraction(n, 2 * length)
+            bound = Fraction(n, 2 * length)
         else:
             raise ValueError(f"unknown annulus kind {kind!r}")
-        ledger.append(LayerRecord(len(ledger), length, phase, first, kind, bound))
-        length, phase, first = inner, (phase + step) % n, first + length
-    ledger.append(LayerRecord(len(ledger), length, phase, first))
+        ledger.append(LayerRecord(len(ledger), length, first, kind, bound))
+        length, first = inner, first + length
+    ledger.append(LayerRecord(len(ledger), length, first))
     return ledger
 
 

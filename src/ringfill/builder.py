@@ -33,7 +33,7 @@ __all__ = [
 # F = 2V - n - 2 triangles, more than MAX_TRIANGLES past this n.  Params
 # refuses such n before the schedule's O(sqrt n) work; compute_schedule
 # checks its exact triangle count.  Up to it, certify's drift arithmetic,
-# 2nS <= 4n^4, stays within int64 too.
+# 2nS <= 2n^3, stays within int64 too.
 MAX_N = 37_838
 
 

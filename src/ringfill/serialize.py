@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .annuli import LayerRecord, layer_ledger
+from .annuli import _EQUAL_KINDS, LayerRecord, layer_ledger
 from .builder import BuildResult, Params, compute_schedule
 from .simplicial import _INT32, Triangulation, _ids_within, _library
 
@@ -96,7 +96,9 @@ def vertex_records(t: Triangulation, ledger: list[LayerRecord] | None = None) ->
     With a ledger, vertex i of cycle r sits on layer r at the coordinate
     ``(phase + n*i/m) mod n``, reduced by ``gcd`` without building a
     Fraction per vertex, and the apex on the layer below the innermost cycle
-    with no theta.  Without one,
+    with no theta.  The phase, one Fraction per cycle, starts at 0 on the
+    boundary and adds the half step n/(2m) of each equal-length annulus on
+    the way in; a shrink keeps it.  Without a ledger,
     boundary vertex i sits on layer 0 at theta i and every other vertex v on
     layer 1 at index v - n with no theta.
     """
@@ -107,14 +109,16 @@ def vertex_records(t: Triangulation, ledger: list[LayerRecord] | None = None) ->
         for v in range(n, t.num_vertices):
             yield _record(v, 1, v - n, None, None)
         return
-    gcd = math.gcd
+    gcd, phase = math.gcd, Fraction(0)
     for rec in ledger:
-        num, den, m, first = rec.phase.numerator, rec.phase.denominator, rec.length, rec.first_vertex
+        num, den, m, first = phase.numerator, phase.denominator, rec.length, rec.first_vertex
         scale, step, period = den * m, n * den, n * den * m
         for i in range(m):
             x = (num * m + step * i) % period
             g = gcd(x, scale)
             yield _record(first + i, rec.index, i, x // g, scale // g)
+        if rec.annulus_kind in _EQUAL_KINDS:
+            phase = (phase + Fraction(n, 2 * m)) % n
     yield _record(ledger[-1].first_vertex + ledger[-1].length, len(ledger), 0, None, None)
 
 

@@ -57,9 +57,9 @@ def _view(obj) -> memoryview | None:
         return None
 
 
-def _shaped(flat: array, width: int = 3) -> memoryview:
-    """The int32 ids of ``flat`` copied into a new ``(len // width, width)`` buffer."""
-    out = buffer("i", len(flat) // width, width)
+def _shaped(flat: array) -> memoryview:
+    """The int32 ids of ``flat`` copied into a new ``(len // 3, 3)`` buffer."""
+    out = buffer("i", len(flat) // 3, 3)
     if flat:
         out.cast("B")[:] = memoryview(flat).cast("B")
     return out
@@ -201,19 +201,20 @@ def _incidence(tri, slot_edge, ne: int) -> memoryview:
 class Triangulation:
     """Immutable-by-convention abstract 2-complex on vertex ids ``0..num_vertices-1``.
 
-    No per-vertex object is kept; a built filling's positions live in its
-    layer ledger.  ``triangles`` may be given as any ``(F, 3)`` sequence or
-    buffer of non-negative integer ids; it is stored as a new C-contiguous
-    int32 buffer in canonical rotation (each row rotated so its smallest id
-    comes first, as :func:`canonical_triangle` does).  With ``own=True`` the
+    No per-vertex object is kept; a built filling's positions follow from
+    its layer ledger's annuli (:func:`ringfill.serialize.vertex_records`).
+    ``triangles`` may be given as any ``(F, 3)`` sequence or buffer of
+    non-negative integer ids; it is stored as a new C-contiguous int32
+    buffer in canonical rotation (each row rotated so its smallest id comes
+    first, as :func:`canonical_triangle` does).  With ``own=True`` the
     caller hands over its buffer: a writable C-contiguous int32 one, such as
     a numpy array, is kept and rotated in place, not copied.  Nothing is
-    kept beside the rows: :attr:`edges`, :attr:`incidence` and the rest
-    derive the edge table (the edges and each slot's edge id, 2 triangle
-    arrays of int32) from one sort on each call, as :func:`validate_disk`
-    and the CSR of :func:`ringfill.verify_filling` each do, byte for byte
-    the same, and drop it on return.  Instances are cheap to pass around
-    and safe to share between threads.
+    kept beside the rows: :attr:`edges` and :attr:`num_edges` derive the
+    edge table (the edges and each slot's edge id, 2 triangle arrays of
+    int32) from one sort on each call, as :func:`validate_disk` and the CSR
+    of :func:`ringfill.verify_filling` each do, byte for byte the same, and
+    drop it on return.  Instances are cheap to pass around and safe to
+    share between threads.
     """
 
     n: int
@@ -239,19 +240,6 @@ class Triangulation:
     def edges(self) -> memoryview:
         """Undirected edges ``(u, v)`` with ``u <= v`` as an ``(E, 2)`` int32 buffer, ascending, derived afresh."""
         return _edge_table(self.triangles)[0]
-
-    @property
-    def incidence(self) -> memoryview:
-        """Number of triangle slots on each edge of :attr:`edges`, derived afresh as a new int32 buffer."""
-        edges, slot_edge = _edge_table(self.triangles)
-        return _incidence(self.triangles, slot_edge, len(edges))
-
-    @property
-    def boundary_edges(self) -> memoryview:
-        """The incidence-1 edges, ascending, as a ``(k, 2)`` int32 buffer."""
-        edges = self.edges
-        ends = chain.from_iterable((edges[e, 0], edges[e, 1]) for e, k in enumerate(self.incidence) if k == 1)
-        return _shaped(array("i", ends), 2)
 
     @property
     def num_edges(self) -> int:

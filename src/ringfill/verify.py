@@ -26,7 +26,8 @@ Three independent instruments:
   cut.  A shortest witness path of the worst pair comes from one more
   plain search, whose BFS tree it follows;
 * a per-edge drift audit checking every slanted edge against its annulus
-  bound in exact scaled int64 arithmetic, positions read from the ledger:
+  bound in exact scaled int64 arithmetic, offsets read from each annulus's
+  kind in the ledger:
   :func:`certify` validates a built filling and audits it in one compiled
   pass per annulus's rows (the strip pass), or names the defect;
 * an analytic lower-bound predictor for boundary distances derived from the
@@ -326,18 +327,20 @@ class DriftAudit:
         return [row for row in self.rows if not row.ok]
 
 
-def _pair_terms(n: int, ledger: list, r: int, s: int) -> tuple[int, int, int, int]:
-    """The scale ``S`` and the terms ``a, b, c`` of the circular distance of edges from cycle r to cycle s.
+def _pair_terms(n: int, rec, M: int) -> tuple[int, int, int, int]:
+    """The scale ``S`` and the terms ``a, b, c`` of the circular distance of rungs of the annulus below ``rec``.
 
-    With the phase offset ``(p_r - p_s) mod n = num/den`` and lengths m and
-    M, vertex i of cycle r and vertex j of cycle s sit ``(a + b i - c j) mod
-    n S`` units of ``1/S`` apart, for ``S = den m M``, ``a = num m M``,
-    ``b = n den M`` and ``c = n den m``.
+    Vertex i of the outer cycle, of m vertices, and vertex j of the inner
+    one, of M, sit ``(a + b i - c j) mod n S`` units of ``1/S`` apart.  An
+    equal-length annulus turns its inner cycle by n/(2m), an offset of
+    n - n/(2m): in units of 1/(2m), ``a = (2m - 1) n`` and ``b = c = 2n``.
+    A shrink keeps the offset 0: in units of 1/(mM), ``a = 0``, ``b = nM``
+    and ``c = nm``.
     """
-    m, M = ledger[r].length, ledger[s].length
-    offset = (ledger[r].phase - ledger[s].phase) % n
-    den = offset.denominator
-    return den * m * M, offset.numerator * m * M, n * den * M, n * den * m
+    m = rec.length
+    if rec.annulus_kind == "shrink":
+        return m * M, 0, n * M, n * m
+    return 2 * m, (2 * m - 1) * n, 2 * n, 2 * n
 
 
 @dataclass
@@ -368,24 +371,16 @@ def certify(build: BuildResult) -> Certificate:
     lists its defects and fails, and the report is
     :func:`ringfill.validate_disk`'s, naming what is wrong with it as a
     disk, if anything.  An equal annulus's bound n/(2m) and a shrink's n/M
-    are measured exactly, in units of 1/S for S = den m M (see
-    :func:`_pair_terms`), and the kernel's arithmetic stays within int64
-    when 2 n S < 2^63.  Every ledger of :func:`ringfill.layer_ledger`
-    keeps it there: consecutive phases differ by 0 or n/(2m), so den <= 2m,
-    S <= 2 n^3 and 2 n S <= 4 n^4, below 2^63 for every n up to
-    ``builder.MAX_N``.  A ledger past it, which only tampering makes,
-    raises ValueError.
+    are measured exactly, in units of 1/S for S = 2m or mM (see
+    :func:`_pair_terms`): S <= n^2, so the kernel's 2 n S <= 2 n^3 stays
+    within int64 for every n below 1.6 million, far past ``builder.MAX_N``.
+    A hand-made ledger past it raises ValueError before the strip kernel runs.
     """
     from .annuli import strip_drifts
 
     t, ledger = build.triangulation, build.ledger
     n = t.n
-    pairs = [_pair_terms(n, ledger, r, r + 1) for r in range(len(ledger) - 1)]
-    for r, (scale, *_) in enumerate(pairs):
-        if 2 * n * scale >= 2**63:
-            raise ValueError(
-                f"drift audit of cycles {r} and {r + 1} needs positions in units of 1/{scale}: exceeds int64 arithmetic"
-            )
+    pairs = [_pair_terms(n, rec, inner.length) for rec, inner in zip(ledger, ledger[1:])]
     drifts, lines = strip_drifts(t, ledger, [(a, b, c, n * scale) for scale, a, b, c in pairs])
     audit = DriftAudit()
     _report(audit.defects, lines, "defects")

@@ -9,8 +9,9 @@ table that :func:`ringfill.validate_disk`, :func:`ringfill.drift_audit` and
 breadth-first distances, against which the compiled boundary BFS is
 checked, and ``reference_is_isometric`` the per-source isometry test the
 oracle's batched one replaced.
-``theta`` gives one vertex's exact circular coordinate from its ledger
-record and ``circ_dist`` the exact circular distance, the per-vertex
+``phases`` derives each ledger cycle's phase from the annuli outward of
+it, ``theta`` one vertex's exact circular coordinate from its cycle's
+phase and ``circ_dist`` the exact circular distance, the per-vertex
 ``Fraction`` arithmetic the ledger-based code avoids.
 ``interior_canonical_code`` identifies fillings that differ only in their
 interior labels; the tests use it to show that the oracle emits no complex
@@ -48,9 +49,18 @@ import numpy as np
 from ringfill import EnumerationBudget, ValidationReport, canonical_triangle, cycle_dist
 
 
-def theta(rec, i: int, n: int) -> Fraction:
+def phases(ledger) -> list[Fraction]:
+    """Each ledger cycle's phase: 0 on the boundary, plus n/(2m) mod n after each equal-length annulus."""
+    n, out = ledger[0].length, [Fraction(0)]
+    for rec in ledger[:-1]:
+        step = 0 if rec.annulus_kind == "shrink" else Fraction(n, 2 * rec.length)
+        out.append((out[-1] + step) % n)
+    return out
+
+
+def theta(phase: Fraction, rec, i: int, n: int) -> Fraction:
     """Circular coordinate ``(phase + n*i/m) mod n`` of vertex ``i`` of the ledger cycle ``rec``."""
-    num, den, m = rec.phase.numerator, rec.phase.denominator, rec.length
+    num, den, m = phase.numerator, phase.denominator, rec.length
     return Fraction((num * m + n * (i % m) * den) % (n * den * m), den * m)
 
 
@@ -206,7 +216,9 @@ def reference_drift_audit(build) -> list[Fraction]:
     """
     t = build.triangulation
     layer_of = [rec.index for rec in build.ledger for _ in range(rec.length)] + [len(build.ledger)]
-    theta_of = [theta(rec, i, t.n) for rec in build.ledger for i in range(rec.length)] + [None]
+    theta_of = [
+        theta(phase, rec, i, t.n) for rec, phase in zip(build.ledger, phases(build.ledger)) for i in range(rec.length)
+    ] + [None]
     max_obs = [Fraction(0)] * (len(build.ledger) - 1)
     for u, v in edge_incidence([tuple(tri) for tri in t.triangles.tolist()]):
         if build.apex in (u, v) or layer_of[u] == layer_of[v]:
@@ -753,7 +765,7 @@ def drift_audit(build):
             return f"joins the apex to cycle {r}, not to the innermost cycle {s - 1}"
         return f"joins cycle {r} to cycle {s}, which are not adjacent"
 
-    lines = []
+    lines, phase = [], phases(ledger)
     max_obs = [Fraction(0)] * (depth - 1)
     cuts = [bisect_left(edges[:, 0], v) for v in first.tolist()] + [len(edges)]
     for r, (start, stop) in enumerate(zip(cuts, cuts[1:])):
@@ -768,7 +780,7 @@ def drift_audit(build):
         cross = ~chord & (layer < depth)
         for s in (r + np.flatnonzero(np.bincount(layer[cross] - r))).tolist():
             m, M = lengths[r], lengths[s]
-            offset = (ledger[r].phase - ledger[s].phase) % n
+            offset = (phase[r] - phase[s]) % n
             den = offset.denominator
             scale = den * m * M
             if 2 * n * scale >= 2**63:
@@ -817,14 +829,14 @@ def build_file_v2(build):
         {
             "index": rec.index,
             "length": rec.length,
-            "phase_num": rec.phase.numerator,
-            "phase_den": rec.phase.denominator,
+            "phase_num": phase.numerator,
+            "phase_den": phase.denominator,
             "first_vertex": rec.first_vertex,
             "annulus_kind": rec.annulus_kind,
             "drift_num": None if rec.drift_bound is None else rec.drift_bound.numerator,
             "drift_den": None if rec.drift_bound is None else rec.drift_bound.denominator,
         }
-        for rec in build.ledger
+        for rec, phase in zip(build.ledger, phases(build.ledger))
     ]
     return {
         "version": 2,

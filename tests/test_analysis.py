@@ -123,6 +123,8 @@ def test_vertex_count_lower_bound_values():
     assert vertex_count_lower_bound(3, 1.0) == 1.5  # the triangle has 3 >= 1.5
     assert vertex_count_lower_bound(101, 1.0) == 1300.0
     assert vertex_count_lower_bound(101, 0.5) == 0.5**3 / 8 * 100**2 + 50
+    # exact: in floats, 0.9**3 / 8 * 100**2 + 50 is 961.2500000000001
+    assert vertex_count_lower_bound(101, 0.9) == Fraction(3845, 4)
 
 
 def test_constants_report():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference_impl import circ_dist, theta
+from reference_impl import circ_dist, phases, theta
 
 from ringfill import annulus_triangles, cone_triangles, layer_ledger, staircase_indices
 
@@ -31,7 +31,7 @@ def cycle_of(ledger, v):
 def position(ledger, v, n):
     """Exact position of vertex v, read from the ledger."""
     rec = cycle_of(ledger, v)
-    return theta(rec, v - rec.first_vertex, n)
+    return theta(phases(ledger)[rec.index], rec, v - rec.first_vertex, n)
 
 
 def slanted_edges(ledger, outer, inner):
@@ -68,7 +68,7 @@ def test_equal_annulus_counts_and_phases():
     assert inner.length == 6
     assert num_vertices(ledger) == 12
     assert len(triangles(ledger)) == 12
-    assert inner.phase == Fraction(1, 2)  # half of one outer step 6/6
+    assert phases(ledger) == [0, Fraction(1, 2)]  # half of one outer step 6/6
     assert (ledger[0].annulus_kind, ledger[0].drift_bound) == ("equal", Fraction(1, 2))
     assert (inner.annulus_kind, inner.drift_bound) == (None, None)
 
@@ -111,7 +111,7 @@ def test_shrinking_annulus_phase_and_drift():
     n = 7
     ledger = ledger_of(n, ("shrink", 4))
     outer, inner = ledger
-    assert inner.phase == outer.phase  # same phase, no half step
+    assert phases(ledger) == [0, 0]  # same phase, no half step
     bound = Fraction(n, 4)
     assert (outer.annulus_kind, outer.drift_bound) == ("shrink", bound)
     edges = slanted_edges(ledger, outer, inner)
@@ -148,8 +148,8 @@ def test_degenerate_shrink_matches_equal_triangle_count():
     equal = ledger_of(m, ("equal", m))
     assert len(triangles(shrunk)) == len(triangles(equal)) == 2 * m
     assert staircase_indices(m, m) == list(range(m + 1))
-    assert shrunk[1].phase == shrunk[0].phase
-    assert equal[1].phase == equal[0].phase + Fraction(m, 2 * m)
+    assert phases(shrunk) == [0, 0]
+    assert phases(equal) == [0, Fraction(m, 2 * m)]
     bound = Fraction(m, m)
     outer, inner = shrunk
     for u, v in slanted_edges(shrunk, outer, inner):

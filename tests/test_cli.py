@@ -136,6 +136,24 @@ def test_audit_validates_the_loaded_triangles(tmp_path, capsys):
     assert capsys.readouterr() == ("", err)
 
 
+def test_audit_and_verify_refuse_a_fan_row_with_the_apex_twice(tmp_path, capsys):
+    # the cone's first fan row (271, 272, 278) as (271, 278, 278): the apex
+    # paired with itself is no edge of a cycle
+    build_path = tmp_path / "k.json"
+    assert main(["build", "--n", "25", "--rho", "1/10", "--eta", "1/4", "--out", str(build_path)]) == 0
+    data = json.loads(build_path.read_text())
+    assert data["triangles"][524] == [271, 272, 278]
+    data["triangles"][524] = [271, 278, 278]
+    build_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    defect = ("violation: the cone over cycle 13 is not a fan: a pair not adjacent on its cycle "
+              "at row 524 (271, 278, 278)\n")
+    assert main(["audit", "--in", str(build_path)]) == 1
+    assert capsys.readouterr().err.endswith(defect)
+    assert main(["verify", "--in", str(build_path)]) == 1
+    assert capsys.readouterr().err.endswith(defect)
+
+
 @pytest.mark.parametrize("bound", [[], ["--check-bound", "1000"]], ids=["plain", "check-bound"])
 @pytest.mark.parametrize("flip", ["layer-skipping", "chord", "apex"])
 def test_verify_refuses_an_edge_of_no_annulus_before_any_search(

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_impl as ref
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ringfill._reader as reader
 import ringfill.annuli as annuli
@@ -411,14 +411,14 @@ def _refuse_kernels(monkeypatch, *names):
 
 def test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel(monkeypatch):
     _refuse_kernels(monkeypatch, "annulus_rows", "cone_rows")
-    outer = LayerRecord(0, 4, Fraction(0), 2**31 - 4, "equal", Fraction(1, 2))
-    far = LayerRecord(1, 4, Fraction(1, 2), 2**31 - 3)
+    outer = LayerRecord(0, 4, 2**31 - 4, "equal", Fraction(1, 2))
+    far = LayerRecord(1, 4, 2**31 - 3)
     with pytest.raises(ValueError, match=r"cycle 1 of 4 vertices from id 2147483645 needs ids in 0..2147483647"):
         annulus_triangles(outer, far)  # the inner cycle would run past the int32 maximum
     with pytest.raises(ValueError, match=r"cycle 1 of 4 vertices from id 2147483644 needs ids in 0..2147483647"):
-        cone_triangles(LayerRecord(1, 4, Fraction(0), 2**31 - 4))  # the apex would be 2**31
-    inner = LayerRecord(1, 4, Fraction(1, 2), 4)
-    outer = LayerRecord(0, 4, Fraction(0), 0, "equal", Fraction(1, 2))
+        cone_triangles(LayerRecord(1, 4, 2**31 - 4))  # the apex would be 2**31
+    inner = LayerRecord(1, 4, 4)
+    outer = LayerRecord(0, 4, 0, "equal", Fraction(1, 2))
     with pytest.raises(ValueError, match=r"rows need a writable C-contiguous \(8, 3\) int32 buffer"):
         annuli._write_annulus(outer, inner, np.zeros((8, 3), dtype=np.int64))
     with pytest.raises(ValueError, match=r"rows need a writable C-contiguous \(4, 3\) int32 buffer"):
@@ -500,7 +500,7 @@ def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
 def test_strip_rows_refuse_other_buffers_ids_and_terms_before_the_kernel(monkeypatch, small_build):
     rows = small_build.triangulation.triangles[:50]  # the first collar annulus: cycles of 25 from ids 0 and 25
     scratch = np.zeros(100, dtype=np.int32)
-    scale, a, b, c = verify._pair_terms(25, small_build.ledger, 0, 1)
+    scale, a, b, c = verify._pair_terms(25, small_build.ledger[0], 25)
     terms = (a, b, c, 25 * scale)
     assert annuli._strip_rows(rows, 0, 25, 25, scratch, terms) == (0, b // 2)  # n/(2m) units of 1/S
     backwards = np.arange(99, -1, -1, dtype=np.int32)[50:]  # rows 49 down to 0, read through an index
@@ -650,8 +650,9 @@ def test_row_reader_refuses_other_buffers_before_the_kernel(monkeypatch):
             reader._parse_rows(b"[0, 1, 2]]", out, ends)
 
 
-def _latitude_build(n: int):
-    ledger = _latitude(n)
+def _ledger_build(ledger):
+    """The filling a ledger's annuli and cone assemble to, with no schedule or params."""
+    n = ledger[0].length
     t = Triangulation(n, ledger[-1].first_vertex + ledger[-1].length + 1,
                       np.concatenate(_blocks(ledger, annulus_triangles, cone_triangles)))
     return BuildResult(t, ledger, None, None)
@@ -660,10 +661,55 @@ def _latitude_build(n: int):
 @pytest.mark.parametrize("n, rho, eta", _SCHEDULES)
 def test_drift_pass_matches_the_numpy_audit(n, rho, eta):
     build = build_filling(Params(n, Fraction(rho), Fraction(eta)))
-    for audited in (build, _latitude_build(n)):
+    for audited in (build, _ledger_build(_latitude(n))):
         cert = verify.certify(audited)
         ref.assert_certificate(cert, audited)
         assert cert.audit.defects == [] and len(cert.audit.rows) == len(audited.ledger) - 1
+
+
+@st.composite
+def _kind_sequences(draw):
+    """A boundary length and a list of annuli ``(kind, inner length)`` that ``layer_ledger`` accepts."""
+    n = draw(st.integers(3, 40))
+    sequence, length = [], n
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("collar", "equal", "transition-equal", "shrink")))
+        length = draw(st.integers(3, length)) if kind == "shrink" else length
+        sequence.append((kind, length))
+    return n, sequence
+
+
+@given(_kind_sequences())
+@example((9, [("collar", 9), ("transition-equal", 9), ("shrink", 9), ("shrink", 5), ("equal", 5), ("shrink", 3)]))
+@settings(max_examples=80, deadline=None)
+def test_drift_pass_matches_the_numpy_audit_on_any_kind_sequence(case):
+    # certify's drift terms come from each annulus's kind alone; the
+    # references audit the rungs at phases summed inward from the boundary
+    n, sequence = case
+    build = _ledger_build(layer_ledger(n, sequence))
+    cert = verify.certify(build)
+    ref.assert_certificate(cert, build)
+    assert cert.ok and [row.max_observed for row in cert.audit.rows] == ref.reference_drift_audit(build)
+
+
+def test_a_fan_row_with_the_apex_twice_is_no_fan(small_build):
+    # Row 524, the first of the cone's fan, becomes (271, 278, 278): the
+    # apex twice beside a vertex of the innermost cycle.  Only cycle_edge's
+    # demand of a cycle of 3 or more vertices keeps the pair (278, 278) from
+    # reading as an edge of the apex's one-vertex cycle, and the fan keeps
+    # its m rows.
+    tri = np.array(small_build.triangulation.triangles)
+    assert tri[524].tolist() == [271, 272, 278] and small_build.apex == 278
+    tri[524] = (271, 278, 278)
+    broken = copy.copy(small_build)
+    broken.triangulation = Triangulation(25, small_build.triangulation.num_vertices, tri)
+    cert = verify.certify(broken)
+    assert not cert.ok
+    assert cert.audit.defects == [
+        "the cone over cycle 13 is not a fan: a pair not adjacent on its cycle at row 524 (271, 278, 278)"
+    ]
+    cone = tri[524:]
+    assert annuli._strip_rows(cone, 271, 7, 1, np.zeros(16, dtype=np.int32)) == (4, 0)
 
 
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 10**6)), min_size=1, max_size=6))
@@ -680,25 +726,6 @@ def test_drift_pass_matches_the_numpy_audit_on_corrupted_complexes(medium_build,
     cert = verify.certify(broken)
     ref.assert_certificate(cert, broken)
     assert cert.ok or cert.audit.defects or cert.audit.failures()
-
-
-def test_drift_pass_raises_the_int64_error_where_the_numpy_audit_did(flipped_builds):
-    # A phase offset too fine for int64 on cycle 4: the numpy audit refuses
-    # it where the stray edge first joins cycle 4, from cycle 2; certify
-    # measures annuli alone, and refuses it for annulus 3, before any row.
-    build, *_ = flipped_builds["layer-skipping"]
-    build = copy.copy(build)
-    build.ledger = [copy.copy(rec) for rec in build.ledger]
-    build.ledger[4].phase += Fraction(1, 2**61 + 1)
-    with pytest.raises(ValueError, match=r"drift audit of cycles 2 and 4 needs positions in units of 1/\d+: exceeds"):
-        ref.drift_audit(build)
-    with pytest.raises(ValueError, match=r"drift audit of cycles 3 and 4 needs positions in units of 1/\d+: exceeds"):
-        verify.certify(build)
-    build.ledger[3].phase += Fraction(1, 2**61 + 1)  # now cycles 2 and 3 too, which come first for both
-    for audit in (ref.drift_audit, verify.certify):
-        with pytest.raises(ValueError, match=r"drift audit of cycles 2 and 3 needs positions in units of 1/\d+: "
-                                             r"exceeds int64 arithmetic"):
-            audit(build)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs the C compiler")

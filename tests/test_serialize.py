@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 import reference_impl as ref
-from reference_impl import theta
+from reference_impl import phases, theta
 
 import ringfill.serialize as serialize
 from ringfill import Params, build_filling, cone_over_cycle, validate_disk, verify_filling
@@ -56,10 +56,10 @@ def test_build_records_restate_layer_thetas(small_build, medium_build):
         t = build.triangulation
         records = list(vertex_records(t, build.ledger))
         assert [rec["id"] for rec in records] == list(range(t.num_vertices))
-        for rec in build.ledger:
+        for rec, phase in zip(build.ledger, phases(build.ledger)):
             for i in range(rec.length):
                 got = records[rec.first_vertex + i]
-                x = theta(rec, i, t.n)
+                x = theta(phase, rec, i, t.n)
                 assert (got["layer"], got["index_in_layer"]) == (rec.index, i)
                 assert (got["theta_num"], got["theta_den"]) == (x.numerator, x.denominator)
         assert records[build.apex] == {

@@ -325,12 +325,12 @@ def test_confined_searches_give_the_per_source_matrix(flipped_builds, monkeypatc
     # plain searches', byte for byte: on the cones (delta < 1 from C_6 on), on
     # valid disks with a stray edge, and on the latitude filling of C_64
     # (delta = 7/8), whose worst pair and witness must not change either.
-    from test_kernels import _latitude_build
+    from test_kernels import _latitude, _ledger_build
 
     jobs = _plans(monkeypatch, jobs)
     for t in [cone_over_cycle(k) for k in range(3, 13)] + [b.triangulation for b, *_ in flipped_builds.values()]:
         assert boundary_distance_matrix(t, jobs=jobs).tolist() == _reference_rows(t)
-    t = _latitude_build(64).triangulation
+    t = _ledger_build(_latitude(64)).triangulation
     want = _reference_rows(t)
     report = verify_filling(t, jobs=jobs)
     assert report.boundary_distances.tolist() == want
@@ -596,13 +596,24 @@ def test_drift_audit_refuses_an_edge_of_no_annulus(flipped_builds, flip):
     assert {row.layer: row.max_observed for row in audit.rows} == {row.layer: rows[row.layer] for row in audit.rows}
 
 
-def test_drift_audit_refuses_int64_overflow(small_build):
+def test_drift_audit_refuses_int64_overflow(monkeypatch, small_build):
+    # Every ledger of layer_ledger measures an annulus in units of 1/S with
+    # S <= n^2, so 2 n S <= 2 n^3 fits int64 below n = 1.6 million.  Past
+    # that, a hand-made ledger of C_(2^21) shrinking to 2^20 has S = m M =
+    # 2^41 and 2 n S = 2^63, which _strip_rows refuses before the strip
+    # kernel runs.
     import copy
 
+    from test_kernels import _refuse_kernels
+
+    from ringfill import layer_ledger
+
+    n = 2**21
     huge = copy.copy(small_build)
-    huge.ledger = [copy.copy(rec) for rec in small_build.ledger]
-    huge.ledger[3].phase = Fraction(1, 2**61 + 1)
-    message = r"drift audit of cycles 2 and 3 needs positions in units of 1/\d+: exceeds int64 arithmetic"
+    huge.ledger = layer_ledger(n, [("shrink", 2**20)])
+    huge.triangulation = Triangulation(n, huge.apex + 1, [(0, 1, n)])
+    _refuse_kernels(monkeypatch, "strip_rows")
+    message = rf"drift terms \(0, {2**41}, {2**42}\) exceed the int64 period {2**62}"
     with pytest.raises(ValueError, match=message):
         certify(huge)
     with pytest.raises(ValueError, match=message):
