@@ -728,6 +728,32 @@ def test_drift_pass_matches_the_numpy_audit_on_corrupted_complexes(medium_build,
     assert cert.ok or cert.audit.defects or cert.audit.failures()
 
 
+def test_drift_pass_raises_the_int64_error_where_the_numpy_audit_did(monkeypatch):
+    # C_(2^21) shrinking to M: the numpy audit measures the rungs of the row
+    # (0, 1, n) in units of 1/(mM), the strip pass in the same units, and
+    # both need 2 n m M < 2^63.  At M = 2^20 that is 2^63, and both refuse,
+    # the strip pass before its kernel; one vertex fewer and both measure.
+    n = 2**21
+
+    def one_row(inner):
+        build = _ledger_build(layer_ledger(n, [("shrink", inner)]))
+        build.triangulation = Triangulation(n, n + inner + 1, [(0, 1, n)])
+        return build
+
+    below = one_row(2**20 - 1)
+    rows, lines = ref.drift_audit(below)
+    assert rows == [1] and lines == []  # the rung (1, n) joins thetas 1 and 0
+    cert = verify.certify(below)
+    assert not cert.ok and cert.audit.defects and cert.audit.rows == []  # one row is no strip
+    at = one_row(2**20)
+    _refuse_kernels(monkeypatch, "strip_rows")
+    with pytest.raises(ValueError, match=rf"drift audit of cycles 0 and 1 needs positions in units of 1/{2**41}: "
+                                         r"exceeds int64 arithmetic"):
+        ref.drift_audit(at)
+    with pytest.raises(ValueError, match=rf"drift terms \(0, {2**41}, {2**42}\) exceed the int64 period {2**62}"):
+        verify.certify(at)
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs the C compiler")
 def test_kernels_compile_without_warnings(tmp_path):
     done = subprocess.run(
