@@ -83,15 +83,19 @@ _DIGITS = re.compile(r"[0-9_]+")
 _EXPONENT = re.compile(r"[eE]\s*[-+]?\s*([0-9_]+)")
 
 
+def _shown(text: str) -> str:
+    """``text``, or past 24 characters its first and last ten around ``...``: how an error message names input."""
+    return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+
+
 def _check_length(text: str) -> None:
     """Raise ValueError, naming ``text`` shortened, if a run of its digits or its decimal exponent passes the limit."""
     exponent = _EXPONENT.search(text)
     digits = max((len(run.replace("_", "")) for run in _DIGITS.findall(text)), default=0)
     power = exponent[1].replace("_", "").lstrip("0") if exponent else ""
     if digits > _MAX_DIGITS or len(power) > len(str(_MAX_DIGITS)) or (power and int(power) > _MAX_DIGITS):
-        shown = text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
         raise ValueError(
-            f"{shown!r} ({len(text)} characters) has more than {_MAX_DIGITS} digits or a larger decimal exponent"
+            f"{_shown(text)!r} ({len(text)} characters) has more than {_MAX_DIGITS} digits or a larger decimal exponent"
         )
 
 

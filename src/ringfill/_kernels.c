@@ -14,9 +14,8 @@
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
  *   disk_verdicts            validate_disk's verdict on each complex of a stack, from adjacency bitsets
- *   row_cycles               the rows of each cycle of a ledger, counted and, unless grouped, sorted
- *   strip_rows               one annulus of a ledger checked as a cyclic strip, or its cone as a fan,
- *                            or the defect that stops it
+ *   strip_annuli             every annulus of a ledger checked as a cyclic strip and its cone as a fan,
+ *                            each with its largest rung drift or the defect that stops it
  *   isometric_rows           the oracle's isometry test on a stack of complexes
  *   rows_text                build-file rows written as JSON text
  *   parse_rows               build-file rows read back from JSON bytes, whole rows at a time
@@ -27,7 +26,7 @@
  * array and every scratch array is passed in by the caller, as a bytearray
  * cast by memoryview or a numpy array.  The caller checks every array:
  * C-contiguous, int32 unless stated, and every index within the sizes
- * given; disk_verdicts, row_cycles and strip_rows alone take vertex ids of
+ * given; disk_verdicts and strip_annuli alone take vertex ids of
  * any value, disk_marks any non-negative ones, and parse_rows bytes of any
  * content, cut off anywhere, since rejecting them is their job.
  *
@@ -1067,15 +1066,15 @@ static int32_t cycle_of(int32_t v, const int32_t *start, int32_t cycles, int32_t
     return lo;
 }
 
-/* row_cycles: strip_drifts' counting pass over the k rows of tri, for the
+/* row_cycles: strip_annuli's counting pass over the k rows of tri, for the
  * cycles of cycle_of.  count, of cycles + 1 entries, gets the number of
  * rows whose first id lies on each cycle, and in count[cycles] on none.
  * Returns 1 if the rows come grouped, those of each cycle after those of
  * every cycle before it and the rows on none last, else 0.  Given an
  * index of k entries, a stable counting sort also writes there the rows
  * of cycle 0, then those of cycle 1, and so on, the rows on none last. */
-int32_t row_cycles(const int32_t *tri, int32_t k, const int32_t *start, int32_t cycles, int32_t *count,
-                   int32_t *index)
+static int32_t row_cycles(const int32_t *tri, int32_t k, const int32_t *start, int32_t cycles, int32_t *count,
+                          int32_t *index)
 {
     int32_t grouped = 1, last = 0;
     memset(count, 0, sizeof(int32_t) * ((size_t)cycles + 1));
@@ -1143,8 +1142,8 @@ static inline int64_t defect(int32_t *scratch, int32_t code, int32_t f)  /* -cod
  * index entry is a row of tri and, unless period is 0, 0 <= a, b (m - 1),
  * c (M - 1) < period and 2 period < 2^63, so that a + b i - c j lies in
  * (-period, 2 period). */
-int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int32_t M, int64_t a, int64_t b,
-                   int64_t c, int64_t period, int32_t *scratch, const int32_t *index)
+static int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int32_t M, int64_t a, int64_t b,
+                          int64_t c, int64_t period, int32_t *scratch, const int32_t *index)
 {
     int32_t ring = m + M, *up = scratch, *down = scratch + m, *row = scratch + ring;
     for (int32_t i = 0; i < ring; i++)
@@ -1194,6 +1193,38 @@ int64_t strip_rows(const int32_t *tri, int32_t k, int32_t first, int32_t m, int3
         }
     }
     return steps == M ? worst : defect(scratch, STRIP_WIND, row[m - 1]);
+}
+
+/* strip_annuli: certify's strip pass over the k rows of tri, for a ledger of
+ * cycles >= 1 cycles, cycle r holding the ids start[r] .. start[r + 1] - 1
+ * and the apex the id start[cycles].  row_cycles counts each cycle's rows
+ * into count.  Without an index, rows that come grouped are checked in
+ * place, and rows in another order return 1 before any strip; given an
+ * index of k entries, row_cycles sorts the rows into it.  Then strip_rows
+ * checks each annulus r with the terms a, b, c and period at terms[4 r],
+ * and last the cone's fan, whose terms are 0.  Strip r writes its largest
+ * rung drift, or its defect negated, to out[2 r], and the row of tri where
+ * it stopped to out[2 r + 1] (-1 for a wrong row count, 0 for a strip).
+ * scratch holds 2 (m + M) int32 for the largest strip.  The caller checks
+ * that start ascends from 0 by 3 or more ids a cycle to an apex of at
+ * most 2^31 - 1, and each annulus's terms as strip_rows asks. */
+int32_t strip_annuli(const int32_t *tri, int32_t k, const int32_t *start, int32_t cycles, const int64_t *terms,
+                     int32_t *count, int32_t *index, int32_t *scratch, int64_t *out)
+{
+    if (!row_cycles(tri, k, start, cycles, count, index) && !index)
+        return 1;
+    for (int32_t r = 0, top = 0; r < cycles; r++) {
+        int32_t m = start[r + 1] - start[r], M = r + 1 < cycles ? start[r + 2] - start[r + 1] : 1;
+        const int64_t *t = terms + 4 * (size_t)r;
+        const int32_t *part = index ? index + top : NULL;
+        int64_t drift = strip_rows(index ? tri : tri + 3 * (size_t)top, count[r], start[r], m, M, t[0], t[1], t[2],
+                                   t[3], scratch, part);
+        int32_t f = scratch[0];
+        out[2 * (size_t)r] = drift;
+        out[2 * (size_t)r + 1] = drift >= 0 ? 0 : f < 0 ? -1 : part ? part[f] : top + f;
+        top += count[r];
+    }
+    return 0;
 }
 
 /* Which of count complexes, rows of nf triangles on ids 0..nv-1 in tri, are

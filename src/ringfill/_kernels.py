@@ -193,8 +193,7 @@ def signatures() -> dict:
         "grow_state_size": (i32, [i32, i32]),
         "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),
         "disk_verdicts": (None, [i32, i32, ids, i32, i32, words, flags]),
-        "row_cycles": (i32, [ids, i32, ids, i32, ids, optional]),
-        "strip_rows": (i64, [ids, i32, i32, i32, i32, i64, i64, i64, i64, ids, optional]),
+        "strip_annuli": (i32, [ids, i32, ids, i32, wide, ids, optional, ids, wide]),
         "isometric_rows": (None, [i32, i32, ids, i32, i32, words, flags]),
         "rows_text": (i64, [ids, i64, i32, i32, marks]),
         "parse_rows": (i64, [ctypes.c_char_p, i64, ids, i64, wide]),

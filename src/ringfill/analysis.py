@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import as_fraction
+from . import _shown, as_fraction
 
 __all__ = [
     "profile",
@@ -52,7 +52,7 @@ def stop_time(eta: float) -> float:
 def _unit_eta(eta: Fraction | float | str) -> Fraction:
     e = as_fraction(eta)
     if not 0 <= e <= 1:
-        raise ValueError(f"eta must lie in [0, 1], got {e}")
+        raise ValueError(f"eta must lie in [0, 1], got {_shown(str(e))}")
     return e
 
 

@@ -4,20 +4,22 @@ The vertices of each cycle sit equally spaced on an auxiliary circle of
 circumference ``n`` (one boundary edge = one unit), and the annulus between
 two consecutive cycles fixes their offset: an equal-length annulus turns its
 inner cycle by half an outer step, n/(2m), and a shrink keeps it.  So the
-ledger keeps each annulus's kind and lengths and no position: the drift
-audit in :mod:`ringfill.verify` reads the offset of each annulus's two
-cycles from its kind, in exact integers, and only the exports form a
-cycle's absolute phase (:func:`ringfill.serialize.vertex_records`).
+ledger keeps each annulus's kind and lengths and no position, and
+:func:`_pair_terms` reads the offset of each annulus's two cycles from its
+kind, in exact integers: the strip pass measures its rungs in them, and the
+exports form each cycle's absolute phase from them
+(:func:`ringfill.serialize.vertex_records`).
 
 The layer ledger is computed first, from the sequence of annuli alone; each
 annulus's triangles then follow from its two ledger records, and the cone's
 from the innermost one.  The compiled ``annulus_rows`` and ``cone_rows``
 write them as int32 rows into a buffer the caller sizes, so a whole filling
-is assembled in one array, and the compiled ``strip_rows`` checks them
-there, one annulus at a time (:func:`strip_drifts`).
+is assembled in one array, and one call of the compiled ``strip_annuli``
+checks them there, every annulus and the cone (:func:`strip_drifts`).
 """
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,6 +107,22 @@ def layer_ledger(n: int, annuli: Iterable[tuple[str, int]]) -> list[LayerRecord]
     return ledger
 
 
+def _pair_terms(n: int, rec: LayerRecord, M: int) -> tuple[int, int, int, int]:
+    """The scale ``S`` and the terms ``a, b, c`` of the circular distance of rungs of the annulus below ``rec``.
+
+    Vertex i of the outer cycle, of m vertices, and vertex j of the inner
+    one, of M, sit ``(a + b i - c j) mod n S`` units of ``1/S`` apart, so
+    the annulus turns its inner cycle by ``-a/S mod n``.  An equal-length
+    annulus turns it by n/(2m), an offset of n - n/(2m): in units of
+    1/(2m), ``a = (2m - 1) n`` and ``b = c = 2n``.  A shrink keeps the
+    offset 0: in units of 1/(mM), ``a = 0``, ``b = nM`` and ``c = nm``.
+    """
+    m = rec.length
+    if rec.annulus_kind == "shrink":
+        return m * M, 0, n * M, n * m
+    return 2 * m, (2 * m - 1) * n, 2 * n, 2 * n
+
+
 def _check_cycle(rec: LayerRecord, extra: int = 0) -> None:
     """Raise ValueError unless ``rec``'s cycle (and ``extra`` ids after it) has int32 ids and a vertex."""
     last = rec.first_vertex + rec.length - 1 + extra
@@ -184,73 +202,22 @@ def cone_triangles(innermost: LayerRecord) -> memoryview:
     return out
 
 
-# The defects of the compiled strip_rows, by its codes 2 to 7 (1 is a wrong row count).
+# The defects of the compiled strip_annuli, by its codes 2 to 7 (1 is a wrong row count).
 _DEFECTS = ("an id off its two cycles", "three ids on one cycle", "a pair not adjacent on its cycle",
             "a cycle edge in two rows", "rungs that wind other than once", "a wrong far vertex")
 
 
-def _strip_rows(rows, first: int, m: int, M: int, scratch, terms: tuple[int, int, int, int] = (0, 0, 0, 0),
-                index=None) -> tuple[int, int]:
-    """The compiled ``strip_rows``: whether ``rows`` are the strip between two cycles, and its largest rung drift.
+def strip_drifts(t, ledger: list[LayerRecord]) -> tuple[list[Fraction | None], list[str]]:
+    """Each annulus's largest rung displacement, None if it is no strip of ``ledger``, and a line per defect.
 
-    The outer cycle has m vertices from id ``first``, the inner one M from
-    ``first + m``; M = 1 checks the cone's fan over the outer cycle.  With
-    an ``index``, the rows checked are ``rows[index[f]]`` for each f, else
-    every row of ``rows``.  ``terms`` are ``a, b, c`` and the period ``n S``
-    of the drift audit's ``_pair_terms``, all 0 where no drift is measured.
-    Returns ``(0, drift)``, the largest scaled displacement of a rung (0
-    without terms), or, for rows that are no such strip, the kernel's
-    defect code and the f of the row where it stopped (-1 for a wrong row
-    count, code 1; :data:`_DEFECTS` names the others).  Raises ValueError,
-    before the kernel runs, unless ``rows`` is a C-contiguous ``(k, 3)``
-    int32 buffer, ``index`` None or a C-contiguous int32 one of at most as
-    many entries, each a row of ``rows``, ``scratch`` a writable
-    C-contiguous one of at least 2 (m + M) int32, m >= 3, M >= 3 or M = 1, the
-    ids of both cycles fit int32, and the terms are 0 or keep the kernel's
-    arithmetic within int64.
-    """
-    from .simplicial import _table_rows
-
-    view, work = _table_rows(rows), memoryview(scratch)
-    size = work.shape[0] if work.ndim == 1 else -1
-    if work.format not in _kernels.INT32 or size < 2 * (m + M) or not work.c_contiguous or work.readonly:
-        raise ValueError(
-            f"a strip of cycles of {m} and {M} vertices needs a writable C-contiguous int32 scratch of {2 * (m + M)}, "
-            f"got format {work.format!r} and shape {work.shape}"
-        )
-    if not (0 <= first and m >= 3 and (M >= 3 or M == 1) and first + m + M <= _kernels.MAX_ID + 1):
-        raise ValueError(f"a strip of cycles of {m} and {M} vertices from id {first} needs ids in 0..{_kernels.MAX_ID}")
-    a, b, c, period = terms
-    if not (
-        terms == (0, 0, 0, 0)
-        or 2 * period < 2**63 and 0 <= a < period and 0 <= b * (m - 1) < period and 0 <= c * (M - 1) < period
-    ):
-        raise ValueError(f"drift terms {terms[:3]} exceed the int64 period {period}")
-    lib, k = _kernels.library(), len(view)
-    if index is not None:
-        index = memoryview(index)
-        k = len(index) if index.ndim == 1 else -1
-        if index.format not in _kernels.INT32 or not 0 <= k <= len(view) or not index.c_contiguous:
-            raise ValueError(
-                f"a row index into {len(view)} rows must be a C-contiguous int32 buffer of at most as many entries, "
-                f"got format {index.format!r} and shape {index.shape}"
-            )
-        if k and not 0 <= lib.top_id(index, k) < len(view):
-            raise ValueError(f"a row index into {len(view)} rows has an entry outside 0..{len(view) - 1}")
-    drift = lib.strip_rows(view, k, first, m, M, a, b, c, period, work, index)
-    return (0, drift) if drift >= 0 else (-drift, work[0])
-
-
-def strip_drifts(t, ledger: list[LayerRecord], terms: list[tuple[int, int, int, int]]) -> tuple[list, list[str]]:
-    """Each annulus's largest scaled rung displacement, None if it is no strip of ``ledger``, and a line per defect.
-
-    A counting pass (the compiled ``row_cycles``) gives each row of ``t``
-    to the cycle of its first, smallest, id.  The builder writes annulus
-    r's m + M rows after annulus r - 1's, and the cone's fan last, and
-    build files keep that order: rows so grouped are checked in place, each
-    annulus one slice of the triangle array.  Rows in any other order are
-    sorted by counting into an index of one int32 a row, and read through
-    it.  :func:`_strip_rows` checks each annulus in one linear pass with
+    One call of the compiled ``strip_annuli`` checks every strip.  Its
+    counting pass gives each row of ``t`` to the cycle of its first,
+    smallest, id.  The builder writes annulus r's m + M rows after annulus
+    r - 1's, and the cone's fan last, and build files keep that order: rows
+    so grouped are checked in place, each annulus one slice of the triangle
+    array.  Rows in any other order make the kernel return before any strip,
+    and the second call sorts them by counting into an index of one int32 a
+    row, and reads them through it.  Each annulus takes one linear pass with
     2 (m + M) int32 of scratch.  It passes a *cyclic strip*: each row holds one
     edge of one cycle and one vertex of the other, each cycle edge lies in
     exactly one row, and the far vertices over consecutive outer edges
@@ -281,16 +248,18 @@ def strip_drifts(t, ledger: list[LayerRecord], terms: list[tuple[int, int, int, 
     is the union of the two paths from either side, a cycle, or one path on
     the boundary; the rows cover every vertex, and V - E + F = 1.
 
-    ``terms`` are the drift terms of each annulus's two cycles (see
-    :func:`_strip_rows`); an annulus's rungs are exactly its slanted
-    edges.  A defect is ``annulus r (kind) is not a strip: <defect> at row
-    f (a, b, c)``, the cone's ``the cone over cycle r is not a fan: ...``,
-    or a row whose first id lies on no cycle; or, before any strip, a
-    ledger that does not tile ``0..apex`` from C_n in cycles of at least 3
-    vertices, an apex id beyond ``MAX_ID``, or a vertex count other than
-    the ledger's, so that every id argument of :func:`_strip_rows` is in
-    range.  A row too many or too few is a defect of the annulus it is
-    missing from or added to.  No defect means a disk.
+    An annulus's rungs are exactly its slanted edges, measured exactly in
+    the units 1/S of its :func:`_pair_terms`.  A defect is ``annulus r
+    (kind) is not a strip: <defect> at row f (a, b, c)``, the cone's ``the
+    cone over cycle r is not a fan: ...``, or a row whose first id lies on
+    no cycle; or, before any strip, a ledger that does not tile ``0..apex``
+    from C_n in cycles of at least 3 vertices, an apex id beyond
+    ``MAX_ID``, or a vertex count other than the ledger's, so that every id
+    the kernel reads is in range.  A row too many or too few is a defect of
+    the annulus it is missing from or added to.  No defect means a disk.
+    Raises ValueError, before the kernel runs, unless the rows are a
+    C-contiguous ``(F, 3)`` int32 buffer and every annulus's terms keep the
+    kernel's arithmetic within int64.
     """
     lengths = [rec.length for rec in ledger]
     apex, depth = ledger[-1].first_vertex + lengths[-1], len(ledger)
@@ -313,32 +282,35 @@ def strip_drifts(t, ledger: list[LayerRecord], terms: list[tuple[int, int, int, 
     ]
     if lines:
         return [None] * (depth - 1), lines
-    tri, lib, index = t.triangles, _kernels.library(), None
-    start, count = _kernels.buffer("i", depth + 1), _kernels.buffer("i", depth + 1)
-    for r, rec in enumerate(ledger):
-        start[r] = rec.first_vertex
-    start[depth] = apex
-    if not lib.row_cycles(tri, len(tri), start, depth, count, None):
+    pairs = [_pair_terms(t.n, rec, M) for rec, M in zip(ledger, lengths[1:])]
+    terms = array("q")
+    for (scale, a, b, c), m, M in zip(pairs, lengths, lengths[1:]):
+        period = t.n * scale
+        if not (2 * period < 2**63 and 0 <= a < period and 0 <= b * (m - 1) < period and 0 <= c * (M - 1) < period):
+            raise ValueError(f"drift terms {(a, b, c)} exceed the int64 period {period}")
+        terms.extend((a, b, c, period))
+    terms.extend((0, 0, 0, 0))  # the cone's fan, inward of the last cycle, has none
+    from .simplicial import _table_rows
+
+    tri, lib, index = _table_rows(t.triangles), _kernels.library(), None
+    start = array("i", [*(rec.first_vertex for rec in ledger), apex])
+    count, out = _kernels.buffer("i", depth + 1), _kernels.buffer("q", depth, 2)
+    scratch = _kernels.buffer("i", 2 * max(sizes) + 2)
+    if lib.strip_annuli(tri, len(tri), start, depth, terms, count, None, scratch, out):
         index = _kernels.buffer("i", len(tri))
-        lib.row_cycles(tri, len(tri), start, depth, count, index)
+        lib.strip_annuli(tri, len(tri), start, depth, terms, count, index, scratch, out)
 
     def row(f: int) -> str:
-        f = f if index is None else index[f]
         return f"row {f} ({tri[f, 0]}, {tri[f, 1]}, {tri[f, 2]})"
 
-    steps = [*terms, (0, 0, 0, 0)]  # the cone's fan, inward of the last cycle, has none
-    scratch, drifts, top = _kernels.buffer("i", 2 * max(sizes) + 2), [], 0
-    for r, (rec, inner, size, step) in enumerate(zip(ledger, [*lengths[1:], 1], sizes, steps)):
-        k = count[r]
-        rows, part = (tri[top : top + k], None) if index is None else (tri, index[top : top + k])
-        code, value = _strip_rows(rows, rec.first_vertex, rec.length, inner, scratch, step, part)
-        drifts.append(None if code else value)
-        if code:
-            cause = f"{_DEFECTS[code - 2]} at {row(top + value)}" if code > 1 else f"{k} rows, not {size}"
-            what = (f"annulus {r} ({rec.annulus_kind}) is not a strip" if inner > 1
+    for r, (rec, size) in enumerate(zip(ledger, sizes)):
+        code, f = -out[r, 0], out[r, 1]
+        if code > 0:
+            cause = f"{_DEFECTS[code - 2]} at {row(f)}" if code > 1 else f"{count[r]} rows, not {size}"
+            what = (f"annulus {r} ({rec.annulus_kind}) is not a strip" if r + 1 < depth
                     else f"the cone over cycle {r} is not a fan")
             lines.append(f"{what}: {cause}")
-        top += k
-    if count[depth]:
-        lines.append(f"{row(top)} starts on no cycle")
-    return drifts[:-1], lines
+    if count[depth]:  # the rows on no cycle come last
+        top = len(tri) - count[depth]
+        lines.append(f"{row(top if index is None else index[top])} starts on no cycle")
+    return [None if out[r, 0] < 0 else Fraction(out[r, 0], scale) for r, (scale, *_) in enumerate(pairs)], lines

@@ -18,7 +18,7 @@ from . import ScheduleError, as_fraction
 
 if TYPE_CHECKING:
     from .builder import BuildResult
-    from .simplicial import ValidationReport
+    from .simplicial import Triangulation
     from .verify import Certificate
 
 
@@ -139,18 +139,11 @@ def _load_source(args: argparse.Namespace):
     return build.triangulation, build
 
 
-def _invalid(report: ValidationReport) -> ValidationReport:
-    """``report``, each failed invariant printed as ``invalid: ...``."""
-    for failure in report.failures:
-        print(f"invalid: {failure}", file=sys.stderr)
-    return report
+def _certified(build: BuildResult | None, bare: Triangulation | None = None) -> Certificate:
+    """``certify(build)``, or a ``bare`` complex's disk validation (it has no strips), its lines printed."""
+    from .verify import Certificate, DriftAudit, certify, validate_disk
 
-
-def _certified(build: BuildResult) -> Certificate:
-    """``certify(build)``, its :meth:`~ringfill.verify.Certificate.lines` printed: every command checks a build so."""
-    from .verify import certify
-
-    cert = certify(build)
+    cert = certify(build) if build is not None else Certificate(validate_disk(bare), DriftAudit())
     for line in cert.lines():
         print(line, file=sys.stderr)
     return cert
@@ -184,13 +177,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # _certified's layer, imported before the rows exist so that they reuse its memory: this
     # command's peak RSS follows the import order, 0.2 MB higher with simplicial imported first
-    from .verify import step_profile_eps, validate_disk, verify_filling
+    from .verify import step_profile_eps, verify_filling
 
     t, build = _load_source(args)
     if args.check_bound and build is None:
         print("bound check needs a build file with a ledger", file=sys.stderr)
         return 1
-    if not (_invalid(validate_disk(t)).ok if build is None else _certified(build).ok):  # a bare complex has no strips
+    if not _certified(build, t).ok:
         return 1
     report = verify_filling(t, jobs=args.jobs)
     if build is not None:
@@ -308,21 +301,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import check_core_inequality, constants_report, profile_integral
 
     run_all = not (args.constants or args.core_inequality or args.profile_integral)
+    # the checks that read --eta run first, so that a bad --eta fails before any output
+    rep = check_core_inequality(args.eta) if args.core_inequality or run_all else None
+    check = profile_integral(args.eta) if args.profile_integral or run_all else None
     ok = True
     if args.constants or run_all:
         constants = constants_report()
         for line in constants.lines():
             print(line)
         ok = ok and constants.ordering_ok
-    if args.core_inequality or run_all:
-        rep = check_core_inequality(args.eta)
+    if rep is not None:
         print(
             f"core inequality at eta={rep.eta}: min slack {rep.min_slack}, "
             f"|slack| along s=1/2 max {rep.boundary_max_abs} (exact)"
         )
         ok = ok and rep.ok
-    if args.profile_integral or run_all:
-        check = profile_integral(args.eta)
+    if check is not None:
         print(
             f"profile integral at eta={args.eta}: closed form {float(check.closed_form)!r} "
             f"({check.closed_form}), exact quadrature {check.quadrature}, error {check.error}"

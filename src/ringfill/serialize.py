@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .annuli import _EQUAL_KINDS, LayerRecord, layer_ledger
+from .annuli import LayerRecord, _pair_terms, layer_ledger
 from .builder import BuildResult, Params, compute_schedule
 from .simplicial import _INT32, Triangulation, _ids_within, _library
 
@@ -97,8 +97,9 @@ def vertex_records(t: Triangulation, ledger: list[LayerRecord] | None = None) ->
     ``(phase + n*i/m) mod n``, reduced by ``gcd`` without building a
     Fraction per vertex, and the apex on the layer below the innermost cycle
     with no theta.  The phase, one Fraction per cycle, starts at 0 on the
-    boundary and adds the half step n/(2m) of each equal-length annulus on
-    the way in; a shrink keeps it.  Without a ledger,
+    boundary and adds the turn of each annulus on the way in, from its kind
+    (:func:`ringfill.annuli._pair_terms`): the half step n/(2m) of an
+    equal-length annulus, none for a shrink.  Without a ledger,
     boundary vertex i sits on layer 0 at theta i and every other vertex v on
     layer 1 at index v - n with no theta.
     """
@@ -110,15 +111,16 @@ def vertex_records(t: Triangulation, ledger: list[LayerRecord] | None = None) ->
             yield _record(v, 1, v - n, None, None)
         return
     gcd, phase = math.gcd, Fraction(0)
-    for rec in ledger:
+    for outer, rec in zip([None, *ledger], ledger):
+        if outer is not None:  # the turn of the annulus outward of the cycle
+            unit, a, _, _ = _pair_terms(n, outer, rec.length)
+            phase = (phase - Fraction(a, unit)) % n
         num, den, m, first = phase.numerator, phase.denominator, rec.length, rec.first_vertex
         scale, step, period = den * m, n * den, n * den * m
         for i in range(m):
             x = (num * m + step * i) % period
             g = gcd(x, scale)
             yield _record(first + i, rec.index, i, x // g, scale // g)
-        if rec.annulus_kind in _EQUAL_KINDS:
-            phase = (phase + Fraction(n, 2 * m)) % n
     yield _record(ledger[-1].first_vertex + ledger[-1].length, len(ledger), 0, None, None)
 
 
@@ -373,7 +375,8 @@ def embedded_coordinates(t: Triangulation, records: list[dict]) -> list[tuple[fl
     file, or :func:`vertex_records` of a build's ledger.  Radius decreases
     linearly with layer depth, the angle is the circular coordinate rescaled
     to radians, and a vertex without a coordinate (the apex) sits at the
-    origin.  Carries no metric meaning.
+    origin.  Carries no metric meaning.  A theta too large for a float is a
+    ValueError naming its vertex.
     """
     recs = sorted(records, key=lambda rec: rec["id"])
     max_layer = max(rec["layer"] for rec in recs)
@@ -385,8 +388,11 @@ def embedded_coordinates(t: Triangulation, records: list[dict]) -> list[tuple[fl
             coords.append((0.0, 0.0, 0.0))
             continue
         radius = 1.0 - rec["layer"] / denom
-        angle = 2.0 * math.pi * (rec["theta_num"] / rec["theta_den"]) / t.n
-        coords.append((radius * math.cos(angle), radius * math.sin(angle), 0.0))
+        try:
+            angle = 2.0 * math.pi * (rec["theta_num"] / rec["theta_den"]) / t.n
+            coords.append((radius * math.cos(angle), radius * math.sin(angle), 0.0))
+        except (OverflowError, ValueError):  # a theta past the floats, or an angle of inf
+            raise ValueError(f"the theta of vertex {rec['id']} is too large for a float coordinate") from None
     return coords
 
 

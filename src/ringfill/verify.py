@@ -27,9 +27,10 @@ Three independent instruments:
   plain search, whose BFS tree it follows;
 * a per-edge drift audit checking every slanted edge against its annulus
   bound in exact scaled int64 arithmetic, offsets read from each annulus's
-  kind in the ledger:
+  kind in the ledger (:func:`ringfill.annuli._pair_terms`):
   :func:`certify` validates a built filling and audits it in one compiled
-  pass per annulus's rows (the strip pass), or names the defect;
+  call over every annulus's rows and the cone's (the strip pass), or names
+  each defect;
 * an analytic lower-bound predictor for boundary distances derived from the
   accumulated drift of the layer ledger, sound by construction and checked
   against BFS exhaustively in the tests, its table written by a kernel.
@@ -327,22 +328,6 @@ class DriftAudit:
         return [row for row in self.rows if not row.ok]
 
 
-def _pair_terms(n: int, rec, M: int) -> tuple[int, int, int, int]:
-    """The scale ``S`` and the terms ``a, b, c`` of the circular distance of rungs of the annulus below ``rec``.
-
-    Vertex i of the outer cycle, of m vertices, and vertex j of the inner
-    one, of M, sit ``(a + b i - c j) mod n S`` units of ``1/S`` apart.  An
-    equal-length annulus turns its inner cycle by n/(2m), an offset of
-    n - n/(2m): in units of 1/(2m), ``a = (2m - 1) n`` and ``b = c = 2n``.
-    A shrink keeps the offset 0: in units of 1/(mM), ``a = 0``, ``b = nM``
-    and ``c = nm``.
-    """
-    m = rec.length
-    if rec.annulus_kind == "shrink":
-        return m * M, 0, n * M, n * m
-    return 2 * m, (2 * m - 1) * n, 2 * n, 2 * n
-
-
 @dataclass
 class Certificate:
     """A built or loaded filling's disk validation and drift audit, from :func:`certify`."""
@@ -363,7 +348,7 @@ class Certificate:
 
 
 def certify(build: BuildResult) -> Certificate:
-    """Validate ``build``'s complex as a disk bounded by C_n, and audit its drift, in one strip pass per annulus.
+    """Validate ``build``'s complex as a disk bounded by C_n, and audit its drift, in one strip pass.
 
     :func:`ringfill.annuli.strip_drifts` shows why a complex with no
     defect is a disk, so E = V + F - 1, and measures every slanted edge.
@@ -372,25 +357,24 @@ def certify(build: BuildResult) -> Certificate:
     :func:`ringfill.validate_disk`'s, naming what is wrong with it as a
     disk, if anything.  An equal annulus's bound n/(2m) and a shrink's n/M
     are measured exactly, in units of 1/S for S = 2m or mM (see
-    :func:`_pair_terms`): S <= n^2, so the kernel's 2 n S <= 2 n^3 stays
-    within int64 for every n below 1.6 million, far past ``builder.MAX_N``.
-    A hand-made ledger past it raises ValueError before the strip kernel runs.
+    :func:`ringfill.annuli._pair_terms`): S <= n^2, so the kernel's
+    2 n S <= 2 n^3 stays within int64 for every n below 1.6 million, far
+    past ``builder.MAX_N``.  A hand-made ledger past it raises ValueError
+    before the strip kernel runs.
     """
     from .annuli import strip_drifts
 
     t, ledger = build.triangulation, build.ledger
-    n = t.n
-    pairs = [_pair_terms(n, rec, inner.length) for rec, inner in zip(ledger, ledger[1:])]
-    drifts, lines = strip_drifts(t, ledger, [(a, b, c, n * scale) for scale, a, b, c in pairs])
+    drifts, lines = strip_drifts(t, ledger)
     audit = DriftAudit()
     _report(audit.defects, lines, "defects")
-    for r, (rec, drift, (scale, *_)) in enumerate(zip(ledger, drifts, pairs)):
-        if drift is not None:
-            obs, bound = Fraction(drift, scale), rec.drift_bound
+    for r, (rec, obs) in enumerate(zip(ledger, drifts)):
+        if obs is not None:
+            bound = rec.drift_bound
             audit.rows.append(AnnulusAudit(r, rec.annulus_kind, bound, obs, ok=obs <= bound, tight=obs == bound))
     if lines:
         return Certificate(validate_disk(t), audit)
-    nv, nf = t.num_vertices, t.num_triangles
+    nv, nf, n = t.num_vertices, t.num_triangles, t.n
     ne = nv + nf - 1
     counts = {"vertices": nv, "edges": ne, "triangles": nf, "boundary_edges": n, "interior_edges": ne - n}
     return Certificate(ValidationReport(counts=counts), audit)

@@ -65,11 +65,6 @@ def _fresh(build: BuildResult, rows) -> BuildResult:
     return fresh
 
 
-def _zeros(ledger) -> list[tuple]:
-    """Zero drift terms for each annulus of ``ledger``: :func:`strip_drifts` then checks the strips alone."""
-    return [(0, 0, 0, 0)] * (len(ledger) - 1)
-
-
 def _edge_tables(call):
     """``call()`` and the number of edge tables it sorted, counted by a wrapped ``simplicial._edge_table``."""
     calls = []
@@ -124,16 +119,14 @@ def test_chunks_are_runs_of_whole_annuli_and_slices_of_the_rows(seed, medium_bui
         assert _canonical(tri[top : top + size]) == _canonical(want)
         top += size
     assert top == len(tri)
-    assert _edge_tables(lambda: strip_drifts(build.triangulation, ledger, _zeros(ledger))) == (
-        ([0] * (len(ledger) - 1), []), 0
-    )
     rows, _ = ref.drift_audit(medium_build)
+    assert _edge_tables(lambda: strip_drifts(build.triangulation, ledger)) == ((rows, []), 0)
     assert [row.max_observed for row in drift_audit(build).rows] == rows
     first = _chunk_sizes(ledger)[0]
     crossed = tri.copy()
     crossed[[first - 1, first]] = crossed[[first, first - 1]]  # a row of each of the first two annuli swapped
     crossed = _fresh(build, crossed)
-    assert strip_drifts(crossed.triangulation, ledger, _zeros(ledger)) == ([0] * (len(ledger) - 1), [])
+    assert strip_drifts(crossed.triangulation, ledger) == (rows, [])
     assert _edge_tables(lambda: drift_audit(crossed)) == (drift_audit(build), 0)
 
 
@@ -287,7 +280,7 @@ def test_a_strip_whose_far_vertices_wind_twice_fails_as_the_whole_complex():
 # The equal annulus between cycles 0..3 and 4..7, as the builder writes it,
 # and the fan closing 4..7 with the apex 8; each case breaks one rule of a
 # strip that the others leave standing, and names it: one case for each of
-# strip_rows' defects.
+# strip_annuli's defects.
 _OUTER = [(i, (i + 1) % 4, 4 + i) for i in range(4)]
 _INNER = [(4 + j, 4 + (j + 1) % 4, (j + 1) % 4) for j in range(4)]
 _STRIPS = {
@@ -308,7 +301,7 @@ _STRIPS = {
 def test_a_strip_breaking_one_rule_fails_as_the_whole_complex(case):
     ledger = layer_ledger(4, [("collar", 4)])
     cone = [(4, 5, 8), (5, 6, 8), (6, 7, 8), (7, 4, 8)]
-    assert strip_drifts(Triangulation(4, 9, _OUTER + _INNER + cone), ledger, _zeros(ledger)) == ([0], [])
+    assert strip_drifts(Triangulation(4, 9, _OUTER + _INNER + cone), ledger) == ([Fraction(1, 2)], [])  # n/(2m)
     rows, defect = _STRIPS[case]
     lines = [f"annulus 0 (collar) is not a strip: {defect}"]
     if len(rows) < 8:  # a row off every cycle keeps the row count, and names itself
@@ -328,8 +321,7 @@ def _refuse_strips(monkeypatch):
     def refuse(*args):
         raise AssertionError("the kernel was reached")
 
-    for name in ("row_cycles", "strip_rows"):
-        monkeypatch.setattr(_kernels.library(), name, refuse)
+    monkeypatch.setattr(_kernels.library(), "strip_annuli", refuse)
 
 
 def test_an_irregular_ledger_or_complex_falls_back_before_the_kernel(monkeypatch, medium_build):
@@ -353,7 +345,7 @@ def test_an_irregular_ledger_or_complex_falls_back_before_the_kernel(monkeypatch
     )
     for records, nv, lines in cases:
         complex_ = Triangulation(t.n, nv, t.triangles)
-        assert strip_drifts(complex_, records, _zeros(records)) == ([None] * (len(records) - 1), lines)
+        assert strip_drifts(complex_, records) == ([None] * (len(records) - 1), lines)
         cert = certify(BuildResult(complex_, records, None, None))
         assert cert.report == validate_disk(Triangulation(t.n, nv, t.triangles))
         assert cert.audit.defects == lines and cert.audit.rows == [] and not cert.ok

@@ -231,20 +231,25 @@ def test_audit_passes_a_valid_build_file_in_another_row_order(tmp_path, capsys, 
 
 @pytest.mark.parametrize("command", ["build", "audit", "verify", "sweep"])
 def test_a_built_filling_is_stripped_once(monkeypatch, capsys, command):
-    # one strip pass per annulus and one for the cone's fan validates and audits it
-    from ringfill import annuli
+    # one call of the strip kernel, over the rows as built with no index,
+    # validates and audits every annulus and the cone's fan
+    from ringfill import _kernels
     from ringfill.analysis import run_sweep
 
-    calls = []
-    strip = annuli._strip_rows
-    monkeypatch.setattr(annuli, "_strip_rows", lambda *args: calls.append(args[1:4]) or strip(*args))
+    calls, lib = [], _kernels.library()
+    strip = lib.strip_annuli
+
+    def counted(tri, k, start, cycles, terms, count, index, scratch, out):
+        calls.append((k, cycles, index))
+        return strip(tri, k, start, cycles, terms, count, index, scratch, out)
+
+    monkeypatch.setattr(lib, "strip_annuli", counted)
     if command == "sweep":
         assert run_sweep([25], "1/10", "1/4")[0].error is None
     else:
         assert main([command, *_PARAMS_25]) == 0
-    ledger = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4))).ledger
-    inner = [rec.length for rec in ledger[1:]] + [1]
-    assert calls == [(rec.first_vertex, rec.length, M) for rec, M in zip(ledger, inner)]
+    build = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4)))
+    assert calls == [(build.triangulation.num_triangles, len(build.ledger), None)]
 
 
 @pytest.mark.parametrize("field", ["rho"])
@@ -569,12 +574,18 @@ def test_bare_file_with_a_huge_n_is_refused_before_validation(tmp_path, capsys, 
 
 
 def test_export_of_a_huge_theta_is_a_named_error(tmp_path, capsys):
+    # a theta past the floats, or one whose angle overflows to inf, names its
+    # vertex before the output file is opened
     data = triangulation_to_dict(cone_over_cycle(3))
-    data["vertices"][1]["theta_num"] = 10**400
     path = tmp_path / "bare.json"
-    dump_json(data, str(path))
-    assert main(["export", "--in", str(path), "--format", "off", "--out", str(tmp_path / "k.off")]) == 1
-    assert capsys.readouterr().err == "error: integer division result too large for a float\n"
+    for num, den in ((10**400, 1), (10**308, 1), (-(10**400), 3)):
+        data["vertices"][1].update(theta_num=num, theta_den=den)
+        dump_json(data, str(path))
+        for fmt in ("off", "obj"):
+            out = tmp_path / f"k.{fmt}"
+            assert main(["export", "--in", str(path), "--format", fmt, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: the theta of vertex 1 is too large for a float coordinate\n"
+            assert not out.exists()
 
 
 def _tampered_build(tmp_path, tamper):
@@ -920,6 +931,23 @@ def test_analyze_core_inequality_is_exact(eta, capsys):
 def test_analyze_rejects_eta_outside_unit_interval(eta, capsys):
     assert main(["analyze", "--core-inequality", f"--eta={eta}"]) == 1
     assert "error: eta must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_a_bad_eta_fails_analyze_before_any_output():
+    # every check that reads --eta reads it before the constants print, and
+    # a huge eta is named shortened; --constants alone reads no --eta
+    for eta, err in (
+        ("1e999", "error: eta must lie in [0, 1], got 1000000000...0000000000\n"),
+        ("nan", "error: Invalid literal for Fraction: 'nan'\n"),
+        ("-1/3", "error: eta must lie in [0, 1], got -1/3\n"),
+    ):
+        for flags in ([], ["--core-inequality"], ["--profile-integral"], ["--constants", "--profile-integral"]):
+            proc = subprocess.run([sys.executable, "-m", "ringfill.cli", "analyze", *flags, f"--eta={eta}"],
+                                  capture_output=True, text=True, env=_subprocess_env())
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err), (eta, flags)
+    proc = subprocess.run([sys.executable, "-m", "ringfill.cli", "analyze", "--constants", "--eta=1e999"],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 0 and "ordering 1/8 <= 1/6 < 1/(pi*sqrt3): True" in proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -497,42 +497,58 @@ def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
         assert validate_disk_batch(n, nv, frozen).tolist() == [False, False], (n, nv)
 
 
-def test_strip_rows_refuse_other_buffers_ids_and_terms_before_the_kernel(monkeypatch, small_build):
-    rows = small_build.triangulation.triangles[:50]  # the first collar annulus: cycles of 25 from ids 0 and 25
-    scratch = np.zeros(100, dtype=np.int32)
-    scale, a, b, c = verify._pair_terms(25, small_build.ledger[0], 25)
-    terms = (a, b, c, 25 * scale)
-    assert annuli._strip_rows(rows, 0, 25, 25, scratch, terms) == (0, b // 2)  # n/(2m) units of 1/S
-    backwards = np.arange(99, -1, -1, dtype=np.int32)[50:]  # rows 49 down to 0, read through an index
-    assert annuli._strip_rows(small_build.triangulation.triangles, 0, 25, 25, scratch, terms, backwards) == (0, b // 2)
-    assert annuli._strip_rows(rows, 0, 25, 25, scratch, terms, backwards[1:]) == (1, -1)  # 49 rows: a row count
-    _refuse_kernels(monkeypatch, "strip_rows")
-    frozen = scratch.copy()
-    frozen.flags.writeable = False
-    for work in (np.zeros(99, dtype=np.int32), np.zeros(100, dtype=np.int64), frozen,
-                 np.zeros(200, dtype=np.int32)[::2], np.zeros((100, 1), dtype=np.int32)):
-        with pytest.raises(ValueError, match=r"25 and 25 vertices needs a writable C-contiguous int32 scratch"):
-            annuli._strip_rows(rows, 0, 25, 25, work)
-    for wrong in (np.asarray(rows, dtype=np.int64), np.zeros((50, 6), dtype=np.int32)[:, ::2]):
+def test_strip_annuli_refuse_other_buffers_ids_and_terms_before_the_kernel(monkeypatch, small_build):
+    t, ledger = small_build.triangulation, small_build.ledger
+    drifts = ref.reference_drift_audit(small_build)
+    assert drifts[0] == Fraction(1, 2)  # the collar's n/(2m), in units of 1/S of its _pair_terms
+    assert annuli.strip_drifts(t, ledger) == (drifts, [])
+    backwards = Triangulation(25, t.num_vertices, np.asarray(t.triangles)[::-1])
+    assert annuli.strip_drifts(backwards, ledger) == (drifts, [])
+    # rows out of order need an index: without one the kernel returns 1 and
+    # checks no strip; with one it sorts the rows into it and checks them all
+    lib, depth, rows = _kernels.library(), len(ledger), backwards.triangles
+    start = np.array([rec.first_vertex for rec in ledger] + [small_build.apex], dtype=np.int32)
+    terms = np.zeros((depth, 4), dtype=np.int64)
+    for r, (rec, inner) in enumerate(zip(ledger, ledger[1:])):
+        scale, a, b, c = annuli._pair_terms(25, rec, inner.length)
+        terms[r] = a, b, c, 25 * scale
+    count, scratch, index = (np.zeros(k, dtype=np.int32) for k in (depth + 1, 2 * 50 + 2, len(rows)))
+    out = np.full((depth, 2), 7, dtype=np.int64)
+    assert lib.strip_annuli(rows, len(rows), start, depth, terms, count, None, scratch, out) == 1
+    sizes = [rec.length + inner.length for rec, inner in zip(ledger, ledger[1:])] + [ledger[-1].length, 0]
+    assert (out == 7).all() and count.tolist() == sizes  # and no row on no cycle
+    assert lib.strip_annuli(rows, len(rows), start, depth, terms, count, index, scratch, out) == 0
+    assert index.tolist() == sorted(range(len(rows)), key=lambda f: (np.searchsorted(start, rows[f, 0], "right"), f))
+    assert out[:, 1].tolist() == [0] * depth and out[0, 0] == 25  # n/(2m) = 25/50
+    _refuse_kernels(monkeypatch, "strip_annuli")
+    # rows of another format or layout
+    for wrong in (np.asarray(t.triangles, dtype=np.int64), np.zeros((531, 6), dtype=np.int32)[:, ::2],
+                  np.zeros((531, 2), dtype=np.int32)):
+        shaped = copy.copy(t)
+        shaped.triangles = wrong
         with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer"):
-            annuli._strip_rows(wrong, 0, 25, 25, scratch)
-    for first, m, M in ((-1, 25, 25), (0, 2, 25), (0, 25, 2), (0, 25, 0), (2**31 - 49, 25, 25)):
-        with pytest.raises(ValueError, match=rf"a strip of cycles of {m} and {M} vertices from id {first} needs ids"):
-            annuli._strip_rows(rows, first, m, M, np.zeros(max(2 * (m + M), 0), dtype=np.int32))
-    for terms in ((a, b, c, b), (0, 1, 1, 2**62), (-1, 0, 0, 5), (0, 0, 0, -1), (2**64, 0, 0, 0)):
-        with pytest.raises(ValueError, match=r"exceed the int64 period"):
-            annuli._strip_rows(rows, 0, 25, 25, scratch, terms)
-    # a row index of another format or shape, or of more entries than rows
-    for index in (backwards.astype(np.int64), backwards.astype(np.uint32), np.zeros(100, dtype=np.int32)[::2],
-                  backwards.reshape(2, 25), np.zeros(51, dtype=np.int32)):
-        with pytest.raises(ValueError, match=r"a row index into 50 rows must be a C-contiguous int32 buffer of at most"):
-            annuli._strip_rows(rows, 0, 25, 25, scratch, (0, 0, 0, 0), index)
-    # or an entry that is no row
-    for entry in (-1, 50, 2**31 - 1):
-        index = backwards.copy()
-        index[7] = entry
-        with pytest.raises(ValueError, match=r"a row index into 50 rows has an entry outside 0..49"):
-            annuli._strip_rows(rows, 0, 25, 25, scratch, (0, 0, 0, 0), index)
+            annuli.strip_drifts(shaped, ledger)
+    # ids off the int32 range, or cycles too short to be strips, are defects of the ledger, before any strip
+    cases = {
+        "from id -1": ([LayerRecord(0, 25, -1, "equal", Fraction(1, 2)), LayerRecord(1, 25, 24)], 50),
+        "a cycle of 2": ([LayerRecord(0, 25, 0, "shrink", Fraction(25, 2)), LayerRecord(1, 2, 25)], 28),
+        "an empty cycle": ([LayerRecord(0, 25, 0, "shrink", Fraction(25, 2)), LayerRecord(1, 0, 25)], 26),
+        "an apex past int32": ([LayerRecord(0, 25, 0, "equal", Fraction(1, 2)), LayerRecord(1, 2**31 - 25, 25)],
+                               2**31 + 1),
+    }
+    for name, (records, nv) in cases.items():
+        drifts, lines = annuli.strip_drifts(Triangulation(25, nv, t.triangles[:50]), records)
+        assert drifts == [None] and lines, name
+    # terms that take the kernel's arithmetic past int64: C_(2^21) shrinking
+    # to 2^20, 2 n S = 2^63, and an equal annulus of C_4 to a cycle of 10,
+    # whose c (M - 1) passes the period
+    for n, records, message in (
+        (2**21, layer_ledger(2**21, [("shrink", 2**20)]), rf"\(0, {2**41}, {2**42}\) exceed the int64 period {2**62}"),
+        (4, [LayerRecord(0, 4, 0, "equal", Fraction(1, 2)), LayerRecord(1, 10, 4)], r"\(28, 8, 8\) exceed the int64 period 32"),
+    ):
+        apex = records[-1].first_vertex + records[-1].length
+        with pytest.raises(ValueError, match=rf"drift terms {message}"):
+            annuli.strip_drifts(Triangulation(n, apex + 1, [(0, 1, n)]), records)
 
 
 def test_disk_verdicts_fail_every_vertex_count_but_the_disks():
@@ -708,8 +724,11 @@ def test_a_fan_row_with_the_apex_twice_is_no_fan(small_build):
     assert cert.audit.defects == [
         "the cone over cycle 13 is not a fan: a pair not adjacent on its cycle at row 524 (271, 278, 278)"
     ]
-    cone = tri[524:]
-    assert annuli._strip_rows(cone, 271, 7, 1, np.zeros(16, dtype=np.int32)) == (4, 0)
+    # the kernel alone, over a ledger of the innermost cycle, whose one strip is the fan
+    out, count = np.zeros((1, 2), dtype=np.int64), np.zeros(2, dtype=np.int32)
+    cone, start, terms = tri[524:], np.array([271, 278], dtype=np.int32), np.zeros((1, 4), dtype=np.int64)
+    assert _kernels.library().strip_annuli(cone, 7, start, 1, terms, count, None, np.zeros(16, dtype=np.int32), out) == 0
+    assert out.tolist() == [[-4, 0]] and count.tolist() == [7, 0]
 
 
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 10**6)), min_size=1, max_size=6))
@@ -746,7 +765,7 @@ def test_drift_pass_raises_the_int64_error_where_the_numpy_audit_did(monkeypatch
     cert = verify.certify(below)
     assert not cert.ok and cert.audit.defects and cert.audit.rows == []  # one row is no strip
     at = one_row(2**20)
-    _refuse_kernels(monkeypatch, "strip_rows")
+    _refuse_kernels(monkeypatch, "strip_annuli")
     with pytest.raises(ValueError, match=rf"drift audit of cycles 0 and 1 needs positions in units of 1/{2**41}: "
                                          r"exceeds int64 arithmetic"):
         ref.drift_audit(at)
@@ -865,6 +884,7 @@ def test_kernels_pass_their_tests_under_sanitizers(tmp_path):
         str(tmp_path), "-q", "-p", "no:cacheprovider", "--capture=sys",  # a sanitizer's report goes to fd 2
         *(str(tests / f"test_{name}.py")
           for name in ("kernels", "oracle", "simplicial", "chunks", "verify", "acceptance", "load_json", "serialize")),
+        str(tests / "test_cli.py::test_a_built_filling_is_stripped_once"),  # the strip kernel's one call a command
         # the loader's tests compile libraries of their own, which the patched loader refuses
         "-k", "not under_sanitizers and not first_builds_share and not unwritable_cache and not edited_source"
               " and not compiler_flags",

@@ -600,7 +600,7 @@ def test_drift_audit_refuses_int64_overflow(monkeypatch, small_build):
     # Every ledger of layer_ledger measures an annulus in units of 1/S with
     # S <= n^2, so 2 n S <= 2 n^3 fits int64 below n = 1.6 million.  Past
     # that, a hand-made ledger of C_(2^21) shrinking to 2^20 has S = m M =
-    # 2^41 and 2 n S = 2^63, which _strip_rows refuses before the strip
+    # 2^41 and 2 n S = 2^63, which strip_drifts refuses before the strip
     # kernel runs.
     import copy
 
@@ -612,7 +612,7 @@ def test_drift_audit_refuses_int64_overflow(monkeypatch, small_build):
     huge = copy.copy(small_build)
     huge.ledger = layer_ledger(n, [("shrink", 2**20)])
     huge.triangulation = Triangulation(n, huge.apex + 1, [(0, 1, n)])
-    _refuse_kernels(monkeypatch, "strip_rows")
+    _refuse_kernels(monkeypatch, "strip_annuli")
     message = rf"drift terms \(0, {2**41}, {2**42}\) exceed the int64 period {2**62}"
     with pytest.raises(ValueError, match=message):
         certify(huge)
