@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _shown, as_fraction
@@ -56,13 +55,13 @@ def _unit_eta(eta: Fraction | float | str) -> Fraction:
     return e
 
 
-@dataclass
 class CoreInequalityReport:
     """Exact minimum slack of 2t + q(t)(s - I(t))_+ - s on [0, stop_time] x [0, 1/2]."""
 
-    min_slack: Fraction
-    boundary_max_abs: Fraction  # worst |slack| along s = 1/2, where equality holds
-    eta: Fraction
+    def __init__(self, min_slack: Fraction, boundary_max_abs: Fraction, eta: Fraction) -> None:
+        self.min_slack = min_slack
+        self.boundary_max_abs = boundary_max_abs  # worst |slack| along s = 1/2, where equality holds
+        self.eta = eta
 
     @property
     def ok(self) -> bool:
@@ -108,14 +107,14 @@ def check_core_inequality(eta: Fraction | float | str) -> CoreInequalityReport:
     )
 
 
-@dataclass
 class ProfileIntegralCheck:
     """Closed form of the profile integral against an exact quadrature."""
 
-    eta: Fraction
-    closed_form: Fraction  # (1 - eta^3) / 6
-    quadrature: Fraction  # one-panel Simpson's rule in q = sqrt(1 - 4t)
-    error: Fraction  # their difference, exactly 0 on return
+    def __init__(self, eta: Fraction, closed_form: Fraction, quadrature: Fraction, error: Fraction) -> None:
+        self.eta = eta
+        self.closed_form = closed_form  # (1 - eta^3) / 6
+        self.quadrature = quadrature  # one-panel Simpson's rule in q = sqrt(1 - 4t)
+        self.error = error  # their difference, exactly 0 on return
 
 
 def _depth(q: Fraction) -> Fraction:
@@ -166,14 +165,14 @@ def vertex_count_lower_bound(n: int, delta: Fraction | int | float | str = 1) ->
     return delta**3 / 8 * (n - 1) ** 2 + Fraction(n - 1, 2)
 
 
-@dataclass
 class ConstantsReport:
     """The density constants that bracket the problem, in one place."""
 
-    lower_density: float  # 1/8, below which no filling family can go
-    upper_density: float  # 1/6, achieved by the annular construction
-    hemisphere_density: float  # 1/(pi*sqrt(3)), the triangulated-hemisphere rate
-    gap: float  # hemisphere rate minus 1/6
+    def __init__(self, lower_density: float, upper_density: float, hemisphere_density: float, gap: float) -> None:
+        self.lower_density = lower_density  # 1/8, below which no filling family can go
+        self.upper_density = upper_density  # 1/6, achieved by the annular construction
+        self.hemisphere_density = hemisphere_density  # 1/(pi*sqrt(3)), the triangulated-hemisphere rate
+        self.gap = gap  # hemisphere rate minus 1/6
 
     @property
     def ordering_ok(self) -> bool:
@@ -204,21 +203,25 @@ def constants_report() -> ConstantsReport:
 SWEEP_CSV_HEADER = "n,rho,eta,vertices,density,delta,is_isometric,eps_n,build_ms,verify_ms"
 
 
-@dataclass
 class SweepRow:
     """One convergence measurement: build, validate, audit, verify, time."""
 
-    n: int
-    rho: float
-    eta: float
-    vertices: int = 0
-    density: float = 0.0
-    delta: float = 0.0
-    is_isometric: bool = False
-    eps: float = 0.0
-    build_ms: float = 0.0
-    verify_ms: float = 0.0
-    error: str | None = None
+    def __init__(
+        self, n: int, rho: float, eta: float, vertices: int = 0, density: float = 0.0, delta: float = 0.0,
+        is_isometric: bool = False, eps: float = 0.0, build_ms: float = 0.0, verify_ms: float = 0.0,
+        error: str | None = None,
+    ) -> None:
+        self.n = n
+        self.rho = rho
+        self.eta = eta
+        self.vertices = vertices
+        self.density = density
+        self.delta = delta
+        self.is_isometric = is_isometric
+        self.eps = eps
+        self.build_ms = build_ms
+        self.verify_ms = verify_ms
+        self.error = error
 
     def csv_line(self) -> str:
         return ",".join(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
@@ -52,7 +51,6 @@ def staircase_indices(m: int, M: int) -> list[int]:
     return [(M * i) // m for i in range(m + 1)]
 
 
-@dataclass
 class LayerRecord:
     """Ledger entry for one cycle and the annulus attached on its inner side.
 
@@ -66,11 +64,18 @@ class LayerRecord:
     record keeps it.
     """
 
-    index: int
-    length: int
-    first_vertex: int
-    annulus_kind: str | None = None
-    drift_bound: Fraction | None = None
+    def __init__(
+        self, index: int, length: int, first_vertex: int, annulus_kind: str | None = None,
+        drift_bound: Fraction | None = None,
+    ) -> None:
+        self.index = index
+        self.length = length
+        self.first_vertex = first_vertex
+        self.annulus_kind = annulus_kind
+        self.drift_bound = drift_bound
+
+    def __eq__(self, other) -> bool:
+        return type(other) is LayerRecord and vars(self) == vars(other)
 
     def vertex(self, i):
         """Id of the ``i``-th cycle vertex, the index taken mod length."""

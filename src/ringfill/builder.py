@@ -8,10 +8,9 @@ shrinking transitions, and a cone cap closing the innermost cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ScheduleError, as_fraction
+from . import ScheduleError, _shown, as_fraction
 from ._kernels import buffer
 from .annuli import LayerRecord, _annulus_size, _write_annulus, _write_cone, layer_ledger
 from .simplicial import MAX_TRIANGLES, Triangulation
@@ -52,52 +51,59 @@ def ceil_sqrt(value: Fraction) -> int:
     return k
 
 
-@dataclass(frozen=True)
 class Params:
     """Parameter triple (n, rho, eta) driving one construction.
 
     ``rho`` is the collar share of the radius, ``eta`` the innermost cycle
-    length as a fraction of n.  Both are stored as exact rationals.
+    length as a fraction of n.  Both are stored as exact rationals.  A
+    params triple is read-only and compares by value.
     """
 
-    n: int
-    rho: Fraction
-    eta: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", as_fraction(self.rho))
-        object.__setattr__(self, "eta", as_fraction(self.eta))
-        if self.n < 3:
-            raise ScheduleError(f"boundary length must be >= 3, got {self.n}")
-        if self.n > MAX_N:
+    def __init__(self, n: int, rho: Fraction | int | float | str, eta: Fraction | int | float | str) -> None:
+        rho, eta = as_fraction(rho), as_fraction(eta)
+        if n < 3:
+            raise ScheduleError(f"boundary length must be >= 3, got {n}")
+        if n > MAX_N:
             raise ScheduleError(
-                f"boundary length {self.n} > {MAX_N}: an isometric filling of C_n would have "
+                f"boundary length {n} > {MAX_N}: an isometric filling of C_n would have "
                 f"more than {MAX_TRIANGLES} triangles, past int32 edge ids"
             )
-        if self.rho <= 0:
-            raise ScheduleError(f"rho must be positive, got {self.rho}")
-        if not 0 < self.eta < 1:
-            raise ScheduleError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.eta * self.eta >= self.rho:
-            raise ScheduleError(f"eta^2 < rho violated ({self.eta * self.eta} >= {self.rho})")
+        if rho <= 0:
+            raise ScheduleError(f"rho must be positive, got {_shown(str(rho))}")
+        if not 0 < eta < 1:
+            raise ScheduleError(f"eta must lie in (0, 1), got {_shown(str(eta))}")
+        if eta * eta >= rho:
+            raise ScheduleError(f"eta^2 < rho violated ({_shown(str(eta * eta))} >= {_shown(str(rho))})")
+        vars(self).update(n=n, rho=rho, eta=eta)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Params and vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """Deterministic construction plan derived from Params.
+    """Deterministic construction plan derived from Params, read-only and compared by value.
 
     ``block_lengths[b]`` is the cycle length used throughout block b;
     ``block_lengths[-1]`` is the innermost cycle closed by the cone.
     """
 
-    n: int
-    collar_layers: int
-    num_blocks: int
-    layers_per_block: int
-    stop_time: Fraction
-    block_width: Fraction
-    block_times: tuple[Fraction, ...]
-    block_lengths: tuple[int, ...]
+    def __init__(
+        self, n: int, collar_layers: int, num_blocks: int, layers_per_block: int, stop_time: Fraction,
+        block_width: Fraction, block_times: tuple[Fraction, ...], block_lengths: tuple[int, ...],
+    ) -> None:
+        vars(self).update(
+            n=n, collar_layers=collar_layers, num_blocks=num_blocks, layers_per_block=layers_per_block,
+            stop_time=stop_time, block_width=block_width, block_times=block_times, block_lengths=block_lengths,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Schedule and vars(self) == vars(other)
 
     @property
     def annuli(self) -> list[tuple[str, int]]:
@@ -161,20 +167,20 @@ def compute_schedule(p: Params) -> Schedule:
     sched = Schedule(n, collar, blocks, per_block, stop, width, times, lengths)
     if sched.predicted_triangle_count > MAX_TRIANGLES:
         raise ScheduleError(
-            f"the filling would have {sched.predicted_triangle_count} triangles, "
+            f"the filling would have {_shown(str(sched.predicted_triangle_count))} triangles, "
             f"more than the {MAX_TRIANGLES} that int32 edge ids allow"
         )
     return sched
 
 
-@dataclass(eq=False)
 class BuildResult:
     """A built filling along with its params, plan and ledger."""
 
-    triangulation: Triangulation
-    ledger: list[LayerRecord]
-    schedule: Schedule
-    params: Params
+    def __init__(self, triangulation: Triangulation, ledger: list[LayerRecord], schedule: Schedule, params: Params):
+        self.triangulation = triangulation
+        self.ledger = ledger
+        self.schedule = schedule
+        self.params = params
 
     @property
     def apex(self) -> int:

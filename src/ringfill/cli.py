@@ -7,7 +7,9 @@ of BFS worker threads (default 1), at most one per CPU.
 # The docstring above is the --help description.  Importing this module loads
 # argparse and the package root, not numpy: each command imports the layers it
 # runs when it runs, and none of them imports numpy, reading and writing files
-# included.
+# included, nor dataclasses, whose inspect and ast take longer to import than a
+# small command takes to run: the records are plain classes.  The parser adds
+# the arguments of the invoked command alone.
 from __future__ import annotations
 
 import argparse
@@ -22,59 +24,68 @@ if TYPE_CHECKING:
     from .verify import Certificate
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command with its help line, and the arguments of ``command`` alone.
+
+    ``main`` passes the command it finds first in its arguments, so a run
+    builds no other command's arguments; the root help and the error for an
+    unknown command do not depend on ``command``.
+    """
     parser = argparse.ArgumentParser(prog="ringfill", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(p)
+    return parser
 
-    p_build = sub.add_parser("build", help="build a filling and optionally write it as JSON")
-    _add_params(p_build, required=True)
-    p_build.add_argument("--out", help="write the build (params and triangles) as JSON")
 
-    p_verify = sub.add_parser("verify", help="exact isometry verification by boundary BFS")
-    _add_source(p_verify)
-    p_verify.add_argument(
-        "--jobs", type=_positive_int, default=1, help="BFS worker threads, at most one per CPU (default: 1)"
-    )
-    p_verify.add_argument("--out", help="write the verification report as JSON")
-    p_verify.add_argument("--dump-witness", action="store_true", help="print the worst shortcut path")
-    p_verify.add_argument(
+def _build_arguments(p: argparse.ArgumentParser) -> None:
+    _add_params(p, required=True)
+    p.add_argument("--out", help="write the build (params and triangles) as JSON")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="BFS worker threads, at most one per CPU (default: 1)")
+    p.add_argument("--out", help="write the verification report as JSON")
+    p.add_argument("--dump-witness", action="store_true", help="print the worst shortcut path")
+    p.add_argument(
         "--check-bound",
         type=_positive_int,
         metavar="COUNT",
         help="also check the analytic lower bound against BFS on every pair; on a violation, "
         "print those among COUNT sampled pairs, or the first one if the sample holds none, and exit 1",
     )
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled pair checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled pair checks")
 
-    p_audit = sub.add_parser("audit", help="exact slanted-edge drift audit per annulus")
-    _add_source(p_audit)
 
-    p_sweep = sub.add_parser("sweep", help="build/validate/audit/verify over a list of n")
-    p_sweep.add_argument("--n-list", required=True, type=_n_list, help="comma-separated boundary lengths")
-    p_sweep.add_argument("--rho", required=True, help="collar fraction, e.g. 0.1")
-    p_sweep.add_argument("--eta", required=True, help="stopping scale, e.g. 0.25")
-    p_sweep.add_argument(
-        "--jobs", type=_positive_int, default=1, help="BFS worker threads, at most one per CPU (default: 1)"
-    )
-    p_sweep.add_argument("--out", help="CSV output path")
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-list", required=True, type=_n_list, help="comma-separated boundary lengths")
+    p.add_argument("--rho", required=True, help="collar fraction, e.g. 0.1")
+    p.add_argument("--eta", required=True, help="stopping scale, e.g. 0.25")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="BFS worker threads, at most one per CPU (default: 1)")
+    p.add_argument("--out", help="CSV output path")
 
-    p_oracle = sub.add_parser("oracle", help="exhaustive minimum search for tiny boundaries")
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     # the search's bounds, oracle.MAX_BOUNDARY and MAX_INTERIOR, which the parser does not import
-    p_oracle.add_argument("--n", type=_int_in(3, 7), required=True, help="boundary length, 3..7")
-    p_oracle.add_argument("--max-interior", type=_int_in(0, 4), default=4, help="interior vertices, 0..4 (default: 4)")
-    p_oracle.add_argument("--out", help="write the minimal witness as JSON")
+    p.add_argument("--n", type=_int_in(3, 7), required=True, help="boundary length, 3..7")
+    p.add_argument("--max-interior", type=_int_in(0, 4), default=4, help="interior vertices, 0..4 (default: 4)")
+    p.add_argument("--out", help="write the minimal witness as JSON")
 
-    p_analyze = sub.add_parser("analyze", help="exact core inequality, profile integral and constants")
-    p_analyze.add_argument("--constants", action="store_true")
-    p_analyze.add_argument("--core-inequality", action="store_true")
-    p_analyze.add_argument("--profile-integral", action="store_true")
-    p_analyze.add_argument("--eta", default="0.25", help="stopping scale in [0, 1], e.g. 0.25")
 
-    p_export = sub.add_parser("export", help="export a complex to OFF or OBJ")
-    p_export.add_argument("--in", dest="in_path", required=True)
-    p_export.add_argument("--format", choices=("off", "obj"), required=True)
-    p_export.add_argument("--out", required=True)
-    return parser
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--constants", action="store_true")
+    p.add_argument("--core-inequality", action="store_true")
+    p.add_argument("--profile-integral", action="store_true")
+    p.add_argument("--eta", default="0.25", help="stopping scale in [0, 1], e.g. 0.25")
+
+
+def _export_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--format", choices=("off", "obj"), required=True)
+    p.add_argument("--out", required=True)
 
 
 def _positive_int(text: str) -> int:
@@ -336,21 +347,23 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command's help line, the function adding its arguments, and the function running it.
 _COMMANDS = {
-    "build": _cmd_build,
-    "verify": _cmd_verify,
-    "audit": _cmd_audit,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
-    "analyze": _cmd_analyze,
-    "export": _cmd_export,
+    "build": ("build a filling and optionally write it as JSON", _build_arguments, _cmd_build),
+    "verify": ("exact isometry verification by boundary BFS", _verify_arguments, _cmd_verify),
+    "audit": ("exact slanted-edge drift audit per annulus", _add_source, _cmd_audit),
+    "sweep": ("build/validate/audit/verify over a list of n", _sweep_arguments, _cmd_sweep),
+    "oracle": ("exhaustive minimum search for tiny boundaries", _oracle_arguments, _cmd_oracle),
+    "analyze": ("exact core inequality, profile integral and constants", _analyze_arguments, _cmd_analyze),
+    "export": ("export a complex to OFF or OBJ", _export_arguments, _cmd_export),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ScheduleError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ the small end of the construction, not to chase the asymptotics.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ._kernels import INT32, MAX_ID, MAX_TRIANGLES, buffer, library as _library
@@ -55,21 +54,20 @@ _MAX_TINY = 255  # the most vertices is_isometric_filling takes
 _MAX_BITSET = 64  # the most vertices disk_verdicts takes: one uint64 bitset a vertex
 
 
-@dataclass(frozen=True)
 class EnumerationBudget:
-    """Boundary length and exact interior vertex count of one enumeration."""
+    """Boundary length and exact interior vertex count of one enumeration, read-only."""
 
-    n: int
-    interior: int = MAX_INTERIOR
+    def __init__(self, n: int, interior: int = MAX_INTERIOR) -> None:
+        if not 3 <= n <= MAX_BOUNDARY:
+            raise ValueError(f"boundary length must lie in 3..{MAX_BOUNDARY}, got {n}")
+        if not 0 <= interior <= MAX_INTERIOR:
+            raise ValueError(f"interior budget must lie in 0..{MAX_INTERIOR}, got {interior}")
+        vars(self).update(n=n, interior=interior)
 
-    def __post_init__(self) -> None:
-        if not 3 <= self.n <= MAX_BOUNDARY:
-            raise ValueError(f"boundary length must lie in 3..{MAX_BOUNDARY}, got {self.n}")
-        if not 0 <= self.interior <= MAX_INTERIOR:
-            raise ValueError(f"interior budget must lie in 0..{MAX_INTERIOR}, got {self.interior}")
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
-@dataclass
 class EnumerationStats:
     """Side-channel counters filled in while the enumeration runs.
 
@@ -77,8 +75,9 @@ class EnumerationStats:
     for callers that report it.
     """
 
-    emitted: int = 0
-    duplicates: int = 0
+    def __init__(self, emitted: int = 0, duplicates: int = 0) -> None:
+        self.emitted = emitted
+        self.duplicates = duplicates
 
 
 def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[memoryview]:
@@ -258,14 +257,14 @@ def is_isometric_filling(t: Triangulation) -> bool:
     return _isometric_rows(t.n, t.num_vertices, tri.cast("B").cast("i", (1, *tri.shape)))[0]
 
 
-@dataclass
 class OracleResult:
     """Outcome of the exhaustive minimum search."""
 
-    n: int
-    min_vertices: int | None
-    witness: Triangulation | None
-    enumerated: int
+    def __init__(self, n: int, min_vertices: int | None, witness: Triangulation | None, enumerated: int) -> None:
+        self.n = n
+        self.min_vertices = min_vertices
+        self.witness = witness
+        self.enumerated = enumerated
 
     @property
     def known(self) -> bool:

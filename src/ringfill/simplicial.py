@@ -18,7 +18,6 @@ complex on up to 64 vertices, are :func:`ringfill.oracle.validate_disk_batch`.
 from __future__ import annotations
 
 from array import array
-from dataclasses import InitVar, dataclass, field
 from itertools import chain
 
 from ._kernels import INT32 as _INT32, MAX_ID as _MAX_ID, MAX_TRIANGLES, buffer
@@ -197,7 +196,6 @@ def _incidence(tri, slot_edge, ne: int) -> memoryview:
     return incidence
 
 
-@dataclass(eq=False)
 class Triangulation:
     """Immutable-by-convention abstract 2-complex on vertex ids ``0..num_vertices-1``.
 
@@ -217,20 +215,17 @@ class Triangulation:
     share between threads.
     """
 
-    n: int
-    num_vertices: int
-    triangles: memoryview
-    own: InitVar[bool] = False
-
-    def __post_init__(self, own: bool) -> None:
-        if self.n < 3:
-            raise ValueError(f"boundary length must be >= 3, got {self.n}")
-        if self.n > self.num_vertices:
+    def __init__(self, n: int, num_vertices: int, triangles, own: bool = False) -> None:
+        if n < 3:
+            raise ValueError(f"boundary length must be >= 3, got {n}")
+        if n > num_vertices:
             raise ValueError(
-                f"boundary length {self.n} exceeds the {self.num_vertices} vertices: "
+                f"boundary length {n} exceeds the {num_vertices} vertices: "
                 "a disk bounded by C_n has at least n vertices"
             )
-        self.triangles = _triangle_rows(self.triangles, own)
+        self.n = n
+        self.num_vertices = num_vertices
+        self.triangles: memoryview = _triangle_rows(triangles, own)
 
     @property
     def num_triangles(self) -> int:
@@ -246,12 +241,15 @@ class Triangulation:
         return len(self.edges)
 
 
-@dataclass
 class ValidationReport:
     """Total validation result: every violated invariant with a witness."""
 
-    failures: list[str] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
+    def __init__(self, failures: list[str] | None = None, counts: dict[str, int] | None = None) -> None:
+        self.failures = [] if failures is None else failures
+        self.counts = {} if counts is None else counts
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ValidationReport and vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:

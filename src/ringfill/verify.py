@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -253,7 +252,6 @@ def _bound_violation(table: list[int], dist, n: int) -> tuple[int, int] | None:
     return (pair[0], pair[1]) if _library().bound_violation(view, n, array("q", table), pair) else None
 
 
-@dataclass(eq=False)
 class VerificationReport:
     """Outcome of the exact boundary-distance verification.
 
@@ -262,13 +260,17 @@ class VerificationReport:
     the boundary shows d_complex <= d_cycle always, so delta <= 1.
     """
 
-    n: int
-    delta: Fraction
-    is_isometric: bool
-    worst_pair: tuple[int, int, int, int]  # (x, y, d_complex, d_cycle)
-    witness_path: list[int] | None
-    boundary_distances: memoryview  # (n, n) int64
-    eps: float | None = None
+    def __init__(
+        self, n: int, delta: Fraction, is_isometric: bool, worst_pair: tuple[int, int, int, int],
+        witness_path: list[int] | None, boundary_distances: memoryview, eps: float | None = None,
+    ) -> None:
+        self.n = n
+        self.delta = delta
+        self.is_isometric = is_isometric
+        self.worst_pair = worst_pair  # (x, y, d_complex, d_cycle)
+        self.witness_path = witness_path
+        self.boundary_distances = boundary_distances  # (n, n) int64
+        self.eps = eps
 
 
 def verify_filling(t: Triangulation, jobs: int = 1) -> VerificationReport:
@@ -297,19 +299,21 @@ def verify_filling(t: Triangulation, jobs: int = 1) -> VerificationReport:
     )
 
 
-@dataclass
 class AnnulusAudit:
     """Observed versus allowed slanted-edge displacement for one annulus."""
 
-    layer: int
-    kind: str
-    bound: Fraction
-    max_observed: Fraction
-    ok: bool
-    tight: bool  # max observed equals the bound exactly
+    def __init__(self, layer: int, kind: str, bound: Fraction, max_observed: Fraction, ok: bool, tight: bool) -> None:
+        self.layer = layer
+        self.kind = kind
+        self.bound = bound
+        self.max_observed = max_observed
+        self.ok = ok
+        self.tight = tight  # max observed equals the bound exactly
+
+    def __eq__(self, other) -> bool:
+        return type(other) is AnnulusAudit and vars(self) == vars(other)
 
 
-@dataclass
 class DriftAudit:
     """Per-annulus drift rows, and a line for each defect that keeps the complex from being the ledger's strips.
 
@@ -317,8 +321,12 @@ class DriftAudit:
     annulus that is no strip has no row.
     """
 
-    rows: list[AnnulusAudit] = field(default_factory=list)
-    defects: list[str] = field(default_factory=list)
+    def __init__(self, rows: list[AnnulusAudit] | None = None, defects: list[str] | None = None) -> None:
+        self.rows = [] if rows is None else rows
+        self.defects = [] if defects is None else defects
+
+    def __eq__(self, other) -> bool:
+        return type(other) is DriftAudit and vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
@@ -328,12 +336,12 @@ class DriftAudit:
         return [row for row in self.rows if not row.ok]
 
 
-@dataclass
 class Certificate:
     """A built or loaded filling's disk validation and drift audit, from :func:`certify`."""
 
-    report: ValidationReport
-    audit: DriftAudit
+    def __init__(self, report: ValidationReport, audit: DriftAudit) -> None:
+        self.report = report
+        self.audit = audit
 
     @property
     def ok(self) -> bool:

@@ -2,18 +2,24 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from reference_impl import phases
 
 from ringfill import (
+    DriftAudit,
+    EnumerationBudget,
     Params,
     ScheduleError,
+    Triangulation,
+    ValidationReport,
     build_filling,
     ceil_sqrt,
     compute_schedule,
     predict_density,
     validate_disk,
 )
+from ringfill.oracle import EnumerationStats
 
 
 def test_schedule_direct_evaluation():
@@ -173,6 +179,37 @@ def test_predicted_counts_are_exact_for_varied_parameters():
         build = build_filling(Params(n, Fraction(rho), Fraction(eta)))
         assert build.schedule.predicted_vertex_count == build.triangulation.num_vertices
         assert build.schedule.predicted_triangle_count == build.triangulation.num_triangles
+
+
+def test_params_compare_by_value_and_stay_read_only():
+    params = Params(64, "1/10", 0.25)
+    assert params == Params(64, Fraction(1, 10), Fraction(1, 4))
+    assert type(params.rho) is Fraction and type(params.eta) is Fraction
+    for record in (params, compute_schedule(params), EnumerationBudget(5)):
+        with pytest.raises(AttributeError):
+            record.n = 65
+        assert record.n != 65
+
+
+@pytest.mark.parametrize("record", [DriftAudit, ValidationReport, EnumerationStats])
+def test_default_records_share_no_state(record):
+    first, second = record(), record()
+    for name, value in vars(first).items():
+        if isinstance(value, list):
+            value.append(1)
+        elif isinstance(value, dict):
+            value["edges"] = 1
+        else:
+            setattr(first, name, value + 1)
+    assert vars(second) == vars(record()) != vars(first)
+
+
+def test_an_owned_int32_buffer_is_kept_without_a_copy(small_build):
+    t = small_build.triangulation
+    rows = np.array(t.triangles)
+    assert rows.dtype == np.int32 and rows.flags.writeable
+    assert np.shares_memory(np.asarray(Triangulation(t.n, t.num_vertices, rows, own=True).triangles), rows)
+    assert not np.shares_memory(np.asarray(Triangulation(t.n, t.num_vertices, rows).triangles), rows)
 
 
 def test_predict_density_values():

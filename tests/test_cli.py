@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -36,9 +37,24 @@ def test_build_rejects_bad_eta(capsys):
 
 
 def test_eta_rejection_prints_exact_rationals(capsys):
-    # as floats, a positive rho of 1e-400 printed as 0.0
+    # as floats, a positive rho of 1e-400 printed as 0.0; its 403 characters are shortened
     assert main(["build", "--n", "64", "--rho", "1e-400", "--eta", "0.25"]) == 2
-    assert capsys.readouterr().err == f"rejected: eta^2 < rho violated (1/16 >= 1/{10**400})\n"
+    assert capsys.readouterr().err == "rejected: eta^2 < rho violated (1/16 >= 1/10000000...0000000000)\n"
+
+
+@pytest.mark.parametrize(
+    "rho,eta,line",
+    [
+        ("1e4000", "1/4", "the filling would have 2000000000...0000004396 triangles, more than the 357913941 "
+         "that int32 edge ids allow"),
+        ("1/10", "1e4000", "eta must lie in (0, 1), got 1000000000...0000000000"),
+        ("1e-4000", "1/4", "eta^2 < rho violated (1/16 >= 1/10000000...0000000000)"),
+    ],
+    ids=["triangles", "eta", "rho"],
+)
+def test_a_refusal_shortens_a_number_thousands_of_digits_long(capsys, rho, eta, line):
+    assert main(["build", "--n", "100", "--rho", rho, "--eta", eta]) == 2
+    assert capsys.readouterr().err == f"rejected: {line}\n"
 
 
 def test_build_rejects_small_n(capsys):
@@ -633,6 +649,8 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines() == ["[]", "[] False False"]
+    # numpy loads inspect, so this import runs without it
+    assert _loaded_after("import ringfill.cli", ("dataclasses", "inspect")) == (0, [])
 
 
 @pytest.mark.parametrize(
@@ -656,20 +674,28 @@ def test_command_loads_no_scipy(argv):
         ["audit", "--n", "25", "--rho", "1/10", "--eta", "1/4"],
         ["verify", "--n", "25", "--rho", "1/10", "--eta", "1/4"],
         ["oracle", "--n", "5", "--max-interior", "1"],
+        ["audit", "--in", "{files}/k.json"],
+        ["sweep", "--n-list", "25", "--rho", "1/10", "--eta", "1/4"],
+        ["analyze"],
+        ["export", "--in", "{files}/k.json", "--format", "off", "--out", "{files}/k.off"],
     ],
-    ids=["build", "audit", "verify", "oracle"],
+    ids=["build", "audit", "verify", "oracle", "audit-in", "sweep", "analyze", "export"],
 )
-def test_command_loads_no_hashlib(argv):
+def test_command_loads_no_hashlib(argv, files):
     # importing hashlib loads OpenSSL, some 3.5 MB of resident memory; the
-    # kernel library is named by importlib's source hash instead
+    # kernel library is named by importlib's source hash instead.  Nor does a
+    # command load dataclasses, whose inspect and ast take longer to import
+    # than a small command takes to run.
+    argv = [arg.format(files=files) for arg in argv]
     code = (
         f"import sys; from ringfill.cli import main; assert main({argv!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')), 'ringfill._kernels' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib', 'dataclasses', 'inspect')), "
+        "'ringfill._kernels' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == "[] True"
+    assert out.stdout.splitlines()[-1] == f"[] {argv[0] != 'analyze'}"
 
 
 def _loaded_after(code: str, modules: tuple[str, ...]) -> tuple[int, list[str]]:
@@ -1011,7 +1037,34 @@ def test_readme_commands_parse():
     commands = [line for line in block.splitlines() if line.startswith("ringfill ")]
     assert len(commands) >= 9
     for line in commands:
-        _parser().parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        _parser(argv[0]).parse_args(argv)
+
+
+_OPTIONS = {
+    "build": "--n --rho --eta --out",
+    "verify": "--in --n --rho --eta --jobs --out --dump-witness --check-bound --seed",
+    "audit": "--in --n --rho --eta",
+    "sweep": "--n-list --rho --eta --jobs --out",
+    "oracle": "--n --max-interior --out",
+    "analyze": "--constants --core-inequality --profile-integral --eta",
+    "export": "--in --format --out",
+}
+
+
+def test_help_lists_every_command_and_each_command_its_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  {{{','.join(_OPTIONS)}}}" in lines
+    assert [line.split()[0] for line in lines if line.startswith("    ")] == list(_OPTIONS)
+    for command, options in _OPTIONS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)
+        assert set(listed) == {"--help", *options.split()}, command
 
 
 def test_export_unknown_format_is_usage_error(tmp_path):
