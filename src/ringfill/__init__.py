@@ -83,9 +83,32 @@ _DIGITS = re.compile(r"[0-9_]+")
 _EXPONENT = re.compile(r"[eE]\s*[-+]?\s*([0-9_]+)")
 
 
-def _shown(text: str) -> str:
-    """``text``, or past 24 characters its first and last ten around ``...``: how an error message names input."""
+def _shown(value: str | int | Fraction) -> str:
+    """``value``'s text, or past 24 characters its first and last ten around ``...``: how an error message names input.
+
+    An int, or a Fraction's numerator or denominator, too long for ``str``
+    (past Python's 4,300-digit limit) is written as its first and last ten
+    digits around ``...``, which keeps the first and last ten characters.
+    """
+    if isinstance(value, Fraction):
+        value = _digits(value.numerator) + ("" if value.denominator == 1 else f"/{_digits(value.denominator)}")
+    text = value if isinstance(value, str) else _digits(value)
     return text if len(text) <= 24 else f"{text[:10]}...{text[-10:]}"
+
+
+def _digits(x: int) -> str:
+    """``str(x)``, or for an int too long for it, its first and last ten characters around ``...``."""
+    try:
+        return str(x)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        pass
+    size = int(abs(x).bit_length() * 0.30102999566398)  # log10(2): about the digits of |x| past the first
+    while 10**size > abs(x):
+        size -= 1
+    while 10 ** (size + 1) <= abs(x):
+        size += 1
+    head = str(abs(x) // 10 ** (size - 9))
+    return f"{'-' + head[:9] if x < 0 else head}...{abs(x) % 10**10:010d}"
 
 
 def _check_length(text: str) -> None:

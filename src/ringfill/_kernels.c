@@ -24,10 +24,11 @@
  * through ctypes, which releases the GIL for each call, so threads run in
  * parallel.  Nothing here keeps state between calls or allocates: every
  * array and every scratch array is passed in by the caller, as a bytearray
- * cast by memoryview or a numpy array.  The caller checks every array:
- * C-contiguous, int32 unless stated, and every index within the sizes
- * given; disk_verdicts and strip_annuli alone take vertex ids of
- * any value, disk_marks any non-negative ones, and parse_rows bytes of any
+ * cast by memoryview or a numpy array.  The caller checks every array, by
+ * the one rule of ringfill._kernels.takes: C-contiguous, int32 unless stated,
+ * of the shape given and writable where written; and every index within the
+ * sizes given.  disk_verdicts and strip_annuli alone take vertex ids of any
+ * value, disk_marks any non-negative ones, and parse_rows bytes of any
  * content, cut off anywhere, since rejecting them is their job.
  *
  * Triangles are rows of three int32 ids, each row rotated so its smallest id

@@ -5,8 +5,13 @@ search and everything that needs them load one shared object through
 :func:`library`.  The loader imports what it needs on the first call, so
 importing the package loads no ctypes, subprocess or hash module, and it
 never imports numpy: its pointer arguments take numpy arrays and the
-standard library's buffers alike (see :class:`_Buffer`), and
-:func:`buffer` makes the latter.
+standard library's buffers alike, and :func:`buffer` makes the latter.
+
+What a kernel's pointer takes is stated once, here: :func:`takes` is the
+rule, :class:`_Buffer` applies it at the ctypes boundary, and every caller
+refuses a buffer by :func:`checked` before it calls a kernel, so that bad
+input ends in a ValueError that names the argument.  :func:`check_ids` is
+the one refusal of a complex's ids past its vertex count.
 """
 from __future__ import annotations
 
@@ -27,6 +32,8 @@ MAX_ID = 2**31 - 1  # the largest vertex id of the kernels' int32 arrays
 MAX_TRIANGLES = MAX_ID // 6  # the most triangles a complex may have, so that int32 edge and corner ids cannot wrap
 INT32 = frozenset(c for c in "il" if calcsize(c) == 4)  # the struct formats of int32
 INT64 = frozenset(c for c in "lq" if calcsize(c) == 8)  # and of int64
+UINT64 = frozenset(c for c in "BHILQ" if calcsize(c) == 8)  # and of uint64
+_TYPES = {INT32: "int32", INT64: "int64", UINT64: "uint64", frozenset("?"): "bool", frozenset("B"): "uint8"}
 
 
 def buffer(code: str, *shape: int) -> memoryview:
@@ -41,8 +48,49 @@ def buffer(code: str, *shape: int) -> memoryview:
     return view.cast(code, (max(rows, 1), *rest))[:rows]
 
 
+def takes(obj, codes: frozenset, shape: tuple | None = None, writable: bool = False) -> memoryview | None:
+    """``obj``'s buffer if a kernel pointer takes it, else None; a TypeError for what is no buffer.
+
+    A kernel takes a C-contiguous buffer whose ``struct`` format is one of
+    ``codes`` (:data:`INT32`, :data:`INT64`, ...), of ``shape`` if given,
+    where None is a free length, and whose address ctypes can take: a
+    writable one, or a numpy array, whose ``__array_interface__`` gives
+    its address without a writable export.  Where the kernel writes, it
+    must be ``writable``.
+    """
+    view = memoryview(obj)
+    fits = shape is None or (view.ndim == len(shape) and all(s in (None, d) for s, d in zip(shape, view.shape)))
+    addressable = not view.readonly or (not writable and hasattr(obj, "__array_interface__"))
+    return view if view.format in codes and view.c_contiguous and fits and addressable else None
+
+
+def _refusal(what: str, obj, codes: frozenset, shape: tuple | None, writable: bool) -> str:
+    """The one wording of a buffer that :func:`takes` refuses."""
+    view = memoryview(obj)
+    dims = "" if shape is None else "(" + ", ".join("*" if s is None else str(s) for s in shape) + ") "
+    kind = f"C-contiguous {dims}{_TYPES[codes]}"
+    wanted = f"writable {kind} buffer" if writable else f"{kind} numpy array or writable buffer"
+    flags = ("" if view.c_contiguous else ", not C-contiguous") + (", read-only" if view.readonly else "")
+    return f"{what} must be a {wanted}, got format {view.format!r} and shape {view.shape}{flags}"
+
+
+def checked(obj, codes: frozenset, shape: tuple | None, what: str, writable: bool = False) -> memoryview:
+    """``obj``'s buffer, or a ValueError naming ``what`` unless a kernel takes it (see :func:`takes`)."""
+    view = takes(obj, codes, shape, writable)
+    if view is None:
+        raise ValueError(_refusal(what, obj, codes, shape, writable))
+    return view
+
+
+def check_ids(t) -> None:
+    """ValueError for an id of the complex ``t``'s rows beyond its vertices, which a kernel would index by."""
+    top = library().top_id(t.triangles, 3 * t.num_triangles)
+    if top >= t.num_vertices:
+        raise ValueError(f"triangles reference vertex id {top}, beyond the {t.num_vertices} vertices")
+
+
 class _Buffer:
-    """A ctypes pointer argument: a C-contiguous buffer of one item type, passed by address.
+    """A ctypes pointer argument: a buffer that :func:`takes` takes, passed by address.
 
     It takes what ``numpy.ctypeslib.ndpointer`` took, without importing
     numpy: a numpy array of the declared item type (``codes`` are its
@@ -50,30 +98,24 @@ class _Buffer:
     dimensions, read-only arrays included.  It also takes a writable buffer
     of the same layout from the standard library: an ``array.array``, or a
     ``bytearray`` cast by ``memoryview.cast``, such as :func:`buffer` makes.
-    A ``nullable`` pointer also takes None, for NULL.  Anything else raises,
-    which ctypes reports as ``ctypes.ArgumentError``.  The package itself
-    passes only the latter; numpy arrays come from numpy callers, such as
-    the tests: ``test_pointer_arguments_take_what_ndpointer_took`` hands
-    every pointer a read-only array, and the differential tests of
-    ``test_kernels``, ``test_oracle`` and ``test_simplicial`` hand the
-    kernels' callers numpy stacks and triangles.
+    A ``nullable`` pointer also takes None, for NULL.  Anything else raises
+    a TypeError, which ctypes reports as ``ctypes.ArgumentError``.  The
+    package itself passes only the latter; numpy arrays come from numpy
+    callers, such as the tests.
     """
 
-    def __init__(self, name: str, codes: set[str], ndim: int | None = None, nullable: bool = False):
+    def __init__(self, codes: frozenset, ndim: int | None = None, nullable: bool = False):
         self.codes, self.ndim, self.nullable = codes, ndim, nullable
-        self.what = f"a C-contiguous {name} buffer" + ("" if ndim is None else f" of {ndim} dimensions")
+        self.shape = None if ndim is None else (None,) * ndim
 
     def from_param(self, obj):
         import ctypes
 
         if obj is None and self.nullable:
             return None  # ctypes passes NULL
-        view = memoryview(obj)  # a TypeError for what is no buffer
-        if view.format not in self.codes or not view.c_contiguous or self.ndim not in (None, view.ndim):
-            raise TypeError(
-                f"expected {self.what}, got format {view.format!r} in {view.ndim} dimensions"
-                + ("" if view.c_contiguous else ", not C-contiguous")
-            )
+        view = takes(obj, self.codes, self.shape)
+        if view is None:
+            raise TypeError(_refusal("the pointer", obj, self.codes, self.shape, False))
         interface = getattr(obj, "__array_interface__", None)
         if interface is not None:  # a numpy array, whose address needs no writable export
             return ctypes.c_void_p(interface["data"][0])
@@ -162,18 +204,14 @@ def load(cache: Path):
 def signatures() -> dict:
     """Each kernel's ctypes result type and argument types, its pointers as :class:`_Buffer`."""
     import ctypes
-    from struct import calcsize
 
-    def codes(chars: str, size: int) -> set[str]:
-        return {c for c in chars if calcsize(c) == size}
-
-    ids = _Buffer("int32", INT32)
-    rows = _Buffer("int64", INT64, ndim=2)
-    wide = _Buffer("int64", INT64)
-    words = _Buffer("uint64", codes("BHILQ", 8))
-    flags = _Buffer("bool", {"?"})
-    marks = _Buffer("uint8", {"B"})
-    optional = _Buffer("int32", ids.codes, nullable=True)
+    ids = _Buffer(INT32)
+    rows = _Buffer(INT64, ndim=2)
+    wide = _Buffer(INT64)
+    words = _Buffer(UINT64)
+    flags = _Buffer(frozenset("?"))
+    marks = _Buffer(frozenset("B"))
+    optional = _Buffer(INT32, nullable=True)
     i32, i64 = ctypes.c_int32, ctypes.c_int64
     return {
         "annulus_rows": (i32, [i32, i32, i32, i32, i32, ids]),

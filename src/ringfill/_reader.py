@@ -86,17 +86,14 @@ def _parse_rows(text: bytes, out: Any, used: Any) -> int:
     """The compiled ``parse_rows`` of at most ``len(out)`` rows at the start of ``text`` into ``out``.
 
     Raises ValueError, before the kernel runs, unless ``text`` is bytes,
-    ``out`` a writable C-contiguous ``(room, 3)`` int32 buffer and
-    ``used`` a writable buffer of two int64.
+    ``out`` a writable ``(room, 3)`` int32 buffer and ``used`` a writable
+    buffer of two int64 (see :func:`ringfill._kernels.takes`).
     """
-    rows, ends = memoryview(out), memoryview(used)
     if not isinstance(text, bytes):
         raise ValueError(f"parse_rows reads bytes, got {type(text).__name__}")
-    if rows.format not in _kernels.INT32 or rows.shape[1:] != (3,) or not rows.c_contiguous or rows.readonly:
-        raise ValueError(f"rows need a writable C-contiguous (room, 3) int32 buffer, got {rows.format!r} {rows.shape}")
-    if ends.format not in _kernels.INT64 or ends.shape != (2,) or ends.readonly:
-        raise ValueError(f"used needs a writable buffer of two int64, got {ends.format!r} {ends.shape}")
-    return _kernels.library().parse_rows(text, len(text), out, len(rows), used)
+    room = len(_kernels.checked(out, _kernels.INT32, (None, 3), "rows", writable=True))
+    _kernels.checked(used, _kernels.INT64, (2,), "used", writable=True)
+    return _kernels.library().parse_rows(text, len(text), out, room, used)
 
 
 def _triangle_list(src: _Text, i: int) -> memoryview:

@@ -51,7 +51,7 @@ def stop_time(eta: float) -> float:
 def _unit_eta(eta: Fraction | float | str) -> Fraction:
     e = as_fraction(eta)
     if not 0 <= e <= 1:
-        raise ValueError(f"eta must lie in [0, 1], got {_shown(str(e))}")
+        raise ValueError(f"eta must lie in [0, 1], got {_shown(e)}")
     return e
 
 

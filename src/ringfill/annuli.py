@@ -137,16 +137,6 @@ def _check_cycle(rec: LayerRecord, extra: int = 0) -> None:
         )
 
 
-def _check_rows(out, size: int) -> None:
-    """Raise ValueError unless ``out`` is a C-contiguous ``(size, 3)`` int32 buffer."""
-    view = memoryview(out)
-    if view.format != "i" or view.shape != (size, 3) or not view.c_contiguous or view.readonly:
-        raise ValueError(
-            f"rows need a writable C-contiguous ({size}, 3) int32 buffer, got format {view.format!r} "
-            f"and shape {view.shape}"
-        )
-
-
 def _annulus_size(outer: LayerRecord, inner: LayerRecord) -> int:
     """The number of triangles of the annulus between two consecutive ledger cycles.
 
@@ -167,7 +157,7 @@ def _write_annulus(outer: LayerRecord, inner: LayerRecord, out) -> None:
     """
     _check_cycle(outer)
     _check_cycle(inner)
-    _check_rows(out, _annulus_size(outer, inner))
+    _kernels.checked(out, _kernels.INT32, (_annulus_size(outer, inner), 3), "rows", writable=True)
     shrink = outer.annulus_kind == "shrink"
     _kernels.library().annulus_rows(outer.length, outer.first_vertex, inner.length, inner.first_vertex, shrink, out)
 
@@ -180,7 +170,7 @@ def _write_cone(innermost: LayerRecord, out) -> None:
     otherwise, before the compiled ``cone_rows`` runs.
     """
     _check_cycle(innermost, extra=1)
-    _check_rows(out, innermost.length)
+    _kernels.checked(out, _kernels.INT32, (innermost.length, 3), "rows", writable=True)
     _kernels.library().cone_rows(innermost.length, innermost.first_vertex, out)
 
 
@@ -295,15 +285,13 @@ def strip_drifts(t, ledger: list[LayerRecord]) -> tuple[list[Fraction | None], l
             raise ValueError(f"drift terms {(a, b, c)} exceed the int64 period {period}")
         terms.extend((a, b, c, period))
     terms.extend((0, 0, 0, 0))  # the cone's fan, inward of the last cycle, has none
-    from .simplicial import _table_rows
-
-    tri, lib, index = _table_rows(t.triangles), _kernels.library(), None
+    tri, lib, index = _kernels.checked(t.triangles, _kernels.INT32, (None, 3), "triangles"), _kernels.library(), None
     start = array("i", [*(rec.first_vertex for rec in ledger), apex])
     count, out = _kernels.buffer("i", depth + 1), _kernels.buffer("q", depth, 2)
     scratch = _kernels.buffer("i", 2 * max(sizes) + 2)
-    if lib.strip_annuli(tri, len(tri), start, depth, terms, count, None, scratch, out):
+    if lib.strip_annuli(t.triangles, len(tri), start, depth, terms, count, None, scratch, out):
         index = _kernels.buffer("i", len(tri))
-        lib.strip_annuli(tri, len(tri), start, depth, terms, count, index, scratch, out)
+        lib.strip_annuli(t.triangles, len(tri), start, depth, terms, count, index, scratch, out)
 
     def row(f: int) -> str:
         return f"row {f} ({tri[f, 0]}, {tri[f, 1]}, {tri[f, 2]})"

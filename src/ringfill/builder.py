@@ -69,11 +69,11 @@ class Params:
                 f"more than {MAX_TRIANGLES} triangles, past int32 edge ids"
             )
         if rho <= 0:
-            raise ScheduleError(f"rho must be positive, got {_shown(str(rho))}")
+            raise ScheduleError(f"rho must be positive, got {_shown(rho)}")
         if not 0 < eta < 1:
-            raise ScheduleError(f"eta must lie in (0, 1), got {_shown(str(eta))}")
+            raise ScheduleError(f"eta must lie in (0, 1), got {_shown(eta)}")
         if eta * eta >= rho:
-            raise ScheduleError(f"eta^2 < rho violated ({_shown(str(eta * eta))} >= {_shown(str(rho))})")
+            raise ScheduleError(f"eta^2 < rho violated ({_shown(eta * eta)} >= {_shown(rho)})")
         vars(self).update(n=n, rho=rho, eta=eta)
 
     def __setattr__(self, name: str, value) -> None:
@@ -167,7 +167,7 @@ def compute_schedule(p: Params) -> Schedule:
     sched = Schedule(n, collar, blocks, per_block, stop, width, times, lengths)
     if sched.predicted_triangle_count > MAX_TRIANGLES:
         raise ScheduleError(
-            f"the filling would have {_shown(str(sched.predicted_triangle_count))} triangles, "
+            f"the filling would have {_shown(sched.predicted_triangle_count)} triangles, "
             f"more than the {MAX_TRIANGLES} that int32 edge ids allow"
         )
     return sched

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from ._kernels import INT32, MAX_ID, MAX_TRIANGLES, buffer, library as _library
+from ._kernels import INT32, MAX_ID, MAX_TRIANGLES, buffer, check_ids, checked, library as _library
 
 if TYPE_CHECKING:
     from .simplicial import Triangulation
@@ -131,10 +131,9 @@ def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
     failures of a complex this flags.  Raises ValueError, before any kernel
     runs, for a boundary length below 3 (which :class:`Triangulation`
     refuses too: with no boundary cycle, a closed surface such as the
-    projective plane would pass), another shape or format, an empty stack,
-    a read-only buffer that is no numpy array (ctypes takes a read-only
-    buffer's address only from numpy), a negative id, or more than
-    ``MAX_TRIANGLES`` triangles a complex.
+    projective plane would pass), another shape, an empty stack, more
+    than ``MAX_TRIANGLES`` triangles a complex, a buffer that the kernels
+    do not take (see :func:`ringfill._kernels.takes`), or a negative id.
     """
     if n < 3:
         raise ValueError(f"boundary length must be >= 3, got {n}")
@@ -144,12 +143,7 @@ def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
     num, nf = view.shape[:2]
     if nf > MAX_TRIANGLES:
         raise ValueError(f"{nf} triangles have too many edges for int32 edge ids")
-    if view.format not in INT32 or not view.c_contiguous:
-        raise ValueError(
-            f"triangle vertex ids must be integers in a C-contiguous int32 buffer, got format {view.format!r}"
-        )
-    if view.readonly and not hasattr(stack, "__array_interface__"):
-        raise ValueError("a read-only stack must be a numpy array: ctypes takes no other read-only buffer's address")
+    checked(stack, INT32, (None, None, 3), "stack")
     lib = _library()
     if lib.top_id(stack, 3 * num * nf) < 0:
         raise ValueError(f"triangle vertex ids must lie in 0..{MAX_ID}")
@@ -251,9 +245,7 @@ def is_isometric_filling(t: Triangulation) -> bool:
     tri = memoryview(t.triangles)
     if not len(tri):  # no edge, so no shortcut
         return True
-    top = _library().top_id(tri, 3 * len(tri))
-    if top >= t.num_vertices:
-        raise ValueError(f"triangles reference vertex id {top}, beyond the {t.num_vertices} vertices")
+    check_ids(t)
     return _isometric_rows(t.n, t.num_vertices, tri.cast("B").cast("i", (1, *tri.shape)))[0]
 
 

@@ -39,9 +39,10 @@ from collections.abc import Iterator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
+from ._kernels import INT32, check_ids, checked, takes
 from .annuli import LayerRecord, _pair_terms, layer_ledger
 from .builder import BuildResult, Params, compute_schedule
-from .simplicial import _INT32, Triangulation, _ids_within, _library
+from .simplicial import Triangulation, _library
 
 if TYPE_CHECKING:  # an annotation only: writing a build file loads no BFS layer
     from .verify import VerificationReport
@@ -282,35 +283,18 @@ def _array(value: Any) -> memoryview | None:
     return None
 
 
-def _kernel_rows(value: Any, view: memoryview) -> bool:
-    """Whether ``value``, whose buffer is ``view``, holds rows the kernels read in place.
-
-    Those are a non-empty C-contiguous 2-d int32 numpy array or writable
-    buffer: ctypes takes a read-only buffer's address only from numpy.
-    """
-    return bool(
-        view.format in _INT32
-        and view.ndim == 2
-        and view.nbytes
-        and view.c_contiguous
-        and (not view.readonly or hasattr(value, "__array_interface__"))
-    )
-
-
 def _write_rows(write: Any, rows: Any) -> None:
     """Write the rows of ``rows``, a list held by the top-level dict, with the compiled ``rows_text``.
 
     The kernel formats a chunk of rows at a time into one reused
     ``bytearray``, in the bytes ``json.dump(indent=2)`` gives.  Raises
-    ValueError, before the kernel runs, unless :func:`_kernel_rows` takes
-    ``rows``.
+    ValueError, before the kernel runs, unless ``rows`` is a 2-d int32
+    buffer that the kernels take (see :func:`ringfill._kernels.takes`) and
+    is non-empty: the kernel would write no rows as ``[`` and a closing line.
     """
-    view = memoryview(rows)
-    if not _kernel_rows(rows, view):
-        raise ValueError(
-            "rows must be a non-empty C-contiguous 2-d int32 array or writable buffer, "
-            f"got format {view.format!r} and shape {view.shape}"
-        )
+    view = checked(rows, INT32, (None, None), "rows")
+    if not view.nbytes:
+        raise ValueError(f"rows must be non-empty, got shape {view.shape}")
     count, width = view.shape
     out = bytearray(min(count, _ROWS_PER_CHUNK) * (13 + 19 * width))  # rows_text's most per row
     text = memoryview(out)
@@ -326,8 +310,8 @@ def dump_json(data: dict[str, Any], path: str) -> None:
     """Write the str-keyed dict ``data`` with the bytes of ``json.dump(data, fh, indent=2)`` and a newline.
 
     An array value (see :func:`_array`) is written as its ``.tolist()``:
-    int32 rows that :func:`_kernel_rows` takes, such as the triangles, by
-    :func:`_write_rows`; every other value goes through
+    2-d int32 rows that the kernels take, such as the triangles, by
+    :func:`_write_rows` if there is one; every other value goes through
     ``json.dumps(indent=2)``, which writes ASCII, indented by one level.
     """
     bad = [key for key in data if not isinstance(key, str)]
@@ -338,7 +322,7 @@ def dump_json(data: dict[str, Any], path: str) -> None:
         for i, (key, value) in enumerate(data.items()):
             fh.write((("," if i else "") + "\n" + _INDENT + json.dumps(key) + ": ").encode())
             view = _array(value)
-            if view is not None and _kernel_rows(value, view):
+            if view is not None and view.nbytes and takes(value, INT32, (None, None)) is not None:
                 _write_rows(fh.write, value)
             else:
                 text = json.dumps(value if view is None else value.tolist(), indent=2)
@@ -397,7 +381,7 @@ def embedded_coordinates(t: Triangulation, records: list[dict]) -> list[tuple[fl
 
 
 def write_off(t: Triangulation, path: str, records: list[dict]) -> None:
-    _ids_within(t)  # before the file is opened
+    check_ids(t)  # before the file is opened
     coords = embedded_coordinates(t, records)
     lines = ["OFF", f"{t.num_vertices} {t.num_triangles} 0"]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in coords)
@@ -407,7 +391,7 @@ def write_off(t: Triangulation, path: str, records: list[dict]) -> None:
 
 
 def write_obj(t: Triangulation, path: str, records: list[dict]) -> None:
-    _ids_within(t)
+    check_ids(t)
     coords = embedded_coordinates(t, records)
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in coords]
     lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in t.triangles.tolist())

@@ -20,7 +20,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 
-from ._kernels import INT32 as _INT32, MAX_ID as _MAX_ID, MAX_TRIANGLES, buffer
+from ._kernels import INT32 as _INT32, MAX_ID as _MAX_ID, MAX_TRIANGLES, buffer, checked, takes
 
 __all__ = [
     "Triangulation",
@@ -110,14 +110,7 @@ def _triangle_rows(triangles, own: bool = False):
     ``canonical_rows`` rotates and checks every id in one pass.
     """
     view = _view(triangles)
-    keep = (
-        own
-        and view is not None
-        and view.format in _INT32
-        and view.shape[1:] == (3,)
-        and view.c_contiguous
-        and not view.readonly
-    )
+    keep = own and view is not None and takes(triangles, _INT32, (None, 3), writable=True) is not None
     rows = triangles if keep else _int32_rows(triangles, view)
     if _library().canonical_rows(rows, len(rows)) < 0:
         raise _id_range_error()
@@ -132,16 +125,6 @@ def _library():
     from . import _kernels
 
     return _kernels.library()
-
-
-def _table_rows(tri):
-    """``tri`` as a memoryview, or ValueError unless it is a C-contiguous ``(F, 3)`` int32 buffer."""
-    view = memoryview(tri)
-    if view.format not in _INT32 or view.shape[1:] != (3,) or not view.c_contiguous:
-        raise ValueError(
-            f"triangles must be a C-contiguous (F, 3) int32 buffer, got format {view.format!r} and shape {view.shape}"
-        )
-    return view
 
 
 def _edge_table(tri) -> tuple[memoryview, memoryview]:
@@ -161,29 +144,22 @@ def _edge_table(tri) -> tuple[memoryview, memoryview]:
     """
     if len(tri) > MAX_TRIANGLES:
         raise ValueError(f"{len(tri)} triangles have too many edges for int32 edge ids")
-    view = _table_rows(tri)
+    checked(tri, _INT32, (None, 3), "triangles")
     lib = _library()
-    nf = len(view)
+    nf = len(tri)
     size = 3 * nf
-    top = lib.top_id(view, size)
+    top = lib.top_id(tri, size)
     if top < 0:
         raise _id_range_error()
     bits = max(1, top.bit_length())
     digits = -(-bits // max(8, size.bit_length() - 1))
     width = -(-bits // digits)
     slot_edge, perm = buffer("i", nf, 3), buffer("i", size)
-    ne = lib.edge_slots(view, size, width, buffer("i", 1 << width), perm, slot_edge)
+    ne = lib.edge_slots(tri, size, width, buffer("i", 1 << width), perm, slot_edge)
     del perm
     edges = buffer("i", ne, 2)
-    lib.edge_ends(view, size, slot_edge, edges, None)
+    lib.edge_ends(tri, size, slot_edge, edges, None)
     return edges, slot_edge
-
-
-def _ids_within(t: Triangulation) -> None:
-    """ValueError for an id of ``t``'s rows beyond its vertices, which the CSR and the exports would index by."""
-    top = _library().top_id(t.triangles, 3 * t.num_triangles)
-    if top >= t.num_vertices:
-        raise ValueError(f"triangles reference vertex id {top}, beyond the {t.num_vertices} vertices")
 
 
 def _incidence(tri, slot_edge, ne: int) -> memoryview:
@@ -340,20 +316,10 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
     table's shapes and int32 format, its slot edge ids lie below the edge
     count, and ``3 <= n <= nv``.
     """
-    tri = _table_rows(tri)
-    edges, slot = map(memoryview, table)
-    nf, ne = len(tri), len(edges)
-    if not (
-        edges.shape == (ne, 2)
-        and slot.shape == (nf, 3)
-        and {edges.format, slot.format} <= _INT32
-        and edges.c_contiguous
-        and slot.c_contiguous
-    ):
-        raise ValueError(
-            f"an edge table of {nf} triangles needs (E, 2) and ({nf}, 3) int32 buffers, "
-            f"got shapes {edges.shape} and {slot.shape}"
-        )
+    view, pairs = checked(tri, _INT32, (None, 3), "triangles"), checked(table[0], _INT32, (None, 2), "edges")
+    edges, slot = table  # the kernels take these, and the views give their ids as ints
+    nf, ne = len(view), len(pairs)
+    checked(slot, _INT32, (nf, 3), "slot edge ids")
     lib = _library()
     if not 0 <= lib.top_id(slot, 3 * nf) < max(ne, 1):
         raise ValueError(f"slot edge ids must lie in 0..{ne - 1}")
@@ -367,7 +333,7 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
     del scratch
 
     def rows(mark: int) -> list[tuple[int, int, int]]:
-        return [(tri[f, 0], tri[f, 1], tri[f, 2]) for f in _first(tri_mark, mark)]
+        return [(view[f, 0], view[f, 1], view[f, 2]) for f in _first(tri_mark, mark)]
 
     failures = rep.failures
     for mark, line, what in (
@@ -380,7 +346,7 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
     inc = _incidence(tri, slot, ne) if overfull else None
     _report(
         failures,
-        [f"edge {(edges[e, 0], edges[e, 1])} lies in {inc[e]} triangles (expected 1 or 2)" for e in overfull],
+        [f"edge {(pairs[e, 0], pairs[e, 1])} lies in {inc[e]} triangles (expected 1 or 2)" for e in overfull],
         "edges with bad incidence",
         edge_mark.count(_OVERFULL),
     )
@@ -390,7 +356,7 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
         missing = sorted({(0, n - 1) if i == n - 1 else (i, i + 1) for i in absent})
         failures.append(f"cycle edges missing from the boundary: {missing[:_LISTED]}")
     if _OFF_CYCLE in edge_mark:
-        stray = [(edges[e, 0], edges[e, 1]) for e in _first(edge_mark, _OFF_CYCLE)]
+        stray = [(pairs[e, 0], pairs[e, 1]) for e in _first(edge_mark, _OFF_CYCLE)]
         failures.append(f"unexpected boundary edges: {stray}")
 
     boundary = edge_mark.count(_CYCLE_EDGE) + edge_mark.count(_OFF_CYCLE)

@@ -48,11 +48,9 @@ from array import array
 from fractions import Fraction
 from itertools import accumulate
 
-from ._kernels import buffer
+from ._kernels import INT64, buffer, check_ids, checked
 from .builder import BuildResult
-from .simplicial import (
-    _MAX_ID, Triangulation, ValidationReport, _edge_table, _ids_within, _library, _report, validate_disk
-)
+from .simplicial import _MAX_ID, Triangulation, ValidationReport, _edge_table, _library, _report, validate_disk
 
 __all__ = [
     "cycle_dist",
@@ -90,7 +88,7 @@ def _graph_csr(t: Triangulation) -> tuple[memoryview, memoryview]:
     v = t.num_vertices
     if v > _MAX_ID:
         raise ValueError(f"{v} vertices are more than the BFS kernel's int32 ids hold")
-    _ids_within(t)
+    check_ids(t)
     edges = _edge_table(t.triangles)[0]
     indptr, indices = buffer("i", v + 1), buffer("i", 2 * len(edges))
     _library().graph_csr(edges, len(edges), v, indptr, indices)
@@ -204,17 +202,6 @@ def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
     return dist
 
 
-def _distances(dist, n: int) -> memoryview:
-    """``dist`` as a memoryview, or ValueError unless it is a C-contiguous ``(n, n)`` int64 buffer."""
-    view = memoryview(dist)
-    if view.format not in ("l", "q") or view.itemsize != 8 or view.shape != (n, n) or not view.c_contiguous:
-        raise ValueError(
-            f"distances must be a C-contiguous ({n}, {n}) int64 buffer, "
-            f"got format {view.format!r} and shape {view.shape}"
-        )
-    return view
-
-
 def _worst_pair(dist, n: int) -> tuple[int, int]:
     """The first pair, in row-major order, of least ratio of ``dist`` to cycle distance.
 
@@ -224,9 +211,9 @@ def _worst_pair(dist, n: int) -> tuple[int, int]:
     if ``dist`` has another shape or format, which the kernel would misread,
     or if some graph distance exceeds its cycle distance.
     """
-    view = _distances(dist, n)
+    view = checked(dist, INT64, (n, n), "distances")
     pair = buffer("i", 2)
-    if _library().worst_ratio(view, n, pair):
+    if _library().worst_ratio(dist, n, pair):
         x, y = pair
         raise ValueError(
             f"graph distance {view[x, y]} exceeds cycle distance {cycle_dist(x, y, n)} "
@@ -245,11 +232,11 @@ def _bound_violation(table: list[int], dist, n: int) -> tuple[int, int] | None:
     the table has another length or the matrix another shape or format,
     which the kernel would misread.
     """
-    view = _distances(dist, n)
+    checked(dist, INT64, (n, n), "distances")
     if len(table) != n // 2 + 1:
         raise ValueError(f"the separation table of C_{n} needs {n // 2 + 1} bounds, got {len(table)}")
     pair = buffer("i", 2)
-    return (pair[0], pair[1]) if _library().bound_violation(view, n, array("q", table), pair) else None
+    return (pair[0], pair[1]) if _library().bound_violation(dist, n, array("q", table), pair) else None
 
 
 class VerificationReport:

@@ -49,8 +49,12 @@ def test_eta_rejection_prints_exact_rationals(capsys):
          "that int32 edge ids allow"),
         ("1/10", "1e4000", "eta must lie in (0, 1), got 1000000000...0000000000"),
         ("1e-4000", "1/4", "eta^2 < rho violated (1/16 >= 1/10000000...0000000000)"),
+        # eta^2 and the triangle count themselves pass the 4,300 digits that str() converts
+        ("1/2", "0." + "9" * 2200, "eta^2 < rho violated (9999999999...0000000000 >= 1/2)"),
+        ("9" * 4300, "1/4", "the filling would have 1999999999...9999984396 triangles, more than the 357913941 "
+         "that int32 edge ids allow"),
     ],
-    ids=["triangles", "eta", "rho"],
+    ids=["triangles", "eta", "rho", "eta-squared", "triangles-past-str"],
 )
 def test_a_refusal_shortens_a_number_thousands_of_digits_long(capsys, rho, eta, line):
     assert main(["build", "--n", "100", "--rho", rho, "--eta", eta]) == 2

@@ -419,9 +419,10 @@ def test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel(monkeypa
         cone_triangles(LayerRecord(1, 4, 2**31 - 4))  # the apex would be 2**31
     inner = LayerRecord(1, 4, 4)
     outer = LayerRecord(0, 4, 0, "equal", Fraction(1, 2))
-    with pytest.raises(ValueError, match=r"rows need a writable C-contiguous \(8, 3\) int32 buffer"):
+    with pytest.raises(ValueError, match=r"rows must be a writable C-contiguous \(8, 3\) int32 buffer, got format 'l'"):
         annuli._write_annulus(outer, inner, np.zeros((8, 3), dtype=np.int64))
-    with pytest.raises(ValueError, match=r"rows need a writable C-contiguous \(4, 3\) int32 buffer"):
+    with pytest.raises(ValueError, match=r"rows must be a writable C-contiguous \(4, 3\) int32 buffer, got format 'i' "
+                                         r"and shape \(5, 3\)"):
         annuli._write_cone(inner, np.zeros((5, 3), dtype=np.int32))
 
 
@@ -437,10 +438,13 @@ def test_canonical_rotation_refuses_ids_and_formats(monkeypatch):
 
 def test_edge_table_refuses_other_formats_before_the_kernel(monkeypatch):
     _refuse_kernels(monkeypatch, "top_id", "edge_slots", "edge_ends")
-    with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer, got format 'l'"):
+    with pytest.raises(ValueError, match=r"triangles must be a C-contiguous \(\*, 3\) int32 numpy array or writable "
+                                         r"buffer, got format 'l'"):
         _edge_table(np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer"):
+    with pytest.raises(ValueError, match=r"triangles must be a C-contiguous \(\*, 3\) int32 .*, not C-contiguous"):
         _edge_table(np.zeros((3, 6), dtype=np.int32)[:, ::2])
+    with pytest.raises(ValueError, match=r"triangles must be a C-contiguous \(\*, 3\) int32 .*, read-only"):
+        _edge_table(memoryview(bytes(24)).cast("i", (2, 3)))  # read-only, so ctypes has no address for it
 
 
 def test_disk_marks_refuse_a_table_that_does_not_fit_before_the_kernel(monkeypatch):
@@ -453,8 +457,12 @@ def test_disk_marks_refuse_a_table_that_does_not_fit_before_the_kernel(monkeypat
     with pytest.raises(ValueError, match=r"slot edge ids must lie in 0..9"):
         simplicial._disk_failures(t.n, t.num_vertices, t.triangles, (edges, stray), report)
     wide, strided, column = np.asarray(slot, np.int64), np.asarray(edges)[:, ::-1], np.asarray(edges)[:, 0]
-    for table in ((edges, wide), (strided, slot), (column, slot)):
-        with pytest.raises(ValueError, match=r"an edge table of 5 triangles needs \(E, 2\) and \(5, 3\) int32"):
+    for table, message in (
+        ((edges, wide), r"slot edge ids must be a C-contiguous \(5, 3\) int32 .*, got format 'l'"),
+        ((strided, slot), r"edges must be a C-contiguous \(\*, 2\) int32 .*, not C-contiguous"),
+        ((column, slot), r"edges must be a C-contiguous \(\*, 2\) int32 .* shape \(10,\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
             simplicial._disk_failures(t.n, t.num_vertices, t.triangles, table, report)
     assert report.failures == []
 
@@ -470,14 +478,14 @@ def test_disk_verdicts_refuse_other_stacks_before_the_kernel(monkeypatch):
         (np.zeros((1, 2, 4), dtype=np.int32), r"\(B, F, 3\) array with B, F >= 1, got shape \(1, 2, 4\)"),
         (np.zeros((0, 1, 3), dtype=np.int32), r"\(B, F, 3\) array with B, F >= 1, got shape \(0, 1, 3\)"),
         (np.zeros((1, 0, 3), dtype=np.int32), r"\(B, F, 3\) array with B, F >= 1, got shape \(1, 0, 3\)"),
-        (np.asarray(frozen, dtype=np.int64), r"integers in a C-contiguous int32 buffer, got format 'l'"),
-        (np.full((1, 1, 3), 2**31, dtype=np.int64), r"integers in a C-contiguous int32 buffer, got format 'l'"),
-        (np.ones((1, 1, 3), dtype=bool), r"integers in a C-contiguous int32 buffer, got format '\?'"),
-        (np.zeros((1, 2, 6), dtype=np.int32)[:, :, ::2], r"integers in a C-contiguous int32 buffer, got format 'i'"),
+        (np.asarray(frozen, dtype=np.int64), r"stack must be a C-contiguous \(\*, \*, 3\) int32 .*, got format 'l'"),
+        (np.full((1, 1, 3), 2**31, dtype=np.int64), r"stack must be a C-contiguous .*, got format 'l'"),
+        (np.ones((1, 1, 3), dtype=bool), r"stack must be a C-contiguous .*, got format '\?'"),
+        (np.zeros((1, 2, 6), dtype=np.int32)[:, :, ::2], r"stack must be .*, got format 'i' .*, not C-contiguous"),
         (np.asarray([[(0, 1, -2)]], dtype=np.int32), r"triangle vertex ids must lie in 0..2147483647"),
         (np.asarray([wheel, wheel - 1]), r"triangle vertex ids must lie in 0..2147483647"),
         # read-only and no numpy array, so ctypes has no address for it
-        (memoryview(wheel.tobytes()).cast("i", (1, 3, 3)), r"a read-only stack must be a numpy array"),
+        (memoryview(wheel.tobytes()).cast("i", (1, 3, 3)), r"stack must be .* numpy array or writable .*, read-only"),
         # a broadcast view has the length without the memory
         (np.broadcast_to(wheel[0], (1, simplicial.MAX_TRIANGLES + 1, 3)), r"357913942 triangles have too many edges"),
     ):
@@ -526,7 +534,7 @@ def test_strip_annuli_refuse_other_buffers_ids_and_terms_before_the_kernel(monke
                   np.zeros((531, 2), dtype=np.int32)):
         shaped = copy.copy(t)
         shaped.triangles = wrong
-        with pytest.raises(ValueError, match=r"C-contiguous \(F, 3\) int32 buffer"):
+        with pytest.raises(ValueError, match=r"triangles must be a C-contiguous \(\*, 3\) int32 numpy array"):
             annuli.strip_drifts(shaped, ledger)
     # ids off the int32 range, or cycles too short to be strips, are defects of the ledger, before any strip
     cases = {
@@ -576,10 +584,12 @@ def test_disk_verdicts_fail_every_vertex_count_but_the_disks():
 
 def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):
     _refuse_kernels(monkeypatch, "worst_ratio")
-    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 buffer, got format 'i'"):
+    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 .*, got format 'i'"):
         verify._worst_pair(np.zeros((4, 4), dtype=np.int32), 4)
-    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 buffer"):
+    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 .* shape \(4, 5\)"):
         verify._worst_pair(np.zeros((4, 5), dtype=np.int64), 4)
+    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 .*, read-only"):
+        verify._worst_pair(memoryview(bytes(128)).cast("q", (4, 4)), 4)  # read-only, so ctypes has no address for it
 
 
 def test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel(monkeypatch):
@@ -590,8 +600,9 @@ def test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel(mon
     with pytest.raises(ValueError, match=r"the separation table of C_5 needs 3 bounds, got 4"):
         verify._bound_violation(table + [3], np.zeros((5, 5), dtype=np.int64), 5)
     wide = np.zeros((4, 8), dtype=np.int64)
-    for dist in (np.zeros((4, 4), dtype=np.int32), wide[:, :5], wide[:, ::2]):
-        with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 buffer"):
+    frozen = memoryview(bytes(128)).cast("q", (4, 4))  # read-only, so ctypes has no address for it
+    for dist in (np.zeros((4, 4), dtype=np.int32), wide[:, :5], wide[:, ::2], frozen):
+        with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 numpy array or"):
             verify._bound_violation(table, dist, 4)
 
 
@@ -627,14 +638,15 @@ def test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel(monkey
 def test_row_writer_refuses_other_buffers_before_the_kernel(monkeypatch):
     _refuse_kernels(monkeypatch, "rows_text")
     out = []
-    for rows in (
-        np.zeros((2, 3), dtype=np.int64),
-        np.zeros((0, 3), dtype=np.int32),
-        np.zeros(6, dtype=np.int32),
-        np.zeros((3, 6), dtype=np.int32)[:, ::2],
-        memoryview(bytes(24)).cast("i", (2, 3)),  # read-only, so ctypes has no address for it
+    wanted = r"rows must be a C-contiguous \(\*, \*\) int32 numpy array or writable buffer"
+    for rows, message in (
+        (np.zeros((2, 3), dtype=np.int64), wanted),
+        (np.zeros((0, 3), dtype=np.int32), r"rows must be non-empty, got shape \(0, 3\)"),
+        (np.zeros(6, dtype=np.int32), wanted),
+        (np.zeros((3, 6), dtype=np.int32)[:, ::2], wanted),
+        (memoryview(bytes(24)).cast("i", (2, 3)), wanted),  # read-only, so ctypes has no address for it
     ):
-        with pytest.raises(ValueError, match=r"rows must be a non-empty C-contiguous 2-d int32 array or writable buffer"):
+        with pytest.raises(ValueError, match=message):
             serialize._write_rows(out.append, rows)
     assert out == []
 
@@ -659,10 +671,10 @@ def test_row_reader_refuses_other_buffers_before_the_kernel(monkeypatch):
         np.zeros((4, 6), dtype=np.int32)[:, ::2],
         memoryview(bytes(48)).cast("i", (4, 3)),  # read-only
     ):
-        with pytest.raises(ValueError, match=r"rows need a writable C-contiguous \(room, 3\) int32 buffer"):
+        with pytest.raises(ValueError, match=r"rows must be a writable C-contiguous \(\*, 3\) int32 buffer"):
             reader._parse_rows(b"[0, 1, 2]]", rows, used)
     for ends in (_kernels.buffer("q", 1), _kernels.buffer("i", 2), _kernels.buffer("Q", 2), bytes(16)):
-        with pytest.raises(ValueError, match=r"used needs a writable buffer of two int64"):
+        with pytest.raises(ValueError, match=r"used must be a writable C-contiguous \(2\) int64 buffer"):
             reader._parse_rows(b"[0, 1, 2]]", out, ends)
 
 
@@ -835,6 +847,104 @@ def test_pointer_arguments_take_what_ndpointer_took(name, position):
     assert pointer.from_param(memoryview(bytearray(6 * dtype.itemsize)).cast(code, shape)) is not None
     if code != "?" and not pointer.ndim:
         assert pointer.from_param(array(code, range(6))) is not None
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+# Buffers of int32 ids, each with whether a 1-d and a 2-d int32 pointer take it.
+_BUFFERS = {
+    "numpy": (lambda: np.zeros((2, 3), dtype=np.int32), True, True),
+    "numpy-read-only": (lambda: _frozen(np.zeros((2, 3), dtype=np.int32)), True, True),
+    "bytearray": (lambda: memoryview(bytearray(24)).cast("i", (2, 3)), True, True),
+    "array": (lambda: array("i", range(6)), True, False),
+    "bytes": (lambda: memoryview(bytes(24)).cast("i", (2, 3)), False, False),
+    "slice": (lambda: np.zeros((2, 6), dtype=np.int32)[:, ::2], False, False),
+    "format": (lambda: np.zeros((2, 3), dtype=np.int64), False, False),
+    "ndim": (lambda: np.zeros(6, dtype=np.int32), True, False),
+}
+
+
+@pytest.mark.parametrize("name", _BUFFERS)
+def test_callers_refuse_exactly_what_the_pointers_refuse(name):
+    # The callers' check and the ctypes pointers apply one rule: read-only
+    # buffers are taken where the kernel only reads, and only from numpy.
+    make, flat, rows = _BUFFERS[name]
+    for ndim, want in ((None, flat), (2, rows)):
+        pointer, obj = _kernels._Buffer(_kernels.INT32, ndim), make()
+        try:
+            pointer.from_param(obj)
+        except TypeError:
+            taken = False
+        else:
+            taken = True
+        assert taken == want == (_kernels.takes(obj, pointer.codes, pointer.shape) is not None), ndim
+        writable = _kernels.takes(obj, pointer.codes, pointer.shape, writable=True) is not None
+        assert writable == (want and not memoryview(obj).readonly), ndim
+        if not want:
+            with pytest.raises(ValueError, match=r"^ids must be a C-contiguous .*int32 numpy array or writable buffer"):
+                _kernels.checked(obj, pointer.codes, pointer.shape, "ids")
+
+
+def test_callers_hand_read_only_numpy_arrays_to_the_kernels(small_build):
+    # What the rule takes reaches the kernel as it was given: a read-only
+    # numpy array, whose address ctypes takes, and not a read-only view of it.
+    t, n = small_build.triangulation, small_build.params.n
+    dist = verify_filling(t).boundary_distances
+    table = separation_lower_bounds(small_build)
+    table[3] += 1
+    rows, frozen = _frozen(np.array(t.triangles)), _frozen(np.array(dist))
+    edges, slot = _edge_table(t.triangles)
+    assert [bytes(x) for x in _edge_table(rows)] == [bytes(edges), bytes(slot)]
+    report = simplicial.ValidationReport()
+    simplicial._disk_failures(n, t.num_vertices, rows, (_frozen(np.array(edges)), _frozen(np.array(slot))), report)
+    assert report == validate_disk(t)
+    shaped = copy.copy(t)
+    shaped.triangles = rows
+    assert annuli.strip_drifts(shaped, small_build.ledger) == annuli.strip_drifts(t, small_build.ledger)
+    assert verify._worst_pair(frozen, n) == verify._worst_pair(dist, n)
+    assert verify._bound_violation(table, frozen, n) == verify._bound_violation(table, dist, n) is not None
+
+
+# ROADMAP's standing rule from item 13: each kernel's caller refuses bad
+# buffers in a test that monkeypatches the kernel to fail, or the kernel is
+# only handed buffers its caller made, for the reason given.
+_REFUSED_IN = {
+    "annulus_rows": "test_kernels.py::test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel",
+    "cone_rows": "test_kernels.py::test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel",
+    "top_id": "test_kernels.py::test_edge_table_refuses_other_formats_before_the_kernel",
+    "canonical_rows": "test_kernels.py::test_canonical_rotation_refuses_ids_and_formats",
+    "edge_slots": "test_kernels.py::test_edge_table_refuses_other_formats_before_the_kernel",
+    "edge_ends": "test_kernels.py::test_edge_table_refuses_other_formats_before_the_kernel",
+    "disk_marks": "test_kernels.py::test_disk_marks_refuse_a_table_that_does_not_fit_before_the_kernel",
+    "graph_csr": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
+    "bfs_tree": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
+    "boundary_tree": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
+    "boundary_rows": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
+    "worst_ratio": "test_kernels.py::test_worst_ratio_refuses_other_matrices_before_the_kernel",
+    "bound_violation": "test_kernels.py::test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel",
+    "lower_bounds": "test_kernels.py::test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel",
+    "disk_verdicts": "test_kernels.py::test_disk_verdicts_refuse_other_stacks_before_the_kernel",
+    "strip_annuli": "test_kernels.py::test_strip_annuli_refuse_other_buffers_ids_and_terms_before_the_kernel",
+    "rows_text": "test_kernels.py::test_row_writer_refuses_other_buffers_before_the_kernel",
+    "parse_rows": "test_kernels.py::test_row_reader_refuses_other_buffers_before_the_kernel",
+}
+_NEEDS_NO_REFUSAL = {
+    "grow_state_size": "it takes two counts and no buffer",
+    "grow_fillings": "oracle._fillings hands it only the state, path and stack buffers it made for the search",
+    "isometric_rows": "it is handed stacks that validate_disk_batch passed, or a Triangulation's own rows",
+}
+
+
+def test_every_kernel_has_a_refused_before_call_test_or_a_reason():
+    assert sorted([*_REFUSED_IN, *_NEEDS_NO_REFUSAL]) == sorted(_kernels.signatures())
+    for name, where in _REFUSED_IN.items():
+        path, test = where.split("::")
+        body = re.search(rf"^def {test}\(.*?(?=^\S)", (Path(__file__).parent / path).read_text() + "\n.", re.M | re.S)
+        # the test names the kernel, as it does to patch it to fail
+        assert body is not None and f'"{name}"' in body[0], where
 
 
 _SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=undefined", "-g")
