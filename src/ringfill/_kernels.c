@@ -1,6 +1,6 @@
 /* The compiled kernels of ringfill.
  *
- *   annulus_rows, cone_rows  the rows of one annulus or of the cone of a ledger
+ *   filling_rows             the rows of every annulus of a ledger and of its cone
  *   top_id, canonical_rows   the id range of an int32 array, and the canonical rotation
  *   edge_slots, edge_ends    the edge table of a triangle array
  *   disk_marks               validate_disk's witness marks, from the edge table
@@ -57,46 +57,43 @@ static inline int32_t slot_hi(const int32_t *tri, size_t s)
     return a < b ? b : a;
 }
 
-/* The rows of the annulus between a cycle of m vertices from id outer and
- * the next one inward, of M vertices from id inner, in the order of
- * annuli.annulus_triangles; returns their number.  An equal-length annulus
- * (shrink 0) gives (U_i, U_i+1, V_i) and (U_i+1, V_i, V_i+1) for each i,
- * 2m rows.  A shrink runs the staircase k_i = floor(M i / m): outer edge i
- * gives (U_i, U_i+1, W_i+1), followed by (U_i, W_i, W_i+1) where k_i+1 >
- * k_i, m + min(M, m) rows in all.  Indices are taken mod the cycle length;
- * m, M >= 1, and the caller checks that every id fits int32. */
-int32_t annulus_rows(int32_t m, int32_t outer, int32_t M, int32_t inner, int32_t shrink, int32_t *out)
+/* filling_rows: the rows of every annulus of a ledger, in order, into out.
+ * cycles holds count rows (first id, length, shrink flag), cycle r of
+ * cycles[3 r + 1] >= 1 vertices from id cycles[3 r], and annulus r joins
+ * cycle r, U of m vertices, to cycle r + 1, W of M, in the order of
+ * annuli.annulus_triangles.  An equal-length annulus (shrink 0) gives
+ * (U_i, U_i+1, W_i) and (U_i+1, W_i, W_i+1) for each i, 2m rows.  A shrink
+ * runs the staircase k(i) = floor(M i / m): outer edge i gives (U_i, U_i+1,
+ * W_k(i+1)), followed by (U_i, W_k(i), W_k(i+1)) where k(i+1) > k(i),
+ * m + min(M, m) rows in all.  A cycle of M = 1 vertex is an apex, and the
+ * annulus onto it the cone's fan (apex, U_i, U_i+1), m rows, whatever its
+ * shrink flag.  Indices are taken mod the cycle length, and the caller
+ * checks that every id fits int32 and sizes out. */
+void filling_rows(const int32_t *cycles, int32_t count, int32_t *out)
 {
-    int32_t *row = out;
-    for (int32_t i = 0; i < m; i++) {
-        int32_t u0 = outer + i, u1 = outer + (i + 1) % m;
-        if (!shrink) {
-            int32_t v0 = inner + i % M, v1 = inner + (i + 1) % M;
-            row[0] = u0, row[1] = u1, row[2] = v0;
-            row[3] = u1, row[4] = v0, row[5] = v1;
-            row += 6;
-            continue;
+    for (const int32_t *u = cycles, *w = cycles + 3; w < cycles + 3 * (size_t)count; u = w, w += 3) {
+        int32_t m = u[1], M = w[1];
+        for (int32_t i = 0; i < m; i++) {
+            int32_t u0 = u[0] + i, u1 = u[0] + (i + 1) % m;
+            if (M == 1) {
+                out[0] = w[0], out[1] = u0, out[2] = u1;
+                out += 3;
+            } else if (!u[2]) {
+                int32_t v0 = w[0] + i % M, v1 = w[0] + (i + 1) % M;
+                out[0] = u0, out[1] = u1, out[2] = v0;
+                out[3] = u1, out[4] = v0, out[5] = v1;
+                out += 6;
+            } else {
+                int64_t k0 = (int64_t)M * i / m, k1 = (int64_t)M * (i + 1) / m;
+                int32_t w0 = w[0] + (int32_t)(k0 % M), w1 = w[0] + (int32_t)(k1 % M);
+                out[0] = u0, out[1] = u1, out[2] = w1;
+                out += 3;
+                if (k1 > k0) {
+                    out[0] = u0, out[1] = w0, out[2] = w1;
+                    out += 3;
+                }
+            }
         }
-        int64_t k0 = (int64_t)M * i / m, k1 = (int64_t)M * (i + 1) / m;
-        int32_t w0 = inner + (int32_t)(k0 % M), w1 = inner + (int32_t)(k1 % M);
-        row[0] = u0, row[1] = u1, row[2] = w1;
-        row += 3;
-        if (k1 > k0) {
-            row[0] = u0, row[1] = w0, row[2] = w1;
-            row += 3;
-        }
-    }
-    return (int32_t)((row - out) / 3);
-}
-
-/* The fan (apex, V_i, V_i+1) closing the cycle of m vertices from id first,
- * apex = first + m: m rows. */
-void cone_rows(int32_t m, int32_t first, int32_t *out)
-{
-    for (int32_t i = 0; i < m; i++) {
-        out[3 * (size_t)i] = first + m;
-        out[3 * (size_t)i + 1] = first + i;
-        out[3 * (size_t)i + 2] = first + (i + 1) % m;
     }
 }
 

@@ -214,8 +214,7 @@ def signatures() -> dict:
     optional = _Buffer(INT32, nullable=True)
     i32, i64 = ctypes.c_int32, ctypes.c_int64
     return {
-        "annulus_rows": (i32, [i32, i32, i32, i32, i32, ids]),
-        "cone_rows": (None, [i32, i32, ids]),
+        "filling_rows": (None, [ids, i32, ids]),
         "top_id": (i32, [ids, i64]),
         "canonical_rows": (i32, [ids, i64]),
         "edge_slots": (i32, [ids, i32, i32, ids, ids, ids]),

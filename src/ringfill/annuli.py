@@ -12,10 +12,10 @@ exports form each cycle's absolute phase from them
 
 The layer ledger is computed first, from the sequence of annuli alone; each
 annulus's triangles then follow from its two ledger records, and the cone's
-from the innermost one.  The compiled ``annulus_rows`` and ``cone_rows``
-write them as int32 rows into a buffer the caller sizes, so a whole filling
-is assembled in one array, and one call of the compiled ``strip_annuli``
-checks them there, every annulus and the cone (:func:`strip_drifts`).
+from the innermost one, as the annulus onto a cycle of one vertex, the
+apex.  One call of the compiled ``filling_rows`` writes the int32 rows of
+every annulus of a ledger and its cone into one array, and one call of the
+compiled ``strip_annuli`` checks them there (:func:`strip_drifts`).
 """
 from __future__ import annotations
 
@@ -142,36 +142,31 @@ def _annulus_size(outer: LayerRecord, inner: LayerRecord) -> int:
 
     2m for an equal-length annulus of m outer vertices; m + M for a shrink
     to M <= m vertices (each outer edge gives one triangle, and M more where
-    the staircase advances).
+    the staircase advances); m for the fan onto a cycle of one vertex, an apex.
     """
-    m = outer.length
-    return m + min(inner.length, m) if outer.annulus_kind == "shrink" else 2 * m
+    m, M = outer.length, inner.length
+    return m if M == 1 else m + min(M, m) if outer.annulus_kind == "shrink" else 2 * m
 
 
-def _write_annulus(outer: LayerRecord, inner: LayerRecord, out) -> None:
-    """Write the triangles of the annulus between two consecutive ledger cycles into ``out``.
+def _filling_rows(cycles: list[LayerRecord], cone: bool) -> memoryview:
+    """The int32 rows of the annuli between consecutive ``cycles``, then, if ``cone``, of the fan closing the last.
 
-    ``out`` is a writable ``(_annulus_size(outer, inner), 3)`` int32 buffer,
-    and the ids of both cycles must fit int32: both are checked, and a
-    ValueError raised otherwise, before the compiled ``annulus_rows`` runs.
+    The ids of every cycle, and the apex, the id after the last cycle's,
+    if ``cone``, must fit int32: each is checked, and a ValueError raised
+    otherwise, before one call of the compiled ``filling_rows`` writes the
+    rows into a new buffer, from a table of each cycle's first id, length
+    and shrink flag, with the apex as a last cycle of one vertex.
     """
-    _check_cycle(outer)
-    _check_cycle(inner)
-    _kernels.checked(out, _kernels.INT32, (_annulus_size(outer, inner), 3), "rows", writable=True)
-    shrink = outer.annulus_kind == "shrink"
-    _kernels.library().annulus_rows(outer.length, outer.first_vertex, inner.length, inner.first_vertex, shrink, out)
-
-
-def _write_cone(innermost: LayerRecord, out) -> None:
-    """Write the fan closing ``innermost`` with its apex, the id after the cycle's, into ``out``.
-
-    ``out`` is a writable ``(innermost.length, 3)`` int32 buffer, and the
-    apex id must fit int32: both are checked, and a ValueError raised
-    otherwise, before the compiled ``cone_rows`` runs.
-    """
-    _check_cycle(innermost, extra=1)
-    _kernels.checked(out, _kernels.INT32, (innermost.length, 3), "rows", writable=True)
-    _kernels.library().cone_rows(innermost.length, innermost.first_vertex, out)
+    last = cycles[-1]
+    for rec in cycles[:-1]:
+        _check_cycle(rec)
+    _check_cycle(last, extra=cone)
+    if cone:
+        cycles = [*cycles, LayerRecord(len(cycles), 1, last.first_vertex + last.length)]
+    table = array("i", [x for rec in cycles for x in (rec.first_vertex, rec.length, rec.annulus_kind == "shrink")])
+    out = _kernels.buffer("i", sum(map(_annulus_size, cycles, cycles[1:])), 3)
+    _kernels.library().filling_rows(table, len(cycles), out)
+    return out
 
 
 def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> memoryview:
@@ -182,19 +177,16 @@ def annulus_triangles(outer: LayerRecord, inner: LayerRecord) -> memoryview:
     exactly n/(2m).  A shrink to length M runs the staircase: each outer edge
     contributes one triangle when its staircase index stays put and two when
     it advances, m + M triangles in all, and every slanted edge has circular
-    displacement at most n/M.  The rows are a new int32 buffer (see
-    :func:`_write_annulus`).
+    displacement at most n/M.  An inner cycle of one vertex is an apex, and
+    the annulus onto it the cone's fan.  The rows are a new int32 buffer
+    (see :func:`_filling_rows`).
     """
-    out = _kernels.buffer("i", _annulus_size(outer, inner), 3)
-    _write_annulus(outer, inner, out)
-    return out
+    return _filling_rows([outer, inner], cone=False)
 
 
 def cone_triangles(innermost: LayerRecord) -> memoryview:
-    """The int32 fan closing the innermost cycle with one apex, the id after the cycle's (see :func:`_write_cone`)."""
-    out = _kernels.buffer("i", innermost.length, 3)
-    _write_cone(innermost, out)
-    return out
+    """The int32 fan (apex, V_i, V_{i+1}) closing the innermost cycle with one apex, the id after the cycle's."""
+    return _filling_rows([innermost], cone=True)
 
 
 # The defects of the compiled strip_annuli, by its codes 2 to 7 (1 is a wrong row count).

@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 
 from . import ScheduleError, _shown, as_fraction
-from ._kernels import buffer
-from .annuli import LayerRecord, _annulus_size, _write_annulus, _write_cone, layer_ledger
+from .annuli import LayerRecord, _annulus_size, _filling_rows, layer_ledger
 from .simplicial import MAX_TRIANGLES, Triangulation
 
 __all__ = [
@@ -200,24 +199,18 @@ def build_filling(p: Params) -> BuildResult:
     triangles then follow from its two ledger records.  The boundary of the
     result is exactly the labeled cycle 0..n-1.  The vertex and triangle
     counts are predicted from the schedule in closed form and checked against
-    the ledger's before any triangle is written; the triangles are then
-    written straight into one int32 buffer of that size, which the complex
-    takes over.
+    the ledger's before any triangle is written; one kernel call then writes
+    every annulus and the cone into one int32 buffer of that size, which the
+    complex takes over.
     """
     sched = compute_schedule(p)
     ledger = layer_ledger(p.n, sched.annuli)
-    sizes = [*map(_annulus_size, ledger, ledger[1:]), ledger[-1].length]
-    nv, nf = ledger[-1].first_vertex + ledger[-1].length + 1, sum(sizes)
+    nv = ledger[-1].first_vertex + ledger[-1].length + 1
+    nf = sum(map(_annulus_size, ledger, ledger[1:])) + ledger[-1].length
     pv, pt = sched.predicted_vertex_count, sched.predicted_triangle_count
     if pv != nv or pt != nf:
         raise RuntimeError(f"count mismatch: predicted {pv} vertices / {pt} triangles, built {nv} / {nf}")
-    triangles = buffer("i", nf, 3)
-    top = 0
-    for outer, inner, size in zip(ledger, ledger[1:], sizes):
-        _write_annulus(outer, inner, triangles[top : top + size])
-        top += size
-    _write_cone(ledger[-1], triangles[top:])
-    return BuildResult(Triangulation(p.n, nv, triangles, own=True), ledger, sched, p)
+    return BuildResult(Triangulation(p.n, nv, _filling_rows(ledger, cone=True), own=True), ledger, sched, p)
 
 
 def predict_density(p: Params) -> Fraction:

@@ -27,7 +27,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from ._kernels import INT32, MAX_ID, MAX_TRIANGLES, buffer, check_ids, checked, library as _library
+from . import _kernels
+from ._kernels import INT32, MAX_ID, MAX_TRIANGLES, buffer, check_ids, checked
 
 if TYPE_CHECKING:
     from .simplicial import Triangulation
@@ -94,7 +95,7 @@ def _fillings(budget: EnumerationBudget, cap: int = _CHUNK) -> Iterator[memoryvi
     labeling, its rows in canonical rotation.  A leaf whose triangle count
     is not ``F`` (a bug) ends the stream as a ``(1, T, 3)`` stack of its own.
     """
-    lib = _library()
+    lib = _kernels.library()
     n, k = budget.n, budget.interior
     nf = n - 2 + 2 * k
     state = buffer("i", lib.grow_state_size(n, k))
@@ -144,7 +145,7 @@ def validate_disk_batch(n: int, num_vertices: int, stack) -> memoryview:
     if nf > MAX_TRIANGLES:
         raise ValueError(f"{nf} triangles have too many edges for int32 edge ids")
     checked(stack, INT32, (None, None, 3), "stack")
-    lib = _library()
+    lib = _kernels.library()
     if lib.top_id(stack, 3 * num * nf) < 0:
         raise ValueError(f"triangle vertex ids must lie in 0..{MAX_ID}")
     ok = buffer("?", num)
@@ -217,20 +218,20 @@ def _triangulations(n: int, nv: int, stack, start: int = 0) -> Iterator[Triangul
         yield Triangulation(n, nv, rows[b * nf : (b + 1) * nf])
 
 
-def _isometric_rows(n: int, nv: int, triangles) -> memoryview:
-    """Which complexes of a ``(B, F, 3)`` int32 stack on ids ``0..nv-1`` are isometric fillings of C_n.
+def _isometric_rows(n: int, nv: int, triangles, num: int, nf: int) -> memoryview:
+    """Which of the ``num`` complexes of ``nf`` int32 rows in ``triangles``, on ids ``0..nv-1``, fill C_n isometrically.
 
     The compiled ``isometric_rows`` grows, on per-complex adjacency bitsets,
     the set of vertices within k steps of each boundary vertex: a shortcut
     between boundary vertices i and j has length at most ``d_cyc(i, j) - 1
     <= n // 2 - 1``, so the complex is isometric iff no pair with ``d_cyc >
-    k`` is reached within k steps, for k = 1 .. n // 2 - 1.  Returns a
-    ``(B,)`` bool buffer.
+    k`` is reached within k steps, for k = 1 .. n // 2 - 1.  ``triangles``
+    is a ``(num, nf, 3)`` stack, or ``(nf, 3)`` rows for ``num`` = 1.
+    Returns a ``(num,)`` bool buffer.
     """
-    num, nf = triangles.shape[:2]
     isometric = memoryview(bytearray(num)).cast("?")
     scratch = memoryview(bytearray(8 * (nv + 2 * n) * -(-nv // 64))).cast("Q")
-    _library().isometric_rows(n, nv, triangles, num, nf, scratch, isometric)
+    _kernels.library().isometric_rows(n, nv, triangles, num, nf, scratch, isometric)
     return isometric
 
 
@@ -242,11 +243,11 @@ def is_isometric_filling(t: Triangulation) -> bool:
     """
     if t.num_vertices > _MAX_TINY:
         raise ValueError(f"is_isometric_filling takes at most {_MAX_TINY} vertices, got {t.num_vertices}")
-    tri = memoryview(t.triangles)
-    if not len(tri):  # no edge, so no shortcut
+    nf = len(checked(t.triangles, INT32, (None, 3), "triangles"))
+    if not nf:  # no edge, so no shortcut
         return True
     check_ids(t)
-    return _isometric_rows(t.n, t.num_vertices, tri.cast("B").cast("i", (1, *tri.shape)))[0]
+    return _isometric_rows(t.n, t.num_vertices, t.triangles, 1, nf)[0]
 
 
 class OracleResult:
@@ -275,7 +276,7 @@ def min_isometric_vertices(n: int, max_interior: int = MAX_INTERIOR) -> OracleRe
     total = 0
     for k in range(max_interior + 1):
         for chunk in _stacks(EnumerationBudget(n, k)):
-            hit = _isometric_rows(n, n + k, chunk).tobytes().find(1)
+            hit = _isometric_rows(n, n + k, chunk, *chunk.shape[:2]).tobytes().find(1)
             if hit >= 0:
                 witness = next(_triangulations(n, n + k, chunk, hit))
                 return OracleResult(n=n, min_vertices=n + k, witness=witness, enumerated=total + hit + 1)

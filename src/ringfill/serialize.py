@@ -39,10 +39,11 @@ from collections.abc import Iterator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
+from . import _kernels
 from ._kernels import INT32, check_ids, checked, takes
 from .annuli import LayerRecord, _pair_terms, layer_ledger
 from .builder import BuildResult, Params, compute_schedule
-from .simplicial import Triangulation, _library
+from .simplicial import Triangulation
 
 if TYPE_CHECKING:  # an annotation only: writing a build file loads no BFS layer
     from .verify import VerificationReport
@@ -298,7 +299,7 @@ def _write_rows(write: Any, rows: Any) -> None:
     count, width = view.shape
     out = bytearray(min(count, _ROWS_PER_CHUNK) * (13 + 19 * width))  # rows_text's most per row
     text = memoryview(out)
-    lib = _library()
+    lib = _kernels.library()
     write(b"[")
     for start in range(0, count, _ROWS_PER_CHUNK):
         chunk = rows[start : start + _ROWS_PER_CHUNK]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 
+from . import _kernels
 from ._kernels import INT32 as _INT32, MAX_ID as _MAX_ID, MAX_TRIANGLES, buffer, checked, takes
 
 __all__ = [
@@ -112,19 +113,9 @@ def _triangle_rows(triangles, own: bool = False):
     view = _view(triangles)
     keep = own and view is not None and takes(triangles, _INT32, (None, 3), writable=True) is not None
     rows = triangles if keep else _int32_rows(triangles, view)
-    if _library().canonical_rows(rows, len(rows)) < 0:
+    if _kernels.library().canonical_rows(rows, len(rows)) < 0:
         raise _id_range_error()
     return rows
-
-
-def _library():
-    """The compiled kernels (:func:`ringfill._kernels.library`), imported on first use.
-
-    Importing the package thus loads neither the loader nor ctypes.
-    """
-    from . import _kernels
-
-    return _kernels.library()
 
 
 def _edge_table(tri) -> tuple[memoryview, memoryview]:
@@ -145,7 +136,7 @@ def _edge_table(tri) -> tuple[memoryview, memoryview]:
     if len(tri) > MAX_TRIANGLES:
         raise ValueError(f"{len(tri)} triangles have too many edges for int32 edge ids")
     checked(tri, _INT32, (None, 3), "triangles")
-    lib = _library()
+    lib = _kernels.library()
     nf = len(tri)
     size = 3 * nf
     top = lib.top_id(tri, size)
@@ -168,7 +159,7 @@ def _incidence(tri, slot_edge, ne: int) -> memoryview:
     ``slot_edge`` is :func:`_edge_table`'s, or ids checked to lie below ``ne``.
     """
     incidence = buffer("i", ne)
-    _library().edge_ends(tri, 3 * len(tri), slot_edge, None, incidence)
+    _kernels.library().edge_ends(tri, 3 * len(tri), slot_edge, None, incidence)
     return incidence
 
 
@@ -320,7 +311,7 @@ def _disk_failures(n: int, nv: int, tri, table: tuple, rep: ValidationReport) ->
     edges, slot = table  # the kernels take these, and the views give their ids as ints
     nf, ne = len(view), len(pairs)
     checked(slot, _INT32, (nf, 3), "slot edge ids")
-    lib = _library()
+    lib = _kernels.library()
     if not 0 <= lib.top_id(slot, 3 * nf) < max(ne, 1):
         raise ValueError(f"slot edge ids must lie in 0..{ne - 1}")
     if not 3 <= n <= nv <= _MAX_ID:

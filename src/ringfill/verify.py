@@ -48,9 +48,10 @@ from array import array
 from fractions import Fraction
 from itertools import accumulate
 
-from ._kernels import INT64, buffer, check_ids, checked
+from . import _kernels
+from ._kernels import INT64, MAX_ID, buffer, check_ids, checked
 from .builder import BuildResult
-from .simplicial import _MAX_ID, Triangulation, ValidationReport, _edge_table, _library, _report, validate_disk
+from .simplicial import Triangulation, ValidationReport, _edge_table, _report, validate_disk
 
 __all__ = [
     "cycle_dist",
@@ -86,12 +87,12 @@ def _graph_csr(t: Triangulation) -> tuple[memoryview, memoryview]:
     more vertices than int32 ids hold.
     """
     v = t.num_vertices
-    if v > _MAX_ID:
+    if v > MAX_ID:
         raise ValueError(f"{v} vertices are more than the BFS kernel's int32 ids hold")
     check_ids(t)
     edges = _edge_table(t.triangles)[0]
     indptr, indices = buffer("i", v + 1), buffer("i", 2 * len(edges))
-    _library().graph_csr(edges, len(edges), v, indptr, indices)
+    _kernels.library().graph_csr(edges, len(edges), v, indptr, indices)
     return indptr, indices
 
 
@@ -106,7 +107,7 @@ def _witness(graph: tuple, x: int, y: int) -> list[int]:
     if not (0 <= x < size and 0 <= y < size):
         raise ValueError(f"a witness from {x} to {y} needs two of the CSR's {size} vertices")
     dist, queue, pred = buffer("i", size), buffer("i", size), buffer("i", size)
-    _library().bfs_tree(size, indptr, indices, x, dist, queue, pred)
+    _kernels.library().bfs_tree(size, indptr, indices, x, dist, queue, pred)
     if dist[y] < 0:
         raise ValueError(f"graph is disconnected: vertex {y} is unreachable from {x}")
     path = [y]
@@ -166,7 +167,7 @@ def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
     indptr, indices = graph
-    size, lib = len(indptr) - 1, _library()  # built here, before any thread would race to build it
+    size, lib = len(indptr) - 1, _kernels.library()  # built here, before any thread would race to build it
     if not (
         0 < n <= size
         and indptr[size] == len(indices)
@@ -213,7 +214,7 @@ def _worst_pair(dist, n: int) -> tuple[int, int]:
     """
     view = checked(dist, INT64, (n, n), "distances")
     pair = buffer("i", 2)
-    if _library().worst_ratio(dist, n, pair):
+    if _kernels.library().worst_ratio(dist, n, pair):
         x, y = pair
         raise ValueError(
             f"graph distance {view[x, y]} exceeds cycle distance {cycle_dist(x, y, n)} "
@@ -236,7 +237,7 @@ def _bound_violation(table: list[int], dist, n: int) -> tuple[int, int] | None:
     if len(table) != n // 2 + 1:
         raise ValueError(f"the separation table of C_{n} needs {n // 2 + 1} bounds, got {len(table)}")
     pair = buffer("i", 2)
-    return (pair[0], pair[1]) if _library().bound_violation(dist, n, array("q", table), pair) else None
+    return (pair[0], pair[1]) if _kernels.library().bound_violation(dist, n, array("q", table), pair) else None
 
 
 class VerificationReport:
@@ -413,15 +414,15 @@ def separation_lower_bounds(build: BuildResult) -> list[int]:
         w.append(min(floor, size))  # s never exceeds a larger w
         m.append(rec.length)
         q.append(math.floor(rec.length * (drift - floor)))
-        if floor < 0 or not 0 < rec.length <= _MAX_ID:
+        if floor < 0 or not 0 < rec.length <= MAX_ID:
             raise ValueError(
-                f"layer {h} of the ledger needs drift >= 0 and a length in 1..{_MAX_ID}, "
+                f"layer {h} of the ledger needs drift >= 0 and a length in 1..{MAX_ID}, "
                 f"got drift {drift} and length {rec.length}"
             )
-    if not 0 < n <= _MAX_ID:
-        raise ValueError(f"the separation table needs 1 <= n <= {_MAX_ID}, got {n}")
+    if not 0 < n <= MAX_ID:
+        raise ValueError(f"the separation table needs 1 <= n <= {MAX_ID}, got {n}")
     table = buffer("q", size)
-    _library().lower_bounds(n, len(m), w, q, m, cone_bound, table, size)
+    _kernels.library().lower_bounds(n, len(m), w, q, m, cone_bound, table, size)
     return table.tolist()
 
 

@@ -33,7 +33,7 @@ from ringfill import (
     layer_ledger,
     validate_disk,
 )
-from ringfill import _kernels, simplicial
+from ringfill import _kernels, annuli, simplicial
 from ringfill.annuli import annulus_triangles, cone_triangles, strip_drifts
 
 _PARAMS = [("1/10", "1/4"), ("1/5", "1/3"), ("1/100", "1/20"), ("1/3", "1/2")]
@@ -199,6 +199,21 @@ def _fails_as_the_whole_complex(build: BuildResult) -> tuple:
     cert = _checked(build)
     assert cert.audit.defects and not cert.ok
     return cert.report, cert.audit
+
+
+def test_every_staircase_shape_is_a_strip_within_its_bound():
+    # The staircase lemma, for every shape with 3 <= M <= m <= 200: the
+    # shrink from m to M is a cyclic strip whose rungs stay within its
+    # drift bound n/M, reaching it only where M = m, and the equal annulus
+    # of m is one with every rung at n/(2m).  Rungs scale with n and do not
+    # depend on the ids, so the lemma holds at every n.
+    for m in range(3, 201):
+        for kind, M in [("equal", m), *(("shrink", M) for M in range(3, m + 1))]:
+            ledger = layer_ledger(m, [(kind, M)])
+            t = Triangulation(m, m + M + 1, annuli._filling_rows(ledger, cone=True), own=True)
+            (drift,), lines = strip_drifts(t, ledger)
+            bound = ledger[0].drift_bound
+            assert lines == [] and drift <= bound and (drift == bound) == (kind == "equal" or M == m), (kind, m, M)
 
 
 def _shared_chord():

@@ -251,25 +251,32 @@ def test_audit_passes_a_valid_build_file_in_another_row_order(tmp_path, capsys, 
 
 @pytest.mark.parametrize("command", ["build", "audit", "verify", "sweep"])
 def test_a_built_filling_is_stripped_once(monkeypatch, capsys, command):
+    # one call of the writer kernel writes every annulus and the cone, and
     # one call of the strip kernel, over the rows as built with no index,
     # validates and audits every annulus and the cone's fan
     from ringfill import _kernels
     from ringfill.analysis import run_sweep
 
-    calls, lib = [], _kernels.library()
-    strip = lib.strip_annuli
+    calls, writes, lib = [], [], _kernels.library()
+    strip, write = lib.strip_annuli, lib.filling_rows
 
     def counted(tri, k, start, cycles, terms, count, index, scratch, out):
         calls.append((k, cycles, index))
         return strip(tri, k, start, cycles, terms, count, index, scratch, out)
 
+    def written(table, cycles, out):
+        writes.append((cycles, len(out)))
+        return write(table, cycles, out)
+
     monkeypatch.setattr(lib, "strip_annuli", counted)
+    monkeypatch.setattr(lib, "filling_rows", written)
     if command == "sweep":
         assert run_sweep([25], "1/10", "1/4")[0].error is None
     else:
         assert main([command, *_PARAMS_25]) == 0
     build = build_filling(Params(25, Fraction(1, 10), Fraction(1, 4)))
     assert calls == [(build.triangulation.num_triangles, len(build.ledger), None)]
+    assert writes == [(len(build.ledger) + 1, build.triangulation.num_triangles)] * 2  # the command's, then this build's
 
 
 @pytest.mark.parametrize("field", ["rho"])

@@ -309,13 +309,14 @@ def test_isometry_of_corrupted_stacks_matches_the_reference(n, k):
     # Complexes left disconnected have no reference verdict and are skipped.
     nv = n + k
     rng = np.random.default_rng(n * 10 + k)
-    chunk = next(c for c in oracle._stacks(EnumerationBudget(n, k)) if any(oracle._isometric_rows(n, nv, c)))
+    chunk = next(c for c in oracle._stacks(EnumerationBudget(n, k))
+                 if any(oracle._isometric_rows(n, nv, c, *c.shape[:2])))
     chunk = np.repeat(chunk, 8, axis=0)
     broken = chunk.copy()
     rows = np.arange(len(broken))
     broken[rows, rng.integers(0, broken.shape[1], len(rows)), rng.integers(1, 3, len(rows))] = rng.integers(
         0, nv, len(rows))
-    got = oracle._isometric_rows(n, nv, broken)
+    got = oracle._isometric_rows(n, nv, broken, *broken.shape[:2])
     compared = flipped = 0
     for b, tri in enumerate(broken):
         try:
@@ -328,9 +329,14 @@ def test_isometry_of_corrupted_stacks_matches_the_reference(n, k):
     assert compared > len(broken) // 2 and flipped > 0
 
 
-def test_isometry_test_refuses_ids_beyond_its_vertices():
+def test_isometry_test_refuses_ids_beyond_its_vertices(monkeypatch):
+    _refuse_kernels(monkeypatch, "isometric_rows")
     with pytest.raises(ValueError, match="vertex id 5, beyond the 4 vertices"):
         is_isometric_filling(Triangulation(3, 4, [(0, 1, 2), (0, 2, 5)]))
+    wide = copy.copy(cone_over_cycle(5))
+    wide.triangles = np.array(wide.triangles, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"triangles must be a C-contiguous \(\*, 3\) int32 numpy array"):
+        is_isometric_filling(wide)
 
 
 def _latitude(n: int):
@@ -410,20 +416,13 @@ def _refuse_kernels(monkeypatch, *names):
 
 
 def test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel(monkeypatch):
-    _refuse_kernels(monkeypatch, "annulus_rows", "cone_rows")
+    _refuse_kernels(monkeypatch, "filling_rows")
     outer = LayerRecord(0, 4, 2**31 - 4, "equal", Fraction(1, 2))
     far = LayerRecord(1, 4, 2**31 - 3)
     with pytest.raises(ValueError, match=r"cycle 1 of 4 vertices from id 2147483645 needs ids in 0..2147483647"):
         annulus_triangles(outer, far)  # the inner cycle would run past the int32 maximum
     with pytest.raises(ValueError, match=r"cycle 1 of 4 vertices from id 2147483644 needs ids in 0..2147483647"):
         cone_triangles(LayerRecord(1, 4, 2**31 - 4))  # the apex would be 2**31
-    inner = LayerRecord(1, 4, 4)
-    outer = LayerRecord(0, 4, 0, "equal", Fraction(1, 2))
-    with pytest.raises(ValueError, match=r"rows must be a writable C-contiguous \(8, 3\) int32 buffer, got format 'l'"):
-        annuli._write_annulus(outer, inner, np.zeros((8, 3), dtype=np.int64))
-    with pytest.raises(ValueError, match=r"rows must be a writable C-contiguous \(4, 3\) int32 buffer, got format 'i' "
-                                         r"and shape \(5, 3\)"):
-        annuli._write_cone(inner, np.zeros((5, 3), dtype=np.int32))
 
 
 def test_canonical_rotation_refuses_ids_and_formats(monkeypatch):
@@ -797,10 +796,13 @@ def test_kernels_compile_without_warnings(tmp_path):
 
 def test_every_kernel_is_declared_and_called():
     # The exported functions of _kernels.c are exactly the kernels with a
-    # ctypes signature, and the package calls each of them.
+    # ctypes signature and the kernels its header lists, and the package
+    # calls each of them.
     source = _kernels._SOURCE.read_text()
     exported = re.findall(r"^(?!static\b)[A-Za-z_][\w\s*]*?\b(\w+)\(", source, re.M)
     assert sorted(exported) == sorted(_kernels.signatures())
+    listed = re.findall(r"^ \* {3}(\w+(?:, \w+)*)", source[: source.index("*/")], re.M)
+    assert sorted(name for names in listed for name in names.split(", ")) == sorted(exported)
     package = "".join(path.read_text() for path in _kernels._SOURCE.parent.glob("*.py"))
     assert [name for name in exported if f".{name}(" not in package] == []
 
@@ -906,14 +908,17 @@ def test_callers_hand_read_only_numpy_arrays_to_the_kernels(small_build):
     assert annuli.strip_drifts(shaped, small_build.ledger) == annuli.strip_drifts(t, small_build.ledger)
     assert verify._worst_pair(frozen, n) == verify._worst_pair(dist, n)
     assert verify._bound_violation(table, frozen, n) == verify._bound_violation(table, dist, n) is not None
+    cone = cone_over_cycle(7)  # within the isometry test's 255 vertices, as small_build is not
+    shaped = copy.copy(cone)
+    shaped.triangles = _frozen(np.array(cone.triangles))
+    assert is_isometric_filling(shaped) is is_isometric_filling(cone) is False
 
 
 # ROADMAP's standing rule from item 13: each kernel's caller refuses bad
 # buffers in a test that monkeypatches the kernel to fail, or the kernel is
 # only handed buffers its caller made, for the reason given.
 _REFUSED_IN = {
-    "annulus_rows": "test_kernels.py::test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel",
-    "cone_rows": "test_kernels.py::test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel",
+    "filling_rows": "test_kernels.py::test_annulus_and_cone_rows_refuse_ids_and_buffers_before_the_kernel",
     "top_id": "test_kernels.py::test_edge_table_refuses_other_formats_before_the_kernel",
     "canonical_rows": "test_kernels.py::test_canonical_rotation_refuses_ids_and_formats",
     "edge_slots": "test_kernels.py::test_edge_table_refuses_other_formats_before_the_kernel",
@@ -928,13 +933,13 @@ _REFUSED_IN = {
     "lower_bounds": "test_kernels.py::test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel",
     "disk_verdicts": "test_kernels.py::test_disk_verdicts_refuse_other_stacks_before_the_kernel",
     "strip_annuli": "test_kernels.py::test_strip_annuli_refuse_other_buffers_ids_and_terms_before_the_kernel",
+    "isometric_rows": "test_kernels.py::test_isometry_test_refuses_ids_beyond_its_vertices",
     "rows_text": "test_kernels.py::test_row_writer_refuses_other_buffers_before_the_kernel",
     "parse_rows": "test_kernels.py::test_row_reader_refuses_other_buffers_before_the_kernel",
 }
 _NEEDS_NO_REFUSAL = {
     "grow_state_size": "it takes two counts and no buffer",
     "grow_fillings": "oracle._fillings hands it only the state, path and stack buffers it made for the search",
-    "isometric_rows": "it is handed stacks that validate_disk_batch passed, or a Triangulation's own rows",
 }
 
 

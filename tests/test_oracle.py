@@ -13,7 +13,7 @@ from ringfill import (
     min_isometric_vertices,
     validate_disk,
 )
-from ringfill import oracle
+from ringfill import _kernels, oracle
 from ringfill.oracle import EnumerationStats, validate_disk_batch
 from reference_impl import interior_canonical_code, reference_grow, reference_is_isometric
 
@@ -136,7 +136,7 @@ def test_batched_verdicts_match_per_complex_checks():
             valid = [validate_disk(f).ok for f in fillings]
             assert validate_disk_batch(n, n + k, chunk).tolist() == valid, (n, k)
             isometric = [reference_is_isometric(f) for f in fillings]
-            assert oracle._isometric_rows(n, n + k, chunk).tolist() == isometric, (n, k)
+            assert oracle._isometric_rows(n, n + k, chunk, *chunk.shape[:2]).tolist() == isometric, (n, k)
 
 
 def _one_corruption_each(stack, nv, rng):
@@ -184,7 +184,7 @@ def test_cones_either_side_of_the_bitsets_get_validate_disks_verdict(monkeypatch
     # The wheel over C_63 has 64 vertices, the most the bitset kernel takes;
     # the wheel over C_64 has 65 and goes through validate_disk.  Each is
     # checked plain and with one row broken in each of three ways.
-    from ringfill import _kernels, simplicial
+    from ringfill import simplicial
 
     wheel = np.asarray(cone_over_cycle(m).triangles)
     stack = np.stack([wheel] * 4)
@@ -336,15 +336,12 @@ def test_a_leaf_the_kernel_refuses_is_reported(monkeypatch):
     # The compiled search returns -1 - T for a leaf of T triangles, T != F,
     # left in the first T rows of the path; it reaches the search as a stack
     # of its own.
-    class Library:
-        def grow_state_size(self, n, interior):
-            return 1
+    def grow_fillings(n, interior, state, path, out, cap):
+        np.asarray(path)[0] = (0, 1, 2)
+        return -2
 
-        def grow_fillings(self, n, interior, state, path, out, cap):
-            np.asarray(path)[0] = (0, 1, 2)
-            return -2
-
-    monkeypatch.setattr(oracle, "_library", Library)
+    monkeypatch.setattr(_kernels.library(), "grow_state_size", lambda n, interior: 1)
+    monkeypatch.setattr(_kernels.library(), "grow_fillings", grow_fillings)
     failures = validate_disk(Triangulation(4, 4, [(0, 1, 2)])).failures
     message = re.escape(f"enumerator produced an invalid complex: {failures[:3]}")
     with pytest.raises(RuntimeError, match=message):
