@@ -8,8 +8,8 @@
  *   bfs_tree                 a plain BFS and its tree: the witness path, vertex 0's tree
  *   boundary_tree,
  *   boundary_rows            the boundary distance matrix, each search confined
- *   worst_ratio              the first least ratio of BFS to cycle distance
- *   bound_violation          the first pair whose lower bound exceeds its BFS distance
+ *   judge_pairs              the first least ratio of BFS to cycle distance, and the first pair
+ *                            whose lower bound exceeds its BFS distance, from one pass
  *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
@@ -687,17 +687,24 @@ int boundary_rows(int32_t nv, const int32_t *indptr, const int32_t *indices, int
     return 0;
 }
 
-/* The pair (x, y), x != y, of the n x n distances dist (each below 2^31)
- * whose ratio dist[x][y] / d_cyc(x, y) is least, the first in row-major
- * order among equal ratios, compared exactly by cross-multiplying in int64:
- * out gets (x, y) and the result is 0.  If some distance exceeds its pair's
- * cycle distance, out gets the first such pair instead and the result is 1. */
-int worst_ratio(const int64_t *dist, int32_t n, int32_t *out)
+/* judge_pairs: the boundary BFS matrix judged in one pass.  dist holds the
+ * n x n distances (each below 2^31), which the BFS writes symmetric, so the
+ * pairs x <= y, read in row-major order, meet each pair before its mirror
+ * and give the answers of all n^2 entries, the diagonal's included.  If
+ * some distance exceeds its pair's cycle distance, out[0], out[1] get the
+ * first such pair and the result is 1.  Otherwise the result is 0 and
+ * out[0], out[1] get the pair, x != y, of least ratio dist[x][y] /
+ * d_cyc(x, y), the first among equal ratios, compared exactly by
+ * cross-multiplying in int64; and out[2], out[3] the first pair whose cycle
+ * distance s has table[s] > dist[x][y], table holding n / 2 + 1 bounds, or
+ * -1, -1 if none has or table is NULL. */
+int judge_pairs(const int64_t *dist, int32_t n, const int64_t *table, int32_t *out)
 {
     int64_t best_d = 1, best_c = 0; /* no pair yet: an infinite ratio */
+    out[2] = out[3] = -1;
     for (int32_t x = 0; x < n; x++)
-        for (int32_t y = 0; y < n; y++) {
-            int32_t gap = x < y ? y - x : x - y, c = gap < n - gap ? gap : n - gap;
+        for (int32_t y = x; y < n; y++) {
+            int32_t gap = y - x, c = gap < n - gap ? gap : n - gap;
             int64_t d = dist[(size_t)x * n + y];
             if (d > c) {
                 out[0] = x, out[1] = y;
@@ -707,23 +714,8 @@ int worst_ratio(const int64_t *dist, int32_t n, int32_t *out)
                 best_d = d, best_c = c;
                 out[0] = x, out[1] = y;
             }
-        }
-    return 0;
-}
-
-/* The first pair (x, y), in row-major order, of the n x n distances dist
- * whose cycle distance s has table[s] > dist[x][y], table holding n / 2 + 1
- * entries: out gets (x, y) and the result is 1.  If no pair has one, the
- * result is 0 and out is left as it was. */
-int bound_violation(const int64_t *dist, int32_t n, const int64_t *table, int32_t *out)
-{
-    for (int32_t x = 0; x < n; x++)
-        for (int32_t y = 0; y < n; y++) {
-            int32_t gap = x < y ? y - x : x - y;
-            if (table[gap < n - gap ? gap : n - gap] > dist[(size_t)x * n + y]) {
-                out[0] = x, out[1] = y;
-                return 1;
-            }
+            if (table && out[2] < 0 && table[c] > d)
+                out[2] = x, out[3] = y;
         }
     return 0;
 }

@@ -188,7 +188,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # _certified's layer, imported before the rows exist so that they reuse its memory: this
     # command's peak RSS follows the import order, 0.2 MB higher with simplicial imported first
-    from .verify import step_profile_eps, verify_filling
+    from .verify import cycle_dist, separation_lower_bounds, step_profile_eps, verify_filling
 
     t, build = _load_source(args)
     if args.check_bound and build is None:
@@ -196,7 +196,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1
     if not _certified(build, t).ok:
         return 1
-    report = verify_filling(t, jobs=args.jobs)
+    table = separation_lower_bounds(build) if args.check_bound else None
+    report = verify_filling(t, jobs=args.jobs, table=table)
     if build is not None:
         report.eps = step_profile_eps(build)
     x, y, d_k, d_c = report.worst_pair
@@ -208,11 +209,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("witness path:", " ".join(map(str, report.witness_path)))
     ok = True
     if args.check_bound:
-        from .verify import _bound_violation, cycle_dist, separation_lower_bounds
-
-        dist = report.boundary_distances
-        table = separation_lower_bounds(build)
-        first = _bound_violation(table, dist, report.n)
+        dist, first = report.boundary_distances, report.violation
         violations = 0 if first is None else _check_bound(table, dist, args.check_bound, args.seed)
         print(f"bound check: {args.check_bound} pairs sampled, {violations} violations")
         if first is not None and not violations:
@@ -236,7 +233,7 @@ def _check_bound(table: list[int], dist, count: int, seed: int) -> int:
     Each pair (a, b) is two ``random.Random(seed).randrange`` draws, a first,
     and each violation prints in draw order.  ``dist`` is the ``(n, n)``
     BFS matrix, read one pair at a time.  ``verify`` draws only once the
-    compiled check of every pair has found a violation.
+    compiled judgement of every pair has found a violation.
     """
     import random
 

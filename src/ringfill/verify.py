@@ -6,10 +6,11 @@ Three independent instruments:
   compiled FIFO search per source over an int32 CSR of the 1-skeleton
   (``_kernels.c``, built with the C compiler on first use and loaded
   through ctypes by :mod:`ringfill._kernels`), giving the exact Lipschitz
-  constant delta of the filling, whose worst pair a compiled scan finds by
-  exact int64 cross-multiplication.  The search from a source x >= 1
-  fills only the pairs (x, y) with y > x and skips two sets of vertices,
-  each exactly.  *Side:* the path pi_x from 0 to x in a BFS tree of
+  constant delta of the filling.  One compiled pass judges the matrix: its
+  worst pair, by exact int64 cross-multiplication, and the first pair that
+  violates the separation table, if one is given.  The search from a
+  source x >= 1 fills only the pairs (x, y) with y > x and skips two sets
+  of vertices, each exactly.  *Side:* the path pi_x from 0 to x in a BFS tree of
   vertex 0 is a geodesic, and the excluded set E, flooded from the earlier
   paths through vertices off pi_x, has every neighbour in E or on pi_x; so
   a shortest path from x to a target that enters E leaves it onto pi_x
@@ -33,7 +34,8 @@ Three independent instruments:
   each defect;
 * an analytic lower-bound predictor for boundary distances derived from the
   accumulated drift of the layer ledger, sound by construction and checked
-  against BFS exhaustively in the tests, its table written by a kernel.
+  against BFS exhaustively in the tests, its table written by a kernel and
+  judged against every BFS pair in the same pass as delta.
 
 The CSR, the distance matrix and the table are stdlib buffers (``bytearray``
 cast by ``memoryview``), and the audit reads the complex's int32 rows in
@@ -154,7 +156,7 @@ def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
     tree path from 0 to x and pruned by layer (``boundary_rows``; the module
     docstring says why both cuts are exact).  If a boundary cycle edge is
     missing, the depth cut does not hold, so the searches keep the side cut
-    alone, and :func:`_worst_pair` names the edge.
+    alone, and :func:`_judgement` names the edge.
 
     The sources are split into spans (see :func:`_bfs_plan`), which are
     independent and read-only over the shared graph, so they run on a pool
@@ -203,41 +205,28 @@ def _boundary_distances(graph: tuple, n: int, jobs: int) -> memoryview:
     return dist
 
 
-def _worst_pair(dist, n: int) -> tuple[int, int]:
-    """The first pair, in row-major order, of least ratio of ``dist`` to cycle distance.
+def _judgement(dist, n: int, table: list[int] | None) -> tuple[tuple[int, int], tuple[int, int] | None]:
+    """The worst pair of ``dist`` and the first pair that violates ``table``, or None, from one compiled pass.
 
-    ``dist`` is the C-contiguous ``(n, n)`` int64 BFS matrix.  The compiled
-    ``worst_ratio`` compares ratios exactly, by int64 cross-multiplication,
-    so the first exact minimum is found without a float.  Raises ValueError
-    if ``dist`` has another shape or format, which the kernel would misread,
-    or if some graph distance exceeds its cycle distance.
+    ``dist`` is the C-contiguous ``(n, n)`` int64 BFS matrix and ``table``
+    :func:`separation_lower_bounds`' ``n // 2 + 1`` bounds, or None; the
+    kernel ``judge_pairs`` says which pair is first and how ratios compare
+    exactly.  Raises ValueError, before the kernel runs, if the matrix has
+    another shape or format or the table another length, which the kernel
+    would misread; and after it if some graph distance exceeds its cycle
+    distance.
     """
     view = checked(dist, INT64, (n, n), "distances")
-    pair = buffer("i", 2)
-    if _kernels.library().worst_ratio(dist, n, pair):
-        x, y = pair
+    if table is not None and len(table) != n // 2 + 1:
+        raise ValueError(f"the separation table of C_{n} needs {n // 2 + 1} bounds, got {len(table)}")
+    out = buffer("i", 4)
+    if _kernels.library().judge_pairs(dist, n, None if table is None else array("q", table), out):
+        x, y = out[0], out[1]
         raise ValueError(
             f"graph distance {view[x, y]} exceeds cycle distance {cycle_dist(x, y, n)} "
             f"for pair ({x}, {y}): boundary cycle edges are missing"
         )
-    return pair[0], pair[1]
-
-
-def _bound_violation(table: list[int], dist, n: int) -> tuple[int, int] | None:
-    """The first pair (x, y), in row-major order, whose entry of ``table`` at cycle distance exceeds ``dist[x, y]``.
-
-    ``table`` is :func:`separation_lower_bounds`' list of ``n // 2 + 1``
-    bounds, and ``dist`` the C-contiguous ``(n, n)`` int64 BFS matrix; the
-    compiled ``bound_violation`` compares every pair.  Returns None if no
-    pair violates the table.  Raises ValueError, before the kernel runs, if
-    the table has another length or the matrix another shape or format,
-    which the kernel would misread.
-    """
-    checked(dist, INT64, (n, n), "distances")
-    if len(table) != n // 2 + 1:
-        raise ValueError(f"the separation table of C_{n} needs {n // 2 + 1} bounds, got {len(table)}")
-    pair = buffer("i", 2)
-    return (pair[0], pair[1]) if _kernels.library().bound_violation(dist, n, array("q", table), pair) else None
+    return (out[0], out[1]), None if out[2] < 0 else (out[2], out[3])
 
 
 class VerificationReport:
@@ -251,6 +240,7 @@ class VerificationReport:
     def __init__(
         self, n: int, delta: Fraction, is_isometric: bool, worst_pair: tuple[int, int, int, int],
         witness_path: list[int] | None, boundary_distances: memoryview, eps: float | None = None,
+        violation: tuple[int, int] | None = None,
     ) -> None:
         self.n = n
         self.delta = delta
@@ -259,22 +249,26 @@ class VerificationReport:
         self.witness_path = witness_path
         self.boundary_distances = boundary_distances  # (n, n) int64
         self.eps = eps
+        self.violation = violation  # the separation table's first violated pair, if one was judged
 
 
-def verify_filling(t: Triangulation, jobs: int = 1) -> VerificationReport:
+def verify_filling(t: Triangulation, jobs: int = 1, table: list[int] | None = None) -> VerificationReport:
     """Compute the exact Lipschitz constant of ``t`` over all boundary pairs.
 
     Requires a complex that already passed :func:`validate_disk` or
-    :func:`certify`.  When a shortcut exists (delta < 1) the report carries
-    one shortest path realizing the worst pair, read off the BFS tree of
-    its first vertex.  The CSR sorts its own edge table and drops it once
-    built, before any BFS buffer is allocated, so the searches take the
-    table's memory; ``t`` is left as it was.
+    :func:`certify`.  One compiled pass over the BFS matrix judges every
+    pair: it gives the worst pair, and, given the separation ``table`` of
+    ``t``'s build (:func:`separation_lower_bounds`), the first pair that
+    violates it as ``violation``.  When a shortcut exists (delta < 1) the
+    report carries one shortest path realizing the worst pair, read off the
+    BFS tree of its first vertex.  The CSR sorts its own edge table and
+    drops it once built, before any BFS buffer is allocated, so the
+    searches take the table's memory; ``t`` is left as it was.
     """
     n = t.n
     graph = _graph_csr(t)  # kept for the witness BFS
     dist = _boundary_distances(graph, n, jobs)
-    x, y = _worst_pair(dist, n)
+    (x, y), violation = _judgement(dist, n, table)
     d_k, d_c = dist[x, y], cycle_dist(x, y, n)
     delta = Fraction(d_k, d_c)
     return VerificationReport(
@@ -284,6 +278,7 @@ def verify_filling(t: Triangulation, jobs: int = 1) -> VerificationReport:
         worst_pair=(x, y, d_k, d_c),
         witness_path=_witness(graph, x, y) if delta < 1 else None,
         boundary_distances=dist,
+        violation=violation,
     )
 
 

@@ -12,6 +12,7 @@ import pytest
 from ringfill import (
     Params,
     build_filling,
+    certify,
     check_core_inequality,
     cone_over_cycle,
     constants_report,
@@ -173,4 +174,24 @@ def test_c10_uniform_estimates(builds_a_extended):
     print(
         f"\nPASS 10 uniform estimates: eps strictly decreasing along n={list(EPS_CHAIN)}: "
         f"{[round(e, 6) for e in eps]}"
+    )
+
+
+def test_c11_beats_the_hemisphere():
+    # An isometric filling below the triangulated hemisphere's rate
+    # 1/(pi*sqrt3) > 196/1067 (exact, see ConstantsReport.ordering_ok).
+    # The separation table does not reach delta = 1 here, so delta rests
+    # on the BFS, which judges the table on every pair in the same pass.
+    n = 1024
+    build = build_filling(Params(n, Fraction(1, 100), Fraction(1, 20)))
+    vertices = build.triangulation.num_vertices
+    assert vertices == 190_357
+    assert Fraction(vertices, n**2) < Fraction(196, 1067)
+    assert certify(build).ok
+    report = verify_filling(build.triangulation, jobs=2, table=separation_lower_bounds(build))
+    assert report.delta == 1 and report.worst_pair[:2] == (0, 1)
+    assert report.violation is None
+    print(
+        f"\nPASS 11 beats the hemisphere: K_{n} at (1/100, 1/20) is isometric (delta = 1 by BFS, "
+        f"certified disk) with V/n^2 = {vertices}/{n**2} = {vertices / n**2:.5f} < 196/1067"
     )

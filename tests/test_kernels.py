@@ -581,44 +581,69 @@ def test_disk_verdicts_fail_every_vertex_count_but_the_disks():
     assert not ok[0]
 
 
-def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):
-    _refuse_kernels(monkeypatch, "worst_ratio")
-    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 .*, got format 'i'"):
-        verify._worst_pair(np.zeros((4, 4), dtype=np.int32), 4)
-    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 .* shape \(4, 5\)"):
-        verify._worst_pair(np.zeros((4, 5), dtype=np.int64), 4)
-    with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 .*, read-only"):
-        verify._worst_pair(memoryview(bytes(128)).cast("q", (4, 4)), 4)  # read-only, so ctypes has no address for it
-
-
-def test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel(monkeypatch):
-    _refuse_kernels(monkeypatch, "bound_violation")
+def test_judgement_refuses_other_tables_and_matrices_before_the_kernel(monkeypatch):
+    _refuse_kernels(monkeypatch, "judge_pairs")
     table = [0, 1, 2]
     with pytest.raises(ValueError, match=r"the separation table of C_4 needs 3 bounds, got 2"):
-        verify._bound_violation(table[:2], np.zeros((4, 4), dtype=np.int64), 4)
+        verify._judgement(np.zeros((4, 4), dtype=np.int64), 4, table[:2])
     with pytest.raises(ValueError, match=r"the separation table of C_5 needs 3 bounds, got 4"):
-        verify._bound_violation(table + [3], np.zeros((5, 5), dtype=np.int64), 5)
+        verify._judgement(np.zeros((5, 5), dtype=np.int64), 5, table + [3])
     wide = np.zeros((4, 8), dtype=np.int64)
     frozen = memoryview(bytes(128)).cast("q", (4, 4))  # read-only, so ctypes has no address for it
-    for dist in (np.zeros((4, 4), dtype=np.int32), wide[:, :5], wide[:, ::2], frozen):
-        with pytest.raises(ValueError, match=r"distances must be a C-contiguous \(4, 4\) int64 numpy array or"):
-            verify._bound_violation(table, dist, 4)
+    refusal = r"^distances must be a C-contiguous \(4, 4\) int64 numpy array or writable buffer, got .*"
+    for dist, got in (
+        (np.zeros((4, 4), dtype=np.int32), r"format 'i' and shape \(4, 4\)$"),
+        (np.zeros((4, 5), dtype=np.int64), r"format '[lq]' and shape \(4, 5\)$"),
+        (wide[:, :5], r"shape \(4, 5\), not C-contiguous$"),
+        (wide[:, ::2], r"shape \(4, 4\), not C-contiguous$"),
+        (frozen, r"format 'q' and shape \(4, 4\), read-only$"),
+    ):
+        for given in (None, table):
+            with pytest.raises(ValueError, match=refusal + got):
+                verify._judgement(dist, 4, given)
 
 
-@pytest.mark.parametrize("raise_at", [None, 0, 1, 5, 12])
-def test_bound_violation_is_the_first_pair_in_row_major_order(medium_build, raise_at):
-    # The compiled pass over every pair gives the per-pair loop's first
-    # violation, here of the table raised at one separation.
-    n = medium_build.params.n
-    dist = verify_filling(medium_build.triangulation).boundary_distances
-    table = separation_lower_bounds(medium_build)
-    if raise_at is not None:
-        table[raise_at] = raise_at + 1
-    want = next(
-        ((x, y) for x in range(n) for y in range(n) if table[verify.cycle_dist(x, y, n)] > dist[x, y]), None
-    )
-    assert (want is None) == (raise_at is None)
-    assert verify._bound_violation(table, dist, n) == want
+def _judged_cases(request, case) -> list[tuple[Triangulation, list[int]]]:
+    """Complexes and separation tables for the judgement's tests, named by ``case``.
+
+    An int or None: the n = 64 build with its table raised at that
+    separation, or as it is.  ``flipped``: each of ``conftest.flipped_builds``
+    with its table.  ``cones``: the cone over C_k, k = 6..11 (delta < 1),
+    with the table of cycle distances, which each shortcut violates.
+    """
+    if case == "cones":
+        return [(cone_over_cycle(k), list(range(k // 2 + 1))) for k in range(6, 12)]
+    if case == "flipped":
+        flipped = request.getfixturevalue("flipped_builds").values()
+        return [(build.triangulation, separation_lower_bounds(build)) for build, _, _ in flipped]
+    build = request.getfixturevalue("medium_build")
+    table = separation_lower_bounds(build)
+    if case is not None:
+        table[case] = case + 1
+    return [(build.triangulation, table)]
+
+
+@pytest.mark.parametrize("raise_at", [None, 0, 1, 5, 12, "flipped", "cones"])
+def test_bound_violation_is_the_first_pair_in_row_major_order(request, raise_at):
+    # The compiled judgement gives the per-pair loop's first violation and
+    # first least ratio over all n^2 entries, and the same worst pair,
+    # delta, violation and matrix bytes at every jobs.
+    for t, table in _judged_cases(request, raise_at):
+        n = t.n
+        reports = [verify_filling(t, jobs=jobs, table=table) for jobs in (1, 2, 3)]
+        dist = reports[0].boundary_distances
+        want = next(
+            ((x, y) for x in range(n) for y in range(n) if table[verify.cycle_dist(x, y, n)] > dist[x, y]), None
+        )
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        x, y = min(pairs, key=lambda p: Fraction(dist[p], verify.cycle_dist(*p, n)))
+        assert (want is None) == (raise_at is None or raise_at == "flipped")
+        for report in reports:
+            assert report.violation == want
+            assert report.worst_pair == (x, y, dist[x, y], verify.cycle_dist(x, y, n))
+            assert report.delta == reports[0].delta
+            assert bytes(report.boundary_distances) == bytes(dist)
+        assert verify_filling(t).violation is None
 
 
 def test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel(monkeypatch, small_build):
@@ -906,8 +931,8 @@ def test_callers_hand_read_only_numpy_arrays_to_the_kernels(small_build):
     shaped = copy.copy(t)
     shaped.triangles = rows
     assert annuli.strip_drifts(shaped, small_build.ledger) == annuli.strip_drifts(t, small_build.ledger)
-    assert verify._worst_pair(frozen, n) == verify._worst_pair(dist, n)
-    assert verify._bound_violation(table, frozen, n) == verify._bound_violation(table, dist, n) is not None
+    assert verify._judgement(frozen, n, table) == verify._judgement(dist, n, table)
+    assert verify._judgement(dist, n, table)[1] is not None
     cone = cone_over_cycle(7)  # within the isometry test's 255 vertices, as small_build is not
     shaped = copy.copy(cone)
     shaped.triangles = _frozen(np.array(cone.triangles))
@@ -928,8 +953,7 @@ _REFUSED_IN = {
     "bfs_tree": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
     "boundary_tree": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
     "boundary_rows": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
-    "worst_ratio": "test_kernels.py::test_worst_ratio_refuses_other_matrices_before_the_kernel",
-    "bound_violation": "test_kernels.py::test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel",
+    "judge_pairs": "test_kernels.py::test_judgement_refuses_other_tables_and_matrices_before_the_kernel",
     "lower_bounds": "test_kernels.py::test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel",
     "disk_verdicts": "test_kernels.py::test_disk_verdicts_refuse_other_stacks_before_the_kernel",
     "strip_annuli": "test_kernels.py::test_strip_annuli_refuse_other_buffers_ids_and_terms_before_the_kernel",
