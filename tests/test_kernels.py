@@ -581,26 +581,38 @@ def test_disk_verdicts_fail_every_vertex_count_but_the_disks():
     assert not ok[0]
 
 
-def test_judgement_refuses_other_tables_and_matrices_before_the_kernel(monkeypatch):
+# Distance matrices the judgement refuses for C_4, each with the end of its refusal.
+_WIDE = np.zeros((4, 8), dtype=np.int64)
+_OTHER_MATRICES = [
+    (np.zeros((4, 4), dtype=np.int32), r"format 'i' and shape \(4, 4\)$"),
+    (np.zeros((4, 5), dtype=np.int64), r"format '[lq]' and shape \(4, 5\)$"),
+    (_WIDE[:, :5], r"shape \(4, 5\), not C-contiguous$"),
+    (_WIDE[:, ::2], r"shape \(4, 4\), not C-contiguous$"),
+    # read-only, so ctypes has no address for it
+    (memoryview(bytes(128)).cast("q", (4, 4)), r"format 'q' and shape \(4, 4\), read-only$"),
+]
+_MATRIX_REFUSAL = r"^distances must be a C-contiguous \(4, 4\) int64 numpy array or writable buffer, got .*"
+
+
+def test_worst_ratio_refuses_other_matrices_before_the_kernel(monkeypatch):
+    # The judgement without a table, as plain verify runs it.
+    _refuse_kernels(monkeypatch, "judge_pairs")
+    for dist, got in _OTHER_MATRICES:
+        with pytest.raises(ValueError, match=_MATRIX_REFUSAL + got):
+            verify._judgement(dist, 4, None)
+
+
+def test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel(monkeypatch):
+    # The judgement with a separation table, as verify --check-bound runs it.
     _refuse_kernels(monkeypatch, "judge_pairs")
     table = [0, 1, 2]
     with pytest.raises(ValueError, match=r"the separation table of C_4 needs 3 bounds, got 2"):
         verify._judgement(np.zeros((4, 4), dtype=np.int64), 4, table[:2])
     with pytest.raises(ValueError, match=r"the separation table of C_5 needs 3 bounds, got 4"):
         verify._judgement(np.zeros((5, 5), dtype=np.int64), 5, table + [3])
-    wide = np.zeros((4, 8), dtype=np.int64)
-    frozen = memoryview(bytes(128)).cast("q", (4, 4))  # read-only, so ctypes has no address for it
-    refusal = r"^distances must be a C-contiguous \(4, 4\) int64 numpy array or writable buffer, got .*"
-    for dist, got in (
-        (np.zeros((4, 4), dtype=np.int32), r"format 'i' and shape \(4, 4\)$"),
-        (np.zeros((4, 5), dtype=np.int64), r"format '[lq]' and shape \(4, 5\)$"),
-        (wide[:, :5], r"shape \(4, 5\), not C-contiguous$"),
-        (wide[:, ::2], r"shape \(4, 4\), not C-contiguous$"),
-        (frozen, r"format 'q' and shape \(4, 4\), read-only$"),
-    ):
-        for given in (None, table):
-            with pytest.raises(ValueError, match=refusal + got):
-                verify._judgement(dist, 4, given)
+    for dist, got in _OTHER_MATRICES:
+        with pytest.raises(ValueError, match=_MATRIX_REFUSAL + got):
+            verify._judgement(dist, 4, table)
 
 
 def _judged_cases(request, case) -> list[tuple[Triangulation, list[int]]]:
@@ -953,7 +965,7 @@ _REFUSED_IN = {
     "bfs_tree": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
     "boundary_tree": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
     "boundary_rows": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
-    "judge_pairs": "test_kernels.py::test_judgement_refuses_other_tables_and_matrices_before_the_kernel",
+    "judge_pairs": "test_kernels.py::test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel",
     "lower_bounds": "test_kernels.py::test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel",
     "disk_verdicts": "test_kernels.py::test_disk_verdicts_refuse_other_stacks_before_the_kernel",
     "strip_annuli": "test_kernels.py::test_strip_annuli_refuse_other_buffers_ids_and_terms_before_the_kernel",
