@@ -10,7 +10,6 @@
  *   boundary_rows            the boundary distance matrix, each search confined
  *   judge_pairs              the first least ratio of BFS to cycle distance, and the first pair
  *                            whose lower bound exceeds its BFS distance, from one pass
- *   lower_bounds             the separation lower-bound table of a ledger
  *   grow_state_size,
  *   grow_fillings            the oracle's resumable backtracking enumeration
  *   disk_verdicts            validate_disk's verdict on each complex of a stack, from adjacency bitsets
@@ -718,32 +717,6 @@ int judge_pairs(const int64_t *dist, int32_t n, const int64_t *table, int32_t *o
                 out[2] = x, out[3] = y;
         }
     return 0;
-}
-
-/* Python's a // b, for b > 0. */
-static inline int64_t floor_div(int64_t a, int64_t b)
-{
-    return a / b - (a % b < 0);
-}
-
-/* The separation lower-bound table of a ledger (verify.separation_lower_bounds):
- * entry s < size is the least of cone and, over the layers h < layers, 2h
- * where s <= w[h], else 2h - (q[h] - m[h] (s - w[h])) // n, with Python's
- * floor division.  The caller checks 0 <= w[h], 0 <= q[h] < m[h] < 2^31,
- * n >= 1 and size <= 2^31, so no product overflows. */
-void lower_bounds(int64_t n, int32_t layers, const int64_t *w, const int64_t *q, const int64_t *m, int64_t cone,
-                  int64_t *table, int32_t size)
-{
-    for (int32_t s = 0; s < size; s++)
-        table[s] = cone;
-    for (int32_t h = 0; h < layers; h++)
-        for (int32_t s = 0; s < size; s++) {
-            int64_t row = 2 * (int64_t)h;
-            if (s > w[h])
-                row -= floor_div(q[h] - m[h] * (s - w[h]), n);
-            if (row < table[s])
-                table[s] = row;
-        }
 }
 
 /* The oracle's enumeration of the triangulated disks that fill the labeled

@@ -225,7 +225,6 @@ def signatures() -> dict:
         "boundary_tree": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, rows, ids, ids]),
         "boundary_rows": (ctypes.c_int, [i32, ids, ids, i32, ids, ids, i32, i32, rows, ids, ids, ctypes.c_int]),
         "judge_pairs": (ctypes.c_int, [rows, i32, _Buffer(INT64, nullable=True), ids]),
-        "lower_bounds": (None, [i64, i32, wide, wide, wide, i64, wide, i32]),
         "grow_state_size": (i32, [i32, i32]),
         "grow_fillings": (i32, [i32, i32, ids, ids, ids, i32]),
         "disk_verdicts": (None, [i32, i32, ids, i32, i32, words, flags]),

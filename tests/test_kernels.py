@@ -658,19 +658,6 @@ def test_bound_violation_is_the_first_pair_in_row_major_order(request, raise_at)
         assert verify_filling(t).violation is None
 
 
-def test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel(monkeypatch, small_build):
-    _refuse_kernels(monkeypatch, "lower_bounds")
-    build = copy.copy(small_build)
-    build.ledger = [copy.copy(rec) for rec in small_build.ledger]
-    build.ledger[2].drift_bound = Fraction(-10**9)
-    with pytest.raises(ValueError, match=r"layer 3 of the ledger needs drift >= 0 and a length in 1..2147483647"):
-        separation_lower_bounds(build)
-    build.ledger[2].drift_bound = small_build.ledger[2].drift_bound
-    build.ledger[4].length = 2**31
-    with pytest.raises(ValueError, match=r"layer 4 of the ledger needs drift >= 0 and a length in 1..2147483647"):
-        separation_lower_bounds(build)
-
-
 def test_row_writer_refuses_other_buffers_before_the_kernel(monkeypatch):
     _refuse_kernels(monkeypatch, "rows_text")
     out = []
@@ -966,7 +953,6 @@ _REFUSED_IN = {
     "boundary_tree": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
     "boundary_rows": "test_verify.py::test_out_of_range_ids_are_refused_before_the_kernel",
     "judge_pairs": "test_kernels.py::test_bound_violation_refuses_other_tables_and_matrices_before_the_kernel",
-    "lower_bounds": "test_kernels.py::test_separation_table_refuses_a_ledger_out_of_range_before_the_kernel",
     "disk_verdicts": "test_kernels.py::test_disk_verdicts_refuse_other_stacks_before_the_kernel",
     "strip_annuli": "test_kernels.py::test_strip_annuli_refuse_other_buffers_ids_and_terms_before_the_kernel",
     "isometric_rows": "test_kernels.py::test_isometry_test_refuses_ids_beyond_its_vertices",

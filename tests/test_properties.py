@@ -209,14 +209,32 @@ def test_separation_bounds_match_the_reference_on_any_ledger(n, data):
     # schedule here, so layers other than the shallowest decide the table
     # far more often.  The code counts the cone term from the ledger's
     # kinds, the reference from the schedule, which holds the same count.
+    #
+    # An annulus may also sit on the edge of the run-start rule, the next
+    # cycle taking its length m: a bound of exactly n/(2m), as a schedule's
+    # equal annulus has, whose row the rule skips; n/(2m) + 10^-6, and a
+    # shrink to the same length, of bound n/m, whose rows it keeps.  (Those
+    # two rows are no lower than the one before either, as m delta <= 2n,
+    # so the table would not show it if they were skipped.)
     lengths = data.draw(st.lists(st.integers(3, n), min_size=1, max_size=60), label="lengths")
     ledger = [SimpleNamespace(length=m, drift_bound=None, annulus_kind=None) for m in (n, *lengths)]
     kinds = st.sampled_from(["collar", "equal", "shrink", "transition-equal"])
-    for rec in ledger[:-1]:
-        bounds = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(n, rec.length), max_denominator=10**6)
-        rec.drift_bound = data.draw(bounds, label="drift bound")
-        rec.annulus_kind = data.draw(kinds, label="kind")
+    edges = st.sampled_from([None, "equal", "past the edge", "shrink"])
+    for rec, below in zip(ledger, ledger[1:]):
+        m, edge = rec.length, data.draw(edges, label="edge")
+        if edge is None:
+            bounds = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(n, m), max_denominator=10**6)
+            rec.drift_bound = data.draw(bounds, label="drift bound")
+            rec.annulus_kind = data.draw(kinds, label="kind")
+        else:
+            below.length = m
+            half = Fraction(n, 2 * m)
+            rec.drift_bound = {"equal": half, "past the edge": half + Fraction(1, 10**6), "shrink": 2 * half}[edge]
+            rec.annulus_kind = "shrink" if edge == "shrink" else "equal"
     cone_half = sum(rec.annulus_kind in ("collar", "equal") for rec in ledger)
     sched = SimpleNamespace(collar_layers=cone_half, num_blocks=0, layers_per_block=0)
     build = SimpleNamespace(params=SimpleNamespace(n=n), schedule=sched, ledger=ledger)
-    assert separation_lower_bounds(build) == reference_separation_lower_bounds(build)
+    table = separation_lower_bounds(build)
+    assert table == reference_separation_lower_bounds(build)
+    # the one-entry lemma, as every m <= n here (test_verify.py::test_drift_lower_bound_trivia proves it)
+    assert min(v - s for s, v in enumerate(table)) == table[n // 2] - n // 2

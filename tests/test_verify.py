@@ -665,6 +665,12 @@ def test_drift_lower_bound_trivia(medium_build):
     d = verify_filling(medium_build.triangulation).boundary_distances
     assert table[n // 2] <= n // 2
     assert d[0, n // 2] == n // 2
+    # The one-entry lemma: where every cycle length m_h is at most n, each
+    # row rises by at most 1 from s to s + 1, since ceil(a + m_h / n) <=
+    # ceil(a) + 1, and max(0, .), the constant cone term and the minimum over
+    # rows keep that.  So table[s] - s never rises, and its least value is
+    # the antipodal entry's: the bound's margin is read at s = n // 2 alone.
+    assert min(v - s for s, v in enumerate(table)) == table[n // 2] - n // 2
 
 
 def test_drift_lower_bound_sound_exhaustively(small_build, medium_build):
