@@ -237,13 +237,14 @@ def _check_bound(table: list[int], dist, count: int, seed: int) -> int:
     """
     import random
 
+    from .verify import cycle_dist
+
     n = len(dist)
     draw = random.Random(seed).randrange
     violations = 0
     for _ in range(count):
         a, b = draw(n), draw(n)
-        gap = abs(a - b)  # the cycle distance of (a, b) is min(gap, n - gap)
-        bound, got = table[min(gap, n - gap)], dist[a, b]
+        bound, got = table[cycle_dist(a, b, n)], dist[a, b]
         if bound > got:
             print(f"lower bound {bound} exceeds distance {got} for ({a}, {b})")
             violations += 1

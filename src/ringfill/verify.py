@@ -380,6 +380,15 @@ def drift_audit(build: BuildResult) -> DriftAudit:
     return certify(build).audit
 
 
+def _drifts(ledger) -> tuple[list[int], int]:
+    """``(drift, unit)``, ``drift[h] == unit * D_h`` at every cycle h: unit is the lcm of the bounds' denominators."""
+    unit = math.lcm(*(rec.drift_bound.denominator for rec in ledger[:-1]))
+    drift = [0]
+    for rec in ledger[:-1]:
+        drift.append(drift[-1] + 2 * rec.drift_bound.numerator * (unit // rec.drift_bound.denominator))
+    return drift, unit
+
+
 def separation_lower_bounds(build: BuildResult) -> list[int]:
     """Lower bounds on graph distance between boundary vertices, by separation.
 
@@ -390,11 +399,12 @@ def separation_lower_bounds(build: BuildResult) -> list[int]:
     most n/m_h: row_h(s) = 2h + max(0, ceil(m_h (s - D_h) / n)) edges.  The
     table is the minimum of these rows over h, capped by the cone term.
 
-    Each row is exact integer arithmetic, with one Fraction per layer: for
-    w = floor(D_h) and q = floor(m_h (D_h - w)), an integer s exceeds D_h iff
-    s > w, and ceil((k - x)/n) = -floor((floor(x) - k)/n) for integers k and
-    n > 0, so with k = m_h (s - w) the row is 2h - (q - m_h (s - w)) // n
-    where s > w, and 2h elsewhere.  Two arguments leave most rows out:
+    Each row is exact integer arithmetic on drift[h] = unit D_h (:func:`_drifts`):
+    with w, r = divmod(drift[h], unit), w = floor(D_h) and q = m_h r // unit =
+    floor(m_h (D_h - w)).  An integer s exceeds D_h iff s > w, and
+    ceil((k - x)/n) = -floor((floor(x) - k)/n) for integers k and n > 0, so with
+    k = m_h (s - w) the row is 2h - (q - m_h (s - w)) // n where s > w, and 2h
+    elsewhere.  Two arguments leave most rows out:
 
     * *Run starts.*  If cycle h >= 1 has the length m of cycle h - 1 and the
       annulus between them adds delta = D_h - D_{h-1} with m delta <= n
@@ -416,17 +426,16 @@ def separation_lower_bounds(build: BuildResult) -> list[int]:
     size, first = n // 2 + 1, ledger[0].length
     cone = 2 * sum(rec.annulus_kind in ("collar", "equal") for rec in ledger)
     table = [min(cone, -(-first * s // n)) for s in range(size)]
-    drift = Fraction(0)
+    drift, unit = _drifts(ledger)
     for h, (above, rec) in enumerate(zip(ledger, ledger[1:]), 1):
         bound, m = above.drift_bound, rec.length
-        drift += 2 * bound
         start = 2 * h * n // first + 1  # row 0 is at most 2h before it
         if start >= size:
             break
         if m == above.length and 2 * m * bound.numerator <= n * bound.denominator:
             continue  # a run's later cycle, m delta <= n: its row is above the row before it
-        w = math.floor(drift)
-        q = math.floor(m * (drift - w))
+        w, r = divmod(drift[h], unit)
+        q = m * r // unit
         for s in range(start, size):
             row = 2 * h if s <= w else 2 * h - (q - m * (s - w)) // n
             if row < table[s]:
@@ -438,30 +447,24 @@ def step_profile_eps(build: BuildResult) -> float:
     """Worst deviation of the built layers from the ideal square-root profile.
 
     For every cycle h of the main region, compares depth, relative cycle
-    length, and accumulated drift against their smooth counterparts at the
-    rescaled depth tau_h (equal-length annuli passed inside the main region,
-    over n).  The maximum of the three normalized discrepancies shrinks as n
-    grows; the sweep records it per run.
+    length, and the exact accumulated drift (:func:`_drifts`, rounded once)
+    against ``analysis.profile`` and ``drift_integral`` at the rescaled depth
+    tau_h (equal-length annuli passed in the main region, over n).  The worst
+    of the three normalized gaps shrinks as n grows; the sweep records it.
     """
-    ledger = build.ledger
-    n = build.params.n
-    rho = float(build.params.rho)
+    from .analysis import drift_integral, profile  # here, so that only the commands that print eps load analysis
+
+    n, rho = build.params.n, float(build.params.rho)
     collar = build.schedule.collar_layers
-    depth = len(ledger) - 1
-    drift = Fraction(0)
+    drift, unit = _drifts(build.ledger)
     main_equal = 0
     worst = 0.0
-    for h in range(depth + 1):
+    for h, rec in enumerate(build.ledger):
         if h >= collar:
             tau = main_equal / n
-            q = math.sqrt(1.0 - 4.0 * tau)
-            integral = (1.0 - q) / 2.0
             d_depth = abs(2 * h - 2 * rho * n - 2 * tau * n) / n
-            d_length = abs(ledger[h].length / n - q)
-            d_drift = abs(float(drift) - rho * n - n * integral) / n
+            d_length = abs(rec.length / n - profile(tau))
+            d_drift = abs(drift[h] / unit - rho * n - n * drift_integral(tau)) / n
             worst = max(worst, d_depth, d_length, d_drift)
-        if h < depth:
-            drift += 2 * ledger[h].drift_bound
-            if ledger[h].annulus_kind == "equal":
-                main_equal += 1
+        main_equal += rec.annulus_kind == "equal"
     return worst

@@ -4,7 +4,8 @@
 ``reference_drift_audit`` the per-edge ``Fraction`` drift audit and
 ``reference_separation_lower_bounds`` the per-cell ``Fraction`` lower-bound
 table that :func:`ringfill.validate_disk`, :func:`ringfill.drift_audit` and
-:func:`ringfill.separation_lower_bounds` replaced.
+:func:`ringfill.separation_lower_bounds` replaced, and ``step_profile_eps``
+the per-layer ``Fraction`` drift sum of :func:`ringfill.step_profile_eps`.
 ``skeleton_graph`` and ``bfs_distances`` give adjacency lists and
 breadth-first distances, against which the compiled boundary BFS is
 checked, and ``reference_is_isometric`` the per-source isometry test the
@@ -261,6 +262,37 @@ def reference_separation_lower_bounds(build) -> list[int]:
                 best = val
         table.append(best)
     return table
+
+
+def step_profile_eps(build) -> float:
+    """:func:`ringfill.step_profile_eps` as it was, summing the drift as one ``Fraction`` a layer.
+
+    The profile and its drift integral are written inline, from
+    q(t) = sqrt(1 - 4t), rather than read from :mod:`ringfill.analysis`.
+    """
+    ledger = build.ledger
+    n = build.params.n
+    rho = float(build.params.rho)
+    collar = build.schedule.collar_layers
+    depth = len(ledger) - 1
+    drift = Fraction(0)
+    main_equal = 0
+    worst = 0.0
+    for h in range(depth + 1):
+        if h >= collar:
+            tau = main_equal / n
+            q = math.sqrt(1.0 - 4.0 * tau)
+            integral = (1.0 - q) / 2.0
+            d_depth = abs(2 * h - 2 * rho * n - 2 * tau * n) / n
+            d_length = abs(ledger[h].length / n - q)
+            d_drift = abs(float(drift) - rho * n - n * integral) / n
+            worst = max(worst, d_depth, d_length, d_drift)
+        if h < depth:
+            drift += 2 * ledger[h].drift_bound
+            if ledger[h].annulus_kind == "equal":
+                main_equal += 1
+    return worst
+
 
 def interior_canonical_code(
     triangles: tuple[tuple[int, int, int], ...], n: int, num_interior: int

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import reference_impl as ref
 from hypothesis import assume, given, settings, strategies as st
 from reference_impl import (
     bfs_distances,
@@ -27,6 +28,7 @@ from ringfill import (
     layer_ledger,
     separation_lower_bounds,
     staircase_indices,
+    step_profile_eps,
     validate_disk,
 )
 
@@ -200,6 +202,7 @@ def test_separation_bounds_match_the_reference(n, eta, extra, scaled, data):
         for rec in build.ledger[:-1]:
             rec.drift_bound *= data.draw(scales, label="scale")
     assert separation_lower_bounds(build) == reference_separation_lower_bounds(build)
+    assert step_profile_eps(build) == ref.step_profile_eps(build)
 
 
 @given(st.integers(3, 600), st.data())
@@ -215,19 +218,25 @@ def test_separation_bounds_match_the_reference_on_any_ledger(n, data):
     # equal annulus has, whose row the rule skips; n/(2m) + 10^-6, and a
     # shrink to the same length, of bound n/m, whose rows it keeps.  (Those
     # two rows are no lower than the one before either, as m delta <= 2n,
-    # so the table would not show it if they were skipped.)
+    # so the table would not show it if they were skipped.)  Any other
+    # bound is drawn up to 4n/m and the next cycle's length is drawn too,
+    # except in a "run": there the next cycle keeps length m and the bound
+    # is at least n/m, so m delta lies in [2n, 8n] and a cycle inside a run
+    # of equal lengths can set an entry.
     lengths = data.draw(st.lists(st.integers(3, n), min_size=1, max_size=60), label="lengths")
     ledger = [SimpleNamespace(length=m, drift_bound=None, annulus_kind=None) for m in (n, *lengths)]
     kinds = st.sampled_from(["collar", "equal", "shrink", "transition-equal"])
-    edges = st.sampled_from([None, "equal", "past the edge", "shrink"])
+    edges = st.sampled_from([None, "run", "equal", "past the edge", "shrink"])
     for rec, below in zip(ledger, ledger[1:]):
         m, edge = rec.length, data.draw(edges, label="edge")
-        if edge is None:
-            bounds = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(n, m), max_denominator=10**6)
+        if edge is not None:
+            below.length = m
+        if edge in (None, "run"):
+            low = Fraction(n, m) if edge == "run" else Fraction(1, 10**6)
+            bounds = st.fractions(min_value=low, max_value=Fraction(4 * n, m), max_denominator=10**6)
             rec.drift_bound = data.draw(bounds, label="drift bound")
             rec.annulus_kind = data.draw(kinds, label="kind")
         else:
-            below.length = m
             half = Fraction(n, 2 * m)
             rec.drift_bound = {"equal": half, "past the edge": half + Fraction(1, 10**6), "shrink": 2 * half}[edge]
             rec.annulus_kind = "shrink" if edge == "shrink" else "equal"
